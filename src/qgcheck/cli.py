@@ -66,37 +66,36 @@ def _stage_failure(model: QGModel, stage: str, law: str, exc) -> CheckRecord:
                        witness=str(exc))
 
 
-def _algebraic_records(model: QGModel):
-    """Exact-tier suite; returns (records, haar, duality), the latter two
-    None when an earlier stage failed."""
+def _algebraic_records(model: QGModel) -> list[CheckRecord]:
+    """Exact-tier suite, stopping at the first stage that fails."""
     records = list(validate_model(model))
     if _has_failure(records):
-        return records, None, None
+        return records
     try:
         haar = solve_haar(model)
     except (ModelError, SingularMap) as e:
         records.append(_stage_failure(
             model, "haar", "invariant functional exists and is unique", e))
-        return records, None, None
+        return records
     records += check_modular_structure(haar)
     try:
-        dd = build_dual(model, haar, validate=False)
+        dd = build_dual(model, validate=False)
     except (ModelError, SingularMap) as e:
         records.append(_stage_failure(
             model, "dual", "dual model construction succeeds", e))
-        return records, haar, None
+        return records
     records += check_dual(dd)
     records += check_dual_modular(dd)
     records += check_radford(dd)
     records += check_pentagon_and_lemmas(dd)
     records += check_convolution_compat(dd)
     records += check_biduality(dd)
-    return records, haar, dd
+    return records
 
 
-def _analytic_records(model: QGModel, haar, dd, explicit: bool):
+def _analytic_records(model: QGModel, explicit: bool):
     try:
-        g = build_gns(model, haar=haar, dual=dd)
+        g = build_gns(model)
     except TierRefusal as e:
         if explicit:
             raise
@@ -135,15 +134,11 @@ def cmd_verify(args) -> int:
                           "suite": args.suite, "seed": seed,
                           "tol": args.tol})
     with _overrides(args.tol, args.seed):
-        haar = dd = None
-        structural_failure = False
         if args.suite in ("algebraic", "all"):
-            records, haar, dd = _algebraic_records(model)
-            report.add(records)
-            structural_failure = _has_failure(records)
-        if args.suite in ("analytic", "all") and not structural_failure:
+            report.add(_algebraic_records(model))
+        if args.suite in ("analytic", "all") and report.ok:
             report.add(_analytic_records(
-                model, haar, dd, explicit=args.suite == "analytic"))
+                model, explicit=args.suite == "analytic"))
     print(report.text_table())
     if args.report:
         write_report(report, args.report)

@@ -66,15 +66,21 @@ class AlgMultUnitary:
     w_inv: LinMap
 
 
-def build_dual(model: QGModel, haar: HaarData | None = None,
-               validate: bool = True) -> Duality:
+def build_dual(model: QGModel, validate: bool = True) -> Duality:
     """Construct the dual model on the same coordinate space.
 
     With validate=True (the default) the result is run through the full
     structural and Haar/modular suites; any failure raises.
     """
-    if haar is None:
-        haar = solve_haar(model)
+    dd = model._cached("dual", lambda: _build_dual(model))
+    if validate:
+        ensure(validate_model(dd.dual, deep=True))
+        ensure(check_modular_structure(dd.dual_haar))
+    return dd
+
+
+def _build_dual(model: QGModel) -> Duality:
+    haar = solve_haar(model)
     d = model.dim
     A, AA = model.A, model.AA
     phi, pmat, pmat_inv = haar.phi, haar.pmat, haar.pmat_inv
@@ -123,12 +129,8 @@ def build_dual(model: QGModel, haar: HaarData | None = None,
         basis=tuple(f"{lab}^" for lab in model.basis),
         unit=conv_unit, mult=conv, coprod=dcop, counit=phi,
         antipode=dantipode, invol=dinvol, positive=model.positive)
-    dual_haar = solve_haar(dual)
-    dd = Duality(source=model, haar=haar, dual=dual, dual_haar=dual_haar)
-    if validate:
-        ensure(validate_model(dual, deep=True))
-        ensure(check_modular_structure(dual_haar))
-    return dd
+    return Duality(source=model, haar=haar, dual=dual,
+                   dual_haar=solve_haar(dual))
 
 
 def check_dual(dd: Duality) -> list[CheckRecord]:
@@ -271,6 +273,11 @@ def check_radford(dd: Duality) -> list[CheckRecord]:
 
 def build_alg_mult_unitary(model: QGModel) -> AlgMultUnitary:
     """The invertible map w(a(x)b) = S^-1(b_(1)) a (x) b_(2) on A (x) A."""
+    return model._cached("alg_mult_unitary",
+                         lambda: _build_alg_mult_unitary(model))
+
+
+def _build_alg_mult_unitary(model: QGModel) -> AlgMultUnitary:
     i = model.idA
     w = (model.mult @ model.flipA).tensor(i) \
         @ i.tensor(model.antipode_inv).tensor(i) \
@@ -291,8 +298,7 @@ def _alpha(haar: HaarData) -> LinMap:
         @ m.antipode_inv @ m.antipode_inv
 
 
-def check_pentagon_and_lemmas(dd: Duality, mw: AlgMultUnitary | None = None,
-                              cap: int = 1000,
+def check_pentagon_and_lemmas(dd: Duality, cap: int = 1000,
                               samples: int = 120) -> list[CheckRecord]:
     """Pentagon equation, twist lemmas and the adjoint relation for w.
 
@@ -302,8 +308,7 @@ def check_pentagon_and_lemmas(dd: Duality, mw: AlgMultUnitary | None = None,
     on seeded samples.
     """
     m, h, dm = dd.source, dd.haar, dd.dual
-    if mw is None:
-        mw = build_alg_mult_unitary(m)
+    mw = build_alg_mult_unitary(m)
     w, w_inv = mw.w, mw.w_inv
     d = m.dim
     ck = Checker(f"{m.name}.munitary")
@@ -458,7 +463,7 @@ def bidual_map(dd: Duality) -> LinMap:
 
 def check_biduality(dd: Duality) -> list[CheckRecord]:
     """The double dual is isomorphic to the source as a Hopf *-algebra."""
-    bidd = build_dual(dd.dual, dd.dual_haar, validate=False)
+    bidd = build_dual(dd.dual, validate=False)
     kappa = bidual_map(dd)
     return check_hopf_star_iso(kappa, dd.source, bidd.dual,
                                prefix=f"{dd.source.name}.bidual")

@@ -56,14 +56,14 @@ class PositiveOperatorCalculus:
     positive spectrum, so no branch choices arise.
     """
 
-    def __init__(self, name: str, matrix: np.ndarray, tol: float = TOL_SPECTRAL):
+    def __init__(self, name: str, matrix: np.ndarray):
         self.name = name
         self.matrix = np.asarray(matrix, dtype=complex)
         try:
-            w, u = eigh_checked(self.matrix, tol)
+            w, u = eigh_checked(self.matrix, TOL_SPECTRAL)
         except ValueError as exc:
             raise CheckFailure(f"operator {name}: {exc}") from exc
-        floor = tol * max(1.0, float(np.max(np.abs(w))))
+        floor = TOL_SPECTRAL * max(1.0, float(np.max(np.abs(w))))
         if float(np.min(w)) <= floor:
             raise CheckFailure(
                 f"operator {name} is not positive definite "
@@ -212,15 +212,14 @@ def _chol_frame(gram: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     return lam, frame
 
 
-def build_gns(model: QGModel, haar: HaarData | None = None,
-              dual: Duality | None = None) -> GnsRealization:
+def build_gns(model: QGModel) -> GnsRealization:
     """GNS realization of the invariant state, plus the modular layer.
 
     Refuses (TierRefusal) when the Gram matrix phi(conj(e_i) e_j) is not
     positive definite or when the scaling constant differs from 1, since
     the analytic layer is built under those standing assumptions.
     """
-    haar = haar or solve_haar(model)
+    haar = solve_haar(model)
     mu = haar.mu
     if not (mu - model.scalar(1)).is_zero():
         raise TierRefusal(
@@ -228,7 +227,7 @@ def build_gns(model: QGModel, haar: HaarData | None = None,
             "the analytic layer runs under the standing assumption mu = 1")
     gram = haar.gram.to_numpy()
     lam, frame = _chol_frame(gram, f"{model.name}: Gram matrix of phi")
-    dual = dual or build_dual(model, haar, validate=False)
+    dual = build_dual(model, validate=False)
     dm, dh = dual.dual, dual.dual_haar
     d = model.dim
 
@@ -275,17 +274,13 @@ def build_gns(model: QGModel, haar: HaarData | None = None,
     return build_modular_operators(gns)
 
 
-def build_modular_operators(gns: GnsRealization,
-                            haar: HaarData | None = None,
-                            dual: Duality | None = None) -> GnsRealization:
+def build_modular_operators(gns: GnsRealization) -> GnsRealization:
     """Fill in T, K, L, J and the eight positive modular operators.
 
     Each defining action on Lambda(A) is asserted as a residual identity
     and each positive operator goes through the spectral calculus, which
     raises a failure naming the operator when the spectrum is not positive.
     """
-    haar = haar or gns.haar
-    dual = dual or gns.dual
     model, d = gns.model, gns.dim
     lam, frame = gns.lam, gns.frame
     C, S = gns.invol, gns.antipode
@@ -309,8 +304,8 @@ def build_modular_operators(gns: GnsRealization,
                    tol=TOL_SPECTRAL)
 
     # K Lambda(f) = Lambda'(S(conj f)) into the GNS space of psi = phi o S
-    psi_row = haar.psi.to_numpy().reshape(-1)
-    pmat = haar.pmat.to_numpy()
+    psi_row = gns.haar.psi.to_numpy().reshape(-1)
+    pmat = gns.haar.pmat.to_numpy()
     gram_psi = C.T @ (psi_row @ gns.mult).reshape(d, d)
     lam_p, frame_p = _chol_frame(gram_psi, f"{model.name}: Gram matrix of psi")
     gns.k_mat = lam_p @ S @ C @ np.conj(frame)
@@ -351,8 +346,9 @@ def build_modular_operators(gns: GnsRealization,
 
 
 def _assert_action(gns: GnsRealization, name: str, left: np.ndarray,
-                   right: np.ndarray, tol: float = TOL_IDENTITY,
+                   right: np.ndarray, tol: float | None = None,
                    antilinear: bool = False):
+    tol = TOL_IDENTITY if tol is None else tol
     r = rel_residual(left, right)
     if r > tol:
         kind = "antilinear" if antilinear else "linear"

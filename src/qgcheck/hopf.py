@@ -37,6 +37,10 @@ class QGModel:
       antipode  antipode A -> A
       invol     linear part C of the involution, a* = C(conj a)
       positive  whether the invariant functional is expected to be a state
+
+    A model is immutable, so what is derived from it alone is built once
+    and memoized on it by _cached: the inverse antipode, the Galois maps,
+    the Haar data, the dual and the algebraic multiplicative unitary.
     """
 
     name: str

@@ -51,6 +51,19 @@ def _scalar_from_json(obj, order: int, where: str) -> Cyc:
     return Cyc(order, coeffs)
 
 
+def _is_int(x) -> bool:
+    """JSON integers only: bool is a subclass of int but not an integer."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _index(x, bound: int, what: str, where: str) -> int:
+    if not _is_int(x):
+        raise ParseError(f"{where}: {what} {x!r} is not an integer")
+    if not 0 <= x < bound:
+        raise ParseError(f"{where}: {what} {x!r} out of range 0..{bound - 1}")
+    return x
+
+
 def _vec_to_json(v: Vec) -> list:
     return [[i, _scalar_to_json(c)] for i, c in sorted(v.data.items())]
 
@@ -63,12 +76,10 @@ def _vec_from_json(obj, dims, order: int, where: str) -> Vec:
     for pair in obj:
         if not (isinstance(pair, list) and len(pair) == 2):
             raise ParseError(f"{where}: entry {pair!r} is not a pair")
-        i, sc = pair
-        if not isinstance(i, int) or not 0 <= i < total:
-            raise ParseError(f"{where}: index {i!r} out of range 0..{total - 1}")
+        i = _index(pair[0], total, "index", where)
         if i in data:
             raise ParseError(f"{where}: duplicate index {i}")
-        data[i] = _scalar_from_json(sc, order, f"{where}[{i}]")
+        data[i] = _scalar_from_json(pair[1], order, f"{where}[{i}]")
     return Vec(dims, data)
 
 
@@ -86,17 +97,12 @@ def _map_from_json(obj, dom, cod, order: int, where: str) -> LinMap:
     for triple in obj:
         if not (isinstance(triple, list) and len(triple) == 3):
             raise ParseError(f"{where}: entry {triple!r} is not a triple")
-        i, j, sc = triple
-        if not isinstance(i, int) or not 0 <= i < nc:
-            raise ParseError(f"{where}: out index {i!r} out of range "
-                             f"0..{nc - 1}")
-        if not isinstance(j, int) or not 0 <= j < nd:
-            raise ParseError(f"{where}: in index {j!r} out of range "
-                             f"0..{nd - 1}")
+        i = _index(triple[0], nc, "out index", where)
+        j = _index(triple[1], nd, "in index", where)
         if (i, j) in seen:
             raise ParseError(f"{where}: duplicate entry ({i}, {j})")
         seen.add((i, j))
-        entries.append((i, j, _scalar_from_json(sc, order,
+        entries.append((i, j, _scalar_from_json(triple[2], order,
                                                 f"{where}[{i},{j}]")))
     return LinMap.from_entries(dom, cod, entries)
 
@@ -107,7 +113,7 @@ def _field(d: dict, key: str, kind, where: str):
     if key not in d:
         raise ParseError(f"{where}: missing field {key!r}")
     v = d[key]
-    if kind is not None and not isinstance(v, kind):
+    if kind is int and not _is_int(v) or not isinstance(v, kind):
         raise ParseError(f"{where}: field {key!r} must be "
                          f"{kind.__name__}, got {type(v).__name__}")
     return v
@@ -213,9 +219,9 @@ def parse_table(path: str) -> GroupTable:
     rows = _field(d, "table", list, path)
     if not all(isinstance(e, str) for e in elements):
         raise ParseError(f"{path}: elements must be strings")
-    if not all(isinstance(r, list) and all(isinstance(v, int) for v in r)
+    if not all(isinstance(r, list) and all(_is_int(v) for v in r)
                for r in rows):
-        raise ParseError(f"{path}: table must be lists of integers")
+        raise ParseError(f"{path}: field 'table' must be lists of integers")
     return GroupTable(name, tuple(elements), rows)
 
 

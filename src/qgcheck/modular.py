@@ -66,8 +66,15 @@ def _invariance_system(model: QGModel, side: str) -> LinMap:
     return LinMap.from_entries((d,), (d, d), entries)
 
 
-def solve_haar(model: QGModel, eig_tol: float = 1e-10) -> HaarData:
+EIG_TOL = 1e-10  # relative floor for a positive Gram eigenvalue
+
+
+def solve_haar(model: QGModel) -> HaarData:
     """Compute the invariant functional and everything it induces."""
+    return model._cached("haar", lambda: _solve_haar(model))
+
+
+def _solve_haar(model: QGModel) -> HaarData:
     d = model.dim
     ker = kernel(_invariance_system(model, "left"))
     if len(ker) != 1:
@@ -137,7 +144,7 @@ def solve_haar(model: QGModel, eig_tol: float = 1e-10) -> HaarData:
          for i in range(d) for j in range(d)))
     if gram == gram.adjoint():
         eigs = np.linalg.eigvalsh(gram.to_numpy())
-        gram_positive = bool(eigs.min() > eig_tol * max(1.0, eigs.max()))
+        gram_positive = bool(eigs.min() > EIG_TOL * max(1.0, eigs.max()))
     else:
         gram_positive = False
     if gram_positive != model.positive:

@@ -29,16 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import gns
 from .duality import Duality, build_dual
 from .errors import CheckFailure, ModelError, TierRefusal
 from .hopf import QGModel
 from .linalg import LinMap, kernel, rank
 from .models import GroupTable, build_function_algebra, builtin
 from .report import Checker, CheckRecord, ensure
-
-TOL_IDENTITY = 1e-10
-TOL_SPECTRAL = 1e-8
-TOL_MULTIPLIER = 1e-9
 
 
 @dataclass(frozen=True)
@@ -153,10 +150,7 @@ def validate_morphism(mor: QGMorphism) -> list[CheckRecord]:
 
 # -- the dual morphism -----------------------------------------------------
 
-def build_dual_morphism(mor: QGMorphism,
-                        source_duality: Duality | None = None,
-                        target_duality: Duality | None = None,
-                        validate: bool = True) -> DualMorphism:
+def build_dual_morphism(mor: QGMorphism, validate: bool = True) -> DualMorphism:
     """Construct pi_hat from (pi_hat(x), a) = (x, pi(a)).
 
     With (f, a) = phi(a f) the identity reads P_src pi_hat = pi^T P_tgt,
@@ -166,8 +160,8 @@ def build_dual_morphism(mor: QGMorphism,
     """
     if validate:
         ensure(validate_morphism(mor))
-    sdd = source_duality or build_dual(mor.source, validate=False)
-    tdd = target_duality or build_dual(mor.target, validate=False)
+    sdd = build_dual(mor.source, validate=False)
+    tdd = build_dual(mor.target, validate=False)
     pi_hat = sdd.haar.pmat_inv @ mor.pi.transpose() @ tdd.haar.pmat
     return DualMorphism(mor, sdd, tdd, pi_hat)
 
@@ -293,8 +287,7 @@ def _rep_stack(mats) -> np.ndarray:
     return np.stack([m.reshape(-1) for m in mats], axis=1)
 
 
-def certify_vaes(mor: QGMorphism, dm: DualMorphism,
-                 gns_source=None, gns_target=None) -> list[CheckRecord]:
+def certify_vaes(mor: QGMorphism, dm: DualMorphism) -> list[CheckRecord]:
     """Certify the closed-subgroup embedding of convolution algebras.
 
     Exact records: pi_hat respects convolution products, adjoints and
@@ -308,10 +301,9 @@ def certify_vaes(mor: QGMorphism, dm: DualMorphism,
     functional identity counit_tgt(x * a) = counit_src(pi_hat(x) * b)
     holds for the minimal-norm preimage b of a.  When a model sits
     outside the GNS layer's standing assumptions those records are
-    skipped with the refusal reason.
+    skipped with the refusal reason.  Tolerances are the GNS layer's,
+    read at call time.
     """
-    from .gns import build_gns
-
     src, tgt, pi = mor.source, mor.target, mor.pi
     dg, dh = dm.source_duality.dual, dm.target_duality.dual
     n, k = src.dim, tgt.dim
@@ -388,20 +380,16 @@ def certify_vaes(mor: QGMorphism, dm: DualMorphism,
 
     ck.numeric("functional-identity",
                "counit(x * a) = counit(pi_hat(x) * b) for pi(b) = a",
-               TOL_MULTIPLIER, functional_identity)
+               gns.TOL_MULTIPLIER, functional_identity)
 
     # Representation-level records on the GNS layer.
-    refusal = None
     try:
-        gns_source = gns_source or build_gns(src)
-        gns_target = gns_target or build_gns(tgt)
+        gns_source = gns.build_gns(src)
+        gns_target = gns.build_gns(tgt)
     except TierRefusal as e:
-        refusal = str(e)
-
-    rep_ids = ("represented", "represented-injective", "norm-transport")
-    if refusal is not None:
-        for check_id in rep_ids:
-            ck.skip(check_id, "regular-representation record", refusal)
+        for check_id in ("represented", "represented-injective",
+                         "norm-transport"):
+            ck.skip(check_id, "regular-representation record", str(e))
         return ck.records
 
     x_basis = [tgt.basis_vec(x) for x in range(k)]
@@ -425,14 +413,15 @@ def certify_vaes(mor: QGMorphism, dm: DualMorphism,
 
     ck.numeric("represented",
                "x |-> lambda(pi_hat(x)) is a unital *-homomorphism",
-               TOL_IDENTITY, represented)
+               gns.TOL_IDENTITY, represented)
 
     def rep_rank():
-        got = int(np.linalg.matrix_rank(_rep_stack(rep), tol=TOL_SPECTRAL))
+        got = int(np.linalg.matrix_rank(_rep_stack(rep),
+                                        tol=gns.TOL_SPECTRAL))
         return float(k - got), f"represented rank {got} of {k}"
 
     ck.numeric("represented-injective",
-               "lambda o pi_hat has full rank", TOL_IDENTITY, rep_rank)
+               "lambda o pi_hat has full rank", gns.TOL_IDENTITY, rep_rank)
 
     def norms():
         worst, note = 0.0, None
@@ -445,7 +434,7 @@ def certify_vaes(mor: QGMorphism, dm: DualMorphism,
 
     ck.numeric("norm-transport",
                "operator norms of lambda(pi_hat(x)) and lambda(x) agree",
-               TOL_SPECTRAL, norms)
+               gns.TOL_SPECTRAL, norms)
     return ck.records
 
 
@@ -456,9 +445,7 @@ def check_functoriality(inner: QGMorphism, outer: QGMorphism) -> list[CheckRecor
     composed = compose_morphisms(outer, inner)
     dmi = build_dual_morphism(inner, validate=False)
     dmo = build_dual_morphism(outer, validate=False)
-    dmc = build_dual_morphism(composed, validate=False,
-                              source_duality=dmi.source_duality,
-                              target_duality=dmo.target_duality)
+    dmc = build_dual_morphism(composed, validate=False)
     ck = Checker(f"{composed.label}.functorial")
     ck.exact("identity", "dual of the identity morphism is the identity",
              lambda: build_dual_morphism(

@@ -78,7 +78,7 @@ def haar(name):
 @functools.lru_cache(maxsize=None)
 def analytic(name):
     dd = duality(name)
-    return analytic_suite(build_gns(dd.source, dd.haar, dd))
+    return analytic_suite(build_gns(dd.source))
 
 
 def all_pass(records, context, exact=False):

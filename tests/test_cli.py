@@ -1,11 +1,14 @@
 """CLI behavior: verbs, suites, exit codes, reports, determinism."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
-from qgcheck.cli import main
+from qgcheck import duality, modular
+from qgcheck import gns as G
+from qgcheck.cli import dispatch, main
 from qgcheck.modelio import parse_model
 from qgcheck.models import builtin
 
@@ -69,6 +72,58 @@ def test_report_is_deterministic_for_fixed_seed(tmp_path):
 
 def test_verify_tol_flag_loosens_analytic_layer():
     assert main(["verify", model_path("c_z3"), "--tol", "1e-8"]) == 0
+
+
+def test_tol_reaches_construction_tolerances(monkeypatch):
+    # --tol 1e-14 puts the identity tolerance at 1e-14 and the spectral one
+    # at 1e-12; the GNS construction must assert with those, not the defaults
+    calculus, action = set(), set()
+    eigh_checked, rel_residual = G.eigh_checked, G.rel_residual
+
+    def spy_eigh(h, tol):
+        calculus.add(tol)
+        return eigh_checked(h, tol)
+
+    def spy_residual(a, b):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "_assert_action":
+            action.add(caller.f_locals["tol"])
+        return rel_residual(a, b)
+
+    monkeypatch.setattr(G, "eigh_checked", spy_eigh)
+    monkeypatch.setattr(G, "rel_residual", spy_residual)
+    assert main(["verify", "c_z2", "--tol", "1e-14"]) == 0
+    assert sorted(calculus) == pytest.approx([1e-12], rel=1e-9, abs=0)
+    assert sorted(action) == pytest.approx([1e-14, 1e-12], rel=1e-9, abs=0)
+
+
+def _record_calls(monkeypatch, module, name) -> list:
+    """Replace module.name by a spy; the list collects the models passed."""
+    calls, build = [], getattr(module, name)
+
+    def spy(model):
+        calls.append(model)
+        return build(model)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_subgroup_builds_haar_and_dual_once_per_model(monkeypatch):
+    haar = _record_calls(monkeypatch, modular, "_solve_haar")
+    dual = _record_calls(monkeypatch, duality, "_build_dual")
+    assert dispatch(["subgroup", "--g", model_path("c_s3"),
+                     "--h", model_path("c_z3"),
+                     "--map", str(MODELS_DIR / "restrict_a3.json")]) == 0
+    for calls in (haar, dual):
+        assert calls
+        assert len({id(m) for m in calls}) == len(calls)
+
+
+def test_verify_builds_mult_unitary_once(monkeypatch):
+    w = _record_calls(monkeypatch, duality, "_build_alg_mult_unitary")
+    assert dispatch(["verify", model_path("c_s3"), "--suite", "all"]) == 0
+    assert len(w) == 1
 
 
 def test_dual_output_verifies_and_roundtrips(tmp_path):

@@ -187,7 +187,7 @@ def test_radford_nontrivial_antipode(dual_cache, taft3):
 def test_bidual_map_unit(dual_cache):
     dd = dual_cache("c_s3")
     kappa = bidual_map(dd)
-    bidd = build_dual(dd.dual, dd.dual_haar, validate=False)
+    bidd = build_dual(dd.dual, validate=False)
     assert kappa(dd.source.unit) == bidd.dual.unit
     assert bidd.dual.name.endswith("^^")
 

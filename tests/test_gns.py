@@ -9,7 +9,6 @@ from qgcheck import gns as G
 from qgcheck.errors import TierRefusal
 from qgcheck.linalg import rel_residual
 from qgcheck.models import GroupTable
-from qgcheck.modular import solve_haar
 from qgcheck.report import ensure
 
 FULL_SUITE = ["trivial", "c_z2", "c_z3", "c_s3", "cg_z2", "cg_s3", "d_z3"]
@@ -26,12 +25,12 @@ def test_refusal_scaling_constant(sweedler, taft3):
 
 
 def test_refusal_non_positive_gram(model_cache):
-    model = model_cache("c_z2")
-    haar = solve_haar(model)
+    # negating the involution negates the Gram matrix phi(a* b)
+    m = model_cache("c_z2")
     spoiled = dataclasses.replace(
-        haar, gram=haar.gram.scale(model.scalar(-1)), gram_positive=False)
+        m, invol=m.invol.scale(m.scalar(-1)), positive=False)
     with pytest.raises(TierRefusal, match="eigenvalue"):
-        G.build_gns(model, haar=spoiled)
+        G.build_gns(spoiled)
 
 
 def test_trivial_model(gns_cache):

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from qgcheck.cli import main
 from qgcheck.errors import ModelError, ParseError
 from qgcheck.modelio import (emit_model, emit_table, model_from_dict,
                              model_to_dict, parse_model, parse_morphism,
@@ -71,6 +72,30 @@ def test_out_of_range_index_is_reported():
     d["unit"] = [[5, ["1"]]]
     with pytest.raises(ParseError, match="out of range"):
         model_from_dict(d)
+
+
+@pytest.mark.parametrize("where, named", [
+    (("order",), "field 'order'"), (("dim",), "field 'dim'"),
+    (("mult", 0, 1), "mult: in index True"),
+    (("table", 0, 0), "field 'table'")],
+    ids=["order", "dim", "map-index", "table-entry"])
+def test_bool_is_not_an_integer(tmp_path, capsys, where, named):
+    # bool is a subclass of int, so JSON true must be rejected explicitly
+    path = tmp_path / "in.json"
+    if where[0] == "table":
+        d = table_to_dict(GroupTable.cyclic(2))
+        argv = ["build-group", "--table", str(path), "--kind", "function",
+                "-o", str(tmp_path / "out.json")]
+    else:
+        d = model_to_dict(builtin("c_z2"))
+        argv = ["verify", str(path)]
+    parent = d
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = True
+    path.write_text(json.dumps(d))
+    assert main(argv) == 2
+    assert named in capsys.readouterr().err
 
 
 def test_bad_rational_is_reported():
