@@ -20,8 +20,8 @@ from .gns import (GnsRealization, analytic_suite, build_gns,
                   check_modular_groups, check_power_calculus,
                   check_regular_reps, check_w_properties,
                   complex_powers_as_multipliers)
-from .hopf import (QGModel, check_cancellation, galois, galois_variants,
-                   solve_antipode, solve_counit, validate_model,
+from .hopf import (QGModel, check_cancellation, galois, galois_map,
+                   galois_variants, solve_antipode, solve_counit, validate_model,
                    verify_counit_antipode)
 from .linalg import LinMap, Vec, det, inverse, kernel, rank, solve_linear
 from .modelio import (emit_model, emit_morphism, emit_table, model_from_dict,
@@ -60,7 +60,8 @@ __all__ = [
     "check_power_calculus", "check_radford", "check_regular_reps",
     "check_w_properties", "complex_powers_as_multipliers",
     "compose_morphisms", "counit_morphism", "det", "emit_model",
-    "emit_morphism", "emit_table", "ensure", "galois", "galois_variants",
+    "emit_morphism", "emit_table", "ensure", "galois", "galois_map",
+    "galois_variants",
     "identity_morphism", "inverse", "kernel", "model_from_dict",
     "model_to_dict", "parse_model", "parse_morphism", "parse_table",
     "rank", "restriction_morphism", "solve_antipode", "solve_counit",

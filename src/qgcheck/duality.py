@@ -15,7 +15,12 @@ leg by leg.  The dual structure maps are fixed by skew-duality:
 
 Each map is obtained by solving its defining equation against the value
 matrix P[i, j] = phi(e_i e_j); closed-form expressions in terms of S,
-sigma and delta are then verified as checks, never assumed.
+sigma and delta are then verified as checks, never assumed.  The
+convolution product is the closed matrix identity
+
+  P conv = coprod^T (P (x) P),   so   conv = P^-1 coprod^T (P (x) P),
+
+formed from d coproduct columns rather than d^3 pairings.
 
 Models whose scaling constant mu = phi(S^2 .)/phi(.) differs from 1 (the
 quantized-function families; every positive model has mu = 1) satisfy the
@@ -30,7 +35,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import ModelError
-from .hopf import QGModel, galois, galois_variants, validate_model
+from .hopf import QGModel, galois_map, validate_model
 from .linalg import LinMap, Vec, apply_on_legs, embed_on_legs, inverse
 from .modular import HaarData, check_modular_structure, solve_haar
 from .report import CheckRecord, Checker, ensure
@@ -85,22 +90,19 @@ def _build_dual(model: QGModel) -> Duality:
     A, AA = model.A, model.AA
     phi, pmat, pmat_inv = haar.phi, haar.pmat, haar.pmat_inv
 
-    # product: column (i, j) solves phi(e_k h) = (phi(x)phi)(coprod(e_k)(e_i(x)e_j))
-    conv_cols = {}
-    phi2 = phi.tensor(phi)
-    coprod_cols = [model.coprod.column(k) for k in range(d)]
-    for i in range(d):
-        for j in range(d):
-            fg = Vec.basis(AA, (i, j))
-            vals = {}
-            for k in range(d):
-                v = phi2(model.mul2(coprod_cols[k], fg)).get(0)
-                if not v.is_zero():
-                    vals[k] = v
-            h = pmat_inv(Vec(A, vals))
-            if h.data:
-                conv_cols[i * d + j] = dict(h.data)
-    conv = LinMap(AA, A, conv_cols)
+    # product: P conv = coprod^T (P(x)P), the pairing identity
+    # (f*g, a) = (f(x)g, coprod a) for all basis f, g, a at once.  Its
+    # right side is the transpose of (P^T(x)P^T) coprod, formed by applying
+    # P^T to both legs of each coproduct column, so
+    # conv = P^-1 ((P^T(x)P^T) coprod)^T.
+    pt = pmat.transpose()
+    paired = {}
+    for k in range(d):
+        col = apply_on_legs(pt, (0,), apply_on_legs(
+            pt, (1,), model.coprod.column(k)))
+        if col.data:
+            paired[k] = dict(col.data)
+    conv = pmat_inv @ LinMap(A, AA, paired).transpose()
 
     # unit: phi(e_k u) = eps(e_k)
     conv_unit = pmat_inv(Vec(A, {j: v for _, j, v in model.counit.entries()}))
@@ -283,7 +285,7 @@ def _build_alg_mult_unitary(model: QGModel) -> AlgMultUnitary:
         @ i.tensor(model.antipode_inv).tensor(i) \
         @ i.tensor(model.coprod)
     # inverse: a(x)b |-> coprod(b)(a(x)1), the op-twisted right Galois map
-    w_inv = galois_variants(model)["rl_op"]
+    w_inv = galois_map(model, "rl_op")
     iaa = LinMap.identity(model.AA)
     if not (w @ w_inv - iaa).is_zero() or not (w_inv @ w - iaa).is_zero():
         raise ModelError(f"{model.name}: multiplicative unitary is not "
@@ -395,27 +397,27 @@ def check_convolution_compat(dd: Duality) -> list[CheckRecord]:
     d = m.dim
     i = m.idA
     conv = dm.mult
-    g = galois(m)
-    gv = galois_variants(m)
+    rl, rl_op = galois_map(m, "rl"), galois_map(m, "rl_op")
+    rr, rr_op = galois_map(m, "rr"), galois_map(m, "rr_op")
     dims4 = (d, d, d, d)
     ck = Checker(f"{m.name}.conv-compat")
 
     iconv = i.tensor(conv)
     ck.exact("coprod-left-mult", "(a (x) 1) coprod(f*g) = a f_(1) (x) (f_(2)*g)",
-             lambda: g["rl"] @ iconv - iconv @ g["rl"].tensor(i))
+             lambda: rl @ iconv - iconv @ rl.tensor(i))
     ck.exact("coprod-left-mult-op", "coprod(f*g)(a (x) 1) = f_(1) a (x) (f_(2)*g)",
-             lambda: gv["rl_op"] @ iconv - iconv @ gv["rl_op"].tensor(i))
+             lambda: rl_op @ iconv - iconv @ rl_op.tensor(i))
 
     # (1 (x) a) coprod(f*g) = (f*g_(1)) (x) a g_(2): reorder (a, f, g1, g2)
     # to (f, g1, a, g2) and contract with conv (x) mult
     swap = LinMap.leg_permutation(dims4, (1, 2, 0, 3))
     ck.exact("coprod-right-mult", "(1 (x) a) coprod(f*g) = (f*g_(1)) (x) a g_(2)",
-             lambda: g["rr"] @ iconv
+             lambda: rr @ iconv
              - conv.tensor(m.mult) @ swap @ i.tensor(i).tensor(m.coprod))
     swap_op = LinMap.leg_permutation(dims4, (1, 2, 3, 0))
     ck.exact("coprod-right-mult-op",
              "coprod(f*g)(1 (x) a) = (f*g_(1)) (x) g_(2) a",
-             lambda: gv["rr_op"] @ iconv
+             lambda: rr_op @ iconv
              - conv.tensor(m.mult) @ swap_op @ i.tensor(i).tensor(m.coprod))
 
     def inner_product():

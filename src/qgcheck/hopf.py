@@ -5,9 +5,11 @@ coproduct, counit, antipode and involution, all stored as exact sparse
 linear maps over a cyclotomic field.  The involution is antilinear, so we
 store its linear part C and apply it as  a* = C(conj(a)).
 
-Structural laws are verified by `validate_model`; the four canonical
-twisted-multiplication maps (and their opposite/co-opposite variants) are
-built by `galois` and inverted exactly by `check_cancellation`.
+Structural laws are verified by `validate_model`.  The four canonical
+twisted-multiplication maps and their opposite/co-opposite variants are
+built one at a time by `galois_map`, which memoizes each key on the model
+so that a caller builds only the maps it uses; `check_cancellation`
+inverts them exactly.
 """
 
 from __future__ import annotations
@@ -39,8 +41,9 @@ class QGModel:
       positive  whether the invariant functional is expected to be a state
 
     A model is immutable, so what is derived from it alone is built once
-    and memoized on it by _cached: the inverse antipode, the Galois maps,
-    the Haar data, the dual and the algebraic multiplicative unitary.
+    and memoized on it by _cached: the inverse antipode, each Galois map
+    under its own key, the Haar data, the dual and the algebraic
+    multiplicative unitary.
     """
 
     name: str
@@ -187,46 +190,49 @@ class QGModel:
 # -- twisted multiplication maps -------------------------------------------
 
 
-def _galois_four(mult: LinMap, coprod: LinMap) -> dict[str, LinMap]:
-    d = mult.cod[0]
-    i = LinMap.identity((d,))
-    flip = LinMap.flip(d, d)
-    return {
-        # a(x)b |-> coprod(a)(b(x)1)
-        "gl": (mult.tensor(i)) @ (i.tensor(flip)) @ (coprod.tensor(i)),
-        # a(x)b |-> coprod(a)(1(x)b)
-        "gr": (i.tensor(mult)) @ (coprod.tensor(i)),
-        # a(x)b |-> (a(x)1)coprod(b)
-        "rl": (mult.tensor(i)) @ (i.tensor(coprod)),
-        # a(x)b |-> (1(x)a)coprod(b)
-        "rr": (i.tensor(mult)) @ (flip.tensor(i)) @ (i.tensor(coprod)),
-    }
+GALOIS_KINDS = ("gl", "gr", "rl", "rr")
+GALOIS_TAGS = ("", "_cop", "_op", "_opcop")
 
 
-def galois(model: QGModel) -> dict[str, LinMap]:
-    """The four canonical maps gl, gr, rl, rr on A (x) A."""
-    return model._cached(
-        "galois", lambda: _galois_four(model.mult, model.coprod))
+def _build_galois(model: QGModel, key: str) -> LinMap:
+    kind, tag = key[:2], key[2:]
+    if kind not in GALOIS_KINDS or tag not in GALOIS_TAGS:
+        raise KeyError(f"no twisted-multiplication map {key!r}")
+    i, flip = model.idA, model.flipA
+    mult = model.mult @ flip if tag.startswith("_op") else model.mult
+    coprod = flip @ model.coprod if tag.endswith("cop") else model.coprod
+    if kind == "gl":  # a(x)b |-> coprod(a)(b(x)1)
+        return mult.tensor(i) @ i.tensor(flip) @ coprod.tensor(i)
+    if kind == "gr":  # a(x)b |-> coprod(a)(1(x)b)
+        return i.tensor(mult) @ coprod.tensor(i)
+    if kind == "rl":  # a(x)b |-> (a(x)1)coprod(b)
+        return mult.tensor(i) @ i.tensor(coprod)
+    # rr: a(x)b |-> (1(x)a)coprod(b)
+    return i.tensor(mult) @ flip.tensor(i) @ i.tensor(coprod)
 
 
-def galois_variants(model: QGModel) -> dict[str, LinMap]:
-    """All sixteen twisted-multiplication maps.
+def galois_map(model: QGModel, key: str) -> LinMap:
+    """One twisted-multiplication map, built on first use and memoized.
 
     Keys are gl/gr/rl/rr with optional suffixes: _op swaps the product,
     _cop swaps the coproduct legs, _opcop does both.
     """
-    def build():
-        flip = model.flipA
-        out = {}
-        for op in (False, True):
-            for cop in (False, True):
-                mult = model.mult @ flip if op else model.mult
-                coprod = flip @ model.coprod if cop else model.coprod
-                tag = ("_op" if op else "") + ("_cop" if cop else "")
-                for kind, m in _galois_four(mult, coprod).items():
-                    out[kind + tag] = m
-        return out
-    return model._cached("galois_variants", build)
+    return model._cached(("galois", key), lambda: _build_galois(model, key))
+
+
+def galois(model: QGModel) -> dict[str, LinMap]:
+    """The four canonical maps gl, gr, rl, rr on A (x) A."""
+    return {kind: galois_map(model, kind) for kind in GALOIS_KINDS}
+
+
+def galois_variants(model: QGModel) -> dict[str, LinMap]:
+    """All sixteen twisted-multiplication maps, keyed as in galois_map.
+
+    Each map comes from the per-key memo, so asking for all sixteen builds
+    only those that no caller has asked for yet.
+    """
+    return {kind + tag: galois_map(model, kind + tag)
+            for tag in GALOIS_TAGS for kind in GALOIS_KINDS}
 
 
 def check_cancellation(model: QGModel, variants: bool = True) -> list[CheckRecord]:
@@ -264,7 +270,6 @@ def verify_counit_antipode(model: QGModel) -> list[CheckRecord]:
     m, d_, eps, S, C = (model.mult, model.coprod, model.counit,
                         model.antipode, model.invol)
     i, flip = model.idA, model.flipA
-    g = galois(model)
 
     ck.exact("counit.left", "(eps(x)id)coprod = id",
              lambda: (eps.tensor(i)) @ d_ - i)
@@ -278,9 +283,11 @@ def verify_counit_antipode(model: QGModel) -> list[CheckRecord]:
              lambda: eps @ C - eps.conj())
 
     ck.exact("antipode.left", "m(S(x)id)(coprod(a)(1(x)b)) = eps(a)b",
-             lambda: m @ (S.tensor(i)) @ g["gr"] - eps.tensor(i))
+             lambda: m @ (S.tensor(i)) @ galois_map(model, "gr")
+             - eps.tensor(i))
     ck.exact("antipode.right", "m(id(x)S)((a(x)1)coprod(b)) = a eps(b)",
-             lambda: m @ (i.tensor(S)) @ g["rl"] - i.tensor(eps))
+             lambda: m @ (i.tensor(S)) @ galois_map(model, "rl")
+             - i.tensor(eps))
     ck.exact("antipode.unit", "S(1) = 1",
              lambda: S(model.unit) - model.unit)
     ck.exact("antipode.counit", "eps(S(a)) = eps(a)",
@@ -357,7 +364,7 @@ def solve_antipode(model: QGModel) -> LinMap:
     Inverting a(x)b |-> coprod(a)(1(x)b) and composing with a |-> a(x)1
     and eps(x)id yields S; raises SingularMap if the model has none.
     """
-    gr = galois(model)["gr"]
+    gr = galois_map(model, "gr")
     return (model.counit.tensor(model.idA)) @ inverse(gr) \
         @ (model.idA.tensor(model.unit_map))
 

@@ -185,10 +185,14 @@ def _read_json(path: str, where: str) -> dict:
     except OSError as e:
         raise ParseError(f"{where}: cannot read {path}: {e}") from None
     try:
-        return json.loads(text)
+        obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"{where}: invalid JSON in {path} at line "
                          f"{e.lineno} column {e.colno}: {e.msg}") from None
+    if not isinstance(obj, dict):
+        raise ParseError(f"{where}: {path} must hold a JSON object, "
+                         f"got {type(obj).__name__}")
+    return obj
 
 
 def _write_json(obj: dict, path: str):

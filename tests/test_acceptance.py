@@ -65,12 +65,10 @@ def model(name):
     return builtin(name)
 
 
-@functools.lru_cache(maxsize=None)
 def duality(name):
     return build_dual(model(name), validate=False)
 
 
-@functools.lru_cache(maxsize=None)
 def haar(name):
     return duality(name).haar
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from qgcheck import duality, modular
+from qgcheck import duality, hopf, modular
 from qgcheck import gns as G
 from qgcheck.cli import dispatch, main
 from qgcheck.modelio import parse_model
@@ -126,6 +126,41 @@ def test_verify_builds_mult_unitary_once(monkeypatch):
     assert len(w) == 1
 
 
+def _record_galois(monkeypatch) -> list:
+    """Spy on the per-key Galois constructor; collects (model, key) pairs."""
+    calls, build = [], hopf._build_galois
+
+    def spy(model, key):
+        calls.append((model, key))
+        return build(model, key)
+
+    monkeypatch.setattr(hopf, "_build_galois", spy)
+    return calls
+
+
+def _galois_keys_per_model(calls) -> list:
+    """Sorted keys built per model; a key built twice appears twice."""
+    per_model = {}
+    for m, key in calls:
+        per_model.setdefault(id(m), []).append(key)
+    return [sorted(keys) for keys in per_model.values()]
+
+
+def test_verify_builds_only_the_galois_maps_it_uses(monkeypatch):
+    calls = _record_galois(monkeypatch)
+    assert dispatch(["verify", model_path("c_s3"), "--suite", "all"]) == 0
+    assert _galois_keys_per_model(calls) == [
+        sorted(["gl", "gr", "rl", "rr", "rl_op", "rr_op"])]
+
+
+def test_subgroup_builds_only_rl_op(monkeypatch):
+    calls = _record_galois(monkeypatch)
+    assert dispatch(["subgroup", "--g", model_path("c_s3"),
+                     "--h", model_path("c_z3"),
+                     "--map", str(MODELS_DIR / "restrict_a3.json")]) == 0
+    assert _galois_keys_per_model(calls) == [["rl_op"], ["rl_op"]]
+
+
 def test_dual_output_verifies_and_roundtrips(tmp_path):
     out = tmp_path / "dual.json"
     assert main(["dual", model_path("c_z2"), "-o", str(out)]) == 0
@@ -189,3 +224,20 @@ def test_subgroup_verb_fails_on_invalid_morphism(tmp_path, capsys):
     assert code == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("content", ["5", "[]", '"x"'])
+@pytest.mark.parametrize("verb", ["build-group", "subgroup"])
+def test_non_object_json_input_exits_two(verb, content, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(content)
+    if verb == "build-group":
+        argv = ["build-group", "--table", str(bad), "--kind", "function",
+                "-o", str(tmp_path / "out.json")]
+    else:
+        argv = ["subgroup", "--g", model_path("c_s3"),
+                "--h", model_path("c_z3"), "--map", str(bad)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "JSON object" in err
+    assert "Traceback" not in err

@@ -38,6 +38,31 @@ def assert_iso(t, src, dst):
     ensure(check_hopf_star_iso(t, src, dst))
 
 
+def _convolution_by_definition(dd):
+    """The product solved pairing by pairing from its defining equation.
+
+    Column (i, j) solves phi(e_k h) = (phi(x)phi)(coprod(e_k)(e_i(x)e_j))
+    for h, one basis element e_k at a time.
+    """
+    m, haar = dd.source, dd.haar
+    d = m.dim
+    phi2 = haar.phi.tensor(haar.phi)
+    cols = {}
+    for i in range(d):
+        for j in range(d):
+            fg = Vec.basis(m.AA, (i, j))
+            vals = {k: phi2(m.mul2(m.coprod.column(k), fg)).get(0)
+                    for k in range(d)}
+            cols[i * d + j] = dict(haar.pmat_inv(Vec(m.A, vals)).data)
+    return LinMap(m.AA, m.A, cols)
+
+
+@pytest.mark.parametrize("name", ["taft3", "c_z4", "sweedler", "cg_s3", "d_z2"])
+def test_convolution_product_matches_defining_equation(name, model_cache):
+    dd = build_dual(model_cache(name), validate=False)
+    assert dd.dual.mult == _convolution_by_definition(dd)
+
+
 def test_trivial_dual_is_trivial(dual_cache):
     dd = dual_cache("trivial")
     assert dd.dual.dim == 1
