@@ -14,7 +14,7 @@ from .duality import (AlgMultUnitary, Duality, bidual_map,
                       check_radford)
 from .errors import (CheckFailure, LegMismatch, ModelError, ParseError,
                      QGError, SingularMap, TierRefusal)
-from .gns import (GnsRealization, analytic_suite, build_gns,
+from .gns import (GnsRealization, Tolerances, analytic_suite, build_gns,
                   check_commutation_relations, check_coproduct_implementation,
                   check_invariance_and_kms, check_kac_triviality,
                   check_modular_groups, check_power_calculus,
@@ -46,7 +46,8 @@ __all__ = [
     "Checker", "Cyc", "DualMorphism", "Duality", "GnsRealization",
     "GroupTable", "HaarData", "LegMismatch", "LinMap", "ModelError",
     "ParseError", "QGError", "QGModel", "QGMorphism", "Report",
-    "SingularMap", "TierRefusal", "Vec", "analytic_suite", "bidual_map",
+    "SingularMap", "TierRefusal", "Tolerances", "Vec", "analytic_suite",
+    "bidual_map",
     "build_alg_mult_unitary", "build_drinfeld_double", "build_dual",
     "build_dual_morphism", "build_function_algebra", "build_gns",
     "build_group_algebra", "build_sweedler", "build_taft", "builtin",

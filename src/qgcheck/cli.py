@@ -15,9 +15,13 @@ pentagon, biduality), "analytic" runs the float GNS/modular layer, and
 analytic layer's standing assumptions.  Asking for the analytic suite
 explicitly on such a model is refused.
 
+--tol T runs the analytic suite under gns.Tolerances(T) (spectral 100x T,
+multiplier 10x T; T finite and > 0).  --seed seeds the sampled families
+of both suites.  Both are passed down as arguments.
+
 Exit codes: 0 every executed check passed, 1 at least one check failed,
-2 the input could not be used (parse error, invalid table or model
-construction, explicit tier refusal).
+2 the input could not be used (bad option value, parse error, invalid
+table or model construction, explicit tier refusal).
 """
 
 from __future__ import annotations
@@ -25,16 +29,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import contextmanager
 
-from . import duality as duality_mod
-from . import gns as gns_mod
-from .duality import (build_dual, check_biduality, check_convolution_compat,
-                      check_dual, check_dual_modular,
-                      check_pentagon_and_lemmas, check_radford)
+from .duality import (SAMPLE_SEED, build_dual, check_biduality,
+                      check_convolution_compat, check_dual,
+                      check_dual_modular, check_pentagon_and_lemmas,
+                      check_radford)
 from .errors import (CheckFailure, ModelError, ParseError, SingularMap,
                      TierRefusal)
-from .gns import analytic_suite, build_gns
+from .gns import Tolerances, analytic_suite, build_gns
 from .hopf import QGModel, validate_model
 from .modelio import (emit_model, parse_model, parse_morphism, parse_table,
                       write_report)
@@ -66,7 +68,7 @@ def _stage_failure(model: QGModel, stage: str, law: str, exc) -> CheckRecord:
                        witness=str(exc))
 
 
-def _algebraic_records(model: QGModel) -> list[CheckRecord]:
+def _algebraic_records(model: QGModel, seed: int) -> list[CheckRecord]:
     """Exact-tier suite, stopping at the first stage that fails."""
     records = list(validate_model(model))
     if _has_failure(records):
@@ -87,15 +89,16 @@ def _algebraic_records(model: QGModel) -> list[CheckRecord]:
     records += check_dual(dd)
     records += check_dual_modular(dd)
     records += check_radford(dd)
-    records += check_pentagon_and_lemmas(dd)
+    records += check_pentagon_and_lemmas(dd, seed=seed)
     records += check_convolution_compat(dd)
     records += check_biduality(dd)
     return records
 
 
-def _analytic_records(model: QGModel, explicit: bool):
+def _analytic_records(model: QGModel, explicit: bool, tol: Tolerances,
+                      seed: int):
     try:
-        g = build_gns(model)
+        g = build_gns(model, tol, seed)
     except TierRefusal as e:
         if explicit:
             raise
@@ -106,39 +109,19 @@ def _analytic_records(model: QGModel, explicit: bool):
     return analytic_suite(g)
 
 
-@contextmanager
-def _overrides(tol, seed):
-    saved = (gns_mod.TOL_IDENTITY, gns_mod.TOL_SPECTRAL,
-             gns_mod.TOL_MULTIPLIER, gns_mod.SAMPLE_SEED,
-             duality_mod.SAMPLE_SEED)
-    try:
-        if tol is not None:
-            gns_mod.TOL_IDENTITY = tol
-            gns_mod.TOL_SPECTRAL = tol * 100
-            gns_mod.TOL_MULTIPLIER = tol * 10
-        if seed is not None:
-            gns_mod.SAMPLE_SEED = seed
-            duality_mod.SAMPLE_SEED = seed
-        yield
-    finally:
-        (gns_mod.TOL_IDENTITY, gns_mod.TOL_SPECTRAL,
-         gns_mod.TOL_MULTIPLIER, gns_mod.SAMPLE_SEED,
-         duality_mod.SAMPLE_SEED) = saved
-
-
 def cmd_verify(args) -> int:
     model = _load_model(args.model)
-    seed = args.seed if args.seed is not None else duality_mod.SAMPLE_SEED
+    tol = Tolerances() if args.tol is None else Tolerances(args.tol)
     report = Report(title=f"verify {model.name}",
                     meta={"model": model.name, "dim": model.dim,
-                          "suite": args.suite, "seed": seed,
+                          "suite": args.suite, "seed": args.seed,
                           "tol": args.tol})
-    with _overrides(args.tol, args.seed):
-        if args.suite in ("algebraic", "all"):
-            report.add(_algebraic_records(model))
-        if args.suite in ("analytic", "all") and report.ok:
-            report.add(_analytic_records(
-                model, explicit=args.suite == "analytic"))
+    if args.suite in ("algebraic", "all"):
+        report.add(_algebraic_records(model, args.seed))
+    if args.suite in ("analytic", "all") and report.ok:
+        report.add(_analytic_records(
+            model, explicit=args.suite == "analytic", tol=tol,
+            seed=args.seed))
     print(report.text_table())
     if args.report:
         write_report(report, args.report)
@@ -192,6 +175,14 @@ def cmd_subgroup(args) -> int:
     return 0 if report.ok else 1
 
 
+def _tolerance(text: str) -> float:
+    """argparse type of --tol: a float that Tolerances accepts."""
+    try:
+        return Tolerances(float(text)).identity
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="qgcheck",
@@ -203,12 +194,13 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("model", help="model file path or built-in name")
     v.add_argument("--suite", choices=["algebraic", "analytic", "all"],
                    default="all")
-    v.add_argument("--tol", type=float, default=None,
-                   help="identity-level tolerance for the analytic suite "
-                        "(spectral and multiplier tolerances keep their "
-                        "default ratios)")
-    v.add_argument("--seed", type=int, default=None,
-                   help="seed for sampled check families")
+    v.add_argument("--tol", type=_tolerance, default=None,
+                   help="identity tolerance of the analytic suite, a finite "
+                        "number > 0 (default 1e-10); the spectral and "
+                        "multiplier tolerances are 100x and 10x it")
+    v.add_argument("--seed", type=int, default=SAMPLE_SEED,
+                   help="seed for sampled check families of both suites "
+                        f"(default {SAMPLE_SEED})")
     v.add_argument("--report", default=None, help="write a JSON report here")
     v.set_defaults(func=cmd_verify)
 

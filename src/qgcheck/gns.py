@@ -8,10 +8,12 @@ approximate-KMS bound.
 
 Everything in this module lives in the float tier: the exact structure maps
 are converted to complex matrices once and each law is asserted as a
-residual bound.  The layer refuses to run unless the scaling constant is 1
-and the invariant state is positive definite; those are the standing
-assumptions of the analytic theory, and laws that pick up scaling-constant
-corrections are not silently weakened here.
+residual bound.  ``build_gns(model, tol, seed)`` keeps one frozen
+``Tolerances`` value and one sampling seed on the realization, and every
+check reads them from there.  The layer refuses to run unless the scaling
+constant is 1 and the invariant state is positive definite; those are the
+standing assumptions of the analytic theory, and laws that pick up
+scaling-constant corrections are not silently weakened here.
 
 At finite dimension every positive-tier model is of Kac type, so all the
 modular operators come out equal to the identity; the machinery is written
@@ -22,12 +24,14 @@ layer excludes.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .duality import Duality, SAMPLE_SEED, build_alg_mult_unitary, build_dual
+from .duality import (CUBE_CAP, SAMPLE_SEED, Duality,
+                      build_alg_mult_unitary, build_dual)
 from .errors import CheckFailure, TierRefusal
 from .hopf import QGModel
 from .linalg import (Vec, eigh_checked, joint_eigenbasis, op_norm,
@@ -36,9 +40,30 @@ from .linalg import (Vec, eigh_checked, joint_eigenbasis, op_norm,
 from .modular import HaarData, solve_haar
 from .report import Checker, CheckRecord
 
-TOL_IDENTITY = 1e-10
-TOL_SPECTRAL = 1e-8
-TOL_MULTIPLIER = 1e-9
+
+@dataclass(frozen=True)
+class Tolerances:
+    """The float tier's residual bounds, set by one finite value > 0.
+
+    identity bounds operator identities; spectral (100x) the functional
+    calculus; multiplier (10x) span projections and closed-form powers.
+    """
+
+    identity: float = 1e-10
+
+    def __post_init__(self):
+        if not (math.isfinite(self.identity) and self.identity > 0):
+            raise ValueError("tolerance must be a finite number > 0, "
+                             f"got {self.identity!r}")
+
+    @property
+    def spectral(self) -> float:
+        return self.identity * 100
+
+    @property
+    def multiplier(self) -> float:
+        return self.identity * 10
+
 
 # default evaluation grids for one-parameter groups and complex powers
 T_GRID = (-2.0, -1.0, 0.5, 1.0, 2.0)
@@ -56,14 +81,14 @@ class PositiveOperatorCalculus:
     positive spectrum, so no branch choices arise.
     """
 
-    def __init__(self, name: str, matrix: np.ndarray):
+    def __init__(self, name: str, matrix: np.ndarray, tol: Tolerances):
         self.name = name
         self.matrix = np.asarray(matrix, dtype=complex)
         try:
-            w, u = eigh_checked(self.matrix, TOL_SPECTRAL)
+            w, u = eigh_checked(self.matrix, tol.spectral)
         except ValueError as exc:
             raise CheckFailure(f"operator {name}: {exc}") from exc
-        floor = TOL_SPECTRAL * max(1.0, float(np.max(np.abs(w))))
+        floor = tol.spectral * max(1.0, float(np.max(np.abs(w))))
         if float(np.min(w)) <= floor:
             raise CheckFailure(
                 f"operator {name} is not positive definite "
@@ -90,6 +115,8 @@ class GnsRealization:
     haar: HaarData
     dual: Duality
     dim: int
+    tol: Tolerances
+    seed: int  # seeds the sampled pair and vector families
     gram: np.ndarray
     frame: np.ndarray
     lam: np.ndarray
@@ -182,28 +209,30 @@ class GnsRealization:
         calc = self.calculi["delta_hat"]
         return self.frame @ calc.power(z) @ self.lam @ self.conv_unit_vec
 
-    def basis_pairs(self, samples: int = PAIR_SAMPLES) -> list[tuple[int, int]]:
+    def basis_pairs(self) -> list[tuple[int, int]]:
         d = self.dim
         if d <= PAIR_CAP:
             return [(a, b) for a in range(d) for b in range(d)]
-        rng = random.Random(SAMPLE_SEED)
-        return [(rng.randrange(d), rng.randrange(d)) for _ in range(samples)]
+        rng = random.Random(self.seed)
+        return [(rng.randrange(d), rng.randrange(d))
+                for _ in range(PAIR_SAMPLES)]
 
     def dense_vector_pairs(self, count: int) -> list[tuple[np.ndarray, np.ndarray]]:
         """Seeded dense Hilbert-space vectors; generic samples of a bilinear
         family reach the full rank of its span."""
-        rng = np.random.default_rng(SAMPLE_SEED)
+        rng = np.random.default_rng(self.seed)
         draw = lambda: rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
         return [(draw(), draw()) for _ in range(count)]
 
 
-def _chol_frame(gram: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+def _chol_frame(gram: np.ndarray, what: str,
+                tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     """(lam, frame) with lam^H lam = gram and frame = lam^-1."""
     herm = (gram + gram.conj().T) / 2
-    if rel_residual(gram, herm) > TOL_IDENTITY:
+    if rel_residual(gram, herm) > tol.identity:
         raise TierRefusal(f"{what} is not Hermitian")
     eig = np.linalg.eigvalsh(herm)
-    if float(eig.min()) <= TOL_SPECTRAL * max(1.0, float(np.max(np.abs(eig)))):
+    if float(eig.min()) <= tol.spectral * max(1.0, float(np.max(np.abs(eig)))):
         raise TierRefusal(f"{what} is not positive definite "
                           f"(offending eigenvalue {float(eig.min()):.6g})")
     low = np.linalg.cholesky(herm)
@@ -212,12 +241,15 @@ def _chol_frame(gram: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     return lam, frame
 
 
-def build_gns(model: QGModel) -> GnsRealization:
+def build_gns(model: QGModel, tol: Tolerances = Tolerances(),
+              seed: int = SAMPLE_SEED) -> GnsRealization:
     """GNS realization of the invariant state, plus the modular layer.
 
     Refuses (TierRefusal) when the Gram matrix phi(conj(e_i) e_j) is not
     positive definite or when the scaling constant differs from 1, since
-    the analytic layer is built under those standing assumptions.
+    the analytic layer is built under those standing assumptions.  The
+    construction asserts with ``tol``; the realization keeps ``tol`` and
+    ``seed`` for the checks run on it.
     """
     haar = solve_haar(model)
     mu = haar.mu
@@ -226,7 +258,7 @@ def build_gns(model: QGModel) -> GnsRealization:
             f"{model.name}: scaling constant mu = {mu!r} differs from 1; "
             "the analytic layer runs under the standing assumption mu = 1")
     gram = haar.gram.to_numpy()
-    lam, frame = _chol_frame(gram, f"{model.name}: Gram matrix of phi")
+    lam, frame = _chol_frame(gram, f"{model.name}: Gram matrix of phi", tol)
     dual = build_dual(model, validate=False)
     dm, dh = dual.dual, dual.dual_haar
     d = model.dim
@@ -234,7 +266,7 @@ def build_gns(model: QGModel) -> GnsRealization:
     mult = model.mult.to_numpy()
     conv = dm.mult.to_numpy()
     gns = GnsRealization(
-        model=model, haar=haar, dual=dual, dim=d,
+        model=model, haar=haar, dual=dual, dim=d, tol=tol, seed=seed,
         gram=gram, frame=frame, lam=lam,
         m_rep=[], lambda_rep=[], w=np.eye(d * d),
         w_alg=np.eye(d * d), w_alg_inv=np.eye(d * d),
@@ -257,7 +289,7 @@ def build_gns(model: QGModel) -> GnsRealization:
     if rank_f(np.stack([m.ravel() for m in gns.m_rep])) != d:
         raise TierRefusal(f"{model.name}: multiplication representation "
                           "is not faithful")
-    if rel_residual(lam.conj().T @ lam, gram) > TOL_IDENTITY:
+    if rel_residual(lam.conj().T @ lam, gram) > tol.identity:
         raise TierRefusal(f"{model.name}: GNS inner product does not "
                           "reproduce the Gram matrix")
 
@@ -268,7 +300,7 @@ def build_gns(model: QGModel) -> GnsRealization:
     frame2 = np.kron(frame, frame)
     gns.w = lam2 @ gns.w_alg @ frame2
     defect = unitarity_defect(gns.w)
-    if defect > TOL_IDENTITY:
+    if defect > tol.identity:
         raise TierRefusal(f"{model.name}: multiplicative unitary fails "
                           f"unitarity (defect {defect:.3e})")
     return build_modular_operators(gns)
@@ -281,7 +313,7 @@ def build_modular_operators(gns: GnsRealization) -> GnsRealization:
     and each positive operator goes through the spectral calculus, which
     raises a failure naming the operator when the spectrum is not positive.
     """
-    model, d = gns.model, gns.dim
+    model, d, tol = gns.model, gns.dim, gns.tol
     lam, frame = gns.lam, gns.frame
     C, S = gns.invol, gns.antipode
     S2 = S @ S
@@ -296,18 +328,19 @@ def build_modular_operators(gns: GnsRealization) -> GnsRealization:
     _assert_action(gns, "nabla", gns.nabla @ lam, lam @ gns.sigma_mat)
     _assert_action(gns, "T^2", gns.t_mat @ np.conj(gns.t_mat), np.eye(d))
 
-    nabla_calc = PositiveOperatorCalculus("nabla", gns.nabla)
+    nabla_calc = PositiveOperatorCalculus("nabla", gns.nabla, tol)
     gns.j_mat = gns.t_mat @ np.conj(nabla_calc.power(-0.5))
-    if unitarity_defect(gns.j_mat) > TOL_SPECTRAL:
+    if unitarity_defect(gns.j_mat) > tol.spectral:
         raise CheckFailure(f"{model.name}: J is not antiunitary")
     _assert_action(gns, "J^2", gns.j_mat @ np.conj(gns.j_mat), np.eye(d),
-                   tol=TOL_SPECTRAL)
+                   tol=tol.spectral)
 
     # K Lambda(f) = Lambda'(S(conj f)) into the GNS space of psi = phi o S
     psi_row = gns.haar.psi.to_numpy().reshape(-1)
     pmat = gns.haar.pmat.to_numpy()
     gram_psi = C.T @ (psi_row @ gns.mult).reshape(d, d)
-    lam_p, frame_p = _chol_frame(gram_psi, f"{model.name}: Gram matrix of psi")
+    lam_p, frame_p = _chol_frame(gram_psi, f"{model.name}: Gram matrix of psi",
+                                 tol)
     gns.k_mat = lam_p @ S @ C @ np.conj(frame)
     _assert_action(gns, "K*", gns.k_mat.T @ np.conj(lam_p),
                    lam @ C @ np.conj(S), antilinear=True)
@@ -318,7 +351,8 @@ def build_modular_operators(gns: GnsRealization) -> GnsRealization:
     lmul_delta = gns.lmul_np(gns.delta_vec)
     gram_delta = C.T @ pmat @ lmul_delta
     lam_d, frame_d = _chol_frame(gram_delta,
-                                 f"{model.name}: Gram matrix of phi(. delta .)")
+                                 f"{model.name}: Gram matrix of phi(. delta .)",
+                                 tol)
     gns.l_mat = lam_d @ frame
     _assert_action(gns, "L*", gns.l_mat.conj().T @ lam_d, lam @ lmul_delta)
     gns.delta_op = gns.l_mat.conj().T @ gns.l_mat
@@ -327,7 +361,7 @@ def build_modular_operators(gns: GnsRealization) -> GnsRealization:
     gns.delta_prime_op = lam @ gns.rmul_np(gns.delta_vec) @ frame
     _assert_action(gns, "delta' = J delta J",
                    gns.j_mat @ np.conj(gns.delta_op) @ np.conj(gns.j_mat),
-                   gns.delta_prime_op, tol=TOL_SPECTRAL)
+                   gns.delta_prime_op, tol=tol.spectral)
     gns.delta_hat_op = lam @ gns.conv_lmul_np(gns.delta_hat_vec) @ frame
     gns.delta_hat_prime_op = lam @ gns.conv_rmul_np(gns.delta_hat_vec) @ frame
     gns.nabla_hat = lam @ gns.rmul_np(gns.delta_inv_vec) @ S2 @ frame
@@ -341,14 +375,14 @@ def build_modular_operators(gns: GnsRealization) -> GnsRealization:
                       ("delta_prime", gns.delta_prime_op),
                       ("delta_hat", gns.delta_hat_op),
                       ("delta_hat_prime", gns.delta_hat_prime_op)]:
-        gns.calculi[name] = PositiveOperatorCalculus(name, mat)
+        gns.calculi[name] = PositiveOperatorCalculus(name, mat, tol)
     return gns
 
 
 def _assert_action(gns: GnsRealization, name: str, left: np.ndarray,
                    right: np.ndarray, tol: float | None = None,
                    antilinear: bool = False):
-    tol = TOL_IDENTITY if tol is None else tol
+    tol = gns.tol.identity if tol is None else tol
     r = rel_residual(left, right)
     if r > tol:
         kind = "antilinear" if antilinear else "linear"
@@ -373,7 +407,7 @@ def check_regular_reps(gns: GnsRealization) -> list[CheckRecord]:
     equal lambda(g sigma(conj f)); their spans must equal the spans of the
     two regular representations exactly.
     """
-    m, d = gns.model, gns.dim
+    m, d, tol = gns.model, gns.dim, gns.tol
     ck = Checker(f"{m.name}.gns.reps")
     eye = np.eye(d)
     pmat = gns.haar.pmat.to_numpy()
@@ -387,26 +421,26 @@ def check_regular_reps(gns: GnsRealization) -> list[CheckRecord]:
                 prod = gns.m_of(gns.mul_np(eye[:, i], eye[:, j]))
                 worst = max(worst, rel_residual(gns.m_rep[i] @ gns.m_rep[j], prod))
         return worst
-    ck.numeric("m.homomorphism", "m(f) m(g) = m(fg)", TOL_IDENTITY, hom)
-    ck.numeric("m.star", "m(f)^H = m(f^*)", TOL_IDENTITY,
+    ck.numeric("m.homomorphism", "m(f) m(g) = m(fg)", tol.identity, hom)
+    ck.numeric("m.star", "m(f)^H = m(f^*)", tol.identity,
                lambda: max(rel_residual(gns.m_rep[i].conj().T,
                                         gns.m_of(gns.star_np(eye[:, i])))
                            for i in range(d)))
     ck.numeric("m.faithful", "rank span m(A) = dim A", 0.5,
                lambda: _rank_defect([gns.m_rep], d))
     ck.numeric("lambda.homomorphism", "lambda(x) lambda(y) = lambda(x*y)",
-               TOL_IDENTITY,
+               tol.identity,
                lambda: max(rel_residual(
                    gns.lambda_rep[i] @ gns.lambda_rep[j],
                    gns.conv_of(gns.conv_np(eye[:, i], eye[:, j])))
                    for i in range(d) for j in range(d)))
-    ck.numeric("lambda.star", "lambda(x)^H = lambda(x^*^)", TOL_IDENTITY,
+    ck.numeric("lambda.star", "lambda(x)^H = lambda(x^*^)", tol.identity,
                lambda: max(rel_residual(
                    gns.lambda_rep[i].conj().T,
                    gns.conv_of(gns.dual_invol @ np.conj(eye[:, i])))
                    for i in range(d)))
     ck.numeric("lambda.inner-product", "<Lambda f, Lambda g> = phi(conj(f) g)",
-               TOL_IDENTITY,
+               tol.identity,
                lambda: rel_residual(gns.lam.conj().T @ gns.lam, gns.gram))
 
     left_slices, right_slices = [], []
@@ -424,7 +458,7 @@ def check_regular_reps(gns: GnsRealization) -> list[CheckRecord]:
         return worst, witness
     ck.numeric("slice.left",
                "(iota (x) omega_{Lf,Lg})(W) = m((iota (x) phi)"
-               "(coprod(conj f)(1 (x) g)))", TOL_IDENTITY, slice_left)
+               "(coprod(conj f)(1 (x) g)))", tol.identity, slice_left)
 
     def slice_right():
         worst, witness = 0.0, None
@@ -439,7 +473,7 @@ def check_regular_reps(gns: GnsRealization) -> list[CheckRecord]:
         return worst, witness
     ck.numeric("slice.right",
                "(omega_{Lf,Lg} (x) iota)(W) = lambda(g sigma(conj f))",
-               TOL_IDENTITY, slice_right)
+               tol.identity, slice_right)
 
     if d > PAIR_CAP:
         # basis-pair slices are too sparse here; dense seeded vectors reach
@@ -478,25 +512,26 @@ def _embed_w3(w4: np.ndarray, d: int, legs: tuple[int, int]) -> np.ndarray:
     return t.reshape(d ** 3, d ** 3)
 
 
-def check_w_properties(gns: GnsRealization, cap: int = 1000) -> list[CheckRecord]:
+def check_w_properties(gns: GnsRealization) -> list[CheckRecord]:
     """Unitarity, pentagon, represented-multiplier form and the duality
     transport of W.
 
     The pentagon is checked on the full triple tensor power when dim^3 is
-    at most ``cap``.  The Fourier transform is the identity on coordinates
-    here, so its isometry shows up as proportionality of the two Gram
-    matrices; the constant is the dual Haar normalization and is recorded.
+    at most ``CUBE_CAP``.  The Fourier transform is the identity on
+    coordinates here, so its isometry shows up as proportionality of the
+    two Gram matrices; the constant is the dual Haar normalization and is
+    recorded.
     """
-    m, d = gns.model, gns.dim
+    m, d, tol = gns.model, gns.dim, gns.tol
     ck = Checker(f"{m.name}.gns.w")
     w4 = gns.w.reshape(d, d, d, d)
 
-    ck.numeric("unitary", "W^H W = I = W W^H", TOL_IDENTITY,
+    ck.numeric("unitary", "W^H W = I = W W^H", tol.identity,
                lambda: unitarity_defect(gns.w))
     lam2 = np.kron(gns.lam, gns.lam)
     ck.numeric("implements-galois",
                "W (Lambda (x) Lambda)(coprod(g)(f (x) 1)) = Lf (x) Lg",
-               TOL_IDENTITY,
+               tol.identity,
                lambda: rel_residual(gns.w @ lam2 @ gns.w_alg_inv, lam2))
 
     def represented():
@@ -508,33 +543,33 @@ def check_w_properties(gns: GnsRealization, cap: int = 1000) -> list[CheckRecord
                     acc += elem[p, q] * np.kron(gns.m_rep[p], gns.lambda_rep[q])
         return rel_residual(acc, gns.w)
     ck.numeric("represented-multiplier", "W = (m (x) lambda)(w)",
-               TOL_IDENTITY, represented)
+               tol.identity, represented)
 
-    if d ** 3 <= cap:
+    if d ** 3 <= CUBE_CAP:
         def pentagon():
             w12 = _embed_w3(w4, d, (0, 1))
             w13 = _embed_w3(w4, d, (0, 2))
             w23 = _embed_w3(w4, d, (1, 2))
             return rel_residual(w12 @ w13 @ w23, w23 @ w12)
         ck.numeric("pentagon", "W12 W13 W23 = W23 W12 on L2^(x)3",
-                   TOL_IDENTITY, pentagon)
+                   tol.identity, pentagon)
     else:
         ck.skip("pentagon", "W12 W13 W23 = W23 W12 on L2^(x)3",
-                f"dim^3 = {d ** 3} exceeds cap {cap}")
+                f"dim^3 = {d ** 3} exceeds cap {CUBE_CAP}")
 
     dual_gram = gns.dual.dual_haar.gram.to_numpy()
     scale = float(np.real(np.trace(dual_gram) / np.trace(gns.gram)))
     ck.numeric("f-isometry",
                "Fourier transform is an isometry up to the dual Haar "
-               "normalization", TOL_IDENTITY,
+               "normalization", tol.identity,
                lambda: (rel_residual(dual_gram, scale * gns.gram),
                         f"normalization constant {scale:.6g}"))
 
     def dual_transport():
         lam_hat, frame_hat = _chol_frame(dual_gram,
-                                         f"{m.name}: dual Gram matrix")
+                                         f"{m.name}: dual Gram matrix", tol)
         u_f = lam_hat @ gns.frame / np.sqrt(scale)
-        if unitarity_defect(u_f) > TOL_IDENTITY:
+        if unitarity_defect(u_f) > tol.identity:
             return 1.0, "transported Fourier map is not unitary"
         worst = 0.0
         for i in range(d):
@@ -544,7 +579,7 @@ def check_w_properties(gns: GnsRealization, cap: int = 1000) -> list[CheckRecord
         return worst
     ck.numeric("dual-rep-transport",
                "F-conjugation carries the dual multiplication "
-               "representation onto lambda", TOL_IDENTITY, dual_transport)
+               "representation onto lambda", tol.identity, dual_transport)
 
     def cstar_rank():
         if d <= PAIR_CAP:
@@ -560,17 +595,16 @@ def check_w_properties(gns: GnsRealization, cap: int = 1000) -> list[CheckRecord
     return ck.records
 
 
-def check_coproduct_implementation(gns: GnsRealization,
-                                   cap: int = 1000) -> list[CheckRecord]:
+def check_coproduct_implementation(gns: GnsRealization) -> list[CheckRecord]:
     """W implements the coproduct, and the density laws hold as exact spans.
 
     The tensor-square families have dim^3 members, so the whole check is
-    skipped (never weakened) once dim^3 exceeds ``cap``.
+    skipped (never weakened) once dim^3 exceeds ``CUBE_CAP``.
     """
-    m, d = gns.model, gns.dim
+    m, d, tol = gns.model, gns.dim, gns.tol
     ck = Checker(f"{m.name}.gns.coprod")
-    if d ** 3 > cap:
-        reason = f"dim^3 = {d ** 3} exceeds cap {cap}"
+    if d ** 3 > CUBE_CAP:
+        reason = f"dim^3 = {d ** 3} exceeds cap {CUBE_CAP}"
         ck.skip("implemented", "W^H (1 (x) m(f)) W = (m (x) m)(coprod f)",
                 reason)
         ck.skip("density.right",
@@ -593,7 +627,7 @@ def check_coproduct_implementation(gns: GnsRealization,
                 worst, witness = r, f"basis element {f}"
         return worst, witness
     ck.numeric("implemented", "W^H (1 (x) m(f)) W = (m (x) m)(coprod f)",
-               TOL_IDENTITY, implemented)
+               tol.identity, implemented)
 
     tensor_rep = [np.kron(gns.m_rep[p], gns.m_rep[q])
                   for p in range(d) for q in range(d)]
@@ -614,10 +648,10 @@ def check_coproduct_implementation(gns: GnsRealization,
     return ck.records
 
 
-def check_power_calculus(gns: GnsRealization,
-                         t_grid=T_GRID) -> list[CheckRecord]:
+def check_power_calculus(gns: GnsRealization) -> list[CheckRecord]:
     """Coherence laws of the spectral calculus on every positive operator."""
     ck = Checker(f"{gns.model.name}.gns.calc")
+    tol = gns.tol
     eye = np.eye(gns.dim)
 
     def over(fun):
@@ -628,23 +662,23 @@ def check_power_calculus(gns: GnsRealization,
                 worst, witness = r, f"operator {name}"
         return worst, witness
 
-    ck.numeric("power-zero", "power(0) = I", TOL_SPECTRAL,
+    ck.numeric("power-zero", "power(0) = I", tol.spectral,
                lambda: over(lambda c: rel_residual(c.power(0), eye)))
-    ck.numeric("power-one", "power(1) reproduces the operator", TOL_SPECTRAL,
+    ck.numeric("power-one", "power(1) reproduces the operator", tol.spectral,
                lambda: over(lambda c: rel_residual(c.power(1), c.matrix)))
-    ck.numeric("group-law", "power(y) power(z) = power(y+z)", TOL_SPECTRAL,
+    ck.numeric("group-law", "power(y) power(z) = power(y+z)", tol.spectral,
                lambda: over(lambda c: max(
                    rel_residual(c.power(y) @ c.power(z), c.power(y + z))
                    for y in (0.5, 1.0j) for z in (0.25, -1.0, 2.0j))))
     ck.numeric("imaginary-unitary", "power(it) unitary for real t",
-               TOL_SPECTRAL,
+               tol.spectral,
                lambda: over(lambda c: max(
-                   unitarity_defect(c.power(1j * t)) for t in t_grid)))
+                   unitarity_defect(c.power(1j * t)) for t in T_GRID)))
     ck.numeric("half-self-adjoint", "power(t/2) self-adjoint for real t",
-               TOL_SPECTRAL,
+               tol.spectral,
                lambda: over(lambda c: max(
                    rel_residual(c.power(t / 2),
-                                c.power(t / 2).conj().T) for t in t_grid)))
+                                c.power(t / 2).conj().T) for t in T_GRID)))
     return ck.records
 
 
@@ -657,7 +691,7 @@ def complex_powers_as_multipliers(gns: GnsRealization,
     m(delta^{-iz/2} (delta_hat^{iz/2} * f * delta_hat^{-iz/2}) delta^{iz/2}),
     and the underlying vector identity for N^z Lambda(g) is asserted too.
     """
-    m, d = gns.model, gns.dim
+    m, d, tol = gns.model, gns.dim, gns.tol
     ck = Checker(f"{m.name}.gns.powers[z={z}]")
     eye = np.eye(d)
     delta_calc = gns.calculi["delta"]
@@ -672,7 +706,7 @@ def complex_powers_as_multipliers(gns: GnsRealization,
                 worst, witness = resid, f"basis element {k}"
         return worst, witness
     ck.numeric("membership", "delta^z m(e_k) lies in span m(A)",
-               TOL_MULTIPLIER, membership)
+               tol.multiplier, membership)
 
     def multiplier_match():
         elem = gns.delta_power_element(z)
@@ -681,7 +715,7 @@ def complex_powers_as_multipliers(gns: GnsRealization,
                    for k in range(d))
     ck.numeric("multiplier-match",
                "delta^z m(a) = m(delta^z a) with delta^z from the "
-               "functional calculus", TOL_MULTIPLIER, multiplier_match)
+               "functional calculus", tol.multiplier, multiplier_match)
 
     a_out = gns.delta_power_element(-1j * z / 2)
     b_out = gns.delta_power_element(1j * z / 2)
@@ -702,7 +736,7 @@ def complex_powers_as_multipliers(gns: GnsRealization,
         return worst, witness
     ck.numeric("rho-closed-form",
                "rho_z(m(f)) = m(delta^{-iz/2} (delta_hat^{iz/2} * f * "
-               "delta_hat^{-iz/2}) delta^{iz/2})", TOL_MULTIPLIER,
+               "delta_hat^{-iz/2}) delta^{iz/2})", tol.multiplier,
                rho_closed_form)
 
     def n_power_vector():
@@ -711,36 +745,35 @@ def complex_powers_as_multipliers(gns: GnsRealization,
         return rel_residual(n_calc.power(z) @ gns.lam, gns.lam @ sandwich)
     ck.numeric("n-power-vector",
                "N^z Lambda(g) = Lambda(delta^{iz/2} (delta_hat^{-iz/2} * g "
-               "* delta_hat^{iz/2}) delta^{-iz/2})", TOL_MULTIPLIER,
+               "* delta_hat^{iz/2}) delta^{-iz/2})", tol.multiplier,
                n_power_vector)
     return ck.records
 
 
 def _strong_commute(ck: Checker, key: str, label: str,
-                    x: np.ndarray, y: np.ndarray):
-    ck.numeric(f"{key}.commute", f"{label} commute", TOL_IDENTITY,
+                    x: np.ndarray, y: np.ndarray, tol: Tolerances):
+    ck.numeric(f"{key}.commute", f"{label} commute", tol.identity,
                lambda: rel_residual(x @ y, y @ x))
 
     def joint():
-        u, ok = joint_eigenbasis(x, y, TOL_SPECTRAL)
+        u, ok = joint_eigenbasis(x, y, tol.spectral)
         dx = u.conj().T @ x @ u
         dy = u.conj().T @ y @ u
         resid = max(rel_residual(dx, np.diag(np.diag(dx))),
                     rel_residual(dy, np.diag(np.diag(dy))))
         return resid if ok else max(resid, 1.0)
     ck.numeric(f"{key}.joint-diagonal",
-               f"{label} are simultaneously diagonalizable", TOL_SPECTRAL,
+               f"{label} are simultaneously diagonalizable", tol.spectral,
                joint)
 
 
-def check_commutation_relations(gns: GnsRealization,
-                                t_grid=T_GRID) -> list[CheckRecord]:
+def check_commutation_relations(gns: GnsRealization) -> list[CheckRecord]:
     """Commutation relations between W and the positive modular operators.
 
     Strong commutation of a pair of positive operators is rendered as
     commutation of the matrices plus simultaneous diagonalizability.
     """
-    m, d = gns.model, gns.dim
+    m, d, tol = gns.model, gns.dim, gns.tol
     ck = Checker(f"{m.name}.gns.commute")
     eye = np.eye(d)
     delta, dprime = gns.delta_op, gns.delta_prime_op
@@ -748,19 +781,19 @@ def check_commutation_relations(gns: GnsRealization,
     n_op = gns.n_op
 
     ck.numeric("delta.w", "(1 (x) delta) W = W (delta (x) delta)",
-               TOL_IDENTITY,
+               tol.identity,
                lambda: rel_residual(np.kron(eye, delta) @ gns.w,
                                     gns.w @ np.kron(delta, delta)))
     ck.numeric("delta.coproduct", "coprod(delta) = delta (x) delta",
-               TOL_IDENTITY,
+               tol.identity,
                lambda: rel_residual(
                    gns.w.conj().T @ np.kron(eye, delta) @ gns.w,
                    np.kron(delta, delta)))
-    ck.numeric("n.w", "(N (x) N) W = W (N (x) N)", TOL_IDENTITY,
+    ck.numeric("n.w", "(N (x) N) W = W (N (x) N)", tol.identity,
                lambda: rel_residual(np.kron(n_op, n_op) @ gns.w,
                                     gns.w @ np.kron(n_op, n_op)))
     ck.numeric("nu.one", "sigma(delta) = delta (the twist constant is 1)",
-               TOL_IDENTITY,
+               tol.identity,
                lambda: abs(gns.haar.nu.to_complex() - 1.0))
 
     conj_ratio = delta @ np.linalg.inv(dprime)
@@ -780,12 +813,12 @@ def check_commutation_relations(gns: GnsRealization,
          conj_ratio, conj_ratio_hat),
     ]
     for key, label, x, y in pairs:
-        _strong_commute(ck, key, label, x, y)
+        _strong_commute(ck, key, label, x, y, gns.tol)
 
     def it_stability():
         worst, witness = 0.0, None
         calc = gns.calculi["delta"]
-        for t in t_grid:
+        for t in T_GRID:
             u = calc.power(1j * t)
             u_inv = calc.power(-1j * t)
             for k in range(d):
@@ -794,19 +827,18 @@ def check_commutation_relations(gns: GnsRealization,
                     worst, witness = resid, f"t = {t}, basis element {k}"
         return worst, witness
     ck.numeric("delta-it.stability",
-               "delta^{it} m(A) delta^{-it} lies in m(A)", TOL_MULTIPLIER,
+               "delta^{it} m(A) delta^{-it} lies in m(A)", tol.multiplier,
                it_stability)
     return ck.records
 
 
-def check_modular_groups(gns: GnsRealization,
-                         z_grid=Z_GRID) -> list[CheckRecord]:
+def check_modular_groups(gns: GnsRealization) -> list[CheckRecord]:
     """Modular groups of both Haar functionals, and the rho/tau groups.
 
     sigma_t = Ad(nabla^{it}), sigma_hat_t = Ad(nabla_hat^{it}),
     rho_t = Ad(N^{it}) and tau_t = Ad(M^{-it}) with M = delta' N.
     """
-    m, d = gns.model, gns.dim
+    m, d, tol = gns.model, gns.dim, gns.tol
     ck = Checker(f"{m.name}.gns.modgroup")
     eye = np.eye(d)
     nabla_c = gns.calculi["nabla"]
@@ -836,11 +868,11 @@ def check_modular_groups(gns: GnsRealization,
         return worst, witness
     ck.numeric("sigma-hat.integer",
                "sigma_hat_{in}(lambda(f)) = lambda(S^{-2n}(f) delta^n), "
-               "n in -2..2", TOL_MULTIPLIER, sigma_hat_integer)
+               "n in -2..2", tol.multiplier, sigma_hat_integer)
 
     def sigma_decomposition():
         worst, witness = 0.0, None
-        for z in z_grid:
+        for z in Z_GRID:
             lhs_l = nabla_c.power(1j * z)
             lhs_r = nabla_c.power(-1j * z)
             mid_l = dp_c.power(-1j * z) @ n_c.power(1j * z)
@@ -854,12 +886,12 @@ def check_modular_groups(gns: GnsRealization,
         return worst, witness
     ck.numeric("sigma.decomposition",
                "sigma_z(lambda(f)) = delta'^{-iz} rho_z(lambda(f)) "
-               "delta'^{iz}", TOL_SPECTRAL, sigma_decomposition)
+               "delta'^{iz}", tol.spectral, sigma_decomposition)
 
     def stability(calc, reps, sign=1):
         def run():
             worst, witness = 0.0, None
-            for z in z_grid:
+            for z in Z_GRID:
                 u = calc.power(sign * 1j * z)
                 u_inv = calc.power(-sign * 1j * z)
                 for k in range(d):
@@ -869,15 +901,15 @@ def check_modular_groups(gns: GnsRealization,
             return worst, witness
         return run
     ck.numeric("sigma.stability", "sigma_z(m(A)) lies in m(A)",
-               TOL_MULTIPLIER, stability(nabla_c, gns.m_rep))
+               tol.multiplier, stability(nabla_c, gns.m_rep))
     ck.numeric("sigma-hat.stability", "sigma_hat_z(lambda(D)) lies in "
-               "lambda(D)", TOL_MULTIPLIER, stability(nh_c, gns.lambda_rep))
+               "lambda(D)", tol.multiplier, stability(nh_c, gns.lambda_rep))
     ck.numeric("rho.stability", "rho_z(m(A)) lies in m(A)",
-               TOL_MULTIPLIER, stability(n_c, gns.m_rep))
+               tol.multiplier, stability(n_c, gns.m_rep))
     ck.numeric("rho.stability-dual", "rho_z(lambda(D)) lies in lambda(D)",
-               TOL_MULTIPLIER, stability(n_c, gns.lambda_rep))
+               tol.multiplier, stability(n_c, gns.lambda_rep))
     ck.numeric("tau.stability", "tau_z(m(A)) lies in m(A)",
-               TOL_MULTIPLIER, stability(m_c, gns.m_rep, sign=-1))
+               tol.multiplier, stability(m_c, gns.m_rep, sign=-1))
     return ck.records
 
 
@@ -898,21 +930,20 @@ def unitary_antipode(gns: GnsRealization) -> tuple[np.ndarray, float]:
     return r_mat, r_resid
 
 
-def check_invariance_and_kms(gns: GnsRealization,
-                             cap: int = 1000) -> list[CheckRecord]:
+def check_invariance_and_kms(gns: GnsRealization) -> list[CheckRecord]:
     """Left invariance at the operator level, the approximate-KMS bound,
     and the unitary antipode R = tau_{i/2} o S.
 
     The operator-level invariance sweep works on the tensor square and is
-    skipped once dim^3 exceeds ``cap``.
+    skipped once dim^3 exceeds ``CUBE_CAP``.
     """
-    m, d = gns.model, gns.dim
+    m, d, tol = gns.model, gns.dim, gns.tol
     ck = Checker(f"{m.name}.gns.weight")
     eye = np.eye(d)
     lam1 = gns.lam_of(gns.unit_vec)
 
     ck.numeric("phi.vector-state", "<Lambda 1, m(f) Lambda 1> = phi(f)",
-               TOL_IDENTITY,
+               tol.identity,
                lambda: max(abs(np.vdot(lam1, gns.m_rep[f] @ lam1)
                                - gns.phi_row[f]) for f in range(d)))
 
@@ -929,7 +960,7 @@ def check_invariance_and_kms(gns: GnsRealization,
                 sliced = np.einsum("icjd,i,j->cd", big,
                                    np.conj(gns.lam[:, a]), gns.lam[:, b])
                 coeffs = m_pinv @ sliced.ravel()
-                if rel_residual(m_cols @ coeffs, sliced.ravel()) > TOL_MULTIPLIER:
+                if rel_residual(m_cols @ coeffs, sliced.ravel()) > tol.multiplier:
                     return 1.0, f"slice not in m(A) at (f, a, b) = ({f}, {a}, {b})"
                 got = coeffs @ gns.phi_row
                 want = gns.gram[a, b] * gns.phi_row[f]
@@ -937,15 +968,15 @@ def check_invariance_and_kms(gns: GnsRealization,
                 if r > worst:
                     worst, witness = r, f"(f, a, b) = ({f}, {a}, {b})"
         return worst, witness
-    if d ** 3 > cap:
+    if d ** 3 > CUBE_CAP:
         ck.skip("invariance",
                 "(omega (x) phi)(coprod(m(f))) = omega(1) phi(f) over "
                 "matrix-coefficient functionals",
-                f"dim^3 = {d ** 3} exceeds cap {cap}")
+                f"dim^3 = {d ** 3} exceeds cap {CUBE_CAP}")
     else:
         ck.numeric("invariance",
                    "(omega (x) phi)(coprod(m(f))) = omega(1) phi(f) over "
-                   "matrix-coefficient functionals", TOL_SPECTRAL, invariance)
+                   "matrix-coefficient functionals", tol.spectral, invariance)
 
     nabla_c = gns.calculi["nabla"]
     sig_half = nabla_c.power(-0.5)
@@ -966,21 +997,21 @@ def check_invariance_and_kms(gns: GnsRealization,
         return max(worst, 0.0), witness
     ck.numeric("kms.bound",
                "|| x Lambda(a) || <= || sigma_{i/2}(m(conj a)) || "
-               "|| Lambda(x) ||", TOL_IDENTITY, kms)
+               "|| Lambda(x) ||", tol.identity, kms)
 
     r_mat, r_resid = unitary_antipode(gns)
     ck.numeric("r.lands-in-span",
-               "tau_{i/2}(m(S f)) lies in m(A)", TOL_MULTIPLIER,
+               "tau_{i/2}(m(S f)) lies in m(A)", tol.multiplier,
                lambda: r_resid)
-    ck.numeric("r.involutive", "R^2 = id", TOL_SPECTRAL,
+    ck.numeric("r.involutive", "R^2 = id", tol.spectral,
                lambda: rel_residual(r_mat @ r_mat, eye))
     flip = m.flipA.to_numpy()
-    ck.numeric("r.anti-multiplicative", "R(ab) = R(b) R(a)", TOL_SPECTRAL,
+    ck.numeric("r.anti-multiplicative", "R(ab) = R(b) R(a)", tol.spectral,
                lambda: rel_residual(r_mat @ gns.mult,
                                     gns.mult @ np.kron(r_mat, r_mat) @ flip))
     phi_r = gns.phi_row @ r_mat
     ck.numeric("r.right-invariant",
-               "(phi o R (x) iota)(coprod f) = phi(R f) 1", TOL_SPECTRAL,
+               "(phi o R (x) iota)(coprod f) = phi(R f) 1", tol.spectral,
                lambda: rel_residual(
                    np.kron(phi_r, eye) @ gns.coprod,
                    np.outer(gns.unit_vec, phi_r)))
@@ -994,11 +1025,11 @@ def check_kac_triviality(gns: GnsRealization) -> list[CheckRecord]:
     positive-tier finite-dimensional model is of this kind, which is why
     nontrivial modular spectra never show up in this layer.
     """
-    m, d = gns.model, gns.dim
+    m, d, tol = gns.model, gns.dim, gns.tol
     ck = Checker(f"{m.name}.gns.kac")
     s2 = gns.antipode @ gns.antipode
-    is_kac = (rel_residual(s2, np.eye(d)) <= TOL_IDENTITY
-              and rel_residual(gns.sigma_mat, np.eye(d)) <= TOL_IDENTITY)
+    is_kac = (rel_residual(s2, np.eye(d)) <= tol.identity
+              and rel_residual(gns.sigma_mat, np.eye(d)) <= tol.identity)
     if not is_kac:
         ck.skip("identity", "all modular operators equal the identity",
                 "model is not of Kac type")
@@ -1017,7 +1048,7 @@ def check_kac_triviality(gns: GnsRealization) -> list[CheckRecord]:
                 worst, witness = r, f"operator {name}"
         return worst, witness
     ck.numeric("identity", "all modular operators equal the identity",
-               TOL_IDENTITY, all_identity)
+               tol.identity, all_identity)
     return ck.records
 
 

@@ -303,11 +303,12 @@ def verify_counit_antipode(model: QGModel) -> list[CheckRecord]:
     return ck.records
 
 
-def validate_model(model: QGModel, deep: bool = True) -> list[CheckRecord]:
+def validate_model(model: QGModel) -> list[CheckRecord]:
     """All structural laws of a model.
 
-    With deep=True this includes the counit/antipode laws and the
-    bijectivity of the four canonical twisted-multiplication maps.
+    The algebra, coalgebra and involution laws, then the counit/antipode
+    laws and the bijectivity of the four canonical twisted-multiplication
+    maps.
     """
     ck = Checker(f"{model.name}.struct")
     m, d_, C = model.mult, model.coprod, model.invol
@@ -348,11 +349,8 @@ def validate_model(model: QGModel, deep: bool = True) -> list[CheckRecord]:
     ck.exact("invol.coprod", "coprod(a*) = (*(x)*)coprod(a)",
              lambda: d_ @ C - (C.tensor(C)) @ d_.conj())
 
-    records = ck.records
-    if deep:
-        records = records + verify_counit_antipode(model)
-        records = records + check_cancellation(model, variants=False)
-    return records
+    return (ck.records + verify_counit_antipode(model)
+            + check_cancellation(model, variants=False))
 
 
 # -- derived structure maps ---------------------------------------------------

@@ -208,16 +208,6 @@ class LinMap:
         return LinMap(dom, cod, cols)
 
     @staticmethod
-    def from_columns(dom: Sequence[int], cod: Sequence[int], columns: Sequence[Vec]) -> "LinMap":
-        cols = {}
-        for j, v in enumerate(columns):
-            if v.dims != tuple(cod):
-                raise LegMismatch("column legs differ from codomain", v.dims, tuple(cod))
-            if v.data:
-                cols[j] = dict(v.data)
-        return LinMap(dom, cod, cols)
-
-    @staticmethod
     def from_dense(dom: Sequence[int], cod: Sequence[int], rows: Sequence[Sequence]) -> "LinMap":
         entries = []
         for i, row in enumerate(rows):
@@ -761,25 +751,6 @@ def project_span(basis: Sequence[np.ndarray], x: np.ndarray):
     coeffs, *_ = np.linalg.lstsq(cols, vec, rcond=None)
     resid = rel_residual(cols @ coeffs, vec)
     return coeffs, resid
-
-
-def power_hermitian(h: np.ndarray, z: complex, tol: float = 1e-10) -> np.ndarray:
-    """h^z for a positive definite Hermitian matrix, principal branch."""
-    w, u = eigh_checked(h, tol)
-    if np.min(w) <= 0:
-        raise ValueError(f"matrix power of a non-positive operator (min eig {np.min(w):.3e})")
-    wz = np.exp(z * np.log(w.astype(complex)))
-    return u @ np.diag(wz) @ u.conj().T
-
-
-def power_diagonalizable(x: np.ndarray, z: complex, tol: float = 1e-8) -> np.ndarray:
-    """x^z for a diagonalizable matrix with strictly positive real spectrum."""
-    x = np.asarray(x, dtype=complex)
-    w, v = np.linalg.eig(x)
-    if np.min(w.real) <= 0 or np.max(np.abs(w.imag)) > tol * max(1.0, np.max(np.abs(w))):
-        raise ValueError("matrix power requires a positive real spectrum")
-    wz = np.exp(z * np.log(w.real.astype(complex)))
-    return v @ np.diag(wz) @ np.linalg.inv(v)
 
 
 def joint_eigenbasis(x: np.ndarray, y: np.ndarray, tol: float = 1e-8):

@@ -42,9 +42,6 @@ class HaarData:
     def phi_of(self, v: Vec) -> Cyc:
         return self.phi(v).get(0)
 
-    def psi_of(self, v: Vec) -> Cyc:
-        return self.psi(v).get(0)
-
 
 def _invariance_system(model: QGModel, side: str) -> LinMap:
     """Equations cutting out the invariant functionals.

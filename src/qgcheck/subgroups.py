@@ -301,10 +301,11 @@ def certify_vaes(mor: QGMorphism, dm: DualMorphism) -> list[CheckRecord]:
     functional identity counit_tgt(x * a) = counit_src(pi_hat(x) * b)
     holds for the minimal-norm preimage b of a.  When a model sits
     outside the GNS layer's standing assumptions those records are
-    skipped with the refusal reason.  Tolerances are the GNS layer's,
-    read at call time.
+    skipped with the refusal reason.  Float records use the default
+    ``gns.Tolerances()``, and the GNS realizations are built with them.
     """
     src, tgt, pi = mor.source, mor.target, mor.pi
+    tol = gns.Tolerances()
     dg, dh = dm.source_duality.dual, dm.target_duality.dual
     n, k = src.dim, tgt.dim
     ck = Checker(f"{mor.label}.vaes")
@@ -380,12 +381,12 @@ def certify_vaes(mor: QGMorphism, dm: DualMorphism) -> list[CheckRecord]:
 
     ck.numeric("functional-identity",
                "counit(x * a) = counit(pi_hat(x) * b) for pi(b) = a",
-               gns.TOL_MULTIPLIER, functional_identity)
+               tol.multiplier, functional_identity)
 
     # Representation-level records on the GNS layer.
     try:
-        gns_source = gns.build_gns(src)
-        gns_target = gns.build_gns(tgt)
+        gns_source = gns.build_gns(src, tol)
+        gns_target = gns.build_gns(tgt, tol)
     except TierRefusal as e:
         for check_id in ("represented", "represented-injective",
                          "norm-transport"):
@@ -413,15 +414,15 @@ def certify_vaes(mor: QGMorphism, dm: DualMorphism) -> list[CheckRecord]:
 
     ck.numeric("represented",
                "x |-> lambda(pi_hat(x)) is a unital *-homomorphism",
-               gns.TOL_IDENTITY, represented)
+               tol.identity, represented)
 
     def rep_rank():
         got = int(np.linalg.matrix_rank(_rep_stack(rep),
-                                        tol=gns.TOL_SPECTRAL))
+                                        tol=tol.spectral))
         return float(k - got), f"represented rank {got} of {k}"
 
     ck.numeric("represented-injective",
-               "lambda o pi_hat has full rank", gns.TOL_IDENTITY, rep_rank)
+               "lambda o pi_hat has full rank", tol.identity, rep_rank)
 
     def norms():
         worst, note = 0.0, None
@@ -434,7 +435,7 @@ def certify_vaes(mor: QGMorphism, dm: DualMorphism) -> list[CheckRecord]:
 
     ck.numeric("norm-transport",
                "operator norms of lambda(pi_hat(x)) and lambda(x) agree",
-               gns.TOL_SPECTRAL, norms)
+               tol.spectral, norms)
     return ck.records
 
 

@@ -1,8 +1,10 @@
 """CLI behavior: verbs, suites, exit codes, reports, determinism."""
 
 import json
+import random
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -95,6 +97,37 @@ def test_tol_reaches_construction_tolerances(monkeypatch):
     assert main(["verify", "c_z2", "--tol", "1e-14"]) == 0
     assert sorted(calculus) == pytest.approx([1e-12], rel=1e-9, abs=0)
     assert sorted(action) == pytest.approx([1e-14, 1e-12], rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
+def test_unusable_tol_exits_two_before_model_work(value, monkeypatch, capsys):
+    built = _record_calls(monkeypatch, modular, "_solve_haar")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "c_z2", "--tol", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--tol" in err and "Gram" not in err
+    assert built == []
+
+
+def test_tol_does_not_leak_into_later_runs():
+    assert main(["verify", "c_z2", "--tol", "1e-14"]) == 0
+    assert G.build_gns(builtin("c_z2")).tol == G.Tolerances()
+
+
+@pytest.mark.parametrize("argv, seed", [(["--seed", "7"], 7), ([], 1729)])
+def test_seed_reaches_exact_tier_sampler(argv, seed, monkeypatch):
+    # taft3 has dim 9 > 8, so its adjoint relation is checked on samples
+    # drawn from the one random.Random of check_pentagon_and_lemmas
+    seeds = []
+
+    def spy_random(s):
+        seeds.append(s)
+        return random.Random(s)
+
+    monkeypatch.setattr(duality, "random", SimpleNamespace(Random=spy_random))
+    assert main(["verify", "taft3", "--suite", "algebraic", *argv]) == 0
+    assert seeds == [seed]
 
 
 def _record_calls(monkeypatch, module, name) -> list:

@@ -33,12 +33,29 @@ def test_refusal_non_positive_gram(model_cache):
         G.build_gns(spoiled)
 
 
+def test_tolerances_reach_every_numeric_record(model_cache):
+    # identity 1e-12 puts spectral at 1e-10 and multiplier at 1e-11; the
+    # rank and span records keep their fixed threshold of 0.5
+    tol = G.Tolerances(1e-12)
+    assert (tol.spectral, tol.multiplier) == (1e-10, 1e-11)
+    g = G.build_gns(model_cache("c_z2"), tol)
+    assert g.tol == tol
+    used = {r.tolerance for r in G.analytic_suite(g)} - {None}
+    assert used == {1e-12, 1e-10, 1e-11, 0.5}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+def test_tolerances_reject_unusable_values(value):
+    with pytest.raises(ValueError, match="finite number > 0"):
+        G.Tolerances(value)
+
+
 def test_trivial_model(gns_cache):
     g = gns_cache("trivial")
     assert g.dim == 1
-    assert rel_residual(g.w, np.eye(1)) <= G.TOL_IDENTITY
+    assert rel_residual(g.w, np.eye(1)) <= g.tol.identity
     for calc in g.calculi.values():
-        assert rel_residual(calc.matrix, np.eye(1)) <= G.TOL_IDENTITY
+        assert rel_residual(calc.matrix, np.eye(1)) <= g.tol.identity
     ensure(run_all_checks(g))
 
 
@@ -46,7 +63,7 @@ def test_function_algebra_gram_is_normalized_counting(gns_cache):
     # phi is the normalized counting measure, so the basis of indicator
     # functions is orthogonal with norm^2 = 1/|G|
     g = gns_cache("c_z2")
-    assert rel_residual(g.gram, np.eye(2) / 2) <= G.TOL_IDENTITY
+    assert rel_residual(g.gram, np.eye(2) / 2) <= g.tol.identity
 
 
 def test_w_is_translation_permutation_on_function_algebra(gns_cache):
@@ -59,7 +76,7 @@ def test_w_is_translation_permutation_on_function_algebra(gns_cache):
             col = g.w[:, a * d + b]
             expect = np.zeros(d * d)
             expect[a * d + table.mul(a, b)] = 1.0
-            assert rel_residual(col, expect) <= G.TOL_IDENTITY
+            assert rel_residual(col, expect) <= g.tol.identity
 
 
 @pytest.mark.parametrize("name", FULL_SUITE)
@@ -72,7 +89,7 @@ def test_kac_models_have_identity_modular_operators(gns_cache, name):
     g = gns_cache(name)
     eye = np.eye(g.dim)
     for calc_name, calc in g.calculi.items():
-        assert rel_residual(calc.matrix, eye) <= G.TOL_IDENTITY, calc_name
+        assert rel_residual(calc.matrix, eye) <= g.tol.identity, calc_name
     records = G.check_kac_triviality(g)
     assert all(r.status == "pass" for r in records)
 
@@ -86,7 +103,7 @@ def test_left_slice_oracle_c_z2(gns_cache):
             got = np.einsum("icjd,c,d->ij", w4,
                             np.conj(g.lam[:, x]), g.lam[:, y])
             want = 0.5 * g.m_rep[(x + y) % 2]
-            assert rel_residual(got, want) <= G.TOL_IDENTITY
+            assert rel_residual(got, want) <= g.tol.identity
 
 
 def test_coproduct_of_grouplike_basis(gns_cache):
@@ -96,7 +113,7 @@ def test_coproduct_of_grouplike_basis(gns_cache):
     for k in range(2):
         got = g.w.conj().T @ np.kron(eye, g.m_rep[k]) @ g.w
         assert rel_residual(got, np.kron(g.m_rep[k], g.m_rep[k])) \
-            <= G.TOL_IDENTITY
+            <= g.tol.identity
 
 
 def test_complex_power_multipliers(gns_cache):
@@ -111,7 +128,7 @@ def test_rho_is_trivial_on_kac_models(gns_cache):
     n_calc = g.calculi["n"]
     for z in (0.5, 1j, 1 + 1j):
         assert rel_residual(n_calc.power(1j * z), np.eye(g.dim)) \
-            <= G.TOL_SPECTRAL
+            <= g.tol.spectral
 
 
 def test_kms_bound_is_equality_on_group_algebra(gns_cache):
@@ -127,8 +144,8 @@ def test_kms_bound_is_equality_on_group_algebra(gns_cache):
             bound = float(np.linalg.norm(
                 sig @ g.m_of(g.star_np(eye[:, i])) @ sig_inv, 2))
             rhs = bound * float(np.linalg.norm(g.lam[:, j]))
-            assert abs(lhs - 1.0) <= G.TOL_IDENTITY
-            assert abs(rhs - 1.0) <= G.TOL_IDENTITY
+            assert abs(lhs - 1.0) <= g.tol.identity
+            assert abs(rhs - 1.0) <= g.tol.identity
 
 
 def test_fourier_isometry_constant(gns_cache):
@@ -138,32 +155,41 @@ def test_fourier_isometry_constant(gns_cache):
     dual_gram = g.dual.dual_haar.gram.to_numpy()
     scale = float(np.real(np.trace(dual_gram) / np.trace(g.gram)))
     assert abs(scale - 1.0 / 6.0) <= 1e-9
-    assert rel_residual(dual_gram, scale * g.gram) <= G.TOL_IDENTITY
-    assert rel_residual(dual_gram, np.eye(6) / 36) <= G.TOL_IDENTITY
+    assert rel_residual(dual_gram, scale * g.gram) <= g.tol.identity
+    assert rel_residual(dual_gram, np.eye(6) / 36) <= g.tol.identity
 
 
 def test_modular_conjugation_reduces_to_involution(gns_cache):
     # with nabla = I the polar part J equals T, and T implements conj
     g = gns_cache("c_s3")
-    assert rel_residual(g.nabla, np.eye(g.dim)) <= G.TOL_IDENTITY
-    assert rel_residual(g.j_mat, g.t_mat) <= G.TOL_SPECTRAL
+    assert rel_residual(g.nabla, np.eye(g.dim)) <= g.tol.identity
+    assert rel_residual(g.j_mat, g.t_mat) <= g.tol.spectral
     for k in range(g.dim):
         got = g.t_mat @ np.conj(g.lam[:, k])
         want = g.lam @ g.invol[:, k]
-        assert rel_residual(got, want) <= G.TOL_IDENTITY
+        assert rel_residual(got, want) <= g.tol.identity
 
 
 def test_unitary_antipode_reduces_to_antipode(gns_cache):
     # tau is trivial on a Kac model, so R = S on coordinates
     g = gns_cache("c_s3")
     r_mat, resid = G.unitary_antipode(g)
-    assert resid <= G.TOL_MULTIPLIER
-    assert rel_residual(r_mat, g.antipode) <= G.TOL_SPECTRAL
+    assert resid <= g.tol.multiplier
+    assert rel_residual(r_mat, g.antipode) <= g.tol.spectral
 
 
 def test_power_calculus_failure_names_operator():
     with pytest.raises(Exception, match="not positive definite"):
-        G.PositiveOperatorCalculus("probe", np.diag([1.0, -2.0]))
+        G.PositiveOperatorCalculus("probe", np.diag([1.0, -2.0]),
+                                   G.Tolerances())
+
+
+def test_power_calculus_square_root():
+    h = np.array([[2.0, 1.0], [1.0, 2.0]])
+    calc = G.PositiveOperatorCalculus("h", h, G.Tolerances())
+    root = calc.power(0.5)
+    assert rel_residual(root @ root, h) <= 1e-12
+    assert rel_residual(calc.power(-1) @ h, np.eye(2)) <= 1e-12
 
 
 def test_large_double_builds_and_slices(gns_cache):

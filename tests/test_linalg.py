@@ -17,7 +17,6 @@ from qgcheck.linalg import (
     inverse,
     joint_eigenbasis,
     kernel,
-    power_hermitian,
     rank,
     solve_linear,
     span_rank,
@@ -163,10 +162,6 @@ def test_eigh_checked_and_powers():
     h = np.array([[2.0, 1.0], [1.0, 2.0]], dtype=complex)
     w, u = eigh_checked(h)
     assert np.allclose(sorted(w), [1.0, 3.0])
-    hs = power_hermitian(h, 0.5)
-    assert np.allclose(hs @ hs, h)
-    with pytest.raises(ValueError):
-        power_hermitian(np.array([[1.0, 0.0], [0.0, -1.0]]), 0.5)
 
 
 def test_joint_eigenbasis():
