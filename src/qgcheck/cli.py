@@ -16,12 +16,12 @@ analytic layer's standing assumptions.  Asking for the analytic suite
 explicitly on such a model is refused.
 
 --tol T runs the analytic suite under gns.Tolerances(T) (spectral 100x T,
-multiplier 10x T; T finite and > 0).  --seed seeds the sampled families
-of both suites.  Both are passed down as arguments.
+multiplier 10x T; T finite and > 0).  --seed S (an integer >= 0) seeds
+the sampled families of both suites.  Both are passed down as arguments.
 
 Exit codes: 0 every executed check passed, 1 at least one check failed,
 2 the input could not be used (bad option value, parse error, invalid
-table or model construction, explicit tier refusal).
+table or model construction, explicit tier refusal, unopenable file).
 """
 
 from __future__ import annotations
@@ -183,6 +183,14 @@ def _tolerance(text: str) -> float:
         raise argparse.ArgumentTypeError(str(e)) from None
 
 
+def _seed(text: str) -> int:
+    """argparse type of --seed: an integer >= 0, as numpy's samplers need."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"seed must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="qgcheck",
@@ -198,9 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="identity tolerance of the analytic suite, a finite "
                         "number > 0 (default 1e-10); the spectral and "
                         "multiplier tolerances are 100x and 10x it")
-    v.add_argument("--seed", type=int, default=SAMPLE_SEED,
-                   help="seed for sampled check families of both suites "
-                        f"(default {SAMPLE_SEED})")
+    v.add_argument("--seed", type=_seed, default=SAMPLE_SEED,
+                   help="seed for sampled check families of both suites, an "
+                        f"integer >= 0 (default {SAMPLE_SEED})")
     v.add_argument("--report", default=None, help="write a JSON report here")
     v.set_defaults(func=cmd_verify)
 
@@ -238,7 +246,7 @@ def dispatch(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ModelError, SingularMap, TierRefusal) as e:
+    except (ParseError, ModelError, SingularMap, TierRefusal, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except CheckFailure as e:

@@ -37,9 +37,8 @@ from dataclasses import dataclass
 from .errors import ModelError
 from .hopf import QGModel, galois_map, validate_model
 from .linalg import LinMap, Vec, apply_on_legs, embed_on_legs, inverse
-from .modular import HaarData, check_modular_structure, solve_haar
+from .modular import HaarData, alpha_map, check_modular_structure, solve_haar
 from .report import CheckRecord, Checker, ensure
-from .scalars import Cyc
 
 # Seed for the reproducible samplers used when full tensor-cube or
 # four-tuple enumeration would exceed the configured caps.
@@ -56,10 +55,6 @@ class Duality:
     haar: HaarData
     dual: QGModel
     dual_haar: HaarData
-
-    def pair(self, f: Vec, a: Vec) -> Cyc:
-        """(f, a) = phi(a f)."""
-        return self.haar.phi_of(self.source.mul(a, f))
 
 
 @dataclass(frozen=True)
@@ -296,13 +291,6 @@ def _build_alg_mult_unitary(model: QGModel) -> AlgMultUnitary:
     return AlgMultUnitary(model=model, w=w, w_inv=w_inv)
 
 
-def _alpha(haar: HaarData) -> LinMap:
-    # alpha(a) = delta^-1 S^-2(a) delta, the second-leg twist of sigma
-    m = haar.model
-    return m.lmul(haar.delta_inv) @ m.rmul(haar.delta) \
-        @ m.antipode_inv @ m.antipode_inv
-
-
 def check_pentagon_and_lemmas(dd: Duality, cap: int = CUBE_CAP,
                               samples: int = 120,
                               seed: int = SAMPLE_SEED) -> list[CheckRecord]:
@@ -350,7 +338,7 @@ def check_pentagon_and_lemmas(dd: Duality, cap: int = CUBE_CAP,
                  pentagon_sampled)
 
     sigma = h.sigma
-    alpha = _alpha(h)
+    alpha = alpha_map(h)
     ck.exact("lemma.sigma-twist", "(sigma (x) sigma) w = w (sigma (x) alpha)",
              lambda: sigma.tensor(sigma) @ w - w @ sigma.tensor(alpha))
     ck.exact("lemma.alpha-commute", "(alpha (x) alpha) w = w (alpha (x) alpha)",
@@ -396,14 +384,16 @@ def check_pentagon_and_lemmas(dd: Duality, cap: int = CUBE_CAP,
 
 
 def check_convolution_compat(dd: Duality) -> list[CheckRecord]:
-    """Compatibility of the coproduct with the convolution product."""
+    """Compatibility of the coproduct with the convolution product.
+
+    The right-multiplication laws are built from the Galois maps rr/rr_op.
+    """
     m, h, dm = dd.source, dd.haar, dd.dual
     d = m.dim
     i = m.idA
     conv = dm.mult
     rl, rl_op = galois_map(m, "rl"), galois_map(m, "rl_op")
     rr, rr_op = galois_map(m, "rr"), galois_map(m, "rr_op")
-    dims4 = (d, d, d, d)
     ck = Checker(f"{m.name}.conv-compat")
 
     iconv = i.tensor(conv)
@@ -412,17 +402,14 @@ def check_convolution_compat(dd: Duality) -> list[CheckRecord]:
     ck.exact("coprod-left-mult-op", "coprod(f*g)(a (x) 1) = f_(1) a (x) (f_(2)*g)",
              lambda: rl_op @ iconv - iconv @ rl_op.tensor(i))
 
-    # (1 (x) a) coprod(f*g) = (f*g_(1)) (x) a g_(2): reorder (a, f, g1, g2)
-    # to (f, g1, a, g2) and contract with conv (x) mult
-    swap = LinMap.leg_permutation(dims4, (1, 2, 0, 3))
+    # conv on legs (0, 1) of f (x) (1 (x) a)coprod(g) = f (x) g_(1) (x) a g_(2)
     ck.exact("coprod-right-mult", "(1 (x) a) coprod(f*g) = (f*g_(1)) (x) a g_(2)",
              lambda: rr @ iconv
-             - conv.tensor(m.mult) @ swap @ i.tensor(i).tensor(m.coprod))
-    swap_op = LinMap.leg_permutation(dims4, (1, 2, 3, 0))
+             - conv.tensor(i) @ i.tensor(rr) @ m.flipA.tensor(i))
     ck.exact("coprod-right-mult-op",
              "coprod(f*g)(1 (x) a) = (f*g_(1)) (x) g_(2) a",
              lambda: rr_op @ iconv
-             - conv.tensor(m.mult) @ swap_op @ i.tensor(i).tensor(m.coprod))
+             - conv.tensor(i) @ i.tensor(rr_op) @ m.flipA.tensor(i))
 
     def inner_product():
         # eps(f^* * g) = mu^-1 phi(conj(f) g), the Gram matrix up to mu

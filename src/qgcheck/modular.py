@@ -155,6 +155,13 @@ def _solve_haar(model: QGModel) -> HaarData:
                     mu=mu, nu=nu, gram=gram, gram_positive=gram_positive)
 
 
+def alpha_map(haar: HaarData) -> LinMap:
+    """alpha(a) = delta^-1 S^-2(a) delta, the second-leg twist of sigma."""
+    m = haar.model
+    return m.lmul(haar.delta_inv) @ m.rmul(haar.delta) \
+        @ m.antipode_inv @ m.antipode_inv
+
+
 def check_modular_structure(haar: HaarData) -> list[CheckRecord]:
     """All identities tying phi, psi, sigma, delta and mu together."""
     m = haar.model
@@ -225,12 +232,9 @@ def check_modular_structure(haar: HaarData) -> list[CheckRecord]:
     ck.exact("sigma.coprod-left", "coprod o sigma = (S^2 (x) sigma) o coprod",
              lambda: d_ @ sigma - (S @ S).tensor(sigma) @ d_)
 
-    def alpha():
-        return m.lmul(delta_inv) @ m.rmul(delta) @ m.antipode_inv @ m.antipode_inv
-
     ck.exact("sigma.coprod-right",
              "coprod o sigma = (sigma (x) delta^-1 S^-2(.) delta) o coprod",
-             lambda: d_ @ sigma - sigma.tensor(alpha()) @ d_)
+             lambda: d_ @ sigma - sigma.tensor(alpha_map(haar)) @ d_)
     ck.exact("psi.scaling", "psi(S^2 a) = mu psi(a)",
              lambda: psi @ S @ S - psi.scale(mu))
     return ck.records

@@ -11,6 +11,7 @@ import pytest
 from qgcheck import duality, hopf, modular
 from qgcheck import gns as G
 from qgcheck.cli import dispatch, main
+from qgcheck.linalg import LinMap
 from qgcheck.modelio import parse_model
 from qgcheck.models import builtin
 
@@ -110,6 +111,29 @@ def test_unusable_tol_exits_two_before_model_work(value, monkeypatch, capsys):
     assert built == []
 
 
+@pytest.mark.parametrize("value", ["-1", "1.5", "x"])
+def test_unusable_seed_exits_two_before_model_work(value, monkeypatch,
+                                                   capsys):
+    built = _record_calls(monkeypatch, modular, "_solve_haar")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "c_z2", "--seed", value])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert built == []
+
+
+@pytest.mark.parametrize("verb", ["verify", "dual", "build-taft"])
+def test_unopenable_output_path_exits_two(verb, tmp_path, capsys):
+    out = str(tmp_path / "missing" / "out.json")
+    argv = {"verify": ["verify", "c_z2", "--suite", "algebraic",
+                       "--report", out],
+            "dual": ["dual", "c_z2", "-o", out],
+            "build-taft": ["build-taft", "--n", "2", "-o", out]}[verb]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert out in err and "Traceback" not in err
+
+
 def test_tol_does_not_leak_into_later_runs():
     assert main(["verify", "c_z2", "--tol", "1e-14"]) == 0
     assert G.build_gns(builtin("c_z2")).tol == G.Tolerances()
@@ -128,6 +152,20 @@ def test_seed_reaches_exact_tier_sampler(argv, seed, monkeypatch):
     monkeypatch.setattr(duality, "random", SimpleNamespace(Random=spy_random))
     assert main(["verify", "taft3", "--suite", "algebraic", *argv]) == 0
     assert seeds == [seed]
+
+
+def test_verify_permutes_at_most_two_legs(monkeypatch):
+    # a permutation of k legs is a d^k-column matrix; no exact law needs
+    # more than the flip
+    legs, permute = [], LinMap.leg_permutation
+
+    def spy(dims, perm):
+        legs.append(len(dims))
+        return permute(dims, perm)
+
+    monkeypatch.setattr(LinMap, "leg_permutation", staticmethod(spy))
+    assert main(["verify", "taft3", "--suite", "algebraic"]) == 0
+    assert legs and max(legs) <= 2
 
 
 def _record_calls(monkeypatch, module, name) -> list:

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -16,9 +17,10 @@ from qgcheck.duality import (
     check_radford,
 )
 from qgcheck.errors import CheckFailure, ModelError
+from qgcheck.hopf import galois_map
 from qgcheck.linalg import LinMap, Vec
 from qgcheck.models import GroupTable, build_function_algebra, build_group_algebra
-from qgcheck.report import ensure
+from qgcheck.report import FAIL, Checker, ensure
 from qgcheck.scalars import Cyc
 
 
@@ -187,6 +189,44 @@ def test_pentagon_sampled_path(dual_cache):
                                   "taft3"])
 def test_convolution_compat(dual_cache, name):
     ensure(check_convolution_compat(dual_cache(name)))
+
+
+def _right_mult_by_leg_permutation(dd):
+    """Records of the right-multiplication laws with the d^4-leg reorder.
+
+    The right side (f*g_(1)) (x) a g_(2) (or g_(2) a) is formed by
+    reordering (a, f, g1, g2) and contracting with conv (x) mult, an
+    independent route to the one check_convolution_compat takes.
+    """
+    m, conv = dd.source, dd.dual.mult
+    i, dims4 = m.idA, (m.dim,) * 4
+    iconv, spread = i.tensor(conv), i.tensor(i).tensor(m.coprod)
+    ck = Checker(f"{m.name}.conv-compat")
+    for check_id, key, perm in (("coprod-right-mult", "rr", (1, 2, 0, 3)),
+                                ("coprod-right-mult-op", "rr_op",
+                                 (1, 2, 3, 0))):
+        swap = LinMap.leg_permutation(dims4, perm)
+        ck.exact(check_id, key, lambda key=key, swap=swap:
+                 galois_map(m, key) @ iconv
+                 - conv.tensor(m.mult) @ swap @ spread)
+    return {r.check_id: r for r in ck.records}
+
+
+@pytest.mark.parametrize("name", ["sweedler", "taft3"])
+def test_convolution_compat_catches_a_wrong_product(name, dual_cache):
+    dd = dual_cache(name)
+    m, conv = dd.source, dd.dual.mult
+    # one wrong entry, e_0 * e_0 gains e_0
+    bump = LinMap.from_entries(m.AA, m.A, [(0, 0, Cyc.one(1))])
+    bad = dataclasses.replace(
+        dd, dual=dataclasses.replace(dd.dual, mult=conv + bump))
+    records = {r.check_id: r for r in check_convolution_compat(bad)}
+    for law in ("left-mult", "left-mult-op", "right-mult", "right-mult-op"):
+        assert records[f"{m.name}.conv-compat.coprod-{law}"].status == FAIL
+    for check_id, ref in _right_mult_by_leg_permutation(bad).items():
+        assert (records[check_id].status, records[check_id].residual) \
+            == (ref.status, ref.residual)
+    assert all(r.ok for r in _right_mult_by_leg_permutation(dd).values())
 
 
 # On the four-dimensional model S^4 = id while delta = g and the dual
