@@ -22,6 +22,9 @@ the sampled families of both suites.  Both are passed down as arguments.
 Exit codes: 0 every executed check passed, 1 at least one check failed,
 2 the input could not be used (bad option value, parse error, invalid
 table or model construction, explicit tier refusal, unopenable file).
+An output path (--report, -o) whose directory does not exist exits 2
+before any model is read.  Cyclotomic orders (a model file's "order",
+build-taft --n) are capped at scalars.MAX_ORDER.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .models import (BUILTIN_MODELS, build_drinfeld_double,
                      builtin)
 from .modular import check_modular_structure, solve_haar
 from .report import FAIL, Checker, CheckRecord, Report
+from .scalars import MAX_ORDER
 from .subgroups import (build_dual_morphism, certify_vaes,
                         check_dual_morphism, check_expectation,
                         validate_morphism)
@@ -148,8 +152,9 @@ def cmd_build_group(args) -> int:
 
 
 def cmd_build_taft(args) -> int:
-    if args.n < 2:
-        raise ParseError(f"taft order must be >= 2, got {args.n}")
+    if not 2 <= args.n <= MAX_ORDER:
+        raise ParseError(f"--n: taft order must be >= 2 and <= {MAX_ORDER}, "
+                         f"got {args.n}")
     model = build_taft(args.n)
     emit_model(model, args.out)
     print(f"wrote {model.name} ({model.dim}-dim) to {args.out}")
@@ -242,9 +247,21 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _check_output_path(path: str):
+    """Refuse an output file that cannot be created, before any work."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise ParseError(f"{path}: output directory {parent} does not exist")
+    if os.path.isdir(path):
+        raise ParseError(f"{path}: output path is a directory")
+
+
 def dispatch(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for path in (getattr(args, "report", None), getattr(args, "out", None)):
+            if path:
+                _check_output_path(path)
         return args.func(args)
     except (ParseError, ModelError, SingularMap, TierRefusal, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

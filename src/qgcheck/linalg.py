@@ -12,7 +12,6 @@ numpy and live at the bottom of the module.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -55,7 +54,7 @@ def from_multi(multi: Sequence[int], dims: Sequence[int]) -> int:
 def _as_cyc(value) -> Cyc:
     if isinstance(value, Cyc):
         return value
-    return Cyc.rational(Fraction(value))
+    return Cyc.rational(value)
 
 
 class Vec:
@@ -172,7 +171,7 @@ class LinMap:
         self.cols: dict[int, dict[int, Cyc]] = {}
         if cols:
             for j, col in cols.items():
-                clean = {i: _as_cyc(v) for i, v in col.items() if not _as_cyc(v).is_zero()}
+                clean = {i: c for i, v in col.items() if (c := _as_cyc(v))}
                 if clean:
                     self.cols[j] = clean
 
@@ -204,7 +203,8 @@ class LinMap:
             if v.is_zero():
                 continue
             col = cols.setdefault(j, {})
-            col[i] = col.get(i, Cyc.zero()) + v
+            s = col.get(i)
+            col[i] = v if s is None else s + v
         return LinMap(dom, cod, cols)
 
     @staticmethod

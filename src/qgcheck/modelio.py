@@ -22,7 +22,7 @@ from .hopf import QGModel, solve_antipode, solve_counit
 from .linalg import LinMap, Vec, total_dim
 from .models import GroupTable
 from .report import Report
-from .scalars import Cyc
+from .scalars import MAX_ORDER, Cyc
 from .subgroups import QGMorphism
 
 
@@ -141,8 +141,9 @@ def model_from_dict(d: dict, where: str = "model") -> QGModel:
     name = _field(d, "name", str, where)
     order = _field(d, "order", int, where)
     dim = _field(d, "dim", int, where)
-    if order < 1:
-        raise ParseError(f"{where}: cyclotomic order must be >= 1")
+    if not 1 <= order <= MAX_ORDER:
+        raise ParseError(f"{where}: field 'order' must be between 1 and "
+                         f"{MAX_ORDER}, got {order}")
     if dim < 1:
         raise ParseError(f"{where}: dimension must be >= 1")
     basis = _field(d, "basis", list, where)

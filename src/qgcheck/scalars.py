@@ -2,23 +2,34 @@
 
 The algebraic tier of the workbench computes in Q(zeta_N), the field of
 rationals extended by a primitive N-th root of unity.  An element is stored
-as a residue-class polynomial in zeta with Fraction coefficients, reduced
-modulo the N-th cyclotomic polynomial, so equality, inversion and complex
-conjugation (zeta -> zeta^(N-1)) are all exact.  N = 1 is the rational
-field.  The float tier of the workbench is plain complex arithmetic;
-``Cyc.to_complex`` is the bridge between the two.
+as a residue-class polynomial in zeta reduced modulo the N-th cyclotomic
+polynomial: a tuple of integer numerators ``nums`` (one per power
+zeta^0, ..., zeta^(deg Phi_N - 1)) over one positive denominator ``den``,
+kept in lowest terms, gcd(den, *nums) = 1, so that every value has exactly
+one representation and zero is (0, ..., 0)/1.  Addition, multiplication,
+complex conjugation (zeta -> zeta^(N-1)) and inversion run on integers
+only; the inverse of a non-rational a is the product of its Galois
+conjugates sigma_k(a), k != 1 a unit mod N, divided by the rational norm
+N(a).  ``Cyc.coeffs`` gives the same value as a tuple of Fractions.  N = 1
+is the rational field.  Orders above ``MAX_ORDER`` are refused, because
+the per-order tables grow as N * phi(N).  The float tier of the workbench
+is plain complex arithmetic; ``Cyc.to_complex`` is the bridge between the
+two.
 """
 
 from __future__ import annotations
 
 import cmath
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Union
 
 Rational = Union[int, Fraction]
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
+# Largest cyclotomic order accepted.  _Context(N) holds an N x phi(N)
+# table of reduced powers, so an unbounded order from a model file could
+# exhaust memory; _Context(720) builds in well under a second.
+MAX_ORDER = 1000
 
 
 def _divisors(n: int) -> list[int]:
@@ -53,30 +64,47 @@ def cyclotomic_polynomial(n: int) -> list[int]:
 
 
 class _Context:
-    """Per-order tables: modulus, power reductions and conjugation."""
+    """Per-order tables: modulus, integer power reductions, conjugation,
+    a tower of the Galois group and the shared constants zero and one."""
 
-    __slots__ = ("order", "degree", "modulus", "powers", "conj", "zeta")
+    __slots__ = ("order", "degree", "modulus", "powers", "conj", "galois",
+                 "zeta", "zero", "one")
 
     def __init__(self, order: int):
         self.order = order
         self.modulus = cyclotomic_polynomial(order)
         self.degree = len(self.modulus) - 1
         d = self.degree
-        # powers[k] = coefficient vector of zeta^k reduced mod Phi_N,
-        # for every exponent a product or a conjugate can produce.
+        # powers[k] = integer coefficient vector of zeta^k reduced mod
+        # Phi_N (monic, so the reduction stays integral), for every
+        # exponent a product, a conjugate or a Galois image can produce.
         top = max(order, 2 * d - 1)
-        powers: list[tuple[Fraction, ...]] = []
-        cur = [_F1] + [_F0] * (d - 1)
+        powers: list[tuple[int, ...]] = []
+        cur = [1] + [0] * (d - 1)
         for _ in range(top):
             powers.append(tuple(cur))
-            cur = [_F0] + cur  # multiply by zeta
-            if cur[d]:
-                lead = cur[d]
-                cur = [cur[j] - lead * self.modulus[j] for j in range(d)]
-            cur = cur[:d]
+            cur = [0] + cur  # multiply by zeta
+            lead = cur[d]
+            cur = [cur[j] - lead * self.modulus[j] for j in range(d)]
         self.powers = powers
         self.conj = [powers[(order - j) % order] for j in range(d)]
+        # The Galois group {zeta -> zeta^k : gcd(k, N) = 1} as a tower of
+        # subgroups: galois[i] = (g, m) adjoins g to the subgroup H the
+        # earlier entries generate, and the cosets g^t H, t < m, are
+        # distinct and fill the larger subgroup.
+        self.galois: list[tuple[int, int]] = []
+        sub = {1}
+        for g in range(2, order):
+            if gcd(g, order) == 1 and g not in sub:
+                m, h = 1, g
+                while h not in sub:
+                    m, h = m + 1, h * g % order
+                self.galois.append((g, m))
+                sub = {s * pow(g, t, order) % order
+                       for s in sub for t in range(m)}
         self.zeta = cmath.exp(2j * cmath.pi / order)
+        self.zero = _make(order, (0,) * d, 1)
+        self.one = _make(order, (1,) + (0,) * (d - 1), 1)
 
 
 _CONTEXTS: dict[int, _Context] = {}
@@ -85,8 +113,9 @@ _CONTEXTS: dict[int, _Context] = {}
 def _context(order: int) -> _Context:
     ctx = _CONTEXTS.get(order)
     if ctx is None:
-        if order < 1:
-            raise ValueError(f"cyclotomic order must be >= 1, got {order}")
+        if not 1 <= order <= MAX_ORDER:
+            raise ValueError(f"cyclotomic order must be between 1 and "
+                             f"{MAX_ORDER}, got {order}")
         ctx = _CONTEXTS[order] = _Context(order)
     return ctx
 
@@ -94,28 +123,33 @@ def _context(order: int) -> _Context:
 class Cyc:
     """An element of Q(zeta_N), exact.
 
-    ``coeffs`` has length deg Phi_N and lists the coefficients of
-    zeta^0, zeta^1, ... in the reduced representative.
+    ``nums``/``den`` is the reduced representative: the coefficient of
+    zeta^j is nums[j]/den.  ``coeffs`` lists the same coefficients as
+    Fractions.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "nums", "den")
 
     def __init__(self, order: int, coeffs):
         ctx = _context(order)
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        if len(cs) > ctx.degree:
+        d = ctx.degree
+        fs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        den = lcm(*(f.denominator for f in fs))
+        nums = [f.numerator * (den // f.denominator) for f in fs]
+        if len(nums) > d:
             # fold powers beyond the residue basis through the reduction table
-            folded = list(cs[: ctx.degree])
-            folded += [_F0] * (ctx.degree - len(folded))
-            for k in range(ctx.degree, len(cs)):
-                if cs[k]:
-                    red = ctx.powers[k if k < len(ctx.powers) else k % ctx.order]
-                    folded = [folded[j] + cs[k] * red[j] for j in range(ctx.degree)]
-            cs = folded
+            folded = nums[:d]
+            for k in range(d, len(nums)):
+                if nums[k]:
+                    red = ctx.powers[k if k < len(ctx.powers) else k % order]
+                    folded = [f + nums[k] * r for f, r in zip(folded, red)]
+            nums = folded
         else:
-            cs = list(cs) + [_F0] * (ctx.degree - len(cs))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(cs))
+            nums += [0] * (d - len(nums))
+        g = gcd(den, *nums)
+        _set_order(self, order)
+        _set_nums(self, tuple([n // g for n in nums]))
+        _set_den(self, den // g)
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError("Cyc is immutable")
@@ -124,20 +158,21 @@ class Cyc:
 
     @staticmethod
     def rational(value: Rational, order: int = 1) -> "Cyc":
-        return Cyc(order, [Fraction(value)])
+        q = value if isinstance(value, Fraction) else Fraction(value)
+        return _context(order).one._scaled(q.numerator, q.denominator)
 
     @staticmethod
     def zero(order: int = 1) -> "Cyc":
-        return Cyc(order, [])
+        return _context(order).zero
 
     @staticmethod
     def one(order: int = 1) -> "Cyc":
-        return Cyc(order, [_F1])
+        return _context(order).one
 
     @staticmethod
     def zeta(order: int, power: int = 1) -> "Cyc":
         ctx = _context(order)
-        return Cyc(order, ctx.powers[power % order])
+        return _make(order, ctx.powers[power % order], 1)
 
     @staticmethod
     def promote(value, order: int) -> "Cyc":
@@ -146,7 +181,7 @@ class Cyc:
             if value.order == order:
                 return value
             if value.is_rational():
-                return Cyc.rational(value.rational_value(), order)
+                return value._promoted(order)
             raise ValueError(
                 f"cannot coerce Q(zeta_{value.order}) element into Q(zeta_{order})"
             )
@@ -154,39 +189,57 @@ class Cyc:
 
     # -- coercion helpers ---------------------------------------------
 
+    def _promoted(self, order: int) -> "Cyc":
+        """This rational element, as an element of Q(zeta_order)."""
+        d = _context(order).degree
+        return _make(order, (self.nums[0],) + (0,) * (d - 1), self.den)
+
+    def _scaled(self, p: int, q: int) -> "Cyc":
+        """self * p/q for integers p and q > 0, in self's order."""
+        if p == q:
+            return self
+        if not p:
+            return _CONTEXTS[self.order].zero
+        return _cyc(self.order, [n * p for n in self.nums], self.den * q)
+
     def _pair(self, other) -> tuple["Cyc", "Cyc"]:
+        if isinstance(other, Cyc):
+            if self.order == other.order:
+                return self, other
+            if self.is_rational():
+                return self._promoted(other.order), other
+            if other.is_rational():
+                return self, other._promoted(self.order)
+            raise ValueError(
+                f"mixed cyclotomic orders {self.order} and {other.order}"
+            )
         if isinstance(other, (int, Fraction)):
-            other = Cyc.rational(other, self.order)
-        elif not isinstance(other, Cyc):
-            return NotImplemented, NotImplemented  # type: ignore[return-value]
-        if self.order == other.order:
-            return self, other
-        if self.is_rational():
-            return Cyc.rational(self.rational_value(), other.order), other
-        if other.is_rational():
-            return self, Cyc.rational(other.rational_value(), self.order)
-        raise ValueError(
-            f"mixed cyclotomic orders {self.order} and {other.order}"
-        )
+            return self, Cyc.rational(other, self.order)
+        return NotImplemented, NotImplemented  # type: ignore[return-value]
 
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.nums)
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return any(self.nums)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def is_real(self) -> bool:
         return self == self.conj()
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Coefficients of zeta^0, zeta^1, ... as Fractions."""
+        return tuple([Fraction(n, self.den) for n in self.nums])
 
     # -- arithmetic -----------------------------------------------------
 
@@ -194,88 +247,109 @@ class Cyc:
         a, b = self._pair(other)
         if a is NotImplemented:
             return NotImplemented
-        return Cyc(a.order, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        da, db = a.den, b.den
+        if da == db:
+            return _cyc(a.order, [x + y for x, y in zip(a.nums, b.nums)], da)
+        return _cyc(a.order, [x * db + y * da for x, y in zip(a.nums, b.nums)],
+                    da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyc(self.order, [-x for x in self.coeffs])
+        return _make(self.order, tuple([-x for x in self.nums]), self.den)
 
     def __sub__(self, other):
         a, b = self._pair(other)
         if a is NotImplemented:
             return NotImplemented
-        return Cyc(a.order, [x - y for x, y in zip(a.coeffs, b.coeffs)])
+        da, db = a.den, b.den
+        if da == db:
+            return _cyc(a.order, [x - y for x, y in zip(a.nums, b.nums)], da)
+        return _cyc(a.order, [x * db - y * da for x, y in zip(a.nums, b.nums)],
+                    da * db)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        a, b = self._pair(other)
-        if a is NotImplemented:
+        if not isinstance(other, Cyc):
+            if isinstance(other, int):
+                return self._scaled(other, 1)
+            if isinstance(other, Fraction):
+                return self._scaled(other.numerator, other.denominator)
             return NotImplemented
-        ctx = _context(a.order)
+        xs, ys = self.nums, other.nums
+        # a rational factor scales the other one, whose order the result
+        # keeps (when both are rational, the right factor's, as in _pair)
+        if not any(xs[1:]):
+            return other._scaled(xs[0], self.den)
+        if not any(ys[1:]):
+            return self._scaled(ys[0], other.den)
+        if self.order != other.order:
+            raise ValueError(
+                f"mixed cyclotomic orders {self.order} and {other.order}"
+            )
+        ctx = _CONTEXTS[self.order]
         d = ctx.degree
-        if d == 1:
-            return Cyc(a.order, [a.coeffs[0] * b.coeffs[0]])
-        out = [_F0] * d
-        for i, x in enumerate(a.coeffs):
-            if not x:
-                continue
-            for j, y in enumerate(b.coeffs):
-                if not y:
-                    continue
-                k = i + j
-                if k < d:
-                    out[k] += x * y
-                else:
-                    red = ctx.powers[k]
-                    xy = x * y
-                    for t in range(d):
-                        if red[t]:
-                            out[t] += xy * red[t]
-        return Cyc(a.order, out)
+        raw = [0] * (2 * d - 1)
+        for i, x in enumerate(xs):
+            if x:
+                for j, y in enumerate(ys, i):
+                    if y:
+                        raw[j] += x * y
+        out = raw[:d]
+        powers = ctx.powers
+        for k in range(d, 2 * d - 1):
+            c = raw[k]
+            if c:
+                out = [o + c * r for o, r in zip(out, powers[k])]
+        return _cyc(self.order, out, self.den * other.den)
 
     __rmul__ = __mul__
 
+    def _galois(self, k: int) -> "Cyc":
+        """The Galois image sigma_k(self), zeta -> zeta^k, k a unit mod N.
+
+        sigma_k permutes Z[zeta], so the result needs no reduction."""
+        ctx = _CONTEXTS[self.order]
+        n = self.order
+        out = [0] * ctx.degree
+        for j, c in enumerate(self.nums):
+            if c:
+                out = [o + c * r for o, r in zip(out, ctx.powers[j * k % n])]
+        return _make(n, tuple(out), self.den)
+
+    def _orbit_product(self, g: int, m: int) -> "Cyc":
+        """prod_{t < m} sigma_{g^t}(self), m >= 1, by doubling."""
+        if m == 1:
+            return self
+        half = self._orbit_product(g, m // 2)
+        out = half * half._galois(pow(g, m // 2, self.order))
+        return self * out._galois(g) if m % 2 else out
+
     def inverse(self) -> "Cyc":
-        if self.is_zero():
+        nums, den = self.nums, self.den
+        if not any(nums):
             raise ZeroDivisionError("division by zero scalar")
-        ctx = _context(self.order)
-        if ctx.degree == 1:
-            return Cyc(self.order, [1 / self.coeffs[0]])
-        # extended Euclid in Q[x] against the cyclotomic modulus
-        r0 = [Fraction(c) for c in ctx.modulus]
-        r1 = list(self.coeffs)
-        s0, s1 = [_F0], [_F1]
-
-        def trim(p):
-            while p and not p[-1]:
-                p.pop()
-            return p
-
-        r0, r1 = trim(r0), trim(r1)
-        while len(r1) > 1 or (r1 and r1[0]):
-            if len(r1) == 1:
-                break
-            if len(r0) < len(r1):
-                r0, r1, s0, s1 = r1, r0, s1, s0
-                continue
-            lead = r0[-1] / r1[-1]
-            shift = len(r0) - len(r1)
-            new_r = list(r0)
-            for j, c in enumerate(r1):
-                new_r[j + shift] -= lead * c
-            new_s = list(s0) + [_F0] * max(0, shift + len(s1) - len(s0))
-            for j, c in enumerate(s1):
-                new_s[j + shift] -= lead * c
-            r0, s0 = r1, s1
-            r1, s1 = trim(new_r), trim(new_s)
-        if not r1:
-            raise ZeroDivisionError("scalar is a zero divisor (non-primitive order?)")
-        g = r1[0]
-        inv = [c / g for c in s1]
-        return Cyc(self.order, inv)
+        one = _CONTEXTS[self.order].one
+        if not any(nums[1:]):
+            p = nums[0]
+            return one._scaled(den, p) if p > 0 else one._scaled(-den, -p)
+        # a = A/den with A integral; A * prod_{k != 1} sigma_k(A) = N(A) is
+        # an integer, > 0 because Q(zeta_N), N > 2, has no real embedding;
+        # so a^-1 = den * prod_{k != 1} sigma_k(A) / N(A).  Up the tower
+        # H < <H, g>, norm = prod_{h in H} sigma_h(A) and cofactor =
+        # prod_{h in H, h != 1} sigma_h(A); the cosets g^t H, 0 < t < m,
+        # multiply both by prod_{0 < t < m} sigma_{g^t}(norm).
+        norm = _make(self.order, nums, 1)
+        cofactor = one
+        for g, m in _CONTEXTS[self.order].galois:
+            rest = norm._orbit_product(g, m - 1)._galois(g)
+            cofactor = cofactor * rest
+            norm = norm * rest
+        if any(norm.nums[1:]) or norm.den != 1 or norm.nums[0] <= 0:
+            raise ArithmeticError(f"norm of {self!r} is not a positive integer")
+        return cofactor._scaled(den, norm.nums[0])
 
     def __truediv__(self, other):
         a, b = self._pair(other)
@@ -299,34 +373,39 @@ class Cyc:
         return out
 
     def conj(self) -> "Cyc":
-        """Complex conjugation, zeta -> zeta^(N-1); exact."""
-        ctx = _context(self.order)
-        d = ctx.degree
-        out = [_F0] * d
-        for j, c in enumerate(self.coeffs):
+        """Complex conjugation, zeta -> zeta^(N-1); exact.
+
+        Conjugation permutes Z[zeta], so the result needs no reduction."""
+        ctx = _CONTEXTS[self.order]
+        if ctx.degree == 1:
+            return self
+        out = [0] * ctx.degree
+        for c, img in zip(self.nums, ctx.conj):
             if c:
-                img = ctx.conj[j]
-                for t in range(d):
-                    if img[t]:
-                        out[t] += c * img[t]
-        return Cyc(self.order, out)
+                out = [o + c * r for o, r in zip(out, img)]
+        return _make(self.order, tuple(out), self.den)
 
     # -- comparisons and hashing ----------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
-        if not isinstance(other, Cyc):
-            return NotImplemented
-        if self.order == other.order:
-            return self.coeffs == other.coeffs
-        if self.is_rational() and other.is_rational():
-            return self.coeffs[0] == other.coeffs[0]
-        return False
+        if isinstance(other, Cyc):
+            if self.order == other.order:
+                return self.nums == other.nums and self.den == other.den
+            return (self.is_rational() and other.is_rational()
+                    and self.nums[0] == other.nums[0]
+                    and self.den == other.den)
+        if isinstance(other, int):
+            return (self.nums[0] == other and self.den == 1
+                    and self.is_rational())
+        if isinstance(other, Fraction):
+            return (self.nums[0] == other.numerator
+                    and self.den == other.denominator and self.is_rational())
+        return NotImplemented
 
     def __hash__(self):
         if self.is_rational():
-            return hash(self.coeffs[0])
+            return hash(self.nums[0] if self.den == 1
+                        else Fraction(self.nums[0], self.den))
         return hash((self.order, self.coeffs))
 
     # -- embeddings ------------------------------------------------------
@@ -334,14 +413,15 @@ class Cyc:
     def to_complex(self) -> complex:
         ctx = _context(self.order)
         z = 0j
-        for j, c in enumerate(self.coeffs):
+        for j, c in enumerate(self.nums):
             if c:
-                z += float(c) * ctx.zeta**j
+                # int / int rounds the exact quotient once, as float(Fraction)
+                z += (c / self.den) * ctx.zeta**j
         return z
 
     def __repr__(self):
         if self.is_rational():
-            return str(self.coeffs[0])
+            return str(self.rational_value())
         terms = []
         for j, c in enumerate(self.coeffs):
             if not c:
@@ -361,3 +441,25 @@ class Cyc:
     @staticmethod
     def from_strings(order: int, parts: list[str]) -> "Cyc":
         return Cyc(order, [Fraction(p) for p in parts])
+
+
+_set_order = Cyc.order.__set__
+_set_nums = Cyc.nums.__set__
+_set_den = Cyc.den.__set__
+
+
+def _make(order: int, nums: tuple[int, ...], den: int) -> Cyc:
+    """A Cyc from numerators and a denominator already in lowest terms."""
+    c = object.__new__(Cyc)
+    _set_order(c, order)
+    _set_nums(c, nums)
+    _set_den(c, den)
+    return c
+
+
+def _cyc(order: int, nums: list[int], den: int) -> Cyc:
+    """A Cyc from integer numerators over a positive denominator."""
+    g = gcd(den, *nums)
+    if g == 1:
+        return _make(order, tuple(nums), den)
+    return _make(order, tuple([n // g for n in nums]), den // g)

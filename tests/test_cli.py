@@ -12,8 +12,9 @@ from qgcheck import duality, hopf, modular
 from qgcheck import gns as G
 from qgcheck.cli import dispatch, main
 from qgcheck.linalg import LinMap
-from qgcheck.modelio import parse_model
-from qgcheck.models import builtin
+from qgcheck.modelio import emit_table, model_to_dict, parse_model
+from qgcheck.models import GroupTable, builtin
+from qgcheck.scalars import MAX_ORDER
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 
@@ -132,6 +133,56 @@ def test_unopenable_output_path_exits_two(verb, tmp_path, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert out in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("verb", ["verify", "dual", "subgroup",
+                                  "build-group", "build-taft"])
+def test_missing_output_directory_exits_two_before_model_work(
+        verb, tmp_path, monkeypatch, capsys):
+    built = _record_calls(monkeypatch, modular, "_solve_haar")
+    out = str(tmp_path / "missing" / "out.json")
+    table = tmp_path / "z2.json"
+    emit_table(GroupTable.cyclic(2), str(table))
+    argv = {"verify": ["verify", "c_z2", "--report", out],
+            "dual": ["dual", "c_z2", "-o", out],
+            "subgroup": ["subgroup", "--g", model_path("c_s3"),
+                         "--h", model_path("c_z3"),
+                         "--map", str(MODELS_DIR / "restrict_a3.json"),
+                         "--report", out],
+            "build-group": ["build-group", "--table", str(table),
+                            "--kind", "double", "-o", out],
+            "build-taft": ["build-taft", "--n", "3", "-o", out]}[verb]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert out in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert built == []
+
+
+def test_output_path_naming_a_directory_exits_two(tmp_path, monkeypatch,
+                                                  capsys):
+    built = _record_calls(monkeypatch, modular, "_solve_haar")
+    assert main(["dual", "c_z2", "-o", str(tmp_path)]) == 2
+    assert str(tmp_path) in capsys.readouterr().err
+    assert built == []
+
+
+@pytest.mark.parametrize("order", [MAX_ORDER + 1, 10**9])
+def test_model_order_above_cap_exits_two(order, tmp_path, capsys):
+    d = model_to_dict(builtin("c_z2"))
+    d["order"] = order
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(d))
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "field 'order'" in err and str(MAX_ORDER) in err
+
+
+def test_build_taft_above_order_cap_exits_two(tmp_path, capsys):
+    out = tmp_path / "t.json"
+    assert main(["build-taft", "--n", str(MAX_ORDER + 1), "-o", str(out)]) == 2
+    assert "--n" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_tol_does_not_leak_into_later_runs():

@@ -1,12 +1,14 @@
 """Exact cyclotomic scalar arithmetic."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgcheck.scalars import Cyc, cyclotomic_polynomial
+from qgcheck.scalars import MAX_ORDER, Cyc, cyclotomic_polynomial
 
 
 def test_cyclotomic_polynomials():
@@ -116,3 +118,151 @@ def test_field_axioms_hold(a, b, c):
 def test_hash_eq_consistency(a):
     same = Cyc(4, list(a.coeffs))
     assert same == a and hash(same) == hash(a)
+
+
+# -- representation contract --------------------------------------------
+
+
+def test_equal_values_have_one_representation():
+    a, b = Cyc(4, ["2/4"]), Cyc(4, [Fraction(1, 2)])
+    assert a == b and hash(a) == hash(b)
+    assert Cyc(4, ["2/4", 0]) == Cyc(4, [Fraction(1, 2), Fraction(0, 7)])
+
+
+def test_numerators_are_in_lowest_terms():
+    a = Cyc(4, ["2/4", "-6/8"])
+    assert (a.nums, a.den) == ((2, -3), 4)
+    z = Cyc(6, ["0/5", 0])
+    assert (z.nums, z.den) == ((0, 0), 1)
+    b = a * Cyc(4, [2, "3/2"])
+    assert b.den > 0 and gcd(b.den, *b.nums) == 1
+
+
+@pytest.mark.parametrize("q", [0, 1, -3, Fraction(-3, 4), Fraction(7, 2)])
+def test_rationals_agree_across_orders(q):
+    a4, a1 = Cyc.rational(q, 4), Cyc.rational(q, 1)
+    assert a4 == a1 == q
+    assert hash(a4) == hash(a1) == hash(Fraction(q)) == hash(q)
+
+
+def test_mixed_order_results_follow_promotion():
+    one, z4, two4 = Cyc.one(), Cyc.zeta(4), Cyc.rational(2, 4)
+    assert (one * z4).order == 4
+    assert (z4 * one).order == 4
+    assert (one + z4).order == 4 and (z4 - one).order == 4
+    assert (one / z4).order == 4 and (z4 / Cyc.rational(2)).order == 4
+    # with two rationals of different orders the right operand's order wins
+    assert (one * two4).order == 4 and (two4 * one).order == 1
+    assert (one + two4).order == 4 and (two4 + one).order == 1
+    # an int or Fraction operand takes the Cyc's order
+    assert (2 * z4).order == 4 and (z4 * Fraction(1, 2)).order == 4
+    assert (Fraction(1, 2) + Cyc.one(3)).order == 3
+    assert (1 - z4).order == 4
+    with pytest.raises(ValueError):
+        _ = Cyc.zeta(3) * Cyc.zeta(4)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6, 8, 12])
+def test_coeffs_are_fractions_of_residue_length(order):
+    deg = len(cyclotomic_polynomial(order)) - 1
+    for a in (Cyc(order, [1, "1/2", -3]), Cyc.zero(order), Cyc.zeta(order)):
+        assert isinstance(a.coeffs, tuple) and len(a.coeffs) == deg
+        assert all(type(c) is Fraction for c in a.coeffs)
+        assert Cyc.from_strings(order, a.to_strings()) == a
+
+
+def test_order_is_capped():
+    assert Cyc.one(MAX_ORDER).order == MAX_ORDER
+    for order in (0, MAX_ORDER + 1, 10**9):
+        with pytest.raises(ValueError, match="order"):
+            Cyc(order, [1])
+
+
+# -- differential oracle: polynomial arithmetic modulo Phi_N in SymPy -----
+
+X = sympy.Symbol("x")
+ORACLE_ORDERS = (1, 2, 3, 4, 5, 6, 8, 12)
+
+
+def _phi(order):
+    return sympy.Poly(sympy.cyclotomic_poly(order, X), X, domain=sympy.QQ)
+
+
+def _poly(coeffs, order):
+    """The residue of sum c_j x^j modulo Phi_order."""
+    terms = [sympy.Rational(c.numerator, c.denominator) for c in coeffs]
+    return sympy.Poly(terms[::-1], X, domain=sympy.QQ).rem(_phi(order))
+
+
+def _expected(p, order) -> tuple[Fraction, ...]:
+    deg = len(cyclotomic_polynomial(order)) - 1
+    cs = [Fraction(int(c.p), int(c.q)) for c in reversed(p.all_coeffs())]
+    return tuple(cs + [Fraction(0)] * (deg - len(cs)))
+
+
+def _assert_matches(got, p, order):
+    want = _expected(p, order)
+    assert got.order == order
+    assert got.coeffs == want
+    same = Cyc(order, want)
+    assert got == same and hash(got) == hash(same)
+
+
+@st.composite
+def oracle_operands(draw):
+    """An order and two coefficient lists, some longer than the residue
+    basis so that folding is exercised too."""
+    order = draw(st.sampled_from(ORACLE_ORDERS))
+    deg = len(cyclotomic_polynomial(order)) - 1
+    coeffs = st.lists(small_rats, min_size=1, max_size=deg + 3)
+    return order, draw(coeffs), draw(coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_operands())
+def test_field_operations_match_sympy(operands):
+    order, ca, cb = operands
+    phi = _phi(order)
+    a, b = Cyc(order, ca), Cyc(order, cb)
+    pa, pb = _poly(ca, order), _poly(cb, order)
+    _assert_matches(a, pa, order)
+    _assert_matches(a + b, pa + pb, order)
+    _assert_matches(a - b, pa - pb, order)
+    _assert_matches(a * b, (pa * pb).rem(phi), order)
+    bar = pa.compose(sympy.Poly(X ** (order - 1), X, domain=sympy.QQ))
+    _assert_matches(a.conj(), bar.rem(phi), order)
+    assert (a == b) == (pa - pb).is_zero
+    if pb.is_zero:
+        with pytest.raises(ZeroDivisionError):
+            b.inverse()
+        return
+    inv = pb.invert(phi)
+    _assert_matches(b.inverse(), inv, order)
+    _assert_matches(a / b, (pa * inv).rem(phi), order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(oracle_operands())
+def test_complex_embedding_matches_sympy(operands):
+    order, ca, _ = operands
+    root = sympy.exp(2 * sympy.pi * sympy.I / order)
+    want = complex(sympy.N(_poly(ca, order).as_expr().subs(X, root), 30))
+    assert abs(Cyc(order, ca).to_complex() - want) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(oracle_operands())
+def test_equal_values_hash_equal(operands):
+    order, ca, cb = operands
+    a, b = Cyc(order, ca), Cyc(order, cb)
+    # zeta^(j + N) = zeta^j, so shifting every coefficient by N folds back
+    rebuilt = [(a + b) - b, Cyc.from_strings(order, a.to_strings()),
+               Cyc(order, [0] * order + list(a.coeffs)), -(-a),
+               a.conj().conj()]
+    if b:
+        rebuilt.append((a * b) / b)
+    for c in rebuilt:
+        assert c == a and hash(c) == hash(a)
+    if a.is_rational():
+        q = a.rational_value()
+        assert Cyc.rational(q) == a and hash(Cyc.rational(q)) == hash(a)
