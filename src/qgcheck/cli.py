@@ -23,8 +23,10 @@ Exit codes: 0 every executed check passed, 1 at least one check failed,
 2 the input could not be used (bad option value, parse error, invalid
 table or model construction, explicit tier refusal, unopenable file).
 An output path (--report, -o) whose directory does not exist exits 2
-before any model is read.  Cyclotomic orders (a model file's "order",
-build-taft --n) are capped at scalars.MAX_ORDER.
+before any model is read.  A model file's "order" is capped at
+scalars.MAX_ORDER, which bounds the field tables but not the model size;
+build-taft --n is capped at models.MAX_TAFT_ORDER, which bounds the
+n^2-dimensional build.
 """
 
 from __future__ import annotations
@@ -43,12 +45,11 @@ from .gns import Tolerances, analytic_suite, build_gns
 from .hopf import QGModel, validate_model
 from .modelio import (emit_model, parse_model, parse_morphism, parse_table,
                       write_report)
-from .models import (BUILTIN_MODELS, build_drinfeld_double,
+from .models import (BUILTIN_MODELS, MAX_TAFT_ORDER, build_drinfeld_double,
                      build_function_algebra, build_group_algebra, build_taft,
                      builtin)
 from .modular import check_modular_structure, solve_haar
 from .report import FAIL, Checker, CheckRecord, Report
-from .scalars import MAX_ORDER
 from .subgroups import (build_dual_morphism, certify_vaes,
                         check_dual_morphism, check_expectation,
                         validate_morphism)
@@ -152,9 +153,9 @@ def cmd_build_group(args) -> int:
 
 
 def cmd_build_taft(args) -> int:
-    if not 2 <= args.n <= MAX_ORDER:
-        raise ParseError(f"--n: taft order must be >= 2 and <= {MAX_ORDER}, "
-                         f"got {args.n}")
+    if not 2 <= args.n <= MAX_TAFT_ORDER:
+        raise ParseError(f"--n: taft order must be >= 2 and <= "
+                         f"{MAX_TAFT_ORDER}, got {args.n}")
     model = build_taft(args.n)
     emit_model(model, args.out)
     print(f"wrote {model.name} ({model.dim}-dim) to {args.out}")
@@ -232,7 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("build-taft",
                        help="build the finite Taft model of a given order")
-    t.add_argument("--n", type=int, required=True)
+    t.add_argument("--n", type=int, required=True,
+                   help=f"order n, 2 to {MAX_TAFT_ORDER}; the model has "
+                        f"dimension n^2")
     t.add_argument("-o", "--out", required=True)
     t.set_defaults(func=cmd_build_taft)
 

@@ -64,11 +64,11 @@ def cyclotomic_polynomial(n: int) -> list[int]:
 
 
 class _Context:
-    """Per-order tables: modulus, integer power reductions, conjugation,
-    a tower of the Galois group and the shared constants zero and one."""
+    """Per-order tables: modulus, integer power reductions, conjugation
+    and the shared constants zero and one."""
 
-    __slots__ = ("order", "degree", "modulus", "powers", "conj", "galois",
-                 "zeta", "zero", "one")
+    __slots__ = ("order", "degree", "modulus", "powers", "conj", "zeta",
+                 "zero", "one")
 
     def __init__(self, order: int):
         self.order = order
@@ -88,20 +88,6 @@ class _Context:
             cur = [cur[j] - lead * self.modulus[j] for j in range(d)]
         self.powers = powers
         self.conj = [powers[(order - j) % order] for j in range(d)]
-        # The Galois group {zeta -> zeta^k : gcd(k, N) = 1} as a tower of
-        # subgroups: galois[i] = (g, m) adjoins g to the subgroup H the
-        # earlier entries generate, and the cosets g^t H, t < m, are
-        # distinct and fill the larger subgroup.
-        self.galois: list[tuple[int, int]] = []
-        sub = {1}
-        for g in range(2, order):
-            if gcd(g, order) == 1 and g not in sub:
-                m, h = 1, g
-                while h not in sub:
-                    m, h = m + 1, h * g % order
-                self.galois.append((g, m))
-                sub = {s * pow(g, t, order) % order
-                       for s in sub for t in range(m)}
         self.zeta = cmath.exp(2j * cmath.pi / order)
         self.zero = _make(order, (0,) * d, 1)
         self.one = _make(order, (1,) + (0,) * (d - 1), 1)
@@ -191,8 +177,7 @@ class Cyc:
 
     def _promoted(self, order: int) -> "Cyc":
         """This rational element, as an element of Q(zeta_order)."""
-        d = _context(order).degree
-        return _make(order, (self.nums[0],) + (0,) * (d - 1), self.den)
+        return _context(order).one._scaled(self.nums[0], self.den)
 
     def _scaled(self, p: int, q: int) -> "Cyc":
         """self * p/q for integers p and q > 0, in self's order."""
@@ -202,17 +187,24 @@ class Cyc:
             return _CONTEXTS[self.order].zero
         return _cyc(self.order, [n * p for n in self.nums], self.den * q)
 
+    def _result_order(self, other: "Cyc") -> int:
+        """The order of a result of self and other, of different orders:
+        a rational operand is promoted to the other's order (of two
+        rationals, the left one to the right one's)."""
+        if self.is_rational():
+            return other.order
+        if other.is_rational():
+            return self.order
+        raise ValueError(
+            f"mixed cyclotomic orders {self.order} and {other.order}"
+        )
+
     def _pair(self, other) -> tuple["Cyc", "Cyc"]:
         if isinstance(other, Cyc):
             if self.order == other.order:
                 return self, other
-            if self.is_rational():
-                return self._promoted(other.order), other
-            if other.is_rational():
-                return self, other._promoted(self.order)
-            raise ValueError(
-                f"mixed cyclotomic orders {self.order} and {other.order}"
-            )
+            order = self._result_order(other)
+            return Cyc.promote(self, order), Cyc.promote(other, order)
         if isinstance(other, (int, Fraction)):
             return self, Cyc.rational(other, self.order)
         return NotImplemented, NotImplemented  # type: ignore[return-value]
@@ -279,16 +271,16 @@ class Cyc:
                 return self._scaled(other.numerator, other.denominator)
             return NotImplemented
         xs, ys = self.nums, other.nums
-        # a rational factor scales the other one, whose order the result
-        # keeps (when both are rational, the right factor's, as in _pair)
+        # a rational factor scales the other one; of operands of different
+        # orders one is rational, and the other keeps its order
+        if self.order != other.order:
+            if self._result_order(other) == other.order:
+                return other._scaled(xs[0], self.den)
+            return self._scaled(ys[0], other.den)
         if not any(xs[1:]):
             return other._scaled(xs[0], self.den)
         if not any(ys[1:]):
             return self._scaled(ys[0], other.den)
-        if self.order != other.order:
-            raise ValueError(
-                f"mixed cyclotomic orders {self.order} and {other.order}"
-            )
         ctx = _CONTEXTS[self.order]
         d = ctx.degree
         raw = [0] * (2 * d - 1)
@@ -319,14 +311,6 @@ class Cyc:
                 out = [o + c * r for o, r in zip(out, ctx.powers[j * k % n])]
         return _make(n, tuple(out), self.den)
 
-    def _orbit_product(self, g: int, m: int) -> "Cyc":
-        """prod_{t < m} sigma_{g^t}(self), m >= 1, by doubling."""
-        if m == 1:
-            return self
-        half = self._orbit_product(g, m // 2)
-        out = half * half._galois(pow(g, m // 2, self.order))
-        return self * out._galois(g) if m % 2 else out
-
     def inverse(self) -> "Cyc":
         nums, den = self.nums, self.den
         if not any(nums):
@@ -337,16 +321,14 @@ class Cyc:
             return one._scaled(den, p) if p > 0 else one._scaled(-den, -p)
         # a = A/den with A integral; A * prod_{k != 1} sigma_k(A) = N(A) is
         # an integer, > 0 because Q(zeta_N), N > 2, has no real embedding;
-        # so a^-1 = den * prod_{k != 1} sigma_k(A) / N(A).  Up the tower
-        # H < <H, g>, norm = prod_{h in H} sigma_h(A) and cofactor =
-        # prod_{h in H, h != 1} sigma_h(A); the cosets g^t H, 0 < t < m,
-        # multiply both by prod_{0 < t < m} sigma_{g^t}(norm).
-        norm = _make(self.order, nums, 1)
+        # so a^-1 = den * prod_{k != 1} sigma_k(A) / N(A).
+        n = self.order
+        a = _make(n, nums, 1)
         cofactor = one
-        for g, m in _CONTEXTS[self.order].galois:
-            rest = norm._orbit_product(g, m - 1)._galois(g)
-            cofactor = cofactor * rest
-            norm = norm * rest
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                cofactor = cofactor * a._galois(k)
+        norm = a * cofactor
         if any(norm.nums[1:]) or norm.den != 1 or norm.nums[0] <= 0:
             raise ArithmeticError(f"norm of {self!r} is not a positive integer")
         return cofactor._scaled(den, norm.nums[0])

@@ -8,12 +8,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from qgcheck import duality, hopf, modular
+from qgcheck import cli, duality, hopf, modular
 from qgcheck import gns as G
 from qgcheck.cli import dispatch, main
 from qgcheck.linalg import LinMap
 from qgcheck.modelio import emit_table, model_to_dict, parse_model
-from qgcheck.models import GroupTable, builtin
+from qgcheck.models import MAX_TAFT_ORDER, GroupTable, builtin
 from qgcheck.scalars import MAX_ORDER
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
@@ -178,11 +178,15 @@ def test_model_order_above_cap_exits_two(order, tmp_path, capsys):
     assert "field 'order'" in err and str(MAX_ORDER) in err
 
 
-def test_build_taft_above_order_cap_exits_two(tmp_path, capsys):
+@pytest.mark.parametrize("n", [MAX_TAFT_ORDER + 1, MAX_ORDER + 1])
+def test_build_taft_above_order_cap_exits_two(n, tmp_path, monkeypatch,
+                                              capsys):
+    built = _record_calls(monkeypatch, cli, "build_taft")
     out = tmp_path / "t.json"
-    assert main(["build-taft", "--n", str(MAX_ORDER + 1), "-o", str(out)]) == 2
+    assert main(["build-taft", "--n", str(n), "-o", str(out)]) == 2
     assert "--n" in capsys.readouterr().err
     assert not out.exists()
+    assert built == []
 
 
 def test_tol_does_not_leak_into_later_runs():
