@@ -3,9 +3,12 @@
 Two-tier design: structure constants and every algebraic law live in
 exact rational-cyclotomic arithmetic (`Cyc`, `LinMap`), while the GNS
 realization, the unitary multiplicative unitary and the modular operator
-calculus run in float with pinned tolerances.  The `cli` module exposes
-the same pipeline as the `qgcheck` command.
+calculus run in float with pinned tolerances.  The float-tier names are
+loaded with numpy on first use, so exact-tier work never imports it.  The
+`cli` module exposes the same pipeline as the `qgcheck` command.
 """
+
+import importlib
 
 from .duality import (AlgMultUnitary, Duality, bidual_map,
                       build_alg_mult_unitary, build_dual, check_biduality,
@@ -14,12 +17,6 @@ from .duality import (AlgMultUnitary, Duality, bidual_map,
                       check_radford)
 from .errors import (CheckFailure, LegMismatch, ModelError, ParseError,
                      QGError, SingularMap, TierRefusal)
-from .gns import (GnsRealization, Tolerances, analytic_suite, build_gns,
-                  check_commutation_relations, check_coproduct_implementation,
-                  check_invariance_and_kms, check_kac_triviality,
-                  check_modular_groups, check_power_calculus,
-                  check_regular_reps, check_w_properties,
-                  complex_powers_as_multipliers)
 from .hopf import (QGModel, check_cancellation, galois, galois_map,
                    galois_variants, solve_antipode, solve_counit, validate_model,
                    verify_counit_antipode)
@@ -40,6 +37,24 @@ from .subgroups import (DualMorphism, QGMorphism, build_dual_morphism,
                         restriction_morphism, validate_morphism)
 
 __version__ = "0.1.0"
+
+# The float tier loads numpy, so its names are imported on first access
+# (PEP 562); exact-tier work through this package never loads it.
+_GNS_NAMES = frozenset({
+    "GnsRealization", "Tolerances", "analytic_suite", "build_gns",
+    "check_commutation_relations", "check_coproduct_implementation",
+    "check_invariance_and_kms", "check_kac_triviality",
+    "check_modular_groups", "check_power_calculus", "check_regular_reps",
+    "check_w_properties", "complex_powers_as_multipliers",
+})
+
+
+def __getattr__(name: str):
+    if name == "gns" or name in _GNS_NAMES:
+        gns = importlib.import_module(".gns", __name__)
+        return gns if name == "gns" else getattr(gns, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AlgMultUnitary", "BUILTIN_MODELS", "CheckFailure", "CheckRecord",

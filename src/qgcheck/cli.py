@@ -21,7 +21,10 @@ the sampled families of both suites.  Both are passed down as arguments.
 
 Exit codes: 0 every executed check passed, 1 at least one check failed,
 2 the input could not be used (bad option value, parse error, invalid
-table or model construction, explicit tier refusal, unopenable file).
+table or model construction, explicit tier refusal, unopenable file),
+3 internal error: any other exception raised inside qgcheck (for example
+a KeyError or LegMismatch from a builder), reported as one
+"internal error: ..." line on stderr with no traceback.
 An output path (--report, -o) whose directory does not exist exits 2
 before any model is read.  A model file's "order" is capped at
 scalars.MAX_ORDER, which bounds the field tables but not the model size;
@@ -41,18 +44,20 @@ from .duality import (SAMPLE_SEED, build_dual, check_biduality,
                       check_radford)
 from .errors import (CheckFailure, ModelError, ParseError, SingularMap,
                      TierRefusal)
-from .gns import Tolerances, analytic_suite, build_gns
 from .hopf import QGModel, validate_model
 from .modelio import (emit_model, parse_model, parse_morphism, parse_table,
                       write_report)
 from .models import (BUILTIN_MODELS, MAX_TAFT_ORDER, build_drinfeld_double,
                      build_function_algebra, build_group_algebra, build_taft,
                      builtin)
-from .modular import check_modular_structure, solve_haar
-from .report import FAIL, Checker, CheckRecord, Report
+from .modular import check_modular_structure, require_unit_scaling, solve_haar
+from .report import FAIL, Checker, CheckRecord, Report, ensure
 from .subgroups import (build_dual_morphism, certify_vaes,
                         check_dual_morphism, check_expectation,
                         validate_morphism)
+
+
+INTERNAL_ERROR = 3  # exit code of an exception no other code covers
 
 
 def _load_model(ref: str) -> QGModel:
@@ -86,7 +91,7 @@ def _algebraic_records(model: QGModel, seed: int) -> list[CheckRecord]:
         return records
     records += check_modular_structure(haar)
     try:
-        dd = build_dual(model, validate=False)
+        dd = build_dual(model)
     except (ModelError, SingularMap) as e:
         records.append(_stage_failure(
             model, "dual", "dual model construction succeeds", e))
@@ -100,10 +105,14 @@ def _algebraic_records(model: QGModel, seed: int) -> list[CheckRecord]:
     return records
 
 
-def _analytic_records(model: QGModel, explicit: bool, tol: Tolerances,
+def _analytic_records(model: QGModel, explicit: bool, tol: float | None,
                       seed: int):
+    """Float-tier suite; gns (and numpy) load only past the exact mu test."""
     try:
-        g = build_gns(model, tol, seed)
+        require_unit_scaling(model)
+        from .gns import Tolerances, analytic_suite, build_gns
+        tolerances = Tolerances() if tol is None else Tolerances(tol)
+        g = build_gns(model, tolerances, seed)
     except TierRefusal as e:
         if explicit:
             raise
@@ -116,7 +125,6 @@ def _analytic_records(model: QGModel, explicit: bool, tol: Tolerances,
 
 def cmd_verify(args) -> int:
     model = _load_model(args.model)
-    tol = Tolerances() if args.tol is None else Tolerances(args.tol)
     report = Report(title=f"verify {model.name}",
                     meta={"model": model.name, "dim": model.dim,
                           "suite": args.suite, "seed": args.seed,
@@ -125,7 +133,7 @@ def cmd_verify(args) -> int:
         report.add(_algebraic_records(model, args.seed))
     if args.suite in ("analytic", "all") and report.ok:
         report.add(_analytic_records(
-            model, explicit=args.suite == "analytic", tol=tol,
+            model, explicit=args.suite == "analytic", tol=args.tol,
             seed=args.seed))
     print(report.text_table())
     if args.report:
@@ -136,6 +144,8 @@ def cmd_verify(args) -> int:
 def cmd_dual(args) -> int:
     model = _load_model(args.model)
     dd = build_dual(model)
+    ensure(validate_model(dd.dual))
+    ensure(check_modular_structure(dd.dual_haar))
     emit_model(dd.dual, args.out)
     print(f"wrote {dd.dual.name} ({dd.dual.dim}-dim) to {args.out}")
     return 0
@@ -182,7 +192,8 @@ def cmd_subgroup(args) -> int:
 
 
 def _tolerance(text: str) -> float:
-    """argparse type of --tol: a float that Tolerances accepts."""
+    """argparse type of --tol: a float that gns.Tolerances accepts."""
+    from .gns import Tolerances
     try:
         return Tolerances(float(text)).identity
     except ValueError as e:
@@ -272,6 +283,10 @@ def dispatch(argv=None) -> int:
     except CheckFailure as e:
         print(f"check failed: {e}", file=sys.stderr)
         return 1
+    except Exception as e:  # a fault of qgcheck itself, not of the input
+        detail = " ".join(str(e).split())
+        print(f"internal error: {type(e).__name__}: {detail}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 def main(argv=None) -> int:

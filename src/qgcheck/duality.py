@@ -35,10 +35,10 @@ import random
 from dataclasses import dataclass
 
 from .errors import ModelError
-from .hopf import QGModel, galois_map, validate_model
+from .hopf import QGModel, galois_map
 from .linalg import LinMap, Vec, apply_on_legs, embed_on_legs, inverse
-from .modular import HaarData, alpha_map, check_modular_structure, solve_haar
-from .report import CheckRecord, Checker, ensure
+from .modular import HaarData, alpha_map, solve_haar
+from .report import CheckRecord, Checker
 
 # Seed for the reproducible samplers used when full tensor-cube or
 # four-tuple enumeration would exceed the configured caps.
@@ -69,17 +69,14 @@ class AlgMultUnitary:
     w_inv: LinMap
 
 
-def build_dual(model: QGModel, validate: bool = True) -> Duality:
+def build_dual(model: QGModel) -> Duality:
     """Construct the dual model on the same coordinate space.
 
-    With validate=True (the default) the result is run through the full
-    structural and Haar/modular suites; any failure raises.
+    The result is not validated here: ``check_dual`` and the other checks
+    below assert its laws, and the ``dual`` verb runs ``validate_model``
+    and ``check_modular_structure`` on it before writing it out.
     """
-    dd = model._cached("dual", lambda: _build_dual(model))
-    if validate:
-        ensure(validate_model(dd.dual))
-        ensure(check_modular_structure(dd.dual_haar))
-    return dd
+    return model._cached("dual", lambda: _build_dual(model))
 
 
 def _build_dual(model: QGModel) -> Duality:
@@ -456,7 +453,7 @@ def bidual_map(dd: Duality) -> LinMap:
 
 def check_biduality(dd: Duality) -> list[CheckRecord]:
     """The double dual is isomorphic to the source as a Hopf *-algebra."""
-    bidd = build_dual(dd.dual, validate=False)
+    bidd = build_dual(dd.dual)
     kappa = bidual_map(dd)
     return check_hopf_star_iso(kappa, dd.source, bidd.dual,
                                prefix=f"{dd.source.name}.bidual")

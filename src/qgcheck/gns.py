@@ -8,12 +8,18 @@ approximate-KMS bound.
 
 Everything in this module lives in the float tier: the exact structure maps
 are converted to complex matrices once and each law is asserted as a
-residual bound.  ``build_gns(model, tol, seed)`` keeps one frozen
-``Tolerances`` value and one sampling seed on the realization, and every
-check reads them from there.  The layer refuses to run unless the scaling
-constant is 1 and the invariant state is positive definite; those are the
-standing assumptions of the analytic theory, and laws that pick up
-scaling-constant corrections are not silently weakened here.
+residual bound.  The float helpers those bounds use (relative residuals,
+checked Hermitian eigendecompositions, numeric ranks of matrix spans,
+joint eigenbases) live here too.  This is the only library module that
+imports numpy at load time, so exact-tier work never loads it.
+
+``build_gns(model, tol, seed)`` keeps one frozen ``Tolerances`` value and
+one sampling seed on the realization, and every check reads them from
+there.  The layer refuses to run unless the scaling constant is 1 (the
+exact test ``modular.require_unit_scaling``) and the invariant state is
+positive definite; those are the standing assumptions of the analytic
+theory, and laws that pick up scaling-constant corrections are not
+silently weakened here.
 
 At finite dimension every positive-tier model is of Kac type, so all the
 modular operators come out equal to the identity; the machinery is written
@@ -27,6 +33,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -34,10 +41,8 @@ from .duality import (CUBE_CAP, SAMPLE_SEED, Duality,
                       build_alg_mult_unitary, build_dual)
 from .errors import CheckFailure, TierRefusal
 from .hopf import QGModel
-from .linalg import (Vec, eigh_checked, joint_eigenbasis, op_norm,
-                     project_span, rank_f, rel_residual, span_rank,
-                     spans_equal, unitarity_defect)
-from .modular import HaarData, solve_haar
+from .linalg import Vec
+from .modular import HaarData, require_unit_scaling
 from .report import Checker, CheckRecord
 
 
@@ -63,6 +68,105 @@ class Tolerances:
     @property
     def multiplier(self) -> float:
         return self.identity * 10
+
+
+# -- float helpers ----------------------------------------------------------
+
+
+def rel_residual(a: np.ndarray, b: np.ndarray) -> float:
+    """Max-norm difference relative to the operand scales."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    scale = max(1.0, float(np.max(np.abs(a), initial=0.0)),
+                float(np.max(np.abs(b), initial=0.0)))
+    return float(np.max(np.abs(a - b), initial=0.0)) / scale
+
+
+def op_norm(a: np.ndarray) -> float:
+    return float(np.linalg.norm(np.asarray(a, dtype=complex), 2))
+
+
+def unitarity_defect(u: np.ndarray) -> float:
+    u = np.asarray(u, dtype=complex)
+    eye = np.eye(u.shape[0])
+    return max(rel_residual(u.conj().T @ u, eye), rel_residual(u @ u.conj().T, eye))
+
+
+def eigh_checked(h: np.ndarray, tol: float = 1e-10):
+    """Hermitian eigendecomposition with reconstruction and unitarity checks."""
+    h = np.asarray(h, dtype=complex)
+    herm = rel_residual(h, h.conj().T)
+    if herm > tol:
+        raise ValueError(f"matrix is not Hermitian within {tol} (defect {herm:.3e})")
+    w, u = np.linalg.eigh(h)
+    if rel_residual(u @ np.diag(w) @ u.conj().T, h) > tol or unitarity_defect(u) > tol:
+        raise ValueError("eigendecomposition failed the reconstruction tolerance")
+    return w, u
+
+
+def rank_f(a: np.ndarray, tol: float = 1e-8) -> int:
+    a = np.asarray(a, dtype=complex)
+    if a.size == 0:
+        return 0
+    s = np.linalg.svd(a, compute_uv=False)
+    if s.size == 0:
+        return 0
+    return int(np.sum(s > tol * max(1.0, s[0])))
+
+
+def span_rank(mats: Sequence[np.ndarray], tol: float = 1e-8) -> int:
+    """Rank of the linear span of a family of matrices."""
+    if not mats:
+        return 0
+    stack = np.stack([np.asarray(m, dtype=complex).ravel() for m in mats])
+    return rank_f(stack, tol)
+
+
+def spans_equal(fam_a: Sequence[np.ndarray], fam_b: Sequence[np.ndarray],
+                tol: float = 1e-8) -> bool:
+    """Do two families of matrices span the same subspace?"""
+    ra = span_rank(fam_a, tol)
+    rb = span_rank(fam_b, tol)
+    rab = span_rank(list(fam_a) + list(fam_b), tol)
+    return ra == rb == rab
+
+
+def project_span(basis: Sequence[np.ndarray], x: np.ndarray):
+    """Least-squares coefficients of x in span(basis) and the max-norm
+    relative residual of the projection."""
+    cols = np.stack([np.asarray(b, dtype=complex).ravel() for b in basis], axis=1)
+    vec = np.asarray(x, dtype=complex).ravel()
+    coeffs, *_ = np.linalg.lstsq(cols, vec, rcond=None)
+    resid = rel_residual(cols @ coeffs, vec)
+    return coeffs, resid
+
+
+def joint_eigenbasis(x: np.ndarray, y: np.ndarray, tol: float = 1e-8):
+    """Common orthonormal eigenbasis of two commuting Hermitian matrices.
+
+    Returns (U, ok): ok is False when the pair fails to diagonalize
+    simultaneously within tolerance.
+    """
+    x = np.asarray(x, dtype=complex)
+    y = np.asarray(y, dtype=complex)
+    wx, ux = np.linalg.eigh((x + x.conj().T) / 2)
+    scale = max(1.0, float(np.max(np.abs(wx))))
+    u = np.array(ux)
+    start = 0
+    while start < len(wx):
+        stop = start + 1
+        while stop < len(wx) and abs(wx[stop] - wx[stop - 1]) <= tol * scale:
+            stop += 1
+        block = ux[:, start:stop]
+        comp = block.conj().T @ y @ block
+        _, v = np.linalg.eigh((comp + comp.conj().T) / 2)
+        u[:, start:stop] = block @ v
+        start = stop
+    dx = u.conj().T @ x @ u
+    dy = u.conj().T @ y @ u
+    ok = (rel_residual(dx, np.diag(np.diag(dx))) <= tol
+          and rel_residual(dy, np.diag(np.diag(dy))) <= tol)
+    return u, ok
 
 
 # default evaluation grids for one-parameter groups and complex powers
@@ -251,15 +355,10 @@ def build_gns(model: QGModel, tol: Tolerances = Tolerances(),
     construction asserts with ``tol``; the realization keeps ``tol`` and
     ``seed`` for the checks run on it.
     """
-    haar = solve_haar(model)
-    mu = haar.mu
-    if not (mu - model.scalar(1)).is_zero():
-        raise TierRefusal(
-            f"{model.name}: scaling constant mu = {mu!r} differs from 1; "
-            "the analytic layer runs under the standing assumption mu = 1")
+    haar = require_unit_scaling(model)
     gram = haar.gram.to_numpy()
     lam, frame = _chol_frame(gram, f"{model.name}: Gram matrix of phi", tol)
-    dual = build_dual(model, validate=False)
+    dual = build_dual(model)
     dm, dh = dual.dual, dual.dual_haar
     d = model.dim
 

@@ -4,20 +4,22 @@ Vectors and linear maps carry an explicit list of tensor-leg dimensions;
 composition and tensoring check the leg signature, which is where most
 coalgebra bugs would otherwise hide.  Entries are exact cyclotomic scalars
 (``Cyc``) held column-sparse, so permutation-like structure maps of group
-models stay cheap even on spaces of dimension ~10^3.  Float-tier helpers
-(Hermitian eigendecompositions, numeric ranks, complex matrix powers) wrap
-numpy and live at the bottom of the module.
+models stay cheap even on spaces of dimension ~10^3.  The module is exact
+only and imports no numpy at load time: ``to_numpy`` imports it when a
+caller asks for a float matrix, and the float-tier helpers built on those
+matrices live in ``gns``.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import LegMismatch, SingularMap
 from .scalars import Cyc
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Dims = tuple[int, ...]
 
@@ -143,6 +145,7 @@ class Vec:
         raise TypeError("Vec is unhashable")
 
     def to_numpy(self) -> np.ndarray:
+        import numpy as np
         out = np.zeros(self.dim, dtype=complex)
         for i, v in self.data.items():
             out[i] = v.to_complex()
@@ -174,6 +177,20 @@ class LinMap:
                 clean = {i: c for i, v in col.items() if (c := _as_cyc(v))}
                 if clean:
                     self.cols[j] = clean
+
+    @classmethod
+    def _of(cls, dom: Sequence[int], cod: Sequence[int],
+            cols: dict[int, dict[int, Cyc]]) -> "LinMap":
+        """Trusted constructor: stores ``cols`` as given.
+
+        For results of the algebra below, whose entries are already
+        nonzero ``Cyc`` values in nonempty columns.
+        """
+        out = cls.__new__(cls)
+        out.dom = tuple(dom)
+        out.cod = tuple(cod)
+        out.cols = cols
+        return out
 
     @property
     def dom_dim(self) -> int:
@@ -310,7 +327,7 @@ class LinMap:
             acc = {i: v for i, v in acc.items() if not v.is_zero()}
             if acc:
                 cols[j] = acc
-        return LinMap(other.dom, self.cod, cols)
+        return LinMap._of(other.dom, self.cod, cols)
 
     def tensor(self, other: "LinMap") -> "LinMap":
         nd2, nc2 = other.dom_dim, other.cod_dim
@@ -322,7 +339,8 @@ class LinMap:
                     for i2, v2 in col2.items():
                         col[i1 * nc2 + i2] = v1 * v2
                 cols[j1 * nd2 + j2] = col
-        return LinMap(self.dom + other.dom, self.cod + other.cod, cols)
+        # a product of nonzero field elements is nonzero
+        return LinMap._of(self.dom + other.dom, self.cod + other.cod, cols)
 
     def __add__(self, other: "LinMap") -> "LinMap":
         if self.dom != other.dom or self.cod != other.cod:
@@ -337,7 +355,9 @@ class LinMap:
                     mine.pop(i, None)
                 else:
                     mine[i] = t
-        return LinMap(self.dom, self.cod, cols)
+            if not mine:
+                del cols[j]
+        return LinMap._of(self.dom, self.cod, cols)
 
     def __sub__(self, other: "LinMap") -> "LinMap":
         return self + other.scale(-1)
@@ -346,8 +366,9 @@ class LinMap:
         c = _as_cyc(scalar)
         if c.is_zero():
             return LinMap.zero(self.dom, self.cod)
-        return LinMap(self.dom, self.cod,
-                      {j: {i: c * v for i, v in col.items()} for j, col in self.cols.items()})
+        return LinMap._of(self.dom, self.cod,
+                          {j: {i: c * v for i, v in col.items()}
+                           for j, col in self.cols.items()})
 
     def transpose(self) -> "LinMap":
         cols: dict[int, dict[int, Cyc]] = {}
@@ -371,6 +392,7 @@ class LinMap:
         return max((abs(v.to_complex()) for _, _, v in self.entries()), default=0.0)
 
     def to_numpy(self) -> np.ndarray:
+        import numpy as np
         out = np.zeros((self.cod_dim, self.dom_dim), dtype=complex)
         for i, j, v in self.entries():
             out[i, j] = v.to_complex()
@@ -680,103 +702,3 @@ def inverse(m: LinMap) -> LinMap:
         for j, v in elim.aug.get(r, {}).items():
             cols.setdefault(j, {})[c] = v
     return LinMap(m.cod, m.dom, cols)
-
-
-# -- float tier -------------------------------------------------------------
-
-
-def rel_residual(a: np.ndarray, b: np.ndarray) -> float:
-    """Max-norm difference relative to the operand scales."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    scale = max(1.0, float(np.max(np.abs(a), initial=0.0)),
-                float(np.max(np.abs(b), initial=0.0)))
-    return float(np.max(np.abs(a - b), initial=0.0)) / scale
-
-
-def op_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(a, dtype=complex), 2))
-
-
-def unitarity_defect(u: np.ndarray) -> float:
-    u = np.asarray(u, dtype=complex)
-    eye = np.eye(u.shape[0])
-    return max(rel_residual(u.conj().T @ u, eye), rel_residual(u @ u.conj().T, eye))
-
-
-def eigh_checked(h: np.ndarray, tol: float = 1e-10):
-    """Hermitian eigendecomposition with reconstruction and unitarity checks."""
-    h = np.asarray(h, dtype=complex)
-    herm = rel_residual(h, h.conj().T)
-    if herm > tol:
-        raise ValueError(f"matrix is not Hermitian within {tol} (defect {herm:.3e})")
-    w, u = np.linalg.eigh(h)
-    if rel_residual(u @ np.diag(w) @ u.conj().T, h) > tol or unitarity_defect(u) > tol:
-        raise ValueError("eigendecomposition failed the reconstruction tolerance")
-    return w, u
-
-
-def rank_f(a: np.ndarray, tol: float = 1e-8) -> int:
-    a = np.asarray(a, dtype=complex)
-    if a.size == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0:
-        return 0
-    return int(np.sum(s > tol * max(1.0, s[0])))
-
-
-def span_rank(mats: Sequence[np.ndarray], tol: float = 1e-8) -> int:
-    """Rank of the linear span of a family of matrices."""
-    if not mats:
-        return 0
-    stack = np.stack([np.asarray(m, dtype=complex).ravel() for m in mats])
-    return rank_f(stack, tol)
-
-
-def spans_equal(fam_a: Sequence[np.ndarray], fam_b: Sequence[np.ndarray],
-                tol: float = 1e-8) -> bool:
-    """Do two families of matrices span the same subspace?"""
-    ra = span_rank(fam_a, tol)
-    rb = span_rank(fam_b, tol)
-    rab = span_rank(list(fam_a) + list(fam_b), tol)
-    return ra == rb == rab
-
-
-def project_span(basis: Sequence[np.ndarray], x: np.ndarray):
-    """Least-squares coefficients of x in span(basis) and the max-norm
-    relative residual of the projection."""
-    cols = np.stack([np.asarray(b, dtype=complex).ravel() for b in basis], axis=1)
-    vec = np.asarray(x, dtype=complex).ravel()
-    coeffs, *_ = np.linalg.lstsq(cols, vec, rcond=None)
-    resid = rel_residual(cols @ coeffs, vec)
-    return coeffs, resid
-
-
-def joint_eigenbasis(x: np.ndarray, y: np.ndarray, tol: float = 1e-8):
-    """Common orthonormal eigenbasis of two commuting Hermitian matrices.
-
-    Returns (U, ok): ok is False when the pair fails to diagonalize
-    simultaneously within tolerance.
-    """
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    wx, ux = np.linalg.eigh((x + x.conj().T) / 2)
-    scale = max(1.0, float(np.max(np.abs(wx))))
-    u = np.array(ux)
-    start = 0
-    while start < len(wx):
-        stop = start + 1
-        while stop < len(wx) and abs(wx[stop] - wx[stop - 1]) <= tol * scale:
-            stop += 1
-        block = ux[:, start:stop]
-        comp = block.conj().T @ y @ block
-        _, v = np.linalg.eigh((comp + comp.conj().T) / 2)
-        u[:, start:stop] = block @ v
-        start = stop
-    dx = u.conj().T @ x @ u
-    dy = u.conj().T @ y @ u
-    ok = (rel_residual(dx, np.diag(np.diag(dx))) <= tol
-          and rel_residual(dy, np.diag(np.diag(dy))) <= tol)
-    return u, ok
-

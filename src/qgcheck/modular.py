@@ -13,9 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import ModelError, SingularMap
+from .errors import ModelError, SingularMap, TierRefusal
 from .hopf import QGModel
 from .linalg import LinMap, Vec, inverse, kernel
 from .report import Checker, CheckRecord
@@ -140,6 +138,7 @@ def _solve_haar(model: QGModel) -> HaarData:
                               model.basis_vec(j))).get(0))
          for i in range(d) for j in range(d)))
     if gram == gram.adjoint():
+        import numpy as np
         eigs = np.linalg.eigvalsh(gram.to_numpy())
         gram_positive = bool(eigs.min() > EIG_TOL * max(1.0, eigs.max()))
     else:
@@ -153,6 +152,21 @@ def _solve_haar(model: QGModel) -> HaarData:
                     pmat_inv=pmat_inv, sigma=sigma, sigma_inv=sigma_inv,
                     sigma_prime=sigma_prime, delta=delta, delta_inv=delta_inv,
                     mu=mu, nu=nu, gram=gram, gram_positive=gram_positive)
+
+
+def require_unit_scaling(model: QGModel) -> HaarData:
+    """The model's Haar data, or TierRefusal when mu differs from 1.
+
+    mu = 1 is a standing assumption of the analytic (float) tier; this
+    exact test is how that tier refuses a model before loading numpy.
+    """
+    haar = solve_haar(model)
+    mu = haar.mu
+    if not (mu - model.scalar(1)).is_zero():
+        raise TierRefusal(
+            f"{model.name}: scaling constant mu = {mu!r} differs from 1; "
+            "the analytic layer runs under the standing assumption mu = 1")
+    return haar
 
 
 def alpha_map(haar: HaarData) -> LinMap:

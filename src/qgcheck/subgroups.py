@@ -27,9 +27,6 @@ reason) for models outside that layer's standing assumptions.
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import gns
 from .duality import Duality, build_dual
 from .errors import CheckFailure, ModelError, TierRefusal
 from .hopf import QGModel
@@ -160,8 +157,8 @@ def build_dual_morphism(mor: QGMorphism, validate: bool = True) -> DualMorphism:
     """
     if validate:
         ensure(validate_morphism(mor))
-    sdd = build_dual(mor.source, validate=False)
-    tdd = build_dual(mor.target, validate=False)
+    sdd = build_dual(mor.source)
+    tdd = build_dual(mor.target)
     pi_hat = sdd.haar.pmat_inv @ mor.pi.transpose() @ tdd.haar.pmat
     return DualMorphism(mor, sdd, tdd, pi_hat)
 
@@ -283,10 +280,6 @@ def check_expectation(dm: DualMorphism) -> list[CheckRecord]:
 
 # -- subgroup certificate --------------------------------------------------
 
-def _rep_stack(mats) -> np.ndarray:
-    return np.stack([m.reshape(-1) for m in mats], axis=1)
-
-
 def certify_vaes(mor: QGMorphism, dm: DualMorphism) -> list[CheckRecord]:
     """Certify the closed-subgroup embedding of convolution algebras.
 
@@ -303,7 +296,12 @@ def certify_vaes(mor: QGMorphism, dm: DualMorphism) -> list[CheckRecord]:
     outside the GNS layer's standing assumptions those records are
     skipped with the refusal reason.  Float records use the default
     ``gns.Tolerances()``, and the GNS realizations are built with them.
+    numpy and the GNS layer are imported here, when the float records run.
     """
+    import numpy as np
+
+    from . import gns
+
     src, tgt, pi = mor.source, mor.target, mor.pi
     tol = gns.Tolerances()
     dg, dh = dm.source_duality.dual, dm.target_duality.dual
@@ -417,8 +415,8 @@ def certify_vaes(mor: QGMorphism, dm: DualMorphism) -> list[CheckRecord]:
                tol.identity, represented)
 
     def rep_rank():
-        got = int(np.linalg.matrix_rank(_rep_stack(rep),
-                                        tol=tol.spectral))
+        stack = np.stack([m.reshape(-1) for m in rep], axis=1)
+        got = int(np.linalg.matrix_rank(stack, tol=tol.spectral))
         return float(k - got), f"represented rank {got} of {k}"
 
     ck.numeric("represented-injective",

@@ -66,7 +66,7 @@ def model(name):
 
 
 def duality(name):
-    return build_dual(model(name), validate=False)
+    return build_dual(model(name))
 
 
 def haar(name):
@@ -177,7 +177,7 @@ def test_criterion_05_duality():
     for n in (2, 3, 4):
         cg = build_group_algebra(GroupTable.cyclic(n))
         fn = builtin(f"c_z{n}")
-        dual = build_dual(cg, validate=False).dual
+        dual = build_dual(cg).dual
         glikes = LinMap.from_entries(cg.A, dual.A, [
             (j, k, Cyc.zeta(n, (-j * k) % n))
             for j in range(n) for k in range(n)])

@@ -1,7 +1,9 @@
 """CLI behavior: verbs, suites, exit codes, reports, determinism."""
 
 import json
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -17,6 +19,7 @@ from qgcheck.models import MAX_TAFT_ORDER, GroupTable, builtin
 from qgcheck.scalars import MAX_ORDER
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 def model_path(name):
@@ -367,3 +370,98 @@ def test_non_object_json_input_exits_two(verb, content, tmp_path, capsys):
     err = capsys.readouterr().err
     assert str(bad) in err and "JSON object" in err
     assert "Traceback" not in err
+
+
+# -- numpy loads only with float-tier work -----------------------------------
+
+
+def _fresh_python(code: str) -> dict:
+    """Run code in a new interpreter; it prints one JSON object last."""
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, text=True,
+                          capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+_EXACT_ONLY = {
+    "import-cli": "import qgcheck.cli",
+    "library-exact": (
+        "import qgcheck\n"
+        "from qgcheck import GroupTable, build_function_algebra, emit_model\n"
+        "import tempfile, os\n"
+        "model = build_function_algebra(GroupTable.symmetric(4))\n"
+        "with tempfile.TemporaryDirectory() as d:\n"
+        "    emit_model(model, os.path.join(d, 'c_s4.json'))"),
+}
+_EXACT_ONLY.update({
+    f"verify-{m}": ("import contextlib, io\n"
+                    "from qgcheck.cli import main\n"
+                    "with contextlib.redirect_stdout(io.StringIO()):\n"
+                    f"    rc = main(['verify', '{m}', '--suite', 'all'])")
+    for m in ("taft4", "taft3", "broken")})
+
+
+@pytest.mark.parametrize("case", sorted(_EXACT_ONLY))
+def test_exact_tier_work_does_not_import_numpy(case):
+    out = _fresh_python(
+        _EXACT_ONLY[case] + "\nimport json, sys\n"
+        "print(json.dumps({'numpy': 'numpy' in sys.modules, "
+        "'rc': globals().get('rc')}))")
+    assert out["numpy"] is False
+    if case.startswith("verify-"):
+        assert out["rc"] == (1 if case == "verify-broken" else 0)
+
+
+def test_analytic_suite_loads_numpy_and_passes(tmp_path):
+    report = tmp_path / "c_z2.json"
+    out = _fresh_python(
+        "import contextlib, io, json, sys\n"
+        "from qgcheck.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    rc = main(['verify', 'c_z2', '--suite', 'all', "
+        f"'--report', {str(report)!r}])\n"
+        "print(json.dumps({'numpy': 'numpy' in sys.modules, 'rc': rc}))")
+    assert out == {"numpy": True, "rc": 0}
+    analytic = [r for r in json.loads(report.read_text())["checks"]
+                if ".gns." in r["check_id"]]
+    assert analytic and all(r["status"] == "pass" for r in analytic)
+
+
+def test_float_tier_names_resolve_from_the_package():
+    out = _fresh_python(
+        "import json, sys\n"
+        "import qgcheck\n"
+        "before = 'numpy' in sys.modules\n"
+        "names = [qgcheck.build_gns.__name__, qgcheck.Tolerances.__name__]\n"
+        "star = {}\n"
+        "exec('from qgcheck import *', star)\n"
+        "missing = [n for n in qgcheck.__all__ if n not in star]\n"
+        "print(json.dumps({'before': before, 'names': names, "
+        "'missing': missing, 'after': 'numpy' in sys.modules}))")
+    assert out == {"before": False, "names": ["build_gns", "Tolerances"],
+                   "missing": [], "after": True}
+
+
+# -- internal errors ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("verb", ["verify", "dual", "subgroup"])
+def test_internal_error_exits_three_without_traceback(verb, tmp_path,
+                                                      monkeypatch, capsys):
+    def broken_builder(model):
+        raise KeyError("no such column")
+
+    monkeypatch.setattr(duality, "_build_dual", broken_builder)
+    argv = {"verify": ["verify", model_path("c_z2"), "--suite", "algebraic"],
+            "dual": ["dual", model_path("c_z2"), "-o",
+                     str(tmp_path / "d.json")],
+            "subgroup": ["subgroup", "--g", model_path("c_s3"),
+                         "--h", model_path("c_z3"),
+                         "--map", str(MODELS_DIR / "restrict_a3.json")]}[verb]
+    assert main(argv) == cli.INTERNAL_ERROR == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines() == [
+        "internal error: KeyError: 'no such column'"]
+

@@ -17,11 +17,20 @@ from qgcheck.duality import (
     check_radford,
 )
 from qgcheck.errors import CheckFailure, ModelError
-from qgcheck.hopf import galois_map
+from qgcheck.hopf import galois_map, validate_model
 from qgcheck.linalg import LinMap, Vec
+from qgcheck.modular import check_modular_structure
 from qgcheck.models import GroupTable, build_function_algebra, build_group_algebra
 from qgcheck.report import FAIL, Checker, ensure
 from qgcheck.scalars import Cyc
+
+
+def validated_dual(model):
+    """build_dual, then the structural and Haar suites on the dual."""
+    dd = build_dual(model)
+    ensure(validate_model(dd.dual))
+    ensure(check_modular_structure(dd.dual_haar))
+    return dd
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +39,7 @@ def dual_cache(model_cache):
 
     def get(name):
         if name not in cache:
-            cache[name] = build_dual(model_cache(name))
+            cache[name] = validated_dual(model_cache(name))
         return cache[name]
 
     return get
@@ -61,7 +70,7 @@ def _convolution_by_definition(dd):
 
 @pytest.mark.parametrize("name", ["taft3", "c_z4", "sweedler", "cg_s3", "d_z2"])
 def test_convolution_product_matches_defining_equation(name, model_cache):
-    dd = build_dual(model_cache(name), validate=False)
+    dd = build_dual(model_cache(name))
     assert dd.dual.mult == _convolution_by_definition(dd)
 
 
@@ -150,12 +159,12 @@ def test_cyclic_fourier_duality(n):
         ((k, j, Cyc.zeta(n, (j * k) % n)) for j in range(n) for k in range(n)))
     assert_iso(dft, cg, c)
 
-    ddc = build_dual(c)
+    ddc = validated_dual(c)
     scale = LinMap.identity(c.A).scale(Cyc.rational(Fraction(1, n)))
     assert_iso(scale, ddc.dual, cg)
     assert_iso(dft @ scale, ddc.dual, c)
 
-    ddg = build_dual(cg)
+    ddg = validated_dual(cg)
     assert_iso(LinMap.identity(cg.A), ddg.dual, c)
 
 
@@ -252,14 +261,14 @@ def test_radford_nontrivial_antipode(dual_cache, taft3):
 def test_bidual_map_unit(dual_cache):
     dd = dual_cache("c_s3")
     kappa = bidual_map(dd)
-    bidd = build_dual(dd.dual, validate=False)
+    bidd = build_dual(dd.dual)
     assert kappa(dd.source.unit) == bidd.dual.unit
     assert bidd.dual.name.endswith("^^")
 
 
 def test_build_dual_rejects_broken_model(model_cache):
     with pytest.raises((ModelError, CheckFailure)):
-        build_dual(model_cache("broken"))
+        validated_dual(model_cache("broken"))
 
 
 def test_mult_unitary_type(model_cache):

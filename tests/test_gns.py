@@ -7,7 +7,7 @@ import pytest
 
 from qgcheck import gns as G
 from qgcheck.errors import TierRefusal
-from qgcheck.linalg import rel_residual
+from qgcheck.gns import rel_residual
 from qgcheck.models import GroupTable
 from qgcheck.report import ensure
 

@@ -5,25 +5,25 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgcheck.errors import LegMismatch, SingularMap
+from qgcheck.gns import eigh_checked, joint_eigenbasis, span_rank
 from qgcheck.linalg import (
     LinMap,
     Vec,
     apply_on_legs,
     det,
     embed_on_legs,
-    eigh_checked,
     inverse,
-    joint_eigenbasis,
     kernel,
     rank,
     solve_linear,
-    span_rank,
     tensor_all,
     to_multi,
 )
-from qgcheck.scalars import Cyc
+from qgcheck.scalars import Cyc, _context
 
 
 def rand_map(rng, dom, cod, density=0.5, order=1):
@@ -189,3 +189,66 @@ def test_vector_ops():
     assert t.dims == (2, 2)
     assert t.get((1, 1)).rational_value() == 10
     assert tensor_all(LinMap.identity((2,)), LinMap.identity((3,))).dom == (2, 3)
+
+
+# -- results of the trusted constructor ------------------------------------
+
+
+@st.composite
+def sparse_pairs(draw):
+    """Two square maps over Q(zeta_N), N in {1, 3, 4}, with small entries.
+
+    Coefficients lie in -1..1, so repeated positions and products cancel
+    exactly often enough to empty entries and whole columns.
+    """
+    order = draw(st.sampled_from([1, 3, 4]))
+    n = draw(st.integers(1, 3))
+    deg = _context(order).degree
+    scalar = st.lists(st.integers(-1, 1), min_size=deg, max_size=deg).map(
+        lambda cs: Cyc(order, cs))
+    index = st.integers(0, n - 1)
+
+    def one_map():
+        entries = draw(st.lists(st.tuples(index, index, scalar),
+                                max_size=2 * n * n))
+        return LinMap.from_entries((n,), (n,), entries)
+
+    return one_map(), one_map(), draw(scalar)
+
+
+def _assert_normalized(m: LinMap):
+    assert m == LinMap(m.dom, m.cod, m.cols)
+    for col in m.cols.values():
+        assert col, "empty column stored"
+        assert all(isinstance(v, Cyc) and not v.is_zero()
+                   for v in col.values()), "zero entry stored"
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_pairs())
+def test_algebra_results_are_normalized(operands):
+    a, b, c = operands
+    n = a.dom_dim
+    results = {
+        "a @ b": (a @ b, LinMap.from_entries(
+            a.dom, a.cod, ((i, j, m * v) for k, j, v in b.entries()
+                           for i, k2, m in a.entries() if k2 == k))),
+        "a (x) b": (a.tensor(b), LinMap.from_entries(
+            a.dom + b.dom, a.cod + b.cod,
+            ((i1 * n + i2, j1 * n + j2, v1 * v2)
+             for i1, j1, v1 in a.entries() for i2, j2, v2 in b.entries()))),
+        "a + b": (a + b, LinMap.from_entries(
+            a.dom, a.cod, list(a.entries()) + list(b.entries()))),
+        "a - b": (a - b, LinMap.from_entries(
+            a.dom, a.cod, list(a.entries())
+            + [(i, j, -v) for i, j, v in b.entries()])),
+        "c a": (a.scale(c), LinMap.from_entries(
+            a.dom, a.cod, ((i, j, c * v) for i, j, v in a.entries()))),
+        "a + (-1) a": (a + a.scale(-1), LinMap.zero(a.dom, a.cod)),
+        "a - a": (a - a, LinMap.zero(a.dom, a.cod)),
+        "(a + b) - b": ((a + b) - b, a),
+    }
+    for name, (got, want) in results.items():
+        _assert_normalized(got)
+        assert got == want, name
+
