@@ -22,9 +22,12 @@ the sampled families of both suites.  Both are passed down as arguments.
 Exit codes: 0 every executed check passed, 1 at least one check failed,
 2 the input could not be used (bad option value, parse error, invalid
 table or model construction, explicit tier refusal, unopenable file),
-3 internal error: any other exception raised inside qgcheck (for example
-a KeyError or LegMismatch from a builder), reported as one
-"internal error: ..." line on stderr with no traceback.
+3 internal error: any other exception raised inside qgcheck outside every
+check (for example a KeyError or LegMismatch from a builder), reported as
+one "internal error: ..." line on stderr with no traceback.  The same
+exception raised inside one check is recorded as that check's FAIL, with
+an "internal error: ..." witness; the other checks still run, the report
+is written, and the exit code is 1.
 An output path (--report, -o) whose directory does not exist exits 2
 before any model is read.  A model file's "order" is capped at
 scalars.MAX_ORDER, which bounds the field tables but not the model size;
@@ -42,8 +45,8 @@ from .duality import (SAMPLE_SEED, build_dual, check_biduality,
                       check_convolution_compat, check_dual,
                       check_dual_modular, check_pentagon_and_lemmas,
                       check_radford)
-from .errors import (CheckFailure, ModelError, ParseError, SingularMap,
-                     TierRefusal)
+from .errors import (INPUT_ERRORS, CheckFailure, ModelError, ParseError,
+                     SingularMap, TierRefusal, internal_error_text)
 from .hopf import QGModel, validate_model
 from .modelio import (emit_model, parse_model, parse_morphism, parse_table,
                       write_report)
@@ -277,15 +280,14 @@ def dispatch(argv=None) -> int:
             if path:
                 _check_output_path(path)
         return args.func(args)
-    except (ParseError, ModelError, SingularMap, TierRefusal, OSError) as e:
+    except INPUT_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except CheckFailure as e:
         print(f"check failed: {e}", file=sys.stderr)
         return 1
     except Exception as e:  # a fault of qgcheck itself, not of the input
-        detail = " ".join(str(e).split())
-        print(f"internal error: {type(e).__name__}: {detail}", file=sys.stderr)
+        print(internal_error_text(e), file=sys.stderr)
         return INTERNAL_ERROR
 
 

@@ -43,3 +43,14 @@ class TierRefusal(QGError):
 
 class ParseError(QGError):
     """A model, table or morphism file could not be read."""
+
+
+# Exceptions that mean the input cannot be used; the CLI exits 2 on them,
+# and a check lets them through instead of recording them.
+INPUT_ERRORS = (ParseError, ModelError, SingularMap, TierRefusal, OSError)
+
+
+def internal_error_text(exc: BaseException) -> str:
+    """One-line description of an exception no other rule covers."""
+    detail = " ".join(str(exc).split())
+    return f"internal error: {type(exc).__name__}: {detail}"

@@ -13,13 +13,16 @@ checked Hermitian eigendecompositions, numeric ranks of matrix spans,
 joint eigenbases) live here too.  This is the only library module that
 imports numpy at load time, so exact-tier work never loads it.
 
-``build_gns(model, tol, seed)`` keeps one frozen ``Tolerances`` value and
-one sampling seed on the realization, and every check reads them from
-there.  The layer refuses to run unless the scaling constant is 1 (the
-exact test ``modular.require_unit_scaling``) and the invariant state is
-positive definite; those are the standing assumptions of the analytic
-theory, and laws that pick up scaling-constant corrections are not
-silently weakened here.
+The construction runs in two stages.  ``build_gns_frame(model, tol)``
+builds the GNS frame and the convolution table, which is all the left
+regular representation of the dual needs; ``build_gns(model, tol, seed)``
+extends it with m, W and the modular layer, and keeps one frozen
+``Tolerances`` value and one sampling seed on the realization, where
+every check reads them.  The layer refuses to run unless the scaling
+constant is 1 (the exact test ``modular.require_unit_scaling``) and the
+invariant state is positive definite; those are the standing assumptions
+of the analytic theory, and laws that pick up scaling-constant
+corrections are not silently weakened here.
 
 At finite dimension every positive-tier model is of Kac type, so all the
 modular operators come out equal to the identity; the machinery is written
@@ -206,13 +209,14 @@ class PositiveOperatorCalculus:
 
 
 @dataclass
-class GnsRealization:
-    """The invariant-state GNS space with both regular representations.
+class GnsFrame:
+    """The GNS frame of the invariant state and the convolution table.
 
-    Antilinear operators (T, K, J) are stored through their linear parts:
-    the operator sends v to mat @ conj(v).  lam is the matrix of the GNS
-    map, so Lambda(f) = lam @ coords(f) and frame = lam^-1 satisfies
-    frame^H gram frame = I.
+    lam is the matrix of the GNS map, so Lambda(f) = lam @ coords(f), and
+    frame = lam^-1 satisfies frame^H gram frame = I.  conv is the float
+    convolution product of the memoized dual; conv_of reads the left
+    regular representation of the convolution algebra off it, which is
+    all the subgroup certificate's float records need.
     """
 
     model: QGModel
@@ -220,10 +224,36 @@ class GnsRealization:
     dual: Duality
     dim: int
     tol: Tolerances
-    seed: int  # seeds the sampled pair and vector families
     gram: np.ndarray
     frame: np.ndarray
     lam: np.ndarray
+    conv: np.ndarray
+
+    def coords(self, v) -> np.ndarray:
+        if isinstance(v, Vec):
+            return v.to_numpy()
+        return np.asarray(v, dtype=complex)
+
+    def conv_lmul_np(self, x) -> np.ndarray:
+        d = self.dim
+        return np.einsum("kij,i->kj", self.conv.reshape(d, d, d), self.coords(x))
+
+    def conv_of(self, v) -> np.ndarray:
+        """The convolution representation lambda(v) of an element."""
+        return self.lam @ self.conv_lmul_np(v) @ self.frame
+
+
+@dataclass
+class GnsRealization(GnsFrame):
+    """The invariant-state GNS space with both regular representations.
+
+    Extends the frame with the multiplication representation m, the
+    multiplicative unitary W and the modular layer.  Antilinear operators
+    (T, K, J) are stored through their linear parts: the operator sends v
+    to mat @ conj(v).
+    """
+
+    seed: int  # seeds the sampled pair and vector families
     m_rep: list[np.ndarray]
     lambda_rep: list[np.ndarray]
     w: np.ndarray
@@ -240,7 +270,6 @@ class GnsRealization:
     sigma_mat: np.ndarray
     delta_vec: np.ndarray
     delta_inv_vec: np.ndarray
-    conv: np.ndarray
     conv_unit_vec: np.ndarray
     dual_invol: np.ndarray
     delta_hat_vec: np.ndarray
@@ -262,11 +291,6 @@ class GnsRealization:
 
     # -- element helpers ----------------------------------------------------
 
-    def coords(self, v) -> np.ndarray:
-        if isinstance(v, Vec):
-            return v.to_numpy()
-        return np.asarray(v, dtype=complex)
-
     def lmul_np(self, a) -> np.ndarray:
         d = self.dim
         return np.einsum("kij,i->kj", self.mult.reshape(d, d, d), self.coords(a))
@@ -274,10 +298,6 @@ class GnsRealization:
     def rmul_np(self, a) -> np.ndarray:
         d = self.dim
         return np.einsum("kij,j->ki", self.mult.reshape(d, d, d), self.coords(a))
-
-    def conv_lmul_np(self, x) -> np.ndarray:
-        d = self.dim
-        return np.einsum("kij,i->kj", self.conv.reshape(d, d, d), self.coords(x))
 
     def conv_rmul_np(self, x) -> np.ndarray:
         d = self.dim
@@ -298,10 +318,6 @@ class GnsRealization:
     def m_of(self, v) -> np.ndarray:
         """The multiplication representation of an element."""
         return self.lam @ self.lmul_np(v) @ self.frame
-
-    def conv_of(self, v) -> np.ndarray:
-        """The convolution representation lambda(v) of an element."""
-        return self.lam @ self.conv_lmul_np(v) @ self.frame
 
     def delta_power_element(self, z: complex) -> np.ndarray:
         """Coordinates of delta^z, read off the functional calculus."""
@@ -345,31 +361,48 @@ def _chol_frame(gram: np.ndarray, what: str,
     return lam, frame
 
 
-def build_gns(model: QGModel, tol: Tolerances = Tolerances(),
-              seed: int = SAMPLE_SEED) -> GnsRealization:
-    """GNS realization of the invariant state, plus the modular layer.
+def build_gns_frame(model: QGModel,
+                    tol: Tolerances = Tolerances()) -> GnsFrame:
+    """The GNS frame of the invariant state, and nothing more.
 
-    Refuses (TierRefusal) when the Gram matrix phi(conj(e_i) e_j) is not
-    positive definite or when the scaling constant differs from 1, since
-    the analytic layer is built under those standing assumptions.  The
-    construction asserts with ``tol``; the realization keeps ``tol`` and
-    ``seed`` for the checks run on it.
+    Refuses (TierRefusal) when the scaling constant differs from 1, when
+    the Gram matrix phi(conj(e_i) e_j) is not Hermitian or not positive
+    definite, and when the frame fails to reproduce the Gram matrix
+    within ``tol``.  Builds no multiplicative unitary and no modular
+    operator.
     """
     haar = require_unit_scaling(model)
     gram = haar.gram.to_numpy()
     lam, frame = _chol_frame(gram, f"{model.name}: Gram matrix of phi", tol)
+    if rel_residual(lam.conj().T @ lam, gram) > tol.identity:
+        raise TierRefusal(f"{model.name}: GNS inner product does not "
+                          "reproduce the Gram matrix")
     dual = build_dual(model)
-    dm, dh = dual.dual, dual.dual_haar
-    d = model.dim
+    return GnsFrame(model=model, haar=haar, dual=dual, dim=model.dim, tol=tol,
+                    gram=gram, frame=frame, lam=lam,
+                    conv=dual.dual.mult.to_numpy())
 
-    mult = model.mult.to_numpy()
-    conv = dm.mult.to_numpy()
+
+def build_gns(model: QGModel, tol: Tolerances = Tolerances(),
+              seed: int = SAMPLE_SEED) -> GnsRealization:
+    """GNS realization of the invariant state, plus W and the modular layer.
+
+    Starts from ``build_gns_frame`` and keeps its refusals.  It refuses
+    further (TierRefusal) when the multiplication representation is not
+    faithful or W fails unitarity, since the analytic layer is built
+    under those standing assumptions; the modular layer raises
+    CheckFailure when a defining action or a spectrum fails.  The
+    construction asserts with ``tol``; the realization keeps ``tol`` and
+    ``seed`` for the checks run on it.
+    """
+    base = build_gns_frame(model, tol)
+    haar, d = base.haar, base.dim
+    dm, dh = base.dual.dual, base.dual.dual_haar
     gns = GnsRealization(
-        model=model, haar=haar, dual=dual, dim=d, tol=tol, seed=seed,
-        gram=gram, frame=frame, lam=lam,
+        **vars(base), seed=seed,
         m_rep=[], lambda_rep=[], w=np.eye(d * d),
         w_alg=np.eye(d * d), w_alg_inv=np.eye(d * d),
-        mult=mult, coprod=model.coprod.to_numpy(),
+        mult=model.mult.to_numpy(), coprod=model.coprod.to_numpy(),
         antipode=model.antipode.to_numpy(),
         antipode_inv=model.antipode_inv.to_numpy(),
         invol=model.invol.to_numpy(),
@@ -378,7 +411,7 @@ def build_gns(model: QGModel, tol: Tolerances = Tolerances(),
         sigma_mat=haar.sigma.to_numpy(),
         delta_vec=haar.delta.to_numpy(),
         delta_inv_vec=haar.delta_inv.to_numpy(),
-        conv=conv, conv_unit_vec=dm.unit.to_numpy(),
+        conv_unit_vec=dm.unit.to_numpy(),
         dual_invol=dm.invol.to_numpy(),
         delta_hat_vec=dh.delta.to_numpy(),
     )
@@ -388,15 +421,12 @@ def build_gns(model: QGModel, tol: Tolerances = Tolerances(),
     if rank_f(np.stack([m.ravel() for m in gns.m_rep])) != d:
         raise TierRefusal(f"{model.name}: multiplication representation "
                           "is not faithful")
-    if rel_residual(lam.conj().T @ lam, gram) > tol.identity:
-        raise TierRefusal(f"{model.name}: GNS inner product does not "
-                          "reproduce the Gram matrix")
 
     mw = build_alg_mult_unitary(model)
     gns.w_alg = mw.w.to_numpy()
     gns.w_alg_inv = mw.w_inv.to_numpy()
-    lam2 = np.kron(lam, lam)
-    frame2 = np.kron(frame, frame)
+    lam2 = np.kron(base.lam, base.lam)
+    frame2 = np.kron(base.frame, base.frame)
     gns.w = lam2 @ gns.w_alg @ frame2
     defect = unitarity_defect(gns.w)
     if defect > tol.identity:

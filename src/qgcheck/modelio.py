@@ -1,7 +1,8 @@
 """Reading and writing model, table, morphism and report files.
 
 All files are UTF-8 JSON.  A scalar is an array of rational strings
-("p/q" or "p") listing the coefficients of 1, zeta, zeta^2, ... for the
+("p/q", "p" or a decimal, no exponent, at most ``MAX_SCALAR_CHARS``
+characters each) listing the coefficients of 1, zeta, zeta^2, ... for the
 model's declared cyclotomic order; arrays longer than the residue basis
 fold exactly through the cyclotomic relation.  A sparse vector is a list
 of [index, scalar] pairs and a sparse map a list of
@@ -14,6 +15,7 @@ from the remaining structure maps.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -35,6 +37,13 @@ def _scalar_to_json(c: Cyc) -> list[str]:
     return coeffs
 
 
+# "p/q", "p" or a decimal, without exponent: "1e999999999" would make
+# Fraction build a huge integer, and coefficients past the float range
+# break every float conversion of the model.
+_RATIONAL = re.compile(r"[+-]?(\d+(/\d+)?|\d*\.\d+)")
+MAX_SCALAR_CHARS = 40
+
+
 def _scalar_from_json(obj, order: int, where: str) -> Cyc:
     if not isinstance(obj, list) or not obj:
         raise ParseError(f"{where}: scalar must be a nonempty array "
@@ -44,6 +53,10 @@ def _scalar_from_json(obj, order: int, where: str) -> Cyc:
         if not isinstance(s, str):
             raise ParseError(f"{where}: scalar coefficient {s!r} "
                              "must be a string")
+        if len(s) > MAX_SCALAR_CHARS or not _RATIONAL.fullmatch(s):
+            raise ParseError(f"{where}: bad rational {s[:MAX_SCALAR_CHARS]!r}; "
+                             "expected p/q, p or a decimal, at most "
+                             f"{MAX_SCALAR_CHARS} characters")
         try:
             coeffs.append(Fraction(s))
         except (ValueError, ZeroDivisionError):

@@ -14,7 +14,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .errors import CheckFailure, QGError, SingularMap
+from .errors import (INPUT_ERRORS, CheckFailure, QGError, SingularMap,
+                     internal_error_text)
 from .linalg import LinMap, Vec
 from .scalars import Cyc
 
@@ -83,7 +84,10 @@ class Checker:
 
         ``builder`` returns the difference (LinMap/Vec/Cyc, zero means pass)
         or a bool.  Structural failures (singular maps, explicit
-        CheckFailure) are recorded, not raised.
+        CheckFailure) are recorded, not raised.  Any other exception except
+        an input error (``errors.INPUT_ERRORS``) is recorded as this
+        check's failure with an "internal error: ..." witness, so the
+        remaining checks still run.
         """
         t0 = time.perf_counter()
         try:
@@ -96,6 +100,10 @@ class Checker:
             witness = f"{e} (kernel sample: {ker})" if e.kernel else str(e)
         except CheckFailure as e:
             status, residual, witness = FAIL, e.residual, e.witness or str(e)
+        except INPUT_ERRORS:
+            raise
+        except Exception as e:
+            status, residual, witness = FAIL, None, internal_error_text(e)
         rec = CheckRecord(self._id(check_id), law, status,
                           residual=residual, tolerance=None, witness=witness,
                           wall_ms=(time.perf_counter() - t0) * 1000)
@@ -105,7 +113,8 @@ class Checker:
     def numeric(self, check_id: str, law: str, tol: float,
                 builder: Callable[[], float | tuple[float, str | None]]) -> CheckRecord:
         """Run a float-tier check; ``builder`` returns the residual
-        (optionally with a witness)."""
+        (optionally with a witness).  Exceptions are recorded as in
+        ``exact``; a ValueError from the float helpers keeps its message."""
         t0 = time.perf_counter()
         witness = None
         try:
@@ -116,6 +125,10 @@ class Checker:
                 witness = f"residual {residual:.3e} > tol {tol:.1e}"
         except (CheckFailure, ValueError) as e:
             status, residual, witness = FAIL, None, str(e)
+        except INPUT_ERRORS:
+            raise
+        except Exception as e:
+            status, residual, witness = FAIL, None, internal_error_text(e)
         rec = CheckRecord(self._id(check_id), law, status,
                           residual=residual, tolerance=tol, witness=witness,
                           wall_ms=(time.perf_counter() - t0) * 1000)

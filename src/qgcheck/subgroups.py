@@ -20,9 +20,11 @@ composing pi_hat with the convolution representation of the large model
 is an injective *-homomorphism, so the small convolution algebra sits
 inside the large one with matching operator norms.
 
-Everything is exact arithmetic except the representation-level records,
-which run on the float GNS layer and are skipped (with the refusal
-reason) for models outside that layer's standing assumptions.
+Everything is exact arithmetic except the functional identity and the
+representation-level records.  The latter run on the float GNS frame of
+each model (the left regular representation of its convolution algebra)
+and are skipped, with the refusal reason, for models outside that
+frame's standing assumptions.
 """
 
 from dataclasses import dataclass
@@ -288,14 +290,21 @@ def certify_vaes(mor: QGMorphism, dm: DualMorphism) -> list[CheckRecord]:
     the evaluation functionals are preimage-independent, meaning
     counit(pi_hat(x) * v) = 0 for v in the kernel of pi.
 
-    Float records ride on the GNS layer: the composite
+    Float records: the functional identity
+    counit_tgt(x * a) = counit_src(pi_hat(x) * b) holds for the
+    minimal-norm preimage b of a, and the composite
     x |-> lambda_src(pi_hat(x)) is a unital injective *-homomorphism
-    whose operator norms match those of lambda_tgt(x), and the
-    functional identity counit_tgt(x * a) = counit_src(pi_hat(x) * b)
-    holds for the minimal-norm preimage b of a.  When a model sits
-    outside the GNS layer's standing assumptions those records are
-    skipped with the refusal reason.  Float records use the default
-    ``gns.Tolerances()``, and the GNS realizations are built with them.
+    whose operator norms match those of lambda_tgt(x).  The records
+    represented, represented-injective and norm-transport read only the
+    left regular representation lambda of the convolution algebras
+    (Vaes's sense), so each model gets a ``gns.build_gns_frame`` and no
+    multiplicative unitary or modular operator is built.  They are
+    skipped with the refusal reason when a frame refuses: mu != 1, or a
+    Gram matrix that is not Hermitian, not positive definite or not
+    reproduced by the frame.  W's unitarity, the faithfulness of m and
+    the modular layer are refusals of the analytic suite only, so they
+    cannot end a subgroup run.  Float records use the default
+    ``gns.Tolerances()``.
     numpy and the GNS layer are imported here, when the float records run.
     """
     import numpy as np
@@ -381,10 +390,10 @@ def certify_vaes(mor: QGMorphism, dm: DualMorphism) -> list[CheckRecord]:
                "counit(x * a) = counit(pi_hat(x) * b) for pi(b) = a",
                tol.multiplier, functional_identity)
 
-    # Representation-level records on the GNS layer.
+    # Representation-level records on the GNS frames.
     try:
-        gns_source = gns.build_gns(src, tol)
-        gns_target = gns.build_gns(tgt, tol)
+        gns_source = gns.build_gns_frame(src, tol)
+        gns_target = gns.build_gns_frame(tgt, tol)
     except TierRefusal as e:
         for check_id in ("represented", "represented-injective",
                          "norm-transport"):

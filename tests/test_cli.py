@@ -282,12 +282,14 @@ def test_verify_builds_only_the_galois_maps_it_uses(monkeypatch):
         sorted(["gl", "gr", "rl", "rr", "rl_op", "rr_op"])]
 
 
-def test_subgroup_builds_only_rl_op(monkeypatch):
-    calls = _record_galois(monkeypatch)
+def test_subgroup_builds_no_galois_map_unitary_or_modular_layer(monkeypatch):
+    galois = _record_galois(monkeypatch)
+    w = _record_calls(monkeypatch, duality, "_build_alg_mult_unitary")
+    modular_layer = _record_calls(monkeypatch, G, "build_modular_operators")
     assert dispatch(["subgroup", "--g", model_path("c_s3"),
                      "--h", model_path("c_z3"),
                      "--map", str(MODELS_DIR / "restrict_a3.json")]) == 0
-    assert _galois_keys_per_model(calls) == [["rl_op"], ["rl_op"]]
+    assert galois == [] and w == [] and modular_layer == []
 
 
 def test_dual_output_verifies_and_roundtrips(tmp_path):
@@ -465,3 +467,27 @@ def test_internal_error_exits_three_without_traceback(verb, tmp_path,
     assert err.strip().splitlines() == [
         "internal error: KeyError: 'no such column'"]
 
+
+def test_internal_error_inside_a_check_fails_only_that_check(tmp_path,
+                                                            monkeypatch,
+                                                            capsys):
+    argv = ["verify", model_path("c_z2"), "--suite", "algebraic", "--report"]
+    clean = tmp_path / "clean.json"
+    assert main(argv + [str(clean)]) == 0
+    build = modular._invariance_system
+
+    def broken_system(model, side):
+        if side == "right":  # solve_haar only asks for the left system
+            raise KeyError("no such column")
+        return build(model, side)
+
+    monkeypatch.setattr(modular, "_invariance_system", broken_system)
+    report = tmp_path / "broken.json"
+    assert main(argv + [str(report)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    records = {r["check_id"]: r for r in json.loads(report.read_text())["checks"]}
+    failed = [i for i, r in records.items() if r["status"] == "fail"]
+    assert failed == ["c(z2).haar.right-unique"]
+    assert records[failed[0]]["witness"].startswith("internal error: KeyError")
+    expected = [r["check_id"] for r in json.loads(clean.read_text())["checks"]]
+    assert list(records) == expected

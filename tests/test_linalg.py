@@ -1,12 +1,15 @@
 """Leg-aware sparse linear algebra over exact scalars."""
 
+import functools
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from qgcheck.errors import LegMismatch, SingularMap
 from qgcheck.gns import eigh_checked, joint_eigenbasis, span_rank
@@ -24,6 +27,7 @@ from qgcheck.linalg import (
     to_multi,
 )
 from qgcheck.scalars import Cyc, _context
+from test_scalars import _phi, _poly
 
 
 def rand_map(rng, dom, cod, density=0.5, order=1):
@@ -252,3 +256,98 @@ def test_algebra_results_are_normalized(operands):
         _assert_normalized(got)
         assert got == want, name
 
+
+
+# -- differential oracle: exact elimination against SymPy over Q(zeta_N) ----
+
+ELIM_ORDERS = (1, 3, 4)
+
+
+@functools.lru_cache(maxsize=None)
+def _field(order):
+    """Q(zeta_order) in SymPy, with zeta as its generator."""
+    if order == 1:
+        return sympy.QQ
+    zeta = sympy.exp(2 * sympy.pi * sympy.I / order)
+    field = sympy.QQ.algebraic_field(zeta)
+    assert field.mod.to_list() == _phi(order).all_coeffs()
+    return field
+
+
+def _to_field(c: Cyc, order):
+    """c as an element of _field(order), through the residue mod Phi_N."""
+    coeffs = [sympy.QQ(int(r.p), int(r.q))
+              for r in _poly(c.coeffs, c.order).all_coeffs()]
+    field = _field(order)
+    if c.order == 1 or order == 1:  # a rational value
+        return field.convert(coeffs[-1])
+    return field(coeffs)
+
+
+def _sympy_matrix(m: LinMap, order):
+    field = _field(order)
+    rows = [[field.zero] * m.dom_dim for _ in range(m.cod_dim)]
+    for i, j, c in m.entries():
+        rows[i][j] = _to_field(c, order)
+    return DomainMatrix(rows, (m.cod_dim, m.dom_dim), field)
+
+
+@st.composite
+def field_matrices(draw, square=False, with_rhs=False):
+    """A sparse map up to 5 x 5 with small entries in Z[zeta]/q, q <= 3."""
+    order = draw(st.sampled_from(ELIM_ORDERS))
+    deg = len(Cyc.zeta(order).coeffs)
+    rows = draw(st.integers(1, 5))
+    cols = rows if square else draw(st.integers(1, 5))
+    entry = st.tuples(st.lists(st.integers(-2, 2), min_size=deg,
+                               max_size=deg),
+                      st.integers(1, 3)).map(
+        lambda t: Cyc(order, [Fraction(a, t[1]) for a in t[0]]))
+    cells = draw(st.dictionaries(
+        st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1)),
+        entry, max_size=rows * cols))
+    m = LinMap.from_entries((cols,), (rows,),
+                            [(i, j, c) for (i, j), c in cells.items()])
+    if not with_rhs:
+        return order, m
+    rhs = draw(st.dictionaries(st.integers(0, rows - 1), entry, max_size=rows))
+    return order, m, Vec((rows,), {i: c for i, c in rhs.items() if c})
+
+
+@settings(max_examples=40, deadline=None)
+@given(field_matrices(square=True))
+def test_det_and_inverse_match_sympy(case):
+    order, m = case
+    want = _sympy_matrix(m, order).det()
+    assert _to_field(det(m), order) == want
+    if want == _field(order).zero:
+        with pytest.raises(SingularMap):
+            inverse(m)
+        return
+    inv = inverse(m)
+    assert inv @ m == LinMap.identity(m.dom) == m @ inv
+
+
+@settings(max_examples=40, deadline=None)
+@given(field_matrices())
+def test_rank_and_kernel_match_sympy(case):
+    order, m = case
+    r = _sympy_matrix(m, order).rank()
+    assert rank(m) == r
+    ker = kernel(m)
+    assert len(ker) == m.dom_dim - r
+    assert all(m.apply(v).is_zero() for v in ker)
+
+
+@settings(max_examples=40, deadline=None)
+@given(field_matrices(with_rhs=True))
+def test_solve_linear_matches_sympy(case):
+    order, m, b = case
+    a = _sympy_matrix(m, order)
+    col = _sympy_matrix(LinMap.from_entries(
+        (1,), m.cod, [(i, 0, c) for i, c in b.items()]), order)
+    consistent = a.hstack(col).rank() == a.rank()
+    x, _ = solve_linear(m, b)
+    assert (x is not None) == consistent
+    if x is not None:
+        assert m.apply(x) == b

@@ -2,6 +2,7 @@
 
 import pytest
 
+from qgcheck import gns
 from qgcheck.errors import ModelError
 from qgcheck.linalg import LinMap
 from qgcheck.models import GroupTable, build_function_algebra, builtin
@@ -158,6 +159,33 @@ def test_vaes_certificate(mor_a3, mor_z2):
         assert by_id["preimage-independence"].status == "pass"
         assert by_id["represented"].status == "pass"
         assert by_id["norm-transport"].status == "pass"
+
+
+def test_vaes_records_on_the_frame_equal_those_on_the_full_realization(
+        mor_a3, mor_z2, monkeypatch):
+    """The frame is the same computation as build_gns up to the frame:
+    every record's status, residual and witness agree bit for bit."""
+    def outcome(records):
+        return [(r.check_id, r.status, r.residual, r.witness)
+                for r in records]
+
+    for mor in (mor_a3, mor_z2, counit_morphism(builtin("c_s3"))):
+        dm = build_dual_morphism(mor)
+        on_frame = outcome(certify_vaes(mor, dm))
+        full = {id(m): gns.build_gns(m, gns.Tolerances())
+                for m in (mor.source, mor.target)}
+        served = []
+
+        def realization(model, tol):
+            served.append(model)
+            return full[id(model)]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(gns, "build_gns_frame", realization)
+            on_realization = outcome(certify_vaes(mor, dm))
+        assert [id(m) for m in served] == [id(mor.source), id(mor.target)]
+        assert on_frame == on_realization
+        assert [r[1] for r in on_frame].count("pass") >= 10
 
 
 def test_vaes_preimage_record_skips_for_injective_pi():

@@ -1,0 +1,168 @@
+"""Compare the CLI results of two checkouts of this repository.
+
+Run from anywhere:
+
+    python3 tools/compare_reports.py PARENT_CHECKOUT CHANGE_CHECKOUT
+
+Each command runs in a fresh interpreter with that checkout's ``src`` on
+PYTHONPATH:
+
+  - ``verify M --suite all --seed 1729 --report R`` on every built-in model;
+  - ``subgroup --report R`` on models/restrict_a3.json, models/restrict_z2.json
+    and the two morphisms that ``perfbench/inputs.py subgroup-embed`` writes
+    (C(S4) -> C(A4) and C(D6) -> C(S3));
+  - ``dual -o OUT`` on models/c_z3.json and on the generated C(D6) file.
+
+The generated inputs are written once, by the parent checkout, into a
+temporary directory.  The script compares exit codes, report JSON with every
+``wall_ms`` removed, and dual outputs byte for byte.  It prints each
+difference and exits 1 if there is any, else 0.  It writes nothing into
+either checkout (bytecode caching is off in the child processes).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+SEED = "1729"
+BUILTINS = ("broken", "c_s3", "c_z2", "c_z3", "c_z4", "cg_s3", "cg_z2",
+            "cg_z3", "d_s3", "d_z2", "d_z3", "sweedler", "taft3", "taft4",
+            "trivial")
+
+
+def _env(checkout: str) -> dict:
+    return dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"),
+                PYTHONDONTWRITEBYTECODE="1")
+
+
+def jobs(models: str, generated: str) -> list[tuple[str, list[str], str]]:
+    """(label, argv after the verb's module, kind of output) per job.
+
+    The token OUT in an argv stands for the job's output file.
+    """
+    out = []
+    for m in BUILTINS:
+        out.append((f"verify {m}",
+                    ["verify", m, "--suite", "all", "--seed", SEED,
+                     "--report", "OUT"], "report"))
+    subgroups = [
+        ("restrict_a3", os.path.join(models, "c_s3.json"),
+         os.path.join(models, "c_z3.json"),
+         os.path.join(models, "restrict_a3.json")),
+        ("restrict_z2", os.path.join(models, "c_s3.json"),
+         os.path.join(models, "c_z2.json"),
+         os.path.join(models, "restrict_z2.json")),
+    ] + [(stem, os.path.join(generated, f"{stem}_g.json"),
+          os.path.join(generated, f"{stem}_h.json"),
+          os.path.join(generated, f"{stem}_map.json"))
+         for stem in ("s4_a4", "d6_s3")]
+    for label, g, h, mapfile in subgroups:
+        out.append((f"subgroup {label}",
+                    ["subgroup", "--g", g, "--h", h, "--map", mapfile,
+                     "--report", "OUT"], "report"))
+    for label, path in (("c_z3", os.path.join(models, "c_z3.json")),
+                        ("d6", os.path.join(generated, "d6_s3_g.json"))):
+        out.append((f"dual {label}", ["dual", path, "-o", "OUT"], "dual"))
+    return out
+
+
+def run(checkout: str, argv: list[str], out_path: str):
+    """Exit code and output bytes (None when no output was written)."""
+    argv = [out_path if a == "OUT" else a for a in argv]
+    proc = subprocess.run([sys.executable, "-m", "qgcheck.cli", *argv],
+                          env=_env(checkout), cwd=os.path.dirname(out_path),
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                          text=True)
+    data = None
+    if os.path.exists(out_path):
+        with open(out_path, "rb") as fh:
+            data = fh.read()
+    return proc.returncode, data, proc.stderr.strip()
+
+
+def _strip_wall(obj):
+    if isinstance(obj, dict):
+        return {k: _strip_wall(v) for k, v in obj.items() if k != "wall_ms"}
+    if isinstance(obj, list):
+        return [_strip_wall(v) for v in obj]
+    return obj
+
+
+def json_diffs(a, b, where: str = "") -> list[str]:
+    """Paths where two JSON values differ, with both values."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        out = []
+        for k in list(a) + [k for k in b if k not in a]:
+            if k not in a or k not in b:
+                out.append(f"{where}.{k}: only in "
+                           f"{'parent' if k in a else 'change'}")
+            else:
+                out += json_diffs(a[k], b[k], f"{where}.{k}")
+        return out
+    if isinstance(a, list) and isinstance(b, list):
+        out = []
+        if len(a) != len(b):
+            out.append(f"{where}: length {len(a)} != {len(b)}")
+        for i, (x, y) in enumerate(zip(a, b)):
+            label = x.get("check_id", i) if isinstance(x, dict) else i
+            out += json_diffs(x, y, f"{where}[{label}]")
+        return out
+    return [] if a == b else [f"{where}: {a!r} != {b!r}"]
+
+
+def compare(parent: str, change: str) -> list[str]:
+    diffs = []
+    with tempfile.TemporaryDirectory(prefix="compare_reports_") as tmp:
+        generated = os.path.join(tmp, "inputs")
+        subprocess.run([sys.executable,
+                        os.path.join(parent, "perfbench", "inputs.py"),
+                        "subgroup-embed", generated],
+                       env=_env(parent), check=True)
+        models = os.path.join(parent, "models")
+        for label, argv, kind in jobs(models, generated):
+            results = []
+            for side, checkout in (("parent", parent), ("change", change)):
+                work = os.path.join(tmp, side)
+                os.makedirs(work, exist_ok=True)
+                name = label.replace(" ", "_") + ".json"
+                results.append(run(checkout, argv, os.path.join(work, name)))
+            (code_a, data_a, err_a), (code_b, data_b, err_b) = results
+            found = []
+            if code_a != code_b:
+                found.append(f"exit code {code_a} != {code_b}")
+            if (data_a is None) != (data_b is None):
+                found.append("output written by "
+                             f"{'parent' if data_b is None else 'change'} only")
+            elif data_a is not None and kind == "report":
+                found += json_diffs(_strip_wall(json.loads(data_a)),
+                                    _strip_wall(json.loads(data_b)))
+            elif data_a != data_b:
+                found.append("dual outputs differ")
+            if err_a != err_b:
+                found.append(f"stderr {err_a!r} != {err_b!r}")
+            status = "differs" if found else f"same (exit {code_a})"
+            print(f"{label}: {status}", flush=True)
+            diffs += [f"{label}: {d}" for d in found]
+    return diffs
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("parent", help="checkout to compare against")
+    p.add_argument("change", help="checkout under test")
+    args = p.parse_args(argv)
+    parent, change = os.path.abspath(args.parent), os.path.abspath(args.change)
+    diffs = compare(parent, change)
+    for d in diffs:
+        print(d)
+    print(f"{len(diffs)} difference(s)")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
