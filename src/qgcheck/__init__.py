@@ -18,7 +18,7 @@ from .duality import (AlgMultUnitary, Duality, bidual_map,
 from .errors import (CheckFailure, LegMismatch, ModelError, ParseError,
                      QGError, SingularMap, TierRefusal)
 from .hopf import (QGModel, check_cancellation, galois, galois_map,
-                   galois_variants, solve_antipode, solve_counit, validate_model,
+                   solve_antipode, solve_counit, validate_model,
                    verify_counit_antipode)
 from .linalg import LinMap, Vec, det, inverse, kernel, rank, solve_linear
 from .modelio import (emit_model, emit_morphism, emit_table, model_from_dict,
@@ -80,7 +80,6 @@ __all__ = [
     "check_w_properties", "complex_powers_as_multipliers",
     "compose_morphisms", "counit_morphism", "det", "emit_model",
     "emit_morphism", "emit_table", "ensure", "galois", "galois_map",
-    "galois_variants",
     "identity_morphism", "inverse", "kernel", "model_from_dict",
     "model_to_dict", "parse_model", "parse_morphism", "parse_table",
     "rank", "restriction_morphism", "solve_antipode", "solve_counit",

@@ -184,7 +184,7 @@ def cmd_subgroup(args) -> int:
     records = validate_morphism(mor)
     report.add(records)
     if not _has_failure(records):
-        dm = build_dual_morphism(mor, validate=False)
+        dm = build_dual_morphism(mor)
         report.add(check_dual_morphism(dm))
         report.add(check_expectation(dm))
         report.add(certify_vaes(mor, dm))

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 from .errors import ModelError
 from .hopf import QGModel, galois_map
-from .linalg import LinMap, Vec, apply_on_legs, embed_on_legs, inverse
+from .linalg import LinMap, Vec, apply_on_legs, inverse
 from .modular import HaarData, alpha_map, solve_haar
 from .report import CheckRecord, Checker
 
@@ -309,12 +309,11 @@ def check_pentagon_and_lemmas(dd: Duality, cap: int = CUBE_CAP,
     dims3 = (d, d, d)
     if d ** 3 <= cap:
         def pentagon():
-            lhs = embed_on_legs(w, (0, 1), dims3) \
-                @ embed_on_legs(w, (0, 2), dims3) \
-                @ embed_on_legs(w, (1, 2), dims3)
-            rhs = embed_on_legs(w, (1, 2), dims3) \
-                @ embed_on_legs(w, (0, 1), dims3)
-            return lhs - rhs
+            i = m.idA
+            w12, w23 = w.tensor(i), i.tensor(w)
+            flip23 = i.tensor(m.flipA)  # conjugating by it moves leg 1 to leg 2
+            w13 = flip23 @ w12 @ flip23
+            return w12 @ w13 @ w23 - w23 @ w12
 
         ck.exact("pentagon", "w12 w13 w23 = w23 w12 (full matrices)", pentagon)
     else:

@@ -9,7 +9,7 @@ Structural laws are verified by `validate_model`.  The four canonical
 twisted-multiplication maps and their opposite/co-opposite variants are
 built one at a time by `galois_map`, which memoizes each key on the model
 so that a caller builds only the maps it uses; `check_cancellation`
-inverts them exactly.
+inverts the four canonical ones exactly.
 """
 
 from __future__ import annotations
@@ -225,36 +225,24 @@ def galois(model: QGModel) -> dict[str, LinMap]:
     return {kind: galois_map(model, kind) for kind in GALOIS_KINDS}
 
 
-def galois_variants(model: QGModel) -> dict[str, LinMap]:
-    """All sixteen twisted-multiplication maps, keyed as in galois_map.
-
-    Each map comes from the per-key memo, so asking for all sixteen builds
-    only those that no caller has asked for yet.
-    """
-    return {kind + tag: galois_map(model, kind + tag)
-            for tag in GALOIS_TAGS for kind in GALOIS_KINDS}
-
-
-def check_cancellation(model: QGModel, variants: bool = True) -> list[CheckRecord]:
-    """Verify that the twisted-multiplication maps are bijective.
+def check_cancellation(model: QGModel) -> list[CheckRecord]:
+    """Verify that the four canonical maps gl, gr, rl, rr are bijective.
 
     Each map is inverted exactly; a singular map is reported with a kernel
-    witness.  Determinants are computed as a side record for the four
-    basic maps.
+    witness.  Determinants are computed as a side record.
     """
     ck = Checker(f"{model.name}.cancel")
-    maps = galois_variants(model) if variants else galois(model)
+    maps = galois(model)
     idAA = LinMap.identity(model.AA)
-    for kind in sorted(maps):
-        m = maps[kind]
+    for kind, m in maps.items():
 
         def build(m=m):
             return inverse(m) @ m - idAA
 
         ck.exact(kind, f"{kind} is bijective on A(x)A", build)
-    for kind in ("gl", "gr", "rl", "rr"):
+    for kind, m in maps.items():
 
-        def build_det(m=maps[kind]):
+        def build_det(m=m):
             return not det(m).is_zero()
 
         ck.exact(f"{kind}.det", f"det({kind}) != 0", build_det)
@@ -350,7 +338,7 @@ def validate_model(model: QGModel) -> list[CheckRecord]:
              lambda: d_ @ C - (C.tensor(C)) @ d_.conj())
 
     return (ck.records + verify_counit_antipode(model)
-            + check_cancellation(model, variants=False))
+            + check_cancellation(model))
 
 
 # -- derived structure maps ---------------------------------------------------

@@ -8,11 +8,15 @@ models stay cheap even on spaces of dimension ~10^3.  The module is exact
 only and imports no numpy at load time: ``to_numpy`` imports it when a
 caller asks for a float matrix, and the float-tier helpers built on those
 matrices live in ``gns``.
+
+``det``, ``rank``, ``kernel``, ``solve_linear`` and ``inverse`` each read
+their results off one exact reduced-row-echelon pass (``_Eliminator``); the
+right-hand sides of a solve or an inversion are augmented columns held in
+the same sparse rows as the map, so one row update serves both.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import LegMismatch, SingularMap
@@ -402,52 +406,6 @@ class LinMap:
         return f"LinMap({self.dom}->{self.cod}, nnz={self.nnz})"
 
 
-def tensor_all(*maps: LinMap) -> LinMap:
-    out = maps[0]
-    for m in maps[1:]:
-        out = out.tensor(m)
-    return out
-
-
-def embed_on_legs(f: LinMap, legs: Sequence[int], dims: Sequence[int]) -> LinMap:
-    """Matrix of f acting on the chosen legs (0-based) of an ambient space.
-
-    Arity-preserving only: f must have as many codomain legs as domain legs,
-    and the untouched legs pass through the identity.
-    """
-    dims = tuple(dims)
-    if len(f.dom) != len(f.cod):
-        raise LegMismatch("embed_on_legs requires an arity-preserving map")
-    if tuple(dims[p] for p in legs) != f.dom:
-        raise LegMismatch("chosen legs do not match map domain",
-                          tuple(dims[p] for p in legs), f.dom)
-    out_dims = list(dims)
-    for pos, p in enumerate(legs):
-        out_dims[p] = f.cod[pos]
-    out_dims = tuple(out_dims)
-    others = [p for p in range(len(dims)) if p not in legs]
-    cols: dict[int, dict[int, Cyc]] = {}
-    other_ranges = [range(dims[p]) for p in others]
-    for jf, colf in f.cols.items():
-        sub_in = to_multi(jf, f.dom)
-        for rest in itertools.product(*other_ranges):
-            multi_in = [0] * len(dims)
-            for pos, p in enumerate(legs):
-                multi_in[p] = sub_in[pos]
-            for pos, p in enumerate(others):
-                multi_in[p] = rest[pos]
-            j = from_multi(multi_in, dims)
-            col: dict[int, Cyc] = {}
-            for if_, v in colf.items():
-                sub_out = to_multi(if_, f.cod)
-                multi_out = list(multi_in)
-                for pos, p in enumerate(legs):
-                    multi_out[p] = sub_out[pos]
-                col[from_multi(multi_out, out_dims)] = v
-            cols[j] = col
-    return LinMap(dims, out_dims, cols)
-
-
 def apply_on_legs(f: LinMap, legs: Sequence[int], v: Vec) -> Vec:
     """Apply f to the chosen legs (0-based) of a vector.
 
@@ -508,35 +466,56 @@ def apply_on_legs(f: LinMap, legs: Sequence[int], v: Vec) -> Vec:
 # -- exact elimination ----------------------------------------------------
 
 
-def _row_dicts(m: LinMap) -> dict[int, dict[int, Cyc]]:
-    rows: dict[int, dict[int, Cyc]] = {}
-    for i, j, v in m.entries():
-        rows.setdefault(i, {})[j] = v
-    return rows
-
-
 class _Eliminator:
-    """Reduced row echelon form over the exact scalar field.
+    """Reduced row echelon form of m over the exact scalar field, one pass.
 
     Rows are sparse dicts; a column-incidence index keeps pivot selection
-    and elimination near-linear on permutation-like matrices.
+    and elimination near-linear on permutation-like matrices.  Columns of
+    ``aug`` (right-hand sides) live in the same rows at columns
+    ``m.dom_dim + k`` and take every row operation, but only columns below
+    ``m.dom_dim`` become pivots.  ``pivots`` lists (row, col) in column
+    order, and ``scale`` is the product of the pivot values before each
+    pivot row is normalized.
     """
 
-    def __init__(self, rows: dict[int, dict[int, Cyc]], ncols: int,
-                 aug: dict[int, dict[int, Cyc]] | None = None):
-        self.rows = {i: dict(r) for i, r in rows.items() if r}
-        self.aug = {i: dict(r) for i, r in (aug or {}).items()}
-        self.ncols = ncols
+    def __init__(self, m: LinMap, aug: LinMap | None = None):
+        self.dom = m.dom
+        n = self.ncols = m.dom_dim
+        rows: dict[int, dict[int, Cyc]] = {}
+        for i, j, v in m.entries():
+            rows.setdefault(i, {})[j] = v
+        if aug is not None:
+            for i, k, v in aug.entries():
+                rows.setdefault(i, {})[n + k] = v
+        self.rows = rows
         self.incidence: dict[int, set[int]] = {}
-        for i, r in self.rows.items():
+        for i, r in rows.items():
             for j in r:
                 self.incidence.setdefault(j, set()).add(i)
-        self.pivots: list[tuple[int, int]] = []  # (row, col)
+        self.pivots: list[tuple[int, int]] = []
         self.used_rows: set[int] = set()
+        self.scale = Cyc.one()
+        for col in range(n):
+            cand = [i for i in self.incidence.get(col, ())
+                    if i not in self.used_rows]
+            if not cand:
+                continue
+            piv = min(cand, key=lambda i: (len(rows[i]), i))
+            prow = rows[piv]
+            self.scale = self.scale * prow[col]
+            inv = prow[col].inverse()
+            if inv != 1:
+                for j in list(prow):
+                    prow[j] = inv * prow[j]
+            for i in list(self.incidence[col]):
+                if i != piv:
+                    self._addmul(i, prow, -rows[i][col])
+            self.pivots.append((piv, col))
+            self.used_rows.add(piv)
 
-    def _addmul(self, target: int, source_row: dict, source_aug: dict, factor: Cyc):
-        row = self.rows.setdefault(target, {})
-        for j, v in source_row.items():
+    def _addmul(self, target: int, source: dict, factor: Cyc):
+        row = self.rows[target]
+        for j, v in source.items():
             s = row.get(j)
             t = factor * v if s is None else s + factor * v
             if t.is_zero():
@@ -547,58 +526,30 @@ class _Eliminator:
                 if s is None:
                     self.incidence.setdefault(j, set()).add(target)
                 row[j] = t
-        if source_aug:
-            arow = self.aug.setdefault(target, {})
-            for j, v in source_aug.items():
-                s = arow.get(j)
-                t = factor * v if s is None else s + factor * v
-                if t.is_zero():
-                    arow.pop(j, None)
-                else:
-                    arow[j] = t
 
-    def run(self):
-        for col in range(self.ncols):
-            cand = [i for i in self.incidence.get(col, ()) if i not in self.used_rows]
-            if not cand:
+    def kernel(self) -> list[Vec]:
+        """Exact null-space basis, one vector per free column."""
+        pivot_cols = {c: r for r, c in self.pivots}
+        basis = []
+        for j in range(self.ncols):
+            if j in pivot_cols:
                 continue
-            piv = min(cand, key=lambda i: (len(self.rows[i]), i))
-            prow = self.rows[piv]
-            paug = self.aug.get(piv, {})
-            inv = prow[col].inverse()
-            if inv != 1:
-                for j in list(prow):
-                    prow[j] = inv * prow[j]
-                for j in list(paug):
-                    paug[j] = inv * paug[j]
-            for i in list(self.incidence.get(col, ())):
-                if i == piv:
-                    continue
-                fac = -self.rows[i][col]
-                self._addmul(i, prow, paug, fac)
-            self.pivots.append((piv, col))
-            self.used_rows.add(piv)
-        return self
+            data = {j: Cyc.one()}
+            for c, r in pivot_cols.items():
+                v = self.rows[r].get(j)
+                if v is not None:
+                    data[c] = -v
+            basis.append(Vec(self.dom, data))
+        return basis
 
 
 def rank(m: LinMap) -> int:
-    return len(_Eliminator(_row_dicts(m), m.dom_dim).run().pivots)
+    return len(_Eliminator(m).pivots)
 
 
 def kernel(m: LinMap) -> list[Vec]:
     """Exact basis of the null space."""
-    elim = _Eliminator(_row_dicts(m), m.dom_dim).run()
-    pivot_cols = {c: r for r, c in elim.pivots}
-    free = [j for j in range(m.dom_dim) if j not in pivot_cols]
-    basis = []
-    for j in free:
-        data = {j: Cyc.one()}
-        for c, r in pivot_cols.items():
-            v = elim.rows[r].get(j)
-            if v is not None:
-                data[c] = -v
-        basis.append(Vec(m.dom, data))
-    return basis
+    return _Eliminator(m).kernel()
 
 
 def solve_linear(m: LinMap, b: Vec) -> tuple[Vec | None, list[Vec]]:
@@ -609,19 +560,14 @@ def solve_linear(m: LinMap, b: Vec) -> tuple[Vec | None, list[Vec]]:
     """
     if b.dims != m.cod:
         raise LegMismatch("right-hand side legs differ from codomain", b.dims, m.cod)
-    rows = _row_dicts(m)
-    aug = {i: {0: v} for i, v in b.data.items()}
-    elim = _Eliminator(rows, m.dom_dim, aug).run()
-    # inconsistency: some unused row still has an augmented entry
-    for i, arow in elim.aug.items():
-        if i not in elim.used_rows and arow and not elim.rows.get(i):
-            return None, kernel(m)
-    data = {}
-    for r, c in elim.pivots:
-        v = elim.aug.get(r, {}).get(0)
-        if v is not None:
-            data[c] = v
-    return Vec(m.dom, data), kernel(m)
+    elim = _Eliminator(m, LinMap((), m.cod, {0: b.data}))
+    ker = elim.kernel()
+    # after the full reduction a non-pivot row holds augmented entries only
+    if any(elim.rows[i] for i in elim.rows if i not in elim.used_rows):
+        return None, ker
+    n = m.dom_dim
+    return Vec(m.dom, {c: v for r, c in elim.pivots
+                       if (v := elim.rows[r].get(n)) is not None}), ker
 
 
 def _perm_sign(seq: list[int]) -> int:
@@ -643,47 +589,14 @@ def _perm_sign(seq: list[int]) -> int:
 
 
 def det(m: LinMap) -> Cyc:
-    """Exact determinant by sparse forward elimination with pivot tracking."""
+    """Exact determinant: the pivot product times the sign of the pivot rows."""
     n = m.dom_dim
     if m.cod_dim != n:
         raise LegMismatch("determinant of a non-square map")
-    live = {i: dict(r) for i, r in _row_dicts(m).items()}
-    if len(live) < n:
+    elim = _Eliminator(m)
+    if len(elim.pivots) < n:
         return Cyc.zero()
-    incidence: dict[int, set[int]] = {}
-    for k, r in live.items():
-        for j in r:
-            incidence.setdefault(j, set()).add(k)
-    acc = Cyc.one()
-    used: set[int] = set()
-    pivot_rows: list[int] = []
-    for col in range(n):
-        cand = [k for k in incidence.get(col, ()) if k not in used]
-        if not cand:
-            return Cyc.zero()
-        piv = min(cand, key=lambda k: (len(live[k]), k))
-        pval = live[piv][col]
-        acc = acc * pval
-        prow = live[piv]
-        for k in list(incidence.get(col, ())):
-            if k == piv or k in used:
-                continue
-            fac = -(live[k][col] / pval)
-            row = live[k]
-            for j, v in prow.items():
-                s = row.get(j)
-                t = fac * v if s is None else s + fac * v
-                if t.is_zero():
-                    if s is not None:
-                        del row[j]
-                        incidence[j].discard(k)
-                else:
-                    if s is None:
-                        incidence.setdefault(j, set()).add(k)
-                    row[j] = t
-        used.add(piv)
-        pivot_rows.append(piv)
-    return acc * Cyc.rational(_perm_sign(pivot_rows))
+    return elim.scale * Cyc.rational(_perm_sign([r for r, _ in elim.pivots]))
 
 
 def inverse(m: LinMap) -> LinMap:
@@ -691,14 +604,13 @@ def inverse(m: LinMap) -> LinMap:
     n = m.dom_dim
     if m.cod_dim != n:
         raise LegMismatch("inverse of a non-square map")
-    rows = _row_dicts(m)
-    aug = {i: {i: Cyc.one()} for i in range(n)}
-    elim = _Eliminator(rows, n, aug).run()
+    elim = _Eliminator(m, LinMap.identity(m.cod))
     if len(elim.pivots) < n:
         raise SingularMap(f"map of dimension {n} has rank {len(elim.pivots)}",
-                          kernel=kernel(m))
+                          kernel=elim.kernel())
     cols: dict[int, dict[int, Cyc]] = {}
     for r, c in elim.pivots:
-        for j, v in elim.aug.get(r, {}).items():
-            cols.setdefault(j, {})[c] = v
+        for j, v in elim.rows[r].items():
+            if j >= n:
+                cols.setdefault(j - n, {})[c] = v
     return LinMap(m.cod, m.dom, cols)

@@ -34,6 +34,9 @@ class GroupTable:
         self.name = name
         self.elements = tuple(elements)
         n = len(self.elements)
+        if n == 0:
+            raise ModelError(f"{name}: elements must not be empty "
+                             "(element 0 is the identity)")
         self.table = tuple(tuple(row) for row in table)
         if len(self.table) != n or any(len(r) != n for r in self.table):
             raise ModelError(f"{name}: table must be {n}x{n}")

@@ -34,7 +34,7 @@ from .errors import CheckFailure, ModelError, TierRefusal
 from .hopf import QGModel
 from .linalg import LinMap, kernel, rank
 from .models import GroupTable, build_function_algebra, builtin
-from .report import Checker, CheckRecord, ensure
+from .report import Checker, CheckRecord
 
 
 @dataclass(frozen=True)
@@ -149,16 +149,13 @@ def validate_morphism(mor: QGMorphism) -> list[CheckRecord]:
 
 # -- the dual morphism -----------------------------------------------------
 
-def build_dual_morphism(mor: QGMorphism, validate: bool = True) -> DualMorphism:
+def build_dual_morphism(mor: QGMorphism) -> DualMorphism:
     """Construct pi_hat from (pi_hat(x), a) = (x, pi(a)).
 
     With (f, a) = phi(a f) the identity reads P_src pi_hat = pi^T P_tgt,
-    solved exactly by the stored inverse pairing matrix.  With
-    validate=True the morphism axioms are checked first and any failure
-    raises.
+    solved exactly by the stored inverse pairing matrix.  The morphism
+    axioms are not checked here; run ``validate_morphism`` first.
     """
-    if validate:
-        ensure(validate_morphism(mor))
     sdd = build_dual(mor.source)
     tdd = build_dual(mor.target)
     pi_hat = sdd.haar.pmat_inv @ mor.pi.transpose() @ tdd.haar.pmat
@@ -451,13 +448,13 @@ def certify_vaes(mor: QGMorphism, dm: DualMorphism) -> list[CheckRecord]:
 def check_functoriality(inner: QGMorphism, outer: QGMorphism) -> list[CheckRecord]:
     """Duality is contravariant: identities and composites transport."""
     composed = compose_morphisms(outer, inner)
-    dmi = build_dual_morphism(inner, validate=False)
-    dmo = build_dual_morphism(outer, validate=False)
-    dmc = build_dual_morphism(composed, validate=False)
+    dmi = build_dual_morphism(inner)
+    dmo = build_dual_morphism(outer)
+    dmc = build_dual_morphism(composed)
     ck = Checker(f"{composed.label}.functorial")
     ck.exact("identity", "dual of the identity morphism is the identity",
              lambda: build_dual_morphism(
-                 identity_morphism(inner.source), validate=False).pi_hat
+                 identity_morphism(inner.source)).pi_hat
              - inner.source.idA)
     ck.exact("compose", "(pi2 o pi1)^ = pi1^ o pi2^",
              lambda: dmc.pi_hat - dmi.pi_hat @ dmo.pi_hat)

@@ -24,7 +24,8 @@ from qgcheck.duality import (build_dual, check_biduality, check_dual_modular,
                              check_hopf_star_iso, check_pentagon_and_lemmas,
                              check_radford)
 from qgcheck.gns import PAIR_CAP, T_GRID, Z_GRID, analytic_suite, build_gns
-from qgcheck.hopf import check_cancellation, verify_counit_antipode
+from qgcheck.hopf import (GALOIS_KINDS, GALOIS_TAGS, check_cancellation,
+                          galois_map, verify_counit_antipode)
 from qgcheck.linalg import LinMap, inverse, kernel
 from qgcheck.modelio import model_to_dict, parse_model
 from qgcheck.models import (BUILTIN_MODELS, GroupTable, build_group_algebra,
@@ -113,6 +114,11 @@ def test_criterion_01_hopf_validation():
         recs = check_cancellation(m) + verify_counit_antipode(m)
         all_pass(recs, name, exact=True)
         assert not any(r.status == "skip" for r in recs), name
+        id_aa = LinMap.identity(m.AA)
+        for kind in GALOIS_KINDS:
+            for tag in GALOIS_TAGS:
+                g = galois_map(m, kind + tag)
+                assert inverse(g) @ g == id_aa, (name, kind + tag)
 
 
 @criterion(2, "Haar uniqueness and positivity tiering")

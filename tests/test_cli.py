@@ -312,6 +312,17 @@ def test_build_group_matches_builtin(tmp_path):
     assert (built.coprod - reference.coprod).is_zero()
 
 
+@pytest.mark.parametrize("kind", ["function", "group", "double"])
+def test_build_group_refuses_an_empty_table(kind, tmp_path, capsys):
+    table = tmp_path / "e.json"
+    table.write_text('{"name": "e", "elements": [], "table": []}')
+    out = tmp_path / "out.json"
+    assert main(["build-group", "--table", str(table), "--kind", kind,
+                 "-o", str(out)]) == 2
+    assert "elements" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_build_taft_rejects_small_order(tmp_path, capsys):
     out = tmp_path / "t.json"
     assert main(["build-taft", "--n", "1", "-o", str(out)]) == 2

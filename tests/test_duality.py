@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from qgcheck import duality
 from qgcheck.duality import (
     AlgMultUnitary,
     bidual_map,
@@ -18,7 +19,7 @@ from qgcheck.duality import (
 )
 from qgcheck.errors import CheckFailure, ModelError
 from qgcheck.hopf import galois_map, validate_model
-from qgcheck.linalg import LinMap, Vec
+from qgcheck.linalg import LinMap, Vec, to_multi
 from qgcheck.modular import check_modular_structure
 from qgcheck.models import GroupTable, build_function_algebra, build_group_algebra
 from qgcheck.report import FAIL, Checker, ensure
@@ -183,6 +184,42 @@ def test_mult_unitary_group_permutation(model_cache):
 def test_pentagon_and_lemmas(dual_cache, name):
     dd = dual_cache(name)
     ensure(check_pentagon_and_lemmas(dd))
+
+
+def _on_legs_by_index(w, legs, d):
+    """w acting on two of three d-dimensional legs, entry by entry."""
+    entries = []
+    for j in range(d ** 3):
+        multi = to_multi(j, (d, d, d))
+        for k, v in w.column((multi[legs[0]], multi[legs[1]])).items():
+            out = list(multi)
+            out[legs[0]], out[legs[1]] = to_multi(k, (d, d))
+            entries.append((out[0] * d * d + out[1] * d + out[2], j, v))
+    return LinMap.from_entries((d, d, d), (d, d, d), entries)
+
+
+@pytest.mark.parametrize("name", ["sweedler", "taft3"])
+def test_full_pentagon_catches_a_wrong_unitary(name, dual_cache,
+                                               monkeypatch):
+    dd = dual_cache(name)
+    m, d = dd.source, dd.source.dim
+    mw = build_alg_mult_unitary(m)
+    # one wrong entry: w(e_0 (x) e_0) gains e_0 (x) e_0
+    bad = mw.w + LinMap.from_entries(m.AA, m.AA, [(0, 0, Cyc.one(1))])
+    monkeypatch.setattr(duality, "build_alg_mult_unitary",
+                        lambda model: dataclasses.replace(mw, w=bad))
+    records = {r.check_id: r for r in check_pentagon_and_lemmas(dd)}
+    pentagon = records[f"{m.name}.munitary.pentagon"]
+    assert "full matrices" in pentagon.law and pentagon.status == FAIL
+
+    i = m.idA
+    flip23 = i.tensor(m.flipA)
+    w12, w13, w23 = (_on_legs_by_index(bad, legs, d)
+                     for legs in ((0, 1), (0, 2), (1, 2)))
+    assert flip23 @ bad.tensor(i) @ flip23 == w13
+    assert (bad.tensor(i), i.tensor(bad)) == (w12, w23)
+    want = (w12 @ w13 @ w23 - w23 @ w12).max_abs()
+    assert want > 0 and pentagon.residual == want
 
 
 def test_pentagon_sampled_path(dual_cache):

@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgcheck.errors import ModelError
-from qgcheck.hopf import (check_cancellation, galois, galois_variants,
-                          solve_antipode, solve_counit, validate_model,
-                          verify_counit_antipode)
-from qgcheck.linalg import LinMap, Vec
+from qgcheck.hopf import (GALOIS_KINDS, GALOIS_TAGS, check_cancellation,
+                          galois, galois_map, solve_antipode, solve_counit,
+                          validate_model, verify_counit_antipode)
+from qgcheck.linalg import LinMap, Vec, inverse
 from qgcheck.models import GroupTable, build_broken, builtin
 from qgcheck.report import ensure
 from qgcheck.scalars import Cyc
@@ -38,13 +38,18 @@ def test_galois_oracle_functions_on_z2(model_cache):
 
 
 def test_galois_variant_count_and_cancellation(sweedler, c_s3):
-    assert len(galois_variants(sweedler)) == 16
-    ensure(check_cancellation(sweedler))
-    ensure(check_cancellation(c_s3))
+    keys = {kind + tag for kind in GALOIS_KINDS for tag in GALOIS_TAGS}
+    assert len(keys) == 16
+    for m in (sweedler, c_s3):
+        id_aa = LinMap.identity(m.AA)
+        for key in keys:
+            g = galois_map(m, key)
+            assert inverse(g) @ g == id_aa, (m.name, key)
+        ensure(check_cancellation(m))
 
 
 def test_cancellation_taft3(taft3):
-    ensure(check_cancellation(taft3, variants=False))
+    ensure(check_cancellation(taft3))
 
 
 @pytest.mark.parametrize("name", ["trivial", "c_z3", "c_z4", "cg_z2", "cg_z3",

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
+from qgcheck import linalg
 from qgcheck.errors import LegMismatch, SingularMap
 from qgcheck.gns import eigh_checked, joint_eigenbasis, span_rank
 from qgcheck.linalg import (
@@ -18,12 +19,10 @@ from qgcheck.linalg import (
     Vec,
     apply_on_legs,
     det,
-    embed_on_legs,
     inverse,
     kernel,
     rank,
     solve_linear,
-    tensor_all,
     to_multi,
 )
 from qgcheck.scalars import Cyc, _context
@@ -63,9 +62,11 @@ def test_permutation_as_composed_flips():
     # which factors as flip(1,2) after flip(2,3) on three 2-dim legs
     dims = (2, 2, 2)
     perm = LinMap.leg_permutation(dims, (1, 2, 0))
-    f23 = embed_on_legs(LinMap.flip(2, 2), [1, 2], dims)
-    f12 = embed_on_legs(LinMap.flip(2, 2), [0, 1], dims)
+    i2 = LinMap.identity((2,))
+    f23 = i2.tensor(LinMap.flip(2, 2))
+    f12 = LinMap.flip(2, 2).tensor(i2)
     assert perm == f23 @ f12
+    assert f23 == LinMap.leg_permutation(dims, (0, 2, 1))
     # entrywise against the direct index permutation
     for idx in range(8):
         i, j, k = to_multi(idx, dims)
@@ -75,11 +76,10 @@ def test_permutation_as_composed_flips():
 
 def test_disjoint_legs_commute():
     rng = random.Random(7)
-    dims = (2, 3, 2)
     a = rand_map(rng, 2, 2)
     b = rand_map(rng, 3, 3)
-    ea = embed_on_legs(a, [0], dims)
-    eb = embed_on_legs(b, [1], dims)
+    ea = a.tensor(LinMap.identity((3, 2)))
+    eb = LinMap.identity((2,)).tensor(b).tensor(LinMap.identity((2,)))
     for _ in range(10):
         v = Vec((2, 3, 2), {rng.randrange(12): Cyc.rational(Fraction(rng.randint(1, 5)))})
         assert ea.apply(eb.apply(v)) == eb.apply(ea.apply(v))
@@ -92,9 +92,16 @@ def test_apply_on_legs_matches_embedding():
     f = rand_map(rng, 2, 2, density=0.8)
     g = rand_map(rng, 3, 3, density=0.8)
     m = f.tensor(g)
-    big = embed_on_legs(m, [1, 2], dims)
+    big = LinMap.identity((2,)).tensor(m)
     v = Vec(dims, {i: Cyc.rational(Fraction(rng.randint(-3, 3))) for i in range(12)})
     assert apply_on_legs(m, [1, 2], v) == big.apply(v)
+    # legs (0, 2): h (x) 1 conjugated by 1 (x) flip, as the pentagon builds w13
+    h = rand_map(rng, 6, 6, density=0.8).relabel((2, 3), (2, 3))
+    i2 = LinMap.identity((2,))
+    h02 = i2.tensor(LinMap.flip(3, 2)) @ h.tensor(i2) @ i2.tensor(LinMap.flip(2, 3))
+    assert h02 == LinMap.leg_permutation((2, 3, 2), (0, 2, 1)) \
+        @ h.tensor(i2) @ LinMap.leg_permutation(dims, (0, 2, 1))
+    assert apply_on_legs(h, [0, 2], v) == h02.apply(v)
 
 
 def test_solve_reports_inconsistent_vs_zero_kernel():
@@ -192,7 +199,6 @@ def test_vector_ops():
     t = v.tensor(w)
     assert t.dims == (2, 2)
     assert t.get((1, 1)).rational_value() == 10
-    assert tensor_all(LinMap.identity((2,)), LinMap.identity((3,))).dom == (2, 3)
 
 
 # -- results of the trusted constructor ------------------------------------
@@ -347,7 +353,31 @@ def test_solve_linear_matches_sympy(case):
     col = _sympy_matrix(LinMap.from_entries(
         (1,), m.cod, [(i, 0, c) for i, c in b.items()]), order)
     consistent = a.hstack(col).rank() == a.rank()
-    x, _ = solve_linear(m, b)
+    x, ker = solve_linear(m, b)
     assert (x is not None) == consistent
     if x is not None:
         assert m.apply(x) == b
+    assert ker == kernel(m)
+    assert len(ker) == m.dom_dim - a.rank()
+
+
+def test_each_call_runs_one_elimination(monkeypatch):
+    built = []
+
+    class Spy(linalg._Eliminator):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(linalg, "_Eliminator", Spy)
+    singular = LinMap.from_dense((3,), (3,), [[1, 2, 0], [2, 4, 0], [0, 0, 1]])
+    b = Vec.from_list((3,), [1, 2, 5])
+    x, ker = solve_linear(singular, b)
+    assert singular.apply(x) == b and len(ker) == 1
+    assert len(built) == 1
+    with pytest.raises(SingularMap) as exc:
+        inverse(singular)
+    assert len(built) == 2
+    assert exc.value.kernel == ker
+    assert det(singular).is_zero() and det(LinMap.flip(2, 2)) == -1
+    assert len(built) == 4

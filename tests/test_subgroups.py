@@ -133,13 +133,15 @@ def test_dual_morphism_laws(mor_a3, mor_z2):
 
 
 def test_dual_morphism_laws_on_group_algebra():
-    ensure(check_dual_morphism(
-        build_dual_morphism(counit_morphism(builtin("cg_s3")))))
+    mor = counit_morphism(builtin("cg_s3"))
+    ensure(validate_morphism(mor))
+    ensure(check_dual_morphism(build_dual_morphism(mor)))
 
 
 def test_dual_morphism_laws_off_the_positive_layer():
-    dm = build_dual_morphism(counit_morphism(builtin("taft3")))
-    ensure(check_dual_morphism(dm))
+    mor = counit_morphism(builtin("taft3"))
+    ensure(validate_morphism(mor))
+    ensure(check_dual_morphism(build_dual_morphism(mor)))
 
 
 def test_expectation(mor_a3):
@@ -190,6 +192,7 @@ def test_vaes_records_on_the_frame_equal_those_on_the_full_realization(
 
 def test_vaes_preimage_record_skips_for_injective_pi():
     mor = identity_morphism(builtin("c_z3"))
+    ensure(validate_morphism(mor))
     records = certify_vaes(mor, build_dual_morphism(mor))
     ensure(records)
     rec = [r for r in records if r.check_id.endswith("preimage-independence")]
@@ -204,7 +207,7 @@ def test_vaes_flags_non_surjective_embedding():
                              [(i, i % 2, one) for i in range(4)])
     mor = QGMorphism(source, target, pi)
     assert failed_ids(validate_morphism(mor)) == {"surjective"}
-    dm = build_dual_morphism(mor, validate=False)
+    dm = build_dual_morphism(mor)
     records = certify_vaes(mor, dm)
     bad = [r for r in records if r.status == "fail"]
     assert any(r.check_id.endswith("injective") for r in bad)

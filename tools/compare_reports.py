@@ -11,28 +11,45 @@ PYTHONPATH:
   - ``subgroup --report R`` on models/restrict_a3.json, models/restrict_z2.json
     and the two morphisms that ``perfbench/inputs.py subgroup-embed`` writes
     (C(S4) -> C(A4) and C(D6) -> C(S3));
-  - ``dual -o OUT`` on models/c_z3.json and on the generated C(D6) file.
+  - ``dual -o OUT`` on models/c_z3.json and on the generated C(D6) file;
+  - ``verify MUTANT --suite algebraic --report R`` on single-entry mutants
+    of models/{sweedler,taft3,c_s3,d_z2,cg_s3,cg_z3}.json: for each of
+    ``mult``, ``coprod``, ``antipode`` and ``invol``, the middle entry of
+    that map has its first coefficient raised by 1, or lowered by 1
+    (48 files).
 
-The generated inputs are written once, by the parent checkout, into a
-temporary directory.  The script compares exit codes, report JSON with every
-``wall_ms`` removed, and dual outputs byte for byte.  It prints each
-difference and exits 1 if there is any, else 0.  It writes nothing into
-either checkout (bytecode caching is off in the child processes).
+The mutants take the FAIL paths.  Their witnesses show entry positions,
+kernel samples of singular maps (most lowered mutants make a Galois map
+or the antipode singular) and the first of several equal residuals, which
+no PASS record shows: a change that only reorders the columns of a
+product passes every PASS record but changes these witnesses.
+
+The generated inputs and the mutants are written once, from the parent
+checkout, into a temporary directory.  The script compares exit codes,
+report JSON with every ``wall_ms`` removed, and dual outputs byte for byte.
+It prints each difference and exits 1 if there is any, else 0.  It writes
+nothing into either checkout (bytecode caching is off in the child
+processes).
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 
 SEED = "1729"
 BUILTINS = ("broken", "c_s3", "c_z2", "c_z3", "c_z4", "cg_s3", "cg_z2",
             "cg_z3", "d_s3", "d_z2", "d_z3", "sweedler", "taft3", "taft4",
             "trivial")
+MUTANT_MODELS = ("sweedler", "taft3", "c_s3", "d_z2", "cg_s3", "cg_z3")
+MUTANT_FIELDS = ("mult", "coprod", "antipode", "invol")
+MUTANT_STEPS = (("up", 1), ("down", -1))
 
 
 def _env(checkout: str) -> dict:
@@ -40,7 +57,27 @@ def _env(checkout: str) -> dict:
                 PYTHONDONTWRITEBYTECODE="1")
 
 
-def jobs(models: str, generated: str) -> list[tuple[str, list[str], str]]:
+def write_mutants(models: str, out_dir: str) -> list[str]:
+    """Write the single-entry mutants of each model and field; return
+    their paths."""
+    paths = []
+    for name in MUTANT_MODELS:
+        with open(os.path.join(models, f"{name}.json")) as fh:
+            base = json.load(fh)
+        for field in MUTANT_FIELDS:
+            for label, step in MUTANT_STEPS:
+                d = copy.deepcopy(base)
+                coeffs = d[field][len(d[field]) // 2][-1]
+                coeffs[0] = str(Fraction(coeffs[0]) + step)
+                path = os.path.join(out_dir, f"{name}_{field}_{label}.json")
+                with open(path, "w") as fh:
+                    json.dump(d, fh)
+                paths.append(path)
+    return paths
+
+
+def jobs(models: str, generated: str,
+         mutants: list[str]) -> list[tuple[str, list[str], str]]:
     """(label, argv after the verb's module, kind of output) per job.
 
     The token OUT in an argv stands for the job's output file.
@@ -68,6 +105,11 @@ def jobs(models: str, generated: str) -> list[tuple[str, list[str], str]]:
     for label, path in (("c_z3", os.path.join(models, "c_z3.json")),
                         ("d6", os.path.join(generated, "d6_s3_g.json"))):
         out.append((f"dual {label}", ["dual", path, "-o", "OUT"], "dual"))
+    for path in mutants:
+        stem = os.path.splitext(os.path.basename(path))[0]
+        out.append((f"verify mutant {stem}",
+                    ["verify", path, "--suite", "algebraic", "--report",
+                     "OUT"], "report"))
     return out
 
 
@@ -124,7 +166,8 @@ def compare(parent: str, change: str) -> list[str]:
                         "subgroup-embed", generated],
                        env=_env(parent), check=True)
         models = os.path.join(parent, "models")
-        for label, argv, kind in jobs(models, generated):
+        mutants = write_mutants(models, generated)
+        for label, argv, kind in jobs(models, generated, mutants):
             results = []
             for side, checkout in (("parent", parent), ("change", change)):
                 work = os.path.join(tmp, side)
