@@ -5,8 +5,10 @@ system, so its existence and uniqueness are computed facts rather than
 inputs.  From phi we derive the right-invariant psi = phi o S, the modular
 automorphism sigma, the modular element delta, the scaling constant mu
 with phi(S^2 a) = mu phi(a), and the Gram matrix of the sesquilinear form
-phi(a* b).  Positivity of that form is compared against the model's
-declared tier; a mismatch is an error, never silently patched.
+phi(a* b).  Positivity of that form is decided exactly, by the signs of
+the pivots of its LDL* factorization over Q(zeta_N), and compared against
+the model's declared tier; a mismatch is an error, never silently
+patched.
 """
 
 from __future__ import annotations
@@ -61,7 +63,59 @@ def _invariance_system(model: QGModel, side: str) -> LinMap:
     return LinMap.from_entries((d,), (d, d), entries)
 
 
-EIG_TOL = 1e-10  # relative floor for a positive Gram eigenvalue
+def _sign(p: Cyc, what: str) -> int:
+    """Sign of a real cyclotomic number, named ``what`` in errors.
+
+    A rational value is signed by its numerator.  Any other real value is
+    signed in floating point, and only when |value| exceeds a bound on the
+    rounding error of ``to_complex``: each of its terms nums[j]/den *
+    zeta^j is off by at most a few ulps per power of zeta, so
+    order * 2^-44 * sum|nums| / den leaves a wide margin.
+    """
+    if p.is_rational():
+        return (p.nums[0] > 0) - (p.nums[0] < 0)
+    value = p.to_complex().real
+    bound = p.order * sum(map(abs, p.nums)) / p.den * 2.0 ** -44
+    if abs(value) <= bound:
+        raise ModelError(f"cannot sign {what} = {p!r}: its float value "
+                         f"{value:.3e} is within the rounding bound "
+                         f"{bound:.1e}")
+    return 1 if value > 0 else -1
+
+
+def positive_definite(m: LinMap) -> bool:
+    """Whether a Hermitian matrix is positive definite, decided exactly.
+
+    Symmetric Gaussian elimination in index order (the LDL* factorization)
+    on sparse rows: the k-th pivot is the ratio of the k-th and (k-1)-th
+    leading principal minors, so the matrix is positive definite exactly
+    when every pivot is real and greater than 0.  Raises ModelError naming
+    the pivot whose sign floating point cannot decide.  The caller checks
+    that m is Hermitian.
+    """
+    rows: dict[int, dict[int, Cyc]] = {}
+    for i, j, v in m.entries():
+        rows.setdefault(i, {})[j] = v
+    for k in range(m.cod_dim):
+        prow = rows.get(k, {})
+        p = prow.pop(k, None)
+        if p is None or not p.is_real() or _sign(p, f"pivot {k}") <= 0:
+            return False
+        inv = p.inverse()
+        for i, f in prow.items():
+            if i <= k:
+                continue
+            row = rows.setdefault(i, {})
+            factor = f.conj() * inv
+            for j, v in prow.items():
+                if j > k:
+                    t = row.get(j)
+                    t = -factor * v if t is None else t - factor * v
+                    if t.is_zero():
+                        row.pop(j, None)
+                    else:
+                        row[j] = t
+    return True
 
 
 def solve_haar(model: QGModel) -> HaarData:
@@ -137,12 +191,10 @@ def _solve_haar(model: QGModel) -> HaarData:
         ((i, j, phi(model.mul(model.bar(model.basis_vec(i)),
                               model.basis_vec(j))).get(0))
          for i in range(d) for j in range(d)))
-    if gram == gram.adjoint():
-        import numpy as np
-        eigs = np.linalg.eigvalsh(gram.to_numpy())
-        gram_positive = bool(eigs.min() > EIG_TOL * max(1.0, eigs.max()))
-    else:
-        gram_positive = False
+    try:
+        gram_positive = gram == gram.adjoint() and positive_definite(gram)
+    except ModelError as e:
+        raise ModelError(f"{model.name}: Gram matrix phi(a* b): {e}") from e
     if gram_positive != model.positive:
         raise ModelError(
             f"{model.name}: declared positive={model.positive} but the form "

@@ -251,21 +251,46 @@ def check_expectation(dm: DualMorphism) -> list[CheckRecord]:
     """pi, read on convolution algebras, averages over the subgroup.
 
     The identity pi(pi_hat(x) * u * pi_hat(y)) = x * pi(u) * y is checked
-    as one exact map identity on the triple tensor space.  The companion
+    one basis triple (x, u, y) at a time, and the nonzero differences form
+    a map on the triple tensor space (k, n, k).  Its columns come in the
+    order of the composed form pi o m o (m (x) id) o (pi_hat (x) id (x)
+    pi_hat) minus m o (m (x) id) o (id (x) pi (x) id), so a failure names
+    the same entry, but no map with n^3 columns is built.  The companion
     record documents that pi need not intertwine the convolution
     involutions: the outcome is reported, never required.
     """
     mor = dm.morphism
+    src, tgt, pi = mor.source, mor.target, mor.pi
     dg, dh = dm.source_duality.dual, dm.target_duality.dual
-    id_g, id_h = mor.source.idA, mor.target.idA
+    n, k = src.dim, tgt.dim
     ck = Checker(f"{mor.label}.expectation")
 
     def both_sides():
-        lhs = (mor.pi @ dg.mult @ dg.mult.tensor(id_g)
-               @ dm.pi_hat.tensor(id_g).tensor(dm.pi_hat))
-        rhs = (dh.mult @ dh.mult.tensor(id_h)
-               @ id_h.tensor(mor.pi).tensor(id_h))
-        return lhs - rhs
+        # composed order: left columns by pi_hat's columns, u ascending;
+        # columns the left side leaves zero follow in the right's order
+        xs = list(dm.pi_hat.cols) + [x for x in range(k)
+                                     if x not in dm.pi_hat.cols]
+        hat = {x: dm.pi_hat.column(x) for x in xs}
+        u_pos = {u: p for p, u in enumerate(pi.cols)}
+        cols, late = {}, {}
+        for x in xs:
+            xv = tgt.basis_vec(x)
+            for u in range(n):
+                uv = src.basis_vec(u)
+                left_xu = dg.mul(hat[x], uv)
+                right_xu = dh.mul(xv, pi(uv))
+                for y in xs:
+                    left = pi(dg.mul(left_xu, hat[y]))
+                    diff = left - dh.mul(right_xu, tgt.basis_vec(y))
+                    if diff.data:
+                        j = (x * n + u) * k + y
+                        if left.data:
+                            cols[j] = diff.data
+                        else:
+                            late[(x, u_pos[u], y)] = (j, diff.data)
+        for _, (j, col) in sorted(late.items()):
+            cols[j] = col
+        return LinMap(dm.pi_hat.dom + src.A + dm.pi_hat.dom, tgt.A, cols)
 
     ck.exact("bimodule", "pi(pi_hat(x) * u * pi_hat(y)) = x * pi(u) * y",
              both_sides)

@@ -413,6 +413,21 @@ _EXACT_ONLY.update({
                     "with contextlib.redirect_stdout(io.StringIO()):\n"
                     f"    rc = main(['verify', '{m}', '--suite', 'all'])")
     for m in ("taft4", "taft3", "broken")})
+# positive models: the exact Gram positivity test runs, without numpy
+_EXACT_ONLY.update({
+    "verify-c_s3-algebraic": (
+        "import contextlib, io\n"
+        "from qgcheck.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = main(['verify', 'c_s3', '--suite', 'algebraic'])"),
+    "dual-c_s3": (
+        "import contextlib, io, os, tempfile\n"
+        "from qgcheck.cli import main\n"
+        "with tempfile.TemporaryDirectory() as d, "
+        "contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    rc = main(['dual', {model_path('c_s3')!r}, "
+        "'-o', os.path.join(d, 'dual.json')])"),
+})
 
 
 @pytest.mark.parametrize("case", sorted(_EXACT_ONLY))
@@ -422,8 +437,27 @@ def test_exact_tier_work_does_not_import_numpy(case):
         "print(json.dumps({'numpy': 'numpy' in sys.modules, "
         "'rc': globals().get('rc')}))")
     assert out["numpy"] is False
-    if case.startswith("verify-"):
+    if case.startswith(("verify-", "dual-")):
         assert out["rc"] == (1 if case == "verify-broken" else 0)
+
+
+def test_subgroup_loads_numpy_only_in_the_certificate():
+    out = _fresh_python(
+        "import contextlib, io, json, sys\n"
+        "from qgcheck import cli\n"
+        "seen = []\n"
+        "certify = cli.certify_vaes\n"
+        "def wrapped(*args):\n"
+        "    seen.append('numpy' in sys.modules)\n"
+        "    return certify(*args)\n"
+        "cli.certify_vaes = wrapped\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    rc = cli.main(['subgroup', '--g', {model_path('c_s3')!r}, "
+        f"'--h', {model_path('c_z3')!r}, "
+        f"'--map', {str(MODELS_DIR / 'restrict_a3.json')!r}])\n"
+        "print(json.dumps({'seen': seen, 'rc': rc, "
+        "'after': 'numpy' in sys.modules}))")
+    assert out == {"seen": [False], "rc": 0, "after": True}
 
 
 def test_analytic_suite_loads_numpy_and_passes(tmp_path):

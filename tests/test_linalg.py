@@ -25,6 +25,7 @@ from qgcheck.linalg import (
     solve_linear,
     to_multi,
 )
+from qgcheck.report import Checker
 from qgcheck.scalars import Cyc, _context
 from test_scalars import _phi, _poly
 
@@ -151,6 +152,28 @@ def test_det_and_inverse_exact():
     assert det(p) == 1  # two 3-cycles on the 8 basis vectors: even
     assert det(LinMap.flip(2, 2)).rational_value() == -1  # a single transposition
     assert det(LinMap.flip(2, 3)).rational_value() == -1  # one 4-cycle: odd
+
+
+def test_kernel_and_inverse_entry_order():
+    """Witnesses print kernel vectors and inverse columns in dict order,
+    so that order is part of every report and is pinned here."""
+    singular = LinMap.from_dense((3,), (3,), [[1, 2, 3], [4, 5, 6],
+                                              [7, 8, 9]])
+    (v,) = kernel(singular)
+    # the free column first, then the pivot columns in column order
+    assert list(v.data.items()) == [(2, 1), (0, 1), (1, -2)]
+    record = Checker().exact("inverse", "", lambda: inverse(singular))
+    assert record.witness == ("map of dimension 3 has rank 2 "
+                              "(kernel sample: {2: 1, 0: 1, 1: -2})")
+    # rows of equal length: the lowest index pivots, which sets the
+    # column order; rows within a column follow the pivot columns
+    inv = inverse(LinMap.from_dense((3,), (3,), [[2, 1, 1], [1, 3, 2],
+                                                 [1, 1, 4]]))
+    f = Fraction
+    assert [(j, list(col.items())) for j, col in inv.cols.items()] == [
+        (0, [(0, f(5, 8)), (1, f(-1, 8)), (2, f(-1, 8))]),
+        (1, [(0, f(-3, 16)), (1, f(7, 16)), (2, f(-1, 16))]),
+        (2, [(0, f(-1, 16)), (1, f(-3, 16)), (2, f(5, 16))])]
 
 
 def test_det_known_values():

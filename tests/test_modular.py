@@ -1,14 +1,18 @@
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qgcheck.errors import ModelError
 from qgcheck.linalg import LinMap
-from qgcheck.modular import check_modular_structure, solve_haar
+from qgcheck.modular import (check_modular_structure, positive_definite,
+                             solve_haar)
 from qgcheck.models import GroupTable, build_function_algebra, builtin
 from qgcheck.report import ensure
-from qgcheck.scalars import Cyc
+from qgcheck.scalars import Cyc, cyclotomic_polynomial
 
 
 @pytest.fixture(scope="module")
@@ -115,3 +119,77 @@ def test_invariance_kernel_on_two_point_space():
     h = solve_haar(m)
     half = Cyc.rational(Fraction(1, 2))
     assert [h.phi.entry(0, j) for j in range(2)] == [half, half]
+
+
+# -- exact positivity of Hermitian matrices ----------------------------------
+
+
+def _matrix(rows) -> LinMap:
+    n = len(rows)
+    return LinMap.from_dense((n,), (n,), rows)
+
+
+@st.composite
+def hermitian_matrices(draw):
+    """Hermitian matrices of size <= 5 over Q(zeta_N) with small entries:
+    either raw (real diagonal a + conj(a)) or a shifted Gram matrix
+    B* B - t I, so definite, semidefinite and indefinite cases all occur.
+    N = 5 and 8 carry real elements such as 2cos(2 pi/5) and sqrt(2), so
+    their pivots need not be rational."""
+    order = draw(st.sampled_from([1, 3, 4, 5, 8]))
+    deg = len(cyclotomic_polynomial(order)) - 1
+    size = draw(st.integers(1, 5))
+
+    def elem():
+        return Cyc(order, [Fraction(draw(st.integers(-3, 3)),
+                                    draw(st.integers(1, 2)))
+                           for _ in range(deg)])
+
+    if draw(st.booleans()):
+        rows = [[None] * size for _ in range(size)]
+        for i in range(size):
+            a = elem()
+            rows[i][i] = a + a.conj()
+            for j in range(i + 1, size):
+                rows[i][j] = elem()
+                rows[j][i] = rows[i][j].conj()
+        return _matrix(rows)
+    b = _matrix([[elem() for _ in range(size)] for _ in range(size)])
+    shift = draw(st.sampled_from([0, Fraction(1, 2), 1, 3]))
+    return b.adjoint() @ b - LinMap.identity((size,)).scale(shift)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hermitian_matrices())
+def test_positive_definite_matches_eigvalsh(m):
+    assert m == m.adjoint()
+    eigs = np.linalg.eigvalsh(m.to_numpy())
+    scale = float(np.abs(eigs).max())
+    assume(abs(eigs.min()) > 1e-6 * scale)
+    assert positive_definite(m) == bool(eigs.min() > 0)
+
+
+def test_positive_definite_fixed_cases():
+    i = Cyc.zeta(4)
+    # positive diagonal, but indefinite: pivots 1, -3
+    assert not positive_definite(_matrix([[1, 2], [2, 1]]))
+    # zero first pivot
+    assert not positive_definite(_matrix([[0, 1], [1, 0]]))
+    # over Q(i): pivots 2, 3/2
+    assert positive_definite(_matrix([[2, i], [-i, 2]]))
+
+
+def test_positive_definite_signs_irrational_pivots():
+    sqrt2 = Cyc.zeta(8) + Cyc.zeta(8, 7)
+    assert positive_definite(_matrix([[sqrt2, 1], [1, 1]]))
+    assert not positive_definite(_matrix([[1, 1], [1, sqrt2 - 1]]))
+    assert not positive_definite(_matrix([[-sqrt2]]))
+
+
+def test_positive_definite_refuses_a_pivot_below_rounding():
+    # sqrt(2) minus a continued-fraction convergent: |value| < 1e-14
+    sqrt2 = Cyc.zeta(8) + Cyc.zeta(8, 7)
+    tiny = sqrt2 - Cyc.rational(Fraction(22619537, 15994428), 8)
+    assert tiny.is_real() and not tiny.is_rational()
+    with pytest.raises(ModelError, match="pivot 1"):
+        positive_definite(_matrix([[1, 0], [0, tiny]]))

@@ -1,12 +1,16 @@
 """Morphisms, dual morphisms, the expectation and the subgroup certificate."""
 
+import dataclasses
+from pathlib import Path
+
 import pytest
 
 from qgcheck import gns
 from qgcheck.errors import ModelError
 from qgcheck.linalg import LinMap
+from qgcheck.modelio import parse_model, parse_morphism
 from qgcheck.models import GroupTable, build_function_algebra, builtin
-from qgcheck.report import ensure
+from qgcheck.report import _diff_witness, ensure
 from qgcheck.subgroups import (
     QGMorphism,
     build_dual_morphism,
@@ -47,6 +51,21 @@ def mor_a3(s3):
 @pytest.fixture(scope="module")
 def mor_z2(s3):
     return restriction_morphism(s3, [0, first_of_order(s3, 2)])
+
+
+MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
+
+
+def dihedral(n):
+    """The dihedral group of order 2n on elements r^a s^b, index a + n*b."""
+    def mul(i, j):
+        a, b, c, d = i % n, i // n, j % n, j // n
+        return (a + (c if b == 0 else -c)) % n + n * ((b + d) % 2)
+    labels = tuple(f"r{a}" + ("s" if b else "") for b in range(2)
+                   for a in range(n))
+    return GroupTable(f"d{n}", labels,
+                      [[mul(i, j) for j in range(2 * n)]
+                       for i in range(2 * n)])
 
 
 def failed_ids(records):
@@ -150,6 +169,65 @@ def test_expectation(mor_a3):
     caveat = [r for r in records if r.check_id.endswith("involution-caveat")]
     assert caveat and caveat[0].status == "skip"
     assert "does" in caveat[0].witness
+
+
+def composed_bimodule(dm):
+    """The bimodule difference composed on the triple tensor space, as a
+    test oracle for the streamed record."""
+    mor = dm.morphism
+    dg, dh = dm.source_duality.dual, dm.target_duality.dual
+    id_g, id_h = mor.source.idA, mor.target.idA
+    lhs = (mor.pi @ dg.mult @ dg.mult.tensor(id_g)
+           @ dm.pi_hat.tensor(id_g).tensor(dm.pi_hat))
+    rhs = (dh.mult @ dh.mult.tensor(id_h)
+           @ id_h.tensor(mor.pi).tensor(id_h))
+    return lhs - rhs
+
+
+def restrict_a3_file():
+    source = parse_model(str(MODELS_DIR / "c_s3.json"))
+    target = parse_model(str(MODELS_DIR / "c_z3.json"))
+    return parse_morphism(str(MODELS_DIR / "restrict_a3.json"), source,
+                          target)
+
+
+def restrict_d6_s3():
+    return restriction_morphism(dihedral(6), [0, 2, 4, 6, 8, 10])
+
+
+@pytest.mark.parametrize("make", [restrict_a3_file, restrict_d6_s3])
+@pytest.mark.parametrize("change", ["negate", "zero", "move"])
+def test_streamed_bimodule_matches_composed_oracle(make, change):
+    dm = build_dual_morphism(make())
+    assert composed_bimodule(dm).is_zero()
+    record = check_expectation(dm)[0]
+    assert record.check_id.endswith(".bimodule")
+    assert record.status == "pass" and record.residual == 0.0
+    # pi_hat changed: the same residual and witness.  Negating column a
+    # leaves the triples (a, u, a) intact, so the largest differences
+    # tie across triples of different x and y, and the witness pins
+    # their order.  Zeroing column a empties the composed left side on
+    # every triple with x = a or y = a; those differences come after all
+    # others.  Moving the entry of column a to a row outside the image
+    # of pi_hat empties the left side only for some u, so differences
+    # of both kinds tie, and the left-empty ones still come last.
+    cols = {j: dict(col) for j, col in dm.pi_hat.cols.items()}
+    a = sorted(cols)[1]
+    if change == "negate":
+        cols[a] = {i: -v for i, v in cols[a].items()}
+    elif change == "zero":
+        cols[a] = {}
+    else:
+        (value,) = cols[a].values()
+        image = {i for col in cols.values() for i in col}
+        cols[a] = {min(set(range(dm.pi_hat.cod_dim)) - image): value}
+    bad = dataclasses.replace(
+        dm, pi_hat=LinMap(dm.pi_hat.dom, dm.pi_hat.cod, cols))
+    residual, witness = _diff_witness(composed_bimodule(bad))
+    record = check_expectation(bad)[0]
+    assert record.status == "fail"
+    assert (record.residual, record.witness) == (residual, witness)
+    assert witness.startswith("entry (")
 
 
 def test_vaes_certificate(mor_a3, mor_z2):

@@ -11,7 +11,9 @@ PYTHONPATH:
   - ``subgroup --report R`` on models/restrict_a3.json, models/restrict_z2.json
     and the two morphisms that ``perfbench/inputs.py subgroup-embed`` writes
     (C(S4) -> C(A4) and C(D6) -> C(S3));
-  - ``dual -o OUT`` on models/c_z3.json and on the generated C(D6) file;
+  - ``dual -o OUT`` on models/c_z3.json and on the generated C(D6) and
+    C(S4) files (at dim 24, C(S4) has the largest positive Gram matrix
+    whose positivity a benchmark workload decides);
   - ``verify MUTANT --suite algebraic --report R`` on single-entry mutants
     of models/{sweedler,taft3,c_s3,d_z2,cg_s3,cg_z3}.json: for each of
     ``mult``, ``coprod``, ``antipode`` and ``invol``, the middle entry of
@@ -103,7 +105,8 @@ def jobs(models: str, generated: str,
                     ["subgroup", "--g", g, "--h", h, "--map", mapfile,
                      "--report", "OUT"], "report"))
     for label, path in (("c_z3", os.path.join(models, "c_z3.json")),
-                        ("d6", os.path.join(generated, "d6_s3_g.json"))):
+                        ("d6", os.path.join(generated, "d6_s3_g.json")),
+                        ("s4", os.path.join(generated, "s4_a4_g.json"))):
         out.append((f"dual {label}", ["dual", path, "-o", "OUT"], "dual"))
     for path in mutants:
         stem = os.path.splitext(os.path.basename(path))[0]
