@@ -41,8 +41,7 @@ __version__ = "0.1.0"
 # The float tier loads numpy, so its names are imported on first access
 # (PEP 562); exact-tier work through this package never loads it.
 _GNS_NAMES = frozenset({
-    "GnsFrame", "GnsRealization", "Tolerances", "analytic_suite",
-    "build_gns", "build_gns_frame",
+    "GnsRealization", "Tolerances", "analytic_suite", "build_gns",
     "check_commutation_relations", "check_coproduct_implementation",
     "check_invariance_and_kms", "check_kac_triviality",
     "check_modular_groups", "check_power_calculus", "check_regular_reps",
@@ -59,15 +58,13 @@ def __getattr__(name: str):
 
 __all__ = [
     "AlgMultUnitary", "BUILTIN_MODELS", "CheckFailure", "CheckRecord",
-    "Checker", "Cyc", "DualMorphism", "Duality", "GnsFrame",
-    "GnsRealization",
+    "Checker", "Cyc", "DualMorphism", "Duality", "GnsRealization",
     "GroupTable", "HaarData", "LegMismatch", "LinMap", "ModelError",
     "ParseError", "QGError", "QGModel", "QGMorphism", "Report",
     "SingularMap", "TierRefusal", "Tolerances", "Vec", "analytic_suite",
     "bidual_map",
     "build_alg_mult_unitary", "build_drinfeld_double", "build_dual",
     "build_dual_morphism", "build_function_algebra", "build_gns",
-    "build_gns_frame",
     "build_group_algebra", "build_sweedler", "build_taft", "builtin",
     "certify_vaes", "check_biduality", "check_cancellation",
     "check_commutation_relations", "check_convolution_compat",

@@ -13,10 +13,8 @@ checked Hermitian eigendecompositions, numeric ranks of matrix spans,
 joint eigenbases) live here too.  This is the only library module that
 imports numpy at load time, so exact-tier work never loads it.
 
-The construction runs in two stages.  ``build_gns_frame(model, tol)``
-builds the GNS frame and the convolution table, which is all the left
-regular representation of the dual needs; ``build_gns(model, tol, seed)``
-extends it with m, W and the modular layer, and keeps one frozen
+``build_gns(model, tol, seed)`` builds the GNS frame, both regular
+representations, W and the modular layer, and keeps one frozen
 ``Tolerances`` value and one sampling seed on the realization, where
 every check reads them.  The layer refuses to run unless the scaling
 constant is 1 (the exact test ``modular.require_unit_scaling``) and the
@@ -209,14 +207,16 @@ class PositiveOperatorCalculus:
 
 
 @dataclass
-class GnsFrame:
-    """The GNS frame of the invariant state and the convolution table.
+class GnsRealization:
+    """The invariant-state GNS space with both regular representations.
 
     lam is the matrix of the GNS map, so Lambda(f) = lam @ coords(f), and
     frame = lam^-1 satisfies frame^H gram frame = I.  conv is the float
-    convolution product of the memoized dual; conv_of reads the left
-    regular representation of the convolution algebra off it, which is
-    all the subgroup certificate's float records need.
+    convolution product of the memoized dual.  The realization carries the
+    multiplication representation m, the convolution representation lambda,
+    the multiplicative unitary W and the modular layer.  Antilinear
+    operators (T, K, J) are stored through their linear parts: the
+    operator sends v to mat @ conj(v).
     """
 
     model: QGModel
@@ -228,31 +228,6 @@ class GnsFrame:
     frame: np.ndarray
     lam: np.ndarray
     conv: np.ndarray
-
-    def coords(self, v) -> np.ndarray:
-        if isinstance(v, Vec):
-            return v.to_numpy()
-        return np.asarray(v, dtype=complex)
-
-    def conv_lmul_np(self, x) -> np.ndarray:
-        d = self.dim
-        return np.einsum("kij,i->kj", self.conv.reshape(d, d, d), self.coords(x))
-
-    def conv_of(self, v) -> np.ndarray:
-        """The convolution representation lambda(v) of an element."""
-        return self.lam @ self.conv_lmul_np(v) @ self.frame
-
-
-@dataclass
-class GnsRealization(GnsFrame):
-    """The invariant-state GNS space with both regular representations.
-
-    Extends the frame with the multiplication representation m, the
-    multiplicative unitary W and the modular layer.  Antilinear operators
-    (T, K, J) are stored through their linear parts: the operator sends v
-    to mat @ conj(v).
-    """
-
     seed: int  # seeds the sampled pair and vector families
     m_rep: list[np.ndarray]
     lambda_rep: list[np.ndarray]
@@ -290,6 +265,19 @@ class GnsRealization(GnsFrame):
     calculi: dict[str, PositiveOperatorCalculus] = field(default_factory=dict)
 
     # -- element helpers ----------------------------------------------------
+
+    def coords(self, v) -> np.ndarray:
+        if isinstance(v, Vec):
+            return v.to_numpy()
+        return np.asarray(v, dtype=complex)
+
+    def conv_lmul_np(self, x) -> np.ndarray:
+        d = self.dim
+        return np.einsum("kij,i->kj", self.conv.reshape(d, d, d), self.coords(x))
+
+    def conv_of(self, v) -> np.ndarray:
+        """The convolution representation lambda(v) of an element."""
+        return self.lam @ self.conv_lmul_np(v) @ self.frame
 
     def lmul_np(self, a) -> np.ndarray:
         d = self.dim
@@ -361,15 +349,19 @@ def _chol_frame(gram: np.ndarray, what: str,
     return lam, frame
 
 
-def build_gns_frame(model: QGModel,
-                    tol: Tolerances = Tolerances()) -> GnsFrame:
-    """The GNS frame of the invariant state, and nothing more.
+def build_gns(model: QGModel, tol: Tolerances = Tolerances(),
+              seed: int = SAMPLE_SEED) -> GnsRealization:
+    """GNS realization of the invariant state, W and the modular layer.
 
     Refuses (TierRefusal) when the scaling constant differs from 1, when
     the Gram matrix phi(conj(e_i) e_j) is not Hermitian or not positive
-    definite, and when the frame fails to reproduce the Gram matrix
-    within ``tol``.  Builds no multiplicative unitary and no modular
-    operator.
+    definite, when the frame fails to reproduce the Gram matrix within
+    ``tol``, when the multiplication representation is not faithful, or
+    when W fails unitarity, since the analytic layer is built under those
+    standing assumptions; the modular layer raises CheckFailure when a
+    defining action or a spectrum fails.  The construction asserts with
+    ``tol``; the realization keeps ``tol`` and ``seed`` for the checks run
+    on it.
     """
     haar = require_unit_scaling(model)
     gram = haar.gram.to_numpy()
@@ -378,28 +370,11 @@ def build_gns_frame(model: QGModel,
         raise TierRefusal(f"{model.name}: GNS inner product does not "
                           "reproduce the Gram matrix")
     dual = build_dual(model)
-    return GnsFrame(model=model, haar=haar, dual=dual, dim=model.dim, tol=tol,
-                    gram=gram, frame=frame, lam=lam,
-                    conv=dual.dual.mult.to_numpy())
-
-
-def build_gns(model: QGModel, tol: Tolerances = Tolerances(),
-              seed: int = SAMPLE_SEED) -> GnsRealization:
-    """GNS realization of the invariant state, plus W and the modular layer.
-
-    Starts from ``build_gns_frame`` and keeps its refusals.  It refuses
-    further (TierRefusal) when the multiplication representation is not
-    faithful or W fails unitarity, since the analytic layer is built
-    under those standing assumptions; the modular layer raises
-    CheckFailure when a defining action or a spectrum fails.  The
-    construction asserts with ``tol``; the realization keeps ``tol`` and
-    ``seed`` for the checks run on it.
-    """
-    base = build_gns_frame(model, tol)
-    haar, d = base.haar, base.dim
-    dm, dh = base.dual.dual, base.dual.dual_haar
+    d = model.dim
+    dm, dh = dual.dual, dual.dual_haar
     gns = GnsRealization(
-        **vars(base), seed=seed,
+        model=model, haar=haar, dual=dual, dim=d, tol=tol, gram=gram,
+        frame=frame, lam=lam, conv=dm.mult.to_numpy(), seed=seed,
         m_rep=[], lambda_rep=[], w=np.eye(d * d),
         w_alg=np.eye(d * d), w_alg_inv=np.eye(d * d),
         mult=model.mult.to_numpy(), coprod=model.coprod.to_numpy(),
@@ -425,8 +400,8 @@ def build_gns(model: QGModel, tol: Tolerances = Tolerances(),
     mw = build_alg_mult_unitary(model)
     gns.w_alg = mw.w.to_numpy()
     gns.w_alg_inv = mw.w_inv.to_numpy()
-    lam2 = np.kron(base.lam, base.lam)
-    frame2 = np.kron(base.frame, base.frame)
+    lam2 = np.kron(lam, lam)
+    frame2 = np.kron(frame, frame)
     gns.w = lam2 @ gns.w_alg @ frame2
     defect = unitarity_defect(gns.w)
     if defect > tol.identity:

@@ -13,6 +13,8 @@ matrices live in ``gns``.
 their results off one exact reduced-row-echelon pass (``_Eliminator``); the
 right-hand sides of a solve or an inversion are augmented columns held in
 the same sparse rows as the map, so one row update serves both.
+``minimal_polynomial`` reads the first linear dependency among the powers
+of a map off ``kernel``.
 """
 
 from __future__ import annotations
@@ -614,3 +616,25 @@ def inverse(m: LinMap) -> LinMap:
             if j >= n:
                 cols.setdefault(j - n, {})[c] = v
     return LinMap(m.cod, m.dom, cols)
+
+
+def minimal_polynomial(m: LinMap) -> list[Cyc]:
+    """Coefficients c_0, ..., c_d = 1 of the minimal polynomial of m.
+
+    The first linear dependency among I, m, m^2, ...: at the first degree
+    d whose flattened power depends on the lower ones, the kernel is one
+    vector, and its free column d carries the coefficient 1.  By
+    Cayley-Hamilton, d <= n.
+    """
+    n = m.dom_dim
+    if m.cod_dim != n:
+        raise LegMismatch("minimal polynomial of a non-square map")
+    power = LinMap.identity(m.dom)
+    cols: dict[int, dict[int, Cyc]] = {}
+    for d in range(n + 1):
+        cols[d] = {i * n + j: v for i, j, v in power.entries()}
+        ker = kernel(LinMap((d + 1,), (n * n,), cols))
+        if ker:
+            return [ker[0].get(c) for c in range(d + 1)]
+        power = m @ power
+    raise AssertionError("unreachable by Cayley-Hamilton")

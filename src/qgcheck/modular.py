@@ -209,8 +209,9 @@ def _solve_haar(model: QGModel) -> HaarData:
 def require_unit_scaling(model: QGModel) -> HaarData:
     """The model's Haar data, or TierRefusal when mu differs from 1.
 
-    mu = 1 is a standing assumption of the analytic (float) tier; this
-    exact test is how that tier refuses a model before loading numpy.
+    mu = 1 is a standing assumption of the analytic (float) tier and of
+    the representation-level records of the subgroup certificate; this
+    exact test is how both refuse a model before any float work.
     """
     haar = solve_haar(model)
     mu = haar.mu

@@ -20,11 +20,10 @@ composing pi_hat with the convolution representation of the large model
 is an injective *-homomorphism, so the small convolution algebra sits
 inside the large one with matching operator norms.
 
-Everything is exact arithmetic except the functional identity and the
-representation-level records.  The latter run on the float GNS frame of
-each model (the left regular representation of its convolution algebra)
-and are skipped, with the refusal reason, for models outside that
-frame's standing assumptions.
+Everything is exact arithmetic over Q(zeta_N), the representation-level
+records included: they read the left regular representation of each
+convolution algebra in coordinates, with the Gram form of phi as the
+inner product, so the module imports neither numpy nor the GNS layer.
 """
 
 from dataclasses import dataclass
@@ -32,8 +31,10 @@ from dataclasses import dataclass
 from .duality import Duality, build_dual
 from .errors import CheckFailure, ModelError, TierRefusal
 from .hopf import QGModel
-from .linalg import LinMap, kernel, rank
+from .linalg import (LinMap, Vec, inverse, kernel, minimal_polynomial, rank,
+                     solve_linear)
 from .models import GroupTable, build_function_algebra, builtin
+from .modular import require_unit_scaling
 from .report import Checker, CheckRecord
 
 
@@ -307,34 +308,27 @@ def check_expectation(dm: DualMorphism) -> list[CheckRecord]:
 def certify_vaes(mor: QGMorphism, dm: DualMorphism) -> list[CheckRecord]:
     """Certify the closed-subgroup embedding of convolution algebras.
 
-    Exact records: pi_hat respects convolution products, adjoints and
-    units; pi_hat has zero kernel; both pairing forms separate points;
+    Every record is exact.  pi_hat respects convolution products, adjoints
+    and units; pi_hat has zero kernel; both pairing forms separate points;
     the evaluation functionals are preimage-independent, meaning
-    counit(pi_hat(x) * v) = 0 for v in the kernel of pi.
+    counit(pi_hat(x) * v) = 0 for v in the kernel of pi; and the functional
+    identity counit_tgt(x * a) = counit_src(pi_hat(x) * b) holds for the
+    preimage b of a that ``solve_linear`` returns.
 
-    Float records: the functional identity
-    counit_tgt(x * a) = counit_src(pi_hat(x) * b) holds for the
-    minimal-norm preimage b of a, and the composite
-    x |-> lambda_src(pi_hat(x)) is a unital injective *-homomorphism
-    whose operator norms match those of lambda_tgt(x).  The records
-    represented, represented-injective and norm-transport read only the
-    left regular representation lambda of the convolution algebras
-    (Vaes's sense), so each model gets a ``gns.build_gns_frame`` and no
-    multiplicative unitary or modular operator is built.  They are
-    skipped with the refusal reason when a frame refuses: mu != 1, or a
-    Gram matrix that is not Hermitian, not positive definite or not
-    reproduced by the frame.  W's unitarity, the faithfulness of m and
-    the modular layer are refusals of the analytic suite only, so they
-    cannot end a subgroup run.  Float records use the default
-    ``gns.Tolerances()``.
-    numpy and the GNS layer are imported here, when the float records run.
+    The records represented, represented-injective and norm-transport read
+    the left regular representation lambda(v) = L_v of each convolution
+    algebra (Vaes's sense) in coordinates, where the GNS inner product is
+    the Gram form G = [phi(e_i* e_j)] and the Hilbert adjoint of T is
+    G^-1 T^H G.  x |-> lambda_src(pi_hat(x)) is a unital *-homomorphism
+    (G L(x^#) = L(x)^H G) of rank k; and for each basis x the operators
+    lambda(pi_hat(x))^dagger lambda(pi_hat(x)) and lambda(x)^dagger
+    lambda(x), self-adjoint for a positive-definite G and so
+    diagonalizable, have equal minimal polynomials, hence equal spectra
+    and equal operator norms.  These three are skipped with the refusal
+    reason when either model has mu != 1 (``require_unit_scaling``) or a
+    Gram form that is not positive definite.
     """
-    import numpy as np
-
-    from . import gns
-
     src, tgt, pi = mor.source, mor.target, mor.pi
-    tol = gns.Tolerances()
     dg, dh = dm.source_duality.dual, dm.target_duality.dual
     n, k = src.dim, tgt.dim
     ck = Checker(f"{mor.label}.vaes")
@@ -363,11 +357,13 @@ def certify_vaes(mor: QGMorphism, dm: DualMorphism) -> list[CheckRecord]:
              lambda: haar_h.pmat @ haar_h.pmat_inv - tgt.idA)
 
     ker_pi = kernel(pi)
+    x_basis = [tgt.basis_vec(x) for x in range(k)]
+    hat_basis = [dm.pi_hat(xv) for xv in x_basis]
 
     def preimage_free():
         for v in ker_pi:
             for x in range(k):
-                val = src.counit_of(dg.mul(dm.pi_hat(tgt.basis_vec(x)), v))
+                val = src.counit_of(dg.mul(hat_basis[x], v))
                 if not val.is_zero():
                     raise CheckFailure(
                         f"counit(pi_hat(e_{x}) * v) = {val!r} for kernel "
@@ -382,89 +378,93 @@ def certify_vaes(mor: QGMorphism, dm: DualMorphism) -> list[CheckRecord]:
                 "counit(pi_hat(x) * v) = 0 for v in ker(pi)",
                 "pi is injective; preimages are unique")
 
-    # Functional identity on minimal-norm preimages, float tier.
-    pi_np = pi.to_numpy()
-    pi_hat_np = dm.pi_hat.to_numpy()
-    eps_g = src.counit.to_numpy().reshape(n)
-    conv_g = dg.mult.to_numpy().reshape(n, n, n)
-
     def functional_identity():
-        pinv = np.linalg.pinv(pi_np)
-        worst, note = 0.0, None
-        for a in range(k):
-            av = tgt.basis_vec(a)
-            b = pinv[:, a]
-            lift = float(np.linalg.norm(pi_np @ b - np.eye(k)[:, a]))
-            if lift > worst:
-                worst, note = lift, f"preimage defect at basis {a}"
-            for x in range(k):
-                xv = tgt.basis_vec(x)
-                lhs = complex(tgt.counit_of(dh.mul(xv, av)).to_complex())
-                px = pi_hat_np @ xv.to_numpy()
-                rhs = complex(eps_g @ np.einsum(
-                    "kij,i,j->k", conv_g, px, b))
-                gap = abs(lhs - rhs)
-                if gap > worst:
-                    worst, note = gap, f"(x, a) = ({x}, {a})"
-        return worst, note
+        for a, av in enumerate(x_basis):
+            b, _ = solve_linear(pi, av)
+            if b is None:
+                raise CheckFailure(f"target basis {a} has no preimage")
+            for x, xv in enumerate(x_basis):
+                lhs = tgt.counit_of(dh.mul(xv, av))
+                rhs = src.counit_of(dg.mul(hat_basis[x], b))
+                if lhs != rhs:
+                    raise CheckFailure(
+                        f"(x, a) = ({x}, {a}): counit(x * a) = {lhs!r}, "
+                        f"counit(pi_hat(x) * b) = {rhs!r}")
+        return True
 
-    ck.numeric("functional-identity",
-               "counit(x * a) = counit(pi_hat(x) * b) for pi(b) = a",
-               tol.multiplier, functional_identity)
+    ck.exact("functional-identity",
+             "counit(x * a) = counit(pi_hat(x) * b) for pi(b) = a",
+             functional_identity)
 
-    # Representation-level records on the GNS frames.
+    # Representation-level records, in the coordinates of the Gram form.
     try:
-        gns_source = gns.build_gns_frame(src, tol)
-        gns_target = gns.build_gns_frame(tgt, tol)
+        reason = next((f"{m.name}: Gram matrix of phi is not positive "
+                       "definite" for m in (src, tgt)
+                       if not require_unit_scaling(m).gram_positive), None)
     except TierRefusal as e:
+        reason = str(e)
+    if reason:
         for check_id in ("represented", "represented-injective",
                          "norm-transport"):
-            ck.skip(check_id, "regular-representation record", str(e))
+            ck.skip(check_id, "regular-representation record", reason)
         return ck.records
 
-    x_basis = [tgt.basis_vec(x) for x in range(k)]
-    rep = [gns_source.conv_of(pi_hat_np @ xv.to_numpy()) for xv in x_basis]
-    rep_tgt = [gns_target.conv_of(xv.to_numpy()) for xv in x_basis]
+    rep = [dg.lmul(h) for h in hat_basis]
+
+    def rep_of(v: Vec) -> LinMap:
+        """lambda_src(pi_hat(v)), by linearity from the basis images."""
+        return sum((rep[x].scale(c) for x, c in v.items()),
+                   LinMap.zero(src.A, src.A))
 
     def represented():
-        worst = float(np.linalg.norm(
-            gns_source.conv_of(pi_hat_np @ dh.unit.to_numpy())
-            - np.eye(n)))
-        for x in range(k):
-            adj = gns_source.conv_of(pi_hat_np @ dh.bar(x_basis[x]).to_numpy())
-            worst = max(worst, float(np.linalg.norm(
-                adj - rep[x].conj().T)))
-            for y in range(k):
-                prod = gns_source.conv_of(
-                    pi_hat_np @ dh.mul(x_basis[x], x_basis[y]).to_numpy())
-                worst = max(worst, float(np.linalg.norm(
-                    prod - rep[x] @ rep[y])))
-        return worst
+        if rep_of(dh.unit) != src.idA:
+            raise CheckFailure("lambda(pi_hat(1)) is not the identity")
+        gram = haar_g.gram
+        for x, xv in enumerate(x_basis):
+            if gram @ rep_of(dh.bar(xv)) != rep[x].adjoint() @ gram:
+                raise CheckFailure(f"lambda(pi_hat(e_{x}^#)) is not the "
+                                   f"adjoint of lambda(pi_hat(e_{x}))")
+            for y, yv in enumerate(x_basis):
+                if rep_of(dh.mul(xv, yv)) != rep[x] @ rep[y]:
+                    raise CheckFailure(
+                        f"lambda(pi_hat(e_{x} * e_{y})) != "
+                        f"lambda(pi_hat(e_{x})) lambda(pi_hat(e_{y}))")
+        return True
 
-    ck.numeric("represented",
-               "x |-> lambda(pi_hat(x)) is a unital *-homomorphism",
-               tol.identity, represented)
+    ck.exact("represented",
+             "x |-> lambda(pi_hat(x)) is a unital *-homomorphism",
+             represented)
 
     def rep_rank():
-        stack = np.stack([m.reshape(-1) for m in rep], axis=1)
-        got = int(np.linalg.matrix_rank(stack, tol=tol.spectral))
-        return float(k - got), f"represented rank {got} of {k}"
+        stack = LinMap((k,), (n * n,), {
+            x: {i * n + j: v for i, j, v in r.entries()}
+            for x, r in enumerate(rep)})
+        got = rank(stack)
+        if got != k:
+            raise CheckFailure(f"represented rank {got} of {k}")
+        return True
 
-    ck.numeric("represented-injective",
-               "lambda o pi_hat has full rank", tol.identity, rep_rank)
+    ck.exact("represented-injective",
+             "lambda o pi_hat has full rank", rep_rank)
 
     def norms():
-        worst, note = 0.0, None
-        for x in range(k):
-            gap = abs(float(np.linalg.norm(rep[x], 2))
-                      - float(np.linalg.norm(rep_tgt[x], 2)))
-            if gap > worst:
-                worst, note = gap, f"basis {x}"
-        return worst, note
+        gram_s, gram_t = haar_g.gram, haar_h.gram
+        inv_s, inv_t = inverse(gram_s), inverse(gram_t)
+        for x, xv in enumerate(x_basis):
+            # lambda^dagger lambda = G^-1 lambda^H G lambda on each side
+            lam_t = dh.lmul(xv)
+            p_s = minimal_polynomial(
+                inv_s @ rep[x].adjoint() @ gram_s @ rep[x])
+            p_t = minimal_polynomial(inv_t @ lam_t.adjoint() @ gram_t @ lam_t)
+            if p_s != p_t:
+                raise CheckFailure(
+                    f"basis {x}: lambda(pi_hat(x))^dagger lambda(pi_hat(x)) "
+                    "and lambda(x)^dagger lambda(x) have different minimal "
+                    "polynomials")
+        return True
 
-    ck.numeric("norm-transport",
-               "operator norms of lambda(pi_hat(x)) and lambda(x) agree",
-               tol.spectral, norms)
+    ck.exact("norm-transport",
+             "operator norms of lambda(pi_hat(x)) and lambda(x) agree", norms)
     return ck.records
 
 

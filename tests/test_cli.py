@@ -413,6 +413,31 @@ _EXACT_ONLY.update({
                     "with contextlib.redirect_stdout(io.StringIO()):\n"
                     f"    rc = main(['verify', '{m}', '--suite', 'all'])")
     for m in ("taft4", "taft3", "broken")})
+# subgroup certificates: every record, the representation-level ones
+# included, is exact
+_EXACT_ONLY["subgroup-restrict_a3"] = (
+    "import contextlib, io\n"
+    "from qgcheck.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    f"    rc = main(['subgroup', '--g', {model_path('c_s3')!r}, "
+    f"'--h', {model_path('c_z3')!r}, "
+    f"'--map', {str(MODELS_DIR / 'restrict_a3.json')!r}])")
+_EXACT_ONLY["subgroup-s4_a4"] = (
+    "import contextlib, io, itertools, os, tempfile\n"
+    "from qgcheck import (GroupTable, emit_model, emit_morphism,\n"
+    "                     restriction_morphism)\n"
+    "from qgcheck.cli import main\n"
+    "s4 = GroupTable.symmetric(4)\n"
+    "even = [i for i, p in enumerate(s4.elements)\n"
+    "        if sum(a > b for a, b in itertools.combinations(p, 2)) % 2 == 0]\n"
+    "mor = restriction_morphism(s4, even)\n"
+    "with tempfile.TemporaryDirectory() as d, "
+    "contextlib.redirect_stdout(io.StringIO()):\n"
+    "    g, h, m = (os.path.join(d, f) for f in ('g.json', 'h.json', 'm.json'))\n"
+    "    emit_model(mor.source, g)\n"
+    "    emit_model(mor.target, h)\n"
+    "    emit_morphism(mor, m)\n"
+    "    rc = main(['subgroup', '--g', g, '--h', h, '--map', m])")
 # positive models: the exact Gram positivity test runs, without numpy
 _EXACT_ONLY.update({
     "verify-c_s3-algebraic": (
@@ -437,27 +462,27 @@ def test_exact_tier_work_does_not_import_numpy(case):
         "print(json.dumps({'numpy': 'numpy' in sys.modules, "
         "'rc': globals().get('rc')}))")
     assert out["numpy"] is False
-    if case.startswith(("verify-", "dual-")):
+    if case.startswith(("verify-", "dual-", "subgroup-")):
         assert out["rc"] == (1 if case == "verify-broken" else 0)
 
 
-def test_subgroup_loads_numpy_only_in_the_certificate():
+def test_subgroup_runs_with_numpy_blocked(tmp_path):
+    report = tmp_path / "sub.json"
     out = _fresh_python(
         "import contextlib, io, json, sys\n"
-        "from qgcheck import cli\n"
-        "seen = []\n"
-        "certify = cli.certify_vaes\n"
-        "def wrapped(*args):\n"
-        "    seen.append('numpy' in sys.modules)\n"
-        "    return certify(*args)\n"
-        "cli.certify_vaes = wrapped\n"
+        "sys.modules['numpy'] = None\n"
+        "from qgcheck.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    rc = cli.main(['subgroup', '--g', {model_path('c_s3')!r}, "
+        f"    rc = main(['subgroup', '--g', {model_path('c_s3')!r}, "
         f"'--h', {model_path('c_z3')!r}, "
-        f"'--map', {str(MODELS_DIR / 'restrict_a3.json')!r}])\n"
-        "print(json.dumps({'seen': seen, 'rc': rc, "
-        "'after': 'numpy' in sys.modules}))")
-    assert out == {"seen": [False], "rc": 0, "after": True}
+        f"'--map', {str(MODELS_DIR / 'restrict_a3.json')!r}, "
+        f"'--report', {str(report)!r}])\n"
+        "print(json.dumps({'rc': rc}))")
+    assert out == {"rc": 0}
+    checks = json.loads(report.read_text())["checks"]
+    assert sum(".vaes." in r["check_id"] for r in checks) == 11
+    assert {r["check_id"] for r in checks if r["status"] != "pass"} == {
+        "c(s3)->c(z3).expectation.involution-caveat"}
 
 
 def test_analytic_suite_loads_numpy_and_passes(tmp_path):

@@ -21,6 +21,7 @@ from qgcheck.linalg import (
     det,
     inverse,
     kernel,
+    minimal_polynomial,
     rank,
     solve_linear,
     to_multi,
@@ -404,3 +405,92 @@ def test_each_call_runs_one_elimination(monkeypatch):
     assert exc.value.kernel == ker
     assert det(singular).is_zero() and det(LinMap.flip(2, 2)) == -1
     assert len(built) == 4
+
+
+# -- minimal polynomial against SymPy ----------------------------------------
+
+_X = sympy.Symbol("x")
+
+
+def _sympy_minpoly(m: LinMap, order) -> sympy.Poly:
+    """chi(x) / gcd of the (n-1)-minors of x - m, over Q(i)."""
+    field = _field(order)
+    n = m.dom_dim
+    a = sympy.zeros(n, n)
+    for i, j, c in m.entries():
+        a[i, j] = field.to_sympy(_to_field(c, order))
+    b = _X * sympy.eye(n) - a
+    poly = functools.partial(sympy.Poly, gens=_X, domain=sympy.QQ_I)
+    minors = functools.reduce(sympy.gcd, [poly(e) for e in b.adjugate()])
+    return poly(b.det(method="berkowitz")).quo(minors).monic()
+
+
+def _ours(m: LinMap, order) -> sympy.Poly:
+    field = _field(order)
+    coeffs = [field.to_sympy(_to_field(c, order))
+              for c in minimal_polynomial(m)]
+    return sympy.Poly(list(reversed(coeffs)), _X, domain=sympy.QQ_I)
+
+
+@st.composite
+def gaussian_matrices(draw):
+    """A square map up to 4 x 4 over Q or Q(i), entries in Z[i]/q."""
+    order = draw(st.sampled_from((1, 4)))
+    n = draw(st.integers(1, 4))
+    deg = len(Cyc.zeta(order).coeffs)
+    entry = st.tuples(st.lists(st.integers(-2, 2), min_size=deg,
+                               max_size=deg), st.integers(1, 2)).map(
+        lambda t: Cyc(order, [Fraction(a, t[1]) for a in t[0]]))
+    cells = draw(st.dictionaries(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), entry,
+        max_size=n * n))
+    return order, LinMap.from_entries((n,), (n,), [
+        (i, j, c) for (i, j), c in cells.items()])
+
+
+@settings(max_examples=40, deadline=None)
+@given(gaussian_matrices())
+def test_minimal_polynomial_matches_sympy(case):
+    order, m = case
+    assert _ours(m, order) == _sympy_minpoly(m, order)
+
+
+def _gaussian(re, im=0):
+    return Cyc(4, [Fraction(re), Fraction(im)])
+
+
+@pytest.mark.parametrize("name, order, rows, degree", [
+    # repeated eigenvalue 2, diagonalizable: (x - 2)(x - 3)
+    ("repeated", 1, [[2, 0, 0], [0, 2, 0], [0, 0, 3]], 2),
+    # a 2 x 2 Jordan block at 2 beside a 1 x 1 block: (x - 2)^2
+    ("jordan", 1, [[2, 1, 0], [0, 2, 0], [0, 0, 2]], 2),
+    ("nilpotent", 1, [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0],
+                      [0, 0, 0, 0]], 3),
+    ("zero", 1, [[0, 0], [0, 0]], 1),
+    # eigenvalues i, i and -i; the block at i is not diagonalizable
+    ("gaussian-jordan", 4, [[_gaussian(0, 1), 1, 0],
+                            [0, _gaussian(0, 1), 0],
+                            [0, 0, _gaussian(0, -1)]], 3),
+    # a rational conjugate of a Jordan block at 1 + i, beside 1 + i
+    ("gaussian-conjugated", 4, [[_gaussian(1, 1), 0, 0],
+                                [0, _gaussian(2, 1), 1],
+                                [0, -1, _gaussian(0, 1)]], 2),
+])
+def test_minimal_polynomial_fixed_cases(name, order, rows, degree):
+    n = len(rows)
+    m = LinMap.from_dense((n,), (n,), rows)
+    got = minimal_polynomial(m)
+    assert len(got) == degree + 1 and got[-1] == 1
+    assert _ours(m, order) == _sympy_minpoly(m, order)
+    # the polynomial kills m
+    value = LinMap.zero((n,), (n,))
+    power = LinMap.identity((n,))
+    for c in got:
+        value = value + power.scale(c)
+        power = m @ power
+    assert value.is_zero()
+
+
+def test_minimal_polynomial_refuses_a_non_square_map():
+    with pytest.raises(LegMismatch):
+        minimal_polynomial(LinMap.zero((2,), (3,)))

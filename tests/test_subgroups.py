@@ -3,14 +3,18 @@
 import dataclasses
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qgcheck import gns
 from qgcheck.errors import ModelError
-from qgcheck.linalg import LinMap
+from qgcheck.hopf import QGModel, validate_model
+from qgcheck.linalg import LinMap, inverse
 from qgcheck.modelio import parse_model, parse_morphism
 from qgcheck.models import GroupTable, build_function_algebra, builtin
+from qgcheck.modular import solve_haar
 from qgcheck.report import _diff_witness, ensure
+from qgcheck.scalars import Cyc
 from qgcheck.subgroups import (
     QGMorphism,
     build_dual_morphism,
@@ -241,31 +245,139 @@ def test_vaes_certificate(mor_a3, mor_z2):
         assert by_id["norm-transport"].status == "pass"
 
 
-def test_vaes_records_on_the_frame_equal_those_on_the_full_realization(
-        mor_a3, mor_z2, monkeypatch):
-    """The frame is the same computation as build_gns up to the frame:
-    every record's status, residual and witness agree bit for bit."""
-    def outcome(records):
-        return [(r.check_id, r.status, r.residual, r.witness)
-                for r in records]
+VAES_FLOAT_IDS = ("functional-identity", "represented",
+                  "represented-injective", "norm-transport")
 
-    for mor in (mor_a3, mor_z2, counit_morphism(builtin("c_s3"))):
-        dm = build_dual_morphism(mor)
-        on_frame = outcome(certify_vaes(mor, dm))
-        full = {id(m): gns.build_gns(m, gns.Tolerances())
-                for m in (mor.source, mor.target)}
-        served = []
 
-        def realization(model, tol):
-            served.append(model)
-            return full[id(model)]
+def float_vaes_statuses(mor, dm):
+    """The four representation-level laws of certify_vaes, in floats.
 
-        with monkeypatch.context() as patch:
-            patch.setattr(gns, "build_gns_frame", realization)
-            on_realization = outcome(certify_vaes(mor, dm))
-        assert [id(m) for m in served] == [id(mor.source), id(mor.target)]
-        assert on_frame == on_realization
-        assert [r[1] for r in on_frame].count("pass") >= 10
+    The float oracle: minimal-norm preimages from pinv, the left regular
+    representation lambda(v) = lam L_v lam^-1 on the Cholesky frame
+    lam^H lam = G of the Gram form, a numeric rank and spectral norms,
+    each against the default gns.Tolerances().
+    """
+    tol = gns.Tolerances()
+    src, tgt = mor.source, mor.target
+    dg, dh = dm.source_duality.dual, dm.target_duality.dual
+    n, k = src.dim, tgt.dim
+    pi, hat = mor.pi.to_numpy(), dm.pi_hat.to_numpy()
+    conv_g = dg.mult.to_numpy().reshape(n, n, n)
+    conv_h = dh.mult.to_numpy().reshape(k, k, k)
+    eps_g = src.counit.to_numpy().reshape(n)
+    eps_h = tgt.counit.to_numpy().reshape(k)
+    pinv, eye = np.linalg.pinv(pi), np.eye(k)
+    gap = max(np.linalg.norm(pi @ pinv - eye, axis=0).max(), max(
+        abs(eps_h @ conv_h[:, x, a] - eps_g @ np.einsum(
+            "kij,i,j->k", conv_g, hat[:, x], pinv[:, a]))
+        for x in range(k) for a in range(k)))
+    statuses = {"functional-identity": gap <= tol.multiplier}
+
+    def regular(model, conv):
+        lam = np.linalg.cholesky(solve_haar(model).gram.to_numpy()).conj().T
+        frame = np.linalg.inv(lam)
+        return lambda v: lam @ np.einsum("kij,i->kj", conv, v) @ frame
+
+    rep_g, rep_h = regular(src, conv_g), regular(tgt, conv_h)
+    rep = [rep_g(hat[:, x]) for x in range(k)]
+    worst = np.linalg.norm(rep_g(hat @ dh.unit.to_numpy()) - np.eye(n))
+    for x in range(k):
+        bar = dh.bar(tgt.basis_vec(x)).to_numpy()
+        worst = max(worst, np.linalg.norm(rep_g(hat @ bar) - rep[x].conj().T))
+        for y in range(k):
+            worst = max(worst, np.linalg.norm(
+                rep_g(hat @ conv_h[:, x, y]) - rep[x] @ rep[y]))
+    statuses["represented"] = worst <= tol.identity
+    stack = np.stack([m.reshape(-1) for m in rep], axis=1)
+    statuses["represented-injective"] = k - np.linalg.matrix_rank(
+        stack, tol=tol.spectral) <= tol.identity
+    statuses["norm-transport"] = max(
+        abs(np.linalg.norm(rep[x], 2) - np.linalg.norm(rep_h(eye[:, x]), 2))
+        for x in range(k)) <= tol.spectral
+    return {c: "pass" if ok else "fail" for c, ok in statuses.items()}
+
+
+def pi_mutants(mor):
+    """The single-entry mutants of pi, each entry raised, then lowered, by 1."""
+    for j, col in sorted(mor.pi.cols.items()):
+        for i in sorted(col):
+            for step in (1, -1):
+                cols = {c: dict(v) for c, v in mor.pi.cols.items()}
+                cols[j][i] = cols[j][i] + step
+                yield QGMorphism(mor.source, mor.target,
+                                 LinMap(mor.pi.dom, mor.pi.cod, cols))
+
+
+def non_surjective_embedding():
+    source = build_function_algebra(GroupTable.cyclic(2))
+    target = build_function_algebra(GroupTable.cyclic(4))
+    one = source.scalar(1)
+    pi = LinMap.from_entries(source.A, target.A,
+                             [(i, i % 2, one) for i in range(4)])
+    return QGMorphism(source, target, pi)
+
+
+def exact_vaes_statuses(mor):
+    """The four records' statuses from certify_vaes; each is exact."""
+    records = certify_vaes(mor, build_dual_morphism(mor))
+    by_id = {r.check_id.split(".vaes.")[-1]: r for r in records}
+    assert all(by_id[c].tolerance is None for c in VAES_FLOAT_IDS)
+    return {c: by_id[c].status for c in VAES_FLOAT_IDS}
+
+
+def test_exact_vaes_records_agree_with_the_float_oracle(mor_a3, mor_z2):
+    """Exact records give the float oracle's statuses; the mutants of the
+    A3 restriction give the statuses pinned below."""
+    zero = QGMorphism(mor_a3.source, mor_a3.target,
+                      LinMap.zero(mor_a3.pi.dom, mor_a3.pi.cod))
+    for mor in (mor_a3, mor_z2, counit_morphism(builtin("c_s3")),
+                identity_morphism(builtin("c_s3")),
+                non_surjective_embedding(), zero):
+        want = float_vaes_statuses(mor, build_dual_morphism(mor))
+        assert exact_vaes_statuses(mor) == want, mor.label
+    got = []
+    for mor in pi_mutants(mor_a3):
+        want = float_vaes_statuses(mor, build_dual_morphism(mor))
+        assert exact_vaes_statuses(mor) == want
+        got.append("".join(want[c][0].upper() for c in VAES_FLOAT_IDS))
+    assert got == ["PFPF", "FFFF", "FFPF", "FFFF", "FFPF", "FFFF"]
+
+
+def rebased(model, t):
+    """The same model in the basis given by the columns of t, over Q(zeta_3)."""
+    ti = inverse(t)
+    return QGModel(
+        name=f"{model.name}'", order=3, dim=model.dim,
+        basis=tuple(f"f{i}" for i in range(model.dim)), unit=ti(model.unit),
+        mult=ti @ model.mult @ t.tensor(t),
+        coprod=ti.tensor(ti) @ model.coprod @ t, counit=model.counit @ t,
+        antipode=ti @ model.antipode @ t, invol=ti @ model.invol @ t.conj(),
+        positive=model.positive)
+
+
+def test_exact_vaes_records_in_complex_coordinates(mor_a3):
+    """Gram forms, convolution tables and pi with non-real entries, where
+    an adjoint without its conjugation is wrong: the identity of C(Z3) in a
+    Fourier-type basis, and the A3 restriction rebased on both sides, with
+    the mutants of its pi, agree with the float oracle."""
+    w, one = Cyc.zeta(3), Cyc.one(3)
+    t_h = LinMap.from_dense((3,), (3,), [[one, one, one], [one, w, w * w],
+                                         [one, w * w, w]]) @ \
+        LinMap.from_dense((3,), (3,), [[one, w, 0], [0, one, 0], [0, 0, 2]])
+    t_g = LinMap.identity((6,)) + LinMap.from_entries(
+        (6,), (6,), [(0, 1, w), (2, 5, w * w), (1, 4, 1 - w)])
+    source, target = rebased(mor_a3.source, t_g), rebased(mor_a3.target, t_h)
+    rebased_a3 = QGMorphism(source, target,
+                            inverse(t_h) @ mor_a3.pi @ t_g)
+    ensure(validate_morphism(rebased_a3))
+    assert not solve_haar(source).gram.conj() == solve_haar(source).gram
+    assert not solve_haar(target).gram.conj() == solve_haar(target).gram
+    cases = [identity_morphism(target), rebased_a3]
+    cases += list(pi_mutants(rebased_a3))[:6]
+    got = [exact_vaes_statuses(mor) for mor in cases]
+    assert got == [float_vaes_statuses(mor, build_dual_morphism(mor))
+                   for mor in cases]
+    assert [set(g.values()) for g in got[:2]] == [{"pass"}, {"pass"}]
 
 
 def test_vaes_preimage_record_skips_for_injective_pi():
@@ -278,12 +390,7 @@ def test_vaes_preimage_record_skips_for_injective_pi():
 
 
 def test_vaes_flags_non_surjective_embedding():
-    source = build_function_algebra(GroupTable.cyclic(2))
-    target = build_function_algebra(GroupTable.cyclic(4))
-    one = source.scalar(1)
-    pi = LinMap.from_entries(source.A, target.A,
-                             [(i, i % 2, one) for i in range(4)])
-    mor = QGMorphism(source, target, pi)
+    mor = non_surjective_embedding()
     assert failed_ids(validate_morphism(mor)) == {"surjective"}
     dm = build_dual_morphism(mor)
     records = certify_vaes(mor, dm)
@@ -291,16 +398,40 @@ def test_vaes_flags_non_surjective_embedding():
     assert any(r.check_id.endswith("injective") for r in bad)
     inj = [r for r in bad if r.check_id.endswith("injective")][0]
     assert "kernel" in inj.witness
+    functional = [r for r in bad if r.check_id.endswith("functional-identity")]
+    assert functional[0].witness == "target basis 0 has no preimage"
 
 
 def test_vaes_skips_representation_records_off_the_positive_layer():
-    mor = counit_morphism(builtin("taft3"))
+    """taft3 has mu != 1.  Its dual is not commutative, so the functional
+    identity of its identity morphism pins the order pi_hat(x) * b."""
+    for make in (counit_morphism, identity_morphism):
+        mor = make(builtin("taft3"))
+        records = certify_vaes(mor, build_dual_morphism(mor))
+        ensure(records)
+        by_id = {r.check_id.split(".vaes.")[-1]: r for r in records}
+        assert by_id["functional-identity"].status == "pass"
+        for check_id in ("represented", "represented-injective",
+                         "norm-transport"):
+            assert by_id[check_id].status == "skip"
+            assert "scaling constant mu" in by_id[check_id].witness
+
+
+def test_vaes_skips_representation_records_for_an_indefinite_gram_form():
+    """C(Z3) with the involution delta_g* = delta_-g is a Hopf *-algebra
+    with mu = 1 whose form phi(a* b) is indefinite."""
+    c_z3 = builtin("c_z3")
+    invol = LinMap.from_entries(c_z3.A, c_z3.A,
+                                [(0, 0, 1), (2, 1, 1), (1, 2, 1)])
+    twisted = dataclasses.replace(c_z3, name="c_z3 twisted", invol=invol,
+                                  positive=False)
+    ensure(validate_model(twisted))
+    mor = identity_morphism(twisted)
     records = certify_vaes(mor, build_dual_morphism(mor))
     ensure(records)
-    skipped = {r.check_id.split(".vaes.")[-1]
-               for r in records if r.status == "skip"}
-    assert {"represented", "represented-injective",
-            "norm-transport"} <= skipped
+    reasons = {r.witness for r in records[-3:] if r.status == "skip"}
+    assert reasons == {
+        "c_z3 twisted: Gram matrix of phi is not positive definite"}
 
 
 def test_functoriality(mor_a3):
