@@ -10,14 +10,17 @@ Verbs:
 
 MODEL is a model file path or a built-in model name.  The verify suites:
 "algebraic" runs every exact-arithmetic law (structure, integrals, dual,
-pentagon, biduality), "analytic" runs the float GNS/modular layer, and
-"all" runs both, recording a skip when the model sits outside the
-analytic layer's standing assumptions.  Asking for the analytic suite
-explicitly on such a model is refused.
+pentagon, biduality), "analytic" runs the GNS layer (float laws of the
+regular representations, W and the invariant weight, and the exact
+records of the Kac-collapsed modular layer), and "all" runs both,
+recording a skip when the model sits outside the analytic layer's
+standing assumptions.  Asking for the analytic suite explicitly on such a
+model is refused.
 
---tol T runs the analytic suite under gns.Tolerances(T) (spectral 100x T,
-multiplier 10x T; T finite and > 0).  --seed S (an integer >= 0) seeds
-the sampled families of both suites.  Both are passed down as arguments.
+--tol T runs the analytic suite's float records under
+report.Tolerances(T) (spectral 100x T, multiplier 10x T; T finite and
+> 0); validating T loads no numpy.  --seed S (an integer >= 0) seeds the
+sampled families of both suites.  Both are passed down as arguments.
 
 Exit codes: 0 every executed check passed, 1 at least one check failed,
 2 the input could not be used (bad option value, parse error, invalid
@@ -54,7 +57,8 @@ from .models import (BUILTIN_MODELS, MAX_TAFT_ORDER, build_drinfeld_double,
                      build_function_algebra, build_group_algebra, build_taft,
                      builtin)
 from .modular import check_modular_structure, require_unit_scaling, solve_haar
-from .report import FAIL, Checker, CheckRecord, Report, ensure
+from .report import (FAIL, Checker, CheckRecord, Report, Tolerances,
+                     ensure)
 from .subgroups import (build_dual_morphism, certify_vaes,
                         check_dual_morphism, check_expectation,
                         validate_morphism)
@@ -113,7 +117,7 @@ def _analytic_records(model: QGModel, explicit: bool, tol: float | None,
     """Float-tier suite; gns (and numpy) load only past the exact mu test."""
     try:
         require_unit_scaling(model)
-        from .gns import Tolerances, analytic_suite, build_gns
+        from .gns import analytic_suite, build_gns
         tolerances = Tolerances() if tol is None else Tolerances(tol)
         g = build_gns(model, tolerances, seed)
     except TierRefusal as e:
@@ -195,8 +199,7 @@ def cmd_subgroup(args) -> int:
 
 
 def _tolerance(text: str) -> float:
-    """argparse type of --tol: a float that gns.Tolerances accepts."""
-    from .gns import Tolerances
+    """argparse type of --tol: a float that report.Tolerances accepts."""
     try:
         return Tolerances(float(text)).identity
     except ValueError as e:

@@ -5,11 +5,14 @@ check id, the law being verified in plain notation, pass/fail/skip status,
 the worst residual observed, the tolerance in force (None for exact
 arithmetic), a witness string on failure, and wall time.  Reports serialize
 deterministically: two runs with the same seed differ only in wall times.
+The float tier's ``Tolerances`` live here, not in ``gns``, so validating a
+tolerance never loads numpy.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -22,6 +25,31 @@ from .scalars import Cyc
 PASS = "pass"
 FAIL = "fail"
 SKIP = "skip"
+
+
+@dataclass(frozen=True)
+class Tolerances:
+    """The float tier's residual bounds, set by one finite value > 0.
+
+    identity bounds operator identities; spectral (100x) the Gram
+    positivity floor and the invariance sweep; multiplier (10x) the span
+    membership inside that sweep.
+    """
+
+    identity: float = 1e-10
+
+    def __post_init__(self):
+        if not (math.isfinite(self.identity) and self.identity > 0):
+            raise ValueError("tolerance must be a finite number > 0, "
+                             f"got {self.identity!r}")
+
+    @property
+    def spectral(self) -> float:
+        return self.identity * 100
+
+    @property
+    def multiplier(self) -> float:
+        return self.identity * 10
 
 
 @dataclass

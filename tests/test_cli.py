@@ -16,6 +16,7 @@ from qgcheck.cli import dispatch, main
 from qgcheck.linalg import LinMap
 from qgcheck.modelio import emit_table, model_to_dict, parse_model
 from qgcheck.models import MAX_TAFT_ORDER, GroupTable, builtin
+from qgcheck.report import Tolerances
 from qgcheck.scalars import MAX_ORDER
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
@@ -83,25 +84,25 @@ def test_verify_tol_flag_loosens_analytic_layer():
 
 def test_tol_reaches_construction_tolerances(monkeypatch):
     # --tol 1e-14 puts the identity tolerance at 1e-14 and the spectral one
-    # at 1e-12; the GNS construction must assert with those, not the defaults
-    calculus, action = set(), set()
-    eigh_checked, rel_residual = G.eigh_checked, G.rel_residual
+    # at 1e-12; the GNS construction must assert with those, not the
+    # defaults: the Gram frame's positivity floor is spectral, and the
+    # Hermitian, Gram-reproduction and W-unitarity checks are identity
+    frame, bounds = [], []
+    chol_frame, refuse_above = G._chol_frame, G._refuse_above
 
-    def spy_eigh(h, tol):
-        calculus.add(tol)
-        return eigh_checked(h, tol)
+    def spy_frame(gram, what, tol):
+        frame.append(tol.spectral)
+        return chol_frame(gram, what, tol)
 
-    def spy_residual(a, b):
-        caller = sys._getframe(1)
-        if caller.f_code.co_name == "_assert_action":
-            action.add(caller.f_locals["tol"])
-        return rel_residual(a, b)
+    def spy_refuse(residual, bound, what):
+        bounds.append(bound)
+        return refuse_above(residual, bound, what)
 
-    monkeypatch.setattr(G, "eigh_checked", spy_eigh)
-    monkeypatch.setattr(G, "rel_residual", spy_residual)
+    monkeypatch.setattr(G, "_chol_frame", spy_frame)
+    monkeypatch.setattr(G, "_refuse_above", spy_refuse)
     assert main(["verify", "c_z2", "--tol", "1e-14"]) == 0
-    assert sorted(calculus) == pytest.approx([1e-12], rel=1e-9, abs=0)
-    assert sorted(action) == pytest.approx([1e-14, 1e-12], rel=1e-9, abs=0)
+    assert frame == pytest.approx([1e-12, 1e-12], rel=1e-9, abs=0)
+    assert bounds == pytest.approx([1e-14] * 4, rel=1e-9, abs=0)
 
 
 @pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
@@ -194,7 +195,7 @@ def test_build_taft_above_order_cap_exits_two(n, tmp_path, monkeypatch,
 
 def test_tol_does_not_leak_into_later_runs():
     assert main(["verify", "c_z2", "--tol", "1e-14"]) == 0
-    assert G.build_gns(builtin("c_z2")).tol == G.Tolerances()
+    assert G.build_gns(builtin("c_z2")).tol == Tolerances()
 
 
 @pytest.mark.parametrize("argv, seed", [(["--seed", "7"], 7), ([], 1729)])
@@ -285,11 +286,17 @@ def test_verify_builds_only_the_galois_maps_it_uses(monkeypatch):
 def test_subgroup_builds_no_galois_map_unitary_or_modular_layer(monkeypatch):
     galois = _record_galois(monkeypatch)
     w = _record_calls(monkeypatch, duality, "_build_alg_mult_unitary")
-    modular_layer = _record_calls(monkeypatch, G, "build_modular_operators")
+    gns, build_gns = [], G.build_gns
+
+    def spy_gns(model, *args):
+        gns.append(model)
+        return build_gns(model, *args)
+
+    monkeypatch.setattr(G, "build_gns", spy_gns)
     assert dispatch(["subgroup", "--g", model_path("c_s3"),
                      "--h", model_path("c_z3"),
                      "--map", str(MODELS_DIR / "restrict_a3.json")]) == 0
-    assert galois == [] and w == [] and modular_layer == []
+    assert galois == [] and w == [] and gns == []
 
 
 def test_dual_output_verifies_and_roundtrips(tmp_path):
@@ -413,6 +420,13 @@ _EXACT_ONLY.update({
                     "with contextlib.redirect_stdout(io.StringIO()):\n"
                     f"    rc = main(['verify', '{m}', '--suite', 'all'])")
     for m in ("taft4", "taft3", "broken")})
+# --tol is validated without loading the float tier
+_EXACT_ONLY["verify-taft3-algebraic-tol"] = (
+    "import contextlib, io\n"
+    "from qgcheck.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    rc = main(['verify', 'taft3', '--suite', 'algebraic', "
+    "'--tol', '1e-8'])")
 # subgroup certificates: every record, the representation-level ones
 # included, is exact
 _EXACT_ONLY["subgroup-restrict_a3"] = (

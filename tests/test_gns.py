@@ -1,15 +1,21 @@
 """Tests for the GNS realization and the analytic layer built on it."""
 
+import contextlib
 import dataclasses
+import io
+import json
 
 import numpy as np
 import pytest
 
+from qgcheck import cli
 from qgcheck import gns as G
+from qgcheck.duality import build_dual
 from qgcheck.errors import TierRefusal
-from qgcheck.gns import rel_residual
+from qgcheck.gns import rel_residual, unitarity_defect
+from qgcheck.linalg import LinMap
 from qgcheck.models import GroupTable
-from qgcheck.report import ensure
+from qgcheck.report import Tolerances, ensure
 
 FULL_SUITE = ["trivial", "c_z2", "c_z3", "c_s3", "cg_z2", "cg_s3", "d_z3"]
 
@@ -35,27 +41,35 @@ def test_refusal_non_positive_gram(model_cache):
 
 def test_tolerances_reach_every_numeric_record(model_cache):
     # identity 1e-12 puts spectral at 1e-10 and multiplier at 1e-11; the
-    # rank and span records keep their fixed threshold of 0.5
-    tol = G.Tolerances(1e-12)
+    # rank and span records keep their fixed threshold of 0.5, and no
+    # record runs at the multiplier tolerance, which bounds the span
+    # membership inside the invariance sweep
+    tol = Tolerances(1e-12)
     assert (tol.spectral, tol.multiplier) == (1e-10, 1e-11)
     g = G.build_gns(model_cache("c_z2"), tol)
     assert g.tol == tol
     used = {r.tolerance for r in G.analytic_suite(g)} - {None}
-    assert used == {1e-12, 1e-10, 1e-11, 0.5}
+    assert used == {1e-12, 1e-10, 0.5}
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
 def test_tolerances_reject_unusable_values(value):
     with pytest.raises(ValueError, match="finite number > 0"):
-        G.Tolerances(value)
+        Tolerances(value)
+
+
+def assert_identity_maps(dd):
+    """Every modular operator's exact coordinate map is the identity."""
+    ident = LinMap.identity(dd.source.A)
+    for name, x in G.modular_maps(dd).items():
+        assert x == ident, name
 
 
 def test_trivial_model(gns_cache):
     g = gns_cache("trivial")
     assert g.dim == 1
     assert rel_residual(g.w, np.eye(1)) <= g.tol.identity
-    for calc in g.calculi.values():
-        assert rel_residual(calc.matrix, np.eye(1)) <= g.tol.identity
+    assert_identity_maps(g.dual)
     ensure(run_all_checks(g))
 
 
@@ -79,19 +93,57 @@ def test_w_is_translation_permutation_on_function_algebra(gns_cache):
             assert rel_residual(col, expect) <= g.tol.identity
 
 
-@pytest.mark.parametrize("name", FULL_SUITE)
-def test_full_check_suite(gns_cache, name):
-    ensure(run_all_checks(gns_cache(name)))
+# passed/failed/skipped of `verify NAME --suite all` on each positive
+# built-in; d_s3's five skips are float records over the dim^3 cap
+POSITIVE_COUNTS = {name: (181, 0, 0) for name in (
+    "c_s3", "c_z2", "c_z3", "c_z4", "cg_s3", "cg_z2", "cg_z3", "d_z2",
+    "d_z3", "trivial")}
+POSITIVE_COUNTS["d_s3"] = (176, 0, 5)
+
+
+def verify_all_report(name, tmp_path, model_cache, monkeypatch) -> dict:
+    """The JSON report of `verify NAME --suite all`, with its counts and
+    its Kac-collapsed records checked."""
+    # the session's models carry the exact builds other tests memoized
+    monkeypatch.setattr(cli, "_load_model", model_cache)
+    out = tmp_path / f"{name}.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(["verify", name, "--suite", "all", "--report",
+                       str(out)])
+    report = json.loads(out.read_text())
+    counts = (report["passed"], report["failed"], report["skipped"])
+    assert counts == POSITIVE_COUNTS[name]
+    assert rc == 0
+    # the 52 Kac-collapsed records are all there, in table order, exact;
+    # the powers ids are spelled from Z_GRID
+    assert [s for s in G.KAC_RECORDS if s.startswith("powers")] == [
+        "powers[z=0.5]", "powers[z=1j]", "powers[z=(1+1j)]"]
+    expected = [f"{section}.{check_id}"
+                for section, rows in G.KAC_RECORDS.items()
+                for check_id, _, _ in rows]
+    assert len(expected) == 52
+    kac = [r for r in report["checks"]
+           if r["check_id"].split(".gns.")[-1] in expected]
+    assert [r["check_id"].split(".gns.")[-1] for r in kac] == expected
+    assert all(r["status"] == "pass" and r["tolerance"] is None
+               for r in kac)
+    return report
+
+
+@pytest.mark.parametrize(
+    "name", sorted(n for n in POSITIVE_COUNTS if n != "d_s3"))
+def test_full_check_suite(name, tmp_path, model_cache, monkeypatch):
+    verify_all_report(name, tmp_path, model_cache, monkeypatch)
 
 
 @pytest.mark.parametrize("name", FULL_SUITE)
 def test_kac_models_have_identity_modular_operators(gns_cache, name):
     g = gns_cache(name)
-    eye = np.eye(g.dim)
-    for calc_name, calc in g.calculi.items():
-        assert rel_residual(calc.matrix, eye) <= g.tol.identity, calc_name
-    records = G.check_kac_triviality(g)
-    assert all(r.status == "pass" for r in records)
+    assert_identity_maps(g.dual)
+    records = [r for recs in G.check_kac_collapse(g.dual).values()
+               for r in recs]
+    assert len(records) == 52
+    assert all(r.status == "pass" and r.tolerance is None for r in records)
 
 
 def test_left_slice_oracle_c_z2(gns_cache):
@@ -117,32 +169,50 @@ def test_coproduct_of_grouplike_basis(gns_cache):
 
 
 def test_complex_power_multipliers(gns_cache):
+    # delta = 1 and delta_hat = 1 exactly, so every power of delta is the
+    # identity multiplier and the powers records pass exactly
     for name in ("c_s3", "d_z3"):
         g = gns_cache(name)
+        sections = G.check_kac_collapse(g.dual)
         for z in (0.5, 1j, 1 + 1j):
-            ensure(G.complex_powers_as_multipliers(g, z))
+            records = ensure(sections[f"powers[z={z}]"])
+            assert len(records) == 4
+            assert all(r.tolerance is None for r in records)
 
 
 def test_rho_is_trivial_on_kac_models(gns_cache):
+    # N acts as S^2, which is the identity on a Kac model
     g = gns_cache("c_s3")
-    n_calc = g.calculi["n"]
-    for z in (0.5, 1j, 1 + 1j):
-        assert rel_residual(n_calc.power(1j * z), np.eye(g.dim)) \
-            <= g.tol.spectral
+    s = g.model.antipode
+    assert s @ s == LinMap.identity(g.model.A)
+    assert G.modular_maps(g.dual)["n"] == s @ s
+    modgroup = G.check_kac_collapse(g.dual)["modgroup"]
+    rho = [r for r in modgroup if ".rho." in r.check_id]
+    assert len(rho) == 2 and all(r.status == "pass" for r in rho)
+
+
+def test_power_calculus_failure_names_operator(model_cache):
+    # on taft3 (S^2 != id) the calculus records fail at the first
+    # non-identity operator, named in the witness with its worst entry
+    dd = build_dual(model_cache("taft3"))
+    maps = G.modular_maps(dd)
+    ident = LinMap.identity(dd.source.A)
+    first = next(name for name in G.MODULAR_OPERATORS if maps[name] != ident)
+    for r in G.check_kac_collapse(dd)["calc"]:
+        assert r.status == "fail" and r.residual > 0
+        assert r.witness.startswith(f"operator {first}: entry ("), r.witness
 
 
 def test_kms_bound_is_equality_on_group_algebra(gns_cache):
-    # with an orthonormal group-element basis both sides equal 1
+    # with an orthonormal group-element basis both sides equal 1; the
+    # exact records put sigma_{i/2} = id
     g = gns_cache("cg_s3")
-    nabla_c = g.calculi["nabla"]
-    sig = nabla_c.power(-0.5)
-    sig_inv = nabla_c.power(0.5)
+    assert G.modular_maps(g.dual)["nabla"] == LinMap.identity(g.model.A)
     eye = np.eye(g.dim)
     for i in (0, 3):
         for j in (1, 4):
             lhs = float(np.linalg.norm(g.m_rep[j] @ g.lam[:, i]))
-            bound = float(np.linalg.norm(
-                sig @ g.m_of(g.star_np(eye[:, i])) @ sig_inv, 2))
+            bound = float(np.linalg.norm(g.m_of(g.star_np(eye[:, i])), 2))
             rhs = bound * float(np.linalg.norm(g.lam[:, j]))
             assert abs(lhs - 1.0) <= g.tol.identity
             assert abs(rhs - 1.0) <= g.tol.identity
@@ -160,41 +230,108 @@ def test_fourier_isometry_constant(gns_cache):
 
 
 def test_modular_conjugation_reduces_to_involution(gns_cache):
-    # with nabla = I the polar part J equals T, and T implements conj
+    # sigma = id exactly, so nabla = I and the polar part J equals T, the
+    # antilinear map Lambda(f) -> Lambda(f*), whose linear part must then
+    # be unitary
     g = gns_cache("c_s3")
-    assert rel_residual(g.nabla, np.eye(g.dim)) <= g.tol.identity
-    assert rel_residual(g.j_mat, g.t_mat) <= g.tol.spectral
+    assert g.dual.haar.sigma == LinMap.identity(g.model.A)
+    t_mat = g.lam @ g.invol @ np.conj(g.frame)
+    assert unitarity_defect(t_mat) <= g.tol.identity
     for k in range(g.dim):
-        got = g.t_mat @ np.conj(g.lam[:, k])
+        got = t_mat @ np.conj(g.lam[:, k])
         want = g.lam @ g.invol[:, k]
         assert rel_residual(got, want) <= g.tol.identity
 
 
 def test_unitary_antipode_reduces_to_antipode(gns_cache):
-    # tau is trivial on a Kac model, so R = S on coordinates
+    # M = rmul(delta) S^2 is the identity, so tau is trivial and R = S; the
+    # four r.* records are exact
     g = gns_cache("c_s3")
-    r_mat, resid = G.unitary_antipode(g)
-    assert resid <= g.tol.multiplier
-    assert rel_residual(r_mat, g.antipode) <= g.tol.spectral
+    assert G.modular_maps(g.dual)["m"] == LinMap.identity(g.model.A)
+    records = G.check_kac_collapse(g.dual)["weight"]
+    assert [r.check_id.rsplit(".", 2)[-2:] for r in records] == [
+        ["r", "lands-in-span"], ["r", "involutive"],
+        ["r", "anti-multiplicative"], ["r", "right-invariant"]]
+    assert all(r.status == "pass" and r.tolerance is None for r in records)
 
 
-def test_power_calculus_failure_names_operator():
-    with pytest.raises(Exception, match="not positive definite"):
-        G.PositiveOperatorCalculus("probe", np.diag([1.0, -2.0]),
-                                   G.Tolerances())
+def test_large_double_builds_and_slices(tmp_path, model_cache, monkeypatch):
+    # d_s3 (dim 36) through the CLI: the slice records pass, and the five
+    # records over the dim^3 cap are the only skips
+    report = verify_all_report("d_s3", tmp_path, model_cache, monkeypatch)
+    reps = [r for r in report["checks"] if ".gns.reps." in r["check_id"]]
+    assert len(reps) == 10 and all(r["status"] == "pass" for r in reps)
+    assert sorted(r["check_id"] for r in report["checks"]
+                  if r["status"] == "skip") == [
+        "d(s3).gns.coprod.density.left", "d(s3).gns.coprod.density.right",
+        "d(s3).gns.coprod.implemented", "d(s3).gns.w.pentagon",
+        "d(s3).gns.weight.invariance"]
 
 
-def test_power_calculus_square_root():
-    h = np.array([[2.0, 1.0], [1.0, 2.0]])
-    calc = G.PositiveOperatorCalculus("h", h, G.Tolerances())
-    root = calc.power(0.5)
-    assert rel_residual(root @ root, h) <= 1e-12
-    assert rel_residual(calc.power(-1) @ h, np.eye(2)) <= 1e-12
+# -- mutants of the exact inputs of the Kac-collapsed records ---------------
 
 
-def test_large_double_builds_and_slices(gns_cache):
-    g = gns_cache("d_s3")
-    assert g.dim == 36
-    ensure(G.check_regular_reps(g))
-    records = G.check_coproduct_implementation(g)
-    assert all(r.status == "skip" for r in records)
+def _kac_records(dd) -> dict[str, object]:
+    """Kac-collapsed records by section-qualified id, e.g. 'calc.power-one'."""
+    return {f"{section}.{r.check_id.rsplit(f'.{section}.', 1)[1]}": r
+            for section, recs in G.check_kac_collapse(dd).items()
+            for r in recs}
+
+
+def _named(affected) -> set[str]:
+    """Section-qualified ids of the records naming an affected operator."""
+    return {f"{section}.{check_id}"
+            for section, rows in G.KAC_RECORDS.items()
+            for check_id, _, ops in rows if set(ops) & set(affected)}
+
+
+def _mutants(model):
+    """(label, mutated Duality, operators the mutation makes non-identity,
+    records with an own identity that the mutation also breaks)."""
+    dd = build_dual(model)
+    haar, dh = dd.haar, dd.dual_haar
+    two = model.scalar(2)
+    sigma_s = dataclasses.replace(haar, sigma=model.antipode)
+    delta_2 = dataclasses.replace(haar, delta=two * haar.delta)
+    dual_2 = dataclasses.replace(dh, delta=two * dh.delta)
+    return [
+        ("sigma = S", dataclasses.replace(dd, haar=sigma_s), {"nabla"}, set()),
+        ("delta doubled", dataclasses.replace(dd, haar=delta_2),
+         {"delta", "delta_prime", "m"}, {"modgroup.sigma-hat.integer"}),
+        ("delta_hat doubled", dataclasses.replace(dd, dual_haar=dual_2),
+         {"delta_hat", "delta_hat_prime"}, set()),
+    ]
+
+
+@pytest.mark.parametrize("name", ["c_s3", "d_z3"])
+def test_mutated_exact_input_fails_the_records_naming_it(model_cache, name):
+    for label, dd, affected, own in _mutants(model_cache(name)):
+        ident = LinMap.identity(dd.source.A)
+        maps = G.modular_maps(dd)
+        assert {k for k, x in maps.items() if x != ident} == affected, label
+        named = _named(affected)
+        assert named, label
+        for key, rec in _kac_records(dd).items():
+            if key in named:
+                assert rec.status == "fail", (label, key)
+                assert rec.tolerance is None, (label, key)
+                assert any(f"operator {op}:" in rec.witness
+                           for op in affected), (label, key, rec.witness)
+            elif key in own:
+                assert rec.status == "fail", (label, key)
+                assert rec.witness.startswith("n = "), (label, rec.witness)
+            else:
+                assert rec.status == "pass", (label, key, rec.witness)
+
+
+@pytest.mark.parametrize("name", ["taft3", "sweedler"])
+def test_non_kac_data_fails_every_kac_record(model_cache, name):
+    # S^2 != id: N, M and nabla_hat are not the identity
+    dd = build_dual(model_cache(name))
+    maps = G.modular_maps(dd)
+    for op in ("n", "m", "nabla_hat"):
+        assert maps[op] != LinMap.identity(dd.source.A), op
+    records = _kac_records(dd)
+    assert len(records) == 52
+    passing = [key for key, r in records.items() if r.status != "fail"]
+    assert passing == [], passing

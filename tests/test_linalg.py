@@ -13,7 +13,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from qgcheck import linalg
 from qgcheck.errors import LegMismatch, SingularMap
-from qgcheck.gns import eigh_checked, joint_eigenbasis, span_rank
+from qgcheck.gns import span_rank
 from qgcheck.linalg import (
     LinMap,
     Vec,
@@ -191,24 +191,6 @@ def test_rank_and_functional():
     v = Vec.from_list((3,), [2, 3, 5])
     assert phi.apply(v).get(0).rational_value() == 5
     assert rank(phi) == 1
-
-
-def test_eigh_checked_and_powers():
-    h = np.array([[2.0, 1.0], [1.0, 2.0]], dtype=complex)
-    w, u = eigh_checked(h)
-    assert np.allclose(sorted(w), [1.0, 3.0])
-
-
-def test_joint_eigenbasis():
-    x = np.diag([1.0, 1.0, 2.0])
-    q = np.linalg.qr(np.random.default_rng(0).normal(size=(3, 3)))[0]
-    y0 = np.diag([5.0, 7.0, 9.0])
-    x2, y2 = q @ x @ q.T, q @ y0 @ q.T
-    u, ok = joint_eigenbasis(x2, y2)
-    assert ok
-    bad = np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([[0.0, 1.0], [1.0, 0.0]])
-    u, ok = joint_eigenbasis(np.diag([1.0, 2.0]), bad[1])
-    assert not ok
 
 
 def test_span_rank():

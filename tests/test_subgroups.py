@@ -6,14 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qgcheck import gns
 from qgcheck.errors import ModelError
 from qgcheck.hopf import QGModel, validate_model
 from qgcheck.linalg import LinMap, inverse
 from qgcheck.modelio import parse_model, parse_morphism
 from qgcheck.models import GroupTable, build_function_algebra, builtin
 from qgcheck.modular import solve_haar
-from qgcheck.report import _diff_witness, ensure
+from qgcheck.report import Tolerances, _diff_witness, ensure
 from qgcheck.scalars import Cyc
 from qgcheck.subgroups import (
     QGMorphism,
@@ -255,9 +254,9 @@ def float_vaes_statuses(mor, dm):
     The float oracle: minimal-norm preimages from pinv, the left regular
     representation lambda(v) = lam L_v lam^-1 on the Cholesky frame
     lam^H lam = G of the Gram form, a numeric rank and spectral norms,
-    each against the default gns.Tolerances().
+    each against the default Tolerances().
     """
-    tol = gns.Tolerances()
+    tol = Tolerances()
     src, tgt = mor.source, mor.target
     dg, dh = dm.source_duality.dual, dm.target_duality.dual
     n, k = src.dim, tgt.dim
