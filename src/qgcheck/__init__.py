@@ -1,12 +1,14 @@
 """Exact verification toolkit for finite-dimensional quantum groups.
 
 Two-tier design: structure constants and every algebraic law live in
-exact rational-cyclotomic arithmetic (`Cyc`, `LinMap`), while the GNS
-realization and the unitary multiplicative unitary run in float with
-pinned tolerances (`Tolerances`).  The modular layer on the GNS space is
-decided exactly: on these finite, Kac-type models each modular operator is
-a similarity of an exact map that must be the identity
-(`check_kac_collapse`).  The `gns` names are loaded with numpy on first
+exact rational-cyclotomic arithmetic (`Cyc`, `LinMap`).  The GNS
+realization is a float frame, the Cholesky factor of the Gram matrix of
+the invariant state, and its representations, the unitary multiplicative
+unitary W and the modular operators are similarities of exact maps by that
+frame, so their laws are decided exactly in coordinates too
+(`check_regular_reps`, `check_w_properties`, `check_kac_collapse`, ...).
+Only two records, on the frame itself, run in float with pinned
+tolerances (`Tolerances`).  The `gns` names are loaded with numpy on first
 use, so exact-tier work never imports it.  The `cli` module exposes the
 same pipeline as the `qgcheck` command.
 """

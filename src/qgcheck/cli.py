@@ -10,17 +10,18 @@ Verbs:
 
 MODEL is a model file path or a built-in model name.  The verify suites:
 "algebraic" runs every exact-arithmetic law (structure, integrals, dual,
-pentagon, biduality), "analytic" runs the GNS layer (float laws of the
-regular representations, W and the invariant weight, and the exact
-records of the Kac-collapsed modular layer), and "all" runs both,
-recording a skip when the model sits outside the analytic layer's
-standing assumptions.  Asking for the analytic suite explicitly on such a
-model is refused.
+pentagon, biduality), "analytic" runs the GNS layer (the laws of the
+regular representations, W, the invariant weight and the Kac-collapsed
+modular layer, decided exactly in coordinates, and two float records on
+the GNS frame), and "all" runs both, recording a skip when the model sits
+outside the analytic layer's standing assumptions.  Asking for the
+analytic suite explicitly on such a model is refused.
 
---tol T runs the analytic suite's float records under
-report.Tolerances(T) (spectral 100x T, multiplier 10x T; T finite and
+--tol T runs the analytic suite's float records and the GNS frame's
+construction under report.Tolerances(T) (spectral 100x T; T finite and
 > 0); validating T loads no numpy.  --seed S (an integer >= 0) seeds the
-sampled families of both suites.  Both are passed down as arguments.
+sampled families of the algebraic suite, the only ones left.  Both are
+passed down as arguments.
 
 Exit codes: 0 every executed check passed, 1 at least one check failed,
 2 the input could not be used (bad option value, parse error, invalid
@@ -112,14 +113,13 @@ def _algebraic_records(model: QGModel, seed: int) -> list[CheckRecord]:
     return records
 
 
-def _analytic_records(model: QGModel, explicit: bool, tol: float | None,
-                      seed: int):
-    """Float-tier suite; gns (and numpy) load only past the exact mu test."""
+def _analytic_records(model: QGModel, explicit: bool, tol: float | None):
+    """GNS-layer suite; gns (and numpy) load only past the exact mu test."""
     try:
         require_unit_scaling(model)
         from .gns import analytic_suite, build_gns
         tolerances = Tolerances() if tol is None else Tolerances(tol)
-        g = build_gns(model, tolerances, seed)
+        g = build_gns(model, tolerances)
     except TierRefusal as e:
         if explicit:
             raise
@@ -140,8 +140,7 @@ def cmd_verify(args) -> int:
         report.add(_algebraic_records(model, args.seed))
     if args.suite in ("analytic", "all") and report.ok:
         report.add(_analytic_records(
-            model, explicit=args.suite == "analytic", tol=args.tol,
-            seed=args.seed))
+            model, explicit=args.suite == "analytic", tol=args.tol))
     print(report.text_table())
     if args.report:
         write_report(report, args.report)
@@ -207,7 +206,7 @@ def _tolerance(text: str) -> float:
 
 
 def _seed(text: str) -> int:
-    """argparse type of --seed: an integer >= 0, as numpy's samplers need."""
+    """argparse type of --seed: an integer >= 0."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(
             f"seed must be an integer >= 0, got {text!r}")
@@ -227,11 +226,12 @@ def build_parser() -> argparse.ArgumentParser:
                    default="all")
     v.add_argument("--tol", type=_tolerance, default=None,
                    help="identity tolerance of the analytic suite, a finite "
-                        "number > 0 (default 1e-10); the spectral and "
-                        "multiplier tolerances are 100x and 10x it")
+                        "number > 0 (default 1e-10); the spectral "
+                        "tolerance is 100x it")
     v.add_argument("--seed", type=_seed, default=SAMPLE_SEED,
-                   help="seed for sampled check families of both suites, an "
-                        f"integer >= 0 (default {SAMPLE_SEED})")
+                   help="seed for the sampled check families of the "
+                        "algebraic suite, an integer >= 0 "
+                        f"(default {SAMPLE_SEED})")
     v.add_argument("--report", default=None, help="write a JSON report here")
     v.set_defaults(func=cmd_verify)
 

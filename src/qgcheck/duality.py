@@ -288,6 +288,21 @@ def _build_alg_mult_unitary(model: QGModel) -> AlgMultUnitary:
     return AlgMultUnitary(model=model, w=w, w_inv=w_inv)
 
 
+def pentagon_defect(model: QGModel, w: LinMap) -> LinMap:
+    """w12 w13 w23 - w23 w12 as full matrices on A (x) A (x) A."""
+    i = model.idA
+    w12, w23 = w.tensor(i), i.tensor(w)
+    flip23 = i.tensor(model.flipA)  # conjugating by it moves leg 1 to leg 2
+    w13 = flip23 @ w12 @ flip23
+    return w12 @ w13 @ w23 - w23 @ w12
+
+
+def gram_unitarity_defect(haar: HaarData, w: LinMap) -> LinMap:
+    """w^H (G (x) G) w - G (x) G for the Gram matrix G of phi."""
+    gg = haar.gram.tensor(haar.gram)
+    return w.adjoint() @ gg @ w - gg
+
+
 def check_pentagon_and_lemmas(dd: Duality, cap: int = CUBE_CAP,
                               samples: int = 120,
                               seed: int = SAMPLE_SEED) -> list[CheckRecord]:
@@ -308,14 +323,8 @@ def check_pentagon_and_lemmas(dd: Duality, cap: int = CUBE_CAP,
 
     dims3 = (d, d, d)
     if d ** 3 <= cap:
-        def pentagon():
-            i = m.idA
-            w12, w23 = w.tensor(i), i.tensor(w)
-            flip23 = i.tensor(m.flipA)  # conjugating by it moves leg 1 to leg 2
-            w13 = flip23 @ w12 @ flip23
-            return w12 @ w13 @ w23 - w23 @ w12
-
-        ck.exact("pentagon", "w12 w13 w23 = w23 w12 (full matrices)", pentagon)
+        ck.exact("pentagon", "w12 w13 w23 = w23 w12 (full matrices)",
+                 lambda: pentagon_defect(m, w))
     else:
         def pentagon_sampled():
             worst = Vec.zero(dims3)
@@ -340,10 +349,9 @@ def check_pentagon_and_lemmas(dd: Duality, cap: int = CUBE_CAP,
     ck.exact("lemma.alpha-commute", "(alpha (x) alpha) w = w (alpha (x) alpha)",
              lambda: alpha.tensor(alpha) @ w - w @ alpha.tensor(alpha))
 
-    gg = h.gram.tensor(h.gram)
     ck.exact("lemma.gram-unitary",
              "w^H (G (x) G) w = G (x) G for the pairing Gram matrix G",
-             lambda: w.adjoint() @ gg @ w - gg)
+             lambda: gram_unitarity_defect(h, w))
 
     # adjoint relation in A (x) D: (w(a(x)b))^bullet-star (c(x)d)
     #                            = (a(x)b)^bullet-star w^-1(c(x)d)

@@ -209,7 +209,7 @@ def _solve_haar(model: QGModel) -> HaarData:
 def require_unit_scaling(model: QGModel) -> HaarData:
     """The model's Haar data, or TierRefusal when mu differs from 1.
 
-    mu = 1 is a standing assumption of the analytic (float) tier and of
+    mu = 1 is a standing assumption of the analytic tier and of
     the representation-level records of the subgroup certificate; this
     exact test is how both refuse a model before any float work.
     """

@@ -31,9 +31,8 @@ SKIP = "skip"
 class Tolerances:
     """The float tier's residual bounds, set by one finite value > 0.
 
-    identity bounds operator identities; spectral (100x) the Gram
-    positivity floor and the invariance sweep; multiplier (10x) the span
-    membership inside that sweep.
+    identity bounds the float records and the GNS frame's construction
+    residuals; spectral (100x) is the frame's positivity floor.
     """
 
     identity: float = 1e-10
@@ -46,10 +45,6 @@ class Tolerances:
     @property
     def spectral(self) -> float:
         return self.identity * 100
-
-    @property
-    def multiplier(self) -> float:
-        return self.identity * 10
 
 
 @dataclass

@@ -6,14 +6,15 @@ criterion and `pytest -s` additionally prints an explicit
 
 Tolerance legend, pinned here on purpose so drift in the library
 defaults cannot silently weaken acceptance:
-  exact  = zero residual in rational-cyclotomic arithmetic; the modular
-           operators, their calculus, powers, commutation and modular
-           groups are decided this way (each operator must be the identity
-           on these Kac-type models),
-  1e-10  = identity tolerance for float operator identities.
-The library's spectral (100x, the Gram positivity floor and the invariance
-sweep) and multiplier (10x, span membership inside that sweep) tolerances
-bound no record pinned here.
+  exact  = zero residual in rational-cyclotomic arithmetic; the laws of
+           the regular representations, W and the invariant weight are
+           decided this way in the coordinates of the GNS frame, and so
+           are the modular operators, their calculus, powers, commutation
+           and modular groups (each operator must be the identity on these
+           Kac-type models),
+  1e-10  = identity tolerance of the float records left on the frame.
+The library's spectral tolerance (100x, the Gram positivity floor of the
+frame) bounds no record pinned here.
 """
 
 import functools
@@ -27,7 +28,7 @@ from qgcheck.cli import main
 from qgcheck.duality import (build_dual, check_biduality, check_dual_modular,
                              check_hopf_star_iso, check_pentagon_and_lemmas,
                              check_radford)
-from qgcheck.gns import PAIR_CAP, Z_GRID, analytic_suite, build_gns
+from qgcheck.gns import Z_GRID, analytic_suite, build_gns
 from qgcheck.hopf import (GALOIS_KINDS, GALOIS_TAGS, check_cancellation,
                           galois_map, verify_counit_antipode)
 from qgcheck.linalg import LinMap, inverse, kernel
@@ -157,9 +158,10 @@ def test_criterion_03_pentagon():
         (pent,) = pick(recs, ".munitary.pentagon")
         assert pent.tolerance is None, f"{name}: pentagon not exact"
         assert "full matrices" in pent.law, f"{name}: pentagon was sampled"
-    # unitary pentagon on the 216-dimensional tensor cube of L2 of c_s3
+    # unitary pentagon on the 216-dimensional tensor cube of L2 of c_s3,
+    # decided exactly on w
     assert model("c_s3").dim ** 3 == 216
-    assert_numeric(analytic("c_s3"), ".gns.w.pentagon", TOL_IDENTITY, "c_s3")
+    assert_exact(analytic("c_s3"), ".gns.w.pentagon", "c_s3")
 
 
 @criterion(4, "Radford fourth-power antipode formula")
@@ -220,19 +222,16 @@ def test_criterion_06_dual_modular():
 def test_criterion_07_gns_layer():
     for name in GNS_MODELS:
         recs = analytic(name)
-        assert_numeric(recs, ".gns.w.unitary", TOL_IDENTITY, name)
-        assert_numeric(recs, ".gns.coprod.implemented", TOL_IDENTITY, name)
+        assert_exact(recs, ".gns.w.unitary", name)
+        assert_exact(recs, ".gns.coprod.implemented", name)
         for suffix in (".gns.reps.slice.left-span", ".gns.reps.slice.right-span",
                        ".gns.coprod.density.left", ".gns.coprod.density.right"):
-            (r,) = pick(recs, suffix)
-            assert r.status == "pass", f"{name}: {r.check_id} rank defect"
-    # slice formulas over every basis pair; both models are small enough
-    # that the pair sweep is exhaustive rather than sampled
+            assert_exact(recs, suffix, name)
+    # slice formulas, exact over every basis pair
     for name in ("c_s3", "d_z3"):
-        assert model(name).dim <= PAIR_CAP
         recs = analytic(name)
-        assert_numeric(recs, ".gns.reps.slice.left", TOL_IDENTITY, name)
-        assert_numeric(recs, ".gns.reps.slice.right", TOL_IDENTITY, name)
+        assert_exact(recs, ".gns.reps.slice.left", name)
+        assert_exact(recs, ".gns.reps.slice.right", name)
 
 
 @criterion(8, "modular operators: W relations and strong commutation")

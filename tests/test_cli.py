@@ -85,8 +85,10 @@ def test_verify_tol_flag_loosens_analytic_layer():
 def test_tol_reaches_construction_tolerances(monkeypatch):
     # --tol 1e-14 puts the identity tolerance at 1e-14 and the spectral one
     # at 1e-12; the GNS construction must assert with those, not the
-    # defaults: the Gram frame's positivity floor is spectral, and the
-    # Hermitian, Gram-reproduction and W-unitarity checks are identity
+    # defaults: the Gram frame, built once for the source Gram matrix, has
+    # its positivity floor at spectral, and the Hermitian and
+    # Gram-reproduction checks are at identity (faithfulness and
+    # W-unitarity are exact)
     frame, bounds = [], []
     chol_frame, refuse_above = G._chol_frame, G._refuse_above
 
@@ -101,8 +103,8 @@ def test_tol_reaches_construction_tolerances(monkeypatch):
     monkeypatch.setattr(G, "_chol_frame", spy_frame)
     monkeypatch.setattr(G, "_refuse_above", spy_refuse)
     assert main(["verify", "c_z2", "--tol", "1e-14"]) == 0
-    assert frame == pytest.approx([1e-12, 1e-12], rel=1e-9, abs=0)
-    assert bounds == pytest.approx([1e-14] * 4, rel=1e-9, abs=0)
+    assert frame == pytest.approx([1e-12], rel=1e-9, abs=0)
+    assert bounds == pytest.approx([1e-14] * 2, rel=1e-9, abs=0)
 
 
 @pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])

@@ -4,18 +4,20 @@ import contextlib
 import dataclasses
 import io
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from qgcheck import cli
 from qgcheck import gns as G
-from qgcheck.duality import build_dual
+from qgcheck.duality import build_alg_mult_unitary, build_dual
 from qgcheck.errors import TierRefusal
-from qgcheck.gns import rel_residual, unitarity_defect
-from qgcheck.linalg import LinMap
+from qgcheck.gns import rel_residual
+from qgcheck.linalg import LinMap, Vec
 from qgcheck.models import GroupTable
 from qgcheck.report import Tolerances, ensure
+from qgcheck.scalars import Cyc
 
 FULL_SUITE = ["trivial", "c_z2", "c_z3", "c_s3", "cg_z2", "cg_s3", "d_z3"]
 
@@ -40,16 +42,14 @@ def test_refusal_non_positive_gram(model_cache):
 
 
 def test_tolerances_reach_every_numeric_record(model_cache):
-    # identity 1e-12 puts spectral at 1e-10 and multiplier at 1e-11; the
-    # rank and span records keep their fixed threshold of 0.5, and no
-    # record runs at the multiplier tolerance, which bounds the span
-    # membership inside the invariance sweep
+    # identity 1e-12 puts spectral, the frame's positivity floor, at 1e-10;
+    # the two float records both run at the identity tolerance
     tol = Tolerances(1e-12)
-    assert (tol.spectral, tol.multiplier) == (1e-10, 1e-11)
+    assert tol.spectral == 1e-10
     g = G.build_gns(model_cache("c_z2"), tol)
     assert g.tol == tol
     used = {r.tolerance for r in G.analytic_suite(g)} - {None}
-    assert used == {1e-12, 1e-10, 0.5}
+    assert used == {1e-12}
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
@@ -66,9 +66,10 @@ def assert_identity_maps(dd):
 
 
 def test_trivial_model(gns_cache):
+    # w = 1 exactly, so W = (Lambda (x) Lambda) w (Lambda (x) Lambda)^-1 = 1
     g = gns_cache("trivial")
     assert g.dim == 1
-    assert rel_residual(g.w, np.eye(1)) <= g.tol.identity
+    assert build_alg_mult_unitary(g.model).w == LinMap.identity(g.model.AA)
     assert_identity_maps(g.dual)
     ensure(run_all_checks(g))
 
@@ -81,24 +82,27 @@ def test_function_algebra_gram_is_normalized_counting(gns_cache):
 
 
 def test_w_is_translation_permutation_on_function_algebra(gns_cache):
-    # on C(S3) the multiplicative unitary sends e_a (x) e_b to e_a (x) e_ab
+    # on C(S3) the Gram matrix is I/6, so the frame is a scalar and W = w,
+    # which sends e_a (x) e_b to e_a (x) e_ab
     g = gns_cache("c_s3")
+    m = g.model
+    assert g.dual.haar.gram == m.idA.scale(Cyc.rational(Fraction(1, 6)))
     table = GroupTable.symmetric(3)
-    d = g.dim
-    for a in range(d):
-        for b in range(d):
-            col = g.w[:, a * d + b]
-            expect = np.zeros(d * d)
-            expect[a * d + table.mul(a, b)] = 1.0
-            assert rel_residual(col, expect) <= g.tol.identity
+    w = build_alg_mult_unitary(m).w
+    for a in range(g.dim):
+        for b in range(g.dim):
+            assert w.column((a, b)) == Vec.basis(m.AA, (a, table.mul(a, b)))
 
 
 # passed/failed/skipped of `verify NAME --suite all` on each positive
-# built-in; d_s3's five skips are float records over the dim^3 cap
+# built-in; d_s3's one skip is the GNS pentagon over the dim^3 cap
 POSITIVE_COUNTS = {name: (181, 0, 0) for name in (
     "c_s3", "c_z2", "c_z3", "c_z4", "cg_s3", "cg_z2", "cg_z3", "d_z2",
     "d_z3", "trivial")}
-POSITIVE_COUNTS["d_s3"] = (176, 0, 5)
+POSITIVE_COUNTS["d_s3"] = (180, 0, 1)
+
+# the only analytic records that run in floats, on the GNS frame itself
+FLOAT_RECORDS = {"reps.lambda.inner-product", "weight.kms.bound"}
 
 
 def verify_all_report(name, tmp_path, model_cache, monkeypatch) -> dict:
@@ -127,6 +131,10 @@ def verify_all_report(name, tmp_path, model_cache, monkeypatch) -> dict:
     assert [r["check_id"].split(".gns.")[-1] for r in kac] == expected
     assert all(r["status"] == "pass" and r["tolerance"] is None
                for r in kac)
+    # every other analytic record is exact as well
+    numeric = {r["check_id"].split(".gns.")[-1] for r in report["checks"]
+               if ".gns." in r["check_id"] and r["tolerance"] is not None}
+    assert numeric == FLOAT_RECORDS
     return report
 
 
@@ -147,25 +155,30 @@ def test_kac_models_have_identity_modular_operators(gns_cache, name):
 
 
 def test_left_slice_oracle_c_z2(gns_cache):
-    # on C(Z2): (iota (x) omega_{L e_x, L e_y})(W) = (1/2) m(e_{x+y})
+    # on C(Z2): (iota (x) omega_{L e_x, L e_y})(W) = (1/2) m(e_{x+y}); the
+    # slice is Lambda B Lambda^-1 for the block B of (1 (x) G) w at (x, y),
+    # so B = (1/2) L_{e_{x+y}}
     g = gns_cache("c_z2")
-    w4 = g.w.reshape(2, 2, 2, 2)
+    m = g.model
+    slices = G._slices(g.dual, build_alg_mult_unitary(m), 1)
+    half = Cyc.rational(Fraction(1, 2))
     for x in range(2):
         for y in range(2):
-            got = np.einsum("icjd,c,d->ij", w4,
-                            np.conj(g.lam[:, x]), g.lam[:, y])
-            want = 0.5 * g.m_rep[(x + y) % 2]
-            assert rel_residual(got, want) <= g.tol.identity
+            lxy = m.lmul(m.basis_vec((x + y) % 2))
+            want = Vec(m.AA, {i * 2 + j: v for i, j, v in lxy.entries()})
+            assert slices.column((x, y)) == half * want
 
 
 def test_coproduct_of_grouplike_basis(gns_cache):
-    # in a group algebra W^H (1 (x) m(u_g)) W = m(u_g) (x) m(u_g)
+    # in a group algebra W^H (1 (x) m(u_g)) W = m(u_g) (x) m(u_g), that is
+    # w^H (G (x) G)(1 (x) L_g) w = (G (x) G)(L_g (x) L_g)
     g = gns_cache("cg_z2")
-    eye = np.eye(2)
+    m = g.model
+    w = build_alg_mult_unitary(m).w
+    gg = g.dual.haar.gram.tensor(g.dual.haar.gram)
     for k in range(2):
-        got = g.w.conj().T @ np.kron(eye, g.m_rep[k]) @ g.w
-        assert rel_residual(got, np.kron(g.m_rep[k], g.m_rep[k])) \
-            <= g.tol.identity
+        lk = m.lmul(m.basis_vec(k))
+        assert w.adjoint() @ gg @ m.idA.tensor(lk) @ w == gg @ lk.tensor(lk)
 
 
 def test_complex_power_multipliers(gns_cache):
@@ -208,11 +221,15 @@ def test_kms_bound_is_equality_on_group_algebra(gns_cache):
     # exact records put sigma_{i/2} = id
     g = gns_cache("cg_s3")
     assert G.modular_maps(g.dual)["nabla"] == LinMap.identity(g.model.A)
-    eye = np.eye(g.dim)
+    m = g.model
+
+    def m_of(f):
+        return g.lam @ m.lmul(f).to_numpy() @ g.frame
+
     for i in (0, 3):
         for j in (1, 4):
-            lhs = float(np.linalg.norm(g.m_rep[j] @ g.lam[:, i]))
-            bound = float(np.linalg.norm(g.m_of(g.star_np(eye[:, i])), 2))
+            lhs = float(np.linalg.norm(m_of(m.basis_vec(j)) @ g.lam[:, i]))
+            bound = float(np.linalg.norm(m_of(m.bar(m.basis_vec(i))), 2))
             rhs = bound * float(np.linalg.norm(g.lam[:, j]))
             assert abs(lhs - 1.0) <= g.tol.identity
             assert abs(rhs - 1.0) <= g.tol.identity
@@ -222,11 +239,15 @@ def test_fourier_isometry_constant(gns_cache):
     # Gram = I/6 while the dual basis vectors carry an extra 1/6, giving a
     # dual Gram of I/36 and an isometry constant of 1/6
     g = gns_cache("c_s3")
-    dual_gram = g.dual.dual_haar.gram.to_numpy()
-    scale = float(np.real(np.trace(dual_gram) / np.trace(g.gram)))
-    assert abs(scale - 1.0 / 6.0) <= 1e-9
-    assert rel_residual(dual_gram, scale * g.gram) <= g.tol.identity
-    assert rel_residual(dual_gram, np.eye(6) / 36) <= g.tol.identity
+    gram, dual_gram = g.dual.haar.gram, g.dual.dual_haar.gram
+    sixth = Cyc.rational(Fraction(1, 6))
+
+    def trace(t):
+        return sum((t.entry(i, i) for i in range(g.dim)), Cyc.zero())
+
+    assert trace(dual_gram) / trace(gram) == sixth
+    assert dual_gram == gram.scale(sixth)
+    assert dual_gram == g.model.idA.scale(sixth * sixth)
 
 
 def test_modular_conjugation_reduces_to_involution(gns_cache):
@@ -235,11 +256,13 @@ def test_modular_conjugation_reduces_to_involution(gns_cache):
     # be unitary
     g = gns_cache("c_s3")
     assert g.dual.haar.sigma == LinMap.identity(g.model.A)
-    t_mat = g.lam @ g.invol @ np.conj(g.frame)
-    assert unitarity_defect(t_mat) <= g.tol.identity
+    invol, eye = g.model.invol.to_numpy(), np.eye(g.dim)
+    t_mat = g.lam @ invol @ np.conj(g.frame)
+    assert max(rel_residual(t_mat.conj().T @ t_mat, eye),
+               rel_residual(t_mat @ t_mat.conj().T, eye)) <= g.tol.identity
     for k in range(g.dim):
         got = t_mat @ np.conj(g.lam[:, k])
-        want = g.lam @ g.invol[:, k]
+        want = g.lam @ invol[:, k]
         assert rel_residual(got, want) <= g.tol.identity
 
 
@@ -256,16 +279,13 @@ def test_unitary_antipode_reduces_to_antipode(gns_cache):
 
 
 def test_large_double_builds_and_slices(tmp_path, model_cache, monkeypatch):
-    # d_s3 (dim 36) through the CLI: the slice records pass, and the five
-    # records over the dim^3 cap are the only skips
+    # d_s3 (dim 36) through the CLI: the slice records pass, and the GNS
+    # pentagon, over the dim^3 cap, is the only skip
     report = verify_all_report("d_s3", tmp_path, model_cache, monkeypatch)
     reps = [r for r in report["checks"] if ".gns.reps." in r["check_id"]]
     assert len(reps) == 10 and all(r["status"] == "pass" for r in reps)
-    assert sorted(r["check_id"] for r in report["checks"]
-                  if r["status"] == "skip") == [
-        "d(s3).gns.coprod.density.left", "d(s3).gns.coprod.density.right",
-        "d(s3).gns.coprod.implemented", "d(s3).gns.w.pentagon",
-        "d(s3).gns.weight.invariance"]
+    assert [r["check_id"] for r in report["checks"]
+            if r["status"] == "skip"] == ["d(s3).gns.w.pentagon"]
 
 
 # -- mutants of the exact inputs of the Kac-collapsed records ---------------
@@ -335,3 +355,100 @@ def test_non_kac_data_fails_every_kac_record(model_cache, name):
     assert len(records) == 52
     passing = [key for key, r in records.items() if r.status != "fail"]
     assert passing == [], passing
+
+
+# -- mutants of the exact inputs of the representation and W laws -----------
+
+
+# the 21 records decided in coordinates, by family-qualified id
+MOVED = (
+    "reps.m.homomorphism", "reps.m.star", "reps.m.faithful",
+    "reps.lambda.homomorphism", "reps.lambda.star", "reps.slice.left",
+    "reps.slice.right", "reps.slice.left-span", "reps.slice.right-span",
+    "w.unitary", "w.implements-galois", "w.represented-multiplier",
+    "w.pentagon", "w.f-isometry", "w.dual-rep-transport",
+    "w.cstar-identification", "coprod.implemented", "coprod.density.right",
+    "coprod.density.left", "weight.phi.vector-state", "weight.invariance")
+
+
+def _moved_records(g, dd, mw) -> dict[str, object]:
+    records = (G.check_regular_reps(g, dd, mw) + G.check_w_properties(dd, mw)
+               + G.check_coproduct_implementation(dd, mw)
+               + G.check_invariance_and_kms(g, dd, mw))
+    out = {r.check_id.split(".gns.")[1]: r for r in records}
+    assert set(out) == set(MOVED) | FLOAT_RECORDS
+    return {key: out[key] for key in MOVED}
+
+
+def _single_entry(t: LinMap, kind: str) -> LinMap:
+    """t with one entry changed: its middle stored entry raised or lowered
+    by 1, or the first unstored entry of its first column planted as 1."""
+    if kind == "planted":
+        col = t.cols[min(t.cols)]
+        i, j = next(i for i in range(t.cod_dim) if i not in col), min(t.cols)
+        step = 1
+    else:
+        i, j, _ = sorted(t.entries(), key=lambda e: (e[1], e[0]))[t.nnz // 2]
+        step = 1 if kind == "raised" else -1
+    return t + LinMap.from_entries(t.dom, t.cod, [(i, j, step)])
+
+
+def _w_mutants(g):
+    """(map label, mutated Duality, mutated AlgMultUnitary) for single-entry
+    mutants of w, of the model's mult and coprod, of the dual's mult and of
+    the dual Gram matrix.  A mutated model cannot build its own w (the
+    Galois inverse check refuses it), so the model's w rides along."""
+    dd, mw = g.dual, build_alg_mult_unitary(g.model)
+    m, dm, dh = dd.source, dd.dual, dd.dual_haar
+    rep = dataclasses.replace
+    for kind in ("raised", "lowered", "planted"):
+        yield "w", dd, rep(mw, w=_single_entry(mw.w, kind))
+        yield "mult", rep(dd, source=rep(
+            m, mult=_single_entry(m.mult, kind))), mw
+        yield "coprod", rep(dd, source=rep(
+            m, coprod=_single_entry(m.coprod, kind))), mw
+        yield "dual mult", rep(dd, dual=rep(
+            dm, mult=_single_entry(dm.mult, kind))), mw
+    yield "dual gram", rep(dd, dual_haar=rep(
+        dh, gram=_single_entry(dh.gram, "raised"))), mw
+
+
+# records each map's mutants must fail on both models, with entry witnesses
+REQUIRED = {"w": {"w.unitary", "reps.slice.left", "reps.slice.right",
+                  "w.represented-multiplier"},
+            "coprod": {"coprod.implemented"},
+            "mult": {"reps.m.homomorphism"}}
+
+
+@pytest.mark.parametrize("name", ["c_s3", "d_z3"])
+def test_mutants_fail_the_exact_representation_and_w_records(gns_cache,
+                                                             name):
+    g = gns_cache(name)
+    clean = _moved_records(g, g.dual, build_alg_mult_unitary(g.model))
+    assert all(r.status == "pass" and r.tolerance is None
+               for r in clean.values())
+    failed: dict[str, set[str]] = {}
+    for label, dd, mw in _w_mutants(g):
+        for key, rec in _moved_records(g, dd, mw).items():
+            assert rec.tolerance is None, (label, key)
+            if rec.status == "fail":
+                # an identity names its worst entry, a span law its ranks
+                assert "entry (" in rec.witness or "rank" in rec.witness, \
+                    (label, key, rec.witness)
+                if "entry (" in rec.witness:
+                    failed.setdefault(label, set()).add(key)
+    for label, keys in REQUIRED.items():
+        assert keys <= failed.get(label, set()), (label, failed.get(label))
+
+
+def test_every_moved_record_fails_under_some_mutant(gns_cache):
+    # across c_s3 and d_z3 every moved record meets a mutant that fails it;
+    # m.faithful fails by rank (lowering an idempotent of C(S3) to 0), the
+    # others with an entry witness
+    caught = set()
+    for name in ("c_s3", "d_z3"):
+        g = gns_cache(name)
+        for label, dd, mw in _w_mutants(g):
+            caught |= {key for key, rec in _moved_records(g, dd, mw).items()
+                       if rec.status == "fail"}
+    assert caught == set(MOVED), set(MOVED) - caught

@@ -13,7 +13,6 @@ from sympy.polys.matrices import DomainMatrix
 
 from qgcheck import linalg
 from qgcheck.errors import LegMismatch, SingularMap
-from qgcheck.gns import span_rank
 from qgcheck.linalg import (
     LinMap,
     Vec,
@@ -191,11 +190,6 @@ def test_rank_and_functional():
     v = Vec.from_list((3,), [2, 3, 5])
     assert phi.apply(v).get(0).rational_value() == 5
     assert rank(phi) == 1
-
-
-def test_span_rank():
-    mats = [np.eye(2), np.array([[0, 1], [1, 0]]), np.eye(2) * 2]
-    assert span_rank(mats) == 2
 
 
 def test_vector_ops():

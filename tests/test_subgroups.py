@@ -270,7 +270,7 @@ def float_vaes_statuses(mor, dm):
         abs(eps_h @ conv_h[:, x, a] - eps_g @ np.einsum(
             "kij,i,j->k", conv_g, hat[:, x], pinv[:, a]))
         for x in range(k) for a in range(k)))
-    statuses = {"functional-identity": gap <= tol.multiplier}
+    statuses = {"functional-identity": gap <= 10 * tol.identity}
 
     def regular(model, conv):
         lam = np.linalg.cholesky(solve_haar(model).gram.to_numpy()).conj().T
