@@ -19,9 +19,10 @@ analytic suite explicitly on such a model is refused.
 
 --tol T runs the analytic suite's float records and the GNS frame's
 construction under report.Tolerances(T) (spectral 100x T; T finite and
-> 0); validating T loads no numpy.  --seed S (an integer >= 0) seeds the
-sampled families of the algebraic suite, the only ones left.  Both are
-passed down as arguments.
+> 0); validating T loads no numpy, and it is passed down as an argument.
+--seed S (an integer >= 0) is accepted and recorded in the report's
+meta.seed; no check is sampled, as every law is decided on all of its
+inputs, so the seed changes nothing else.
 
 Exit codes: 0 every executed check passed, 1 at least one check failed,
 2 the input could not be used (bad option value, parse error, invalid
@@ -42,13 +43,13 @@ n^2-dimensional build.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import os
 import sys
 
-from .duality import (SAMPLE_SEED, build_dual, check_biduality,
-                      check_convolution_compat, check_dual,
-                      check_dual_modular, check_pentagon_and_lemmas,
-                      check_radford)
+from .duality import (build_dual, check_biduality, check_convolution_compat,
+                      check_dual, check_dual_modular,
+                      check_pentagon_and_lemmas, check_radford)
 from .errors import (INPUT_ERRORS, CheckFailure, ModelError, ParseError,
                      SingularMap, TierRefusal, internal_error_text)
 from .hopf import QGModel, validate_model
@@ -66,6 +67,7 @@ from .subgroups import (build_dual_morphism, certify_vaes,
 
 
 INTERNAL_ERROR = 3  # exit code of an exception no other code covers
+DEFAULT_SEED = 1729  # recorded in meta.seed; no check reads a seed
 
 
 def _load_model(ref: str) -> QGModel:
@@ -86,7 +88,7 @@ def _stage_failure(model: QGModel, stage: str, law: str, exc) -> CheckRecord:
                        witness=str(exc))
 
 
-def _algebraic_records(model: QGModel, seed: int) -> list[CheckRecord]:
+def _algebraic_records(model: QGModel) -> list[CheckRecord]:
     """Exact-tier suite, stopping at the first stage that fails."""
     records = list(validate_model(model))
     if _has_failure(records):
@@ -107,16 +109,21 @@ def _algebraic_records(model: QGModel, seed: int) -> list[CheckRecord]:
     records += check_dual(dd)
     records += check_dual_modular(dd)
     records += check_radford(dd)
-    records += check_pentagon_and_lemmas(dd, seed=seed)
+    records += check_pentagon_and_lemmas(dd)
     records += check_convolution_compat(dd)
     records += check_biduality(dd)
     return records
 
 
 def _analytic_records(model: QGModel, explicit: bool, tol: float | None):
-    """GNS-layer suite; gns (and numpy) load only past the exact mu test."""
+    """GNS-layer suite; gns (and numpy) load only past the exact mu test.
+    Without numpy the suite is refused, naming the extra that brings it."""
     try:
         require_unit_scaling(model)
+        if importlib.util.find_spec("numpy") is None:
+            raise TierRefusal(f"{model.name}: the analytic suite needs "
+                              "numpy; install the 'analytic' extra "
+                              "(pip install 'qgcheck[analytic]')")
         from .gns import analytic_suite, build_gns
         tolerances = Tolerances() if tol is None else Tolerances(tol)
         g = build_gns(model, tolerances)
@@ -137,7 +144,7 @@ def cmd_verify(args) -> int:
                           "suite": args.suite, "seed": args.seed,
                           "tol": args.tol})
     if args.suite in ("algebraic", "all"):
-        report.add(_algebraic_records(model, args.seed))
+        report.add(_algebraic_records(model))
     if args.suite in ("analytic", "all") and report.ok:
         report.add(_analytic_records(
             model, explicit=args.suite == "analytic", tol=args.tol))
@@ -228,10 +235,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="identity tolerance of the analytic suite, a finite "
                         "number > 0 (default 1e-10); the spectral "
                         "tolerance is 100x it")
-    v.add_argument("--seed", type=_seed, default=SAMPLE_SEED,
-                   help="seed for the sampled check families of the "
-                        "algebraic suite, an integer >= 0 "
-                        f"(default {SAMPLE_SEED})")
+    v.add_argument("--seed", type=_seed, default=DEFAULT_SEED,
+                   help="an integer >= 0, recorded in the report's "
+                        f"meta.seed (default {DEFAULT_SEED}); no check is "
+                        "sampled, so it changes no result")
     v.add_argument("--report", default=None, help="write a JSON report here")
     v.set_defaults(func=cmd_verify)
 

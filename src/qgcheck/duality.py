@@ -31,21 +31,18 @@ whenever mu = 1.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ModelError
 from .hopf import QGModel, galois_map
-from .linalg import LinMap, Vec, apply_on_legs, inverse
+from .linalg import LinMap, Vec, apply_on_legs, inverse, to_multi
 from .modular import HaarData, alpha_map, solve_haar
-from .report import CheckRecord, Checker
+from .report import CheckRecord, Checker, require_zero
+from .scalars import Cyc
 
-# Seed for the reproducible samplers used when full tensor-cube or
-# four-tuple enumeration would exceed the configured caps.
-SAMPLE_SEED = 1729
-
-# Largest dim^3 at which checks on A(x)A(x)A run in full, not sampled/skipped.
-CUBE_CAP = 1000
+PENTAGON_LAW = ("w12 w13 w23 = w23 w12 on A (x) A (x) A (on 1 (x) e_b (x) e_c "
+                "given w(a (x) b) = w(1 (x) b)(a (x) 1), else on all triples)")
 
 
 @dataclass(frozen=True)
@@ -67,6 +64,19 @@ class AlgMultUnitary:
     model: QGModel
     w: LinMap
     w_inv: LinMap
+
+    @cached_property
+    def pentagon_defect(self) -> LinMap:
+        """P = w12 w13 w23 - w23 w12 on the vectors x (x) e_b (x) e_c, built
+        once for both pentagon records.  Under the leg-1 identity
+        (``leg_one_defect`` zero) w, so P, commutes with right multiplication
+        on leg 1 (A is associative and unital), and x = 1, d^2 columns,
+        decides P = 0 on A (x) A (x) A; otherwise x runs over the basis, all
+        d^3 triples.  w12 E and w23 E are built from w's columns."""
+        m, w, i = self.model, self.w, self.model.idA
+        x = m.unit_map if leg_one_defect(m, w).is_zero() else i
+        lhs = _on_legs(w, (0, 1), _on_legs(w, (0, 2), x.tensor(w)))
+        return lhs - _on_legs(w, (1, 2), (w @ x.tensor(i)).tensor(i))
 
 
 def build_dual(model: QGModel) -> Duality:
@@ -288,13 +298,64 @@ def _build_alg_mult_unitary(model: QGModel) -> AlgMultUnitary:
     return AlgMultUnitary(model=model, w=w, w_inv=w_inv)
 
 
-def pentagon_defect(model: QGModel, w: LinMap) -> LinMap:
-    """w12 w13 w23 - w23 w12 as full matrices on A (x) A (x) A."""
-    i = model.idA
-    w12, w23 = w.tensor(i), i.tensor(w)
-    flip23 = i.tensor(model.flipA)  # conjugating by it moves leg 1 to leg 2
-    w13 = flip23 @ w12 @ flip23
-    return w12 @ w13 @ w23 - w23 @ w12
+def regular(model: QGModel, right: bool = False) -> LinMap:
+    """f |-> L_f (or R_f when ``right``) as a flattened family: a map into
+    A (x) A whose column f is that multiplication map, entry (i, j) at row
+    i d + j, read off the product's entries."""
+    d = model.dim
+    cols: dict[int, dict[int, Cyc]] = {}
+    for i, fj, v in model.mult.entries():
+        f, j = divmod(fj, d)[::-1] if right else divmod(fj, d)
+        cols.setdefault(f, {})[i * d + j] = v
+    return LinMap._of(model.A, model.AA, cols)
+
+
+def tensor_image(left: LinMap, right: LinMap, v: Vec) -> LinMap:
+    """sum v_pq L_p (x) R_q on A (x) A, for flattened families L and R."""
+    d = left.cod[0]
+    t = apply_on_legs(right, (2,), apply_on_legs(left, (0,), v))
+    cols: dict[int, dict[int, Cyc]] = {}
+    for k, c in t.items():
+        i, j, r, s = to_multi(k, t.dims)
+        cols.setdefault(j * d + s, {})[i * d + r] = c
+    return LinMap._of((d, d), (d, d), cols)
+
+
+def leg_one_defect(model: QGModel, w: LinMap) -> LinMap:
+    """w(a (x) b) - w(1 (x) b)(a (x) 1) on the d^2 basis pairs."""
+    d, mult = model.dim, model.mult.cols
+    w1 = w @ model.unit_map.tensor(model.idA)  # column b: w(1 (x) e_b)
+    cols: dict[int, dict[int, Cyc]] = {}
+    for b, col in w1.cols.items():
+        for xy, c in col.items():
+            x, y = divmod(xy, d)
+            for a in range(d):
+                acc = cols.setdefault(a * d + b, {})
+                for i, v in mult.get(x * d + a, {}).items():
+                    k = i * d + y
+                    acc[k] = acc[k] + v * c if k in acc else v * c
+    return w - LinMap(model.AA, model.AA, cols)
+
+
+def _on_legs(w: LinMap, legs: tuple[int, int], m: LinMap) -> LinMap:
+    """w, a map on A (x) A, applied to two legs of each column of m, a map
+    into A (x) A (x) A, by index arithmetic on the flattened columns."""
+    d = w.dom[0]
+    s0, s1 = ((d * d, d, 1)[p] for p in legs)
+    moves = {j: [(k // d * s0 + k % d * s1, v) for k, v in col.items()]
+             for j, col in w.cols.items()}
+    cols = {}
+    for j, col in m.cols.items():
+        acc: dict[int, Cyc] = {}
+        for idx, c in col.items():
+            a, b = idx // s0 % d, idx // s1 % d
+            base = idx - a * s0 - b * s1
+            for off, v in moves.get(a * d + b, ()):
+                k = base + off
+                acc[k] = acc[k] + v * c if k in acc else v * c
+        if acc := {k: v for k, v in acc.items() if v}:
+            cols[j] = acc
+    return LinMap._of(m.dom, m.cod, cols)
 
 
 def gram_unitarity_defect(haar: HaarData, w: LinMap) -> LinMap:
@@ -303,47 +364,33 @@ def gram_unitarity_defect(haar: HaarData, w: LinMap) -> LinMap:
     return w.adjoint() @ gg @ w - gg
 
 
-def check_pentagon_and_lemmas(dd: Duality, cap: int = CUBE_CAP,
-                              samples: int = 120,
-                              seed: int = SAMPLE_SEED) -> list[CheckRecord]:
-    """Pentagon equation, twist lemmas and the adjoint relation for w.
+def adjoint_relation(dd: Duality, mw: AlgMultUnitary) -> bool:
+    """(w(u))^* . v = u^* . w^-1(v) in A (x) D, with its product ``.`` and
+    star u^* = (C (x) C^)(conj u), as two map identities on A (x) A: for
+    X = w^-1(1 (x) 1^), v = 1 gives (b) stars o conj(w) = R_X o stars, then
+    u^* = 1 gives (a) w^-1 = L_X, and as A (x) D is associative and unital
+    (a) and (b) give the relation back for all u and v.  A failing identity
+    raises CheckFailure with its name and worst entry."""
+    m, dm = dd.source, dd.dual
+    x = mw.w_inv(m.unit.tensor(dm.unit))
+    l_x, r_x = (tensor_image(regular(m, right), regular(dm, right), x)
+                for right in (False, True))
+    require_zero(mw.w_inv - l_x, "w^-1 = L_X")
+    stars = m.invol.tensor(dm.invol)
+    require_zero(stars @ mw.w.conj() - r_x @ stars,
+                 "stars o conj(w) = R_X o stars")
+    return True
 
-    The pentagon is compared as full matrices on A(x)A(x)A when dim^3 is
-    at most ``cap``, else on ``samples`` basis triples.  The adjoint
-    relation runs over all basis four-tuples when dim <= 8, else on
-    ``samples`` four-tuples.  Both samplers draw from one
-    ``random.Random(seed)``.
-    """
-    m, h, dm = dd.source, dd.haar, dd.dual
+
+def check_pentagon_and_lemmas(dd: Duality) -> list[CheckRecord]:
+    """Pentagon equation, twist lemmas and the adjoint relation for w, all
+    decided exactly on every vector (``AlgMultUnitary.pentagon_defect``,
+    ``adjoint_relation``)."""
+    m, h = dd.source, dd.haar
     mw = build_alg_mult_unitary(m)
-    w, w_inv = mw.w, mw.w_inv
-    d = m.dim
+    w, sigma, alpha = mw.w, h.sigma, alpha_map(h)
     ck = Checker(f"{m.name}.munitary")
-    rng = random.Random(seed)
-
-    dims3 = (d, d, d)
-    if d ** 3 <= cap:
-        ck.exact("pentagon", "w12 w13 w23 = w23 w12 (full matrices)",
-                 lambda: pentagon_defect(m, w))
-    else:
-        def pentagon_sampled():
-            worst = Vec.zero(dims3)
-            for _ in range(samples):
-                v = Vec.basis(dims3, tuple(rng.randrange(d) for _ in range(3)))
-                lhs = apply_on_legs(w, (0, 1), apply_on_legs(
-                    w, (0, 2), apply_on_legs(w, (1, 2), v)))
-                rhs = apply_on_legs(w, (1, 2), apply_on_legs(w, (0, 1), v))
-                diff = lhs - rhs
-                if diff.data and diff.max_abs() > worst.max_abs():
-                    worst = diff
-            return worst
-
-        ck.exact("pentagon",
-                 f"w12 w13 w23 = w23 w12 ({samples} seeded basis triples)",
-                 pentagon_sampled)
-
-    sigma = h.sigma
-    alpha = alpha_map(h)
+    ck.exact("pentagon", PENTAGON_LAW, lambda: mw.pentagon_defect)
     ck.exact("lemma.sigma-twist", "(sigma (x) sigma) w = w (sigma (x) alpha)",
              lambda: sigma.tensor(sigma) @ w - w @ sigma.tensor(alpha))
     ck.exact("lemma.alpha-commute", "(alpha (x) alpha) w = w (alpha (x) alpha)",
@@ -352,38 +399,11 @@ def check_pentagon_and_lemmas(dd: Duality, cap: int = CUBE_CAP,
     ck.exact("lemma.gram-unitary",
              "w^H (G (x) G) w = G (x) G for the pairing Gram matrix G",
              lambda: gram_unitarity_defect(h, w))
-
-    # adjoint relation in A (x) D: (w(a(x)b))^bullet-star (c(x)d)
-    #                            = (a(x)b)^bullet-star w^-1(c(x)d)
-    stars = m.invol.tensor(dm.invol)
-
-    def star2(u: Vec) -> Vec:
-        return stars(u.conj())
-
-    def bullet(u: Vec, v: Vec) -> Vec:
-        t = apply_on_legs(m.mult, (0, 2), u.tensor(v))
-        return apply_on_legs(dm.mult, (1, 2), t)
-
-    def adjoint_relation():
-        if d <= 8:
-            quads = ((i, j, k, l) for i in range(d) for j in range(d)
-                     for k in range(d) for l in range(d))
-        else:
-            quads = (tuple(rng.randrange(d) for _ in range(4))
-                     for _ in range(samples))
-        worst = Vec.zero(m.AA)
-        for i, j, k, l in quads:
-            ab = Vec.basis(m.AA, (i, j))
-            cd = Vec.basis(m.AA, (k, l))
-            diff = bullet(star2(w(ab)), cd) - bullet(star2(ab), w_inv(cd))
-            if diff.data and diff.max_abs() > worst.max_abs():
-                worst = diff
-        return worst
-
-    mode = "all basis four-tuples" if d <= 8 else f"{samples} seeded four-tuples"
     ck.exact("adjoint-relation",
-             f"(w(a(x)b))* . (c(x)d) = (a(x)b)* . w^-1(c(x)d) ({mode})",
-             adjoint_relation)
+             "(w(a(x)b))* . (c(x)d) = (a(x)b)* . w^-1(c(x)d) "
+             "(as w^-1 = L_X and stars o conj(w) = R_X o stars, "
+             "X = w^-1(1 (x) 1^))",
+             lambda: adjoint_relation(dd, mw))
     return ck.records
 
 

@@ -9,10 +9,11 @@ Lambda^-1 with C_x the dual's lmul(x), W = (Lambda (x) Lambda) w
 and the Hilbert adjoint of Lambda X Lambda^-1 is Lambda G^-1 X^H G
 Lambda^-1.  So each law on m, lambda and W is an identity over Q(zeta_N)
 among L, C, w and G, decided there over every basis element and pair;
-only the pentagon on A(x)A(x)A keeps its ``CUBE_CAP`` skip.  Lambda is
-invertible, so each exact form is equivalent to its float law.  Two float
-records remain, on the frame itself and under the ``report.Tolerances``
-that ``build_gns`` keeps on it: ``reps.lambda.inner-product`` (the frame
+the pentagon is ``AlgMultUnitary.pentagon_defect``, the one defect that
+``munitary.pentagon`` reads too.  Lambda is invertible, so each exact
+form is equivalent to its float law.  Two float records remain, on the
+frame itself and under the ``report.Tolerances`` that ``build_gns`` keeps
+on it: ``reps.lambda.inner-product`` (the frame
 reproduces G) and the approximate-KMS norm bound ``weight.kms.bound``.
 This is the only library module that imports numpy at load time, so
 exact-tier work never loads it.
@@ -33,15 +34,14 @@ from typing import Callable
 
 import numpy as np
 
-from .duality import (CUBE_CAP, AlgMultUnitary, Duality,
-                      build_alg_mult_unitary, build_dual,
-                      gram_unitarity_defect, pentagon_defect)
+from .duality import (AlgMultUnitary, Duality, build_alg_mult_unitary,
+                      build_dual, gram_unitarity_defect, regular, tensor_image)
 from .errors import CheckFailure, TierRefusal
 from .hopf import QGModel, galois_map
-from .linalg import LinMap, Vec, apply_on_legs, rank, to_multi
+from .linalg import LinMap, rank
 from .modular import HaarData, _sign, require_unit_scaling
 from .report import (PASS, Checker, CheckRecord, Tolerances,
-                     _diff_witness)
+                     _diff_witness, require_zero)
 from .scalars import Cyc
 
 
@@ -107,7 +107,7 @@ def build_gns(model: QGModel, tol: Tolerances = Tolerances()) -> GnsRealization:
                   f"{model.name}: GNS inner product does not reproduce "
                   "the Gram matrix")
     dual = build_dual(model)
-    if rank(_regular(model)) != model.dim:
+    if rank(regular(model)) != model.dim:
         raise TierRefusal(f"{model.name}: multiplication representation "
                           "is not faithful")
     defect, _ = _diff_witness(gram_unitarity_defect(
@@ -122,37 +122,14 @@ def build_gns(model: QGModel, tol: Tolerances = Tolerances()) -> GnsRealization:
 # -- exact forms of the representation and W laws ---------------------------
 
 
-def _regular(model: QGModel) -> LinMap:
-    """f |-> L_f as a flattened family: a map into A (x) A whose column f
-    is L_f, entry (i, j) at row i d + j, read off the product's entries."""
-    d = model.dim
-    cols: dict[int, dict[int, Cyc]] = {}
-    for i, fj, v in model.mult.entries():
-        f, j = divmod(fj, d)
-        cols.setdefault(f, {})[i * d + j] = v
-    return LinMap._of(model.A, model.AA, cols)
-
-
-def _tensor_image(left: LinMap, right: LinMap, v: Vec) -> LinMap:
-    """sum v_pq L_p (x) R_q on A (x) A, for flattened families L and R."""
-    d = left.cod[0]
-    t = apply_on_legs(right, (2,), apply_on_legs(left, (0,), v))
-    cols: dict[int, dict[int, Cyc]] = {}
-    for k, c in t.items():
-        i, j, r, s = to_multi(k, t.dims)
-        cols.setdefault(j * d + s, {})[i * d + r] = c
-    return LinMap._of((d, d), (d, d), cols)
-
-
 def _slices(dd: Duality, mw: AlgMultUnitary, leg: int) -> LinMap:
     """The basis-pair slices of W in coordinates, column a d + b for
     omega_{Lambda e_a, Lambda e_b} on ``leg``: the block at (a, b) of that
     leg of (1 (x) G) w (leg 1) or (G (x) 1) w (leg 0).  Slices are
     sesquilinear and the Lambda e_a span, so these d^2 decide every slice
     law."""
-    m, gram = dd.source, dd.haar.gram
+    m, gram, d = dd.source, dd.haar.gram, dd.source.dim
     t = (m.idA.tensor(gram) if leg else gram.tensor(m.idA)) @ mw.w
-    d = m.dim
     cols: dict[int, dict[int, Cyc]] = {}
     for r, c, v in t.entries():
         (i, a), (j, b) = divmod(r, d), divmod(c, d)
@@ -162,23 +139,14 @@ def _slices(dd: Duality, mw: AlgMultUnitary, leg: int) -> LinMap:
     return LinMap._of(m.AA, m.AA, cols)
 
 
-def _require_zero(diff, label: str):
-    """CheckFailure naming ``label`` and the worst entry of a nonzero
-    exact difference."""
-    residual, where = _diff_witness(diff)
-    if residual:
-        witness = f"{label}: {where}"
-        raise CheckFailure(witness, residual=residual, witness=witness)
-
-
 def _require_slices(diff: LinMap):
-    """As ``_require_zero`` for a difference of flattened slices, naming
+    """As ``require_zero`` for a difference of flattened slices, naming
     the basis pair and the block entry."""
     if not diff.is_zero():
         d = diff.dom[0]
         r, c, v = max(diff.entries(), key=lambda e: abs(e[2].to_complex()))
-        _require_zero(v, f"pair (f, g) = {divmod(c, d)}: "
-                         f"block entry {divmod(r, d)}")
+        require_zero(v, f"pair (f, g) = {divmod(c, d)}: "
+                        f"block entry {divmod(r, d)}")
     return True
 
 
@@ -206,8 +174,8 @@ def _star(model: QGModel, gram: LinMap):
     """L_f^H G = G L_{f*} for every basis f, that is m(f)^H = m(f*)."""
     for f in range(model.dim):
         e = model.basis_vec(f)
-        _require_zero(model.lmul(e).adjoint() @ gram
-                      - gram @ model.lmul(model.bar(e)), f"basis element {f}")
+        require_zero(model.lmul(e).adjoint() @ gram
+                     - gram @ model.lmul(model.bar(e)), f"basis element {f}")
     return True
 
 
@@ -231,13 +199,13 @@ def _fourier_isometry(dd: Duality) -> LinMap:
 def _implemented(dd: Duality, mw: AlgMultUnitary):
     """W^H (1 (x) m(f)) W = (m (x) m)(coprod f) for every basis f, as
     w^H (G (x) G)(1 (x) L_f) w = (G (x) G) sum coprod(f)_pq L_p (x) L_q."""
-    m, reg = dd.source, _regular(dd.source)
+    m, reg = dd.source, regular(dd.source)
     gg = dd.haar.gram.tensor(dd.haar.gram)
     wg = mw.w.adjoint() @ gg
     for f in range(m.dim):
-        _require_zero(wg @ m.idA.tensor(m.lmul(m.basis_vec(f))) @ mw.w
-                      - gg @ _tensor_image(reg, reg, m.coprod.column(f)),
-                      f"basis element {f}")
+        require_zero(wg @ m.idA.tensor(m.lmul(m.basis_vec(f))) @ mw.w
+                     - gg @ tensor_image(reg, reg, m.coprod.column(f)),
+                     f"basis element {f}")
     return True
 
 
@@ -257,7 +225,7 @@ def check_regular_reps(gns: GnsRealization, dd: Duality,
     ck.exact("m.homomorphism", "m(f) m(g) = m(fg)", lambda: _homomorphism(m))
     ck.exact("m.star", "m(f)^H = m(f^*)", lambda: _star(m, gram))
     ck.exact("m.faithful", "rank span m(A) = dim A",
-             lambda: _require_span(d, _regular(m)))
+             lambda: _require_span(d, regular(m)))
     ck.exact("lambda.homomorphism", "lambda(x) lambda(y) = lambda(x*y)",
              lambda: _homomorphism(dm))
     ck.exact("lambda.star", "lambda(x)^H = lambda(x^*^)",
@@ -274,22 +242,22 @@ def check_regular_reps(gns: GnsRealization, dd: Duality,
     ck.exact("slice.left",
              "(iota (x) omega_{Lf,Lg})(W) = m((iota (x) phi)"
              "(coprod(conj f)(1 (x) g)))",
-             lambda: _require_slices(_slices(dd, mw, 1) - _regular(m) @ u))
+             lambda: _require_slices(_slices(dd, mw, 1) - regular(m) @ u))
     ck.exact("slice.right",
              "(omega_{Lf,Lg} (x) iota)(W) = lambda(g sigma(conj f))",
-             lambda: _require_slices(_slices(dd, mw, 0) - _regular(dm) @ x))
+             lambda: _require_slices(_slices(dd, mw, 0) - regular(dm) @ x))
     ck.exact("slice.left-span", "left slices span m(A) exactly",
-             lambda: _require_span(d, _slices(dd, mw, 1), _regular(m)))
+             lambda: _require_span(d, _slices(dd, mw, 1), regular(m)))
     ck.exact("slice.right-span", "right slices span lambda(D) exactly",
-             lambda: _require_span(d, _slices(dd, mw, 0), _regular(dm)))
+             lambda: _require_span(d, _slices(dd, mw, 0), regular(dm)))
     return ck.records
 
 
 def check_w_properties(dd: Duality, mw: AlgMultUnitary) -> list[CheckRecord]:
     """Unitarity, pentagon, represented-multiplier form and the duality
-    transport of W.  The pentagon (``duality.pentagon_defect`` on w) is
-    skipped once dim^3 exceeds ``CUBE_CAP``; the Fourier isometry and the
-    transport are both the proportionality of the two Gram matrices."""
+    transport of W.  The pentagon reads ``mw.pentagon_defect``, decided
+    exactly on all of A (x) A (x) A; the Fourier isometry and the transport
+    are both the proportionality of the two Gram matrices."""
     m, dm = dd.source, dd.dual
     d = m.dim
     ck = Checker(f"{m.name}.gns.w")
@@ -300,13 +268,10 @@ def check_w_properties(dd: Duality, mw: AlgMultUnitary) -> list[CheckRecord]:
              "W (Lambda (x) Lambda)(coprod(g)(f (x) 1)) = Lf (x) Lg",
              lambda: mw.w @ mw.w_inv - LinMap.identity(m.AA))
     ck.exact("represented-multiplier", "W = (m (x) lambda)(w)",
-             lambda: _tensor_image(_regular(m), _regular(dm),
-                                   mw.w(m.unit.tensor(dm.unit))) - mw.w)
-    law = "W12 W13 W23 = W23 W12 on L2^(x)3"
-    if d ** 3 <= CUBE_CAP:
-        ck.exact("pentagon", law, lambda: pentagon_defect(m, mw.w))
-    else:
-        ck.skip("pentagon", law, f"dim^3 = {d ** 3} exceeds cap {CUBE_CAP}")
+             lambda: tensor_image(regular(m), regular(dm),
+                                  mw.w(m.unit.tensor(dm.unit))) - mw.w)
+    ck.exact("pentagon", "W12 W13 W23 = W23 W12 on L2^(x)3",
+             lambda: mw.pentagon_defect)
     ck.exact("f-isometry",
              "Fourier transform is an isometry up to the dual Haar "
              "normalization", lambda: _fourier_isometry(dd))
@@ -315,7 +280,7 @@ def check_w_properties(dd: Duality, mw: AlgMultUnitary) -> list[CheckRecord]:
              "representation onto lambda", lambda: _fourier_isometry(dd))
     ck.exact("cstar-identification",
              "span (omega (x) iota)(W) = lambda(D), rank dim",
-             lambda: _require_span(d, _slices(dd, mw, 0), _regular(dm)))
+             lambda: _require_span(d, _slices(dd, mw, 0), regular(dm)))
     return ck.records
 
 
@@ -349,13 +314,15 @@ def check_coproduct_implementation(dd: Duality,
 
 
 def check_invariance_and_kms(gns: GnsRealization, dd: Duality,
-                             mw: AlgMultUnitary) -> list[CheckRecord]:
+                             implemented: CheckRecord) -> list[CheckRecord]:
     """The vector state, operator-level invariance and the KMS bound.
 
     Given the implementation of the coproduct, (omega (x) phi)
     (coprod(m(f))) = omega(m((iota (x) phi) coprod(f))), so invariance is
-    the left invariance of phi.  The KMS bound, a float record on the
-    frame, takes sigma_{i/2} = id, which ``check_kac_collapse`` decides.
+    the left invariance of phi; ``implemented`` is the ``coprod.implemented``
+    record, and its failure is this record's, with its witness and residual.
+    The KMS bound, a float record on the frame, takes sigma_{i/2} = id,
+    which ``check_kac_collapse`` decides.
     """
     m, haar = dd.source, dd.haar
     ck = Checker(f"{m.name}.gns.weight")
@@ -364,7 +331,10 @@ def check_invariance_and_kms(gns: GnsRealization, dd: Duality,
              - haar.phi)
 
     def invariance():
-        _implemented(dd, mw)
+        if implemented.status != PASS:
+            raise CheckFailure(implemented.witness,
+                               residual=implemented.residual,
+                               witness=implemented.witness)
         return m.idA.tensor(haar.phi) @ m.coprod - m.unit_map @ haar.phi
 
     ck.exact("invariance",
@@ -430,7 +400,7 @@ def _sigma_hat_integer(m: QGModel, haar: HaarData):
         x = m.idA
         for _ in range(abs(n)):
             x = r @ x @ s @ s
-        _require_zero(x - m.idA, f"n = {n}")
+        require_zero(x - m.idA, f"n = {n}")
     return True
 
 
@@ -548,7 +518,7 @@ def check_kac_collapse(dd: Duality) -> dict[str, list[CheckRecord]]:
 
     def collapse(ops, identity):
         for name in ops:
-            _require_zero(maps[name] - m.idA, f"operator {name}")
+            require_zero(maps[name] - m.idA, f"operator {name}")
         return True if identity is None else identity(m, dd.haar)
 
     sections = {}
@@ -565,10 +535,11 @@ def analytic_suite(gns: GnsRealization) -> list[CheckRecord]:
     """Every analytic-layer check on one realization, in a fixed order."""
     dd, mw = gns.dual, build_alg_mult_unitary(gns.model)
     kac = check_kac_collapse(dd)
-    records = (check_regular_reps(gns, dd, mw) + check_w_properties(dd, mw)
-               + check_coproduct_implementation(dd, mw))
+    records = check_regular_reps(gns, dd, mw) + check_w_properties(dd, mw)
+    coprod = check_coproduct_implementation(dd, mw)
+    records += coprod
     for section in ("calc", *(f"powers[z={z}]" for z in Z_GRID),
                     "commute", "modgroup"):
         records += kac[section]
-    return (records + check_invariance_and_kms(gns, dd, mw) + kac["weight"]
-            + kac["kac"])
+    return (records + check_invariance_and_kms(gns, dd, coprod[0])
+            + kac["weight"] + kac["kac"])

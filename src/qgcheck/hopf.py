@@ -235,17 +235,11 @@ def check_cancellation(model: QGModel) -> list[CheckRecord]:
     maps = galois(model)
     idAA = LinMap.identity(model.AA)
     for kind, m in maps.items():
-
-        def build(m=m):
-            return inverse(m) @ m - idAA
-
-        ck.exact(kind, f"{kind} is bijective on A(x)A", build)
+        ck.exact(kind, f"{kind} is bijective on A(x)A",
+                 lambda m=m: inverse(m) @ m - idAA)
     for kind, m in maps.items():
-
-        def build_det(m=m):
-            return not det(m).is_zero()
-
-        ck.exact(f"{kind}.det", f"det({kind}) != 0", build_det)
+        ck.exact(f"{kind}.det", f"det({kind}) != 0",
+                 lambda m=m: not det(m).is_zero())
     return ck.records
 
 

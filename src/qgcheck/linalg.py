@@ -138,12 +138,6 @@ class Vec:
     def conj(self) -> "Vec":
         return Vec(self.dims, {i: v.conj() for i, v in self.data.items()})
 
-    def relabel(self, dims: Sequence[int]) -> "Vec":
-        """Reinterpret the leg structure without touching coordinates."""
-        if total_dim(dims) != self.dim:
-            raise LegMismatch("total dimension changed in relabel", self.dims, tuple(dims))
-        return Vec(dims, dict(self.data))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Vec) and self.dims == other.dims and self.data == other.data
 

@@ -92,6 +92,15 @@ def _diff_witness(diff) -> tuple[float, str | None]:
     raise TypeError(f"cannot interpret {type(diff)} as an exact check result")
 
 
+def require_zero(diff, label: str):
+    """CheckFailure naming ``label`` and the worst entry of a nonzero
+    exact difference."""
+    residual, where = _diff_witness(diff)
+    if residual:
+        witness = f"{label}: {where}"
+        raise CheckFailure(witness, residual=residual, witness=witness)
+
+
 class Checker:
     """Collects check records; one instance per suite section."""
 
@@ -163,13 +172,6 @@ class Checker:
         self.records.append(rec)
         return rec
 
-    def extend(self, records: list[CheckRecord]):
-        self.records.extend(records)
-
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.records)
-
 
 def ensure(records: list[CheckRecord]):
     """Raise on the first failed record (for library callers and tests)."""
@@ -191,9 +193,6 @@ class Report:
     @property
     def ok(self) -> bool:
         return all(r.ok for r in self.records)
-
-    def failures(self) -> list[CheckRecord]:
-        return [r for r in self.records if not r.ok]
 
     def add(self, records: list[CheckRecord]):
         ids = {r.check_id for r in self.records}

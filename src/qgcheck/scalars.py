@@ -11,10 +11,12 @@ complex conjugation (zeta -> zeta^(N-1)) and inversion run on integers
 only; the inverse of a non-rational a is the product of its Galois
 conjugates sigma_k(a), k != 1 a unit mod N, divided by the rational norm
 N(a).  ``Cyc.coeffs`` gives the same value as a tuple of Fractions.  N = 1
-is the rational field.  Orders above ``MAX_ORDER`` are refused, because
-the per-order tables grow as N * phi(N).  The float tier of the workbench
-is plain complex arithmetic; ``Cyc.to_complex`` is the bridge between the
-two.
+is the rational field.  Values of different orders meet in Q(zeta_L), L
+the lcm of the orders (a rational value keeps the other's order), and hash
+by their normalized trace Tr(a) / deg Phi_N, which lifting leaves fixed.
+Orders above ``MAX_ORDER`` are refused, because the per-order tables grow
+as N * phi(N).  The float tier of the workbench is plain complex
+arithmetic; ``Cyc.to_complex`` is the bridge between the two.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ class _Context:
     and the shared constants zero and one."""
 
     __slots__ = ("order", "degree", "modulus", "powers", "conj", "zeta",
-                 "zero", "one")
+                 "zero", "one", "traces")
 
     def __init__(self, order: int):
         self.order = order
@@ -91,6 +93,12 @@ class _Context:
         self.zeta = cmath.exp(2j * cmath.pi / order)
         self.zero = _make(order, (0,) * d, 1)
         self.one = _make(order, (1,) + (0,) * (d - 1), 1)
+        # Tr(zeta^j) = sum of zeta^(jk) over the units k mod N, a rational,
+        # so the constant coefficient of that sum; it depends on gcd(j, N)
+        units = [k for k in range(1, order + 1) if gcd(k, order) == 1]
+        by_gcd = {g: sum(powers[g * k % order][0] for k in units)
+                  for g in _divisors(order)}
+        self.traces = [by_gcd[gcd(j, order)] for j in range(d)]
 
 
 _CONTEXTS: dict[int, _Context] = {}
@@ -162,12 +170,18 @@ class Cyc:
 
     @staticmethod
     def promote(value, order: int) -> "Cyc":
-        """Coerce an int, Fraction or Cyc into Q(zeta_order)."""
+        """Coerce an int, Fraction or Cyc into Q(zeta_order); a Cyc of an
+        order dividing ``order`` is lifted by zeta_n = zeta_order^(order/n)."""
         if isinstance(value, Cyc):
             if value.order == order:
                 return value
             if value.is_rational():
                 return value._promoted(order)
+            if order % value.order == 0:  # zeta_n = zeta_order^step
+                step = order // value.order
+                coeffs = [0] * (step * len(value.nums))
+                coeffs[::step] = value.coeffs
+                return Cyc(order, coeffs)
             raise ValueError(
                 f"cannot coerce Q(zeta_{value.order}) element into Q(zeta_{order})"
             )
@@ -190,14 +204,13 @@ class Cyc:
     def _result_order(self, other: "Cyc") -> int:
         """The order of a result of self and other, of different orders:
         a rational operand is promoted to the other's order (of two
-        rationals, the left one to the right one's)."""
+        rationals, the left one to the right one's); two non-rational
+        operands are both lifted to the lcm of their orders."""
         if self.is_rational():
             return other.order
         if other.is_rational():
             return self.order
-        raise ValueError(
-            f"mixed cyclotomic orders {self.order} and {other.order}"
-        )
+        return lcm(self.order, other.order)
 
     def _pair(self, other) -> tuple["Cyc", "Cyc"]:
         if isinstance(other, Cyc):
@@ -271,16 +284,16 @@ class Cyc:
                 return self._scaled(other.numerator, other.denominator)
             return NotImplemented
         xs, ys = self.nums, other.nums
-        # a rational factor scales the other one; of operands of different
-        # orders one is rational, and the other keeps its order
-        if self.order != other.order:
-            if self._result_order(other) == other.order:
-                return other._scaled(xs[0], self.den)
-            return self._scaled(ys[0], other.den)
+        # a rational factor scales the other one (of two rationals of
+        # different orders, the right one); two non-rational factors of
+        # different orders are lifted to the lcm of their orders
         if not any(xs[1:]):
             return other._scaled(xs[0], self.den)
         if not any(ys[1:]):
             return self._scaled(ys[0], other.den)
+        if self.order != other.order:
+            a, b = self._pair(other)
+            return a * b
         ctx = _CONTEXTS[self.order]
         d = ctx.degree
         raw = [0] * (2 * d - 1)
@@ -371,11 +384,9 @@ class Cyc:
 
     def __eq__(self, other):
         if isinstance(other, Cyc):
-            if self.order == other.order:
-                return self.nums == other.nums and self.den == other.den
-            return (self.is_rational() and other.is_rational()
-                    and self.nums[0] == other.nums[0]
-                    and self.den == other.den)
+            a, b = (self, other) if self.order == other.order \
+                else self._pair(other)
+            return a.nums == b.nums and a.den == b.den
         if isinstance(other, int):
             return (self.nums[0] == other and self.den == 1
                     and self.is_rational())
@@ -385,10 +396,11 @@ class Cyc:
         return NotImplemented
 
     def __hash__(self):
-        if self.is_rational():
-            return hash(self.nums[0] if self.den == 1
-                        else Fraction(self.nums[0], self.den))
-        return hash((self.order, self.coeffs))
+        # the normalized trace: equal values of different orders agree, and
+        # a rational value hashes as that rational
+        ctx = _CONTEXTS[self.order]
+        return hash(Fraction(sum(c * t for c, t in zip(self.nums, ctx.traces)),
+                             self.den * ctx.degree))
 
     # -- embeddings ------------------------------------------------------
 

@@ -25,9 +25,9 @@ import os
 import numpy as np
 
 from qgcheck.cli import main
-from qgcheck.duality import (build_dual, check_biduality, check_dual_modular,
-                             check_hopf_star_iso, check_pentagon_and_lemmas,
-                             check_radford)
+from qgcheck.duality import (PENTAGON_LAW, build_dual, check_biduality,
+                             check_dual_modular, check_hopf_star_iso,
+                             check_pentagon_and_lemmas, check_radford)
 from qgcheck.gns import Z_GRID, analytic_suite, build_gns
 from qgcheck.hopf import (GALOIS_KINDS, GALOIS_TAGS, check_cancellation,
                           galois_map, verify_counit_antipode)
@@ -150,14 +150,16 @@ def test_criterion_02_haar_uniqueness_positivity():
 
 @criterion(3, "pentagon equation, algebraic and unitary")
 def test_criterion_03_pentagon():
-    small = [n for n in ALL_MODELS if model(n).dim ** 3 <= 1000]
-    assert "d_z3" in small and "taft3" in small
+    small = [n for n in ALL_MODELS if model(n).dim <= 16]
+    assert {"d_z3", "taft3", "taft4"} <= set(small)
     for name in small:
         recs = check_pentagon_and_lemmas(duality(name))
         all_pass(recs, name)
+        for suffix in (".munitary.pentagon", ".munitary.adjoint-relation"):
+            (rec,) = pick(recs, suffix)
+            assert rec.tolerance is None, f"{name}: {suffix} not exact"
         (pent,) = pick(recs, ".munitary.pentagon")
-        assert pent.tolerance is None, f"{name}: pentagon not exact"
-        assert "full matrices" in pent.law, f"{name}: pentagon was sampled"
+        assert pent.law == PENTAGON_LAW, f"{name}: {pent.law}"
     # unitary pentagon on the 216-dimensional tensor cube of L2 of c_s3,
     # decided exactly on w
     assert model("c_s3").dim ** 3 == 216

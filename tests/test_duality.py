@@ -5,6 +5,7 @@ import pytest
 
 from qgcheck import duality
 from qgcheck.duality import (
+    PENTAGON_LAW,
     AlgMultUnitary,
     bidual_map,
     build_alg_mult_unitary,
@@ -16,13 +17,14 @@ from qgcheck.duality import (
     check_hopf_star_iso,
     check_pentagon_and_lemmas,
     check_radford,
+    leg_one_defect,
 )
 from qgcheck.errors import CheckFailure, ModelError
 from qgcheck.hopf import galois_map, validate_model
-from qgcheck.linalg import LinMap, Vec, to_multi
+from qgcheck.linalg import LinMap, Vec, apply_on_legs, to_multi
 from qgcheck.modular import check_modular_structure
 from qgcheck.models import GroupTable, build_function_algebra, build_group_algebra
-from qgcheck.report import FAIL, Checker, ensure
+from qgcheck.report import FAIL, PASS, Checker, ensure
 from qgcheck.scalars import Cyc
 
 
@@ -210,7 +212,7 @@ def test_full_pentagon_catches_a_wrong_unitary(name, dual_cache,
                         lambda model: dataclasses.replace(mw, w=bad))
     records = {r.check_id: r for r in check_pentagon_and_lemmas(dd)}
     pentagon = records[f"{m.name}.munitary.pentagon"]
-    assert "full matrices" in pentagon.law and pentagon.status == FAIL
+    assert pentagon.law == PENTAGON_LAW and pentagon.status == FAIL
 
     i = m.idA
     flip23 = i.tensor(m.flipA)
@@ -222,13 +224,100 @@ def test_full_pentagon_catches_a_wrong_unitary(name, dual_cache,
     assert want > 0 and pentagon.residual == want
 
 
-def test_pentagon_sampled_path(dual_cache):
-    # forcing the cap below dim^3 exercises the seeded sampler
-    dd = dual_cache("c_s3")
-    records = check_pentagon_and_lemmas(dd, cap=10, samples=100)
-    pentagon = next(r for r in records if r.check_id.endswith("pentagon"))
-    assert "seeded" in pentagon.law
-    ensure(records)
+# -- the reduced pentagon and adjoint relation against full-form oracles --
+
+
+def full_pentagon_defect(model, w):
+    """The oracle: w12 w13 w23 - w23 w12 as full d^3-column matrices."""
+    i = model.idA
+    w12, w23 = w.tensor(i), i.tensor(w)
+    flip23 = i.tensor(model.flipA)  # conjugating by it moves leg 1 to leg 2
+    return w12 @ (flip23 @ w12 @ flip23) @ w23 - w23 @ w12
+
+
+def adjoint_relation_on_four_tuples(dd, mw) -> bool:
+    """The oracle: (w(a(x)b))* . (c(x)d) = (a(x)b)* . w^-1(c(x)d) on all d^4
+    basis four-tuples, in A (x) D with the product ``.`` and its star."""
+    m, dm = dd.source, dd.dual
+    stars = m.invol.tensor(dm.invol)
+
+    def bullet(u, v):
+        t = apply_on_legs(m.mult, (0, 2), u.tensor(v))
+        return apply_on_legs(dm.mult, (1, 2), t)
+
+    basis = [Vec.basis(m.AA, k) for k in range(m.dim ** 2)]
+    for ab in basis:
+        left, right = stars(mw.w(ab).conj()), stars(ab.conj())
+        for cd in basis:
+            if bullet(left, cd) != bullet(right, mw.w_inv(cd)):
+                return False
+    return True
+
+
+def _single_entry_mutants(t, per_kind=12):
+    """Single-entry mutants of t, spread over its columns: up to per_kind
+    stored entries each raised and lowered by 1, and up to per_kind
+    unstored entries planted as 1."""
+    stored = sorted(t.entries(), key=lambda e: (e[1], e[0]))
+    for i, j, _ in stored[::max(1, len(stored) // per_kind)][:per_kind]:
+        for step in (1, -1):
+            yield t + LinMap.from_entries(t.dom, t.cod, [(i, j, step)])
+    for j in range(0, t.dom_dim, max(1, t.dom_dim // per_kind)):
+        col = t.cols.get(j, {})
+        i = next(i for k in range(t.cod_dim)
+                 if (i := (j + k) % t.cod_dim) not in col)
+        yield t + LinMap.from_entries(t.dom, t.cod, [(i, j, 1)])
+
+
+def _munitary_records(dd, mw, monkeypatch):
+    monkeypatch.setattr(duality, "build_alg_mult_unitary", lambda model: mw)
+    return {r.check_id.rsplit(".munitary.", 1)[1]: r
+            for r in check_pentagon_and_lemmas(dd)}
+
+
+@pytest.mark.parametrize("name", ["sweedler", "c_s3", "c_z4", "taft3"])
+def test_pentagon_matches_the_full_matrix_oracle_on_mutants(
+        name, dual_cache, monkeypatch):
+    dd = dual_cache(name)
+    m, mw = dd.source, build_alg_mult_unitary(dd.source)
+    reduced, statuses = 0, set()
+    for bad in [mw.w, *_single_entry_mutants(mw.w)]:
+        mutant = dataclasses.replace(mw, w=bad)
+        rec = _munitary_records(dd, mutant, monkeypatch)["pentagon"]
+        want = PASS if full_pentagon_defect(m, bad).is_zero() else FAIL
+        assert (rec.status, rec.law) == (want, PENTAGON_LAW), rec.witness
+        statuses.add(rec.status)
+        # with the leg-1 identity P is decided on the d^2 vectors
+        # 1 (x) e_b (x) e_c, else on all d^3 basis triples
+        keeps = leg_one_defect(m, bad).is_zero()
+        assert mutant.pentagon_defect.dom == (m.AA if keeps else (m.dim,) * 3)
+        reduced += keeps and bad is not mw.w
+    assert statuses == {PASS, FAIL}
+    # on function algebras, raising or lowering w's one entry in a column
+    # keeps the identity, so the reduction itself decides those mutants
+    assert (reduced > 0) == (name in ("c_s3", "c_z4")), reduced
+
+
+@pytest.mark.parametrize("name", ["sweedler", "c_s3", "c_z4"])
+def test_adjoint_relation_matches_the_four_tuple_oracle_on_mutants(
+        name, dual_cache, monkeypatch):
+    dd = dual_cache(name)
+    mw = build_alg_mult_unitary(dd.source)
+    assert dd.source.dim <= 6
+    statuses = set()
+    for field in ("w", "w_inv"):
+        for bad in [getattr(mw, field),
+                    *_single_entry_mutants(getattr(mw, field))]:
+            mutant = dataclasses.replace(mw, **{field: bad})
+            rec = _munitary_records(dd, mutant, monkeypatch)["adjoint-relation"]
+            want = PASS if adjoint_relation_on_four_tuples(dd, mutant) else FAIL
+            assert rec.status == want, (field, rec.witness)
+            statuses.add(rec.status)
+            if rec.status == FAIL:
+                assert rec.witness.startswith(
+                    ("w^-1 = L_X: entry", "stars o conj(w) = R_X o stars: "
+                     "entry")), rec.witness
+    assert statuses == {PASS, FAIL}
 
 
 @pytest.mark.parametrize("name", ["trivial", "c_z2", "cg_z3", "sweedler",

@@ -95,11 +95,10 @@ def test_w_is_translation_permutation_on_function_algebra(gns_cache):
 
 
 # passed/failed/skipped of `verify NAME --suite all` on each positive
-# built-in; d_s3's one skip is the GNS pentagon over the dim^3 cap
+# built-in, d_s3 included: no record is skipped
 POSITIVE_COUNTS = {name: (181, 0, 0) for name in (
     "c_s3", "c_z2", "c_z3", "c_z4", "cg_s3", "cg_z2", "cg_z3", "d_z2",
-    "d_z3", "trivial")}
-POSITIVE_COUNTS["d_s3"] = (180, 0, 1)
+    "d_z3", "d_s3", "trivial")}
 
 # the only analytic records that run in floats, on the GNS frame itself
 FLOAT_RECORDS = {"reps.lambda.inner-product", "weight.kms.bound"}
@@ -279,13 +278,15 @@ def test_unitary_antipode_reduces_to_antipode(gns_cache):
 
 
 def test_large_double_builds_and_slices(tmp_path, model_cache, monkeypatch):
-    # d_s3 (dim 36) through the CLI: the slice records pass, and the GNS
-    # pentagon, over the dim^3 cap, is the only skip
+    # d_s3 (dim 36) through the CLI: the slice records pass, and nothing
+    # is skipped, the GNS pentagon included
     report = verify_all_report("d_s3", tmp_path, model_cache, monkeypatch)
     reps = [r for r in report["checks"] if ".gns.reps." in r["check_id"]]
     assert len(reps) == 10 and all(r["status"] == "pass" for r in reps)
-    assert [r["check_id"] for r in report["checks"]
-            if r["status"] == "skip"] == ["d(s3).gns.w.pentagon"]
+    assert not [r for r in report["checks"] if r["status"] == "skip"]
+    (pentagon,) = [r for r in report["checks"]
+                   if r["check_id"] == "d(s3).gns.w.pentagon"]
+    assert pentagon["status"] == "pass" and pentagon["tolerance"] is None
 
 
 # -- mutants of the exact inputs of the Kac-collapsed records ---------------
@@ -372,9 +373,9 @@ MOVED = (
 
 
 def _moved_records(g, dd, mw) -> dict[str, object]:
+    coprod = G.check_coproduct_implementation(dd, mw)
     records = (G.check_regular_reps(g, dd, mw) + G.check_w_properties(dd, mw)
-               + G.check_coproduct_implementation(dd, mw)
-               + G.check_invariance_and_kms(g, dd, mw))
+               + coprod + G.check_invariance_and_kms(g, dd, coprod[0]))
     out = {r.check_id.split(".gns.")[1]: r for r in records}
     assert set(out) == set(MOVED) | FLOAT_RECORDS
     return {key: out[key] for key in MOVED}
@@ -452,3 +453,28 @@ def test_every_moved_record_fails_under_some_mutant(gns_cache):
             caught |= {key for key, rec in _moved_records(g, dd, mw).items()
                        if rec.status == "fail"}
     assert caught == set(MOVED), set(MOVED) - caught
+
+
+def test_invariance_reads_the_implemented_record(gns_cache, monkeypatch):
+    # weight.invariance reuses coprod.implemented: one _implemented call per
+    # suite, and a failure of the implementation is the invariance record's,
+    # with the same witness and residual
+    g = gns_cache("c_s3")
+    calls = []
+    implemented = G._implemented
+
+    def spy(dd, mw):
+        calls.append(dd.source.name)
+        return implemented(dd, mw)
+
+    monkeypatch.setattr(G, "_implemented", spy)
+    records = {r.check_id.split(".gns.")[1]: r for r in G.analytic_suite(g)}
+    assert calls == [g.model.name]
+    assert records["weight.invariance"].status == "pass"
+
+    mw = build_alg_mult_unitary(g.model)
+    bad = dataclasses.replace(mw, w=_single_entry(mw.w, "raised"))
+    moved = _moved_records(g, g.dual, bad)
+    impl, inv = moved["coprod.implemented"], moved["weight.invariance"]
+    assert impl.status == inv.status == "fail"
+    assert (inv.witness, inv.residual) == (impl.witness, impl.residual)

@@ -57,8 +57,10 @@ def test_cross_order_promotion():
     r = Cyc.rational(Fraction(1, 2))
     assert (z3 + r).order == 3
     assert z3 + r == r + z3
+    # two non-rational values meet in Q(zeta_lcm), within the order cap
+    assert (Cyc.zeta(3) + Cyc.zeta(4)).order == 12
     with pytest.raises(ValueError):
-        _ = Cyc.zeta(3) + Cyc.zeta(4)
+        _ = Cyc.zeta(25) + Cyc.zeta(41)  # lcm 1025 > MAX_ORDER
 
 
 def test_inverse_nontrivial():
@@ -158,8 +160,31 @@ def test_mixed_order_results_follow_promotion():
     assert (2 * z4).order == 4 and (z4 * Fraction(1, 2)).order == 4
     assert (Fraction(1, 2) + Cyc.one(3)).order == 3
     assert (1 - z4).order == 4
-    with pytest.raises(ValueError):
-        _ = Cyc.zeta(3) * Cyc.zeta(4)
+    # two non-rational operands are lifted to the lcm of their orders
+    assert (Cyc.zeta(3) * Cyc.zeta(4)).order == 12
+    assert (Cyc.zeta(4) * Cyc.zeta(8)).order == 8
+
+
+def test_zeta8_squared_is_zeta4():
+    z8, z4 = Cyc.zeta(8), Cyc.zeta(4)
+    assert z8 * z8 == z4 and z4 == z8 * z8
+    assert hash(z8 * z8) == hash(z4)
+    assert z8 != z4 and Cyc.zeta(8, 3) != z4
+
+
+def test_mixed_order_difference_is_zero():
+    diff = Cyc.zeta(8) * Cyc.zeta(8) - Cyc.zeta(4)
+    assert diff.is_zero() and diff.order == 8 and diff == 0
+    assert (Cyc.zeta(6) + Cyc.zeta(3, 2)).is_zero()  # zeta_6 = -zeta_3^2
+
+
+def test_zeta3_plus_zeta4_lands_in_order_12():
+    s = Cyc.zeta(3) + Cyc.zeta(4)
+    assert s.order == 12
+    assert s == Cyc.zeta(12, 4) + Cyc.zeta(12, 3)
+    assert abs(s.to_complex() - (Cyc.zeta(3).to_complex() + 1j)) < 1e-12
+    assert s - Cyc.zeta(4) == Cyc.zeta(3)
+    assert Cyc.zeta(3) * Cyc.zeta(4) == Cyc.zeta(12, 7)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6, 8, 12])
