@@ -198,20 +198,33 @@ def test_tol_does_not_leak_into_later_runs():
     assert G.build_gns(builtin("c_z2")).tol == Tolerances()
 
 
-def test_seed_is_recorded_and_changes_nothing_else(tmp_path):
-    # no check samples: taft3 (dim 9, where the adjoint relation and, on
-    # larger models, the pentagon used to be sampled) gives the same records
-    # under any seed, and only meta.seed tells the runs apart
-    reports = []
-    for run, argv in enumerate((["--seed", "7"], [])):
-        out = tmp_path / f"taft3-{run}.json"
-        assert main(["verify", "taft3", *argv, "--report", str(out)]) == 0
-        data = json.loads(out.read_text())
-        for rec in data["checks"]:
-            rec.pop("wall_ms")
-        reports.append(data)
-    assert [r["meta"].pop("seed") for r in reports] == [7, 1729]
-    assert reports[0] == reports[1]
+def _taft3_records(argv, out) -> dict:
+    """The report of ``verify taft3 argv``, without its wall times."""
+    assert main(["verify", "taft3", *argv, "--report", str(out)]) == 0
+    data = json.loads(out.read_text())
+    for rec in data["checks"]:
+        rec.pop("wall_ms")
+    return data
+
+
+@pytest.fixture(scope="module")
+def taft3_seed_zero(tmp_path_factory):
+    return _taft3_records(["--seed", "0"],
+                          tmp_path_factory.mktemp("seed") / "taft3-0.json")
+
+
+@pytest.mark.parametrize("argv, seed", [(["--seed", "7"], 7), ([], 1729)])
+def test_seed_reaches_exact_tier_sampler(argv, seed, taft3_seed_zero,
+                                         tmp_path):
+    # the seed reaches meta.seed and nothing else: the exact tier has no
+    # sampler, so taft3 (dim 9, where the adjoint relation and, on larger
+    # models, the pentagon were once sampled) gives the same records under
+    # --seed 7, the default seed and seed 0
+    data = _taft3_records(argv, tmp_path / "taft3.json")
+    assert data["meta"].pop("seed") == seed
+    reference = dict(taft3_seed_zero, meta=dict(taft3_seed_zero["meta"]))
+    assert reference["meta"].pop("seed") == 0
+    assert data == reference
 
 
 def test_verify_permutes_at_most_two_legs(monkeypatch):

@@ -275,6 +275,25 @@ def _munitary_records(dd, mw, monkeypatch):
             for r in check_pentagon_and_lemmas(dd)}
 
 
+def test_pentagon_sampled_path(dual_cache):
+    # the pentagon was once sampled on these models (c_s3 when the cap was
+    # forced below dim^3, taft4 under the default cap); both are now decided
+    # exactly, by the reduction on the d^2 vectors 1 (x) e_b (x) e_c
+    for name in ("c_s3", "taft4"):
+        dd = dual_cache(name)
+        m, mw = dd.source, build_alg_mult_unitary(dd.source)
+        assert leg_one_defect(m, mw.w).is_zero(), name
+        assert mw.pentagon_defect.dom == m.AA, name
+        assert mw.pentagon_defect.is_zero(), name
+        records = check_pentagon_and_lemmas(dd)
+        pentagon = next(r for r in records if r.check_id.endswith("pentagon"))
+        assert (pentagon.status, pentagon.law) == (PASS, PENTAGON_LAW), name
+        assert pentagon.tolerance is None and pentagon.residual == 0, name
+        ensure(records)
+        if m.dim ** 3 <= 216:  # c_s3: the full-matrix oracle agrees
+            assert full_pentagon_defect(m, mw.w).is_zero(), name
+
+
 @pytest.mark.parametrize("name", ["sweedler", "c_s3", "c_z4", "taft3"])
 def test_pentagon_matches_the_full_matrix_oracle_on_mutants(
         name, dual_cache, monkeypatch):
