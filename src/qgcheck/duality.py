@@ -36,7 +36,7 @@ from functools import cached_property
 
 from .errors import ModelError
 from .hopf import QGModel, galois_map
-from .linalg import LinMap, Vec, apply_on_legs, inverse, to_multi
+from .linalg import LinMap, Vec, apply_on_legs, inverse
 from .modular import HaarData, alpha_map, solve_haar
 from .report import CheckRecord, Checker, require_zero
 from .scalars import Cyc
@@ -75,8 +75,8 @@ class AlgMultUnitary:
         d^3 triples.  w12 E and w23 E are built from w's columns."""
         m, w, i = self.model, self.w, self.model.idA
         x = m.unit_map if leg_one_defect(m, w).is_zero() else i
-        lhs = _on_legs(w, (0, 1), _on_legs(w, (0, 2), x.tensor(w)))
-        return lhs - _on_legs(w, (1, 2), (w @ x.tensor(i)).tensor(i))
+        lhs = apply_on_legs(w, (0, 1), apply_on_legs(w, (0, 2), x.tensor(w)))
+        return lhs - apply_on_legs(w, (1, 2), (w @ x.tensor(i)).tensor(i))
 
 
 def build_dual(model: QGModel) -> Duality:
@@ -101,13 +101,8 @@ def _build_dual(model: QGModel) -> Duality:
     # P^T to both legs of each coproduct column, so
     # conv = P^-1 ((P^T(x)P^T) coprod)^T.
     pt = pmat.transpose()
-    paired = {}
-    for k in range(d):
-        col = apply_on_legs(pt, (0,), apply_on_legs(
-            pt, (1,), model.coprod.column(k)))
-        if col.data:
-            paired[k] = dict(col.data)
-    conv = pmat_inv @ LinMap(A, AA, paired).transpose()
+    paired = apply_on_legs(pt, (0,), apply_on_legs(pt, (1,), model.coprod))
+    conv = pmat_inv @ paired.transpose()
 
     # unit: phi(e_k u) = eps(e_k)
     conv_unit = pmat_inv(Vec(A, {j: v for _, j, v in model.counit.entries()}))
@@ -175,35 +170,17 @@ def check_dual(dd: Duality) -> list[CheckRecord]:
     ck.exact("pair.star", "(f^*, a) = conj((f, (S a)*))",
              lambda: P @ dm.invol - (C.conj() @ S).transpose() @ P.conj())
 
-    def form_product():
-        # f*g = f_(1) phi(S^-1(g) f_(2))
-        cols = {}
-        for i in range(d):
-            dfi = m.coprod.column(i)
-            for j in range(d):
-                t = Sinv.column(j).tensor(dfi)
-                t = apply_on_legs(m.mult, (0, 2), t)
-                t = apply_on_legs(phi, (0,), t)
-                if t.data:
-                    cols[i * d + j] = dict(t.data)
-        return dm.mult - LinMap(m.AA, m.A, cols)
+    def phi_of_product(t: LinMap) -> LinMap:
+        # column g (x) f of t, a map into A (x) A (x) A, taken to
+        # phi(leg 0 . leg 2) leg 1, and read at column f (x) g
+        return apply_on_legs(phi, (0,), apply_on_legs(m.mult, (0, 2), t)) \
+            @ m.flipA
 
-    def form_product_alt():
-        # f*g = phi(S^-1(g_(1)) f) g_(2)
-        cols = {}
-        for j in range(d):
-            dgj = apply_on_legs(Sinv, (0,), m.coprod.column(j))
-            for i in range(d):
-                t = dgj.tensor(m.basis_vec(i))
-                t = apply_on_legs(m.mult, (0, 2), t)
-                t = apply_on_legs(phi, (0,), t)
-                if t.data:
-                    cols[i * d + j] = dict(t.data)
-        return dm.mult - LinMap(m.AA, m.A, cols)
-
-    ck.exact("form.product", "f*g = f_(1) phi(S^-1(g) f_(2))", form_product)
+    ck.exact("form.product", "f*g = f_(1) phi(S^-1(g) f_(2))",
+             lambda: dm.mult - phi_of_product(Sinv.tensor(m.coprod)))
     ck.exact("form.product-alt", "f*g = phi(S^-1(g_(1)) f) g_(2)",
-             form_product_alt)
+             lambda: dm.mult - phi_of_product(
+                 apply_on_legs(Sinv, (0,), m.coprod).tensor(m.idA)))
     ck.exact("form.antipode", "S^(f) = sigma(delta S(f))",
              lambda: dm.antipode - h.sigma @ m.lmul(h.delta) @ S)
     ck.exact("form.star", "f^* = mu^-1 (S f)* delta",
@@ -316,7 +293,8 @@ def tensor_image(left: LinMap, right: LinMap, v: Vec) -> LinMap:
     t = apply_on_legs(right, (2,), apply_on_legs(left, (0,), v))
     cols: dict[int, dict[int, Cyc]] = {}
     for k, c in t.items():
-        i, j, r, s = to_multi(k, t.dims)
+        ij, rs = divmod(k, d * d)
+        (i, j), (r, s) = divmod(ij, d), divmod(rs, d)
         cols.setdefault(j * d + s, {})[i * d + r] = c
     return LinMap._of((d, d), (d, d), cols)
 
@@ -335,27 +313,6 @@ def leg_one_defect(model: QGModel, w: LinMap) -> LinMap:
                     k = i * d + y
                     acc[k] = acc[k] + v * c if k in acc else v * c
     return w - LinMap(model.AA, model.AA, cols)
-
-
-def _on_legs(w: LinMap, legs: tuple[int, int], m: LinMap) -> LinMap:
-    """w, a map on A (x) A, applied to two legs of each column of m, a map
-    into A (x) A (x) A, by index arithmetic on the flattened columns."""
-    d = w.dom[0]
-    s0, s1 = ((d * d, d, 1)[p] for p in legs)
-    moves = {j: [(k // d * s0 + k % d * s1, v) for k, v in col.items()]
-             for j, col in w.cols.items()}
-    cols = {}
-    for j, col in m.cols.items():
-        acc: dict[int, Cyc] = {}
-        for idx, c in col.items():
-            a, b = idx // s0 % d, idx // s1 % d
-            base = idx - a * s0 - b * s1
-            for off, v in moves.get(a * d + b, ()):
-                k = base + off
-                acc[k] = acc[k] + v * c if k in acc else v * c
-        if acc := {k: v for k, v in acc.items() if v}:
-            cols[j] = acc
-    return LinMap._of(m.dom, m.cod, cols)
 
 
 def gram_unitarity_defect(haar: HaarData, w: LinMap) -> LinMap:

@@ -164,12 +164,6 @@ def _require_span(expect: int, *families: LinMap):
     return True
 
 
-def _homomorphism(model: QGModel) -> LinMap:
-    """L_{ab} - L_a L_b, applied to every c: (ab)c - a(bc)."""
-    i, mult = model.idA, model.mult
-    return mult @ mult.tensor(i) - mult @ i.tensor(mult)
-
-
 def _star(model: QGModel, gram: LinMap):
     """L_f^H G = G L_{f*} for every basis f, that is m(f)^H = m(f*)."""
     for f in range(model.dim):
@@ -222,12 +216,13 @@ def check_regular_reps(gns: GnsRealization, dd: Duality,
     m, dm, gram = dd.source, dd.dual, dd.haar.gram
     d = m.dim
     ck = Checker(f"{m.name}.gns.reps")
-    ck.exact("m.homomorphism", "m(f) m(g) = m(fg)", lambda: _homomorphism(m))
+    # L_{ab} - L_a L_b applied to every c is (ab)c - a(bc)
+    ck.exact("m.homomorphism", "m(f) m(g) = m(fg)", lambda: m.associator)
     ck.exact("m.star", "m(f)^H = m(f^*)", lambda: _star(m, gram))
     ck.exact("m.faithful", "rank span m(A) = dim A",
              lambda: _require_span(d, regular(m)))
     ck.exact("lambda.homomorphism", "lambda(x) lambda(y) = lambda(x*y)",
-             lambda: _homomorphism(dm))
+             lambda: dm.associator)
     ck.exact("lambda.star", "lambda(x)^H = lambda(x^*^)",
              lambda: _star(dm, gram))
     ck.numeric("lambda.inner-product", "<Lambda f, Lambda g> = phi(conj(f) g)",

@@ -9,6 +9,11 @@ only and imports no numpy at load time: ``to_numpy`` imports it when a
 caller asks for a float matrix, and the float-tier helpers built on those
 matrices live in ``gns``.
 
+``apply_on_legs`` is the one tensor-leg kernel: it applies a map to chosen
+legs of a vector, or of every column of a map, by index arithmetic on the
+flattened entries, so a structure map acting on some legs of a tensor
+never becomes the embedded map on all of them.
+
 ``det``, ``rank``, ``kernel``, ``solve_linear`` and ``inverse`` each read
 their results off one exact reduced-row-echelon pass (``_Eliminator``); the
 right-hand sides of a solve or an inversion are augmented columns held in
@@ -402,61 +407,96 @@ class LinMap:
         return f"LinMap({self.dom}->{self.cod}, nnz={self.nnz})"
 
 
-def apply_on_legs(f: LinMap, legs: Sequence[int], v: Vec) -> Vec:
-    """Apply f to the chosen legs (0-based) of a vector.
+def _runs(plan: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
+    """Merge digit readers (stride, size, weight), digit = index // stride
+    % size adding digit * weight, of consecutive legs that stay in order,
+    so a run of legs is read as one digit."""
+    out: list[tuple[int, int, int]] = []
+    for s, n, t in plan:
+        if out and out[-1][0] == s * n and out[-1][2] == t * n:
+            n *= out.pop()[1]
+        out.append((s, n, t))
+    return out
+
+
+def apply_on_legs(f: LinMap, legs: Sequence[int], x: Vec | LinMap) -> Vec | LinMap:
+    """Apply f to the chosen legs (0-based) of a vector, or of every column
+    of a map.
 
     Arity-preserving maps may name legs in any order; each output leg
     replaces the input leg at the same ambient position.  Maps that change
     arity need strictly ascending legs: the named legs are removed and the
-    codomain block is spliced in where the first of them sat.
+    codomain block is spliced in where the first of them sat.  The two
+    cases differ only in where the codomain legs land.  Strides are worked
+    out once per call, and each column of f becomes a list of output
+    offsets the first time an entry reaches it.
     """
-    dims = v.dims
+    dims = x.dims if isinstance(x, Vec) else x.cod
     if tuple(dims[p] for p in legs) != f.dom:
         raise LegMismatch("chosen legs do not match map domain",
                           tuple(dims[p] for p in legs), f.dom)
-    if len(f.dom) == len(f.cod):
-        out_dims = list(dims)
-        for pos, p in enumerate(legs):
-            out_dims[p] = f.cod[pos]
-        out_dims = tuple(out_dims)
-        out: dict[int, Cyc] = {}
-        for idx, c in v.data.items():
-            multi = list(to_multi(idx, dims))
-            sub = tuple(multi[p] for p in legs)
-            col = f.cols.get(from_multi(sub, f.dom))
-            if not col:
-                continue
-            for i, m in col.items():
-                sub_out = to_multi(i, f.cod)
-                multi_out = list(multi)
-                for pos, p in enumerate(legs):
-                    multi_out[p] = sub_out[pos]
-                k = from_multi(multi_out, out_dims)
-                s = out.get(k)
-                p_ = m * c
-                out[k] = p_ if s is None else s + p_
-        return Vec(out_dims, out)
-    if list(legs) != sorted(legs):
-        raise LegMismatch("arity-changing apply_on_legs needs ascending legs")
     others = [p for p in range(len(dims)) if p not in legs]
-    insert_at = sum(1 for p in others if p < legs[0])
-    out_dims = tuple([dims[p] for p in others[:insert_at]] + list(f.cod)
-                     + [dims[p] for p in others[insert_at:]])
-    out = {}
-    for idx, c in v.data.items():
-        multi = to_multi(idx, dims)
-        sub = tuple(multi[p] for p in legs)
-        rest = [multi[p] for p in others]
-        col = f.cols.get(from_multi(sub, f.dom))
-        if not col:
-            continue
-        for i, m in col.items():
-            multi_out = rest[:insert_at] + list(to_multi(i, f.cod)) + rest[insert_at:]
-            k = from_multi(multi_out, out_dims)
-            s = out.get(k)
-            p_ = m * c
-            out[k] = p_ if s is None else s + p_
-    return Vec(out_dims, out)
+    if len(f.dom) == len(f.cod):
+        cod_at, others_at = list(legs), others
+    elif list(legs) != sorted(legs):
+        raise LegMismatch("arity-changing apply_on_legs needs ascending legs")
+    else:
+        first = sum(1 for p in others if p < legs[0])
+        cod_at = list(range(first, first + len(f.cod)))
+        others_at = [r + (r >= first) * len(f.cod) for r in range(len(others))]
+    at = dict(zip(others_at, (dims[p] for p in others))) | dict(zip(cod_at, f.cod))
+    out_dims = tuple(at[q] for q in range(len(at)))
+    out_strides = _strides(out_dims)
+    # An entry's column of f is read off the digits of the legs f acts on.
+    # Its output index is its own index, moved by the other legs that land
+    # at another stride and by the offsets of f's column, which also clear
+    # the digits f acts on.
+    in_strides = _strides(dims)
+    col_plan = _runs([(in_strides[p], dims[p], s)
+                      for p, s in zip(legs, _strides(f.dom))])
+    base_plan = _runs([(in_strides[p], dims[p], out_strides[q] - in_strides[p])
+                       for p, q in zip(others, others_at)
+                       if out_strides[q] != in_strides[p]])
+    cod_plan = _runs([(s, n, out_strides[q])
+                      for s, n, q in zip(_strides(f.cod), f.cod, cod_at)])
+    moves: dict[int, list[tuple[int, Cyc]]] = {}
+
+    def offsets(j: int) -> list[tuple[int, Cyc]]:
+        out, start = [], 0
+        for s, n, t in col_plan:
+            start -= j // t % n * s
+        for i, v in f.cols.get(j, {}).items():
+            off = start
+            for s, n, t in cod_plan:
+                off += i // s % n * t
+            out.append((off, v))
+        return out
+
+    def image(col: dict[int, Cyc]) -> dict[int, Cyc]:
+        acc: dict[int, Cyc] = {}
+        for idx, c in col.items():
+            j, base = 0, idx
+            for s, n, t in col_plan:
+                j += idx // s % n * t
+            for s, n, t in base_plan:
+                base += idx // s % n * t
+            mv = moves.get(j)
+            if mv is None:
+                mv = moves[j] = offsets(j)
+            for off, v in mv:
+                k = base + off
+                acc[k] = acc[k] + v * c if k in acc else v * c
+        return {k: v for k, v in acc.items() if v}
+
+    if isinstance(x, Vec):
+        out = Vec(out_dims)
+        out.data = image(x.data)
+        return out
+    cols = {}
+    for j, col in x.cols.items():
+        if acc := image(col):
+            cols[j] = acc
+    return LinMap._of(x.dom, out_dims, cols)
 
 
 # -- exact elimination ----------------------------------------------------

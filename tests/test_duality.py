@@ -119,6 +119,73 @@ def test_dual_full_suite(dual_cache, name):
     ensure(check_biduality(dd))
 
 
+def _dual_products_pair_by_pair(dd):
+    """The oracle: pair.product, form.product and form.product-alt, the two
+    forms built one (f, g) basis pair at a time from Vec round trips, in
+    f d + g order, the column order in which check_dual names the first
+    worst entry."""
+    m, dm, P, phi = dd.source, dd.dual, dd.haar.pmat, dd.haar.phi
+    d, Sinv = m.dim, m.antipode_inv
+
+    def phi_of_product(t):
+        return apply_on_legs(phi, (0,), apply_on_legs(m.mult, (0, 2), t))
+
+    def form_product():  # f*g = f_(1) phi(S^-1(g) f_(2))
+        cols = {}
+        for i in range(d):
+            for j in range(d):
+                t = phi_of_product(Sinv.column(j).tensor(m.coprod.column(i)))
+                if t.data:
+                    cols[i * d + j] = dict(t.data)
+        return dm.mult - LinMap(m.AA, m.A, cols)
+
+    def form_product_alt():  # f*g = phi(S^-1(g_(1)) f) g_(2)
+        cols = {}
+        for i in range(d):
+            for j in range(d):
+                dgj = apply_on_legs(Sinv, (0,), m.coprod.column(j))
+                t = phi_of_product(dgj.tensor(m.basis_vec(i)))
+                if t.data:
+                    cols[i * d + j] = dict(t.data)
+        return dm.mult - LinMap(m.AA, m.A, cols)
+
+    ck = Checker(f"{m.name}.dual")
+    ck.exact("pair.product", "",
+             lambda: P @ dm.mult - m.coprod.transpose() @ P.tensor(P))
+    ck.exact("form.product", "", form_product)
+    ck.exact("form.product-alt", "", form_product_alt)
+    return {r.check_id: r for r in ck.records}
+
+
+@pytest.mark.parametrize("name", ["sweedler", "taft3", "c_s3"])
+@pytest.mark.parametrize("change", ["raise", "plant", "zero"])
+def test_dual_product_witnesses_match_pair_by_pair(name, change, dual_cache):
+    """A wrong dual product fails the three product records with the
+    residual and witness of the pair-by-pair oracle.  One wrong entry (the
+    middle stored entry raised by 1, or an unstored entry planted as 1)
+    pins the residual and the entry named; the zero product, whose
+    residuals have many equal worst entries, pins the column order."""
+    dd = dual_cache(name)
+    m, conv = dd.source, dd.dual.mult
+    if change == "zero":
+        bad_mult = LinMap.zero(m.AA, m.A)
+    else:
+        if change == "raise":
+            i, j, _ = list(conv.entries())[conv.nnz // 2]
+        else:
+            i, j = next((i, j) for j in range(m.dim ** 2)
+                        for i in range(m.dim) if conv.entry(i, j).is_zero())
+        bad_mult = conv + LinMap.from_entries(m.AA, m.A, [(i, j, Cyc.one(1))])
+    bad = dataclasses.replace(
+        dd, dual=dataclasses.replace(dd.dual, mult=bad_mult))
+    records = {r.check_id: r for r in check_dual(bad)}
+    for check_id, ref in _dual_products_pair_by_pair(bad).items():
+        got = records[check_id]
+        assert ref.status == FAIL and ref.witness
+        assert (got.status, got.residual, got.witness) \
+            == (ref.status, ref.residual, ref.witness)
+
+
 # The dual of a function algebra is the group algebra: delta_a * delta_b
 # = (1/|G|) delta_{ab}, unit |G| delta_e, and dividing by |G| is a Hopf
 # *-isomorphism onto the group-algebra model.

@@ -104,6 +104,38 @@ def test_apply_on_legs_matches_embedding():
         @ h.tensor(i2) @ LinMap.leg_permutation(dims, (0, 2, 1))
     assert apply_on_legs(h, [0, 2], v) == h02.apply(v)
 
+    # a map input: f acts on every column, each equal to the Vec result
+    x = rand_map(rng, 4, 12, density=0.6).relabel((4,), dims)
+    out = apply_on_legs(m, [1, 2], x)
+    assert out == big @ x
+    for j in range(4):
+        assert out.column(j) == apply_on_legs(m, [1, 2], x.column(j))
+    assert apply_on_legs(h, [0, 2], x) == h02 @ x
+
+    # a functional on leg 0 removes that leg
+    phi = LinMap.functional((2,), [Cyc.rational(Fraction(2)), Cyc.rational(Fraction(-1))])
+    phi0 = phi.tensor(LinMap.identity((2, 3)))
+    assert apply_on_legs(phi, [0], v) == phi0.apply(v)
+    assert apply_on_legs(phi, [0], x) == phi0 @ x
+
+    # a product on legs (0, 2) of four legs: the product lands at leg 0
+    dims4 = (2, 3, 2, 2)
+    mult = rand_map(rng, 4, 2, density=0.8).relabel((2, 2), (2,))
+    mult02 = mult.tensor(LinMap.identity((3, 2))) \
+        @ LinMap.leg_permutation(dims4, (0, 2, 1, 3))
+    v4 = Vec(dims4, {i: Cyc.rational(Fraction(rng.randint(-3, 3))) for i in range(24)})
+    x4 = rand_map(rng, 3, 24, density=0.5).relabel((3,), dims4)
+    assert apply_on_legs(mult, [0, 2], v4) == mult02.apply(v4)
+    assert apply_on_legs(mult, [0, 2], x4) == mult02 @ x4
+    for j in range(3):
+        assert apply_on_legs(mult, [0, 2], x4).column(j) \
+            == apply_on_legs(mult, [0, 2], x4.column(j))
+
+    # a map that changes arity needs ascending legs
+    for arg in (v4, x4):
+        with pytest.raises(LegMismatch):
+            apply_on_legs(mult, [2, 0], arg)
+
 
 def test_solve_reports_inconsistent_vs_zero_kernel():
     a = LinMap.from_dense((2,), (3,), [[1, 0], [0, 1], [1, 1]])

@@ -24,7 +24,11 @@ The mutants take the FAIL paths.  Their witnesses show entry positions,
 kernel samples of singular maps (most lowered mutants make a Galois map
 or the antipode singular) and the first of several equal residuals, which
 no PASS record shows: a change that only reorders the columns of a
-product passes every PASS record but changes these witnesses.
+product passes every PASS record but changes these witnesses.  Every
+mutant stops at the structural stage (``struct``, ``hopf``, ``cancel``),
+so no FAIL record of a later stage (dual, pentagon, GNS) is compared
+here; the witness order of those records is pinned by unit tests, such
+as ``tests/test_duality.py::test_dual_product_witnesses_match_pair_by_pair``.
 
 The generated inputs and the mutants are written once, from the parent
 checkout, into a temporary directory.  The script compares exit codes,
