@@ -137,6 +137,41 @@ def test_apply_on_legs_matches_embedding():
             apply_on_legs(mult, [2, 0], arg)
 
 
+def test_apply_on_legs_entry_order():
+    """Output entries come in the order the input entries reach them: for
+    each input entry in turn, each entry of f's column in its stored order,
+    a repeated index keeping its first place and a cancelled one dropping
+    out.  FAIL witnesses name the first of several equal worst entries, so
+    this order is part of every report."""
+    def items(data):
+        return [(k, v) for k, v in data.items()]
+
+    # arity kept: f on leg 1 of (2, 2); column 0 of f stores row 1 first
+    f = LinMap((2,), (2,), {0: {1: 2, 0: 3}, 1: {0: 5}})
+    v = Vec((2, 2), {3: 1, 0: 1, 2: 1})
+    assert items(apply_on_legs(f, [1], v).data) \
+        == [(2, 8), (1, 2), (0, 3), (3, 2)]
+    x = LinMap((3,), (2, 2), {2: {3: 1, 0: 1, 2: 1}, 0: {1: 1},
+                              1: {0: 5, 1: -3}})
+    out = apply_on_legs(f, [1], x)
+    assert list(out.cols) == [2, 0, 1]
+    assert items(out.cols[2]) == [(2, 8), (1, 2), (0, 3), (3, 2)]
+    assert items(out.cols[0]) == [(0, 5)]
+    assert items(out.cols[1]) == [(1, 10)]  # (0, 0) cancels: 15 - 15
+
+    # arity changed: a product on legs (0, 2) of (2, 2, 2) lands at leg 0
+    g = LinMap((2, 2), (2,), {1: {1: 1, 0: 2}, 2: {0: 1}, 3: {1: 1}})
+    v = Vec((2, 2, 2), {6: 1, 1: 1, 3: 1})
+    assert items(apply_on_legs(g, [0, 2], v).data) \
+        == [(1, 3), (2, 1), (0, 2), (3, 1)]
+    x = LinMap((3,), (2, 2, 2), {1: {6: 1, 1: 1, 3: 1}, 2: {0: 1},
+                                 0: {7: 1, 1: -1}})
+    out = apply_on_legs(g, [0, 2], x)
+    assert list(out.cols) == [1, 0]  # column 2 meets only f's zero column
+    assert items(out.cols[1]) == [(1, 3), (2, 1), (0, 2), (3, 1)]
+    assert items(out.cols[0]) == [(3, 1), (2, -1), (0, -2)]
+
+
 def test_solve_reports_inconsistent_vs_zero_kernel():
     a = LinMap.from_dense((2,), (3,), [[1, 0], [0, 1], [1, 1]])
     sol, ker = solve_linear(a, Vec.from_list((3,), [1, 2, 3]))
