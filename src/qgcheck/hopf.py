@@ -160,14 +160,8 @@ class QGModel:
         return self.mult(a.tensor(b))
 
     def mul2(self, u: Vec, w: Vec) -> Vec:
-        """Product of u, w in A (x) A: (a(x)b)(c(x)d) = ac (x) bd.
-
-        Computed by applying mult to legs (0,2) and then (1,2) of the
-        4-leg tensor, so the mult(x)mult matrix is never materialized.
-        """
-        t = u.tensor(w)
-        t = apply_on_legs(self.mult, (0, 2), t)
-        return apply_on_legs(self.mult, (1, 2), t)
+        """Product of u, w in A (x) A: (a(x)b)(c(x)d) = ac (x) bd."""
+        return pair_product(self.mult, u, w)
 
     def lmul(self, a: Vec) -> LinMap:
         """Left multiplication by a as a matrix, mult (a (x) id)."""
@@ -183,6 +177,13 @@ class QGModel:
 
     def counit_of(self, v: Vec) -> Cyc:
         return self.counit(v).get(0)
+
+
+def pair_product(mult: LinMap, u: Vec, w: Vec) -> Vec:
+    """Product of u, w in A (x) A under the product mult, leg by leg:
+    mult on legs (0, 2) and then (1, 2) of u (x) w, so the mult (x) mult
+    matrix is never materialized."""
+    return apply_on_legs(mult, (1, 2), apply_on_legs(mult, (0, 2), u.tensor(w)))
 
 
 def _point(a: Vec) -> LinMap:
@@ -205,13 +206,14 @@ def _build_galois(model: QGModel, key: str) -> LinMap:
     mult = model.mult @ flip if tag.startswith("_op") else model.mult
     coprod = flip @ model.coprod if tag.endswith("cop") else model.coprod
     if kind == "gl":  # a(x)b |-> coprod(a)(b(x)1)
-        return mult.tensor(i) @ i.tensor(flip) @ coprod.tensor(i)
+        return apply_on_legs(mult, (0, 2), coprod.tensor(i))
     if kind == "gr":  # a(x)b |-> coprod(a)(1(x)b)
-        return i.tensor(mult) @ coprod.tensor(i)
+        return apply_on_legs(mult, (1, 2), coprod.tensor(i))
     if kind == "rl":  # a(x)b |-> (a(x)1)coprod(b)
-        return mult.tensor(i) @ i.tensor(coprod)
+        return apply_on_legs(mult, (0, 1), i.tensor(coprod))
     # rr: a(x)b |-> (1(x)a)coprod(b)
-    return i.tensor(mult) @ flip.tensor(i) @ i.tensor(coprod)
+    return apply_on_legs(mult, (1, 2),
+                         apply_on_legs(flip, (0, 1), i.tensor(coprod)))
 
 
 def galois_map(model: QGModel, key: str) -> LinMap:
@@ -268,10 +270,10 @@ def verify_counit_antipode(model: QGModel) -> list[CheckRecord]:
              lambda: eps @ C - eps.conj())
 
     ck.exact("antipode.left", "m(S(x)id)(coprod(a)(1(x)b)) = eps(a)b",
-             lambda: m @ (S.tensor(i)) @ galois_map(model, "gr")
+             lambda: m @ apply_on_legs(S, (0,), galois_map(model, "gr"))
              - eps.tensor(i))
     ck.exact("antipode.right", "m(id(x)S)((a(x)1)coprod(b)) = a eps(b)",
-             lambda: m @ (i.tensor(S)) @ galois_map(model, "rl")
+             lambda: m @ apply_on_legs(S, (1,), galois_map(model, "rl"))
              - i.tensor(eps))
     ck.exact("antipode.unit", "S(1) = 1",
              lambda: S(model.unit) - model.unit)

@@ -348,12 +348,22 @@ class LinMap:
         return LinMap._of(self.dom + other.dom, self.cod + other.cod, cols)
 
     def __add__(self, other: "LinMap") -> "LinMap":
+        return self._merge(other, False)
+
+    def __sub__(self, other: "LinMap") -> "LinMap":
+        return self._merge(other, True)
+
+    def _merge(self, other: "LinMap", negate: bool) -> "LinMap":
+        """self + other, or self - other when ``negate``, in one pass: the
+        columns and entries of self in order, then those only other has."""
         if self.dom != other.dom or self.cod != other.cod:
             raise LegMismatch("sum legs differ", (self.dom, self.cod), (other.dom, other.cod))
         cols = {j: dict(col) for j, col in self.cols.items()}
         for j, col in other.cols.items():
             mine = cols.setdefault(j, {})
             for i, v in col.items():
+                if negate:
+                    v = -v
                 s = mine.get(i)
                 t = v if s is None else s + v
                 if t.is_zero():
@@ -363,9 +373,6 @@ class LinMap:
             if not mine:
                 del cols[j]
         return LinMap._of(self.dom, self.cod, cols)
-
-    def __sub__(self, other: "LinMap") -> "LinMap":
-        return self + other.scale(-1)
 
     def scale(self, scalar) -> "LinMap":
         c = _as_cyc(scalar)

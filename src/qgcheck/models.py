@@ -12,8 +12,8 @@ import itertools
 from dataclasses import replace
 
 from .errors import ModelError
-from .hopf import QGModel
-from .linalg import LinMap, Vec, apply_on_legs
+from .hopf import QGModel, pair_product
+from .linalg import LinMap, Vec
 from .scalars import Cyc
 
 # Largest Taft order build-taft accepts.  build_taft(n) builds an
@@ -233,11 +233,6 @@ def build_taft(n: int, name: str | None = None) -> QGModel:
         return mult(u.tensor(w))
 
     # coproduct by powering coprod(g)^a coprod(x)^b inside A(x)A
-    def pair_mul(u: Vec, w: Vec) -> Vec:
-        t = u.tensor(w)
-        t = apply_on_legs(mult, (0, 2), t)
-        return apply_on_legs(mult, (1, 2), t)
-
     g_vec, x_vec = Vec.basis(A, ix(1, 0)), Vec.basis(A, ix(0, 1))
     cg = g_vec.tensor(g_vec)
     cx = x_vec.tensor(unit) + g_vec.tensor(x_vec)
@@ -248,8 +243,8 @@ def build_taft(n: int, name: str | None = None) -> QGModel:
         cab = ca
         for b in range(n):
             coprod_cols[ix(a, b)] = dict(cab.data)
-            cab = pair_mul(cab, cx)
-        ca = pair_mul(ca, cg)
+            cab = pair_product(mult, cab, cx)
+        ca = pair_product(mult, ca, cg)
     coprod = LinMap(A, AA, coprod_cols)
 
     counit = LinMap.functional(

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from qgcheck import duality
+from qgcheck import cli, duality
 from qgcheck.duality import (
     PENTAGON_LAW,
     AlgMultUnitary,
@@ -21,11 +21,12 @@ from qgcheck.duality import (
 )
 from qgcheck.errors import CheckFailure, ModelError
 from qgcheck.hopf import galois_map, validate_model
-from qgcheck.linalg import LinMap, Vec, apply_on_legs, to_multi
+from qgcheck.linalg import LinMap, Vec, apply_on_legs, to_multi, total_dim
 from qgcheck.modular import check_modular_structure
 from qgcheck.models import GroupTable, build_function_algebra, build_group_algebra
 from qgcheck.report import FAIL, PASS, Checker, ensure
 from qgcheck.scalars import Cyc
+from test_hopf import stored_order
 
 
 def validated_dual(model):
@@ -248,6 +249,17 @@ def test_mult_unitary_group_permutation(model_cache):
     assert mw.w @ mw.w_inv == LinMap.identity(mw.model.AA)
 
 
+@pytest.mark.parametrize("name", ["sweedler", "taft3", "taft4", "c_s3", "d_z3"])
+def test_mult_unitary_matches_identity_tensor_composition(model_cache, name):
+    m = model_cache(name)
+    i = m.idA
+    want = (m.mult @ m.flipA).tensor(i) @ i.tensor(m.antipode_inv).tensor(i) \
+        @ i.tensor(m.coprod)
+    got = duality._build_alg_mult_unitary(m).w
+    assert got == want
+    assert stored_order(got) == stored_order(want)
+
+
 @pytest.mark.parametrize("name", ["trivial", "c_z2", "c_z3", "c_s3",
                                   "sweedler", "taft3"])
 def test_pentagon_and_lemmas(dual_cache, name):
@@ -448,6 +460,101 @@ def test_convolution_compat_catches_a_wrong_product(name, dual_cache):
         assert (records[check_id].status, records[check_id].residual) \
             == (ref.status, ref.residual)
     assert all(r.ok for r in _right_mult_by_leg_permutation(dd).values())
+
+
+def _convolution_compat_full_forms(dd):
+    """The four coproduct laws as d^3-column differences on a (x) f (x) g,
+    the form ``check_convolution_compat`` reduces to D and D'."""
+    m, conv = dd.source, dd.dual.mult
+    i = m.idA
+    iconv = i.tensor(conv)
+    ck = Checker(f"{m.name}.conv-compat")
+    for law, key in (("left-mult", "rl"), ("left-mult-op", "rl_op")):
+        g = galois_map(m, key)
+        ck.exact(f"coprod-{law}", "",
+                 lambda g=g: g @ iconv - iconv @ g.tensor(i))
+    for law, key in (("right-mult", "rr"), ("right-mult-op", "rr_op")):
+        g = galois_map(m, key)
+        ck.exact(f"coprod-{law}", "", lambda g=g: g @ iconv
+                 - conv.tensor(i) @ i.tensor(g) @ m.flipA.tensor(i))
+    return ck.records
+
+
+def _one_entry_mutant(t, change):
+    """t with its middle stored entry raised by 1, its first stored entry
+    lowered by 1, or its first unstored entry planted as 1."""
+    if change == "raise":
+        i, j, _ = list(t.entries())[t.nnz // 2]
+        bump = Cyc.one(1)
+    elif change == "lower":
+        i, j, _ = next(t.entries())
+        bump = -Cyc.one(1)
+    else:
+        i, j = next((i, j) for j in range(t.dom_dim)
+                    for i in range(t.cod_dim) if t.entry(i, j).is_zero())
+        bump = Cyc.one(1)
+    return t + LinMap.from_entries(t.dom, t.cod, [(i, j, bump)])
+
+
+@pytest.mark.parametrize("name", ["sweedler", "taft3", "c_s3"])
+@pytest.mark.parametrize("target", ["dual-mult", "coprod"])
+def test_convolution_compat_matches_the_full_forms_on_mutants(
+        name, target, dual_cache):
+    """The records decided through D and D' have the status, residual and
+    witness of the d^3-column forms, on single-entry mutants of the dual
+    product and of the coproduct."""
+    dd = dual_cache(name)
+    statuses = set()
+    for change in ("raise", "lower", "plant"):
+        if target == "dual-mult":
+            bad = dataclasses.replace(dd, dual=dataclasses.replace(
+                dd.dual, mult=_one_entry_mutant(dd.dual.mult, change)))
+        else:
+            bad = dataclasses.replace(dd, source=dataclasses.replace(
+                dd.source, coprod=_one_entry_mutant(dd.source.coprod, change)))
+        got = check_convolution_compat(bad)[:4]
+        want = _convolution_compat_full_forms(bad)
+        assert [(r.check_id, r.status, r.residual, r.witness) for r in got] \
+            == [(r.check_id, r.status, r.residual, r.witness) for r in want]
+        statuses |= {r.status for r in got}
+    assert FAIL in statuses
+
+
+def test_convolution_compat_pass_path_builds_no_d3_column_map(monkeypatch):
+    """On ``verify taft4 --suite all`` every conv-compat record passes
+    through D and D': no map with d^3 columns is built inside
+    ``check_convolution_compat``, and rr_op, which only the d^3 form of
+    the right laws reads, is never built."""
+    calls, active, doms = [], [], []
+    real_of, real_init = LinMap._of.__func__, LinMap.__init__
+
+    def of(cls, dom, cod, cols):
+        if active:
+            doms.append(tuple(dom))
+        return real_of(cls, dom, cod, cols)
+
+    def init(self, dom, cod, cols=None):
+        if active:
+            doms.append(tuple(dom))
+        real_init(self, dom, cod, cols)
+
+    def spy(dd):
+        calls.append(dd)
+        active.append(True)
+        try:
+            return duality.check_convolution_compat(dd)
+        finally:
+            active.pop()
+
+    monkeypatch.setattr(LinMap, "_of", classmethod(of))
+    monkeypatch.setattr(LinMap, "__init__", init)
+    monkeypatch.setattr(cli, "check_convolution_compat", spy)
+    assert cli.main(["verify", "taft4", "--suite", "all"]) == 0
+    (dd,) = calls
+    d = dd.source.dim
+    assert doms and all(len(dom) <= 2 and total_dim(dom) <= d * d
+                        for dom in doms), set(doms)
+    assert ("galois", "rr_op") not in dd.source._memo
 
 
 # On the four-dimensional model S^4 = id while delta = g and the dual

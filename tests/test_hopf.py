@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgcheck.errors import ModelError
-from qgcheck.hopf import (GALOIS_KINDS, GALOIS_TAGS, check_cancellation,
-                          galois, galois_map, solve_antipode, solve_counit,
+from qgcheck.hopf import (GALOIS_KINDS, GALOIS_TAGS, _build_galois,
+                          check_cancellation, galois, galois_map, solve_antipode, solve_counit,
                           validate_model, verify_counit_antipode)
 from qgcheck.linalg import LinMap, Vec, inverse
 from qgcheck.models import GroupTable, build_broken, builtin
@@ -46,6 +46,34 @@ def test_galois_variant_count_and_cancellation(sweedler, c_s3):
             g = galois_map(m, key)
             assert inverse(g) @ g == id_aa, (m.name, key)
         ensure(check_cancellation(m))
+
+
+def _galois_by_identity_tensors(m, key):
+    """The twisted multiplication as a composition of maps tensored with
+    the identity, the embedded form the leg-wise build must reproduce."""
+    kind, tag = key[:2], key[2:]
+    i, flip = m.idA, m.flipA
+    mult = m.mult @ flip if tag.startswith("_op") else m.mult
+    coprod = flip @ m.coprod if tag.endswith("cop") else m.coprod
+    return {"gl": lambda: mult.tensor(i) @ i.tensor(flip) @ coprod.tensor(i),
+            "gr": lambda: i.tensor(mult) @ coprod.tensor(i),
+            "rl": lambda: mult.tensor(i) @ i.tensor(coprod),
+            "rr": lambda: i.tensor(mult) @ flip.tensor(i) @ i.tensor(coprod),
+            }[kind]()
+
+
+def stored_order(t):
+    """Columns and the entries inside each, in stored order."""
+    return [(j, list(col.items())) for j, col in t.cols.items()]
+
+
+@pytest.mark.parametrize("name", ["sweedler", "taft3", "taft4", "c_s3", "d_z3"])
+def test_galois_maps_match_identity_tensor_compositions(model_cache, name):
+    m = model_cache(name)
+    for key in (kind + tag for kind in GALOIS_KINDS for tag in GALOIS_TAGS):
+        got, want = _build_galois(m, key), _galois_by_identity_tensors(m, key)
+        assert got == want, key
+        assert stored_order(got) == stored_order(want), key
 
 
 def test_cancellation_taft3(taft3):

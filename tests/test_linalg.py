@@ -328,6 +328,9 @@ def test_algebra_results_are_normalized(operands):
     for name, (got, want) in results.items():
         _assert_normalized(got)
         assert got == want, name
+    # a one-pass difference keeps the order of a plus the negated copy
+    stored = lambda t: [(j, list(col.items())) for j, col in t.cols.items()]
+    assert stored(a - b) == stored(a + b.scale(-1))
 
 
 
