@@ -365,22 +365,21 @@ def check_pentagon_and_lemmas(dd: Duality) -> list[CheckRecord]:
 def check_convolution_compat(dd: Duality) -> list[CheckRecord]:
     """Compatibility of the coproduct with the convolution product.
 
-    Each law compares two maps on a (x) f (x) g in A (x) A (x) A, and their
-    difference is a product with a applied to a d^2-column map that does
-    not involve a.  The left laws (with the product or the opposite one)
-    equal (mult (x) id)(id (x) D), and the right laws equal
-    (id (x) mult)(flip (x) id)(id (x) D'), where
+    Each coproduct law is an identity on a (x) f (x) g whose difference is
+    a product with a applied to a map on A (x) A with d^2 columns:
+    (mult (x) id)(id (x) D) for the two left laws (with the product or the
+    opposite one) and (id (x) mult)(flip (x) id)(id (x) D') for the two
+    right laws, where
 
       D  = coprod o conv - (id (x) conv)(coprod (x) id),
       D' = coprod o conv - (conv (x) id)(id (x) coprod)
 
-    are Van Daele's compatibility of coprod with the convolution product
-    (Adv. Math. 140, 1998).  These are identities of linear maps, with no
-    premise, so D = 0 passes both left laws and D' = 0 both right laws,
-    and each of D and D' is built once for its two records.  The converse
-    (take a = 1) needs the unit law, so a nonzero D or D' is not read as a
-    failure: its two laws are decided by the d^3-column difference, which
-    also names the witness, and every record is that of the full form.
+    are Van Daele's compatibility of coprod with conv (Adv. Math. 140,
+    1998).  That is leg bookkeeping with no premise, so D = 0 (D' = 0)
+    passes both left (right) laws; D and D' are each built once.  The
+    converse, at a = 1, needs the unit law, so a nonzero D or D' leaves its
+    two laws to the d^3-column difference, which decides them and names
+    the witness: every record is the full form's.
     """
     m, h, dm = dd.source, dd.haar, dd.dual
     d = m.dim
@@ -395,30 +394,26 @@ def check_convolution_compat(dd: Duality) -> list[CheckRecord]:
                 - apply_on_legs(conv, (0, 1), i.tensor(m.coprod))
         return m.coprod @ conv - apply_on_legs(conv, (1, 2), m.coprod.tensor(i))
 
-    def law(key: str):
+    def law(key: str) -> LinMap:
         right = key.startswith("rr")
-
-        def diff() -> LinMap:
-            if defect(right).is_zero():
-                return defect(right)
-            g, iconv = galois_map(m, key), i.tensor(conv)
-            if right:
-                # conv on legs (0, 1) of f (x) (1 (x) a)coprod(g)
-                #   = f (x) g_(1) (x) a g_(2)
-                return g @ iconv \
-                    - conv.tensor(i) @ i.tensor(g) @ m.flipA.tensor(i)
-            return g @ iconv - iconv @ g.tensor(i)
-        return diff
+        if defect(right).is_zero():
+            return defect(right)
+        g, iconv = galois_map(m, key), i.tensor(conv)
+        if right:
+            # conv on legs (0, 1) of f (x) (1 (x) a)coprod(g)
+            #   = f (x) g_(1) (x) a g_(2)
+            return g @ iconv - conv.tensor(i) @ i.tensor(g) @ m.flipA.tensor(i)
+        return g @ iconv - iconv @ g.tensor(i)
 
     ck.exact("coprod-left-mult", "(a (x) 1) coprod(f*g) = a f_(1) (x) (f_(2)*g)",
-             law("rl"))
+             lambda: law("rl"))
     ck.exact("coprod-left-mult-op", "coprod(f*g)(a (x) 1) = f_(1) a (x) (f_(2)*g)",
-             law("rl_op"))
+             lambda: law("rl_op"))
     ck.exact("coprod-right-mult", "(1 (x) a) coprod(f*g) = (f*g_(1)) (x) a g_(2)",
-             law("rr"))
+             lambda: law("rr"))
     ck.exact("coprod-right-mult-op",
              "coprod(f*g)(1 (x) a) = (f*g_(1)) (x) g_(2) a",
-             law("rr_op"))
+             lambda: law("rr_op"))
 
     def inner_product():
         # eps(f^* * g) = mu^-1 phi(conj(f) g), the Gram matrix up to mu
