@@ -12,17 +12,16 @@ MODEL is a model file path or a built-in model name.  The verify suites:
 "algebraic" runs every exact-arithmetic law (structure, integrals, dual,
 pentagon, biduality), "analytic" runs the GNS layer (the laws of the
 regular representations, W, the invariant weight and the Kac-collapsed
-modular layer, decided exactly in coordinates, and two float records on
-the GNS frame), and "all" runs both, recording a skip when the model sits
-outside the analytic layer's standing assumptions.  Asking for the
-analytic suite explicitly on such a model is refused.
+modular layer, decided exactly in coordinates), and "all" runs both,
+recording a skip when the model sits outside the analytic layer's
+standing assumptions.  Asking for the analytic suite explicitly on such a
+model is refused.
 
---tol T runs the analytic suite's float records and the GNS frame's
-construction under report.Tolerances(T) (spectral 100x T; T finite and
-> 0); validating T loads no numpy, and it is passed down as an argument.
---seed S (an integer >= 0) is accepted and recorded in the report's
-meta.seed; no check is sampled, as every law is decided on all of its
-inputs, so the seed changes nothing else.
+--tol T (a finite number > 0) and --seed S (an integer >= 0) are accepted,
+validated and recorded in the report's meta.tol and meta.seed, so that
+scripts passing them keep working.  Neither changes any result: every law
+is decided exactly, with no tolerance, and on all of its inputs, with no
+sampling.
 
 Exit codes: 0 every executed check passed, 1 at least one check failed,
 2 the input could not be used (bad option value, parse error, invalid
@@ -43,7 +42,7 @@ n^2-dimensional build.
 from __future__ import annotations
 
 import argparse
-import importlib.util
+import math
 import os
 import sys
 
@@ -59,8 +58,7 @@ from .models import (BUILTIN_MODELS, MAX_TAFT_ORDER, build_drinfeld_double,
                      build_function_algebra, build_group_algebra, build_taft,
                      builtin)
 from .modular import check_modular_structure, require_unit_scaling, solve_haar
-from .report import (FAIL, Checker, CheckRecord, Report, Tolerances,
-                     ensure)
+from .report import FAIL, Checker, CheckRecord, Report, ensure
 from .subgroups import (build_dual_morphism, certify_vaes,
                         check_dual_morphism, check_expectation,
                         validate_morphism)
@@ -115,18 +113,14 @@ def _algebraic_records(model: QGModel) -> list[CheckRecord]:
     return records
 
 
-def _analytic_records(model: QGModel, explicit: bool, tol: float | None):
-    """GNS-layer suite; gns (and numpy) load only past the exact mu test.
-    Without numpy the suite is refused, naming the extra that brings it."""
+def _analytic_records(model: QGModel, explicit: bool):
+    """GNS-layer suite.  gns is imported here, past the exact mu test, so
+    a run that is refused there or runs no analytic suite never pays for
+    its import (about 7 ms; see the package's lazy loader)."""
     try:
         require_unit_scaling(model)
-        if importlib.util.find_spec("numpy") is None:
-            raise TierRefusal(f"{model.name}: the analytic suite needs "
-                              "numpy; install the 'analytic' extra "
-                              "(pip install 'qgcheck[analytic]')")
         from .gns import analytic_suite, build_gns
-        tolerances = Tolerances() if tol is None else Tolerances(tol)
-        g = build_gns(model, tolerances)
+        g = build_gns(model)
     except TierRefusal as e:
         if explicit:
             raise
@@ -147,7 +141,7 @@ def cmd_verify(args) -> int:
         report.add(_algebraic_records(model))
     if args.suite in ("analytic", "all") and report.ok:
         report.add(_analytic_records(
-            model, explicit=args.suite == "analytic", tol=args.tol))
+            model, explicit=args.suite == "analytic"))
     print(report.text_table())
     if args.report:
         write_report(report, args.report)
@@ -205,11 +199,15 @@ def cmd_subgroup(args) -> int:
 
 
 def _tolerance(text: str) -> float:
-    """argparse type of --tol: a float that report.Tolerances accepts."""
+    """argparse type of --tol: a finite float > 0."""
     try:
-        return Tolerances(float(text)).identity
+        value = float(text)
     except ValueError as e:
         raise argparse.ArgumentTypeError(str(e)) from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be a finite number > 0, got {value!r}")
+    return value
 
 
 def _seed(text: str) -> int:
@@ -232,9 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--suite", choices=["algebraic", "analytic", "all"],
                    default="all")
     v.add_argument("--tol", type=_tolerance, default=None,
-                   help="identity tolerance of the analytic suite, a finite "
-                        "number > 0 (default 1e-10); the spectral "
-                        "tolerance is 100x it")
+                   help="a finite number > 0, recorded in the report's "
+                        "meta.tol; every law is decided exactly, so it "
+                        "changes no result")
     v.add_argument("--seed", type=_seed, default=DEFAULT_SEED,
                    help="an integer >= 0, recorded in the report's "
                         f"meta.seed (default {DEFAULT_SEED}); no check is "

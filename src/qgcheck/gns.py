@@ -1,22 +1,21 @@
 """GNS realization of the invariant state and the analytic layer on it.
 
-The GNS frame is the Cholesky factor Lambda of the Gram matrix
-G = [phi(e_i* e_j)], so <Lambda f, Lambda g> = phi(conj(f) g).  The rest
-of the realization is a similarity of exact data by that frame:
-m(f) = Lambda L_f Lambda^-1 with L_f = lmul(f), lambda(x) = Lambda C_x
-Lambda^-1 with C_x the dual's lmul(x), W = (Lambda (x) Lambda) w
-(Lambda (x) Lambda)^-1 for the algebraic w of ``build_alg_mult_unitary``,
-and the Hilbert adjoint of Lambda X Lambda^-1 is Lambda G^-1 X^H G
-Lambda^-1.  So each law on m, lambda and W is an identity over Q(zeta_N)
-among L, C, w and G, decided there over every basis element and pair;
-the pentagon is ``AlgMultUnitary.pentagon_defect``, the one defect that
-``munitary.pentagon`` reads too.  Lambda is invertible, so each exact
-form is equivalent to its float law.  Two float records remain, on the
-frame itself and under the ``report.Tolerances`` that ``build_gns`` keeps
-on it: ``reps.lambda.inner-product`` (the frame
-reproduces G) and the approximate-KMS norm bound ``weight.kms.bound``.
-This is the only library module that imports numpy at load time, so
-exact-tier work never loads it.
+The GNS space is A with <Lambda f, Lambda g> = phi(conj(f) g), so its Gram
+matrix is G = [phi(e_i* e_j)], and any frame Lambda with Lambda^H Lambda =
+G carries the realization: m(f) = Lambda L_f Lambda^-1 with L_f =
+lmul(f), lambda(x) = Lambda C_x Lambda^-1 with C_x the dual's lmul(x),
+W = (Lambda (x) Lambda) w (Lambda (x) Lambda)^-1 for the algebraic w of
+``build_alg_mult_unitary``, and the Hilbert adjoint of Lambda X Lambda^-1
+is Lambda G^-1 X^H G Lambda^-1.  So each law on m, lambda and W is an
+identity over Q(zeta_N) among L, C, w and G, decided there over every
+basis element and pair; the pentagon is ``AlgMultUnitary.pentagon_defect``,
+the one defect that ``munitary.pentagon`` reads too.  Lambda is
+invertible, so each exact form is equivalent to its Hilbert-space law.
+The frame's own law, ``reps.lambda.inner-product``, is that G is
+Hermitian positive definite, and the KMS norm bound ``weight.kms.bound``
+is, row by row, that a Hermitian form built from G is not positive
+definite; ``modular.positive_definite`` decides both exactly.  No frame
+is ever built, so no record has a tolerance.
 
 The modular layer is decided exactly too.  Each of the eight positive
 modular operators is Lambda X Lambda^-1 for an exact map X
@@ -32,80 +31,40 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .duality import (AlgMultUnitary, Duality, build_alg_mult_unitary,
                       build_dual, gram_unitarity_defect, regular, tensor_image)
 from .errors import CheckFailure, TierRefusal
 from .hopf import QGModel, galois_map
 from .linalg import LinMap, rank
-from .modular import HaarData, _sign, require_unit_scaling
-from .report import (PASS, Checker, CheckRecord, Tolerances,
-                     _diff_witness, require_zero)
+from .modular import (HaarData, _sign, positive_definite,
+                      require_unit_scaling)
+from .report import PASS, Checker, CheckRecord, _diff_witness, require_zero
 from .scalars import Cyc
-
-
-def rel_residual(a: np.ndarray, b: np.ndarray) -> float:
-    """Max-norm difference relative to the operand scales."""
-    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    scale = max(1.0, float(np.max(np.abs(a), initial=0.0)),
-                float(np.max(np.abs(b), initial=0.0)))
-    return float(np.max(np.abs(a - b), initial=0.0)) / scale
 
 
 @dataclass
 class GnsRealization:
-    """The invariant-state GNS frame: Lambda(f) = lam @ coords(f), and
-    frame = lam^-1 satisfies frame^H gram frame = I.  Only the two float
-    records read it."""
+    """A model that passed ``build_gns``'s refusals, with its duality."""
 
     model: QGModel
     dual: Duality
-    dim: int
-    tol: Tolerances
-    gram: np.ndarray
-    frame: np.ndarray
-    lam: np.ndarray
 
 
-def _refuse_above(residual: float, bound: float, what: str):
-    """TierRefusal naming ``what`` when a construction residual exceeds
-    its bound."""
-    if residual > bound:
-        raise TierRefusal(what)
-
-
-def _chol_frame(gram: np.ndarray, what: str,
-                tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    """(lam, frame) with lam^H lam = gram and frame = lam^-1."""
-    herm = (gram + gram.conj().T) / 2
-    _refuse_above(rel_residual(gram, herm), tol.identity,
-                  f"{what} is not Hermitian")
-    eig = np.linalg.eigvalsh(herm)
-    if float(eig.min()) <= tol.spectral * max(1.0, float(np.max(np.abs(eig)))):
-        raise TierRefusal(f"{what} is not positive definite "
-                          f"(offending eigenvalue {float(eig.min()):.6g})")
-    lam = np.linalg.cholesky(herm).conj().T
-    return lam, np.linalg.inv(lam)
-
-
-def build_gns(model: QGModel, tol: Tolerances = Tolerances()) -> GnsRealization:
-    """GNS frame of the invariant state.
+def build_gns(model: QGModel) -> GnsRealization:
+    """GNS realization of the invariant state.
 
     Refuses (TierRefusal) when the scaling constant differs from 1, when
-    the Gram matrix phi(conj(e_i) e_j) is not Hermitian or not positive
-    definite, when the frame fails to reproduce the Gram matrix within
-    ``tol``, when the multiplication representation is not faithful, or
-    when W fails unitarity, since the analytic layer is built under those
-    standing assumptions.  The last two are decided exactly, as in the
-    records ``reps.m.faithful`` and ``w.unitary``.
+    the Gram matrix phi(conj(e_i) e_j) is not Hermitian positive definite,
+    when the multiplication representation is not faithful, or when W
+    fails unitarity, since the analytic layer is built under those
+    standing assumptions.  Each is decided exactly: positivity is
+    ``HaarData.gram_positive``, and the last two are the records
+    ``reps.m.faithful`` and ``w.unitary``.
     """
     haar = require_unit_scaling(model)
-    gram = haar.gram.to_numpy()
-    lam, frame = _chol_frame(gram, f"{model.name}: Gram matrix of phi", tol)
-    _refuse_above(rel_residual(lam.conj().T @ lam, gram), tol.identity,
-                  f"{model.name}: GNS inner product does not reproduce "
-                  "the Gram matrix")
+    if not haar.gram_positive:
+        raise TierRefusal(f"{model.name}: Gram matrix of phi is not "
+                          "Hermitian positive definite")
     dual = build_dual(model)
     if rank(regular(model)) != model.dim:
         raise TierRefusal(f"{model.name}: multiplication representation "
@@ -115,8 +74,7 @@ def build_gns(model: QGModel, tol: Tolerances = Tolerances()) -> GnsRealization:
     if defect:
         raise TierRefusal(f"{model.name}: multiplicative unitary fails "
                           f"unitarity (defect {defect:.3e})")
-    return GnsRealization(model=model, dual=dual, dim=model.dim, tol=tol,
-                          gram=gram, frame=frame, lam=lam)
+    return GnsRealization(model=model, dual=dual)
 
 
 # -- exact forms of the representation and W laws ---------------------------
@@ -203,15 +161,25 @@ def _implemented(dd: Duality, mw: AlgMultUnitary):
     return True
 
 
-def check_regular_reps(gns: GnsRealization, dd: Duality,
-                       mw: AlgMultUnitary) -> list[CheckRecord]:
+def _frame_exists(gram: LinMap):
+    """G = G^H and G is positive definite: then, and only then, a frame
+    Lambda^H Lambda = G exists."""
+    require_zero(gram - gram.adjoint(), "G - G^H")
+    if not positive_definite(gram):
+        witness = "G is not positive definite"
+        raise CheckFailure(witness, witness=witness)
+    return True
+
+
+def check_regular_reps(dd: Duality, mw: AlgMultUnitary) -> list[CheckRecord]:
     """Representation laws and both slice formulas for W.
 
     The left slice (iota (x) omega_{Lambda f, Lambda g})(W) must equal
     m((iota (x) phi)(coprod(conj f)(1 (x) g))) and the right slice must
     equal lambda(g sigma(conj f)); their spans must equal the spans of the
-    two regular representations exactly.  Only ``lambda.inner-product``,
-    the frame's own law, reads ``gns``.
+    two regular representations exactly.  ``lambda.inner-product`` reads
+    the Gram matrix of ``dd.haar``, not the ``gram_positive`` flag that
+    ``build_gns`` checked.
     """
     m, dm, gram = dd.source, dd.dual, dd.haar.gram
     d = m.dim
@@ -225,9 +193,8 @@ def check_regular_reps(gns: GnsRealization, dd: Duality,
              lambda: dm.associator)
     ck.exact("lambda.star", "lambda(x)^H = lambda(x^*^)",
              lambda: _star(dm, gram))
-    ck.numeric("lambda.inner-product", "<Lambda f, Lambda g> = phi(conj(f) g)",
-               gns.tol.identity,
-               lambda: rel_residual(gns.lam.conj().T @ gns.lam, gns.gram))
+    ck.exact("lambda.inner-product", "<Lambda f, Lambda g> = phi(conj(f) g)",
+             lambda: _frame_exists(gram))
 
     # column (a, b) of u is (iota (x) phi)(coprod(e_a^*)(1 (x) e_b)), of x
     # it is e_b sigma(e_a^*)
@@ -308,7 +275,42 @@ def check_coproduct_implementation(dd: Duality,
     return ck.records
 
 
-def check_invariance_and_kms(gns: GnsRealization, dd: Duality,
+def _kms_scale(m: QGModel, gram: LinMap, i: int) -> Cyc:
+    """s_i = max over j of ||Lambda(e_j e_i)||^2 / ||Lambda(e_j)||^2, with
+    ||Lambda(a)||^2 = phi(a* a); the e_j e_i are the columns of rmul(e_i)."""
+    r = m.rmul(m.basis_vec(i))
+    norms = r.adjoint() @ gram @ r
+    best = Cyc.zero()
+    for j in range(m.dim):
+        ratio = norms.entry(j, j) / gram.entry(j, j)
+        if _sign(ratio - best, f"kms ratio ({j}, {i})") > 0:
+            best = ratio
+    return best
+
+
+def _kms_row_holds(m: QGModel, gram: LinMap, i: int, s: Cyc) -> bool:
+    """||m(e_i*)||^2 >= s, for G Hermitian positive definite.
+
+    With L = lmul(e_i*), ||m(e_i*)||^2 is the largest (Lv)^H G (Lv) /
+    v^H G v over v != 0, so it is >= s exactly when s G - L^H G L is not
+    positive definite.
+    """
+    lm = m.lmul(m.bar(m.basis_vec(i)))
+    return not positive_definite(gram.scale(s) - lm.adjoint() @ gram @ lm)
+
+
+def _kms_bound(m: QGModel, gram: LinMap):
+    """Every row i of the KMS bound: ||m(e_i*)||^2 >= s_i (``_kms_scale``);
+    the witness names the first row that fails."""
+    for i in range(m.dim):
+        s = _kms_scale(m, gram, i)
+        if not _kms_row_holds(m, gram, i, s):
+            witness = f"row {i}: ||m(e_{i}^*)||^2 < s_{i} = {s!r}"
+            raise CheckFailure(witness, witness=witness)
+    return True
+
+
+def check_invariance_and_kms(dd: Duality,
                              implemented: CheckRecord) -> list[CheckRecord]:
     """The vector state, operator-level invariance and the KMS bound.
 
@@ -316,8 +318,10 @@ def check_invariance_and_kms(gns: GnsRealization, dd: Duality,
     (coprod(m(f))) = omega(m((iota (x) phi) coprod(f))), so invariance is
     the left invariance of phi; ``implemented`` is the ``coprod.implemented``
     record, and its failure is this record's, with its witness and residual.
-    The KMS bound, a float record on the frame, takes sigma_{i/2} = id,
-    which ``check_kac_collapse`` decides.
+    The KMS bound takes sigma_{i/2} = id, which ``check_kac_collapse``
+    decides; for x = e_j and a = e_i it reads ||Lambda(e_j e_i)|| <=
+    ||m(e_i*)|| ||Lambda(e_j)||, decided exactly row by row in
+    ``_kms_bound``.
     """
     m, haar = dd.source, dd.haar
     ck = Checker(f"{m.name}.gns.weight")
@@ -335,29 +339,9 @@ def check_invariance_and_kms(gns: GnsRealization, dd: Duality,
     ck.exact("invariance",
              "(omega (x) phi)(coprod(m(f))) = omega(1) phi(f) over "
              "matrix-coefficient functionals", invariance)
-
-    def kms():
-        d, lam = gns.dim, gns.lam
-        mult = gns.model.mult.to_numpy().reshape(d, d, d)
-        invol, eye = gns.model.invol.to_numpy(), np.eye(d)
-
-        def m_of(v):
-            return lam @ np.einsum("kij,i->kj", mult, v) @ gns.frame
-
-        reps = [m_of(eye[:, j]) for j in range(d)]
-        worst, witness = 0.0, None
-        for i in range(d):
-            bound = float(np.linalg.norm(m_of(invol @ np.conj(eye[:, i])), 2))
-            for j in range(d):
-                lhs = float(np.linalg.norm(reps[j] @ lam[:, i]))
-                rhs = bound * float(np.linalg.norm(lam[:, j]))
-                gap = (lhs - rhs) / max(1.0, rhs)
-                if gap > worst:
-                    worst, witness = gap, f"(x, a) = (e_{j}, e_{i})"
-        return max(worst, 0.0), witness
-    ck.numeric("kms.bound",
-               "|| x Lambda(a) || <= || sigma_{i/2}(m(conj a)) || "
-               "|| Lambda(x) ||", gns.tol.identity, kms)
+    ck.exact("kms.bound",
+             "|| x Lambda(a) || <= || sigma_{i/2}(m(conj a)) || "
+             "|| Lambda(x) ||", lambda: _kms_bound(m, haar.gram))
     return ck.records
 
 
@@ -530,11 +514,11 @@ def analytic_suite(gns: GnsRealization) -> list[CheckRecord]:
     """Every analytic-layer check on one realization, in a fixed order."""
     dd, mw = gns.dual, build_alg_mult_unitary(gns.model)
     kac = check_kac_collapse(dd)
-    records = check_regular_reps(gns, dd, mw) + check_w_properties(dd, mw)
+    records = check_regular_reps(dd, mw) + check_w_properties(dd, mw)
     coprod = check_coproduct_implementation(dd, mw)
     records += coprod
     for section in ("calc", *(f"powers[z={z}]" for z in Z_GRID),
                     "commute", "modgroup"):
         records += kac[section]
-    return (records + check_invariance_and_kms(gns, dd, coprod[0])
+    return (records + check_invariance_and_kms(dd, coprod[0])
             + kac["weight"] + kac["kac"])

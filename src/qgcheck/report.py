@@ -2,17 +2,15 @@
 
 Every verification law produces one CheckRecord.  Records carry a stable
 check id, the law being verified in plain notation, pass/fail/skip status,
-the worst residual observed, the tolerance in force (None for exact
-arithmetic), a witness string on failure, and wall time.  Reports serialize
-deterministically: two runs with the same seed differ only in wall times.
-The float tier's ``Tolerances`` live here, not in ``gns``, so validating a
-tolerance never loads numpy.
+the worst residual observed, a tolerance (None: every law is decided in
+exact arithmetic), a witness string on failure, and wall time.  Reports
+serialize deterministically: two runs with the same seed differ only in
+wall times.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -25,26 +23,6 @@ from .scalars import Cyc
 PASS = "pass"
 FAIL = "fail"
 SKIP = "skip"
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """The float tier's residual bounds, set by one finite value > 0.
-
-    identity bounds the float records and the GNS frame's construction
-    residuals; spectral (100x) is the frame's positivity floor.
-    """
-
-    identity: float = 1e-10
-
-    def __post_init__(self):
-        if not (math.isfinite(self.identity) and self.identity > 0):
-            raise ValueError("tolerance must be a finite number > 0, "
-                             f"got {self.identity!r}")
-
-    @property
-    def spectral(self) -> float:
-        return self.identity * 100
 
 
 @dataclass
@@ -137,32 +115,7 @@ class Checker:
         except Exception as e:
             status, residual, witness = FAIL, None, internal_error_text(e)
         rec = CheckRecord(self._id(check_id), law, status,
-                          residual=residual, tolerance=None, witness=witness,
-                          wall_ms=(time.perf_counter() - t0) * 1000)
-        self.records.append(rec)
-        return rec
-
-    def numeric(self, check_id: str, law: str, tol: float,
-                builder: Callable[[], float | tuple[float, str | None]]) -> CheckRecord:
-        """Run a float-tier check; ``builder`` returns the residual
-        (optionally with a witness).  Exceptions are recorded as in
-        ``exact``; a ValueError from the float helpers keeps its message."""
-        t0 = time.perf_counter()
-        witness = None
-        try:
-            out = builder()
-            residual, witness = out if isinstance(out, tuple) else (out, None)
-            status = PASS if residual <= tol else FAIL
-            if status == FAIL and witness is None:
-                witness = f"residual {residual:.3e} > tol {tol:.1e}"
-        except (CheckFailure, ValueError) as e:
-            status, residual, witness = FAIL, None, str(e)
-        except INPUT_ERRORS:
-            raise
-        except Exception as e:
-            status, residual, witness = FAIL, None, internal_error_text(e)
-        rec = CheckRecord(self._id(check_id), law, status,
-                          residual=residual, tolerance=tol, witness=witness,
+                          residual=residual, witness=witness,
                           wall_ms=(time.perf_counter() - t0) * 1000)
         self.records.append(rec)
         return rec
@@ -221,7 +174,7 @@ class Report:
             lines.append(f"   {k}: {self.meta[k]}")
         width = max((len(r.check_id) for r in self.records), default=10) + 2
         for r in self.records:
-            res = "exact" if r.ok and r.tolerance is None and r.status == PASS else (
+            res = "exact" if r.status == PASS else (
                 f"{r.residual:.2e}" if r.residual is not None else "-")
             line = f"{r.status.upper():5} {r.check_id:<{width}} {res:>10}  {r.law}"
             if r.witness and r.status != PASS:

@@ -14,7 +14,6 @@ from qgcheck.cli import dispatch, main
 from qgcheck.linalg import LinMap
 from qgcheck.modelio import emit_table, model_to_dict, parse_model
 from qgcheck.models import MAX_TAFT_ORDER, GroupTable, builtin
-from qgcheck.report import Tolerances
 from qgcheck.scalars import MAX_ORDER
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
@@ -76,33 +75,22 @@ def test_report_is_deterministic_for_fixed_seed(tmp_path):
     assert reports[0] == reports[1]
 
 
-def test_verify_tol_flag_loosens_analytic_layer():
-    assert main(["verify", model_path("c_z3"), "--tol", "1e-8"]) == 0
-
-
-def test_tol_reaches_construction_tolerances(monkeypatch):
-    # --tol 1e-14 puts the identity tolerance at 1e-14 and the spectral one
-    # at 1e-12; the GNS construction must assert with those, not the
-    # defaults: the Gram frame, built once for the source Gram matrix, has
-    # its positivity floor at spectral, and the Hermitian and
-    # Gram-reproduction checks are at identity (faithfulness and
-    # W-unitarity are exact)
-    frame, bounds = [], []
-    chol_frame, refuse_above = G._chol_frame, G._refuse_above
-
-    def spy_frame(gram, what, tol):
-        frame.append(tol.spectral)
-        return chol_frame(gram, what, tol)
-
-    def spy_refuse(residual, bound, what):
-        bounds.append(bound)
-        return refuse_above(residual, bound, what)
-
-    monkeypatch.setattr(G, "_chol_frame", spy_frame)
-    monkeypatch.setattr(G, "_refuse_above", spy_refuse)
-    assert main(["verify", "c_z2", "--tol", "1e-14"]) == 0
-    assert frame == pytest.approx([1e-12], rel=1e-9, abs=0)
-    assert bounds == pytest.approx([1e-14] * 2, rel=1e-9, abs=0)
+def test_tol_changes_no_result(tmp_path):
+    # --tol is validated and recorded in meta.tol; every law is exact, so
+    # the records equal those of a run without it
+    reports = []
+    for label, argv in (("tol", ["--tol", "1e-8"]), ("default", [])):
+        out = tmp_path / f"{label}.json"
+        assert main(["verify", model_path("c_z3"), *argv,
+                     "--report", str(out)]) == 0
+        data = json.loads(out.read_text())
+        for rec in data["checks"]:
+            rec.pop("wall_ms")
+        reports.append(data)
+    with_tol, without = reports
+    assert with_tol["meta"].pop("tol") == 1e-8
+    assert without["meta"].pop("tol") is None
+    assert with_tol == without
 
 
 @pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
@@ -193,9 +181,11 @@ def test_build_taft_above_order_cap_exits_two(n, tmp_path, monkeypatch,
     assert built == []
 
 
-def test_tol_does_not_leak_into_later_runs():
+def test_tol_does_not_leak_into_later_runs(tmp_path):
     assert main(["verify", "c_z2", "--tol", "1e-14"]) == 0
-    assert G.build_gns(builtin("c_z2")).tol == Tolerances()
+    out = tmp_path / "c_z2.json"
+    assert main(["verify", "c_z2", "--report", str(out)]) == 0
+    assert json.loads(out.read_text())["meta"]["tol"] is None
 
 
 def _taft3_records(argv, out) -> dict:
@@ -406,7 +396,7 @@ def test_non_object_json_input_exits_two(verb, content, tmp_path, capsys):
     assert "Traceback" not in err
 
 
-# -- numpy loads only with float-tier work -----------------------------------
+# -- no verb loads numpy ------------------------------------------------------
 
 
 def _fresh_python(code: str) -> dict:
@@ -434,7 +424,7 @@ _EXACT_ONLY.update({
                     "with contextlib.redirect_stdout(io.StringIO()):\n"
                     f"    rc = main(['verify', '{m}', '--suite', 'all'])")
     for m in ("taft4", "taft3", "broken")})
-# --tol is validated without loading the float tier
+# --tol is validated without loading numpy
 _EXACT_ONLY["verify-taft3-algebraic-tol"] = (
     "import contextlib, io\n"
     "from qgcheck.cli import main\n"
@@ -466,13 +456,17 @@ _EXACT_ONLY["subgroup-s4_a4"] = (
     "    emit_model(mor.target, h)\n"
     "    emit_morphism(mor, m)\n"
     "    rc = main(['subgroup', '--g', g, '--h', h, '--map', m])")
-# positive models: the exact Gram positivity test runs, without numpy
+# positive models: the exact Gram positivity test and the analytic suite
+# run without numpy
 _EXACT_ONLY.update({
-    "verify-c_s3-algebraic": (
+    f"verify-{m}-{suite}": (
         "import contextlib, io\n"
         "from qgcheck.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    rc = main(['verify', 'c_s3', '--suite', 'algebraic'])"),
+        f"    rc = main(['verify', '{m}', '--suite', '{suite}'])")
+    for m, suite in (("c_s3", "algebraic"), ("c_s3", "all"),
+                     ("c_z2", "analytic"))})
+_EXACT_ONLY.update({
     "dual-c_s3": (
         "import contextlib, io, os, tempfile\n"
         "from qgcheck.cli import main\n"
@@ -525,50 +519,34 @@ def test_subgroup_runs_with_numpy_blocked(tmp_path):
     assert _blocked_numpy_run(
         ["dual", model_path("c_s3"), "-o", str(tmp_path / "dual.json")]) \
         == {"rc": 0, "err": ""}
-    # the analytic suite is refused, naming the extra that brings numpy:
-    # exit 2 when asked for explicitly, a recorded tier skip under "all"
-    reason = ("c(z2): the analytic suite needs numpy; install the 'analytic' "
-              "extra (pip install 'qgcheck[analytic]')")
-    assert _blocked_numpy_run(["verify", "c_z2", "--suite", "analytic"]) \
-        == {"rc": 2, "err": f"error: {reason}\n"}
-    report = tmp_path / "all.json"
-    assert _blocked_numpy_run(["verify", "c_z2", "--suite", "all",
-                               "--report", str(report)]) == {"rc": 0, "err": ""}
-    data = json.loads(report.read_text())
-    assert data["failed"] == 0 and data["skipped"] == 1
-    (skip,) = [r for r in data["checks"] if r["status"] == "skip"]
-    assert (skip["check_id"], skip["witness"]) == ("c(z2).analytic.tier",
-                                                   reason)
-
-
-def test_analytic_suite_loads_numpy_and_passes(tmp_path):
-    report = tmp_path / "c_z2.json"
-    out = _fresh_python(
-        "import contextlib, io, json, sys\n"
-        "from qgcheck.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    rc = main(['verify', 'c_z2', '--suite', 'all', "
-        f"'--report', {str(report)!r}])\n"
-        "print(json.dumps({'numpy': 'numpy' in sys.modules, 'rc': rc}))")
-    assert out == {"numpy": True, "rc": 0}
-    analytic = [r for r in json.loads(report.read_text())["checks"]
-                if ".gns." in r["check_id"]]
-    assert analytic and all(r["status"] == "pass" for r in analytic)
+    # nor does the analytic suite: it runs, every record passes and
+    # nothing is skipped
+    for suite in ("analytic", "all"):
+        report = tmp_path / f"{suite}.json"
+        assert _blocked_numpy_run(["verify", "c_z2", "--suite", suite,
+                                   "--report", str(report)]) \
+            == {"rc": 0, "err": ""}
+        data = json.loads(report.read_text())
+        assert data["failed"] == data["skipped"] == 0
+        analytic = [r for r in data["checks"] if ".gns." in r["check_id"]]
+        assert analytic and all(r["status"] == "pass" for r in analytic)
 
 
 def test_float_tier_names_resolve_from_the_package():
+    # the gns names load on first access, and nothing loads numpy
     out = _fresh_python(
         "import json, sys\n"
         "import qgcheck\n"
-        "before = 'numpy' in sys.modules\n"
-        "names = [qgcheck.build_gns.__name__, qgcheck.Tolerances.__name__]\n"
+        "before = 'qgcheck.gns' in sys.modules\n"
+        "names = [qgcheck.build_gns.__name__,\n"
+        "         qgcheck.GnsRealization.__name__]\n"
         "star = {}\n"
         "exec('from qgcheck import *', star)\n"
         "missing = [n for n in qgcheck.__all__ if n not in star]\n"
         "print(json.dumps({'before': before, 'names': names, "
-        "'missing': missing, 'after': 'numpy' in sys.modules}))")
-    assert out == {"before": False, "names": ["build_gns", "Tolerances"],
-                   "missing": [], "after": True}
+        "'missing': missing, 'numpy': 'numpy' in sys.modules}))")
+    assert out == {"before": False, "names": ["build_gns", "GnsRealization"],
+                   "missing": [], "numpy": False}
 
 
 # -- internal errors ---------------------------------------------------------

@@ -13,10 +13,9 @@ from qgcheck import cli
 from qgcheck import gns as G
 from qgcheck.duality import build_alg_mult_unitary, build_dual
 from qgcheck.errors import TierRefusal
-from qgcheck.gns import rel_residual
 from qgcheck.linalg import LinMap, Vec
 from qgcheck.models import GroupTable
-from qgcheck.report import Tolerances, ensure
+from qgcheck.report import CheckRecord, ensure
 from qgcheck.scalars import Cyc
 
 FULL_SUITE = ["trivial", "c_z2", "c_z3", "c_s3", "cg_z2", "cg_s3", "d_z3"]
@@ -37,25 +36,10 @@ def test_refusal_non_positive_gram(model_cache):
     m = model_cache("c_z2")
     spoiled = dataclasses.replace(
         m, invol=m.invol.scale(m.scalar(-1)), positive=False)
-    with pytest.raises(TierRefusal, match="eigenvalue"):
+    with pytest.raises(TierRefusal,
+                       match="Gram matrix of phi is not Hermitian positive "
+                             "definite"):
         G.build_gns(spoiled)
-
-
-def test_tolerances_reach_every_numeric_record(model_cache):
-    # identity 1e-12 puts spectral, the frame's positivity floor, at 1e-10;
-    # the two float records both run at the identity tolerance
-    tol = Tolerances(1e-12)
-    assert tol.spectral == 1e-10
-    g = G.build_gns(model_cache("c_z2"), tol)
-    assert g.tol == tol
-    used = {r.tolerance for r in G.analytic_suite(g)} - {None}
-    assert used == {1e-12}
-
-
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
-def test_tolerances_reject_unusable_values(value):
-    with pytest.raises(ValueError, match="finite number > 0"):
-        Tolerances(value)
 
 
 def assert_identity_maps(dd):
@@ -68,7 +52,7 @@ def assert_identity_maps(dd):
 def test_trivial_model(gns_cache):
     # w = 1 exactly, so W = (Lambda (x) Lambda) w (Lambda (x) Lambda)^-1 = 1
     g = gns_cache("trivial")
-    assert g.dim == 1
+    assert g.model.dim == 1
     assert build_alg_mult_unitary(g.model).w == LinMap.identity(g.model.AA)
     assert_identity_maps(g.dual)
     ensure(run_all_checks(g))
@@ -78,7 +62,8 @@ def test_function_algebra_gram_is_normalized_counting(gns_cache):
     # phi is the normalized counting measure, so the basis of indicator
     # functions is orthogonal with norm^2 = 1/|G|
     g = gns_cache("c_z2")
-    assert rel_residual(g.gram, np.eye(2) / 2) <= g.tol.identity
+    half = Cyc.rational(Fraction(1, 2))
+    assert g.dual.haar.gram == g.model.idA.scale(half)
 
 
 def test_w_is_translation_permutation_on_function_algebra(gns_cache):
@@ -89,8 +74,8 @@ def test_w_is_translation_permutation_on_function_algebra(gns_cache):
     assert g.dual.haar.gram == m.idA.scale(Cyc.rational(Fraction(1, 6)))
     table = GroupTable.symmetric(3)
     w = build_alg_mult_unitary(m).w
-    for a in range(g.dim):
-        for b in range(g.dim):
+    for a in range(m.dim):
+        for b in range(m.dim):
             assert w.column((a, b)) == Vec.basis(m.AA, (a, table.mul(a, b)))
 
 
@@ -100,8 +85,8 @@ POSITIVE_COUNTS = {name: (181, 0, 0) for name in (
     "c_s3", "c_z2", "c_z3", "c_z4", "cg_s3", "cg_z2", "cg_z3", "d_z2",
     "d_z3", "d_s3", "trivial")}
 
-# the only analytic records that run in floats, on the GNS frame itself
-FLOAT_RECORDS = {"reps.lambda.inner-product", "weight.kms.bound"}
+# no analytic record runs in floats
+FLOAT_RECORDS = set()
 
 
 def verify_all_report(name, tmp_path, model_cache, monkeypatch) -> dict:
@@ -215,23 +200,96 @@ def test_power_calculus_failure_names_operator(model_cache):
         assert r.witness.startswith(f"operator {first}: entry ("), r.witness
 
 
+# the float oracles below compare at this bound
+ORACLE_TOL = 1e-10
+
+
+def _float_frame(g):
+    """(lam, lam^-1) with lam^H lam = G, the Cholesky frame of the Gram
+    matrix in floats, for oracles only."""
+    lam = np.linalg.cholesky(g.dual.haar.gram.to_numpy()).conj().T
+    return lam, np.linalg.inv(lam)
+
+
 def test_kms_bound_is_equality_on_group_algebra(gns_cache):
     # with an orthonormal group-element basis both sides equal 1; the
-    # exact records put sigma_{i/2} = id
+    # exact records put sigma_{i/2} = id, and the exact row test meets
+    # its bound s_i = 1 with equality
     g = gns_cache("cg_s3")
     assert G.modular_maps(g.dual)["nabla"] == LinMap.identity(g.model.A)
-    m = g.model
+    m, gram = g.model, g.dual.haar.gram
+    lam, frame = _float_frame(g)
 
     def m_of(f):
-        return g.lam @ m.lmul(f).to_numpy() @ g.frame
+        return lam @ m.lmul(f).to_numpy() @ frame
 
     for i in (0, 3):
+        assert G._kms_scale(m, gram, i) == Cyc.one(1)
         for j in (1, 4):
-            lhs = float(np.linalg.norm(m_of(m.basis_vec(j)) @ g.lam[:, i]))
+            lhs = float(np.linalg.norm(m_of(m.basis_vec(j)) @ lam[:, i]))
             bound = float(np.linalg.norm(m_of(m.bar(m.basis_vec(i))), 2))
-            rhs = bound * float(np.linalg.norm(g.lam[:, j]))
-            assert abs(lhs - 1.0) <= g.tol.identity
-            assert abs(rhs - 1.0) <= g.tol.identity
+            rhs = bound * float(np.linalg.norm(lam[:, j]))
+            assert abs(lhs - 1.0) <= ORACLE_TOL
+            assert abs(rhs - 1.0) <= ORACLE_TOL
+
+
+# -- mutants of the two laws of the frame ------------------------------------
+
+
+def _set_entry(t: LinMap, i: int, j: int, value) -> LinMap:
+    """t with entry (i, j) replaced by value."""
+    return t + LinMap.from_entries(t.dom, t.cod,
+                                   [(i, j, value - t.entry(i, j))])
+
+
+@pytest.mark.parametrize("name", ["c_z2", "c_s3", "cg_s3", "d_z3"])
+def test_mutated_gram_fails_the_inner_product_record(gns_cache, name):
+    # the record reads the Gram matrix it is given, not the gram_positive
+    # flag, which every mutant below leaves set
+    g = gns_cache(name)
+    dd, mw = g.dual, build_alg_mult_unitary(g.model)
+    gram, k = dd.haar.gram, g.model.dim // 2
+
+    def record(mutant):
+        haar = dataclasses.replace(dd.haar, gram=mutant)
+        assert haar.gram_positive
+        (rec,) = [r for r in G.check_regular_reps(
+                      dataclasses.replace(dd, haar=haar), mw)
+                  if r.check_id.endswith(".lambda.inner-product")]
+        assert rec.tolerance is None
+        return rec
+
+    assert record(gram).status == "pass"
+    # not Hermitian: one off-diagonal entry changed
+    rec = record(_set_entry(gram, 0, 1, gram.entry(0, 1) + 1))
+    assert rec.status == "fail"
+    assert rec.witness.startswith("G - G^H: entry ("), rec.witness
+    # not positive definite: a diagonal entry set to 0 or below
+    for value in (0, -1):
+        rec = record(_set_entry(gram, k, k, value))
+        assert (rec.status, rec.witness) == ("fail",
+                                             "G is not positive definite")
+
+
+@pytest.mark.parametrize("name", ["c_z2", "c_s3", "cg_s3", "d_z3"])
+def test_raised_kms_bound_fails_every_row(gns_cache, monkeypatch, name):
+    # each row holds at its bound s_i and fails at s_i + 1; the record
+    # then fails, naming the first row
+    g = gns_cache(name)
+    m, gram = g.model, g.dual.haar.gram
+    for i in range(m.dim):
+        s = G._kms_scale(m, gram, i)
+        assert G._kms_row_holds(m, gram, i, s), i
+        assert not G._kms_row_holds(m, gram, i, s + 1), i
+
+    scale = G._kms_scale
+    monkeypatch.setattr(G, "_kms_scale",
+                        lambda m, gram, i: scale(m, gram, i) + 1)
+    implemented = CheckRecord("coprod.implemented", "", "pass")
+    (rec,) = [r for r in G.check_invariance_and_kms(g.dual, implemented)
+              if r.check_id.endswith(".kms.bound")]
+    assert rec.status == "fail" and rec.tolerance is None
+    assert rec.witness.startswith("row 0: "), rec.witness
 
 
 def test_fourier_isometry_constant(gns_cache):
@@ -242,7 +300,7 @@ def test_fourier_isometry_constant(gns_cache):
     sixth = Cyc.rational(Fraction(1, 6))
 
     def trace(t):
-        return sum((t.entry(i, i) for i in range(g.dim)), Cyc.zero())
+        return sum((t.entry(i, i) for i in range(g.model.dim)), Cyc.zero())
 
     assert trace(dual_gram) / trace(gram) == sixth
     assert dual_gram == gram.scale(sixth)
@@ -255,14 +313,15 @@ def test_modular_conjugation_reduces_to_involution(gns_cache):
     # be unitary
     g = gns_cache("c_s3")
     assert g.dual.haar.sigma == LinMap.identity(g.model.A)
-    invol, eye = g.model.invol.to_numpy(), np.eye(g.dim)
-    t_mat = g.lam @ invol @ np.conj(g.frame)
-    assert max(rel_residual(t_mat.conj().T @ t_mat, eye),
-               rel_residual(t_mat @ t_mat.conj().T, eye)) <= g.tol.identity
-    for k in range(g.dim):
-        got = t_mat @ np.conj(g.lam[:, k])
-        want = g.lam @ invol[:, k]
-        assert rel_residual(got, want) <= g.tol.identity
+    lam, frame = _float_frame(g)
+    invol, eye = g.model.invol.to_numpy(), np.eye(g.model.dim)
+    t_mat = lam @ invol @ np.conj(frame)
+    assert np.allclose(t_mat.conj().T @ t_mat, eye, rtol=0, atol=ORACLE_TOL)
+    assert np.allclose(t_mat @ t_mat.conj().T, eye, rtol=0, atol=ORACLE_TOL)
+    for k in range(g.model.dim):
+        got = t_mat @ np.conj(lam[:, k])
+        want = lam @ invol[:, k]
+        assert np.allclose(got, want, rtol=0, atol=ORACLE_TOL)
 
 
 def test_unitary_antipode_reduces_to_antipode(gns_cache):
@@ -372,12 +431,16 @@ MOVED = (
     "coprod.density.left", "weight.phi.vector-state", "weight.invariance")
 
 
-def _moved_records(g, dd, mw) -> dict[str, object]:
+# the two laws of the frame itself, exact positivity tests on G
+FRAME_RECORDS = ("reps.lambda.inner-product", "weight.kms.bound")
+
+
+def _moved_records(dd, mw) -> dict[str, object]:
     coprod = G.check_coproduct_implementation(dd, mw)
-    records = (G.check_regular_reps(g, dd, mw) + G.check_w_properties(dd, mw)
-               + coprod + G.check_invariance_and_kms(g, dd, coprod[0]))
+    records = (G.check_regular_reps(dd, mw) + G.check_w_properties(dd, mw)
+               + coprod + G.check_invariance_and_kms(dd, coprod[0]))
     out = {r.check_id.split(".gns.")[1]: r for r in records}
-    assert set(out) == set(MOVED) | FLOAT_RECORDS
+    assert set(out) == set(MOVED) | set(FRAME_RECORDS)
     return {key: out[key] for key in MOVED}
 
 
@@ -425,12 +488,12 @@ REQUIRED = {"w": {"w.unitary", "reps.slice.left", "reps.slice.right",
 def test_mutants_fail_the_exact_representation_and_w_records(gns_cache,
                                                              name):
     g = gns_cache(name)
-    clean = _moved_records(g, g.dual, build_alg_mult_unitary(g.model))
+    clean = _moved_records(g.dual, build_alg_mult_unitary(g.model))
     assert all(r.status == "pass" and r.tolerance is None
                for r in clean.values())
     failed: dict[str, set[str]] = {}
     for label, dd, mw in _w_mutants(g):
-        for key, rec in _moved_records(g, dd, mw).items():
+        for key, rec in _moved_records(dd, mw).items():
             assert rec.tolerance is None, (label, key)
             if rec.status == "fail":
                 # an identity names its worst entry, a span law its ranks
@@ -450,7 +513,7 @@ def test_every_moved_record_fails_under_some_mutant(gns_cache):
     for name in ("c_s3", "d_z3"):
         g = gns_cache(name)
         for label, dd, mw in _w_mutants(g):
-            caught |= {key for key, rec in _moved_records(g, dd, mw).items()
+            caught |= {key for key, rec in _moved_records(dd, mw).items()
                        if rec.status == "fail"}
     assert caught == set(MOVED), set(MOVED) - caught
 
@@ -474,7 +537,7 @@ def test_invariance_reads_the_implemented_record(gns_cache, monkeypatch):
 
     mw = build_alg_mult_unitary(g.model)
     bad = dataclasses.replace(mw, w=_single_entry(mw.w, "raised"))
-    moved = _moved_records(g, g.dual, bad)
+    moved = _moved_records(g.dual, bad)
     impl, inv = moved["coprod.implemented"], moved["weight.invariance"]
     assert impl.status == inv.status == "fail"
     assert (inv.witness, inv.residual) == (impl.witness, impl.residual)
