@@ -35,11 +35,10 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 from .errors import ModelError
-from .hopf import QGModel, galois_map
+from .hopf import QGModel, _point, galois_map
 from .linalg import LinMap, Vec, apply_on_legs, inverse
-from .modular import HaarData, alpha_map, solve_haar
+from .modular import HaarData, alpha_map, form_matrix, solve_haar
 from .report import CheckRecord, Checker, require_zero
-from .scalars import Cyc
 
 PENTAGON_LAW = ("w12 w13 w23 = w23 w12 on A (x) A (x) A (on 1 (x) e_b (x) e_c "
                 "given w(a (x) b) = w(1 (x) b)(a (x) 1), else on all triples)")
@@ -105,19 +104,14 @@ def _build_dual(model: QGModel) -> Duality:
     conv = pmat_inv @ paired.transpose()
 
     # unit: phi(e_k u) = eps(e_k)
-    conv_unit = pmat_inv(Vec(A, {j: v for _, j, v in model.counit.entries()}))
+    conv_unit = pmat_inv(model.counit.transpose().column(0))
 
-    # coproduct: column f solves (P(x)P) X = [phi(e_j e_i f)], the pairing
-    # of coprod^(f) against e_i(x)e_j going through the product e_j e_i
-    dcop_cols = {}
-    mflip = model.mult @ model.flipA
-    for f in range(d):
-        w_func = phi @ model.rmul(model.basis_vec(f)) @ mflip
-        w = Vec(AA, {j: v for _, j, v in w_func.entries()})
-        x = apply_on_legs(pmat_inv, (0,), apply_on_legs(pmat_inv, (1,), w))
-        if x.data:
-            dcop_cols[f] = dict(x.data)
-    dcop = LinMap(A, AA, dcop_cols)
+    # coproduct: column f solves (P(x)P) X = W, W[(i, j), f] = phi(e_j e_i
+    # e_f) = (P^T mult flip)^T[(i, j), f], the pairing of coprod^(f) against
+    # e_i(x)e_j going through the product e_j e_i; columns in ascending f
+    w = (pmat.transpose() @ model.mult @ model.flipA).transpose()
+    w = LinMap._of(A, AA, dict(sorted(w.cols.items())))
+    dcop = apply_on_legs(pmat_inv, (0,), apply_on_legs(pmat_inv, (1,), w))
 
     # antipode: P S^ = (S^-1)^T P
     dantipode = pmat_inv @ model.antipode_inv.transpose() @ pmat
@@ -138,7 +132,6 @@ def _build_dual(model: QGModel) -> Duality:
 def check_dual(dd: Duality) -> list[CheckRecord]:
     """Pairing laws and closed forms of the dual structure maps."""
     m, h, dm, dh = dd.source, dd.haar, dd.dual, dd.dual_haar
-    d = m.dim
     P, phi = h.pmat, h.phi
     S, Sinv, C = m.antipode, m.antipode_inv, m.invol
     mu = h.mu
@@ -147,18 +140,13 @@ def check_dual(dd: Duality) -> list[CheckRecord]:
     ck.exact("pair.product", "(f*g, a) = (f (x) g, coprod a)",
              lambda: P @ dm.mult - m.coprod.transpose() @ P.tensor(P))
     ck.exact("pair.unit", "(1^, a) = eps(a)",
-             lambda: P(dm.unit) - Vec(m.A, {j: v for _, j, v in m.counit.entries()}))
+             lambda: P(dm.unit) - m.counit.transpose().column(0))
 
     def pair_coproduct():
         # independent route: (coprod^ e_k, e_i (x) e_j) = phi(e_j e_i e_k),
-        # one functional on e_j (x) e_i (x) e_k read off in (i, k, j) order
+        # one functional on e_j (x) e_i (x) e_k with its legs read as i, j, k
         func = phi @ m.mult @ m.idA.tensor(m.mult)
-        cols = {}
-        for jik in sorted(func.cols, key=lambda x: (x % (d * d), x // (d * d))):
-            j, ik = divmod(jik, d * d)
-            i, k = divmod(ik, d)
-            cols.setdefault(k, {})[i * d + j] = func.cols[jik][0]
-        return P.tensor(P) @ dm.coprod - LinMap(m.A, m.AA, cols)
+        return P.tensor(P) @ dm.coprod - func.regroup((1, 0, 2), 2)
 
     ck.exact("pair.coproduct", "(coprod^ f, a (x) b) = (f, ba)", pair_coproduct)
     ck.exact("pair.counit", "eps^(f) = (f, 1) = phi(f)",
@@ -277,40 +265,20 @@ def regular(model: QGModel, right: bool = False) -> LinMap:
     """f |-> L_f (or R_f when ``right``) as a flattened family: a map into
     A (x) A whose column f is that multiplication map, entry (i, j) at row
     i d + j, read off the product's entries."""
-    d = model.dim
-    cols: dict[int, dict[int, Cyc]] = {}
-    for i, fj, v in model.mult.entries():
-        f, j = divmod(fj, d)[::-1] if right else divmod(fj, d)
-        cols.setdefault(f, {})[i * d + j] = v
-    return LinMap._of(model.A, model.AA, cols)
+    return model.mult.regroup((0, 1, 2) if right else (0, 2, 1), 2)
 
 
 def tensor_image(left: LinMap, right: LinMap, v: Vec) -> LinMap:
     """sum v_pq L_p (x) R_q on A (x) A, for flattened families L and R."""
-    d = left.cod[0]
-    t = apply_on_legs(right, (2,), apply_on_legs(left, (0,), v))
-    cols: dict[int, dict[int, Cyc]] = {}
-    for k, c in t.items():
-        ij, rs = divmod(k, d * d)
-        (i, j), (r, s) = divmod(ij, d), divmod(rs, d)
-        cols.setdefault(j * d + s, {})[i * d + r] = c
-    return LinMap._of((d, d), (d, d), cols)
+    t = apply_on_legs(right, (2,), apply_on_legs(left, (0,), _point(v)))
+    return t.regroup((0, 2, 1, 3), 2)
 
 
 def leg_one_defect(model: QGModel, w: LinMap) -> LinMap:
     """w(a (x) b) - w(1 (x) b)(a (x) 1) on the d^2 basis pairs."""
-    d, mult = model.dim, model.mult.cols
     w1 = w @ model.unit_map.tensor(model.idA)  # column b: w(1 (x) e_b)
-    cols: dict[int, dict[int, Cyc]] = {}
-    for b, col in w1.cols.items():
-        for xy, c in col.items():
-            x, y = divmod(xy, d)
-            for a in range(d):
-                acc = cols.setdefault(a * d + b, {})
-                for i, v in mult.get(x * d + a, {}).items():
-                    k = i * d + y
-                    acc[k] = acc[k] + v * c if k in acc else v * c
-    return w - LinMap(model.AA, model.AA, cols)
+    return w - apply_on_legs(model.mult, (0, 2), w1.tensor(model.idA)) \
+        @ model.flipA
 
 
 def gram_unitarity_defect(haar: HaarData, w: LinMap) -> LinMap:
@@ -382,7 +350,6 @@ def check_convolution_compat(dd: Duality) -> list[CheckRecord]:
     the witness: every record is the full form's.
     """
     m, h, dm = dd.source, dd.haar, dd.dual
-    d = m.dim
     i = m.idA
     conv = dm.mult
     ck = Checker(f"{m.name}.conv-compat")
@@ -417,10 +384,8 @@ def check_convolution_compat(dd: Duality) -> list[CheckRecord]:
 
     def inner_product():
         # eps(f^* * g) = mu^-1 phi(conj(f) g), the Gram matrix up to mu
-        lhs = LinMap.from_entries(m.A, m.A, (
-            (a, b, m.counit_of(dm.mul(dm.invol.column(a), m.basis_vec(b))))
-            for a in range(d) for b in range(d)))
-        return lhs - h.gram.scale(h.mu.inverse())
+        return form_matrix(m.counit, conv, dm.invol) \
+            - h.gram.scale(h.mu.inverse())
 
     ck.exact("inner-product", "eps(f^* * g) = mu^-1 phi(conj(f) g)",
              inner_product)

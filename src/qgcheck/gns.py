@@ -35,7 +35,7 @@ from .duality import (AlgMultUnitary, Duality, build_alg_mult_unitary,
                       build_dual, gram_unitarity_defect, regular, tensor_image)
 from .errors import CheckFailure, TierRefusal
 from .hopf import QGModel, galois_map
-from .linalg import LinMap, rank
+from .linalg import LinMap, apply_on_legs, rank
 from .modular import (HaarData, _sign, positive_definite,
                       require_unit_scaling)
 from .report import PASS, Checker, CheckRecord, _diff_witness, require_zero
@@ -86,15 +86,8 @@ def _slices(dd: Duality, mw: AlgMultUnitary, leg: int) -> LinMap:
     leg of (1 (x) G) w (leg 1) or (G (x) 1) w (leg 0).  Slices are
     sesquilinear and the Lambda e_a span, so these d^2 decide every slice
     law."""
-    m, gram, d = dd.source, dd.haar.gram, dd.source.dim
-    t = (m.idA.tensor(gram) if leg else gram.tensor(m.idA)) @ mw.w
-    cols: dict[int, dict[int, Cyc]] = {}
-    for r, c, v in t.entries():
-        (i, a), (j, b) = divmod(r, d), divmod(c, d)
-        if leg == 0:
-            (a, i), (b, j) = (i, a), (j, b)
-        cols.setdefault(a * d + b, {})[i * d + j] = v
-    return LinMap._of(m.AA, m.AA, cols)
+    t = apply_on_legs(dd.haar.gram, (leg,), mw.w)
+    return t.regroup((0, 2, 1, 3) if leg else (1, 3, 0, 2), 2)
 
 
 def _require_slices(diff: LinMap):
@@ -334,7 +327,8 @@ def check_invariance_and_kms(dd: Duality,
             raise CheckFailure(implemented.witness,
                                residual=implemented.residual,
                                witness=implemented.witness)
-        return m.idA.tensor(haar.phi) @ m.coprod - m.unit_map @ haar.phi
+        return apply_on_legs(haar.phi, (1,), m.coprod) \
+            - m.unit_map @ haar.phi
 
     ck.exact("invariance",
              "(omega (x) phi)(coprod(m(f))) = omega(1) phi(f) over "
@@ -394,7 +388,7 @@ _IDENTITIES: dict[str, Callable[[QGModel, HaarData], object]] = {
         m.antipode @ m.mult
         - m.mult @ m.antipode.tensor(m.antipode) @ m.flipA),
     "r.right-invariant": lambda m, h: (
-        (h.phi @ m.antipode).tensor(m.idA) @ m.coprod
+        apply_on_legs(h.phi @ m.antipode, (0,), m.coprod)
         - m.unit_map @ h.phi @ m.antipode),
 }
 

@@ -159,10 +159,6 @@ class QGModel:
     def mul(self, a: Vec, b: Vec) -> Vec:
         return self.mult(a.tensor(b))
 
-    def mul2(self, u: Vec, w: Vec) -> Vec:
-        """Product of u, w in A (x) A: (a(x)b)(c(x)d) = ac (x) bd."""
-        return pair_product(self.mult, u, w)
-
     def lmul(self, a: Vec) -> LinMap:
         """Left multiplication by a as a matrix, mult (a (x) id)."""
         return self.mult @ _point(a).tensor(self.idA)
@@ -259,9 +255,9 @@ def verify_counit_antipode(model: QGModel) -> list[CheckRecord]:
     i, flip = model.idA, model.flipA
 
     ck.exact("counit.left", "(eps(x)id)coprod = id",
-             lambda: (eps.tensor(i)) @ d_ - i)
+             lambda: apply_on_legs(eps, (0,), d_) - i)
     ck.exact("counit.right", "(id(x)eps)coprod = id",
-             lambda: (i.tensor(eps)) @ d_ - i)
+             lambda: apply_on_legs(eps, (1,), d_) - i)
     ck.exact("counit.unit", "eps(1) = 1",
              lambda: model.counit_of(model.unit) - Cyc.one(1))
     ck.exact("counit.mult", "eps(ab) = eps(a)eps(b)",
@@ -307,7 +303,8 @@ def validate_model(model: QGModel) -> list[CheckRecord]:
     ck.exact("alg.unit-right", "a1 = a", lambda: m @ (i.tensor(u)) - i)
 
     ck.exact("coalg.coassoc", "(coprod(x)id)coprod = (id(x)coprod)coprod",
-             lambda: (d_.tensor(i)) @ d_ - (i.tensor(d_)) @ d_)
+             lambda: apply_on_legs(d_, (0,), d_)
+             - apply_on_legs(d_, (1,), d_))
     ck.exact("coalg.unit", "coprod(1) = 1(x)1",
              lambda: d_(model.unit) - model.unit.tensor(model.unit))
 
@@ -352,20 +349,13 @@ def solve_antipode(model: QGModel) -> LinMap:
 
 def solve_counit(model: QGModel) -> LinMap:
     """Recover the counit as the unique functional with (eps(x)id)coprod = id."""
-    d = model.dim
     # unknowns: eps_j; equations indexed by (i, k):
     #   sum_j coprod(e_i)[(j, k)] eps_j = delta_{ik}
-    entries = []
-    for i_ in range(d):
-        col = model.coprod.column(i_)
-        for jk, v in col.items():
-            j, k = divmod(jk, d)
-            entries.append((i_ * d + k, j, v))
-    system = LinMap.from_entries((d,), (d, d), entries)
-    rhs = Vec((d, d), {i_ * d + i_: Cyc.one(1) for i_ in range(d)})
+    system = model.coprod.regroup((2, 1, 0), 2)
+    rhs = model.idA.regroup((0, 1), 2).column(0)
     sol, ker = solve_linear(system, rhs)
     if sol is None:
         raise ModelError(f"{model.name}: no counit satisfies the coproduct law")
     if ker:
         raise ModelError(f"{model.name}: counit is not unique (kernel dim {len(ker)})")
-    return LinMap.functional(model.A, [sol.get(j) for j in range(d)])
+    return LinMap.functional(model.A, [sol.get(j) for j in range(model.dim)])

@@ -6,13 +6,18 @@ coalgebra bugs would otherwise hide.  Entries are exact cyclotomic scalars
 (``Cyc``) held column-sparse, so permutation-like structure maps of group
 models stay cheap even on spaces of dimension ~10^3.  The module is exact
 only and imports no numpy at load time: ``to_numpy`` imports it when a
-caller asks for a float matrix, and the float-tier helpers built on those
-matrices live in ``gns``.
+caller, such as a float test oracle, asks for a float matrix.
 
-``apply_on_legs`` is the one tensor-leg kernel: it applies a map to chosen
-legs of a vector, or of every column of a map, by index arithmetic on the
-flattened entries, so a structure map acting on some legs of a tensor
-never becomes the embedded map on all of them.
+Two operations know how a multi-index is flattened, and every other
+module goes through them.  ``apply_on_legs`` is the one tensor-leg
+kernel: it applies a map to chosen legs of a vector, or of every column
+of a map, by index arithmetic on the flattened entries, so a structure
+map acting on some legs of a tensor never becomes the embedded map on
+all of them.  ``LinMap.regroup`` reads a map as one tensor on its
+codomain and domain legs and splits those legs, in another order, into
+a new codomain and domain; ``transpose``, ``leg_permutation`` and every
+reindexed family (a product read as its regular representation, a
+functional on A (x) A read as a matrix) are one call of it.
 
 ``det``, ``rank``, ``kernel``, ``solve_linear`` and ``inverse`` each read
 their results off one exact reduced-row-echelon pass (``_Eliminator``); the
@@ -240,16 +245,8 @@ class LinMap:
     @staticmethod
     def leg_permutation(dims: Sequence[int], perm: Sequence[int]) -> "LinMap":
         """Map sending leg perm[p] of the input to output position p."""
-        dims = tuple(dims)
-        if sorted(perm) != list(range(len(dims))):
-            raise LegMismatch(f"not a permutation of {len(dims)} legs: {perm}")
-        cod = tuple(dims[p] for p in perm)
-        cols = {}
-        for j in range(total_dim(dims)):
-            multi = to_multi(j, dims)
-            out = tuple(multi[p] for p in perm)
-            cols[j] = {from_multi(out, cod): Cyc.one()}
-        return LinMap(dims, cod, cols)
+        n = len(dims)
+        return LinMap.identity(dims).regroup((*perm, *range(n, 2 * n)), n)
 
     @staticmethod
     def flip(d1: int, d2: int) -> "LinMap":
@@ -382,11 +379,48 @@ class LinMap:
                           {j: {i: c * v for i, v in col.items()}
                            for j, col in self.cols.items()})
 
-    def transpose(self) -> "LinMap":
+    def regroup(self, order: Sequence[int], ncod: int) -> "LinMap":
+        """The same entries with the legs read in another order.
+
+        The map is one tensor with legs ``cod + dom``; the result takes
+        those legs in ``order`` and makes the first ``ncod`` of them its
+        codomain.  Entries keep the order of ``entries()``, so columns
+        come in the order each is first reached.  As in ``apply_on_legs``,
+        strides are worked out once per call and consecutive legs that
+        stay together are read as one digit.
+        """
+        legs, nc = self.cod + self.dom, len(self.cod)
+        if sorted(order) != list(range(len(legs))):
+            raise LegMismatch(f"not a permutation of {len(legs)} legs: {order}")
+        dims = tuple(legs[p] for p in order)
+        src = _strides(self.cod) + _strides(self.dom)
+        dst = _strides(dims[:ncod]) + _strides(dims[ncod:])
+        # plans[a][b] reads the digits of the source's rows (a = 0) or
+        # columns (a = 1) that land in the result's rows (b = 0) or columns
+        plans: list[list[list]] = [[[], []], [[], []]]
+        for q, p in enumerate(order):
+            plans[p >= nc][q >= ncod].append((src[p], legs[p], dst[q]))
+        (rr, rc), (cr, cc) = ([_runs(x) for x in side] for side in plans)
+        # rows[i]: the offsets that the digits of source row i add to the
+        # result's row and column index, read once per row
+        rows: dict[int, tuple[int, int]] = {}
         cols: dict[int, dict[int, Cyc]] = {}
-        for i, j, v in self.entries():
-            cols.setdefault(i, {})[j] = v
-        return LinMap(self.cod, self.dom, cols)
+        for j, col in self.cols.items():
+            r0, c0 = _read(cr, j), _read(cc, j)
+            for i, v in col.items():
+                if i not in rows:
+                    rows[i] = _read(rr, i), _read(rc, i)
+                r, c = rows[i]
+                c += c0
+                if c in cols:
+                    cols[c][r0 + r] = v
+                else:
+                    cols[c] = {r0 + r: v}
+        return LinMap._of(dims[ncod:], dims[:ncod], cols)
+
+    def transpose(self) -> "LinMap":
+        nc, nd = len(self.cod), len(self.dom)
+        return self.regroup((*range(nc, nc + nd), *range(nc)), nd)
 
     def conj(self) -> "LinMap":
         return LinMap(self.dom, self.cod,
@@ -424,6 +458,11 @@ def _runs(plan: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
             n *= out.pop()[1]
         out.append((s, n, t))
     return out
+
+
+def _read(plan: list[tuple[int, int, int]], index: int) -> int:
+    """The sum of digit * weight over the digit readers of ``_runs``."""
+    return sum(index // s % n * t for s, n, t in plan)
 
 
 def apply_on_legs(f: LinMap, legs: Sequence[int], x: Vec | LinMap) -> Vec | LinMap:

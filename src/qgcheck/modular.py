@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import ModelError, SingularMap, TierRefusal
 from .hopf import QGModel
-from .linalg import LinMap, Vec, inverse, kernel
+from .linalg import LinMap, Vec, apply_on_legs, inverse, kernel
 from .report import Checker, CheckRecord
 from .scalars import Cyc
 
@@ -50,17 +50,8 @@ def _invariance_system(model: QGModel, side: str) -> LinMap:
     side="right": (phi (x) id)coprod(a) = phi(a) 1
     Unknowns are the values phi(e_j); equations are indexed by (a, out).
     """
-    d = model.dim
-    entries = []
-    for k in range(d):
-        col = model.coprod.column(k)
-        for ij, v in col.items():
-            i, j = divmod(ij, d)
-            keep, contract = (i, j) if side == "left" else (j, i)
-            entries.append((k * d + keep, contract, v))
-        for i, u in model.unit.data.items():
-            entries.append((k * d + i, k, -u))
-    return LinMap.from_entries((d,), (d, d), entries)
+    keep = (2, 0, 1) if side == "left" else (2, 1, 0)
+    return model.coprod.regroup(keep, 2) - model.idA.tensor(model.unit_map)
 
 
 def _sign(p: Cyc, what: str) -> int:
@@ -81,6 +72,13 @@ def _sign(p: Cyc, what: str) -> int:
                          f"{value:.3e} is within the rounding bound "
                          f"{bound:.1e}")
     return 1 if value > 0 else -1
+
+
+def form_matrix(f: LinMap, mult: LinMap, left: LinMap) -> LinMap:
+    """M[i, j] = f(left(e_i) e_j) for a functional f and a product mult,
+    its entries stored in row-major order."""
+    spread = apply_on_legs(left, (0,), LinMap.identity(mult.dom))
+    return (f @ mult @ spread).regroup((0, 1), 1)
 
 
 def positive_definite(m: LinMap) -> bool:
@@ -144,10 +142,7 @@ def _solve_haar(model: QGModel) -> HaarData:
 
     def value_matrix(f: LinMap) -> LinMap:
         """M[i, j] = f(e_i e_j) for a functional f."""
-        fm = f @ model.mult
-        return LinMap.from_entries(
-            model.A, model.A,
-            ((ij // d, ij % d, v) for _, ij, v in fm.entries()))
+        return (f @ model.mult).regroup((0, 1), 1)
 
     pmat = value_matrix(phi)
     try:
@@ -162,7 +157,7 @@ def _solve_haar(model: QGModel) -> HaarData:
     sigma_prime = inverse(qmat) @ qmat.transpose()
 
     # (phi (x) id)coprod has rank one: column k equals phi(e_k) delta
-    dmap = (phi.tensor(model.idA)) @ model.coprod
+    dmap = apply_on_legs(phi, (0,), model.coprod)
     k0 = next(j for j in range(d) if not values[j].is_zero())
     delta = values[k0].inverse() * dmap.column(k0)
     delta_map = LinMap((), model.A, {0: dict(delta.data)})
@@ -186,11 +181,7 @@ def _solve_haar(model: QGModel) -> HaarData:
     if not (sd - nu * delta).is_zero():
         raise ModelError(f"{model.name}: sigma does not scale the modular element")
 
-    gram = LinMap.from_entries(
-        model.A, model.A,
-        ((i, j, phi(model.mul(model.bar(model.basis_vec(i)),
-                              model.basis_vec(j))).get(0))
-         for i in range(d) for j in range(d)))
+    gram = form_matrix(phi, model.mult, model.invol)
     try:
         gram_positive = gram == gram.adjoint() and positive_definite(gram)
     except ModelError as e:
@@ -238,9 +229,9 @@ def check_modular_structure(haar: HaarData) -> list[CheckRecord]:
     delta, delta_inv, mu, nu = haar.delta, haar.delta_inv, haar.mu, haar.nu
 
     ck.exact("left-invariance", "(id(x)phi)coprod(a) = phi(a)1",
-             lambda: (i.tensor(phi)) @ d_ - m.unit_map @ phi)
+             lambda: apply_on_legs(phi, (1,), d_) - m.unit_map @ phi)
     ck.exact("right-invariance", "(psi(x)id)coprod(a) = psi(a)1",
-             lambda: (psi.tensor(i)) @ d_ - m.unit_map @ psi)
+             lambda: apply_on_legs(psi, (0,), d_) - m.unit_map @ psi)
     ck.exact("left-unique", "left-invariant functionals form a line",
              lambda: len(kernel(_invariance_system(m, "left"))) == 1)
     ck.exact("right-unique", "right-invariant functionals form a line",

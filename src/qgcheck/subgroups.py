@@ -28,7 +28,7 @@ inner product, so the module imports neither numpy nor the GNS layer.
 
 from dataclasses import dataclass
 
-from .duality import Duality, build_dual
+from .duality import Duality, build_dual, regular
 from .errors import CheckFailure, ModelError, TierRefusal
 from .hopf import QGModel
 from .linalg import (LinMap, Vec, inverse, kernel, minimal_polynomial, rank,
@@ -182,7 +182,6 @@ def check_dual_morphism(dm: DualMorphism) -> list[CheckRecord]:
     src, tgt, pi = mor.source, mor.target, mor.pi
     dg, dh = dm.source_duality.dual, dm.target_duality.dual
     haar_g, haar_h = dm.source_duality.haar, dm.target_duality.haar
-    n, k = src.dim, tgt.dim
     ck = Checker(f"{mor.label}.dual")
 
     ck.exact("pairing", "(pi_hat(x), a) = (x, pi(a))",
@@ -190,59 +189,34 @@ def check_dual_morphism(dm: DualMorphism) -> list[CheckRecord]:
     _structure_records(ck, dh, dg, dm.pi_hat)
 
     id_g, id_h = src.idA, tgt.idA
-    phi_h = haar_h.phi_of
-    pi_basis = [pi(src.basis_vec(p)) for p in range(n)]
+    p_h, s_inv_h = haar_h.pmat, tgt.antipode_inv
 
-    def left_formula():
-        vals = []
-        for x in range(k):
-            xv = tgt.basis_vec(x)
-            vals.extend(phi_h(tgt.mul(tgt.antipode_inv(pi_basis[p]), xv))
-                        for p in range(n))
-        pair_first = LinMap.functional((k, n), vals)
-        lhs = dg.mult @ dm.pi_hat.tensor(id_g)
-        rhs = pair_first.tensor(id_g) @ id_h.tensor(src.coprod)
-        return lhs - rhs
+    def left_formula(pairing: LinMap) -> LinMap:
+        # pairing[x, p] = phi_tgt(S^-1(pi(e_p)) e_x), read as a functional
+        return dg.mult @ dm.pi_hat.tensor(id_g) \
+            - pairing.regroup((0, 1), 0).tensor(id_g) @ id_h.tensor(src.coprod)
+
+    def right_formula(pairing: LinMap) -> LinMap:
+        # pairing[q, x] pairs u_(2) = e_q with x, read as a functional
+        return dg.mult @ id_g.tensor(dm.pi_hat) \
+            - id_g.tensor(pairing.regroup((0, 1), 0)) @ src.coprod.tensor(id_h)
 
     ck.exact("multiplier-left",
              "pi_hat(x) * u = sum phi(S^-1(pi(u_(1))) x) u_(2)",
-             left_formula)
-
-    twisted = [pi(src.mul(haar_g.delta, src.antipode(src.basis_vec(q))))
-               for q in range(n)]
-
-    def right_formula():
-        vals = []
-        for q in range(n):
-            vals.extend(phi_h(tgt.mul(twisted[q], tgt.basis_vec(x)))
-                        for x in range(k))
-        pair_second = LinMap.functional((n, k), vals)
-        lhs = dg.mult @ id_g.tensor(dm.pi_hat)
-        rhs = id_g.tensor(pair_second) @ src.coprod.tensor(id_h)
-        return lhs - rhs
-
+             lambda: left_formula(p_h.transpose() @ s_inv_h @ pi))
+    # pairing[q, x] = phi_tgt(pi(delta S(e_q)) e_x)
     ck.exact("multiplier-right",
              "u * pi_hat(x) = sum u_(1) phi(pi(delta S(u_(2))) x)",
-             right_formula)
+             lambda: right_formula(
+                 (pi @ src.lmul(haar_g.delta) @ src.antipode).transpose() @ p_h))
 
+    # pairing[q, x] = phi_tgt(S^-1(e_x) pi(e_q) tail)
     tail = tgt.mul(pi(haar_g.delta_inv), haar_h.delta)
-
-    def right_alt_formula():
-        vals = []
-        for q in range(n):
-            for x in range(k):
-                body = tgt.mul(tgt.antipode_inv(tgt.basis_vec(x)),
-                               tgt.mul(pi_basis[q], tail))
-                vals.append(phi_h(body))
-        pair_second = LinMap.functional((n, k), vals)
-        lhs = dg.mult @ id_g.tensor(dm.pi_hat)
-        rhs = id_g.tensor(pair_second) @ src.coprod.tensor(id_h)
-        return lhs - rhs
-
     ck.exact("multiplier-right-alt",
              "u * pi_hat(x) = sum u_(1) phi(S^-1(x) pi(u_(2)) "
              "pi(delta^-1) delta_tgt)",
-             right_alt_formula)
+             lambda: right_formula(
+                 (s_inv_h.transpose() @ p_h @ tgt.rmul(tail) @ pi).transpose()))
     return ck.records
 
 
@@ -330,7 +304,7 @@ def certify_vaes(mor: QGMorphism, dm: DualMorphism) -> list[CheckRecord]:
     """
     src, tgt, pi = mor.source, mor.target, mor.pi
     dg, dh = dm.source_duality.dual, dm.target_duality.dual
-    n, k = src.dim, tgt.dim
+    k = tgt.dim
     ck = Checker(f"{mor.label}.vaes")
 
     ck.exact("dual-homomorphism", "pi_hat(x * y) = pi_hat(x) * pi_hat(y)",
@@ -436,10 +410,7 @@ def certify_vaes(mor: QGMorphism, dm: DualMorphism) -> list[CheckRecord]:
              represented)
 
     def rep_rank():
-        stack = LinMap((k,), (n * n,), {
-            x: {i * n + j: v for i, j, v in r.entries()}
-            for x, r in enumerate(rep)})
-        got = rank(stack)
+        got = rank(regular(dg) @ dm.pi_hat)
         if got != k:
             raise CheckFailure(f"represented rank {got} of {k}")
         return True

@@ -1,0 +1,496 @@
+"""LinMap.regroup, the one reader of the flattened index layout.
+
+The hand-written reindex loops that regroup and a few compositions
+replaced are kept here as oracles, copied from their last library form:
+each new build must equal its loop, and, where the library promises it,
+store its entries in the same order, so FAIL witnesses (the first of
+several equal worst entries) name the same entry.
+"""
+
+import ast
+import dataclasses
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qgcheck import models
+from qgcheck.duality import (build_alg_mult_unitary, build_dual, check_dual,
+                             leg_one_defect, regular, tensor_image)
+from qgcheck.errors import LegMismatch, ModelError
+from qgcheck.gns import _slices
+from qgcheck.hopf import QGModel, solve_counit
+from qgcheck.linalg import (LinMap, Vec, apply_on_legs, from_multi, kernel,
+                            to_multi, total_dim)
+from qgcheck.modular import _invariance_system, form_matrix
+from qgcheck.models import GroupTable, build_function_algebra
+from qgcheck.report import Checker
+from qgcheck.scalars import Cyc
+from qgcheck.subgroups import (build_dual_morphism, check_dual_morphism,
+                               counit_morphism)
+from test_hopf import stored_order
+from test_subgroups import dihedral, restrict_a3_file, restrict_d6_s3
+
+# -- the primitive ------------------------------------------------------------
+
+
+def _naive_regroup(t: LinMap, order, ncod: int):
+    """(dom, cod, cols) of the regrouped map, one multi-index at a time."""
+    legs = t.cod + t.dom
+    dims = tuple(legs[p] for p in order)
+    cod, dom = dims[:ncod], dims[ncod:]
+    cols = {}
+    for i, j, v in t.entries():
+        multi = to_multi(i, t.cod) + to_multi(j, t.dom)
+        moved = tuple(multi[p] for p in order)
+        cols.setdefault(from_multi(moved[ncod:], dom), {})[
+            from_multi(moved[:ncod], cod)] = v
+    return dom, cod, cols
+
+
+@st.composite
+def leg_maps(draw, max_legs=4):
+    """A sparse map on 1..max_legs legs split between codomain and domain,
+    its columns and entries stored in the order drawn, not index order."""
+    legs = draw(st.lists(st.integers(1, 3), min_size=1, max_size=max_legs))
+    split = draw(st.integers(0, len(legs)))
+    cod, dom = tuple(legs[:split]), tuple(legs[split:])
+    cells = draw(st.lists(
+        st.tuples(st.integers(0, total_dim(cod) - 1),
+                  st.integers(0, total_dim(dom) - 1),
+                  st.integers(-3, 3).filter(bool)),
+        max_size=12, unique_by=lambda e: e[:2]))
+    cols = {}
+    for i, j, v in cells:
+        cols.setdefault(j, {})[i] = v
+    return LinMap(dom, cod, cols)
+
+
+@st.composite
+def regroup_cases(draw):
+    t = draw(leg_maps())
+    n = len(t.cod + t.dom)
+    return (t, tuple(draw(st.permutations(range(n)))),
+            draw(st.integers(0, n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=regroup_cases())
+def test_regroup_matches_the_multi_index_oracle(case):
+    t, order, ncod = case
+    got = t.regroup(order, ncod)
+    dom, cod, cols = _naive_regroup(t, order, ncod)
+    assert (got.dom, got.cod) == (dom, cod)
+    assert got == LinMap(dom, cod, cols)
+    # columns by first appearance, entries in the source's entries() order
+    assert stored_order(got) == [(j, list(col.items()))
+                                 for j, col in cols.items()]
+
+
+def test_regroup_refuses_a_non_permutation():
+    t = LinMap.identity((2, 3))
+    for order in ((0, 0, 1, 2), (0, 1, 2), (0, 1, 2, 4)):
+        with pytest.raises(LegMismatch):
+            t.regroup(order, 2)
+
+
+def _old_transpose(t: LinMap) -> LinMap:
+    cols = {}
+    for i, j, v in t.entries():
+        cols.setdefault(i, {})[j] = v
+    return LinMap(t.cod, t.dom, cols)
+
+
+def _old_leg_permutation(dims, perm) -> LinMap:
+    cod = tuple(dims[p] for p in perm)
+    cols = {}
+    for j in range(total_dim(dims)):
+        multi = to_multi(j, dims)
+        cols[j] = {from_multi(tuple(multi[p] for p in perm), cod): Cyc.one()}
+    return LinMap(dims, cod, cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(t=leg_maps())
+def test_transpose_matches_its_loop(t):
+    got, want = t.transpose(), _old_transpose(t)
+    assert got == want and stored_order(got) == stored_order(want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_leg_permutation_matches_its_loop(data):
+    dims = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1,
+                                    max_size=4)))
+    perm = tuple(data.draw(st.permutations(range(len(dims)))))
+    got, want = LinMap.leg_permutation(dims, perm), \
+        _old_leg_permutation(dims, perm)
+    assert got == want and stored_order(got) == stored_order(want)
+
+
+def test_leg_permutation_refuses_a_non_permutation():
+    with pytest.raises(LegMismatch):
+        LinMap.leg_permutation((2, 2), (0, 0))
+
+
+# -- the reindex loops it replaced, as oracles ---------------------------------
+
+
+def _old_regular(model: QGModel, right: bool) -> LinMap:
+    d = model.dim
+    cols = {}
+    for i, fj, v in model.mult.entries():
+        f, j = divmod(fj, d)[::-1] if right else divmod(fj, d)
+        cols.setdefault(f, {})[i * d + j] = v
+    return LinMap._of(model.A, model.AA, cols)
+
+
+def _old_tensor_image(left: LinMap, right: LinMap, v: Vec) -> LinMap:
+    d = left.cod[0]
+    t = apply_on_legs(right, (2,), apply_on_legs(left, (0,), v))
+    cols = {}
+    for k, c in t.items():
+        ij, rs = divmod(k, d * d)
+        (i, j), (r, s) = divmod(ij, d), divmod(rs, d)
+        cols.setdefault(j * d + s, {})[i * d + r] = c
+    return LinMap._of((d, d), (d, d), cols)
+
+
+def _old_slices(dd, mw, leg: int) -> LinMap:
+    m, gram, d = dd.source, dd.haar.gram, dd.source.dim
+    t = (m.idA.tensor(gram) if leg else gram.tensor(m.idA)) @ mw.w
+    cols = {}
+    for r, c, v in t.entries():
+        (i, a), (j, b) = divmod(r, d), divmod(c, d)
+        if leg == 0:
+            (a, i), (b, j) = (i, a), (j, b)
+        cols.setdefault(a * d + b, {})[i * d + j] = v
+    return LinMap._of(m.AA, m.AA, cols)
+
+
+def _old_invariance_system(model: QGModel, side: str) -> LinMap:
+    d = model.dim
+    entries = []
+    for k in range(d):
+        for ij, v in model.coprod.column(k).items():
+            i, j = divmod(ij, d)
+            keep, contract = (i, j) if side == "left" else (j, i)
+            entries.append((k * d + keep, contract, v))
+        for i, u in model.unit.data.items():
+            entries.append((k * d + i, k, -u))
+    return LinMap.from_entries((d,), (d, d), entries)
+
+
+def _old_counit_system(model: QGModel) -> tuple[LinMap, Vec]:
+    d = model.dim
+    entries = []
+    for i_ in range(d):
+        for jk, v in model.coprod.column(i_).items():
+            j, k = divmod(jk, d)
+            entries.append((i_ * d + k, j, v))
+    return (LinMap.from_entries((d,), (d, d), entries),
+            Vec((d, d), {i_ * d + i_: Cyc.one(1) for i_ in range(d)}))
+
+
+def _old_dual_coproduct(model: QGModel, haar) -> LinMap:
+    dcop_cols = {}
+    mflip = model.mult @ model.flipA
+    for f in range(model.dim):
+        w_func = haar.phi @ model.rmul(model.basis_vec(f)) @ mflip
+        w = Vec(model.AA, {j: v for _, j, v in w_func.entries()})
+        x = apply_on_legs(haar.pmat_inv, (0,),
+                          apply_on_legs(haar.pmat_inv, (1,), w))
+        if x.data:
+            dcop_cols[f] = dict(x.data)
+    return LinMap(model.A, model.AA, dcop_cols)
+
+
+def _old_gram(model: QGModel, phi: LinMap) -> LinMap:
+    d = model.dim
+    return LinMap.from_entries(model.A, model.A, (
+        (i, j, phi(model.mul(model.bar(model.basis_vec(i)),
+                             model.basis_vec(j))).get(0))
+        for i in range(d) for j in range(d)))
+
+
+def _old_inner_product_matrix(m: QGModel, dm: QGModel) -> LinMap:
+    d = m.dim
+    return LinMap.from_entries(m.A, m.A, (
+        (a, b, m.counit_of(dm.mul(dm.invol.column(a), m.basis_vec(b))))
+        for a in range(d) for b in range(d)))
+
+
+def _old_leg_one_defect(model: QGModel, w: LinMap) -> LinMap:
+    d, mult = model.dim, model.mult.cols
+    w1 = w @ model.unit_map.tensor(model.idA)
+    cols = {}
+    for b, col in w1.cols.items():
+        for xy, c in col.items():
+            x, y = divmod(xy, d)
+            for a in range(d):
+                acc = cols.setdefault(a * d + b, {})
+                for i, v in mult.get(x * d + a, {}).items():
+                    k = i * d + y
+                    acc[k] = acc[k] + v * c if k in acc else v * c
+    return w - LinMap(model.AA, model.AA, cols)
+
+
+def _old_pair_coproduct_oracle(m: QGModel, phi: LinMap) -> LinMap:
+    d = m.dim
+    func = phi @ m.mult @ m.idA.tensor(m.mult)
+    cols = {}
+    for jik in sorted(func.cols, key=lambda x: (x % (d * d), x // (d * d))):
+        j, ik = divmod(jik, d * d)
+        i, k = divmod(ik, d)
+        cols.setdefault(k, {})[i * d + j] = func.cols[jik][0]
+    return LinMap(m.A, m.AA, cols)
+
+
+GENERATED = {"c_s4": lambda: build_function_algebra(GroupTable.symmetric(4)),
+             "c_d6": lambda: build_function_algebra(dihedral(6))}
+ALL_MODELS = (*models.BUILTIN_MODELS, *GENERATED)
+
+
+@pytest.fixture(scope="module")
+def any_model(model_cache):
+    """A built-in model, or one of the generated function algebras."""
+    built = {}
+
+    def get(name):
+        if name not in GENERATED:
+            return model_cache(name)
+        if name not in built:
+            built[name] = GENERATED[name]()
+        return built[name]
+
+    return get
+
+
+def _same(got: LinMap, want: LinMap, what: str):
+    assert got == want, what
+    assert stored_order(got) == stored_order(want), what
+
+
+@pytest.mark.parametrize("name", ALL_MODELS)
+def test_model_reads_match_their_loops(any_model, name):
+    m = any_model(name)
+    for right in (False, True):
+        _same(regular(m, right), _old_regular(m, right), "regular")
+    system, rhs = _old_counit_system(m)
+    _same(m.coprod.regroup((2, 1, 0), 2), system, "counit system")
+    assert list(m.idA.regroup((0, 1), 2).column(0).items()) \
+        == list(rhs.items())
+    assert solve_counit(m) == m.counit
+    # the invariance system stores its entries in another order; kernel,
+    # its only reader, returns the same basis in the same order
+    for side in ("left", "right"):
+        got, want = _invariance_system(m, side), _old_invariance_system(m, side)
+        assert got == want, side
+        assert [list(v.items()) for v in kernel(got)] \
+            == [list(v.items()) for v in kernel(want)], side
+
+
+@pytest.mark.parametrize("name", ALL_MODELS)
+def test_dual_builds_match_their_loops(any_model, name):
+    m = any_model(name)
+    dd = build_dual(m)
+    for model, haar in ((m, dd.haar), (dd.dual, dd.dual_haar)):
+        _same(haar.gram, _old_gram(model, haar.phi), "gram")
+    _same(dd.dual.coprod, _old_dual_coproduct(m, dd.haar), "dual coproduct")
+    _same(form_matrix(m.counit, dd.dual.mult, dd.dual.invol),
+          _old_inner_product_matrix(m, dd.dual), "inner-product matrix")
+    func = dd.haar.phi @ m.mult @ m.idA.tensor(m.mult)
+    assert func.regroup((1, 0, 2), 2) \
+        == _old_pair_coproduct_oracle(m, dd.haar.phi)
+
+
+@pytest.mark.parametrize("name", ALL_MODELS)
+def test_unitary_reads_match_their_loops(any_model, name):
+    m = any_model(name)
+    try:
+        mw = build_alg_mult_unitary(m)
+    except ModelError:
+        assert name == "broken"
+        return
+    dd = build_dual(m)
+    dm = dd.dual
+    _same(leg_one_defect(m, mw.w), _old_leg_one_defect(m, mw.w),
+          "leg-one defect")
+    x = mw.w_inv(m.unit.tensor(dm.unit))
+    for right in (False, True):
+        left_f, right_f = regular(m, right), regular(dm, right)
+        _same(tensor_image(left_f, right_f, x),
+              _old_tensor_image(left_f, right_f, x), "tensor image")
+    reg = regular(m)
+    for f in range(min(m.dim, 3)):
+        v = m.coprod.column(f)
+        _same(tensor_image(reg, reg, v), _old_tensor_image(reg, reg, v),
+              "tensor image of a coproduct")
+    for leg in (0, 1):
+        _same(_slices(dd, mw, leg), _old_slices(dd, mw, leg), "slices")
+
+
+def _one_entry_mutants(t: LinMap):
+    """t with its middle stored entry raised by 1, its first lowered by 1,
+    and its first unstored entry planted as 1, where there is one."""
+    entries = list(t.entries())
+    i, j, _ = entries[len(entries) // 2]
+    yield t + LinMap.from_entries(t.dom, t.cod, [(i, j, 1)])
+    i, j, _ = entries[0]
+    yield t + LinMap.from_entries(t.dom, t.cod, [(i, j, -1)])
+    free = next(((i, j) for j in range(t.dom_dim) for i in range(t.cod_dim)
+                 if t.entry(i, j).is_zero()), None)
+    if free:
+        yield t + LinMap.from_entries(t.dom, t.cod, [(*free, 1)])
+
+
+def _record(records, suffix):
+    (r,) = [r for r in records if r.check_id.endswith(suffix)]
+    return r.check_id, r.status, r.residual, r.witness
+
+
+@pytest.mark.parametrize("name", ["sweedler", "taft3", "cg_s3", "d_z2",
+                                  "d_z3", "c_s3"])
+def test_pair_coproduct_witness_is_the_loop_oracles(model_cache, name):
+    """The pair.coproduct oracle stores its entries in another order than
+    the loop did; on single-entry mutants of the dual coproduct and of
+    the product the record still names the loop form's witness."""
+    dd = build_dual(model_cache(name))
+    m, p = dd.source, dd.haar.pmat
+    cases = [dataclasses.replace(dd, dual=dataclasses.replace(
+        dd.dual, coprod=t)) for t in _one_entry_mutants(dd.dual.coprod)]
+    cases += [dataclasses.replace(dd, source=dataclasses.replace(m, mult=t))
+              for t in _one_entry_mutants(m.mult)]
+    for bad in cases:
+        ck = Checker(f"{m.name}.dual")
+        ck.exact("pair.coproduct", "", lambda bad=bad: p.tensor(p)
+                 @ bad.dual.coprod
+                 - _old_pair_coproduct_oracle(bad.source, bad.haar.phi))
+        got = _record(check_dual(bad), ".pair.coproduct")
+        assert got == _record(ck.records, ".pair.coproduct")
+        assert got[1] == "fail"
+
+
+# -- the multiplier records of the dual morphism -------------------------------
+
+
+def _old_multiplier_records(dm):
+    """multiplier-left, -right and -right-alt as d k value loops."""
+    mor = dm.morphism
+    src, tgt, pi = mor.source, mor.target, mor.pi
+    dg = dm.source_duality.dual
+    haar_g, haar_h = dm.source_duality.haar, dm.target_duality.haar
+    n, k = src.dim, tgt.dim
+    ck = Checker(f"{mor.label}.dual")
+    id_g, id_h = src.idA, tgt.idA
+    phi_h = haar_h.phi_of
+    pi_basis = [pi(src.basis_vec(p)) for p in range(n)]
+
+    def left_formula():
+        vals = []
+        for x in range(k):
+            xv = tgt.basis_vec(x)
+            vals.extend(phi_h(tgt.mul(tgt.antipode_inv(pi_basis[p]), xv))
+                        for p in range(n))
+        pair_first = LinMap.functional((k, n), vals)
+        return dg.mult @ dm.pi_hat.tensor(id_g) \
+            - pair_first.tensor(id_g) @ id_h.tensor(src.coprod)
+
+    def right_formula(vals):
+        pair_second = LinMap.functional((n, k), vals)
+        return dg.mult @ id_g.tensor(dm.pi_hat) \
+            - id_g.tensor(pair_second) @ src.coprod.tensor(id_h)
+
+    twisted = [pi(src.mul(haar_g.delta, src.antipode(src.basis_vec(q))))
+               for q in range(n)]
+    tail = tgt.mul(pi(haar_g.delta_inv), haar_h.delta)
+    ck.exact("multiplier-left", "", left_formula)
+    ck.exact("multiplier-right", "", lambda: right_formula(
+        [phi_h(tgt.mul(twisted[q], tgt.basis_vec(x)))
+         for q in range(n) for x in range(k)]))
+    ck.exact("multiplier-right-alt", "", lambda: right_formula(
+        [phi_h(tgt.mul(tgt.antipode_inv(tgt.basis_vec(x)),
+                       tgt.mul(pi_basis[q], tail)))
+         for q in range(n) for x in range(k)]))
+    return ck.records
+
+
+def _moved_pi_hat(pi_hat: LinMap, change: str) -> LinMap:
+    """pi_hat with one column negated, zeroed, or its entry moved to a
+    row outside the image, as the streamed-bimodule test mutates it."""
+    cols = {j: dict(col) for j, col in pi_hat.cols.items()}
+    a = sorted(cols)[min(1, len(cols) - 1)]
+    if change == "negate":
+        cols[a] = {i: -v for i, v in cols[a].items()}
+    elif change == "zero":
+        cols[a] = {}
+    else:
+        value = next(iter(cols[a].values()))
+        image = {i for col in cols.values() for i in col}
+        cols[a] = {min(set(range(pi_hat.cod_dim)) - image): value}
+    return LinMap(pi_hat.dom, pi_hat.cod, cols)
+
+
+MULTIPLIERS = (".multiplier-left", ".multiplier-right",
+               ".multiplier-right-alt")
+
+
+@pytest.mark.parametrize("make", [restrict_a3_file, restrict_d6_s3,
+                                  lambda: counit_morphism(
+                                      models.builtin("taft3"))])
+@pytest.mark.parametrize("change", [None, "negate", "zero", "move"])
+def test_multiplier_records_match_the_loop_forms(make, change):
+    """Status, residual and witness of the three multiplier records equal
+    those of the value loops, on pi_hat and on its mutants."""
+    dm = build_dual_morphism(make())
+    if change:
+        dm = dataclasses.replace(dm, pi_hat=_moved_pi_hat(dm.pi_hat, change))
+    got = check_dual_morphism(dm)
+    want = _old_multiplier_records(dm)
+    for suffix in MULTIPLIERS:
+        assert _record(got, suffix) == _record(want, suffix), suffix
+        assert _record(got, suffix)[1] == ("fail" if change else "pass")
+
+
+# -- the layout guard ----------------------------------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "qgcheck"
+
+# Outside linalg only the model builders, and two witness texts that name
+# a basis pair or triple, may still decode a flattened index.
+LAYOUT_ALLOWED = {"models.py": None, "gns.py": {"_require_slices"},
+                  "subgroups.py": {"check_expectation"}}
+
+
+def _divmod_sites(tree: ast.AST):
+    """(enclosing function names, line) of every use of divmod."""
+    sites = []
+
+    def visit(node, stack):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack = stack + (node.name,)
+        if isinstance(node, ast.Name) and node.id == "divmod":
+            sites.append((stack, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, stack)
+
+    visit(tree, ())
+    return sites
+
+
+def test_only_linalg_decodes_flattened_indices():
+    seen, outside = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        allowed = LAYOUT_ALLOWED.get(path.name, set())
+        for stack, line in _divmod_sites(ast.parse(path.read_text())):
+            if allowed is None or allowed & set(stack):
+                seen.add(path.name)
+            else:
+                outside.append(f"{path.name}:{line} in {'.'.join(stack)}")
+    assert not outside, "flattened-index layout decoded outside linalg: " \
+        + ", ".join(outside)
+    # the scan finds the witness text it allows
+    assert "gns.py" in seen
