@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ModelError, SingularMap
+from .errors import ModelError
 from .linalg import LinMap, Vec, apply_on_legs, det, inverse, solve_linear
 from .report import Checker, CheckRecord
 from .scalars import Cyc

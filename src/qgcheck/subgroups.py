@@ -31,8 +31,8 @@ from dataclasses import dataclass
 from .duality import Duality, build_dual, regular
 from .errors import CheckFailure, ModelError, TierRefusal
 from .hopf import QGModel
-from .linalg import (LinMap, Vec, inverse, kernel, minimal_polynomial, rank,
-                     solve_linear)
+from .linalg import (LinMap, Vec, apply_on_legs, inverse, kernel,
+                     minimal_polynomial, rank, solve_linear)
 from .models import GroupTable, build_function_algebra, builtin
 from .modular import require_unit_scaling
 from .report import Checker, CheckRecord
@@ -225,52 +225,45 @@ def check_dual_morphism(dm: DualMorphism) -> list[CheckRecord]:
 def check_expectation(dm: DualMorphism) -> list[CheckRecord]:
     """pi, read on convolution algebras, averages over the subgroup.
 
-    The identity pi(pi_hat(x) * u * pi_hat(y)) = x * pi(u) * y is checked
-    one basis triple (x, u, y) at a time, and the nonzero differences form
-    a map on the triple tensor space (k, n, k).  Its columns come in the
-    order of the composed form pi o m o (m (x) id) o (pi_hat (x) id (x)
-    pi_hat) minus m o (m (x) id) o (id (x) pi (x) id), so a failure names
-    the same entry, but no map with n^3 columns is built.  The companion
-    record documents that pi need not intertwine the convolution
-    involutions: the outcome is reported, never required.
+    The identity pi(pi_hat(x) * u * pi_hat(y)) = x * pi(u) * y lives on
+    the triple tensor space (k, n, k).  It is decided through its two
+    one-sided laws, each a map on k n columns:
+
+      L = pi o conv_G o (pi_hat (x) id) - conv_H o (id (x) pi),
+      R = pi o conv_G o (id (x) pi_hat) - conv_H o (pi (x) id).
+
+    L = R = 0 passes the record with no premise, since
+    pi((pi_hat(x) * u) * pi_hat(y)) = pi(pi_hat(x) * u) * y
+    = (x * pi(u)) * y.  The converse, at x = 1 or y = 1, needs
+    pi_hat(1) = 1 and the unit laws of both convolution products, which
+    this record does not check.  So a nonzero L or R leaves the record to
+    the composed difference pi o conv_G o (conv_G (x) id) o (pi_hat (x) id
+    (x) pi_hat) - conv_H o (conv_H (x) id) o (id (x) pi (x) id), which
+    decides it and names the witness: every record is the composed
+    form's.  The companion record documents that pi need not intertwine
+    the convolution involutions: the outcome is reported, never required.
     """
     mor = dm.morphism
-    src, tgt, pi = mor.source, mor.target, mor.pi
+    pi, hat = mor.pi, dm.pi_hat
     dg, dh = dm.source_duality.dual, dm.target_duality.dual
-    n, k = src.dim, tgt.dim
+    conv_g, conv_h = dg.mult, dh.mult
+    id_g, id_h = mor.source.idA, mor.target.idA
     ck = Checker(f"{mor.label}.expectation")
 
-    def both_sides():
-        # composed order: left columns by pi_hat's columns, u ascending;
-        # columns the left side leaves zero follow in the right's order
-        xs = list(dm.pi_hat.cols) + [x for x in range(k)
-                                     if x not in dm.pi_hat.cols]
-        hat = {x: dm.pi_hat.column(x) for x in xs}
-        u_pos = {u: p for p, u in enumerate(pi.cols)}
-        cols, late = {}, {}
-        for x in xs:
-            xv = tgt.basis_vec(x)
-            for u in range(n):
-                uv = src.basis_vec(u)
-                left_xu = dg.mul(hat[x], uv)
-                right_xu = dh.mul(xv, pi(uv))
-                for y in xs:
-                    left = pi(dg.mul(left_xu, hat[y]))
-                    diff = left - dh.mul(right_xu, tgt.basis_vec(y))
-                    if diff.data:
-                        j = (x * n + u) * k + y
-                        if left.data:
-                            cols[j] = diff.data
-                        else:
-                            late[(x, u_pos[u], y)] = (j, diff.data)
-        for _, (j, col) in sorted(late.items()):
-            cols[j] = col
-        return LinMap(dm.pi_hat.dom + src.A + dm.pi_hat.dom, tgt.A, cols)
+    def bimodule():
+        left = pi @ conv_g @ hat.tensor(id_g) - conv_h @ id_h.tensor(pi)
+        right = pi @ conv_g @ id_g.tensor(hat) - conv_h @ pi.tensor(id_h)
+        if left.is_zero() and right.is_zero():
+            return left
+        return pi @ conv_g @ apply_on_legs(
+            conv_g, (0, 1), hat.tensor(id_g).tensor(hat)) \
+            - conv_h @ apply_on_legs(
+                conv_h, (0, 1), id_h.tensor(pi).tensor(id_h))
 
     ck.exact("bimodule", "pi(pi_hat(x) * u * pi_hat(y)) = x * pi(u) * y",
-             both_sides)
+             bimodule)
 
-    holds = (mor.pi @ dg.invol - dh.invol @ mor.pi.conj()).is_zero()
+    holds = (pi @ dg.invol - dh.invol @ pi.conj()).is_zero()
     ck.skip("involution-caveat",
             "pi need not intertwine the convolution involutions",
             f"not required; here pi {'does' if holds else 'does not'}")

@@ -457,10 +457,9 @@ def test_multiplier_records_match_the_loop_forms(make, change):
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qgcheck"
 
-# Outside linalg only the model builders, and two witness texts that name
-# a basis pair or triple, may still decode a flattened index.
-LAYOUT_ALLOWED = {"models.py": None, "gns.py": {"_require_slices"},
-                  "subgroups.py": {"check_expectation"}}
+# Outside linalg only the model builders, and one witness text that names
+# a basis pair, may still decode a flattened index.
+LAYOUT_ALLOWED = {"models.py": None, "gns.py": {"_require_slices"}}
 
 
 def _divmod_sites(tree: ast.AST):
@@ -494,3 +493,46 @@ def test_only_linalg_decodes_flattened_indices():
         + ", ".join(outside)
     # the scan finds the witness text it allows
     assert "gns.py" in seen
+
+
+# -- the unused-import guard --------------------------------------------------
+
+
+def _module_imports(tree: ast.Module):
+    """(bound name, line) of every import outside functions and classes,
+    ``from __future__`` aside."""
+    found, todo = [], list(tree.body)
+    while todo:
+        node = todo.pop(0)
+        if isinstance(node, ast.Import):
+            found += [((a.asname or a.name).split(".")[0], node.lineno)
+                      for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            found += [(a.asname or a.name, node.lineno) for a in node.names]
+        elif isinstance(node, (ast.If, ast.Try)):
+            todo += ast.iter_child_nodes(node)
+    return found
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    """The string entries of a module-level ``__all__`` list."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            return {e.value for e in node.value.elts
+                    if isinstance(e, ast.Constant)}
+    return set()
+
+
+def test_every_module_import_is_used():
+    """A module-level import is read as a name in its module (annotations
+    count) or re-exported through ``__all__``."""
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        used |= _exported(tree)
+        unused += [f"{path.name}:{line} {name}"
+                   for name, line in _module_imports(tree) if name not in used]
+    assert not unused, "unused imports: " + ", ".join(unused)

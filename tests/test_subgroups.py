@@ -1,6 +1,7 @@
 """Morphisms, dual morphisms, the expectation and the subgroup certificate."""
 
 import dataclasses
+import functools
 from pathlib import Path
 
 import numpy as np
@@ -198,22 +199,68 @@ def restrict_d6_s3():
     return restriction_morphism(dihedral(6), [0, 2, 4, 6, 8, 10])
 
 
-@pytest.mark.parametrize("make", [restrict_a3_file, restrict_d6_s3])
-@pytest.mark.parametrize("change", ["negate", "zero", "move"])
-def test_streamed_bimodule_matches_composed_oracle(make, change):
-    dm = build_dual_morphism(make())
-    assert composed_bimodule(dm).is_zero()
-    record = check_expectation(dm)[0]
-    assert record.check_id.endswith(".bimodule")
-    assert record.status == "pass" and record.residual == 0.0
-    # pi_hat changed: the same residual and witness.  Negating column a
-    # leaves the triples (a, u, a) intact, so the largest differences
-    # tie across triples of different x and y, and the witness pins
-    # their order.  Zeroing column a empties the composed left side on
-    # every triple with x = a or y = a; those differences come after all
-    # others.  Moving the entry of column a to a row outside the image
-    # of pi_hat empties the left side only for some u, so differences
-    # of both kinds tie, and the left-empty ones still come last.
+def restrict_s4_a4():
+    """C(S4) -> C(A4), the restriction onto the even permutations."""
+    s4 = GroupTable.symmetric(4)
+
+    def even(label):
+        p = [int(ch) for ch in label]
+        return sum(p[i] > p[j] for i in range(4)
+                   for j in range(i + 1, 4)) % 2 == 0
+    return restriction_morphism(
+        s4, [i for i, e in enumerate(s4.elements) if even(e)])
+
+
+def one_entry_mutant(t, change):
+    """t with its middle stored entry raised by 1 or dropped, or its first
+    unstored entry planted as 1."""
+    i, j, v = list(t.entries())[t.nnz // 2]
+    if change == "drop":
+        bump = -v
+    elif change == "raise":
+        bump = Cyc.one(1)
+    else:
+        i, j = next((i, j) for j in range(t.dom_dim)
+                    for i in range(t.cod_dim) if t.entry(i, j).is_zero())
+        bump = Cyc.one(1)
+    return t + LinMap.from_entries(t.dom, t.cod, [(i, j, bump)])
+
+
+def one_sided_plant(dm, side):
+    """conv_G with 1 planted in column (a, u) (side "left") or (u, a)
+    (side "right"), where a is in the image of pi_hat and u is not, on a
+    row that pi keeps.  Only the one-sided law of that side reads the
+    column: L reads conv_G on (image, any), R on (any, image)."""
+    conv, n = dm.source_duality.dual.mult, dm.morphism.source.dim
+    image = {i for col in dm.pi_hat.cols.values() for i in col}
+    a, u = min(image), min(set(range(n)) - image)
+    j = a * n + u if side == "left" else u * n + a
+    return conv + LinMap.from_entries(
+        conv.dom, conv.cod, [(min(dm.morphism.pi.cols), j, Cyc.one(1))])
+
+
+def bimodule_mutant(dm, change):
+    """dm with pi_hat, pi or one convolution product changed."""
+    part, _, how = change.partition("-")
+    if part == "pi":
+        return dataclasses.replace(dm, morphism=dataclasses.replace(
+            dm.morphism, pi=one_entry_mutant(dm.morphism.pi, how)))
+    if part in ("conv_g", "conv_h"):
+        side = "source_duality" if part == "conv_g" else "target_duality"
+        dd = getattr(dm, side)
+        dual = dataclasses.replace(dd.dual, mult=(
+            one_sided_plant(dm, how) if how in ("left", "right")
+            else one_entry_mutant(dd.dual.mult, how)))
+        return dataclasses.replace(
+            dm, **{side: dataclasses.replace(dd, dual=dual)})
+    # pi_hat changed.  Negating column a leaves the triples (a, u, a)
+    # intact, so the largest differences tie across triples of different
+    # x and y, and the witness pins their order.  Zeroing column a empties
+    # the composed left side on every triple with x = a or y = a; those
+    # differences come after all others.  Moving the entry of column a to
+    # a row outside the image of pi_hat empties the left side only for
+    # some u, so differences of both kinds tie, and the left-empty ones
+    # still come last.
     cols = {j: dict(col) for j, col in dm.pi_hat.cols.items()}
     a = sorted(cols)[1]
     if change == "negate":
@@ -224,13 +271,69 @@ def test_streamed_bimodule_matches_composed_oracle(make, change):
         (value,) = cols[a].values()
         image = {i for col in cols.values() for i in col}
         cols[a] = {min(set(range(dm.pi_hat.cod_dim)) - image): value}
-    bad = dataclasses.replace(
+    return dataclasses.replace(
         dm, pi_hat=LinMap(dm.pi_hat.dom, dm.pi_hat.cod, cols))
+
+
+BIMODULE_MAKERS = [restrict_a3_file, restrict_d6_s3, restrict_s4_a4]
+
+
+@functools.cache
+def passing_dual_morphism(make):
+    """build_dual_morphism(make()), built once per maker; its composed
+    bimodule difference is zero."""
+    dm = build_dual_morphism(make())
+    assert composed_bimodule(dm).is_zero()
+    return dm
+
+
+@pytest.mark.parametrize("make", BIMODULE_MAKERS)
+@pytest.mark.parametrize("change", [
+    "negate", "zero", "move", "pi-raise", "pi-drop", "pi-plant",
+    "conv_g-raise", "conv_g-drop", "conv_g-plant", "conv_g-left",
+    "conv_g-right",
+    "conv_h-raise", "conv_h-drop", "conv_h-plant"])
+def test_streamed_bimodule_matches_composed_oracle(make, change):
+    """The bimodule record, decided through its one-sided laws, has the
+    status, residual and witness of the composed (k, n, k) difference."""
+    dm = passing_dual_morphism(make)
+    record = check_expectation(dm)[0]
+    assert record.check_id.endswith(".bimodule")
+    assert record.status == "pass" and record.residual == 0.0
+    bad = bimodule_mutant(dm, change)
     residual, witness = _diff_witness(composed_bimodule(bad))
     record = check_expectation(bad)[0]
-    assert record.status == "fail"
     assert (record.residual, record.witness) == (residual, witness)
-    assert witness.startswith("entry (")
+    assert record.status == ("fail" if residual else "pass")
+    if "-" not in change:
+        # every change of pi_hat fails
+        assert record.status == "fail" and witness.startswith("entry (")
+
+
+@pytest.mark.parametrize("make", BIMODULE_MAKERS)
+def test_expectation_pass_path_builds_no_triple_column_map(monkeypatch, make):
+    """A passing bimodule record is decided on the one-sided laws: no map
+    with a (k, n, k) domain is built inside ``check_expectation``."""
+    dm = passing_dual_morphism(make)
+    doms = []
+    real_of, real_init = LinMap._of.__func__, LinMap.__init__
+
+    def of(cls, dom, cod, cols):
+        doms.append(tuple(dom))
+        return real_of(cls, dom, cod, cols)
+
+    def init(self, dom, cod, cols=None):
+        doms.append(tuple(dom))
+        real_init(self, dom, cod, cols)
+
+    monkeypatch.setattr(LinMap, "_of", classmethod(of))
+    monkeypatch.setattr(LinMap, "__init__", init)
+    records = check_expectation(dm)
+    monkeypatch.undo()
+    assert records[0].status == "pass"
+    n, k = dm.morphism.source.dim, dm.morphism.target.dim
+    assert doms and (k, n, k) not in doms
+    assert all(len(dom) <= 2 for dom in doms), set(doms)
 
 
 def test_vaes_certificate(mor_a3, mor_z2):

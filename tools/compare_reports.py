@@ -28,7 +28,8 @@ product passes every PASS record but changes these witnesses.  Every
 mutant stops at the structural stage (``struct``, ``hopf``, ``cancel``),
 so no FAIL record of a later stage (dual, pentagon, GNS) is compared
 here; the witness order of those records is pinned by unit tests, such
-as ``tests/test_duality.py::test_dual_product_witnesses_match_pair_by_pair``.
+as ``tests/test_duality.py::test_dual_product_witnesses_match_pair_by_pair``
+and ``tests/test_subgroups.py::test_streamed_bimodule_matches_composed_oracle``.
 
 The generated inputs and the mutants are written once, from the parent
 checkout, into a temporary directory.  The script compares exit codes,
