@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 from .errors import ModelError
-from .hopf import QGModel, _point, galois_map
+from .hopf import QGModel, galois_map
 from .linalg import LinMap, Vec, apply_on_legs, inverse
 from .modular import HaarData, alpha_map, form_matrix, solve_haar
 from .report import CheckRecord, Checker, require_zero
@@ -73,7 +73,7 @@ class AlgMultUnitary:
         decides P = 0 on A (x) A (x) A; otherwise x runs over the basis, all
         d^3 triples.  w12 E and w23 E are built from w's columns."""
         m, w, i = self.model, self.w, self.model.idA
-        x = m.unit_map if leg_one_defect(m, w).is_zero() else i
+        x = m.unit if leg_one_defect(m, w).is_zero() else i
         lhs = apply_on_legs(w, (0, 1), apply_on_legs(w, (0, 2), x.tensor(w)))
         return lhs - apply_on_legs(w, (1, 2), (w @ x.tensor(i)).tensor(i))
 
@@ -104,7 +104,7 @@ def _build_dual(model: QGModel) -> Duality:
     conv = pmat_inv @ paired.transpose()
 
     # unit: phi(e_k u) = eps(e_k)
-    conv_unit = pmat_inv(model.counit.transpose().column(0))
+    conv_unit = pmat_inv(model.counit.transpose())
 
     # coproduct: column f solves (P(x)P) X = W, W[(i, j), f] = phi(e_j e_i
     # e_f) = (P^T mult flip)^T[(i, j), f], the pairing of coprod^(f) against
@@ -140,7 +140,7 @@ def check_dual(dd: Duality) -> list[CheckRecord]:
     ck.exact("pair.product", "(f*g, a) = (f (x) g, coprod a)",
              lambda: P @ dm.mult - m.coprod.transpose() @ P.tensor(P))
     ck.exact("pair.unit", "(1^, a) = eps(a)",
-             lambda: P(dm.unit) - m.counit.transpose().column(0))
+             lambda: P(dm.unit) - m.counit.transpose())
 
     def pair_coproduct():
         # independent route: (coprod^ e_k, e_i (x) e_j) = phi(e_j e_i e_k),
@@ -270,13 +270,13 @@ def regular(model: QGModel, right: bool = False) -> LinMap:
 
 def tensor_image(left: LinMap, right: LinMap, v: Vec) -> LinMap:
     """sum v_pq L_p (x) R_q on A (x) A, for flattened families L and R."""
-    t = apply_on_legs(right, (2,), apply_on_legs(left, (0,), _point(v)))
+    t = apply_on_legs(right, (2,), apply_on_legs(left, (0,), v))
     return t.regroup((0, 2, 1, 3), 2)
 
 
 def leg_one_defect(model: QGModel, w: LinMap) -> LinMap:
     """w(a (x) b) - w(1 (x) b)(a (x) 1) on the d^2 basis pairs."""
-    w1 = w @ model.unit_map.tensor(model.idA)  # column b: w(1 (x) e_b)
+    w1 = w @ model.unit.tensor(model.idA)  # column b: w(1 (x) e_b)
     return w - apply_on_legs(model.mult, (0, 2), w1.tensor(model.idA)) \
         @ model.flipA
 

@@ -55,20 +55,23 @@ def build_gns(model: QGModel) -> GnsRealization:
 
     Refuses (TierRefusal) when the scaling constant differs from 1, when
     the Gram matrix phi(conj(e_i) e_j) is not Hermitian positive definite,
-    when the multiplication representation is not faithful, or when W
-    fails unitarity, since the analytic layer is built under those
-    standing assumptions.  Each is decided exactly: positivity is
-    ``HaarData.gram_positive``, and the last two are the records
-    ``reps.m.faithful`` and ``w.unitary``.
+    or when W fails unitarity, since the analytic layer is built under
+    those standing assumptions.  Each is decided exactly: positivity is
+    ``HaarData.gram_positive``, and unitarity is the record ``w.unitary``.
+
+    A model whose multiplication representation is not faithful never
+    gets here: if L_f = 0 for some f != 0, then phi(f e_j) = 0 for every
+    j, so the rows of P[i, j] = phi(e_i e_j) weighted by the coordinates
+    of f sum to zero, P is singular, and ``solve_haar`` (which
+    ``require_unit_scaling`` runs first) raises ModelError "invariant
+    functional is not faithful".  The record ``reps.m.faithful`` still
+    states that law.
     """
     haar = require_unit_scaling(model)
     if not haar.gram_positive:
         raise TierRefusal(f"{model.name}: Gram matrix of phi is not "
                           "Hermitian positive definite")
     dual = build_dual(model)
-    if rank(regular(model)) != model.dim:
-        raise TierRefusal(f"{model.name}: multiplication representation "
-                          "is not faithful")
     defect, _ = _diff_witness(gram_unitarity_defect(
         haar, build_alg_mult_unitary(model).w))
     if defect:
@@ -319,7 +322,7 @@ def check_invariance_and_kms(dd: Duality,
     m, haar = dd.source, dd.haar
     ck = Checker(f"{m.name}.gns.weight")
     ck.exact("phi.vector-state", "<Lambda 1, m(f) Lambda 1> = phi(f)",
-             lambda: m.unit_map.adjoint() @ haar.gram @ m.rmul(m.unit)
+             lambda: m.unit.adjoint() @ haar.gram @ m.rmul(m.unit)
              - haar.phi)
 
     def invariance():
@@ -328,7 +331,7 @@ def check_invariance_and_kms(dd: Duality,
                                residual=implemented.residual,
                                witness=implemented.witness)
         return apply_on_legs(haar.phi, (1,), m.coprod) \
-            - m.unit_map @ haar.phi
+            - m.unit @ haar.phi
 
     ck.exact("invariance",
              "(omega (x) phi)(coprod(m(f))) = omega(1) phi(f) over "
@@ -389,7 +392,7 @@ _IDENTITIES: dict[str, Callable[[QGModel, HaarData], object]] = {
         - m.mult @ m.antipode.tensor(m.antipode) @ m.flipA),
     "r.right-invariant": lambda m, h: (
         apply_on_legs(h.phi @ m.antipode, (0,), m.coprod)
-        - m.unit_map @ h.phi @ m.antipode),
+        - m.unit @ h.phi @ m.antipode),
 }
 
 MODULAR_OPERATORS = ("nabla", "nabla_hat", "n", "m", "delta", "delta_prime",

@@ -32,7 +32,8 @@ class QGModel:
       order     cyclotomic order of the scalar field Q(zeta_order)
       dim       vector space dimension
       basis     basis labels, length dim
-      unit      the element 1
+      unit      the element 1; a Vec is a map with no domain legs, so
+                this is also the unit map scalars -> A, 1 |-> 1
       mult      multiplication A (x) A -> A
       coprod    coproduct A -> A (x) A
       counit    counit A -> scalars (codomain has no legs)
@@ -104,11 +105,6 @@ class QGModel:
         return self._cached("flipA", lambda: LinMap.flip(self.dim, self.dim))
 
     @property
-    def unit_map(self) -> LinMap:
-        """Scalars -> A, 1 |-> unit."""
-        return self._cached("unit_map", lambda: _point(self.unit))
-
-    @property
     def antipode_inv(self) -> LinMap:
         return self._cached("antipode_inv", lambda: inverse(self.antipode))
 
@@ -161,11 +157,11 @@ class QGModel:
 
     def lmul(self, a: Vec) -> LinMap:
         """Left multiplication by a as a matrix, mult (a (x) id)."""
-        return self.mult @ _point(a).tensor(self.idA)
+        return self.mult @ a.tensor(self.idA)
 
     def rmul(self, a: Vec) -> LinMap:
         """Right multiplication by a as a matrix, mult (id (x) a)."""
-        return self.mult @ self.idA.tensor(_point(a))
+        return self.mult @ self.idA.tensor(a)
 
     def bar(self, v: Vec) -> Vec:
         """Involution a |-> a*."""
@@ -180,11 +176,6 @@ def pair_product(mult: LinMap, u: Vec, w: Vec) -> Vec:
     mult on legs (0, 2) and then (1, 2) of u (x) w, so the mult (x) mult
     matrix is never materialized."""
     return apply_on_legs(mult, (1, 2), apply_on_legs(mult, (0, 2), u.tensor(w)))
-
-
-def _point(a: Vec) -> LinMap:
-    """The element a as the map scalars -> A, 1 |-> a."""
-    return LinMap._of((), a.dims, {0: dict(a.data)} if a.data else {})
 
 
 # -- twisted multiplication maps -------------------------------------------
@@ -296,7 +287,7 @@ def validate_model(model: QGModel) -> list[CheckRecord]:
     ck = Checker(f"{model.name}.struct")
     m, d_, C = model.mult, model.coprod, model.invol
     i, flip = model.idA, model.flipA
-    u = model.unit_map
+    u = model.unit
 
     ck.exact("alg.assoc", "(ab)c = a(bc)", lambda: model.associator)
     ck.exact("alg.unit-left", "1a = a", lambda: m @ (u.tensor(i)) - i)
@@ -344,7 +335,7 @@ def solve_antipode(model: QGModel) -> LinMap:
     """
     gr = galois_map(model, "gr")
     return (model.counit.tensor(model.idA)) @ inverse(gr) \
-        @ (model.idA.tensor(model.unit_map))
+        @ (model.idA.tensor(model.unit))
 
 
 def solve_counit(model: QGModel) -> LinMap:
@@ -352,7 +343,7 @@ def solve_counit(model: QGModel) -> LinMap:
     # unknowns: eps_j; equations indexed by (i, k):
     #   sum_j coprod(e_i)[(j, k)] eps_j = delta_{ik}
     system = model.coprod.regroup((2, 1, 0), 2)
-    rhs = model.idA.regroup((0, 1), 2).column(0)
+    rhs = model.idA.regroup((0, 1), 2)
     sol, ker = solve_linear(system, rhs)
     if sol is None:
         raise ModelError(f"{model.name}: no counit satisfies the coproduct law")

@@ -1,19 +1,22 @@
 """Sparse exact linear algebra with tensor-leg bookkeeping.
 
-Vectors and linear maps carry an explicit list of tensor-leg dimensions;
+Linear maps carry an explicit list of tensor-leg dimensions on each side;
 composition and tensoring check the leg signature, which is where most
-coalgebra bugs would otherwise hide.  Entries are exact cyclotomic scalars
-(``Cyc``) held column-sparse, so permutation-like structure maps of group
-models stay cheap even on spaces of dimension ~10^3.  The module is exact
-only and imports no numpy at load time: ``to_numpy`` imports it when a
-caller, such as a float test oracle, asks for a float matrix.
+coalgebra bugs would otherwise hide.  A vector is a map from the scalars:
+a ``Vec`` is a ``LinMap`` with no domain legs whose one column holds its
+entries, so each operation below is coded once and serves both, and every
+result with no domain legs is a ``Vec``.  Entries are exact cyclotomic
+scalars (``Cyc``) held column-sparse, so permutation-like structure maps
+of group models stay cheap even on spaces of dimension ~10^3.  The module
+is exact only and imports no numpy at load time: ``to_numpy`` imports it
+when a caller, such as a float test oracle, asks for a float matrix.
 
 Two operations know how a multi-index is flattened, and every other
 module goes through them.  ``apply_on_legs`` is the one tensor-leg
-kernel: it applies a map to chosen legs of a vector, or of every column
-of a map, by index arithmetic on the flattened entries, so a structure
-map acting on some legs of a tensor never becomes the embedded map on
-all of them.  ``LinMap.regroup`` reads a map as one tensor on its
+kernel: it applies a map to chosen legs of every column of a map, a
+vector being the one-column case, by index arithmetic on the flattened
+entries, so a structure map acting on some legs of a tensor never
+becomes the embedded map on all of them.  ``LinMap.regroup`` reads a map as one tensor on its
 codomain and domain legs and splits those legs, in another order, into
 a new codomain and domain; ``transpose``, ``leg_permutation`` and every
 reindexed family (a product read as its regular representation, a
@@ -29,7 +32,8 @@ of a map off ``kernel``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import LegMismatch, SingularMap
 from .scalars import Cyc
@@ -75,97 +79,9 @@ def _as_cyc(value) -> Cyc:
     return Cyc.rational(value)
 
 
-class Vec:
-    """Sparse exact vector over a tensor product of legs."""
-
-    __slots__ = ("dims", "data")
-
-    def __init__(self, dims: Sequence[int], data: dict[int, Cyc] | None = None):
-        self.dims: Dims = tuple(dims)
-        self.data: dict[int, Cyc] = {}
-        if data:
-            for i, v in data.items():
-                v = _as_cyc(v)
-                if not v.is_zero():
-                    self.data[i] = v
-
-    @property
-    def dim(self) -> int:
-        return total_dim(self.dims)
-
-    @staticmethod
-    def zero(dims: Sequence[int]) -> "Vec":
-        return Vec(dims)
-
-    @staticmethod
-    def basis(dims: Sequence[int], index) -> "Vec":
-        if isinstance(index, (tuple, list)):
-            index = from_multi(index, dims)
-        return Vec(dims, {index: Cyc.one()})
-
-    @staticmethod
-    def from_list(dims: Sequence[int], values: Iterable) -> "Vec":
-        return Vec(dims, {i: _as_cyc(v) for i, v in enumerate(values)})
-
-    def get(self, index) -> Cyc:
-        if isinstance(index, (tuple, list)):
-            index = from_multi(index, self.dims)
-        return self.data.get(index, Cyc.zero())
-
-    def items(self):
-        return self.data.items()
-
-    def is_zero(self) -> bool:
-        return not self.data
-
-    def __add__(self, other: "Vec") -> "Vec":
-        if self.dims != other.dims:
-            raise LegMismatch("vector legs differ", self.dims, other.dims)
-        out = dict(self.data)
-        for i, v in other.data.items():
-            s = out.get(i)
-            out[i] = v if s is None else s + v
-        return Vec(self.dims, out)
-
-    def __sub__(self, other: "Vec") -> "Vec":
-        return self + (-1) * other
-
-    def __rmul__(self, scalar) -> "Vec":
-        c = _as_cyc(scalar)
-        return Vec(self.dims, {i: c * v for i, v in self.data.items()})
-
-    def __neg__(self) -> "Vec":
-        return (-1) * self
-
-    def tensor(self, other: "Vec") -> "Vec":
-        n2 = other.dim
-        out = {}
-        for i, v in self.data.items():
-            for j, w in other.data.items():
-                out[i * n2 + j] = v * w
-        return Vec(self.dims + other.dims, out)
-
-    def conj(self) -> "Vec":
-        return Vec(self.dims, {i: v.conj() for i, v in self.data.items()})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Vec) and self.dims == other.dims and self.data == other.data
-
-    def __hash__(self):
-        raise TypeError("Vec is unhashable")
-
-    def to_numpy(self) -> np.ndarray:
-        import numpy as np
-        out = np.zeros(self.dim, dtype=complex)
-        for i, v in self.data.items():
-            out[i] = v.to_complex()
-        return out
-
-    def max_abs(self) -> float:
-        return max((abs(v.to_complex()) for v in self.data.values()), default=0.0)
-
-    def __repr__(self):
-        return f"Vec(dims={self.dims}, nnz={len(self.data)})"
+def _nonzero(col: dict) -> dict[int, Cyc]:
+    """The nonzero entries of a column, as ``Cyc`` values."""
+    return {i: c for i, v in col.items() if (c := _as_cyc(v))}
 
 
 class LinMap:
@@ -184,19 +100,19 @@ class LinMap:
         self.cols: dict[int, dict[int, Cyc]] = {}
         if cols:
             for j, col in cols.items():
-                clean = {i: c for i, v in col.items() if (c := _as_cyc(v))}
-                if clean:
+                if clean := _nonzero(col):
                     self.cols[j] = clean
 
     @classmethod
     def _of(cls, dom: Sequence[int], cod: Sequence[int],
             cols: dict[int, dict[int, Cyc]]) -> "LinMap":
-        """Trusted constructor: stores ``cols`` as given.
+        """Trusted constructor: stores ``cols`` as given, as a ``Vec`` when
+        the domain has no legs.
 
         For results of the algebra below, whose entries are already
         nonzero ``Cyc`` values in nonempty columns.
         """
-        out = cls.__new__(cls)
+        out = object.__new__(cls if dom else Vec)
         out.dom = tuple(dom)
         out.cod = tuple(cod)
         out.cols = cols
@@ -215,11 +131,11 @@ class LinMap:
     @staticmethod
     def identity(dims: Sequence[int]) -> "LinMap":
         n = total_dim(dims)
-        return LinMap(dims, dims, {j: {j: Cyc.one()} for j in range(n)})
+        return LinMap._of(dims, dims, {j: {j: Cyc.one()} for j in range(n)})
 
     @staticmethod
     def zero(dom: Sequence[int], cod: Sequence[int]) -> "LinMap":
-        return LinMap(dom, cod)
+        return LinMap._of(dom, cod, {})
 
     @staticmethod
     def from_entries(dom: Sequence[int], cod: Sequence[int], entries) -> "LinMap":
@@ -232,15 +148,13 @@ class LinMap:
             col = cols.setdefault(j, {})
             s = col.get(i)
             col[i] = v if s is None else s + v
-        return LinMap(dom, cod, cols)
+        return LinMap._of(dom, cod, {j: c for j, col in cols.items()
+                                     if (c := _nonzero(col))})
 
     @staticmethod
     def from_dense(dom: Sequence[int], cod: Sequence[int], rows: Sequence[Sequence]) -> "LinMap":
-        entries = []
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                entries.append((i, j, v))
-        return LinMap(dom, cod, None) if not entries else LinMap.from_entries(dom, cod, entries)
+        return LinMap.from_entries(dom, cod, ((i, j, v) for i, row in enumerate(rows)
+                                              for j, v in enumerate(row)))
 
     @staticmethod
     def leg_permutation(dims: Sequence[int], perm: Sequence[int]) -> "LinMap":
@@ -268,10 +182,11 @@ class LinMap:
     def nnz(self) -> int:
         return sum(len(c) for c in self.cols.values())
 
-    def column(self, j) -> Vec:
+    def column(self, j) -> "Vec":
         if isinstance(j, (tuple, list)):
             j = from_multi(j, self.dom)
-        return Vec(self.cod, dict(self.cols.get(j, {})))
+        col = self.cols.get(j)
+        return LinMap._of((), self.cod, {0: col} if col else {})
 
     def entry(self, i, j) -> Cyc:
         if isinstance(i, (tuple, list)):
@@ -292,21 +207,12 @@ class LinMap:
 
     # -- algebra ----------------------------------------------------------
 
-    def apply(self, v: Vec) -> Vec:
+    def apply(self, v: "Vec") -> "Vec":
         if v.dims != self.dom:
             raise LegMismatch("vector legs differ from domain", v.dims, self.dom)
-        out: dict[int, Cyc] = {}
-        for j, c in v.data.items():
-            col = self.cols.get(j)
-            if not col:
-                continue
-            for i, m in col.items():
-                s = out.get(i)
-                p = m * c
-                out[i] = p if s is None else s + p
-        return Vec(self.cod, out)
+        return self @ v
 
-    def __call__(self, v: Vec) -> Vec:
+    def __call__(self, v: "Vec") -> "Vec":
         return self.apply(v)
 
     def __matmul__(self, other: "LinMap") -> "LinMap":
@@ -379,6 +285,12 @@ class LinMap:
                           {j: {i: c * v for i, v in col.items()}
                            for j, col in self.cols.items()})
 
+    def __rmul__(self, scalar) -> "LinMap":
+        return self.scale(scalar)
+
+    def __neg__(self) -> "LinMap":
+        return self.scale(-1)
+
     def regroup(self, order: Sequence[int], ncod: int) -> "LinMap":
         """The same entries with the legs read in another order.
 
@@ -423,8 +335,8 @@ class LinMap:
         return self.regroup((*range(nc, nc + nd), *range(nc)), nd)
 
     def conj(self) -> "LinMap":
-        return LinMap(self.dom, self.cod,
-                      {j: {i: v.conj() for i, v in col.items()} for j, col in self.cols.items()})
+        return LinMap._of(self.dom, self.cod,
+                          {j: {i: v.conj() for i, v in col.items()} for j, col in self.cols.items()})
 
     def adjoint(self) -> "LinMap":
         return self.transpose().conj()
@@ -432,7 +344,7 @@ class LinMap:
     def relabel(self, dom: Sequence[int], cod: Sequence[int]) -> "LinMap":
         if total_dim(dom) != self.dom_dim or total_dim(cod) != self.cod_dim:
             raise LegMismatch("total dimension changed in relabel")
-        return LinMap(dom, cod, {j: dict(col) for j, col in self.cols.items()})
+        return LinMap._of(dom, cod, dict(self.cols))
 
     def max_abs(self) -> float:
         return max((abs(v.to_complex()) for _, _, v in self.entries()), default=0.0)
@@ -446,6 +358,75 @@ class LinMap:
 
     def __repr__(self):
         return f"LinMap({self.dom}->{self.cod}, nnz={self.nnz})"
+
+
+_NO_ENTRIES: Mapping[int, Cyc] = MappingProxyType({})
+
+
+class Vec(LinMap):
+    """Sparse exact vector over a tensor product of legs.
+
+    The map from the scalars (no domain legs) whose one column, key 0,
+    holds the entries; the algebra of ``LinMap`` serves it unchanged, and
+    only what reads a vector by its entries lives here.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, dims: Sequence[int], data: dict[int, Cyc] | None = None):
+        self.dom = ()
+        self.cod = tuple(dims)
+        col = _nonzero(data) if data else None
+        self.cols = {0: col} if col else {}
+
+    @staticmethod
+    def zero(dims: Sequence[int]) -> "Vec":
+        return Vec(dims)
+
+    @staticmethod
+    def basis(dims: Sequence[int], index) -> "Vec":
+        if isinstance(index, (tuple, list)):
+            index = from_multi(index, dims)
+        return LinMap._of((), dims, {0: {index: Cyc.one()}})
+
+    @staticmethod
+    def from_list(dims: Sequence[int], values: Iterable) -> "Vec":
+        return Vec(dims, dict(enumerate(values)))
+
+    @property
+    def dims(self) -> Dims:
+        return self.cod
+
+    @property
+    def data(self) -> Mapping[int, Cyc]:
+        """The entries: a read-only view of column 0."""
+        cols = self.cols
+        return MappingProxyType(cols[0]) if cols else _NO_ENTRIES
+
+    @property
+    def dim(self) -> int:
+        return total_dim(self.cod)
+
+    def get(self, index) -> Cyc:
+        if isinstance(index, (tuple, list)):
+            index = from_multi(index, self.cod)
+        cols = self.cols
+        if cols and (v := cols[0].get(index)) is not None:
+            return v
+        return Cyc.zero()
+
+    def items(self):
+        return self.data.items()
+
+    def to_numpy(self) -> np.ndarray:
+        import numpy as np
+        out = np.zeros(self.dim, dtype=complex)
+        for i, v in self.items():
+            out[i] = v.to_complex()
+        return out
+
+    def __repr__(self):
+        return f"Vec(dims={self.dims}, nnz={self.nnz})"
 
 
 def _runs(plan: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
@@ -465,9 +446,9 @@ def _read(plan: list[tuple[int, int, int]], index: int) -> int:
     return sum(index // s % n * t for s, n, t in plan)
 
 
-def apply_on_legs(f: LinMap, legs: Sequence[int], x: Vec | LinMap) -> Vec | LinMap:
-    """Apply f to the chosen legs (0-based) of a vector, or of every column
-    of a map.
+def apply_on_legs(f: LinMap, legs: Sequence[int], x: LinMap) -> LinMap:
+    """Apply f to the chosen legs (0-based) of every column of x; a vector
+    is the one-column case and gives a vector.
 
     Arity-preserving maps may name legs in any order; each output leg
     replaces the input leg at the same ambient position.  Maps that change
@@ -477,7 +458,7 @@ def apply_on_legs(f: LinMap, legs: Sequence[int], x: Vec | LinMap) -> Vec | LinM
     out once per call, and each column of f becomes a list of output
     offsets the first time an entry reaches it.
     """
-    dims = x.dims if isinstance(x, Vec) else x.cod
+    dims = x.cod
     if tuple(dims[p] for p in legs) != f.dom:
         raise LegMismatch("chosen legs do not match map domain",
                           tuple(dims[p] for p in legs), f.dom)
@@ -534,10 +515,6 @@ def apply_on_legs(f: LinMap, legs: Sequence[int], x: Vec | LinMap) -> Vec | LinM
                 acc[k] = acc[k] + v * c if k in acc else v * c
         return {k: v for k, v in acc.items() if v}
 
-    if isinstance(x, Vec):
-        out = Vec(out_dims)
-        out.data = image(x.data)
-        return out
     cols = {}
     for j, col in x.cols.items():
         if acc := image(col):
@@ -642,7 +619,7 @@ def solve_linear(m: LinMap, b: Vec) -> tuple[Vec | None, list[Vec]]:
     """
     if b.dims != m.cod:
         raise LegMismatch("right-hand side legs differ from codomain", b.dims, m.cod)
-    elim = _Eliminator(m, LinMap((), m.cod, {0: b.data}))
+    elim = _Eliminator(m, b)
     ker = elim.kernel()
     # after the full reduction a non-pivot row holds augmented entries only
     if any(elim.rows[i] for i in elim.rows if i not in elim.used_rows):

@@ -51,7 +51,7 @@ def _invariance_system(model: QGModel, side: str) -> LinMap:
     Unknowns are the values phi(e_j); equations are indexed by (a, out).
     """
     keep = (2, 0, 1) if side == "left" else (2, 1, 0)
-    return model.coprod.regroup(keep, 2) - model.idA.tensor(model.unit_map)
+    return model.coprod.regroup(keep, 2) - model.idA.tensor(model.unit)
 
 
 def _sign(p: Cyc, what: str) -> int:
@@ -160,8 +160,7 @@ def _solve_haar(model: QGModel) -> HaarData:
     dmap = apply_on_legs(phi, (0,), model.coprod)
     k0 = next(j for j in range(d) if not values[j].is_zero())
     delta = values[k0].inverse() * dmap.column(k0)
-    delta_map = LinMap((), model.A, {0: dict(delta.data)})
-    if not (dmap - delta_map @ phi).is_zero():
+    if not (dmap - delta @ phi).is_zero():
         raise ModelError(f"{model.name}: no single modular element matches "
                          "(phi (x) id)coprod")
     try:
@@ -229,9 +228,9 @@ def check_modular_structure(haar: HaarData) -> list[CheckRecord]:
     delta, delta_inv, mu, nu = haar.delta, haar.delta_inv, haar.mu, haar.nu
 
     ck.exact("left-invariance", "(id(x)phi)coprod(a) = phi(a)1",
-             lambda: apply_on_legs(phi, (1,), d_) - m.unit_map @ phi)
+             lambda: apply_on_legs(phi, (1,), d_) - m.unit @ phi)
     ck.exact("right-invariance", "(psi(x)id)coprod(a) = psi(a)1",
-             lambda: apply_on_legs(psi, (0,), d_) - m.unit_map @ psi)
+             lambda: apply_on_legs(psi, (0,), d_) - m.unit @ psi)
     ck.exact("left-unique", "left-invariant functionals form a line",
              lambda: len(kernel(_invariance_system(m, "left"))) == 1)
     ck.exact("right-unique", "right-invariant functionals form a line",

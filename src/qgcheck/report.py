@@ -106,7 +106,7 @@ class Checker:
             status = PASS if residual == 0.0 else FAIL
         except SingularMap as e:
             status, residual = FAIL, None
-            ker = ", ".join(repr(k.data) for k in e.kernel[:2])
+            ker = ", ".join(repr(dict(k.data)) for k in e.kernel[:2])
             witness = f"{e} (kernel sample: {ker})" if e.kernel else str(e)
         except CheckFailure as e:
             status, residual, witness = FAIL, e.residual, e.witness or str(e)

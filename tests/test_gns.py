@@ -12,7 +12,7 @@ import pytest
 from qgcheck import cli
 from qgcheck import gns as G
 from qgcheck.duality import build_alg_mult_unitary, build_dual
-from qgcheck.errors import TierRefusal
+from qgcheck.errors import ModelError, TierRefusal
 from qgcheck.linalg import LinMap, Vec
 from qgcheck.models import GroupTable
 from qgcheck.report import CheckRecord, ensure
@@ -39,6 +39,20 @@ def test_refusal_non_positive_gram(model_cache):
     with pytest.raises(TierRefusal,
                        match="Gram matrix of phi is not Hermitian positive "
                              "definite"):
+        G.build_gns(spoiled)
+
+
+@pytest.mark.parametrize("name", ["c_z3", "cg_s3"])
+def test_unfaithful_multiplication_fails_in_solve_haar(model_cache, name):
+    """With every product of one basis element f zeroed, L_f = 0, so the
+    rows of phi o mult are dependent: the Haar solve raises ModelError
+    before build_gns could refuse the model as unfaithful."""
+    m = model_cache(name)
+    f, d = 1, m.dim
+    cols = {j: col for j, col in m.mult.cols.items() if f not in divmod(j, d)}
+    spoiled = dataclasses.replace(m, mult=LinMap(m.AA, m.A, cols))
+    with pytest.raises(ModelError,
+                       match="invariant functional is not faithful"):
         G.build_gns(spoiled)
 
 

@@ -25,7 +25,7 @@ from qgcheck.linalg import (
     solve_linear,
     to_multi,
 )
-from qgcheck.report import Checker
+from qgcheck.report import Checker, _diff_witness
 from qgcheck.scalars import Cyc, _context
 from test_scalars import _phi, _poly
 
@@ -266,6 +266,39 @@ def test_vector_ops():
     t = v.tensor(w)
     assert t.dims == (2, 2)
     assert t.get((1, 1)).rational_value() == 10
+
+
+def test_results_with_no_domain_legs_are_vectors():
+    """A vector is the map with no domain legs: every operation whose
+    result has none returns a Vec, whose entries are column 0."""
+    v = Vec.from_list((2,), [1, 2])
+    w = Vec.from_list((2,), [0, 5])
+    m = LinMap.from_dense((2,), (2,), [[1, 1], [0, 3]])
+    z = Cyc.zeta(3)
+    results = {
+        "v + w": (v + w, [1, 7]),
+        "v - w": (v - w, [1, -3]),
+        "-v": (-v, [-1, -2]),
+        "c * v": (3 * v, [3, 6]),
+        "scale(0)": (v.scale(0), [0, 0]),
+        "conj": (Vec.from_list((2,), [z, 1]).conj(), [z.conj(), 1]),
+        "v (x) w": (v.tensor(w), [0, 5, 0, 10]),
+        "M @ v": (m @ v, [3, 6]),
+        "M(v)": (m(v), [3, 6]),
+        "apply_on_legs": (apply_on_legs(LinMap.flip(2, 2), (0, 1),
+                                        v.tensor(w)), [0, 0, 5, 10]),
+        "regroup": (m.regroup((0, 1), 2), [1, 1, 0, 3]),
+        "zero": (LinMap.zero((), (2,)), [0, 0]),
+        "column": (m.column(1), [1, 3]),
+    }
+    for name, (got, want) in results.items():
+        assert type(got) is Vec and got.dom == (), name
+        assert got == Vec.from_list(got.dims, want), name
+        assert dict(got.data) == {i: x for i, x in enumerate(want) if x}, name
+    with pytest.raises(TypeError):
+        v.data[0] = Cyc.one()
+    # a vector difference is still witnessed by its entry index
+    assert _diff_witness(v - w) == (3.0, "entry 1: -3")
 
 
 # -- results of the trusted constructor ------------------------------------

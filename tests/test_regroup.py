@@ -223,7 +223,7 @@ def _old_inner_product_matrix(m: QGModel, dm: QGModel) -> LinMap:
 
 def _old_leg_one_defect(model: QGModel, w: LinMap) -> LinMap:
     d, mult = model.dim, model.mult.cols
-    w1 = w @ model.unit_map.tensor(model.idA)
+    w1 = w @ model.unit.tensor(model.idA)
     cols = {}
     for b, col in w1.cols.items():
         for xy, c in col.items():
@@ -462,20 +462,25 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "qgcheck"
 LAYOUT_ALLOWED = {"models.py": None, "gns.py": {"_require_slices"}}
 
 
-def _divmod_sites(tree: ast.AST):
-    """(enclosing function names, line) of every use of divmod."""
+def _sites(tree: ast.AST, hit) -> list[tuple[tuple[str, ...], int]]:
+    """(enclosing function names, line) of every node that ``hit`` picks."""
     sites = []
 
     def visit(node, stack):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             stack = stack + (node.name,)
-        if isinstance(node, ast.Name) and node.id == "divmod":
+        if hit(node):
             sites.append((stack, node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, stack)
 
     visit(tree, ())
     return sites
+
+
+def _divmod_sites(tree: ast.AST):
+    """(enclosing function names, line) of every use of divmod."""
+    return _sites(tree, lambda n: isinstance(n, ast.Name) and n.id == "divmod")
 
 
 def test_only_linalg_decodes_flattened_indices():
@@ -493,6 +498,39 @@ def test_only_linalg_decodes_flattened_indices():
         + ", ".join(outside)
     # the scan finds the witness text it allows
     assert "gns.py" in seen
+
+
+# -- the vector guard ----------------------------------------------------------
+
+
+def _scalar_domain_call(node: ast.AST) -> bool:
+    """A call of the LinMap constructor or of a LinMap classmethod whose
+    domain, the first argument, is the literal ()."""
+    if not isinstance(node, ast.Call):
+        return False
+    f = node.func.value if isinstance(node.func, ast.Attribute) else node.func
+    if not (isinstance(f, ast.Name) and f.id == "LinMap"):
+        return False
+    dom = node.args[0] if node.args else next(
+        (k.value for k in node.keywords if k.arg in ("dom", "dims")), None)
+    return isinstance(dom, ast.Tuple) and not dom.elts
+
+
+def test_only_linalg_builds_maps_with_no_domain_legs():
+    """A map with no domain legs is a Vec, so a vector is used as the map
+    it is; outside linalg none is rebuilt by hand as LinMap((), ...)."""
+    outside = [f"{path.name}:{line} in {'.'.join(stack)}"
+               for path in sorted(SRC.glob("*.py")) if path.name != "linalg.py"
+               for stack, line in _sites(ast.parse(path.read_text()),
+                                         _scalar_domain_call)]
+    assert not outside, "vector built as a map outside linalg: " \
+        + ", ".join(outside)
+    # the scan finds the forms it forbids, and only those
+    probe = ("LinMap((), a, {})\nLinMap._of((), a, {})\n"
+             "LinMap.zero(dom=(), cod=a)\nLinMap.functional(a, ())\n"
+             "LinMap(a, (), {})\n")
+    assert [line for _, line in _sites(ast.parse(probe), _scalar_domain_call)] \
+        == [1, 2, 3]
 
 
 # -- the unused-import guard --------------------------------------------------
