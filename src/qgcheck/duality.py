@@ -58,7 +58,8 @@ class AlgMultUnitary:
     """The algebraic multiplicative unitary on A (x) A.
 
     w(a(x)b) = S^-1(b_(1)) a (x) b_(2) and w_inv(a(x)b) = coprod(b)(a(x)1);
-    the two compose to the identity exactly.
+    the two compose to the identity exactly.  What several records read
+    is memoized, built once per w; G is the Gram matrix of ``solve_haar``.
     """
     model: QGModel
     w: LinMap
@@ -76,6 +77,22 @@ class AlgMultUnitary:
         x = m.unit if leg_one_defect(m, w).is_zero() else i
         lhs = apply_on_legs(w, (0, 1), apply_on_legs(w, (0, 2), x.tensor(w)))
         return lhs - apply_on_legs(w, (1, 2), (w @ x.tensor(i)).tensor(i))
+
+    @cached_property
+    def gram_defect(self) -> LinMap:
+        """w^H (G (x) G) w - G (x) G, zero exactly when W is unitary."""
+        gram = solve_haar(self.model).gram
+        gg = gram.tensor(gram)
+        return self.w.adjoint() @ gg @ self.w - gg
+
+    @cached_property
+    def slices(self) -> tuple[LinMap, LinMap]:
+        """W's slices omega_{Lambda e_a, Lambda e_b} on legs 0 and 1, column
+        a d + b the block at (a, b) of (G (x) 1) w or (1 (x) G) w; slices are
+        sesquilinear and the Lambda e_a span, so these d^2 decide them all."""
+        gram = solve_haar(self.model).gram
+        return tuple(apply_on_legs(gram, (leg,), self.w).regroup(order, 2)
+                     for leg, order in ((0, (1, 3, 0, 2)), (1, (0, 2, 1, 3))))
 
 
 def build_dual(model: QGModel) -> Duality:
@@ -281,12 +298,6 @@ def leg_one_defect(model: QGModel, w: LinMap) -> LinMap:
         @ model.flipA
 
 
-def gram_unitarity_defect(haar: HaarData, w: LinMap) -> LinMap:
-    """w^H (G (x) G) w - G (x) G for the Gram matrix G of phi."""
-    gg = haar.gram.tensor(haar.gram)
-    return w.adjoint() @ gg @ w - gg
-
-
 def adjoint_relation(dd: Duality, mw: AlgMultUnitary) -> bool:
     """(w(u))^* . v = u^* . w^-1(v) in A (x) D, with its product ``.`` and
     star u^* = (C (x) C^)(conj u), as two map identities on A (x) A: for
@@ -321,7 +332,7 @@ def check_pentagon_and_lemmas(dd: Duality) -> list[CheckRecord]:
 
     ck.exact("lemma.gram-unitary",
              "w^H (G (x) G) w = G (x) G for the pairing Gram matrix G",
-             lambda: gram_unitarity_defect(h, w))
+             lambda: mw.gram_defect)
     ck.exact("adjoint-relation",
              "(w(a(x)b))* . (c(x)d) = (a(x)b)* . w^-1(c(x)d) "
              "(as w^-1 = L_X and stars o conj(w) = R_X o stars, "

@@ -8,9 +8,10 @@ W = (Lambda (x) Lambda) w (Lambda (x) Lambda)^-1 for the algebraic w of
 ``build_alg_mult_unitary``, and the Hilbert adjoint of Lambda X Lambda^-1
 is Lambda G^-1 X^H G Lambda^-1.  So each law on m, lambda and W is an
 identity over Q(zeta_N) among L, C, w and G, decided there over every
-basis element and pair; the pentagon is ``AlgMultUnitary.pentagon_defect``,
-the one defect that ``munitary.pentagon`` reads too.  Lambda is
-invertible, so each exact form is equivalent to its Hilbert-space law.
+basis element and pair; the pentagon and unitarity defects and the slices
+of W are built once on the ``AlgMultUnitary``, and a law that restates a
+decided law returns that record.  Lambda is invertible, so each exact
+form is equivalent to its Hilbert-space law.
 The frame's own law, ``reps.lambda.inner-product``, is that G is
 Hermitian positive definite, and the KMS norm bound ``weight.kms.bound``
 is, row by row, that a Hermitian form built from G is not positive
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .duality import (AlgMultUnitary, Duality, build_alg_mult_unitary,
-                      build_dual, gram_unitarity_defect, regular, tensor_image)
+                      build_dual, regular, tensor_image)
 from .errors import CheckFailure, TierRefusal
 from .hopf import QGModel, galois_map
 from .linalg import LinMap, apply_on_legs, rank
@@ -57,7 +58,8 @@ def build_gns(model: QGModel) -> GnsRealization:
     the Gram matrix phi(conj(e_i) e_j) is not Hermitian positive definite,
     or when W fails unitarity, since the analytic layer is built under
     those standing assumptions.  Each is decided exactly: positivity is
-    ``HaarData.gram_positive``, and unitarity is the record ``w.unitary``.
+    ``HaarData.gram_positive``, and unitarity is the defect
+    ``AlgMultUnitary.gram_defect`` that the record ``w.unitary`` reads.
 
     A model whose multiplication representation is not faithful never
     gets here: if L_f = 0 for some f != 0, then phi(f e_j) = 0 for every
@@ -72,8 +74,7 @@ def build_gns(model: QGModel) -> GnsRealization:
         raise TierRefusal(f"{model.name}: Gram matrix of phi is not "
                           "Hermitian positive definite")
     dual = build_dual(model)
-    defect, _ = _diff_witness(gram_unitarity_defect(
-        haar, build_alg_mult_unitary(model).w))
+    defect, _ = _diff_witness(build_alg_mult_unitary(model).gram_defect)
     if defect:
         raise TierRefusal(f"{model.name}: multiplicative unitary fails "
                           f"unitarity (defect {defect:.3e})")
@@ -81,16 +82,6 @@ def build_gns(model: QGModel) -> GnsRealization:
 
 
 # -- exact forms of the representation and W laws ---------------------------
-
-
-def _slices(dd: Duality, mw: AlgMultUnitary, leg: int) -> LinMap:
-    """The basis-pair slices of W in coordinates, column a d + b for
-    omega_{Lambda e_a, Lambda e_b} on ``leg``: the block at (a, b) of that
-    leg of (1 (x) G) w (leg 1) or (G (x) 1) w (leg 0).  Slices are
-    sesquilinear and the Lambda e_a span, so these d^2 decide every slice
-    law."""
-    t = apply_on_legs(dd.haar.gram, (leg,), mw.w)
-    return t.regroup((0, 2, 1, 3) if leg else (1, 3, 0, 2), 2)
 
 
 def _require_slices(diff: LinMap):
@@ -113,8 +104,8 @@ def _require_span(expect: int, *families: LinMap):
         ranks.append(rank(LinMap._of((a.dom_dim + b.dom_dim,), a.cod, {
             **a.cols, **{a.dom_dim + k: col for k, col in b.cols.items()}})))
     if set(ranks) != {expect}:
-        witness = f"ranks {'/'.join(map(str, ranks))}, expected {expect}"
-        raise CheckFailure(witness, residual=1.0, witness=witness)
+        raise CheckFailure(f"ranks {'/'.join(map(str, ranks))}, "
+                           f"expected {expect}", residual=1.0)
     return True
 
 
@@ -139,8 +130,7 @@ def _fourier_isometry(dd: Duality) -> LinMap:
     c = (sum((dual_gram.entry(i, i) for i in range(gram.dom_dim)), Cyc.zero())
          / sum((gram.entry(i, i) for i in range(gram.dom_dim)), Cyc.zero()))
     if not (c.is_real() and _sign(c, "normalization constant") > 0):
-        witness = f"normalization constant {c!r} is not > 0"
-        raise CheckFailure(witness, witness=witness)
+        raise CheckFailure(f"normalization constant {c!r} is not > 0")
     return dual_gram - gram.scale(c)
 
 
@@ -162,8 +152,7 @@ def _frame_exists(gram: LinMap):
     Lambda^H Lambda = G exists."""
     require_zero(gram - gram.adjoint(), "G - G^H")
     if not positive_definite(gram):
-        witness = "G is not positive definite"
-        raise CheckFailure(witness, witness=witness)
+        raise CheckFailure("G is not positive definite")
     return True
 
 
@@ -173,7 +162,8 @@ def check_regular_reps(dd: Duality, mw: AlgMultUnitary) -> list[CheckRecord]:
     The left slice (iota (x) omega_{Lambda f, Lambda g})(W) must equal
     m((iota (x) phi)(coprod(conj f)(1 (x) g))) and the right slice must
     equal lambda(g sigma(conj f)); their spans must equal the spans of the
-    two regular representations exactly.  ``lambda.inner-product`` reads
+    two regular representations exactly (all four read ``mw.slices``).
+    ``lambda.inner-product`` reads
     the Gram matrix of ``dd.haar``, not the ``gram_positive`` flag that
     ``build_gns`` checked.
     """
@@ -200,28 +190,27 @@ def check_regular_reps(dd: Duality, mw: AlgMultUnitary) -> list[CheckRecord]:
     ck.exact("slice.left",
              "(iota (x) omega_{Lf,Lg})(W) = m((iota (x) phi)"
              "(coprod(conj f)(1 (x) g)))",
-             lambda: _require_slices(_slices(dd, mw, 1) - regular(m) @ u))
+             lambda: _require_slices(mw.slices[1] - regular(m) @ u))
     ck.exact("slice.right",
              "(omega_{Lf,Lg} (x) iota)(W) = lambda(g sigma(conj f))",
-             lambda: _require_slices(_slices(dd, mw, 0) - regular(dm) @ x))
+             lambda: _require_slices(mw.slices[0] - regular(dm) @ x))
     ck.exact("slice.left-span", "left slices span m(A) exactly",
-             lambda: _require_span(d, _slices(dd, mw, 1), regular(m)))
+             lambda: _require_span(d, mw.slices[1], regular(m)))
     ck.exact("slice.right-span", "right slices span lambda(D) exactly",
-             lambda: _require_span(d, _slices(dd, mw, 0), regular(dm)))
+             lambda: _require_span(d, mw.slices[0], regular(dm)))
     return ck.records
 
 
-def check_w_properties(dd: Duality, mw: AlgMultUnitary) -> list[CheckRecord]:
+def check_w_properties(dd: Duality, mw: AlgMultUnitary,
+                       right_span: CheckRecord) -> list[CheckRecord]:
     """Unitarity, pentagon, represented-multiplier form and the duality
-    transport of W.  The pentagon reads ``mw.pentagon_defect``, decided
-    exactly on all of A (x) A (x) A; the Fourier isometry and the transport
-    are both the proportionality of the two Gram matrices."""
+    transport of W, reading ``mw.gram_defect`` and ``mw.pentagon_defect``.
+    The transport returns the Fourier isometry's record (both are G^ = c G)
+    and the C*-identification ``right_span``, ``reps.slice.right-span``."""
     m, dm = dd.source, dd.dual
-    d = m.dim
     ck = Checker(f"{m.name}.gns.w")
     # W^H W = I, and then W W^H = I as w is invertible
-    ck.exact("unitary", "W^H W = I = W W^H",
-             lambda: gram_unitarity_defect(dd.haar, mw.w))
+    ck.exact("unitary", "W^H W = I = W W^H", lambda: mw.gram_defect)
     ck.exact("implements-galois",
              "W (Lambda (x) Lambda)(coprod(g)(f (x) 1)) = Lf (x) Lg",
              lambda: mw.w @ mw.w_inv - LinMap.identity(m.AA))
@@ -230,15 +219,15 @@ def check_w_properties(dd: Duality, mw: AlgMultUnitary) -> list[CheckRecord]:
                                   mw.w(m.unit.tensor(dm.unit))) - mw.w)
     ck.exact("pentagon", "W12 W13 W23 = W23 W12 on L2^(x)3",
              lambda: mw.pentagon_defect)
-    ck.exact("f-isometry",
-             "Fourier transform is an isometry up to the dual Haar "
-             "normalization", lambda: _fourier_isometry(dd))
+    isometry = ck.exact("f-isometry",
+                        "Fourier transform is an isometry up to the dual "
+                        "Haar normalization", lambda: _fourier_isometry(dd))
     ck.exact("dual-rep-transport",
              "F-conjugation carries the dual multiplication "
-             "representation onto lambda", lambda: _fourier_isometry(dd))
+             "representation onto lambda", lambda: isometry)
     ck.exact("cstar-identification",
              "span (omega (x) iota)(W) = lambda(D), rank dim",
-             lambda: _require_span(d, _slices(dd, mw, 0), regular(dm)))
+             lambda: right_span)
     return ck.records
 
 
@@ -301,8 +290,7 @@ def _kms_bound(m: QGModel, gram: LinMap):
     for i in range(m.dim):
         s = _kms_scale(m, gram, i)
         if not _kms_row_holds(m, gram, i, s):
-            witness = f"row {i}: ||m(e_{i}^*)||^2 < s_{i} = {s!r}"
-            raise CheckFailure(witness, witness=witness)
+            raise CheckFailure(f"row {i}: ||m(e_{i}^*)||^2 < s_{i} = {s!r}")
     return True
 
 
@@ -313,7 +301,7 @@ def check_invariance_and_kms(dd: Duality,
     Given the implementation of the coproduct, (omega (x) phi)
     (coprod(m(f))) = omega(m((iota (x) phi) coprod(f))), so invariance is
     the left invariance of phi; ``implemented`` is the ``coprod.implemented``
-    record, and its failure is this record's, with its witness and residual.
+    record, and when it failed this record returns it.
     The KMS bound takes sigma_{i/2} = id, which ``check_kac_collapse``
     decides; for x = e_j and a = e_i it reads ||Lambda(e_j e_i)|| <=
     ||m(e_i*)|| ||Lambda(e_j)||, decided exactly row by row in
@@ -327,11 +315,8 @@ def check_invariance_and_kms(dd: Duality,
 
     def invariance():
         if implemented.status != PASS:
-            raise CheckFailure(implemented.witness,
-                               residual=implemented.residual,
-                               witness=implemented.witness)
-        return apply_on_legs(haar.phi, (1,), m.coprod) \
-            - m.unit @ haar.phi
+            return implemented
+        return apply_on_legs(haar.phi, (1,), m.coprod) - m.unit @ haar.phi
 
     ck.exact("invariance",
              "(omega (x) phi)(coprod(m(f))) = omega(1) phi(f) over "
@@ -511,7 +496,8 @@ def analytic_suite(gns: GnsRealization) -> list[CheckRecord]:
     """Every analytic-layer check on one realization, in a fixed order."""
     dd, mw = gns.dual, build_alg_mult_unitary(gns.model)
     kac = check_kac_collapse(dd)
-    records = check_regular_reps(dd, mw) + check_w_properties(dd, mw)
+    reps = check_regular_reps(dd, mw)
+    records = reps + check_w_properties(dd, mw, reps[-1])
     coprod = check_coproduct_implementation(dd, mw)
     records += coprod
     for section in ("calc", *(f"powers[z={z}]" for z in Z_GRID),

@@ -171,10 +171,10 @@ class QGModel:
         return self.counit(v).get(0)
 
 
-def pair_product(mult: LinMap, u: Vec, w: Vec) -> Vec:
-    """Product of u, w in A (x) A under the product mult, leg by leg:
-    mult on legs (0, 2) and then (1, 2) of u (x) w, so the mult (x) mult
-    matrix is never materialized."""
+def pair_product(mult: LinMap, u: LinMap, w: LinMap) -> LinMap:
+    """Column (p, q) is u(e_p) w(e_q) in A (x) A (for vectors, the product
+    u w): mult on legs (0, 2) and then (1, 2) of u (x) w, so the
+    mult (x) mult matrix is never materialized."""
     return apply_on_legs(mult, (1, 2), apply_on_legs(mult, (0, 2), u.tensor(w)))
 
 
@@ -300,12 +300,10 @@ def validate_model(model: QGModel) -> list[CheckRecord]:
              lambda: d_(model.unit) - model.unit.tensor(model.unit))
 
     def coprod_mult_diff():
-        # coprod(ab) = coprod(a)coprod(b) at column (p, q), with the
-        # product on A(x)A applied leg by leg, so mult (x) mult never
-        # becomes a d^4-column matrix.  The witness is the first worst
-        # column in p d + q order.
-        diff = d_ @ m - apply_on_legs(m, (1, 2), apply_on_legs(
-            m, (0, 2), d_.tensor(d_)))
+        # coprod(ab) = coprod(a)coprod(b) at column (p, q), the product
+        # taken leg by leg by pair_product.  The witness is the first
+        # worst column in p d + q order.
+        diff = d_ @ m - pair_product(m, d_, d_)
         worst = max(sorted(diff.cols), default=0,
                     key=lambda j: diff.column(j).max_abs())
         return diff.column(worst)

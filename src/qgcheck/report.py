@@ -51,8 +51,11 @@ class CheckRecord:
         }
 
 
-def _diff_witness(diff) -> tuple[float, str | None]:
-    """Residual and worst-entry witness of an exact difference object."""
+def _diff_witness(diff) -> tuple[float | None, str | None]:
+    """Residual and witness of an exact difference object (its worst entry)
+    or of a decided record (its own)."""
+    if isinstance(diff, CheckRecord):
+        return diff.residual, diff.witness
     if isinstance(diff, bool):
         return (0.0, None) if diff else (float("inf"), None)
     if isinstance(diff, Cyc):
@@ -92,12 +95,13 @@ class Checker:
     def exact(self, check_id: str, law: str, builder: Callable[[], object]) -> CheckRecord:
         """Run an exact-arithmetic check.
 
-        ``builder`` returns the difference (LinMap/Vec/Cyc, zero means pass)
-        or a bool.  Structural failures (singular maps, explicit
-        CheckFailure) are recorded, not raised.  Any other exception except
-        an input error (``errors.INPUT_ERRORS``) is recorded as this
-        check's failure with an "internal error: ..." witness, so the
-        remaining checks still run.
+        ``builder`` returns the difference (LinMap/Vec/Cyc, zero means pass),
+        a bool, or the CheckRecord of a law this one restates, whose status,
+        residual and witness it copies.  Structural failures (singular
+        maps, explicit CheckFailure) are recorded, not raised.  Any other
+        exception except an input error (``errors.INPUT_ERRORS``) is
+        recorded as this check's failure with an "internal error: ..."
+        witness, so the remaining checks still run.
         """
         t0 = time.perf_counter()
         try:

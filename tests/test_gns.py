@@ -1,5 +1,6 @@
 """Tests for the GNS realization and the analytic layer built on it."""
 
+import collections
 import contextlib
 import dataclasses
 import io
@@ -11,11 +12,11 @@ import pytest
 
 from qgcheck import cli
 from qgcheck import gns as G
-from qgcheck.duality import build_alg_mult_unitary, build_dual
-from qgcheck.errors import ModelError, TierRefusal
+from qgcheck.duality import AlgMultUnitary, build_alg_mult_unitary, build_dual
+from qgcheck.errors import CheckFailure, ModelError, TierRefusal
 from qgcheck.linalg import LinMap, Vec
 from qgcheck.models import GroupTable
-from qgcheck.report import CheckRecord, ensure
+from qgcheck.report import Checker, CheckRecord, ensure
 from qgcheck.scalars import Cyc
 
 FULL_SUITE = ["trivial", "c_z2", "c_z3", "c_s3", "cg_z2", "cg_s3", "d_z3"]
@@ -158,7 +159,7 @@ def test_left_slice_oracle_c_z2(gns_cache):
     # so B = (1/2) L_{e_{x+y}}
     g = gns_cache("c_z2")
     m = g.model
-    slices = G._slices(g.dual, build_alg_mult_unitary(m), 1)
+    slices = build_alg_mult_unitary(m).slices[1]
     half = Cyc.rational(Fraction(1, 2))
     for x in range(2):
         for y in range(2):
@@ -451,7 +452,8 @@ FRAME_RECORDS = ("reps.lambda.inner-product", "weight.kms.bound")
 
 def _moved_records(dd, mw) -> dict[str, object]:
     coprod = G.check_coproduct_implementation(dd, mw)
-    records = (G.check_regular_reps(dd, mw) + G.check_w_properties(dd, mw)
+    reps = G.check_regular_reps(dd, mw)
+    records = (reps + G.check_w_properties(dd, mw, reps[-1])
                + coprod + G.check_invariance_and_kms(dd, coprod[0]))
     out = {r.check_id.split(".gns.")[1]: r for r in records}
     assert set(out) == set(MOVED) | set(FRAME_RECORDS)
@@ -555,3 +557,77 @@ def test_invariance_reads_the_implemented_record(gns_cache, monkeypatch):
     impl, inv = moved["coprod.implemented"], moved["weight.invariance"]
     assert impl.status == inv.status == "fail"
     assert (inv.witness, inv.residual) == (impl.witness, impl.residual)
+
+
+# (record, the decided record whose law it restates)
+RESTATED = (("w.dual-rep-transport", "w.f-isometry"),
+            ("w.cstar-identification", "reps.slice.right-span"))
+
+
+@pytest.mark.parametrize("name", ["c_s3", "d_z3"])
+def test_restated_laws_copy_the_records_they_restate(gns_cache, name):
+    # on the clean data and on every mutant, a record that restates a
+    # decided law has that record's status, residual and witness
+    g = gns_cache(name)
+    failed = set()
+    for label, dd, mw in [("clean", g.dual, build_alg_mult_unitary(g.model)),
+                          *_w_mutants(g)]:
+        records = _moved_records(dd, mw)
+        for key, source in RESTATED:
+            got, want = records[key], records[source]
+            assert (got.status, got.residual, got.witness) \
+                == (want.status, want.residual, want.witness), (label, key)
+            if got.status == "fail":
+                failed.add(key)
+    assert failed == {key for key, _ in RESTATED}
+
+
+def _no_frame():
+    raise CheckFailure("no frame")
+
+
+def test_checker_copies_a_returned_record():
+    ck = Checker("t")
+    decided = [ck.exact("pass", "", lambda: True),
+               ck.exact("value", "", lambda: Cyc.rational(3)),
+               ck.exact("none", "", _no_frame)]
+    assert [(r.status, r.residual, r.witness) for r in decided] == [
+        ("pass", 0.0, None), ("fail", 3.0, "value 3"),
+        ("fail", None, "no frame")]
+    for rec in decided:
+        copy = ck.exact(f"copy-{rec.check_id}", "", lambda rec=rec: rec)
+        assert (copy.status, copy.residual, copy.witness) \
+            == (rec.status, rec.residual, rec.witness)
+
+
+def test_verify_builds_each_gns_defect_once(monkeypatch):
+    """One ``verify c_s3 --suite all`` builds the unitarity defect, the
+    slices of both legs, the Fourier defect and the right-span ranks once
+    each: every other record that needs them reads the memo or the
+    record."""
+    counts, built = collections.Counter(), {}
+
+    def counted(key, build):
+        def spy(*args):
+            counts[key] += 1
+            built[key] = out = build(*args)
+            return out
+        return spy
+
+    for key in ("gram_defect", "slices"):
+        memo = vars(AlgMultUnitary)[key]
+        monkeypatch.setattr(memo, "func", counted(key, memo.func))
+    monkeypatch.setattr(G, "_fourier_isometry",
+                        counted("fourier", G._fourier_isometry))
+    require_span = G._require_span
+
+    def span(expect, *families):
+        if "slices" in built and families[0] is built["slices"][0]:
+            counts["right-span"] += 1
+        return require_span(expect, *families)
+
+    monkeypatch.setattr(G, "_require_span", span)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "c_s3", "--suite", "all"]) == 0
+    assert counts == {"gram_defect": 1, "slices": 1, "fourier": 1,
+                      "right-span": 1}

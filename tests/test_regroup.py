@@ -19,7 +19,6 @@ from qgcheck import models
 from qgcheck.duality import (build_alg_mult_unitary, build_dual, check_dual,
                              leg_one_defect, regular, tensor_image)
 from qgcheck.errors import LegMismatch, ModelError
-from qgcheck.gns import _slices
 from qgcheck.hopf import QGModel, solve_counit
 from qgcheck.linalg import (LinMap, Vec, apply_on_legs, from_multi, kernel,
                             to_multi, total_dim)
@@ -328,7 +327,7 @@ def test_unitary_reads_match_their_loops(any_model, name):
         _same(tensor_image(reg, reg, v), _old_tensor_image(reg, reg, v),
               "tensor image of a coproduct")
     for leg in (0, 1):
-        _same(_slices(dd, mw, leg), _old_slices(dd, mw, leg), "slices")
+        _same(mw.slices[leg], _old_slices(dd, mw, leg), "slices")
 
 
 def _one_entry_mutants(t: LinMap):

@@ -14,21 +14,26 @@ PYTHONPATH:
   - ``dual -o OUT`` on models/c_z3.json and on the generated C(D6) and
     C(S4) files (at dim 24, C(S4) has the largest positive Gram matrix
     whose positivity a benchmark workload decides);
-  - ``verify MUTANT --suite algebraic --report R`` on single-entry mutants
+  - ``verify MUTANT --suite algebraic --report R`` and
+    ``verify MUTANT --suite analytic --report R`` on single-entry mutants
     of models/{sweedler,taft3,c_s3,d_z2,cg_s3,cg_z3}.json: for each of
     ``mult``, ``coprod``, ``antipode`` and ``invol``, the middle entry of
     that map has its first coefficient raised by 1, or lowered by 1
-    (48 files).
+    (48 files, 96 jobs; 118 jobs in all).
 
 The mutants take the FAIL paths.  Their witnesses show entry positions,
 kernel samples of singular maps (most lowered mutants make a Galois map
 or the antipode singular) and the first of several equal residuals, which
 no PASS record shows: a change that only reorders the columns of a
 product passes every PASS record but changes these witnesses.  Every
-mutant stops at the structural stage (``struct``, ``hopf``, ``cancel``),
-so no FAIL record of a later stage (dual, pentagon, GNS) is compared
-here; the witness order of those records is pinned by unit tests, such
-as ``tests/test_duality.py::test_dual_product_witnesses_match_pair_by_pair``
+algebraic mutant job stops at the structural stage (``struct``, ``hopf``,
+``cancel``), and every analytic one exits 2 before any record runs: at
+the mu refusal, at a model error, or at a ``build_gns`` refusal (the
+``*_invol_up`` mutants of the positive models fail unitarity, and stderr
+prints that defect).  So no FAIL record of a later stage (dual, pentagon,
+GNS) is compared here; the witness order of those records is pinned by
+unit tests, such as
+``tests/test_duality.py::test_dual_product_witnesses_match_pair_by_pair``
 and ``tests/test_subgroups.py::test_streamed_bimodule_matches_composed_oracle``.
 
 The generated inputs and the mutants are written once, from the parent
@@ -113,11 +118,12 @@ def jobs(models: str, generated: str,
                         ("d6", os.path.join(generated, "d6_s3_g.json")),
                         ("s4", os.path.join(generated, "s4_a4_g.json"))):
         out.append((f"dual {label}", ["dual", path, "-o", "OUT"], "dual"))
-    for path in mutants:
-        stem = os.path.splitext(os.path.basename(path))[0]
-        out.append((f"verify mutant {stem}",
-                    ["verify", path, "--suite", "algebraic", "--report",
-                     "OUT"], "report"))
+    for suite in ("algebraic", "analytic"):
+        for path in mutants:
+            stem = os.path.splitext(os.path.basename(path))[0]
+            out.append((f"verify {suite} mutant {stem}",
+                        ["verify", path, "--suite", suite, "--report",
+                         "OUT"], "report"))
     return out
 
 
