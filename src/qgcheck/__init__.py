@@ -24,7 +24,8 @@ from .errors import (CheckFailure, LegMismatch, ModelError, ParseError,
 from .hopf import (QGModel, check_cancellation, galois, galois_map,
                    solve_antipode, solve_counit, validate_model,
                    verify_counit_antipode)
-from .linalg import LinMap, Vec, det, inverse, kernel, rank, solve_linear
+from .linalg import (LinMap, Vec, inverse, kernel, rank, require_bijective,
+                     solve_linear)
 from .modelio import (emit_model, emit_morphism, emit_table, model_from_dict,
                       model_to_dict, parse_model, parse_morphism, parse_table,
                       write_report)
@@ -77,11 +78,12 @@ __all__ = [
     "check_invariance_and_kms", "check_kac_collapse",
     "check_modular_structure", "check_pentagon_and_lemmas",
     "check_radford", "check_regular_reps", "check_w_properties",
-    "compose_morphisms", "counit_morphism", "det", "emit_model",
+    "compose_morphisms", "counit_morphism", "emit_model",
     "emit_morphism", "emit_table", "ensure", "galois", "galois_map",
     "identity_morphism", "inverse", "kernel", "model_from_dict",
     "model_to_dict", "parse_model", "parse_morphism", "parse_table",
-    "rank", "restriction_morphism", "solve_antipode", "solve_counit",
-    "solve_haar", "solve_linear", "validate_model", "validate_morphism",
-    "verify_counit_antipode", "write_report",
+    "rank", "require_bijective", "restriction_morphism",
+    "solve_antipode", "solve_counit", "solve_haar", "solve_linear",
+    "validate_model", "validate_morphism", "verify_counit_antipode",
+    "write_report",
 ]

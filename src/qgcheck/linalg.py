@@ -22,10 +22,11 @@ a new codomain and domain; ``transpose``, ``leg_permutation`` and every
 reindexed family (a product read as its regular representation, a
 functional on A (x) A read as a matrix) are one call of it.
 
-``det``, ``rank``, ``kernel``, ``solve_linear`` and ``inverse`` each read
-their results off one exact reduced-row-echelon pass (``_Eliminator``); the
-right-hand sides of a solve or an inversion are augmented columns held in
-the same sparse rows as the map, so one row update serves both.
+``rank``, ``kernel``, ``solve_linear``, ``require_bijective`` and
+``inverse`` each read their results off one exact reduced-row-echelon pass
+(``_Eliminator``); the right-hand sides of a solve or an inversion are
+augmented columns held in the same sparse rows as the map, so one row
+update serves both.
 ``minimal_polynomial`` reads the first linear dependency among the powers
 of a map off ``kernel``.
 """
@@ -532,9 +533,8 @@ class _Eliminator:
     and elimination near-linear on permutation-like matrices.  Columns of
     ``aug`` (right-hand sides) live in the same rows at columns
     ``m.dom_dim + k`` and take every row operation, but only columns below
-    ``m.dom_dim`` become pivots.  ``pivots`` lists (row, col) in column
-    order, and ``scale`` is the product of the pivot values before each
-    pivot row is normalized.
+    ``m.dom_dim`` become pivots, so the pivots and the kernel do not
+    depend on ``aug``.  ``pivots`` lists (row, col) in column order.
     """
 
     def __init__(self, m: LinMap, aug: LinMap | None = None):
@@ -553,7 +553,6 @@ class _Eliminator:
                 self.incidence.setdefault(j, set()).add(i)
         self.pivots: list[tuple[int, int]] = []
         self.used_rows: set[int] = set()
-        self.scale = Cyc.one()
         for col in range(n):
             cand = [i for i in self.incidence.get(col, ())
                     if i not in self.used_rows]
@@ -561,7 +560,6 @@ class _Eliminator:
                 continue
             piv = min(cand, key=lambda i: (len(rows[i]), i))
             prow = rows[piv]
-            self.scale = self.scale * prow[col]
             inv = prow[col].inverse()
             if inv != 1:
                 for j in list(prow):
@@ -629,44 +627,30 @@ def solve_linear(m: LinMap, b: Vec) -> tuple[Vec | None, list[Vec]]:
                        if (v := elim.rows[r].get(n)) is not None}), ker
 
 
-def _perm_sign(seq: list[int]) -> int:
-    """Parity of the permutation i -> seq[i] of {0, ..., n-1}."""
-    seen = [False] * len(seq)
-    sign = 1
-    for start in range(len(seq)):
-        if seen[start]:
-            continue
-        length = 0
-        cur = start
-        while not seen[cur]:
-            seen[cur] = True
-            cur = seq[cur]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def det(m: LinMap) -> Cyc:
-    """Exact determinant: the pivot product times the sign of the pivot rows."""
+def _square_elimination(m: LinMap, aug: LinMap | None = None) -> _Eliminator:
+    """The elimination of a square map, raising SingularMap (with the
+    kernel basis) when it is singular."""
     n = m.dom_dim
     if m.cod_dim != n:
-        raise LegMismatch("determinant of a non-square map")
-    elim = _Eliminator(m)
+        raise LegMismatch("inverse of a non-square map")
+    elim = _Eliminator(m, aug)
     if len(elim.pivots) < n:
-        return Cyc.zero()
-    return elim.scale * Cyc.rational(_perm_sign([r for r, _ in elim.pivots]))
+        raise SingularMap(f"map of dimension {n} has rank {len(elim.pivots)}",
+                          kernel=elim.kernel())
+    return elim
+
+
+def require_bijective(m: LinMap) -> bool:
+    """True, or the SingularMap that ``inverse`` raises, kernel included:
+    one elimination of m alone, whose pivots are those of ``inverse``."""
+    _square_elimination(m)
+    return True
 
 
 def inverse(m: LinMap) -> LinMap:
     """Exact inverse; raises SingularMap (with kernel basis) if singular."""
     n = m.dom_dim
-    if m.cod_dim != n:
-        raise LegMismatch("inverse of a non-square map")
-    elim = _Eliminator(m, LinMap.identity(m.cod))
-    if len(elim.pivots) < n:
-        raise SingularMap(f"map of dimension {n} has rank {len(elim.pivots)}",
-                          kernel=elim.kernel())
+    elim = _square_elimination(m, LinMap.identity(m.cod))
     cols: dict[int, dict[int, Cyc]] = {}
     for r, c in elim.pivots:
         for j, v in elim.rows[r].items():

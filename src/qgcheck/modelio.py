@@ -3,10 +3,12 @@
 All files are UTF-8 JSON.  A scalar is an array of rational strings
 ("p/q", "p" or a decimal, no exponent, at most ``MAX_SCALAR_CHARS``
 characters each) listing the coefficients of 1, zeta, zeta^2, ... for the
-model's declared cyclotomic order; arrays longer than the residue basis
-fold exactly through the cyclotomic relation.  A sparse vector is a list
-of [index, scalar] pairs and a sparse map a list of
-[out_index, in_index, scalar] triples over row-major flattened tensor
+declared cyclotomic order: the model's ``order``, and for a morphism file
+the lcm of its two models' orders, whose field holds both.  Each scalar
+is written promoted to that order and read back in it; arrays longer
+than the residue basis fold exactly through the cyclotomic relation.  A
+sparse vector is a list of [index, scalar] pairs and a sparse map a list
+of [out_index, in_index, scalar] triples over row-major flattened tensor
 legs.  Parsing validates every shape and index and names the offending
 field; models may omit the counit and antipode, which are then recovered
 from the remaining structure maps.
@@ -18,6 +20,7 @@ import json
 import re
 from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 
 from .errors import ModelError, ParseError
 from .hopf import QGModel, solve_antipode, solve_counit
@@ -30,7 +33,14 @@ from .subgroups import QGMorphism
 
 # -- scalars, vectors, maps --------------------------------------------------
 
-def _scalar_to_json(c: Cyc) -> list[str]:
+def _scalar_to_json(c: Cyc, order: int) -> list[str]:
+    """The coefficients of c in the power basis of Q(zeta_order)."""
+    try:
+        c = Cyc.promote(c, order)
+    except ValueError:
+        raise ModelError(
+            f"scalar {c!r} of Q(zeta_{c.order}) cannot be written in the "
+            f"declared field Q(zeta_{order})") from None
     coeffs = [str(f) for f in c.coeffs]
     while len(coeffs) > 1 and coeffs[-1] == "0":
         coeffs.pop()
@@ -77,8 +87,8 @@ def _index(x, bound: int, what: str, where: str) -> int:
     return x
 
 
-def _vec_to_json(v: Vec) -> list:
-    return [[i, _scalar_to_json(c)] for i, c in sorted(v.data.items())]
+def _vec_to_json(v: Vec, order: int) -> list:
+    return [[i, _scalar_to_json(c, order)] for i, c in sorted(v.data.items())]
 
 
 def _vec_from_json(obj, dims, order: int, where: str) -> Vec:
@@ -96,8 +106,8 @@ def _vec_from_json(obj, dims, order: int, where: str) -> Vec:
     return Vec(dims, data)
 
 
-def _map_to_json(m: LinMap) -> list:
-    return [[i, j, _scalar_to_json(c)]
+def _map_to_json(m: LinMap, order: int) -> list:
+    return [[i, j, _scalar_to_json(c, order)]
             for i, j, c in sorted(m.entries(), key=lambda e: (e[0], e[1]))]
 
 
@@ -133,19 +143,12 @@ def _field(d: dict, key: str, kind, where: str):
 
 
 def model_to_dict(model: QGModel) -> dict:
-    return {
-        "name": model.name,
-        "order": model.order,
-        "dim": model.dim,
-        "basis": list(model.basis),
-        "positive": model.positive,
-        "unit": _vec_to_json(model.unit),
-        "mult": _map_to_json(model.mult),
-        "coprod": _map_to_json(model.coprod),
-        "counit": _map_to_json(model.counit),
-        "antipode": _map_to_json(model.antipode),
-        "invol": _map_to_json(model.invol),
-    }
+    order = model.order
+    return {"name": model.name, "order": order, "dim": model.dim,
+            "basis": list(model.basis), "positive": model.positive,
+            "unit": _vec_to_json(model.unit, order),
+            **{key: _map_to_json(getattr(model, key), order)
+               for key in ("mult", "coprod", "counit", "antipode", "invol")}}
 
 
 def model_from_dict(d: dict, where: str = "model") -> QGModel:
@@ -251,7 +254,8 @@ def emit_table(table: GroupTable, path: str):
 
 def morphism_to_dict(mor: QGMorphism) -> dict:
     return {"source": mor.source.name, "target": mor.target.name,
-            "map": _map_to_json(mor.pi)}
+            "map": _map_to_json(mor.pi, lcm(mor.source.order,
+                                            mor.target.order))}
 
 
 def parse_morphism(path: str, source: QGModel, target: QGModel) -> QGMorphism:
@@ -264,7 +268,10 @@ def parse_morphism(path: str, source: QGModel, target: QGModel) -> QGMorphism:
     if declared_tgt != target.name:
         raise ParseError(f"{path}: morphism target {declared_tgt!r} does not "
                          f"match loaded model {target.name!r}")
-    order = max(source.order, target.order)
+    order = lcm(source.order, target.order)
+    if order > MAX_ORDER:
+        raise ParseError(f"{path}: the morphism's field Q(zeta_{order}) "
+                         f"has order above {MAX_ORDER}")
     pi = _map_from_json(_field(d, "map", list, path), source.A, target.A,
                         order, f"{path}.map")
     return QGMorphism(source, target, pi)

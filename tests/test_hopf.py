@@ -1,17 +1,22 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qgcheck import linalg
+from qgcheck.cli import main
 from qgcheck.errors import ModelError
 from qgcheck.hopf import (GALOIS_KINDS, GALOIS_TAGS, _build_galois,
                           check_cancellation, galois, galois_map, pair_product,
                           solve_antipode, solve_counit,
                           validate_model, verify_counit_antipode)
-from qgcheck.linalg import LinMap, Vec, inverse
+from qgcheck.linalg import LinMap, Vec, inverse, rank
+from qgcheck.modelio import model_from_dict
 from qgcheck.models import GroupTable, build_broken, builtin
-from qgcheck.report import ensure
+from qgcheck.report import FAIL, PASS, Checker, ensure
 from qgcheck.scalars import Cyc
 
 
@@ -79,6 +84,72 @@ def test_galois_maps_match_identity_tensor_compositions(model_cache, name):
 
 def test_cancellation_taft3(taft3):
     ensure(check_cancellation(taft3))
+
+
+MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
+
+
+def _mutant(name, field, step):
+    """The single-entry mutant that tools/compare_reports.py writes: the
+    middle entry of ``field`` has its first coefficient moved by step."""
+    d = json.loads((MODELS_DIR / f"{name}.json").read_text())
+    coeffs = d[field][len(d[field]) // 2][-1]
+    coeffs[0] = str(Fraction(coeffs[0]) + step)
+    return model_from_dict(d)
+
+
+def _fields(rec):
+    """What a report shows of a record, apart from its wall time."""
+    return {k: v for k, v in rec.to_dict().items() if k != "wall_ms"}
+
+
+@pytest.mark.parametrize("name", ["sweedler", "taft3"])
+@pytest.mark.parametrize("field", ["mult", "coprod"])
+@pytest.mark.parametrize("step", [1, -1])
+def test_cancellation_records_on_mutants(name, field, step):
+    """Each bijectivity record is the one that inverting the map and
+    comparing inverse(m) m with the identity would make, and each det
+    record passes exactly when the map has full rank."""
+    model = _mutant(name, field, step)
+    records = {r.check_id: r for r in check_cancellation(model)}
+    oracle = Checker(f"{model.name}.cancel")
+    n = model.dim ** 2
+    id_aa = LinMap.identity(model.AA)
+    ranks = {}
+    for kind, m in galois(model).items():
+        want = oracle.exact(kind, f"{kind} is bijective on A(x)A",
+                            lambda m=m: inverse(m) @ m - id_aa)
+        assert _fields(records[want.check_id]) == _fields(want)
+        ranks[kind] = rank(m)
+        det_rec = records[f"{want.check_id}.det"]
+        full = ranks[kind] == n
+        assert det_rec.status == (PASS if full else FAIL)
+        assert det_rec.residual == (0.0 if full else float("inf"))
+        assert det_rec.witness is None
+    if (name, field, step) == ("taft3", "mult", -1):
+        assert ranks == {"gl": 78, "gr": 78, "rl": 81, "rr": 81}
+
+
+@pytest.mark.parametrize("name", ["taft4", "c_s3"])
+def test_no_map_is_eliminated_twice(monkeypatch, name):
+    """Over a whole run, no map is eliminated twice, and each canonical
+    Galois map is eliminated with no right-hand side.  (A map equal to
+    one of them, such as rl_op of a commutative algebra, may be
+    eliminated too.)"""
+    eliminated = []
+
+    class Spy(linalg._Eliminator):
+        def __init__(self, m, aug=None):
+            eliminated.append((m, aug))  # holds m, so its id is not reused
+            super().__init__(m, aug)
+
+    monkeypatch.setattr(linalg, "_Eliminator", Spy)
+    assert main(["verify", name, "--suite", "all"]) == 0
+    ids = [id(m) for m, _ in eliminated]
+    assert len(ids) == len(set(ids))
+    for kind, g in galois(builtin(name)).items():
+        augs = [aug for m, aug in eliminated if m == g]
+        assert augs and all(aug is None for aug in augs), kind
 
 
 @pytest.mark.parametrize("name", ["trivial", "c_z3", "c_z4", "cg_z2", "cg_z3",

@@ -17,11 +17,11 @@ from qgcheck.linalg import (
     LinMap,
     Vec,
     apply_on_legs,
-    det,
     inverse,
     kernel,
     minimal_polynomial,
     rank,
+    require_bijective,
     solve_linear,
     to_multi,
 )
@@ -207,18 +207,21 @@ def test_det_and_inverse_exact():
     for trial in range(8):
         n = rng.randint(1, 5)
         m = rand_map(rng, n, n, density=0.7)
-        d = det(m)
-        if d.is_zero():
-            with pytest.raises(SingularMap):
-                inverse(m)
+        if _sympy_matrix(m, 1).det() == 0:
+            for decide in (require_bijective, inverse):
+                with pytest.raises(SingularMap):
+                    decide(m)
             continue
+        assert require_bijective(m) is True
         mi = inverse(m)
         assert mi @ m == LinMap.identity((n,))
         assert m @ mi == LinMap.identity((n,))
-    p = LinMap.leg_permutation((2, 2, 2), (1, 2, 0))
-    assert det(p) == 1  # two 3-cycles on the 8 basis vectors: even
-    assert det(LinMap.flip(2, 2)).rational_value() == -1  # a single transposition
-    assert det(LinMap.flip(2, 3)).rational_value() == -1  # one 4-cycle: odd
+    # permutations, of either parity, are bijective and inverted by their
+    # transposes
+    for p in (LinMap.leg_permutation((2, 2, 2), (1, 2, 0)),
+              LinMap.flip(2, 2), LinMap.flip(2, 3)):
+        assert require_bijective(p) is True
+        assert inverse(p) == p.transpose()
 
 
 def test_kernel_and_inverse_entry_order():
@@ -241,14 +244,6 @@ def test_kernel_and_inverse_entry_order():
         (0, [(0, f(5, 8)), (1, f(-1, 8)), (2, f(-1, 8))]),
         (1, [(0, f(-3, 16)), (1, f(7, 16)), (2, f(-1, 16))]),
         (2, [(0, f(-1, 16)), (1, f(-3, 16)), (2, f(5, 16))])]
-
-
-def test_det_known_values():
-    m = LinMap.from_dense((2,), (2,), [[1, 2], [3, 4]])
-    assert det(m).rational_value() == -2
-    z = Cyc.zeta(3)
-    m2 = LinMap.from_entries((2,), (2,), [(0, 0, z), (1, 1, z)])
-    assert det(m2) == z * z
 
 
 def test_rank_and_functional():
@@ -427,12 +422,13 @@ def field_matrices(draw, square=False, with_rhs=False):
 @given(field_matrices(square=True))
 def test_det_and_inverse_match_sympy(case):
     order, m = case
-    want = _sympy_matrix(m, order).det()
-    assert _to_field(det(m), order) == want
-    if want == _field(order).zero:
-        with pytest.raises(SingularMap):
-            inverse(m)
+    if _sympy_matrix(m, order).det() == _field(order).zero:
+        for decide in (require_bijective, inverse):
+            with pytest.raises(SingularMap) as exc:
+                decide(m)
+            assert exc.value.kernel == kernel(m)
         return
+    assert require_bijective(m) is True
     inv = inverse(m)
     assert inv @ m == LinMap.identity(m.dom) == m @ inv
 
@@ -468,9 +464,9 @@ def test_each_call_runs_one_elimination(monkeypatch):
     built = []
 
     class Spy(linalg._Eliminator):
-        def __init__(self, *args):
-            built.append(args)
-            super().__init__(*args)
+        def __init__(self, m, aug=None):
+            built.append(aug)
+            super().__init__(m, aug)
 
     monkeypatch.setattr(linalg, "_Eliminator", Spy)
     singular = LinMap.from_dense((3,), (3,), [[1, 2, 0], [2, 4, 0], [0, 0, 1]])
@@ -482,8 +478,13 @@ def test_each_call_runs_one_elimination(monkeypatch):
         inverse(singular)
     assert len(built) == 2
     assert exc.value.kernel == ker
-    assert det(singular).is_zero() and det(LinMap.flip(2, 2)) == -1
-    assert len(built) == 4
+    # bijectivity is decided on the map alone, with the raise of inverse
+    with pytest.raises(SingularMap) as again:
+        require_bijective(singular)
+    assert str(again.value) == str(exc.value)
+    assert again.value.kernel == ker
+    assert require_bijective(LinMap.flip(2, 2)) is True
+    assert len(built) == 4 and built[2:] == [None, None]
 
 
 # -- minimal polynomial against SymPy ----------------------------------------

@@ -2,18 +2,21 @@
 
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from qgcheck.cli import main
 from qgcheck.errors import ModelError, ParseError
-from qgcheck.modelio import (emit_model, emit_table, model_from_dict,
-                             model_to_dict, parse_model, parse_morphism,
-                             parse_table, table_to_dict)
+from qgcheck.linalg import LinMap
+from qgcheck.modelio import (emit_model, emit_morphism, emit_table,
+                             model_from_dict, model_to_dict, parse_model,
+                             parse_morphism, parse_table, table_to_dict)
 from qgcheck.models import GroupTable, builtin
 from qgcheck.report import ensure
-from qgcheck.subgroups import validate_morphism
+from qgcheck.scalars import Cyc
+from qgcheck.subgroups import QGMorphism, validate_morphism
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 SHIPPED = ["trivial", "c_z2", "c_z3", "c_z4", "c_s3", "cg_z2", "cg_z3",
@@ -43,6 +46,48 @@ def test_round_trip(name, tmp_path):
     out = tmp_path / "again.json"
     emit_model(first, str(out))
     assert_same_model(parse_model(str(out)), first)
+
+
+def test_scalars_are_written_in_the_declared_order(tmp_path):
+    """taft3's zeta_3 entries, in a model declared at order 6, are written
+    in the power basis of zeta_6 and read back as zeta_3."""
+    model = replace(builtin("taft3"), order=6)
+    assert model.mult.entry(4, 12) == Cyc.zeta(3)
+    out = tmp_path / "order6.json"
+    emit_model(model, str(out))
+    back = parse_model(str(out))
+    assert back.order == 6
+    assert_same_model(back, model)
+
+
+def test_morphism_scalars_live_in_the_lcm_field(tmp_path):
+    """An order-12 entry of a morphism from an order-4 model to an order-3
+    one is written and read in Q(zeta_12), not in the larger model's
+    order."""
+    source, target = builtin("taft4"), builtin("taft3")
+    z12 = Cyc.zeta(12)
+    mor = QGMorphism(source, target,
+                     LinMap.from_entries(source.A, target.A, [(1, 2, z12)]))
+    out = tmp_path / "map.json"
+    emit_morphism(mor, str(out))
+    assert json.loads(out.read_text())["map"] == [[1, 2, ["0", "1"]]]
+    assert parse_morphism(str(out), source, target).pi == mor.pi
+
+
+def test_morphism_field_above_the_order_cap_is_refused(tmp_path):
+    source = replace(builtin("c_z2"), order=997)
+    target = replace(builtin("c_z2"), order=991)
+    out = tmp_path / "map.json"
+    out.write_text(json.dumps({"source": source.name, "target": target.name,
+                               "map": []}))
+    with pytest.raises(ParseError, match=r"Q\(zeta_988027\)"):
+        parse_morphism(str(out), source, target)
+
+
+def test_scalar_outside_the_declared_field_is_refused():
+    with pytest.raises(ModelError, match=r"Q\(zeta_3\) cannot be written "
+                                         r"in the declared field Q\(zeta_4\)"):
+        model_to_dict(replace(builtin("taft3"), order=4))
 
 
 def test_counit_and_antipode_are_optional(tmp_path):

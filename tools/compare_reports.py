@@ -13,13 +13,16 @@ PYTHONPATH:
     (C(S4) -> C(A4) and C(D6) -> C(S3));
   - ``dual -o OUT`` on models/c_z3.json and on the generated C(D6) and
     C(S4) files (at dim 24, C(S4) has the largest positive Gram matrix
-    whose positivity a benchmark workload decides);
+    whose positivity a benchmark workload decides), and on the built-in
+    taft3 and taft4, whose duals are written at orders 3 and 4: the only
+    dual outputs with non-rational scalars, so the only ones that compare
+    byte for byte how those scalars are written;
   - ``verify MUTANT --suite algebraic --report R`` and
     ``verify MUTANT --suite analytic --report R`` on single-entry mutants
     of models/{sweedler,taft3,c_s3,d_z2,cg_s3,cg_z3}.json: for each of
     ``mult``, ``coprod``, ``antipode`` and ``invol``, the middle entry of
     that map has its first coefficient raised by 1, or lowered by 1
-    (48 files, 96 jobs; 118 jobs in all).
+    (48 files, 96 jobs; 120 jobs in all).
 
 The mutants take the FAIL paths.  Their witnesses show entry positions,
 kernel samples of singular maps (most lowered mutants make a Galois map
@@ -116,7 +119,8 @@ def jobs(models: str, generated: str,
                      "--report", "OUT"], "report"))
     for label, path in (("c_z3", os.path.join(models, "c_z3.json")),
                         ("d6", os.path.join(generated, "d6_s3_g.json")),
-                        ("s4", os.path.join(generated, "s4_a4_g.json"))):
+                        ("s4", os.path.join(generated, "s4_a4_g.json")),
+                        ("taft3", "taft3"), ("taft4", "taft4")):
         out.append((f"dual {label}", ["dual", path, "-o", "OUT"], "dual"))
     for suite in ("algebraic", "analytic"):
         for path in mutants:
