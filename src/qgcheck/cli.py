@@ -189,9 +189,9 @@ def cmd_subgroup(args) -> int:
     report.add(records)
     if not _has_failure(records):
         dm = build_dual_morphism(mor)
-        report.add(check_dual_morphism(dm))
+        report.add(dual := check_dual_morphism(dm))
         report.add(check_expectation(dm))
-        report.add(certify_vaes(mor, dm))
+        report.add(certify_vaes(dm, dual))
     print(report.text_table())
     if args.report:
         write_report(report, args.report)

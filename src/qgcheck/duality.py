@@ -57,9 +57,9 @@ class Duality:
 class AlgMultUnitary:
     """The algebraic multiplicative unitary on A (x) A.
 
-    w(a(x)b) = S^-1(b_(1)) a (x) b_(2) and w_inv(a(x)b) = coprod(b)(a(x)1);
-    the two compose to the identity exactly.  What several records read
-    is memoized, built once per w; G is the Gram matrix of ``solve_haar``.
+    w(a(x)b) = S^-1(b_(1)) a (x) b_(2) and w_inv(a(x)b) = coprod(b)(a(x)1)
+    compose to the identity exactly.  What records and refusals read is
+    memoized, built once per w; G is the Gram matrix of ``solve_haar``.
     """
     model: QGModel
     w: LinMap
@@ -77,6 +77,11 @@ class AlgMultUnitary:
         x = m.unit if leg_one_defect(m, w).is_zero() else i
         lhs = apply_on_legs(w, (0, 1), apply_on_legs(w, (0, 2), x.tensor(w)))
         return lhs - apply_on_legs(w, (1, 2), (w @ x.tensor(i)).tensor(i))
+
+    @cached_property
+    def inverse_defect(self) -> LinMap:
+        """w w_inv - 1; w is square, so its zero makes w_inv two-sided."""
+        return self.w @ self.w_inv - LinMap.identity(self.model.AA)
 
     @cached_property
     def gram_defect(self) -> LinMap:
@@ -267,15 +272,14 @@ def build_alg_mult_unitary(model: QGModel) -> AlgMultUnitary:
 
 
 def _build_alg_mult_unitary(model: QGModel) -> AlgMultUnitary:
+    """w and w_inv; ModelError unless their ``inverse_defect`` is zero."""
     w = apply_on_legs(model.mult @ model.flipA, (0, 1), apply_on_legs(
         model.antipode_inv, (1,), model.idA.tensor(model.coprod)))
-    # inverse: a(x)b |-> coprod(b)(a(x)1), the op-twisted right Galois map
-    w_inv = galois_map(model, "rl_op")
-    iaa = LinMap.identity(model.AA)
-    if not (w @ w_inv - iaa).is_zero() or not (w_inv @ w - iaa).is_zero():
+    mw = AlgMultUnitary(model=model, w=w, w_inv=galois_map(model, "rl_op"))
+    if not mw.inverse_defect.is_zero():
         raise ModelError(f"{model.name}: multiplicative unitary is not "
                          "inverted by the op-twisted Galois map")
-    return AlgMultUnitary(model=model, w=w, w_inv=w_inv)
+    return mw
 
 
 def regular(model: QGModel, right: bool = False) -> LinMap:

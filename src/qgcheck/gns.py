@@ -8,10 +8,10 @@ W = (Lambda (x) Lambda) w (Lambda (x) Lambda)^-1 for the algebraic w of
 ``build_alg_mult_unitary``, and the Hilbert adjoint of Lambda X Lambda^-1
 is Lambda G^-1 X^H G Lambda^-1.  So each law on m, lambda and W is an
 identity over Q(zeta_N) among L, C, w and G, decided there over every
-basis element and pair; the pentagon and unitarity defects and the slices
-of W are built once on the ``AlgMultUnitary``, and a law that restates a
-decided law returns that record.  Lambda is invertible, so each exact
-form is equivalent to its Hilbert-space law.
+basis element and pair; the pentagon, unitarity and inverse defects and
+the slices of W are built once on the ``AlgMultUnitary``, and a law that
+restates a decided law returns that record.  Lambda is invertible, so
+each exact form is equivalent to its Hilbert-space law.
 The frame's own law, ``reps.lambda.inner-product``, is that G is
 Hermitian positive definite, and the KMS norm bound ``weight.kms.bound``
 is, row by row, that a Hermitian form built from G is not positive
@@ -204,7 +204,7 @@ def check_regular_reps(dd: Duality, mw: AlgMultUnitary) -> list[CheckRecord]:
 def check_w_properties(dd: Duality, mw: AlgMultUnitary,
                        right_span: CheckRecord) -> list[CheckRecord]:
     """Unitarity, pentagon, represented-multiplier form and the duality
-    transport of W, reading ``mw.gram_defect`` and ``mw.pentagon_defect``.
+    transport of W, reading the ``mw`` memos of the three defects.
     The transport returns the Fourier isometry's record (both are G^ = c G)
     and the C*-identification ``right_span``, ``reps.slice.right-span``."""
     m, dm = dd.source, dd.dual
@@ -213,7 +213,7 @@ def check_w_properties(dd: Duality, mw: AlgMultUnitary,
     ck.exact("unitary", "W^H W = I = W W^H", lambda: mw.gram_defect)
     ck.exact("implements-galois",
              "W (Lambda (x) Lambda)(coprod(g)(f (x) 1)) = Lf (x) Lg",
-             lambda: mw.w @ mw.w_inv - LinMap.identity(m.AA))
+             lambda: mw.inverse_defect)
     ck.exact("represented-multiplier", "W = (m (x) lambda)(w)",
              lambda: tensor_image(regular(m), regular(dm),
                                   mw.w(m.unit.tensor(dm.unit))) - mw.w)
@@ -468,18 +468,18 @@ KAC_RECORDS: dict[str, tuple[tuple[str, str, tuple[str, ...]], ...]] = {
 def check_kac_collapse(dd: Duality) -> dict[str, list[CheckRecord]]:
     """The exact records of the modular layer, by ``KAC_RECORDS`` section.
 
-    Each record checks over Q(zeta_N) that the maps X of the operators its
-    law names (``modular_maps``) are the identity, then the law's own
+    Each record checks over Q(zeta_N) that X - 1, built once per operator
+    X its law names (``modular_maps``), is zero, then the law's own
     identity if it has one; the first that fails is the witness.  Only the
     exact data of ``dd`` is read, so a model outside the positive tier can
     be fed in: there S^2 != id, and every record fails.
     """
     m = dd.source
-    maps = modular_maps(dd)
+    defects = {name: x - m.idA for name, x in modular_maps(dd).items()}
 
     def collapse(ops, identity):
         for name in ops:
-            require_zero(maps[name] - m.idA, f"operator {name}")
+            require_zero(defects[name], f"operator {name}")
         return True if identity is None else identity(m, dd.haar)
 
     sections = {}

@@ -284,6 +284,4 @@ def emit_morphism(mor: QGMorphism, path: str):
 # -- reports -----------------------------------------------------------------
 
 def write_report(report: Report, path: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(report.to_json())
-        fh.write("\n")
+    _write_json(report.to_dict(), path)

@@ -10,7 +10,6 @@ wall times.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -168,9 +167,6 @@ class Report:
             "skipped": sum(1 for r in self.records if r.status == SKIP),
             "checks": [r.to_dict() for r in self.records],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=False)
 
     def text_table(self) -> str:
         lines = [f"== {self.title} =="]

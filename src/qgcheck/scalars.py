@@ -114,6 +114,25 @@ def _context(order: int) -> _Context:
     return ctx
 
 
+def _coordinates(columns: list, target) -> list[Fraction] | None:
+    """Rationals c with sum_j c_j columns[j] = target, for linearly
+    independent integer columns, by Gauss-Jordan elimination over
+    Fractions; None when target is outside their span."""
+    n = len(columns)
+    rows = [[Fraction(col[i]) for col in columns] + [Fraction(t)]
+            for i, t in enumerate(target)]
+    for j in range(n):
+        p = next(r for r in range(j, len(rows)) if rows[r][j])
+        rows[j], rows[p] = rows[p], rows[j]
+        rows[j] = [v / rows[j][j] for v in rows[j]]
+        for r, row in enumerate(rows):
+            if r != j and row[j]:
+                rows[r] = [a - row[j] * b for a, b in zip(row, rows[j])]
+    if any(row[-1] for row in rows[n:]):
+        return None
+    return [row[-1] for row in rows[:n]]
+
+
 class Cyc:
     """An element of Q(zeta_N), exact.
 
@@ -171,7 +190,10 @@ class Cyc:
     @staticmethod
     def promote(value, order: int) -> "Cyc":
         """Coerce an int, Fraction or Cyc into Q(zeta_order); a Cyc of an
-        order dividing ``order`` is lifted by zeta_n = zeta_order^(order/n)."""
+        order dividing ``order`` is lifted by zeta_n = zeta_order^(order/n).
+        Any other Cyc is lifted to Q(zeta_L), L = lcm of the two orders,
+        and its coordinates in the power basis of Q(zeta_order) are solved
+        for exactly; ValueError when the value does not lie in that field."""
         if isinstance(value, Cyc):
             if value.order == order:
                 return value
@@ -182,9 +204,16 @@ class Cyc:
                 coeffs = [0] * (step * len(value.nums))
                 coeffs[::step] = value.coeffs
                 return Cyc(order, coeffs)
-            raise ValueError(
-                f"cannot coerce Q(zeta_{value.order}) element into Q(zeta_{order})"
-            )
+            big = lcm(value.order, order)
+            lifted, step = Cyc.promote(value, big), big // order
+            powers = _context(big).powers
+            coords = _coordinates(
+                [powers[j * step] for j in range(_context(order).degree)],
+                lifted.nums)
+            if coords is None:
+                raise ValueError(f"cannot coerce Q(zeta_{value.order}) "
+                                 f"element into Q(zeta_{order})")
+            return Cyc(order, [c / lifted.den for c in coords])
         return Cyc.rational(value, order)
 
     # -- coercion helpers ---------------------------------------------

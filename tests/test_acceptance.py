@@ -274,7 +274,7 @@ def test_criterion_11_subgroups():
         all_pass(exp, mor.label)
         (bim,) = pick(exp, ".bimodule")
         assert bim.tolerance is None, mor.label
-        vaes = certify_vaes(mor, dm)
+        vaes = certify_vaes(dm, check_dual_morphism(dm))
         all_pass(vaes, mor.label)
         (inj,) = pick(vaes, ".injective")
         assert inj.status == "pass" and inj.tolerance is None, mor.label

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qgcheck import cli
+from qgcheck import cli, duality
 from qgcheck import gns as G
 from qgcheck.duality import AlgMultUnitary, build_alg_mult_unitary, build_dual
 from qgcheck.errors import CheckFailure, ModelError, TierRefusal
@@ -614,7 +614,7 @@ def test_verify_builds_each_gns_defect_once(monkeypatch):
             return out
         return spy
 
-    for key in ("gram_defect", "slices"):
+    for key in ("gram_defect", "inverse_defect", "slices"):
         memo = vars(AlgMultUnitary)[key]
         monkeypatch.setattr(memo, "func", counted(key, memo.func))
     monkeypatch.setattr(G, "_fourier_isometry",
@@ -630,4 +630,45 @@ def test_verify_builds_each_gns_defect_once(monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["verify", "c_s3", "--suite", "all"]) == 0
     assert counts == {"gram_defect": 1, "slices": 1, "fourier": 1,
-                      "right-span": 1}
+                      "right-span": 1, "inverse_defect": 1}
+
+
+def test_verify_forms_each_w_product_and_kac_defect_once(monkeypatch):
+    """One ``verify c_s3 --suite all`` forms w w^-1 once, for the refusal
+    of ``build_alg_mult_unitary`` and ``w.implements-galois`` alike, and
+    w^-1 w never; and it forms X - 1 once for each of the eight modular
+    operators X, however many Kac records name X."""
+    products, differences, built, maps = [], [], [], []
+    matmul, sub = LinMap.__matmul__, LinMap.__sub__
+    build, modular_maps = duality._build_alg_mult_unitary, G.modular_maps
+
+    def spy_matmul(a, b):
+        if a.cod == a.dom == b.cod == b.dom and len(a.dom) == 2:
+            products.append((a, b))  # holds both, so no id is reused
+        return matmul(a, b)
+
+    def spy_sub(a, b):
+        differences.append((a, b))
+        return sub(a, b)
+
+    def spy_build(model):
+        built.append(out := build(model))
+        return out
+
+    def spy_maps(dd):
+        maps.append((out := modular_maps(dd), dd.source.idA))
+        return out
+
+    monkeypatch.setattr(LinMap, "__matmul__", spy_matmul)
+    monkeypatch.setattr(LinMap, "__sub__", spy_sub)
+    monkeypatch.setattr(duality, "_build_alg_mult_unitary", spy_build)
+    monkeypatch.setattr(G, "modular_maps", spy_maps)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "c_s3", "--suite", "all"]) == 0
+    (mw,) = built
+    assert sum(a is mw.w and b is mw.w_inv for a, b in products) == 1
+    assert sum(a is mw.w_inv and b is mw.w for a, b in products) == 0
+    ((ops, one),) = maps
+    assert len(ops) == 8
+    assert sum(b is one and any(a is x for x in ops.values())
+               for a, b in differences) == 8

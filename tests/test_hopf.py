@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qgcheck import linalg
 from qgcheck.cli import main
+from qgcheck.duality import build_alg_mult_unitary
 from qgcheck.errors import ModelError
 from qgcheck.hopf import (GALOIS_KINDS, GALOIS_TAGS, _build_galois,
                           check_cancellation, galois, galois_map, pair_product,
@@ -128,6 +129,24 @@ def test_cancellation_records_on_mutants(name, field, step):
         assert det_rec.witness is None
     if (name, field, step) == ("taft3", "mult", -1):
         assert ranks == {"gl": 78, "gr": 78, "rl": 81, "rr": 81}
+
+
+@pytest.mark.parametrize("field, step, refused", [
+    ("mult", 1, True), ("mult", -1, True), ("coprod", 1, True),
+    ("coprod", -1, True), ("antipode", 1, True), ("invol", 1, False),
+    ("invol", -1, False)])
+def test_w_refusal_on_sweedler_mutants(field, step, refused):
+    """The single-entry mutants of sweedler whose w the op-twisted Galois
+    map does not invert are refused with one ModelError; the involution
+    mutants, which leave w and w_inv alone, are not."""
+    model = _mutant("sweedler", field, step)
+    if not refused:
+        assert build_alg_mult_unitary(model).inverse_defect.is_zero()
+        return
+    with pytest.raises(ModelError) as exc:
+        build_alg_mult_unitary(model)
+    assert str(exc.value) == ("sweedler: multiplicative unitary is not "
+                              "inverted by the op-twisted Galois map")
 
 
 @pytest.mark.parametrize("name", ["taft4", "c_s3"])

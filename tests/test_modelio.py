@@ -10,11 +10,12 @@ import pytest
 from qgcheck.cli import main
 from qgcheck.errors import ModelError, ParseError
 from qgcheck.linalg import LinMap
-from qgcheck.modelio import (emit_model, emit_morphism, emit_table,
-                             model_from_dict, model_to_dict, parse_model,
-                             parse_morphism, parse_table, table_to_dict)
+from qgcheck.modelio import (_scalar_to_json, emit_model, emit_morphism,
+                             emit_table, model_from_dict, model_to_dict,
+                             parse_model, parse_morphism, parse_table,
+                             table_to_dict, write_report)
 from qgcheck.models import GroupTable, builtin
-from qgcheck.report import ensure
+from qgcheck.report import CheckRecord, Report, ensure
 from qgcheck.scalars import Cyc
 from qgcheck.subgroups import QGMorphism, validate_morphism
 
@@ -82,6 +83,21 @@ def test_morphism_field_above_the_order_cap_is_refused(tmp_path):
                                "map": []}))
     with pytest.raises(ParseError, match=r"Q\(zeta_988027\)"):
         parse_morphism(str(out), source, target)
+
+
+def test_scalar_of_a_larger_order_in_the_declared_field(tmp_path):
+    """zeta_6, held at order 6, lies in Q(zeta_3): it is written as
+    1 + zeta_3 and an order-3 model holding it survives a round trip."""
+    assert _scalar_to_json(Cyc.zeta(6), 3) == ["1", "1"]
+    model = builtin("taft3")
+    mult = model.mult.scale(Cyc.zeta(6))
+    assert mult.entry(0, 0) == Cyc.zeta(6) and mult.entry(0, 0).order == 6
+    six = replace(model, mult=mult)
+    out = tmp_path / "zeta6.json"
+    emit_model(six, str(out))
+    back = parse_model(str(out))
+    assert back.order == 3
+    assert_same_model(back, six)
 
 
 def test_scalar_outside_the_declared_field_is_refused():
@@ -205,3 +221,64 @@ def test_shipped_directory_is_complete():
     expected = {f"{n}.json" for n in SHIPPED} | {
         "restrict_a3.json", "restrict_z2.json", "s3_table.json"}
     assert names == expected
+
+
+def test_report_is_written_as_before(tmp_path):
+    """write_report goes through the one JSON writer and writes the text
+    that ``json.dumps(report.to_dict(), indent=2)`` and a newline gave."""
+    report = Report(
+        title="subgroup a->b", meta={"source": "a", "target": "b"},
+        records=[CheckRecord("a->b.dual.unital", "pi(1) = 1", "pass",
+                             residual=0.0, wall_ms=1.23456),
+                 CheckRecord("a->b.vaes.injective", "pi_hat has zero kernel",
+                             "fail",
+                             witness="kernel of pi_hat contains e_0 - e_1"),
+                 CheckRecord("a->b.vaes.norm-transport",
+                             "norms \u2016x\u2016 agree", "skip",
+                             witness="mu != 1")])
+    out = tmp_path / "report.json"
+    write_report(report, str(out))
+    assert out.read_text(encoding="utf-8") == REPORT_TEXT
+
+
+REPORT_TEXT = """\
+{
+  "title": "subgroup a->b",
+  "meta": {
+    "source": "a",
+    "target": "b"
+  },
+  "passed": 1,
+  "failed": 1,
+  "skipped": 1,
+  "checks": [
+    {
+      "check_id": "a->b.dual.unital",
+      "law": "pi(1) = 1",
+      "status": "pass",
+      "residual": 0.0,
+      "tolerance": null,
+      "witness": null,
+      "wall_ms": 1.235
+    },
+    {
+      "check_id": "a->b.vaes.injective",
+      "law": "pi_hat has zero kernel",
+      "status": "fail",
+      "residual": null,
+      "tolerance": null,
+      "witness": "kernel of pi_hat contains e_0 - e_1",
+      "wall_ms": 0.0
+    },
+    {
+      "check_id": "a->b.vaes.norm-transport",
+      "law": "norms \\u2016x\\u2016 agree",
+      "status": "skip",
+      "residual": null,
+      "tolerance": null,
+      "witness": "mu != 1",
+      "wall_ms": 0.0
+    }
+  ]
+}
+"""

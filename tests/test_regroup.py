@@ -26,8 +26,8 @@ from qgcheck.modular import _invariance_system, form_matrix
 from qgcheck.models import GroupTable, build_function_algebra
 from qgcheck.report import Checker
 from qgcheck.scalars import Cyc
-from qgcheck.subgroups import (build_dual_morphism, check_dual_morphism,
-                               counit_morphism)
+from qgcheck.subgroups import (build_dual_morphism, certify_vaes,
+                               check_dual_morphism, counit_morphism)
 from test_hopf import stored_order
 from test_subgroups import dihedral, restrict_a3_file, restrict_d6_s3
 
@@ -450,6 +450,56 @@ def test_multiplier_records_match_the_loop_forms(make, change):
     for suffix in MULTIPLIERS:
         assert _record(got, suffix) == _record(want, suffix), suffix
         assert _record(got, suffix)[1] == ("fail" if change else "pass")
+
+
+def _old_vaes_records(dm):
+    """dual-homomorphism, -star and -unital as certify_vaes built them
+    before they restated the dual.* records."""
+    dg, dh, hat = dm.source_duality.dual, dm.target_duality.dual, dm.pi_hat
+    ck = Checker(f"{dm.morphism.label}.vaes")
+    ck.exact("dual-homomorphism", "",
+             lambda: hat @ dh.mult - dg.mult @ hat.tensor(hat))
+    ck.exact("dual-star", "", lambda: hat @ dh.invol - dg.invol @ hat.conj())
+    ck.exact("dual-unital", "", lambda: hat(dh.unit) - dg.unit)
+    return ck.records
+
+
+def _unit_column_doubled(dm) -> LinMap:
+    """pi_hat with the column at the target's convolution unit doubled:
+    the one mutant here that moves pi_hat(1)."""
+    (u,) = dm.target_duality.dual.unit.data
+    cols = {j: dict(col) for j, col in dm.pi_hat.cols.items()}
+    cols[u] = {i: v + v for i, v in cols[u].items()}
+    return LinMap(dm.pi_hat.dom, dm.pi_hat.cod, cols)
+
+
+RESTATED = {".vaes.dual-homomorphism": ".dual.multiplicative",
+            ".vaes.dual-star": ".dual.star",
+            ".vaes.dual-unital": ".dual.unital"}
+
+
+@pytest.mark.parametrize("make", [restrict_a3_file, restrict_d6_s3])
+def test_vaes_restates_the_dual_morphism_records(make):
+    """Each restated vaes record has the status, residual and witness of
+    the dual.* record it restates, and of the difference it used to build,
+    on pi_hat and on its mutants; each fails on some mutant."""
+    clean = build_dual_morphism(make())
+    failed = set()
+    for change in (None, "negate", "zero", "move", "unit"):
+        hat = (clean.pi_hat if change is None
+               else _unit_column_doubled(clean) if change == "unit"
+               else _moved_pi_hat(clean.pi_hat, change))
+        dm = dataclasses.replace(clean, pi_hat=hat)
+        dual = check_dual_morphism(dm)
+        got, want = certify_vaes(dm, dual), _old_vaes_records(dm)
+        for suffix, decided in RESTATED.items():
+            rec = _record(got, suffix)
+            assert rec == _record(want, suffix), (change, suffix)
+            assert rec[1:] == _record(dual, decided)[1:], (change, suffix)
+            assert change or rec[1] == "pass"
+            if rec[1] == "fail":
+                failed.add(suffix)
+    assert failed == set(RESTATED)
 
 
 # -- the layout guard ----------------------------------------------------------

@@ -63,6 +63,18 @@ def test_cross_order_promotion():
         _ = Cyc.zeta(25) + Cyc.zeta(41)  # lcm 1025 > MAX_ORDER
 
 
+def test_promotion_descends_to_a_subfield():
+    """A value held at an order that does not divide the target order is
+    written in the target field when it lies there, and refused when
+    not: zeta_6 = -zeta_3^2 and zeta_12^3 = zeta_4, but zeta_8 is not in
+    Q(zeta_4)."""
+    z6 = Cyc.promote(Cyc.zeta(6), 3)
+    assert z6.order == 3 and z6 == Cyc.zeta(6) == -Cyc.zeta(3, 2)
+    assert Cyc.promote(Cyc.zeta(12, 3), 4) == Cyc.zeta(4)
+    with pytest.raises(ValueError):
+        Cyc.promote(Cyc.zeta(8), 4)
+
+
 def test_inverse_nontrivial():
     z = Cyc.zeta(3)
     a = 1 + 2 * z

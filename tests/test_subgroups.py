@@ -1,12 +1,15 @@
 """Morphisms, dual morphisms, the expectation and the subgroup certificate."""
 
+import contextlib
 import dataclasses
 import functools
+import io
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qgcheck import cli
 from qgcheck.errors import ModelError
 from qgcheck.hopf import QGModel, validate_model
 from qgcheck.linalg import LinMap, inverse
@@ -339,7 +342,7 @@ def test_expectation_pass_path_builds_no_triple_column_map(monkeypatch, make):
 def test_vaes_certificate(mor_a3, mor_z2):
     for mor in (mor_a3, mor_z2, counit_morphism(builtin("c_s3"))):
         dm = build_dual_morphism(mor)
-        records = certify_vaes(mor, dm)
+        records = certify_vaes(dm, check_dual_morphism(dm))
         ensure(records)
         by_id = {r.check_id.split(".vaes.")[-1]: r for r in records}
         assert by_id["preimage-independence"].status == "pass"
@@ -424,7 +427,7 @@ def non_surjective_embedding():
 
 def exact_vaes_statuses(mor):
     """The four records' statuses from certify_vaes; each is exact."""
-    records = certify_vaes(mor, build_dual_morphism(mor))
+    records = certify_vaes(dm := build_dual_morphism(mor), check_dual_morphism(dm))
     by_id = {r.check_id.split(".vaes.")[-1]: r for r in records}
     assert all(by_id[c].tolerance is None for c in VAES_FLOAT_IDS)
     return {c: by_id[c].status for c in VAES_FLOAT_IDS}
@@ -485,10 +488,37 @@ def test_exact_vaes_records_in_complex_coordinates(mor_a3):
     assert [set(g.values()) for g in got[:2]] == [{"pass"}, {"pass"}]
 
 
+def test_subgroup_pass_forms_the_dual_product_law_once(monkeypatch):
+    """One ``subgroup`` pass over models/restrict_a3.json forms
+    pi_hat o conv_H, the left side of pi_hat's product law, once:
+    ``vaes.dual-homomorphism`` restates ``dual.multiplicative``."""
+    built, pairs = [], []
+    build, matmul = cli.build_dual_morphism, LinMap.__matmul__
+
+    def spy_build(mor):
+        built.append(out := build(mor))
+        return out
+
+    def spy_matmul(a, b):
+        if built and a is built[0].pi_hat:
+            pairs.append(b)
+        return matmul(a, b)
+
+    monkeypatch.setattr(cli, "build_dual_morphism", spy_build)
+    monkeypatch.setattr(LinMap, "__matmul__", spy_matmul)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["subgroup", "--g", str(MODELS_DIR / "c_s3.json"),
+                         "--h", str(MODELS_DIR / "c_z3.json"),
+                         "--map", str(MODELS_DIR / "restrict_a3.json")]) == 0
+    (dm,) = built
+    conv_h = dm.target_duality.dual.mult
+    assert sum(b is conv_h for b in pairs) == 1
+
+
 def test_vaes_preimage_record_skips_for_injective_pi():
     mor = identity_morphism(builtin("c_z3"))
     ensure(validate_morphism(mor))
-    records = certify_vaes(mor, build_dual_morphism(mor))
+    records = certify_vaes(dm := build_dual_morphism(mor), check_dual_morphism(dm))
     ensure(records)
     rec = [r for r in records if r.check_id.endswith("preimage-independence")]
     assert rec[0].status == "skip"
@@ -498,7 +528,7 @@ def test_vaes_flags_non_surjective_embedding():
     mor = non_surjective_embedding()
     assert failed_ids(validate_morphism(mor)) == {"surjective"}
     dm = build_dual_morphism(mor)
-    records = certify_vaes(mor, dm)
+    records = certify_vaes(dm, check_dual_morphism(dm))
     bad = [r for r in records if r.status == "fail"]
     assert any(r.check_id.endswith("injective") for r in bad)
     inj = [r for r in bad if r.check_id.endswith("injective")][0]
@@ -512,7 +542,7 @@ def test_vaes_skips_representation_records_off_the_positive_layer():
     identity of its identity morphism pins the order pi_hat(x) * b."""
     for make in (counit_morphism, identity_morphism):
         mor = make(builtin("taft3"))
-        records = certify_vaes(mor, build_dual_morphism(mor))
+        records = certify_vaes(dm := build_dual_morphism(mor), check_dual_morphism(dm))
         ensure(records)
         by_id = {r.check_id.split(".vaes.")[-1]: r for r in records}
         assert by_id["functional-identity"].status == "pass"
@@ -532,7 +562,7 @@ def test_vaes_skips_representation_records_for_an_indefinite_gram_form():
                                   positive=False)
     ensure(validate_model(twisted))
     mor = identity_morphism(twisted)
-    records = certify_vaes(mor, build_dual_morphism(mor))
+    records = certify_vaes(dm := build_dual_morphism(mor), check_dual_morphism(dm))
     ensure(records)
     reasons = {r.witness for r in records[-3:] if r.status == "skip"}
     assert reasons == {

@@ -10,7 +10,10 @@ PYTHONPATH:
   - ``verify M --suite all --seed 1729 --report R`` on every built-in model;
   - ``subgroup --report R`` on models/restrict_a3.json, models/restrict_z2.json
     and the two morphisms that ``perfbench/inputs.py subgroup-embed`` writes
-    (C(S4) -> C(A4) and C(D6) -> C(S3));
+    (C(S4) -> C(A4) and C(D6) -> C(S3)), and on the single-entry mutants of
+    the first two: the middle entry of ``map`` has its first coefficient
+    raised by 1, or lowered by 1 (4 files and jobs); each fails morphism
+    records, so its report stops after them and the job exits 1;
   - ``dual -o OUT`` on models/c_z3.json and on the generated C(D6) and
     C(S4) files (at dim 24, C(S4) has the largest positive Gram matrix
     whose positivity a benchmark workload decides), and on the built-in
@@ -22,7 +25,7 @@ PYTHONPATH:
     of models/{sweedler,taft3,c_s3,d_z2,cg_s3,cg_z3}.json: for each of
     ``mult``, ``coprod``, ``antipode`` and ``invol``, the middle entry of
     that map has its first coefficient raised by 1, or lowered by 1
-    (48 files, 96 jobs; 120 jobs in all).
+    (48 files, 96 jobs; 124 jobs in all).
 
 The mutants take the FAIL paths.  Their witnesses show entry positions,
 kernel samples of singular maps (most lowered mutants make a Galois map
@@ -34,10 +37,11 @@ algebraic mutant job stops at the structural stage (``struct``, ``hopf``,
 the mu refusal, at a model error, or at a ``build_gns`` refusal (the
 ``*_invol_up`` mutants of the positive models fail unitarity, and stderr
 prints that defect).  So no FAIL record of a later stage (dual, pentagon,
-GNS) is compared here; the witness order of those records is pinned by
-unit tests, such as
-``tests/test_duality.py::test_dual_product_witnesses_match_pair_by_pair``
-and ``tests/test_subgroups.py::test_streamed_bimodule_matches_composed_oracle``.
+GNS, dual morphism, Vaes certificate) is compared here; the witness order
+of those records is pinned by unit tests, such as
+``tests/test_duality.py::test_dual_product_witnesses_match_pair_by_pair``,
+``tests/test_subgroups.py::test_streamed_bimodule_matches_composed_oracle``
+and ``tests/test_regroup.py::test_vaes_restates_the_dual_morphism_records``.
 
 The generated inputs and the mutants are written once, from the parent
 checkout, into a temporary directory.  The script compares exit codes,
@@ -65,6 +69,7 @@ BUILTINS = ("broken", "c_s3", "c_z2", "c_z3", "c_z4", "cg_s3", "cg_z2",
 MUTANT_MODELS = ("sweedler", "taft3", "c_s3", "d_z2", "cg_s3", "cg_z3")
 MUTANT_FIELDS = ("mult", "coprod", "antipode", "invol")
 MUTANT_STEPS = (("up", 1), ("down", -1))
+MAP_MUTANTS = (("restrict_a3", "c_z3"), ("restrict_z2", "c_z2"))
 
 
 def _env(checkout: str) -> dict:
@@ -72,14 +77,15 @@ def _env(checkout: str) -> dict:
                 PYTHONDONTWRITEBYTECODE="1")
 
 
-def write_mutants(models: str, out_dir: str) -> list[str]:
-    """Write the single-entry mutants of each model and field; return
-    their paths."""
+def write_mutants(models: str, out_dir: str, names=MUTANT_MODELS,
+                  fields=MUTANT_FIELDS) -> list[str]:
+    """Write the single-entry mutants of each named file and field;
+    return their paths."""
     paths = []
-    for name in MUTANT_MODELS:
+    for name in names:
         with open(os.path.join(models, f"{name}.json")) as fh:
             base = json.load(fh)
-        for field in MUTANT_FIELDS:
+        for field in fields:
             for label, step in MUTANT_STEPS:
                 d = copy.deepcopy(base)
                 coeffs = d[field][len(d[field]) // 2][-1]
@@ -91,11 +97,13 @@ def write_mutants(models: str, out_dir: str) -> list[str]:
     return paths
 
 
-def jobs(models: str, generated: str,
-         mutants: list[str]) -> list[tuple[str, list[str], str]]:
+def jobs(models: str, generated: str, mutants: list[str],
+         map_mutants: list[tuple[str, str]]
+         ) -> list[tuple[str, list[str], str]]:
     """(label, argv after the verb's module, kind of output) per job.
 
-    The token OUT in an argv stands for the job's output file.
+    ``map_mutants`` pairs each mutated morphism file with its target
+    model file.  The token OUT in an argv stands for the job's output file.
     """
     out = []
     for m in BUILTINS:
@@ -112,7 +120,10 @@ def jobs(models: str, generated: str,
     ] + [(stem, os.path.join(generated, f"{stem}_g.json"),
           os.path.join(generated, f"{stem}_h.json"),
           os.path.join(generated, f"{stem}_map.json"))
-         for stem in ("s4_a4", "d6_s3")]
+         for stem in ("s4_a4", "d6_s3")] + [
+        (os.path.splitext(os.path.basename(path))[0],
+         os.path.join(models, "c_s3.json"), h, path)
+        for path, h in map_mutants]
     for label, g, h, mapfile in subgroups:
         out.append((f"subgroup {label}",
                     ["subgroup", "--g", g, "--h", h, "--map", mapfile,
@@ -185,7 +196,12 @@ def compare(parent: str, change: str) -> list[str]:
                        env=_env(parent), check=True)
         models = os.path.join(parent, "models")
         mutants = write_mutants(models, generated)
-        for label, argv, kind in jobs(models, generated, mutants):
+        map_mutants = [(path, os.path.join(models, f"{target}.json"))
+                       for stem, target in MAP_MUTANTS
+                       for path in write_mutants(models, generated, [stem],
+                                                 ["map"])]
+        for label, argv, kind in jobs(models, generated, mutants,
+                                      map_mutants):
             results = []
             for side, checkout in (("parent", parent), ("change", change)):
                 work = os.path.join(tmp, side)
