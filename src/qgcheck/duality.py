@@ -57,9 +57,10 @@ class Duality:
 class AlgMultUnitary:
     """The algebraic multiplicative unitary on A (x) A.
 
-    w(a(x)b) = S^-1(b_(1)) a (x) b_(2) and w_inv(a(x)b) = coprod(b)(a(x)1)
-    compose to the identity exactly.  What records and refusals read is
-    memoized, built once per w; G is the Gram matrix of ``solve_haar``.
+    w(a(x)b) = S^-1(b_(1)) a (x) b_(2) and w_inv = gl o flip, a(x)b |->
+    coprod(b)(a(x)1), compose to the identity exactly.  What records and
+    refusals read is memoized, built once per w; G is the Gram matrix of
+    ``solve_haar``.
     """
     model: QGModel
     w: LinMap
@@ -275,7 +276,7 @@ def _build_alg_mult_unitary(model: QGModel) -> AlgMultUnitary:
     """w and w_inv; ModelError unless their ``inverse_defect`` is zero."""
     w = apply_on_legs(model.mult @ model.flipA, (0, 1), apply_on_legs(
         model.antipode_inv, (1,), model.idA.tensor(model.coprod)))
-    mw = AlgMultUnitary(model=model, w=w, w_inv=galois_map(model, "rl_op"))
+    mw = AlgMultUnitary(model, w, galois_map(model, "gl") @ model.flipA)
     if not mw.inverse_defect.is_zero():
         raise ModelError(f"{model.name}: multiplicative unitary is not "
                          "inverted by the op-twisted Galois map")
@@ -376,11 +377,13 @@ def check_convolution_compat(dd: Duality) -> list[CheckRecord]:
                 - apply_on_legs(conv, (0, 1), i.tensor(m.coprod))
         return m.coprod @ conv - apply_on_legs(conv, (1, 2), m.coprod.tensor(i))
 
-    def law(key: str) -> LinMap:
-        right = key.startswith("rr")
+    def law(kind: str) -> LinMap:
+        right = kind[1] == "r"
         if defect(right).is_zero():
             return defect(right)
-        g, iconv = galois_map(m, key), i.tensor(conv)
+        g, iconv = galois_map(m, kind), i.tensor(conv)
+        if kind[0] == "g":  # rl_op = gl o flip, rr_op = gr o flip
+            g = g @ m.flipA
         if right:
             # conv on legs (0, 1) of f (x) (1 (x) a)coprod(g)
             #   = f (x) g_(1) (x) a g_(2)
@@ -390,12 +393,12 @@ def check_convolution_compat(dd: Duality) -> list[CheckRecord]:
     ck.exact("coprod-left-mult", "(a (x) 1) coprod(f*g) = a f_(1) (x) (f_(2)*g)",
              lambda: law("rl"))
     ck.exact("coprod-left-mult-op", "coprod(f*g)(a (x) 1) = f_(1) a (x) (f_(2)*g)",
-             lambda: law("rl_op"))
+             lambda: law("gl"))
     ck.exact("coprod-right-mult", "(1 (x) a) coprod(f*g) = (f*g_(1)) (x) a g_(2)",
              lambda: law("rr"))
     ck.exact("coprod-right-mult-op",
              "coprod(f*g)(1 (x) a) = (f*g_(1)) (x) g_(2) a",
-             lambda: law("rr_op"))
+             lambda: law("gr"))
 
     def inner_product():
         # eps(f^* * g) = mu^-1 phi(conj(f) g), the Gram matrix up to mu

@@ -6,10 +6,9 @@ linear maps over a cyclotomic field.  The involution is antilinear, so we
 store its linear part C and apply it as  a* = C(conj(a)).
 
 Structural laws are verified by `validate_model`.  The four canonical
-twisted-multiplication maps and their opposite/co-opposite variants are
-built one at a time by `galois_map`, which memoizes each key on the model
-so that a caller builds only the maps it uses; `check_cancellation`
-decides the bijectivity of the four canonical ones exactly.
+twisted-multiplication (Galois) maps are built, and decided bijective,
+once per model and on first use by `galois_map` and `galois_bijective`;
+a reversed product or coproduct reads them through the leg flip.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ModelError
+from .errors import ModelError, SingularMap
 from .linalg import (LinMap, Vec, apply_on_legs, inverse, require_bijective,
                      solve_linear)
 from .report import PASS, Checker, CheckRecord
@@ -44,7 +43,7 @@ class QGModel:
 
     A model is immutable, so what is derived from it alone is built once
     and memoized on it by _cached: the inverse antipode, the associator,
-    each Galois map under its own key, the Haar data, the dual and the
+    each Galois map and its bijectivity, the Haar data, the dual and the
     algebraic multiplicative unitary.
     """
 
@@ -183,16 +182,12 @@ def pair_product(mult: LinMap, u: LinMap, w: LinMap) -> LinMap:
 
 
 GALOIS_KINDS = ("gl", "gr", "rl", "rr")
-GALOIS_TAGS = ("", "_cop", "_op", "_opcop")
 
 
-def _build_galois(model: QGModel, key: str) -> LinMap:
-    kind, tag = key[:2], key[2:]
-    if kind not in GALOIS_KINDS or tag not in GALOIS_TAGS:
-        raise KeyError(f"no twisted-multiplication map {key!r}")
-    i, flip = model.idA, model.flipA
-    mult = model.mult @ flip if tag.startswith("_op") else model.mult
-    coprod = flip @ model.coprod if tag.endswith("cop") else model.coprod
+def _build_galois(model: QGModel, kind: str) -> LinMap:
+    if kind not in GALOIS_KINDS:
+        raise KeyError(f"no twisted-multiplication map {kind!r}")
+    mult, coprod, i = model.mult, model.coprod, model.idA
     if kind == "gl":  # a(x)b |-> coprod(a)(b(x)1)
         return apply_on_legs(mult, (0, 2), coprod.tensor(i))
     if kind == "gr":  # a(x)b |-> coprod(a)(1(x)b)
@@ -201,16 +196,14 @@ def _build_galois(model: QGModel, key: str) -> LinMap:
         return apply_on_legs(mult, (0, 1), i.tensor(coprod))
     # rr: a(x)b |-> (1(x)a)coprod(b)
     return apply_on_legs(mult, (1, 2),
-                         apply_on_legs(flip, (0, 1), i.tensor(coprod)))
+                         apply_on_legs(model.flipA, (0, 1), i.tensor(coprod)))
 
 
-def galois_map(model: QGModel, key: str) -> LinMap:
-    """One twisted-multiplication map, built on first use and memoized.
-
-    Keys are gl/gr/rl/rr with optional suffixes: _op swaps the product,
-    _cop swaps the coproduct legs, _opcop does both.
-    """
-    return model._cached(("galois", key), lambda: _build_galois(model, key))
+def galois_map(model: QGModel, kind: str) -> LinMap:
+    """The canonical map gl, gr, rl or rr, built on first use and memoized.
+    Each op/cop variant is one of them with the flip on one or both sides,
+    e.g. rl_op(a (x) b) = coprod(b)(a (x) 1) = gl(b (x) a)."""
+    return model._cached(("galois", kind), lambda: _build_galois(model, kind))
 
 
 def galois(model: QGModel) -> dict[str, LinMap]:
@@ -218,17 +211,30 @@ def galois(model: QGModel) -> dict[str, LinMap]:
     return {kind: galois_map(model, kind) for kind in GALOIS_KINDS}
 
 
+def galois_bijective(model: QGModel, kind: str) -> bool:
+    """True, or raise the SingularMap (kernel included) that
+    ``require_bijective`` raised on that Galois map once per model."""
+    def decide():
+        try:
+            return require_bijective(galois_map(model, kind))
+        except SingularMap as e:
+            return e
+    decision = model._cached(("galois-bijective", kind), decide)
+    if decision is not True:
+        raise decision
+    return True
+
+
 def check_cancellation(model: QGModel) -> list[CheckRecord]:
     """Verify that the four canonical maps gl, gr, rl, rr are bijective.
 
-    Each map is eliminated once, with no right-hand side; a singular map
-    is reported with a kernel witness.  Each side record ``<kind>.det``
-    restates its map's decision.
+    Each record reads ``galois_bijective`` (a singular map is reported
+    with a kernel witness), and each ``<kind>.det`` restates that record.
     """
     ck = Checker(f"{model.name}.cancel")
     decided = [(kind, ck.exact(kind, f"{kind} is bijective on A(x)A",
-                               lambda m=m: require_bijective(m)))
-               for kind, m in galois(model).items()]
+                               lambda k=kind: galois_bijective(model, k)))
+               for kind in GALOIS_KINDS]
     for kind, rec in decided:
         ck.exact(f"{kind}.det", f"det({kind}) != 0",
                  lambda rec=rec: rec.status == PASS)

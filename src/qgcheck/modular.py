@@ -54,6 +54,12 @@ def _invariance_system(model: QGModel, side: str) -> LinMap:
     return model.coprod.regroup(keep, 2) - model.idA.tensor(model.unit)
 
 
+def invariant_functionals(model: QGModel, side: str) -> list[Vec]:
+    """Kernel of ``_invariance_system``, eliminated once per model and side."""
+    return model._cached(("invariants", side), lambda: kernel(
+        _invariance_system(model, side)))
+
+
 def _sign(p: Cyc, what: str) -> int:
     """Sign of a real cyclotomic number, named ``what`` in errors.
 
@@ -123,7 +129,7 @@ def solve_haar(model: QGModel) -> HaarData:
 
 def _solve_haar(model: QGModel) -> HaarData:
     d = model.dim
-    ker = kernel(_invariance_system(model, "left"))
+    ker = invariant_functionals(model, "left")
     if len(ker) != 1:
         raise ModelError(
             f"{model.name}: left-invariant functional space has dimension "
@@ -232,9 +238,9 @@ def check_modular_structure(haar: HaarData) -> list[CheckRecord]:
     ck.exact("right-invariance", "(psi(x)id)coprod(a) = psi(a)1",
              lambda: apply_on_legs(psi, (0,), d_) - m.unit @ psi)
     ck.exact("left-unique", "left-invariant functionals form a line",
-             lambda: len(kernel(_invariance_system(m, "left"))) == 1)
+             lambda: len(invariant_functionals(m, "left")) == 1)
     ck.exact("right-unique", "right-invariant functionals form a line",
-             lambda: len(kernel(_invariance_system(m, "right"))) == 1)
+             lambda: len(invariant_functionals(m, "right")) == 1)
     ck.exact("faithful", "phi(. a) = 0 forces a = 0",
              lambda: haar.pmat_inv @ haar.pmat - i)
 

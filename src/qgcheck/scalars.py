@@ -114,25 +114,6 @@ def _context(order: int) -> _Context:
     return ctx
 
 
-def _coordinates(columns: list, target) -> list[Fraction] | None:
-    """Rationals c with sum_j c_j columns[j] = target, for linearly
-    independent integer columns, by Gauss-Jordan elimination over
-    Fractions; None when target is outside their span."""
-    n = len(columns)
-    rows = [[Fraction(col[i]) for col in columns] + [Fraction(t)]
-            for i, t in enumerate(target)]
-    for j in range(n):
-        p = next(r for r in range(j, len(rows)) if rows[r][j])
-        rows[j], rows[p] = rows[p], rows[j]
-        rows[j] = [v / rows[j][j] for v in rows[j]]
-        for r, row in enumerate(rows):
-            if r != j and row[j]:
-                rows[r] = [a - row[j] * b for a, b in zip(row, rows[j])]
-    if any(row[-1] for row in rows[n:]):
-        return None
-    return [row[-1] for row in rows[:n]]
-
-
 class Cyc:
     """An element of Q(zeta_N), exact.
 
@@ -193,34 +174,31 @@ class Cyc:
         order dividing ``order`` is lifted by zeta_n = zeta_order^(order/n).
         Any other Cyc is lifted to Q(zeta_L), L = lcm of the two orders,
         and its coordinates in the power basis of Q(zeta_order) are solved
-        for exactly; ValueError when the value does not lie in that field."""
+        by ``solve_linear``; ValueError when the value lies outside it."""
         if isinstance(value, Cyc):
             if value.order == order:
                 return value
             if value.is_rational():
-                return value._promoted(order)
+                return _context(order).one._scaled(value.nums[0], value.den)
             if order % value.order == 0:  # zeta_n = zeta_order^step
                 step = order // value.order
                 coeffs = [0] * (step * len(value.nums))
                 coeffs[::step] = value.coeffs
                 return Cyc(order, coeffs)
+            from .linalg import LinMap, Vec, solve_linear  # imports scalars
             big = lcm(value.order, order)
             lifted, step = Cyc.promote(value, big), big // order
-            powers = _context(big).powers
-            coords = _coordinates(
-                [powers[j * step] for j in range(_context(order).degree)],
-                lifted.nums)
-            if coords is None:
+            n, powers = _context(order).degree, _context(big).powers
+            basis = LinMap((n,), (len(lifted.nums),), {
+                j: dict(enumerate(powers[j * step])) for j in range(n)})
+            x, _ = solve_linear(basis, Vec.from_list(basis.cod, lifted.coeffs))
+            if x is None:
                 raise ValueError(f"cannot coerce Q(zeta_{value.order}) "
                                  f"element into Q(zeta_{order})")
-            return Cyc(order, [c / lifted.den for c in coords])
+            return Cyc(order, [x.get(j).rational_value() for j in range(n)])
         return Cyc.rational(value, order)
 
     # -- coercion helpers ---------------------------------------------
-
-    def _promoted(self, order: int) -> "Cyc":
-        """This rational element, as an element of Q(zeta_order)."""
-        return _context(order).one._scaled(self.nums[0], self.den)
 
     def _scaled(self, p: int, q: int) -> "Cyc":
         """self * p/q for integers p and q > 0, in self's order."""

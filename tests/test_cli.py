@@ -283,8 +283,36 @@ def _galois_keys_per_model(calls) -> list:
 def test_verify_builds_only_the_galois_maps_it_uses(monkeypatch):
     calls = _record_galois(monkeypatch)
     assert dispatch(["verify", model_path("c_s3"), "--suite", "all"]) == 0
-    assert _galois_keys_per_model(calls) == [
-        sorted(["gl", "gr", "rl", "rr", "rl_op", "rr_op"])]
+    assert _galois_keys_per_model(calls) == [["gl", "gr", "rl", "rr"]]
+
+
+@pytest.mark.parametrize("name", ["c_s3", "d_z3"])
+def test_analytic_records_are_the_same_in_either_suite(tmp_path, monkeypatch,
+                                                       name):
+    """``verify --suite analytic`` gives the analytic records of ``--suite
+    all`` (id, status, residual, witness).  In the first run the density
+    records decide the bijectivity of gl and gr, in the second
+    ``cancel`` decides all four maps first and the density records read
+    it: each decision is made once per run."""
+    decided, decide = [], hopf.require_bijective
+    monkeypatch.setattr(hopf, "require_bijective",
+                        lambda m: decided.append(m) or decide(m))
+    records, counts = {}, {}
+    for suite in ("analytic", "all"):
+        out = tmp_path / f"{suite}.json"
+        decided.clear()
+        assert main(["verify", name, "--suite", suite, "--report",
+                     str(out)]) == 0
+        counts[suite] = len(decided)
+        records[suite] = [
+            {k: r[k] for k in ("check_id", "status", "residual", "witness")}
+            for r in json.loads(out.read_text())["checks"]]
+    analytic = records["analytic"]
+    ids = {r["check_id"] for r in analytic}
+    assert analytic == [r for r in records["all"] if r["check_id"] in ids]
+    assert {f"{builtin(name).name}.gns.coprod.density.{side}"
+            for side in ("left", "right")} <= ids
+    assert counts == {"analytic": 2, "all": 4}
 
 
 def test_subgroup_builds_no_galois_map_unitary_or_modular_layer(monkeypatch):

@@ -20,13 +20,13 @@ from qgcheck.duality import (
     leg_one_defect,
 )
 from qgcheck.errors import CheckFailure, ModelError
-from qgcheck.hopf import galois_map, pair_product, validate_model
+from qgcheck.hopf import galois, galois_map, pair_product, validate_model
 from qgcheck.linalg import LinMap, Vec, apply_on_legs, to_multi, total_dim
 from qgcheck.modular import check_modular_structure
 from qgcheck.models import GroupTable, build_function_algebra, build_group_algebra
 from qgcheck.report import FAIL, PASS, Checker, ensure
 from qgcheck.scalars import Cyc
-from test_hopf import stored_order
+from test_hopf import _galois_by_identity_tensors, stored_order
 
 
 def validated_dual(model):
@@ -435,13 +435,13 @@ def _right_mult_by_leg_permutation(dd):
     i, dims4 = m.idA, (m.dim,) * 4
     iconv, spread = i.tensor(conv), i.tensor(i).tensor(m.coprod)
     ck = Checker(f"{m.name}.conv-compat")
-    for check_id, key, perm in (("coprod-right-mult", "rr", (1, 2, 0, 3)),
-                                ("coprod-right-mult-op", "rr_op",
-                                 (1, 2, 3, 0))):
+    for check_id, g, perm in (
+            ("coprod-right-mult", galois_map(m, "rr"), (1, 2, 0, 3)),
+            ("coprod-right-mult-op", _galois_by_identity_tensors(m, "rr_op"),
+             (1, 2, 3, 0))):
         swap = LinMap.leg_permutation(dims4, perm)
-        ck.exact(check_id, key, lambda key=key, swap=swap:
-                 galois_map(m, key) @ iconv
-                 - conv.tensor(m.mult) @ swap @ spread)
+        ck.exact(check_id, "", lambda g=g, swap=swap:
+                 g @ iconv - conv.tensor(m.mult) @ swap @ spread)
     return {r.check_id: r for r in ck.records}
 
 
@@ -469,12 +469,12 @@ def _convolution_compat_full_forms(dd):
     i = m.idA
     iconv = i.tensor(conv)
     ck = Checker(f"{m.name}.conv-compat")
-    for law, key in (("left-mult", "rl"), ("left-mult-op", "rl_op")):
-        g = galois_map(m, key)
+    for law, g in (("left-mult", galois_map(m, "rl")),
+                   ("left-mult-op", _galois_by_identity_tensors(m, "rl_op"))):
         ck.exact(f"coprod-{law}", "",
                  lambda g=g: g @ iconv - iconv @ g.tensor(i))
-    for law, key in (("right-mult", "rr"), ("right-mult-op", "rr_op")):
-        g = galois_map(m, key)
+    for law, g in (("right-mult", galois_map(m, "rr")),
+                   ("right-mult-op", _galois_by_identity_tensors(m, "rr_op"))):
         ck.exact(f"coprod-{law}", "", lambda g=g: g @ iconv
                  - conv.tensor(i) @ i.tensor(g) @ m.flipA.tensor(i))
     return ck.records
@@ -523,10 +523,12 @@ def test_convolution_compat_matches_the_full_forms_on_mutants(
 def test_convolution_compat_pass_path_builds_no_d3_column_map(monkeypatch):
     """On ``verify taft4 --suite all`` every conv-compat record passes
     through D and D': no map with d^3 columns is built inside
-    ``check_convolution_compat``, and rr_op, which only the d^3 form of
-    the right laws reads, is never built."""
-    calls, active, doms = [], [], []
+    ``check_convolution_compat``, and no Galois map is composed with the
+    flip, as only the d^3 forms of the op laws read rl_op = gl o flip and
+    rr_op = gr o flip."""
+    calls, active, doms, products = [], [], [], []
     real_of, real_init = LinMap._of.__func__, LinMap.__init__
+    real_matmul = LinMap.__matmul__
 
     def of(cls, dom, cod, cols):
         if active:
@@ -538,6 +540,11 @@ def test_convolution_compat_pass_path_builds_no_d3_column_map(monkeypatch):
             doms.append(tuple(dom))
         real_init(self, dom, cod, cols)
 
+    def matmul(self, other):
+        if active:
+            products.append((self, other))
+        return real_matmul(self, other)
+
     def spy(dd):
         calls.append(dd)
         active.append(True)
@@ -548,13 +555,17 @@ def test_convolution_compat_pass_path_builds_no_d3_column_map(monkeypatch):
 
     monkeypatch.setattr(LinMap, "_of", classmethod(of))
     monkeypatch.setattr(LinMap, "__init__", init)
+    monkeypatch.setattr(LinMap, "__matmul__", matmul)
     monkeypatch.setattr(cli, "check_convolution_compat", spy)
     assert cli.main(["verify", "taft4", "--suite", "all"]) == 0
     (dd,) = calls
     d = dd.source.dim
     assert doms and all(len(dom) <= 2 and total_dim(dom) <= d * d
                         for dom in doms), set(doms)
-    assert ("galois", "rr_op") not in dd.source._memo
+    galois_maps = galois(dd.source).values()
+    assert products and not [
+        (a, b) for a, b in products if b is dd.source.flipA
+        and any(a == g for g in galois_maps)]
 
 
 # On the four-dimensional model S^4 = id while delta = g and the dual

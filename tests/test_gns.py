@@ -14,6 +14,7 @@ from qgcheck import cli, duality
 from qgcheck import gns as G
 from qgcheck.duality import AlgMultUnitary, build_alg_mult_unitary, build_dual
 from qgcheck.errors import CheckFailure, ModelError, TierRefusal
+from qgcheck.hopf import galois_map
 from qgcheck.linalg import LinMap, Vec
 from qgcheck.models import GroupTable
 from qgcheck.report import Checker, CheckRecord, ensure
@@ -166,6 +167,36 @@ def test_left_slice_oracle_c_z2(gns_cache):
             lxy = m.lmul(m.basis_vec((x + y) % 2))
             want = Vec(m.AA, {i * 2 + j: v for i, j, v in lxy.entries()})
             assert slices.column((x, y)) == half * want
+
+
+@pytest.mark.parametrize("name", ["c_s3", "d_z3"])
+def test_density_of_a_singular_galois_map_keeps_the_rank_witness(gns_cache,
+                                                                  name):
+    """With gl and gr made singular (their column 0 dropped) on a copy of
+    the source, ``coprod.implemented`` still passes and each density
+    record has the record of ranking rl_op = gl o flip or rr_op = gr o
+    flip: "ranks d^2 - 1, expected d^2", residual 1.0."""
+    dd = gns_cache(name).dual
+    mw = build_alg_mult_unitary(dd.source)
+    src = dataclasses.replace(dd.source)  # a fresh memo
+    for kind in ("gl", "gr"):
+        g = galois_map(dd.source, kind)
+        src._memo[("galois", kind)] = LinMap(g.dom, g.cod, {
+            j: col for j, col in g.cols.items() if j})
+    records = {r.check_id: r
+               for r in G.check_coproduct_implementation(
+                   dataclasses.replace(dd, source=src), mw)}
+    oracle = Checker(f"{src.name}.gns.coprod")
+    n = src.dim ** 2
+    assert records[f"{src.name}.gns.coprod.implemented"].ok
+    for side, kind in (("right", "gl"), ("left", "gr")):
+        want = oracle.exact(f"density.{side}", "", lambda kind=kind:
+                            G._require_span(n, galois_map(src, kind)
+                                            @ src.flipA))
+        got = records[want.check_id]
+        assert (got.status, got.residual, got.witness) \
+            == (want.status, want.residual, want.witness) \
+            == ("fail", 1.0, f"ranks {n - 1}, expected {n}")
 
 
 def test_coproduct_of_grouplike_basis(gns_cache):

@@ -8,15 +8,16 @@ from hypothesis import strategies as st
 
 from qgcheck import linalg
 from qgcheck.cli import main
-from qgcheck.duality import build_alg_mult_unitary
+from qgcheck.duality import build_alg_mult_unitary, build_dual
 from qgcheck.errors import ModelError
-from qgcheck.hopf import (GALOIS_KINDS, GALOIS_TAGS, _build_galois,
+from qgcheck.hopf import (GALOIS_KINDS, _build_galois,
                           check_cancellation, galois, galois_map, pair_product,
                           solve_antipode, solve_counit,
                           validate_model, verify_counit_antipode)
 from qgcheck.linalg import LinMap, Vec, inverse, rank
 from qgcheck.modelio import model_from_dict
 from qgcheck.models import GroupTable, build_broken, builtin
+from qgcheck.modular import _invariance_system
 from qgcheck.report import FAIL, PASS, Checker, ensure
 from qgcheck.scalars import Cyc
 
@@ -44,20 +45,45 @@ def test_galois_oracle_functions_on_z2(model_cache):
         assert g[kind] == want, kind
 
 
+# The suffixes of the opposite and co-opposite variants: _op reverses the
+# product, _cop the coproduct legs, _opcop both.
+GALOIS_TAGS = ("", "_cop", "_op", "_opcop")
+
+# Each variant as (flip on the left, canonical kind, flip on the right):
+# e.g. rl_op(a (x) b) = coprod(b)(a (x) 1) = gl(b (x) a).
+FLIP_FORMS = {
+    "gl_cop": (True, "gr", False), "gr_cop": (True, "gl", False),
+    "rl_cop": (True, "rr", False), "rr_cop": (True, "rl", False),
+    "gl_op": (False, "rl", True), "gr_op": (False, "rr", True),
+    "rl_op": (False, "gl", True), "rr_op": (False, "gr", True),
+    "gl_opcop": (True, "rr", True), "gr_opcop": (True, "rl", True),
+    "rl_opcop": (True, "gr", True), "rr_opcop": (True, "gl", True),
+}
+
+
 def test_galois_variant_count_and_cancellation(sweedler, c_s3):
     keys = {kind + tag for kind in GALOIS_KINDS for tag in GALOIS_TAGS}
     assert len(keys) == 16
     for m in (sweedler, c_s3):
         id_aa = LinMap.identity(m.AA)
         for key in keys:
-            g = galois_map(m, key)
+            g = _galois_by_identity_tensors(m, key)
             assert inverse(g) @ g == id_aa, (m.name, key)
         ensure(check_cancellation(m))
 
 
+def test_galois_map_takes_only_the_canonical_keys(sweedler):
+    for key in ("rl_op", "gl_cop", "rr_opcop", "xx"):
+        with pytest.raises(KeyError):
+            galois_map(sweedler, key)
+    assert ("galois", "rl_op") not in sweedler._memo
+
+
 def _galois_by_identity_tensors(m, key):
-    """The twisted multiplication as a composition of maps tensored with
-    the identity, the embedded form the leg-wise build must reproduce."""
+    """The twisted multiplication, or its variant ``key`` (a canonical kind
+    and one of ``GALOIS_TAGS``), as a composition of maps tensored with the
+    identity: the embedded form the leg-wise build and the flip forms must
+    reproduce."""
     kind, tag = key[:2], key[2:]
     i, flip = m.idA, m.flipA
     mult = m.mult @ flip if tag.startswith("_op") else m.mult
@@ -74,11 +100,24 @@ def stored_order(t):
     return [(j, list(col.items())) for j, col in t.cols.items()]
 
 
+def _flip_form(m, key):
+    """The variant ``key`` read through the flip, as ``FLIP_FORMS`` says."""
+    left, kind, right = FLIP_FORMS[key]
+    g = galois_map(m, kind)
+    g = g @ m.flipA if right else g
+    return m.flipA @ g if left else g
+
+
 @pytest.mark.parametrize("name", ["sweedler", "taft3", "taft4", "c_s3", "d_z3"])
 def test_galois_maps_match_identity_tensor_compositions(model_cache, name):
+    """Each canonical map, as built, and each variant, as its flip form,
+    equals its identity-tensor form, entry for entry and in stored order,
+    so a FAIL witness read off either names the same entry."""
     m = model_cache(name)
     for key in (kind + tag for kind in GALOIS_KINDS for tag in GALOIS_TAGS):
-        got, want = _build_galois(m, key), _galois_by_identity_tensors(m, key)
+        got = _build_galois(m, key) if key in GALOIS_KINDS \
+            else _flip_form(m, key)
+        want = _galois_by_identity_tensors(m, key)
         assert got == want, key
         assert stored_order(got) == stored_order(want), key
 
@@ -149,12 +188,16 @@ def test_w_refusal_on_sweedler_mutants(field, step, refused):
                               "inverted by the op-twisted Galois map")
 
 
-@pytest.mark.parametrize("name", ["taft4", "c_s3"])
+@pytest.mark.parametrize("name", ["taft4", "c_s3", "d_z3"])
 def test_no_map_is_eliminated_twice(monkeypatch, name):
-    """Over a whole run, no map is eliminated twice, and each canonical
-    Galois map is eliminated with no right-hand side.  (A map equal to
-    one of them, such as rl_op of a commutative algebra, may be
-    eliminated too.)"""
+    """Over a whole run, no map is eliminated twice.  Compared by value,
+    each canonical Galois map is eliminated exactly once, with no
+    right-hand side, and no other map equal to one of them with the flip
+    on either side (an op/cop variant, such as rl_op = gl o flip) is
+    eliminated.  The left invariance system of the model, of its dual and
+    of its bidual, and the model's right one (``haar.right-unique``), are
+    eliminated once each; on a cocommutative model such as d_z3 the right
+    system equals the left one, so that value is eliminated twice."""
     eliminated = []
 
     class Spy(linalg._Eliminator):
@@ -164,11 +207,24 @@ def test_no_map_is_eliminated_twice(monkeypatch, name):
 
     monkeypatch.setattr(linalg, "_Eliminator", Spy)
     assert main(["verify", name, "--suite", "all"]) == 0
+    monkeypatch.undo()  # the models rebuilt below are not part of the run
     ids = [id(m) for m, _ in eliminated]
     assert len(ids) == len(set(ids))
-    for kind, g in galois(builtin(name)).items():
-        augs = [aug for m, aug in eliminated if m == g]
-        assert augs and all(aug is None for aug in augs), kind
+    model = builtin(name)
+    canonical, sides = galois(model), (LinMap.identity(model.AA), model.flipA)
+    variants = [f @ g @ h for g in canonical.values()
+                for f in sides for h in sides]
+    hits = [(m, aug) for m, aug in eliminated
+            if any(m == v for v in variants)]
+    for kind, g in canonical.items():
+        assert [aug for m, aug in hits if m == g] == [None], kind
+    assert len(hits) == len(canonical)
+    dd = build_dual(model)
+    systems = [_invariance_system(model, "right")] + [
+        _invariance_system(x, "left")
+        for x in (model, dd.dual, build_dual(dd.dual).dual)]
+    for s in systems:
+        assert sum(m == s for m, _ in eliminated) == systems.count(s)
 
 
 @pytest.mark.parametrize("name", ["trivial", "c_z3", "c_z4", "cg_z2", "cg_z3",

@@ -7,7 +7,11 @@ Run from anywhere:
 Each command runs in a fresh interpreter with that checkout's ``src`` on
 PYTHONPATH:
 
-  - ``verify M --suite all --seed 1729 --report R`` on every built-in model;
+  - ``verify M --suite all --seed 1729 --report R`` on every built-in model,
+    and ``verify M --suite analytic --report R`` on the 11 positive ones
+    (all but broken, sweedler, taft3 and taft4), which exit 0: in that
+    suite the GNS density records decide the bijectivity of the Galois
+    maps gl and gr, which ``--suite all`` decides first in ``cancel``;
   - ``subgroup --report R`` on models/restrict_a3.json, models/restrict_z2.json
     and the two morphisms that ``perfbench/inputs.py subgroup-embed`` writes
     (C(S4) -> C(A4) and C(D6) -> C(S3)), and on the single-entry mutants of
@@ -25,7 +29,7 @@ PYTHONPATH:
     of models/{sweedler,taft3,c_s3,d_z2,cg_s3,cg_z3}.json: for each of
     ``mult``, ``coprod``, ``antipode`` and ``invol``, the middle entry of
     that map has its first coefficient raised by 1, or lowered by 1
-    (48 files, 96 jobs; 124 jobs in all).
+    (48 files, 96 jobs; 135 jobs in all).
 
 The mutants take the FAIL paths.  Their witnesses show entry positions,
 kernel samples of singular maps (most lowered mutants make a Galois map
@@ -66,6 +70,8 @@ SEED = "1729"
 BUILTINS = ("broken", "c_s3", "c_z2", "c_z3", "c_z4", "cg_s3", "cg_z2",
             "cg_z3", "d_s3", "d_z2", "d_z3", "sweedler", "taft3", "taft4",
             "trivial")
+POSITIVE_BUILTINS = tuple(m for m in BUILTINS
+                          if m not in ("broken", "sweedler", "taft3", "taft4"))
 MUTANT_MODELS = ("sweedler", "taft3", "c_s3", "d_z2", "cg_s3", "cg_z3")
 MUTANT_FIELDS = ("mult", "coprod", "antipode", "invol")
 MUTANT_STEPS = (("up", 1), ("down", -1))
@@ -110,6 +116,10 @@ def jobs(models: str, generated: str, mutants: list[str],
         out.append((f"verify {m}",
                     ["verify", m, "--suite", "all", "--seed", SEED,
                      "--report", "OUT"], "report"))
+    for m in POSITIVE_BUILTINS:
+        out.append((f"verify analytic {m}",
+                    ["verify", m, "--suite", "analytic", "--report", "OUT"],
+                    "report"))
     subgroups = [
         ("restrict_a3", os.path.join(models, "c_s3.json"),
          os.path.join(models, "c_z3.json"),
