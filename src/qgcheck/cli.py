@@ -35,7 +35,7 @@ is written, and the exit code is 1.
 An output path (--report, -o) whose directory does not exist exits 2
 before any model is read.  A model file's "order" is capped at
 scalars.MAX_ORDER, which bounds the field tables but not the model size;
-build-taft --n is capped at models.MAX_TAFT_ORDER, which bounds the
+build-taft --n is capped at MAX_TAFT_ORDER, which bounds the
 n^2-dimensional build.
 """
 
@@ -46,51 +46,46 @@ import math
 import os
 import sys
 
-from .duality import (build_dual, check_biduality, check_convolution_compat,
-                      check_dual, check_dual_modular,
-                      check_pentagon_and_lemmas, check_radford)
 from .errors import (INPUT_ERRORS, CheckFailure, ModelError, ParseError,
                      SingularMap, TierRefusal, internal_error_text)
-from .hopf import QGModel, validate_model
-from .modelio import (emit_model, parse_model, parse_morphism, parse_table,
-                      write_report)
-from .models import (BUILTIN_MODELS, MAX_TAFT_ORDER, build_drinfeld_double,
-                     build_function_algebra, build_group_algebra, build_taft,
-                     builtin)
-from .modular import check_modular_structure, require_unit_scaling, solve_haar
-from .report import FAIL, Checker, CheckRecord, Report, ensure
-from .subgroups import (build_dual_morphism, certify_vaes,
-                        check_dual_morphism, check_expectation,
-                        validate_morphism)
-
 
 INTERNAL_ERROR = 3  # exit code of an exception no other code covers
 DEFAULT_SEED = 1729  # recorded in meta.seed; no check reads a seed
+# Largest Taft order build-taft accepts.  build_taft(n) builds an
+# n^2-dimensional model and its cost grows about as n^5: n = 16 took
+# 1.8 s and 64 MB, n = 24 took 16 s and 204 MB on a 2-vCPU VM.
+MAX_TAFT_ORDER = 24
 
 
-def _load_model(ref: str) -> QGModel:
+def _load_model(ref: str):
     if os.path.exists(ref):
+        from .modelio import parse_model
         return parse_model(ref)
+    from .models import BUILTIN_MODELS, builtin
     if ref in BUILTIN_MODELS:
         return builtin(ref)
     raise ParseError(f"{ref}: not a model file or built-in name; "
                      f"built-ins: {', '.join(sorted(BUILTIN_MODELS))}")
 
 
-def _has_failure(records) -> bool:
-    return any(r.status == FAIL for r in records)
-
-
-def _stage_failure(model: QGModel, stage: str, law: str, exc) -> CheckRecord:
+def _stage_failure(model, stage: str, law: str, exc):
+    from .report import FAIL, CheckRecord
     return CheckRecord(f"{model.name}.suite.{stage}", law, FAIL,
                        witness=str(exc))
 
 
-def _algebraic_records(model: QGModel) -> list[CheckRecord]:
-    """Exact-tier suite, stopping at the first stage that fails."""
+def _algebraic_records(model) -> list:
+    """Exact-tier suite, stopping at the first stage that fails; duality
+    and modular load only past the structure laws."""
+    from .hopf import validate_model
     records = list(validate_model(model))
-    if _has_failure(records):
+    if not all(r.ok for r in records):
         return records
+    from .duality import (build_dual, check_biduality,
+                          check_convolution_compat, check_dual,
+                          check_dual_modular, check_pentagon_and_lemmas,
+                          check_radford)
+    from .modular import check_modular_structure, solve_haar
     try:
         haar = solve_haar(model)
     except (ModelError, SingularMap) as e:
@@ -113,10 +108,12 @@ def _algebraic_records(model: QGModel) -> list[CheckRecord]:
     return records
 
 
-def _analytic_records(model: QGModel, explicit: bool):
+def _analytic_records(model, explicit: bool):
     """GNS-layer suite.  gns is imported here, past the exact mu test, so
-    a run that is refused there or runs no analytic suite never pays for
-    its import (about 7 ms; see the package's lazy loader)."""
+    a run that is refused there or runs no analytic suite never compiles
+    it."""
+    from .modular import require_unit_scaling
+    from .report import Checker
     try:
         require_unit_scaling(model)
         from .gns import analytic_suite, build_gns
@@ -131,7 +128,17 @@ def _analytic_records(model: QGModel, explicit: bool):
     return analytic_suite(g)
 
 
+def _finish(report, path) -> int:
+    """Print the report, write it to ``path`` if given, return 0 or 1."""
+    print(report.text_table())
+    if path:
+        from .modelio import write_report
+        write_report(report, path)
+    return 0 if report.ok else 1
+
+
 def cmd_verify(args) -> int:
+    from .report import Report
     model = _load_model(args.model)
     report = Report(title=f"verify {model.name}",
                     meta={"model": model.name, "dim": model.dim,
@@ -142,13 +149,15 @@ def cmd_verify(args) -> int:
     if args.suite in ("analytic", "all") and report.ok:
         report.add(_analytic_records(
             model, explicit=args.suite == "analytic"))
-    print(report.text_table())
-    if args.report:
-        write_report(report, args.report)
-    return 0 if report.ok else 1
+    return _finish(report, args.report)
 
 
 def cmd_dual(args) -> int:
+    from .duality import build_dual
+    from .hopf import validate_model
+    from .modelio import emit_model
+    from .modular import check_modular_structure
+    from .report import ensure
     model = _load_model(args.model)
     dd = build_dual(model)
     ensure(validate_model(dd.dual))
@@ -159,6 +168,9 @@ def cmd_dual(args) -> int:
 
 
 def cmd_build_group(args) -> int:
+    from .modelio import emit_model, parse_table
+    from .models import (build_drinfeld_double, build_function_algebra,
+                         build_group_algebra)
     table = parse_table(args.table)
     builders = {"function": build_function_algebra,
                 "group": build_group_algebra,
@@ -173,6 +185,8 @@ def cmd_build_taft(args) -> int:
     if not 2 <= args.n <= MAX_TAFT_ORDER:
         raise ParseError(f"--n: taft order must be >= 2 and <= "
                          f"{MAX_TAFT_ORDER}, got {args.n}")
+    from .modelio import emit_model
+    from .models import build_taft
     model = build_taft(args.n)
     emit_model(model, args.out)
     print(f"wrote {model.name} ({model.dim}-dim) to {args.out}")
@@ -180,6 +194,11 @@ def cmd_build_taft(args) -> int:
 
 
 def cmd_subgroup(args) -> int:
+    from .modelio import parse_morphism
+    from .report import Report
+    from .subgroups import (build_dual_morphism, certify_vaes,
+                            check_dual_morphism, check_expectation,
+                            validate_morphism)
     source = _load_model(args.g)
     target = _load_model(args.h)
     mor = parse_morphism(args.map, source, target)
@@ -187,15 +206,12 @@ def cmd_subgroup(args) -> int:
                     meta={"source": source.name, "target": target.name})
     records = validate_morphism(mor)
     report.add(records)
-    if not _has_failure(records):
+    if all(r.ok for r in records):
         dm = build_dual_morphism(mor)
         report.add(dual := check_dual_morphism(dm))
         report.add(check_expectation(dm))
         report.add(certify_vaes(dm, dual))
-    print(report.text_table())
-    if args.report:
-        write_report(report, args.report)
-    return 0 if report.ok else 1
+    return _finish(report, args.report)
 
 
 def _tolerance(text: str) -> float:

@@ -95,12 +95,14 @@ def _require_slices(diff: LinMap):
     return True
 
 
-def _require_span(expect: int, *families: LinMap):
+def _require_span(expect: int, *families: LinMap | QGModel):
     """The columns of each family, and of two families together, span a
-    space of rank ``expect``."""
-    ranks = [rank(f) for f in families]
+    space of rank ``expect``.  A model stands for its ``regular`` family,
+    whose rank is eliminated once per model."""
+    ranks = [rank(f) if isinstance(f, LinMap) else f._cached(
+        "regular-rank", lambda f=f: rank(regular(f))) for f in families]
     if len(families) == 2:
-        a, b = families
+        a, b = (f if isinstance(f, LinMap) else regular(f) for f in families)
         ranks.append(rank(LinMap._of((a.dom_dim + b.dom_dim,), a.cod, {
             **a.cols, **{a.dom_dim + k: col for k, col in b.cols.items()}})))
     if set(ranks) != {expect}:
@@ -174,7 +176,7 @@ def check_regular_reps(dd: Duality, mw: AlgMultUnitary) -> list[CheckRecord]:
     ck.exact("m.homomorphism", "m(f) m(g) = m(fg)", lambda: m.associator)
     ck.exact("m.star", "m(f)^H = m(f^*)", lambda: _star(m, gram))
     ck.exact("m.faithful", "rank span m(A) = dim A",
-             lambda: _require_span(d, regular(m)))
+             lambda: _require_span(d, m))
     ck.exact("lambda.homomorphism", "lambda(x) lambda(y) = lambda(x*y)",
              lambda: dm.associator)
     ck.exact("lambda.star", "lambda(x)^H = lambda(x^*^)",
@@ -195,9 +197,9 @@ def check_regular_reps(dd: Duality, mw: AlgMultUnitary) -> list[CheckRecord]:
              "(omega_{Lf,Lg} (x) iota)(W) = lambda(g sigma(conj f))",
              lambda: _require_slices(mw.slices[0] - regular(dm) @ x))
     ck.exact("slice.left-span", "left slices span m(A) exactly",
-             lambda: _require_span(d, mw.slices[1], regular(m)))
+             lambda: _require_span(d, mw.slices[1], m))
     ck.exact("slice.right-span", "right slices span lambda(D) exactly",
-             lambda: _require_span(d, mw.slices[0], regular(dm)))
+             lambda: _require_span(d, mw.slices[0], dm))
     return ck.records
 
 

@@ -21,6 +21,7 @@ import re
 from dataclasses import replace
 from fractions import Fraction
 from math import lcm
+from typing import TYPE_CHECKING
 
 from .errors import ModelError, ParseError
 from .hopf import QGModel, solve_antipode, solve_counit
@@ -28,7 +29,9 @@ from .linalg import LinMap, Vec, total_dim
 from .models import GroupTable
 from .report import Report
 from .scalars import MAX_ORDER, Cyc
-from .subgroups import QGMorphism
+
+if TYPE_CHECKING:
+    from .subgroups import QGMorphism
 
 
 # -- scalars, vectors, maps --------------------------------------------------
@@ -274,6 +277,7 @@ def parse_morphism(path: str, source: QGModel, target: QGModel) -> QGMorphism:
                          f"has order above {MAX_ORDER}")
     pi = _map_from_json(_field(d, "map", list, path), source.A, target.A,
                         order, f"{path}.map")
+    from .subgroups import QGMorphism
     return QGMorphism(source, target, pi)
 
 

@@ -16,11 +16,6 @@ from .hopf import QGModel, pair_product
 from .linalg import LinMap, Vec
 from .scalars import Cyc
 
-# Largest Taft order build-taft accepts.  build_taft(n) builds an
-# n^2-dimensional model and its cost grows about as n^5: n = 16 took
-# 1.8 s and 64 MB, n = 24 took 16 s and 204 MB on a 2-vCPU VM.
-MAX_TAFT_ORDER = 24
-
 
 class GroupTable:
     """Finite group given by its multiplication table.

@@ -55,9 +55,14 @@ def _invariance_system(model: QGModel, side: str) -> LinMap:
 
 
 def invariant_functionals(model: QGModel, side: str) -> list[Vec]:
-    """Kernel of ``_invariance_system``, eliminated once per model and side."""
-    return model._cached(("invariants", side), lambda: kernel(
-        _invariance_system(model, side)))
+    """Kernel of ``_invariance_system``, eliminated once per model and side;
+    a right system equal to the left one (cocommutative) reads its kernel."""
+    def solve():
+        system = _invariance_system(model, side)
+        if side == "right" and system == _invariance_system(model, "left"):
+            return invariant_functionals(model, "left")
+        return kernel(system)
+    return model._cached(("invariants", side), solve)
 
 
 def _sign(p: Cyc, what: str) -> int:

@@ -8,12 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from qgcheck import cli, duality, hopf, modular
+from qgcheck import cli, duality, hopf, models, modular
 from qgcheck import gns as G
-from qgcheck.cli import dispatch, main
+from qgcheck.cli import MAX_TAFT_ORDER, dispatch, main
 from qgcheck.linalg import LinMap
 from qgcheck.modelio import emit_table, model_to_dict, parse_model
-from qgcheck.models import MAX_TAFT_ORDER, GroupTable, builtin
+from qgcheck.models import GroupTable, builtin
 from qgcheck.scalars import MAX_ORDER
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
@@ -173,7 +173,7 @@ def test_model_order_above_cap_exits_two(order, tmp_path, capsys):
 @pytest.mark.parametrize("n", [MAX_TAFT_ORDER + 1, MAX_ORDER + 1])
 def test_build_taft_above_order_cap_exits_two(n, tmp_path, monkeypatch,
                                               capsys):
-    built = _record_calls(monkeypatch, cli, "build_taft")
+    built = _record_calls(monkeypatch, models, "build_taft")
     out = tmp_path / "t.json"
     assert main(["build-taft", "--n", str(n), "-o", str(out)]) == 2
     assert "--n" in capsys.readouterr().err
@@ -561,20 +561,43 @@ def test_subgroup_runs_with_numpy_blocked(tmp_path):
 
 
 def test_float_tier_names_resolve_from_the_package():
-    # the gns names load on first access, and nothing loads numpy
+    # every package name, and every module, loads on first access:
+    # ``import qgcheck`` loads no submodule, ``import qgcheck.cli`` only
+    # errors, and a verb loads only the modules it runs (``verify broken``,
+    # a FAIL at the structure laws, neither duality nor modular, and
+    # ``verify taft3``, refused by the analytic tier, neither gns nor
+    # subgroups); every name of ``__all__`` resolves and is listed by
+    # dir(), and nothing loads numpy
     out = _fresh_python(
-        "import json, sys\n"
+        "import contextlib, io, json, sys\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('qgcheck.'))\n"
         "import qgcheck\n"
-        "before = 'qgcheck.gns' in sys.modules\n"
+        "seen = {'package': loaded()}\n"
+        "import qgcheck.cli\n"
+        "seen['cli'] = loaded()\n"
+        "rc = {}\n"
+        "for m in ('broken', 'taft3'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        rc[m] = qgcheck.cli.main(['verify', m, '--suite', 'all'])\n"
+        "    seen[m] = loaded()\n"
         "names = [qgcheck.build_gns.__name__,\n"
-        "         qgcheck.GnsRealization.__name__]\n"
+        "         qgcheck.GnsRealization.__name__, qgcheck.gns.__name__]\n"
         "star = {}\n"
         "exec('from qgcheck import *', star)\n"
-        "missing = [n for n in qgcheck.__all__ if n not in star]\n"
-        "print(json.dumps({'before': before, 'names': names, "
+        "missing = [n for n in qgcheck.__all__ if n not in star\n"
+        "           or n not in dir(qgcheck) or not hasattr(qgcheck, n)]\n"
+        "print(json.dumps({'seen': seen, 'rc': rc, 'names': names, "
         "'missing': missing, 'numpy': 'numpy' in sys.modules}))")
-    assert out == {"before": False, "names": ["build_gns", "GnsRealization"],
+    seen = out.pop("seen")
+    assert out == {"rc": {"broken": 1, "taft3": 0},
+                   "names": ["build_gns", "GnsRealization", "qgcheck.gns"],
                    "missing": [], "numpy": False}
+    assert seen["package"] == []
+    assert seen["cli"] == ["qgcheck.cli", "qgcheck.errors"]
+    assert not {"qgcheck.duality", "qgcheck.modular"} & set(seen["broken"])
+    assert not {"qgcheck.gns", "qgcheck.subgroups"} & set(seen["taft3"])
+    assert "qgcheck.duality" in seen["taft3"]
 
 
 # -- internal errors ---------------------------------------------------------

@@ -549,14 +549,14 @@ def test_convolution_compat_pass_path_builds_no_d3_column_map(monkeypatch):
         calls.append(dd)
         active.append(True)
         try:
-            return duality.check_convolution_compat(dd)
+            return check_convolution_compat(dd)
         finally:
             active.pop()
 
     monkeypatch.setattr(LinMap, "_of", classmethod(of))
     monkeypatch.setattr(LinMap, "__init__", init)
     monkeypatch.setattr(LinMap, "__matmul__", matmul)
-    monkeypatch.setattr(cli, "check_convolution_compat", spy)
+    monkeypatch.setattr(duality, "check_convolution_compat", spy)
     assert cli.main(["verify", "taft4", "--suite", "all"]) == 0
     (dd,) = calls
     d = dd.source.dim

@@ -585,10 +585,11 @@ def test_only_linalg_builds_maps_with_no_domain_legs():
 # -- the unused-import guard --------------------------------------------------
 
 
-def _module_imports(tree: ast.Module):
-    """(bound name, line) of every import outside functions and classes,
+def _imports(body) -> list:
+    """(bound name, line) of every import in ``body``, in its compound
+    statements included but not in nested functions or classes,
     ``from __future__`` aside."""
-    found, todo = [], list(tree.body)
+    found, todo = [], list(body)
     while todo:
         node = todo.pop(0)
         if isinstance(node, ast.Import):
@@ -596,30 +597,37 @@ def _module_imports(tree: ast.Module):
                       for a in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             found += [(a.asname or a.name, node.lineno) for a in node.names]
-        elif isinstance(node, (ast.If, ast.Try)):
+        elif isinstance(node, (ast.If, ast.Try, ast.ExceptHandler, ast.With,
+                               ast.For, ast.While)):
             todo += ast.iter_child_nodes(node)
     return found
 
 
 def _exported(tree: ast.Module) -> set[str]:
-    """The string entries of a module-level ``__all__`` list."""
+    """The string constants of a module-level ``__all__`` assignment,
+    a literal list or an expression derived from other names."""
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__"
                 for t in node.targets):
-            return {e.value for e in node.value.elts
-                    if isinstance(e, ast.Constant)}
+            return {e.value for e in ast.walk(node.value)
+                    if isinstance(e, ast.Constant) and isinstance(e.value, str)}
     return set()
 
 
 def test_every_module_import_is_used():
     """A module-level import is read as a name in its module (annotations
-    count) or re-exported through ``__all__``."""
+    count) or re-exported through ``__all__``; an import inside a function
+    is read as a name in that function."""
     unused = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
-        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-        used |= _exported(tree)
-        unused += [f"{path.name}:{line} {name}"
-                   for name, line in _module_imports(tree) if name not in used]
+        scopes = [(tree, _exported(tree))] + [
+            (f, set()) for f in ast.walk(tree)
+            if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for scope, exported in scopes:
+            used = {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)}
+            unused += [f"{path.name}:{line} {name}"
+                       for name, line in _imports(scope.body)
+                       if name not in used | exported]
     assert not unused, "unused imports: " + ", ".join(unused)

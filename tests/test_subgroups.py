@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qgcheck import cli
+from qgcheck import cli, subgroups
 from qgcheck.errors import ModelError
 from qgcheck.hopf import QGModel, validate_model
 from qgcheck.linalg import LinMap, inverse
@@ -493,7 +493,7 @@ def test_subgroup_pass_forms_the_dual_product_law_once(monkeypatch):
     pi_hat o conv_H, the left side of pi_hat's product law, once:
     ``vaes.dual-homomorphism`` restates ``dual.multiplicative``."""
     built, pairs = [], []
-    build, matmul = cli.build_dual_morphism, LinMap.__matmul__
+    build, matmul = subgroups.build_dual_morphism, LinMap.__matmul__
 
     def spy_build(mor):
         built.append(out := build(mor))
@@ -504,7 +504,7 @@ def test_subgroup_pass_forms_the_dual_product_law_once(monkeypatch):
             pairs.append(b)
         return matmul(a, b)
 
-    monkeypatch.setattr(cli, "build_dual_morphism", spy_build)
+    monkeypatch.setattr(subgroups, "build_dual_morphism", spy_build)
     monkeypatch.setattr(LinMap, "__matmul__", spy_matmul)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["subgroup", "--g", str(MODELS_DIR / "c_s3.json"),
