@@ -35,8 +35,8 @@ from typing import Callable
 from .duality import (AlgMultUnitary, Duality, build_alg_mult_unitary,
                       build_dual, regular, tensor_image)
 from .errors import CheckFailure, SingularMap, TierRefusal
-from .hopf import QGModel, galois_bijective, galois_map
-from .linalg import LinMap, apply_on_legs, rank
+from .hopf import QGModel, galois_map
+from .linalg import LinMap, apply_on_legs, rank, require_bijective
 from .modular import (HaarData, _sign, positive_definite,
                       require_unit_scaling)
 from .report import PASS, Checker, CheckRecord, _diff_witness, require_zero
@@ -95,14 +95,12 @@ def _require_slices(diff: LinMap):
     return True
 
 
-def _require_span(expect: int, *families: LinMap | QGModel):
+def _require_span(expect: int, *families: LinMap):
     """The columns of each family, and of two families together, span a
-    space of rank ``expect``.  A model stands for its ``regular`` family,
-    whose rank is eliminated once per model."""
-    ranks = [rank(f) if isinstance(f, LinMap) else f._cached(
-        "regular-rank", lambda f=f: rank(regular(f))) for f in families]
+    space of rank ``expect``; ``rank`` eliminates each family once."""
+    ranks = [rank(f) for f in families]
     if len(families) == 2:
-        a, b = (f if isinstance(f, LinMap) else regular(f) for f in families)
+        a, b = families
         ranks.append(rank(LinMap._of((a.dom_dim + b.dom_dim,), a.cod, {
             **a.cols, **{a.dom_dim + k: col for k, col in b.cols.items()}})))
     if set(ranks) != {expect}:
@@ -176,7 +174,7 @@ def check_regular_reps(dd: Duality, mw: AlgMultUnitary) -> list[CheckRecord]:
     ck.exact("m.homomorphism", "m(f) m(g) = m(fg)", lambda: m.associator)
     ck.exact("m.star", "m(f)^H = m(f^*)", lambda: _star(m, gram))
     ck.exact("m.faithful", "rank span m(A) = dim A",
-             lambda: _require_span(d, m))
+             lambda: _require_span(d, regular(m)))
     ck.exact("lambda.homomorphism", "lambda(x) lambda(y) = lambda(x*y)",
              lambda: dm.associator)
     ck.exact("lambda.star", "lambda(x)^H = lambda(x^*^)",
@@ -197,9 +195,9 @@ def check_regular_reps(dd: Duality, mw: AlgMultUnitary) -> list[CheckRecord]:
              "(omega_{Lf,Lg} (x) iota)(W) = lambda(g sigma(conj f))",
              lambda: _require_slices(mw.slices[0] - regular(dm) @ x))
     ck.exact("slice.left-span", "left slices span m(A) exactly",
-             lambda: _require_span(d, mw.slices[1], m))
+             lambda: _require_span(d, mw.slices[1], regular(m)))
     ck.exact("slice.right-span", "right slices span lambda(D) exactly",
-             lambda: _require_span(d, mw.slices[0], dm))
+             lambda: _require_span(d, mw.slices[0], regular(dm)))
     return ck.records
 
 
@@ -253,7 +251,7 @@ def check_coproduct_implementation(dd: Duality,
             raise CheckFailure(f"coproduct not implemented: "
                                f"{implemented.witness}")
         try:
-            return galois_bijective(m, kind)
+            return require_bijective(galois_map(m, kind))
         except SingularMap as e:
             n = m.dim ** 2
             raise CheckFailure(f"ranks {n - len(e.kernel)}, expected {n}",

@@ -6,9 +6,9 @@ linear maps over a cyclotomic field.  The involution is antilinear, so we
 store its linear part C and apply it as  a* = C(conj(a)).
 
 Structural laws are verified by `validate_model`.  The four canonical
-twisted-multiplication (Galois) maps are built, and decided bijective,
-once per model and on first use by `galois_map` and `galois_bijective`;
-a reversed product or coproduct reads them through the leg flip.
+twisted-multiplication (Galois) maps are built once per model and on
+first use by `galois_map`; a reversed product or coproduct reads them
+through the leg flip.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ModelError, SingularMap
+from .errors import ModelError
 from .linalg import (LinMap, Vec, apply_on_legs, inverse, require_bijective,
                      solve_linear)
 from .report import PASS, Checker, CheckRecord
@@ -41,10 +41,9 @@ class QGModel:
       invol     linear part C of the involution, a* = C(conj a)
       positive  whether the invariant functional is expected to be a state
 
-    A model is immutable, so what is derived from it alone is built once
-    and memoized on it by _cached: the inverse antipode, the associator,
-    each Galois map and its bijectivity, the Haar data, the dual and the
-    algebraic multiplicative unitary.
+    A model is immutable: ``_cached`` builds its associator, Galois maps,
+    Haar data, dual and algebraic multiplicative unitary once, and
+    ``linalg`` memoizes each elimination (its inverse antipode's too).
     """
 
     name: str
@@ -106,7 +105,7 @@ class QGModel:
 
     @property
     def antipode_inv(self) -> LinMap:
-        return self._cached("antipode_inv", lambda: inverse(self.antipode))
+        return inverse(self.antipode)
 
     @property
     def associator(self) -> LinMap:
@@ -211,29 +210,13 @@ def galois(model: QGModel) -> dict[str, LinMap]:
     return {kind: galois_map(model, kind) for kind in GALOIS_KINDS}
 
 
-def galois_bijective(model: QGModel, kind: str) -> bool:
-    """True, or raise the SingularMap (kernel included) that
-    ``require_bijective`` raised on that Galois map once per model."""
-    def decide():
-        try:
-            return require_bijective(galois_map(model, kind))
-        except SingularMap as e:
-            return e
-    decision = model._cached(("galois-bijective", kind), decide)
-    if decision is not True:
-        raise decision
-    return True
-
-
 def check_cancellation(model: QGModel) -> list[CheckRecord]:
-    """Verify that the four canonical maps gl, gr, rl, rr are bijective.
-
-    Each record reads ``galois_bijective`` (a singular map is reported
-    with a kernel witness), and each ``<kind>.det`` restates that record.
-    """
+    """Verify that the four canonical maps gl, gr, rl, rr are bijective, a
+    singular one with a kernel witness (``require_bijective``); each
+    ``<kind>.det`` restates the record of its map."""
     ck = Checker(f"{model.name}.cancel")
     decided = [(kind, ck.exact(kind, f"{kind} is bijective on A(x)A",
-                               lambda k=kind: galois_bijective(model, k)))
+                               lambda k=kind: require_bijective(galois_map(model, k))))
                for kind in GALOIS_KINDS]
     for kind, rec in decided:
         ck.exact(f"{kind}.det", f"det({kind}) != 0",

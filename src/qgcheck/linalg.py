@@ -22,17 +22,18 @@ a new codomain and domain; ``transpose``, ``leg_permutation`` and every
 reindexed family (a product read as its regular representation, a
 functional on A (x) A read as a matrix) are one call of it.
 
-``rank``, ``kernel``, ``solve_linear``, ``require_bijective`` and
-``inverse`` each read their results off one exact reduced-row-echelon pass
-(``_Eliminator``); the right-hand sides of a solve or an inversion are
-augmented columns held in the same sparse rows as the map, so one row
-update serves both.
-``minimal_polynomial`` reads the first linear dependency among the powers
-of a map off ``kernel``.
+``rank``, ``kernel``, ``require_bijective`` and ``inverse`` read a small
+result off one exact reduced-row-echelon pass (``_Eliminator``) and keep
+it, never the rows, in one memo by value, so a matrix is eliminated once;
+only ``solve_linear`` bypasses it.  Right-hand sides are augmented columns
+in the same sparse rows as the map, so one row update serves both.
+``minimal_polynomial`` reads the first dependency among powers off ``kernel``.
 """
 
 from __future__ import annotations
 
+from collections import deque
+from functools import wraps
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
@@ -526,6 +527,32 @@ def apply_on_legs(f: LinMap, legs: Sequence[int], x: LinMap) -> LinMap:
 # -- exact elimination ----------------------------------------------------
 
 
+_MEMO: deque = deque(maxlen=32)  # (reader, map, result), least recently read first;
+# verify d_s3 reads 20 maps and subgroup S4->A4 19; the bound keeps a long process small
+
+
+def _by_value(reader):
+    """Memoize ``reader(m)``, a raised SingularMap too, by m's value and the
+    order of each irrational entry (``[N=4]``); a rational's shows nowhere.
+    Readers of equal maps share one result, so no caller may change it."""
+    def read(m: LinMap):
+        for k, (r, x, out) in enumerate(_MEMO):
+            if r is reader and x == m and all(x.cols[j][i].order == v.order for i, j, v
+                                              in m.entries() if not v.is_rational()):
+                del _MEMO[k]
+                break
+        else:
+            try:
+                out = reader(m)
+            except SingularMap as e:
+                out = e.with_traceback(None)  # the traceback would pin the rows
+        _MEMO.append((reader, m, out))
+        if isinstance(out, SingularMap):
+            raise SingularMap(*out.args, kernel=out.kernel)
+        return out
+    return wraps(reader)(read)
+
+
 class _Eliminator:
     """Reduced row echelon form of m over the exact scalar field, one pass.
 
@@ -600,10 +627,12 @@ class _Eliminator:
         return basis
 
 
+@_by_value
 def rank(m: LinMap) -> int:
     return len(_Eliminator(m).pivots)
 
 
+@_by_value
 def kernel(m: LinMap) -> list[Vec]:
     """Exact basis of the null space."""
     return _Eliminator(m).kernel()
@@ -628,8 +657,7 @@ def solve_linear(m: LinMap, b: Vec) -> tuple[Vec | None, list[Vec]]:
 
 
 def _square_elimination(m: LinMap, aug: LinMap | None = None) -> _Eliminator:
-    """The elimination of a square map, raising SingularMap (with the
-    kernel basis) when it is singular."""
+    """Eliminate a square map; raise SingularMap, with the kernel, if singular."""
     n = m.dom_dim
     if m.cod_dim != n:
         raise LegMismatch("inverse of a non-square map")
@@ -640,6 +668,7 @@ def _square_elimination(m: LinMap, aug: LinMap | None = None) -> _Eliminator:
     return elim
 
 
+@_by_value
 def require_bijective(m: LinMap) -> bool:
     """True, or the SingularMap that ``inverse`` raises, kernel included:
     one elimination of m alone, whose pivots are those of ``inverse``."""
@@ -647,15 +676,16 @@ def require_bijective(m: LinMap) -> bool:
     return True
 
 
+@_by_value
 def inverse(m: LinMap) -> LinMap:
     """Exact inverse; raises SingularMap (with kernel basis) if singular."""
     n = m.dom_dim
     elim = _square_elimination(m, LinMap.identity(m.cod))
-    cols: dict[int, dict[int, Cyc]] = {}
-    for r, c in elim.pivots:
+    cols: dict[int, dict[int, Cyc]] = {j: {} for j in range(n)}
+    for r, c in elim.pivots:  # in column order, so the result's is canonical
         for j, v in elim.rows[r].items():
             if j >= n:
-                cols.setdefault(j - n, {})[c] = v
+                cols[j - n][c] = v
     return LinMap(m.cod, m.dom, cols)
 
 

@@ -54,17 +54,6 @@ def _invariance_system(model: QGModel, side: str) -> LinMap:
     return model.coprod.regroup(keep, 2) - model.idA.tensor(model.unit)
 
 
-def invariant_functionals(model: QGModel, side: str) -> list[Vec]:
-    """Kernel of ``_invariance_system``, eliminated once per model and side;
-    a right system equal to the left one (cocommutative) reads its kernel."""
-    def solve():
-        system = _invariance_system(model, side)
-        if side == "right" and system == _invariance_system(model, "left"):
-            return invariant_functionals(model, "left")
-        return kernel(system)
-    return model._cached(("invariants", side), solve)
-
-
 def _sign(p: Cyc, what: str) -> int:
     """Sign of a real cyclotomic number, named ``what`` in errors.
 
@@ -134,7 +123,7 @@ def solve_haar(model: QGModel) -> HaarData:
 
 def _solve_haar(model: QGModel) -> HaarData:
     d = model.dim
-    ker = invariant_functionals(model, "left")
+    ker = kernel(_invariance_system(model, "left"))
     if len(ker) != 1:
         raise ModelError(
             f"{model.name}: left-invariant functional space has dimension "
@@ -242,10 +231,9 @@ def check_modular_structure(haar: HaarData) -> list[CheckRecord]:
              lambda: apply_on_legs(phi, (1,), d_) - m.unit @ phi)
     ck.exact("right-invariance", "(psi(x)id)coprod(a) = psi(a)1",
              lambda: apply_on_legs(psi, (0,), d_) - m.unit @ psi)
-    ck.exact("left-unique", "left-invariant functionals form a line",
-             lambda: len(invariant_functionals(m, "left")) == 1)
-    ck.exact("right-unique", "right-invariant functionals form a line",
-             lambda: len(invariant_functionals(m, "right")) == 1)
+    for side in ("left", "right"):
+        ck.exact(f"{side}-unique", f"{side}-invariant functionals form a line",
+                 lambda side=side: len(kernel(_invariance_system(m, side))) == 1)
     ck.exact("faithful", "phi(. a) = 0 forces a = 0",
              lambda: haar.pmat_inv @ haar.pmat - i)
 

@@ -138,7 +138,7 @@ def validate_morphism(mor: QGMorphism) -> list[CheckRecord]:
     _structure_records(ck, mor.source, mor.target, mor.pi)
 
     def onto():
-        r = rank(mor.pi)
+        r = mor.pi.dom_dim - len(kernel(mor.pi))
         if r != mor.target.dim:
             raise CheckFailure(
                 f"rank {r} < target dimension {mor.target.dim}")

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qgcheck import cli, duality, hopf, models, modular
+from qgcheck import cli, duality, hopf, linalg, models, modular
 from qgcheck import gns as G
 from qgcheck.cli import MAX_TAFT_ORDER, dispatch, main
 from qgcheck.linalg import LinMap
@@ -73,6 +73,34 @@ def test_report_is_deterministic_for_fixed_seed(tmp_path):
             rec.pop("wall_ms")
         reports.append(json.dumps(data, sort_keys=True))
     assert reports[0] == reports[1]
+
+
+def _without_wall(obj):
+    if isinstance(obj, dict):
+        return {k: _without_wall(v) for k, v in obj.items() if k != "wall_ms"}
+    if isinstance(obj, list):
+        return [_without_wall(v) for v in obj]
+    return obj
+
+
+def test_order_of_models_changes_no_report(tmp_path):
+    """In one interpreter the elimination memo outlives a run, so a later
+    model may read what an earlier one decided; every report, with its
+    wall times removed, is the same in either order of the models, and so
+    are the witnesses of ``broken`` (Sweedler with one antipode entry
+    negated), which fails."""
+    exits = {"taft4": 0, "c_s3": 0, "d_z3": 0, "broken": 1}
+    reports = {}
+    for order in (list(exits), list(exits)[::-1]):
+        for name in order:
+            out = tmp_path / f"{name}.json"
+            assert main(["verify", name, "--suite", "all",
+                         "--report", str(out)]) == exits[name]
+            reports.setdefault(name, []).append(
+                _without_wall(json.loads(out.read_text())))
+    for name, (first, second) in reports.items():
+        assert first == second, name
+    assert any(r["witness"] for r in reports["broken"][0]["checks"])
 
 
 def test_tol_changes_no_result(tmp_path):
@@ -293,17 +321,24 @@ def test_analytic_records_are_the_same_in_either_suite(tmp_path, monkeypatch,
     all`` (id, status, residual, witness).  In the first run the density
     records decide the bijectivity of gl and gr, in the second
     ``cancel`` decides all four maps first and the density records read
-    it: each decision is made once per run."""
-    decided, decide = [], hopf.require_bijective
-    monkeypatch.setattr(hopf, "require_bijective",
-                        lambda m: decided.append(m) or decide(m))
+    it: each Galois map is eliminated once per run."""
+    maps = list(hopf.galois(builtin(name)).values())
+    eliminated = []
+
+    class Spy(linalg._Eliminator):
+        def __init__(self, m, aug=None):
+            eliminated.append(aug is None and m in maps)
+            super().__init__(m, aug)
+
+    monkeypatch.setattr(linalg, "_Eliminator", Spy)
     records, counts = {}, {}
     for suite in ("analytic", "all"):
         out = tmp_path / f"{suite}.json"
-        decided.clear()
+        eliminated.clear()
+        linalg._MEMO.clear()  # the second run reads nothing of the first
         assert main(["verify", name, "--suite", suite, "--report",
                      str(out)]) == 0
-        counts[suite] = len(decided)
+        counts[suite] = sum(eliminated)
         records[suite] = [
             {k: r[k] for k in ("check_id", "status", "residual", "witness")}
             for r in json.loads(out.read_text())["checks"]]

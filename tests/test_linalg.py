@@ -25,6 +25,7 @@ from qgcheck.linalg import (
     solve_linear,
     to_multi,
 )
+from qgcheck.modelio import _scalar_to_json
 from qgcheck.report import Checker, _diff_witness
 from qgcheck.scalars import Cyc, _context
 from test_scalars import _phi, _poly
@@ -468,6 +469,7 @@ def test_each_call_runs_one_elimination(monkeypatch):
             built.append(aug)
             super().__init__(m, aug)
 
+    linalg._MEMO.clear()  # no result of an earlier test is read
     monkeypatch.setattr(linalg, "_Eliminator", Spy)
     singular = LinMap.from_dense((3,), (3,), [[1, 2, 0], [2, 4, 0], [0, 0, 1]])
     b = Vec.from_list((3,), [1, 2, 5])
@@ -485,6 +487,100 @@ def test_each_call_runs_one_elimination(monkeypatch):
     assert again.value.kernel == ker
     assert require_bijective(LinMap.flip(2, 2)) is True
     assert len(built) == 4 and built[2:] == [None, None]
+    # a copy equal by value reads both decisions: no new elimination, and
+    # an equal SingularMap
+    copy = LinMap.from_entries((3,), (3,), singular.entries())
+    assert copy == singular and copy is not singular
+    for decide, first in ((inverse, exc.value), (require_bijective, again.value)):
+        with pytest.raises(SingularMap) as hit:
+            decide(copy)
+        assert hit.value is not first
+        assert (str(hit.value), hit.value.kernel) == (str(first), first.kernel)
+    assert len(built) == 4
+
+
+def _count_eliminations(monkeypatch) -> list:
+    """Clear the elimination memo and record each map eliminated after."""
+    built = []
+
+    class Spy(linalg._Eliminator):
+        def __init__(self, m, aug=None):
+            built.append(m)
+            super().__init__(m, aug)
+
+    linalg._MEMO.clear()
+    monkeypatch.setattr(linalg, "_Eliminator", Spy)
+    return built
+
+
+def test_memo_evicts_the_least_recently_read_map(monkeypatch):
+    """The memo holds the ``maxlen`` latest distinct maps: one more
+    evicts the one read least recently, which is eliminated again when read
+    next, while a map read since stays."""
+    built = _count_eliminations(monkeypatch)
+    size = linalg._MEMO.maxlen
+    maps = [LinMap.identity((1,)).scale(k + 1) for k in range(size + 1)]
+    for m in maps[:size]:
+        assert rank(m) == 1
+    assert rank(LinMap.identity((1,)).scale(1)) == 1  # maps[0], read again
+    assert len(built) == size
+    rank(maps[size])  # evicts maps[1], the least recently read
+    assert len(linalg._MEMO) == size and len(built) == size + 1
+    rank(maps[0])
+    rank(maps[size])
+    assert len(built) == size + 1
+    rank(maps[1])
+    assert built[-1] is maps[1] and len(built) == size + 2
+
+
+def test_inverse_is_stored_in_column_order(monkeypatch):
+    """A map and a copy equal by value but stored in another order have
+    inverses stored in one order, sorted by column and by row, so a memo
+    hit hands a later map the entry order, and through the ties of
+    ``_diff_witness`` the witness, that it would compute itself."""
+    built = _count_eliminations(monkeypatch)
+    m = LinMap.from_dense((3,), (3,), [[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    shuffled = LinMap((3,), (3,), {j: dict(reversed(m.cols[j].items()))
+                                   for j in reversed(m.cols)})
+    assert shuffled == m and list(shuffled.cols) != list(m.cols)
+    first = inverse(shuffled)
+    assert inverse(m) is first and len(built) == 1
+    assert list(first.entries()) == sorted(first.entries(),
+                                           key=lambda e: (e[1], e[0]))
+    linalg._MEMO.clear()
+    own = inverse(m)
+    assert len(built) == 2 and list(own.entries()) == list(first.entries())
+    assert _diff_witness(own) == _diff_witness(first)
+
+
+def test_memo_hands_no_result_at_another_irrational_order(monkeypatch):
+    """Equal values at two orders: the irrational i, held at order 4 and at
+    order 8, is eliminated at each, so each inverse is at its own order;
+    rationals at orders 4 and 1 are eliminated once, and the kernel read
+    at order 1, held at order 4, shows and writes as the one computed
+    there."""
+    built = _count_eliminations(monkeypatch)
+    i4 = Cyc.zeta(4)
+    i8 = Cyc.promote(i4, 8)
+    a4, a8 = (LinMap.from_dense((2,), (2,), [[1, i], [0, 1]]) for i in (i4, i8))
+    assert a4 == a8
+    inv4, inv8 = inverse(a4), inverse(a8)
+    assert len(built) == 2
+    assert repr(inv4.entry(0, 1)) == "(-1)*z [N=4]"
+    assert repr(inv8.entry(0, 1)) == "(-1)*z^2 [N=8]"
+
+    def rational(order):
+        return LinMap.from_dense((2,), (1,), [[Cyc.rational(2, order),
+                                               Cyc.rational(4, order)]])
+    read = kernel(rational(4)), kernel(rational(1))
+    assert len(built) == 3 and read[1] is read[0]
+    linalg._MEMO.clear()
+    fresh = kernel(rational(1))
+    assert len(built) == 4 and fresh == read[1]
+    assert (read[1][0].get(0).order, fresh[0].get(0).order) == (4, 1)
+    for v, w in zip(fresh[0].data.values(), read[1][0].data.values()):
+        assert (repr(w), w.to_complex(), _scalar_to_json(w, 1)) \
+            == (repr(v), v.to_complex(), _scalar_to_json(v, 1))
 
 
 # -- minimal polynomial against SymPy ----------------------------------------
