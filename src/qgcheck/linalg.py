@@ -25,8 +25,8 @@ functional on A (x) A read as a matrix) are one call of it.
 ``rank``, ``kernel``, ``require_bijective`` and ``inverse`` read a small
 result off one exact reduced-row-echelon pass (``_Eliminator``) and keep
 it, never the rows, in one memo by value, so a matrix is eliminated once;
-only ``solve_linear`` bypasses it.  Right-hand sides are augmented columns
-in the same sparse rows as the map, so one row update serves both.
+only ``solve_linear`` bypasses it, solving every column of a map, augmented in
+the same sparse rows, in one pass; ``inverse`` is its square case on the identity.
 ``minimal_polynomial`` reads the first dependency among powers off ``kernel``.
 """
 
@@ -611,20 +611,31 @@ class _Eliminator:
                     self.incidence.setdefault(j, set()).add(target)
                 row[j] = t
 
+    def _pivot_entries(self, keys: Iterable[int]) -> dict[int, dict[int, Cyc]]:
+        """For each column k in keys, {pivot column c: entry k of its row}."""
+        out: dict[int, dict[int, Cyc]] = {k: {} for k in keys}
+        for r, c in self.pivots:
+            for k, v in self.rows[r].items():
+                if k in out:
+                    out[k][c] = v
+        return out
+
+    def solution(self, aug: LinMap) -> LinMap | None:
+        """The solution ``solve_linear`` returns; like aug's, its columns are nonzero."""
+        n = self.ncols
+        # after the full reduction a non-pivot row holds augmented entries only
+        bad = {k for i, r in self.rows.items() if i not in self.used_rows for k in r}
+        if bad and not aug.dom:
+            return None
+        cols = self._pivot_entries(n + j for j in aug.cols if n + j not in bad)
+        return LinMap._of(aug.dom, self.dom, {k - n: col for k, col in cols.items()})
+
     def kernel(self) -> list[Vec]:
         """Exact null-space basis, one vector per free column."""
-        pivot_cols = {c: r for r, c in self.pivots}
-        basis = []
-        for j in range(self.ncols):
-            if j in pivot_cols:
-                continue
-            data = {j: Cyc.one()}
-            for c, r in pivot_cols.items():
-                v = self.rows[r].get(j)
-                if v is not None:
-                    data[c] = -v
-            basis.append(Vec(self.dom, data))
-        return basis
+        pivots = {c for _, c in self.pivots}
+        free = self._pivot_entries(j for j in range(self.ncols) if j not in pivots)
+        return [Vec(self.dom, {j: Cyc.one()} | {c: -v for c, v in col.items()})
+                for j, col in free.items()]
 
 
 @_by_value
@@ -638,22 +649,16 @@ def kernel(m: LinMap) -> list[Vec]:
     return _Eliminator(m).kernel()
 
 
-def solve_linear(m: LinMap, b: Vec) -> tuple[Vec | None, list[Vec]]:
-    """Solve m x = b exactly.
+def solve_linear(m: LinMap, b: LinMap) -> tuple[LinMap | None, list[Vec]]:
+    """Solve m x = b exactly for every column of b, in one elimination.
 
-    Returns (particular solution or None when inconsistent, kernel basis);
-    an inconsistent system is thereby reported distinctly from a zero kernel.
+    Returns (x, kernel basis).  A column of b with no solution is zero in x;
+    an inconsistent vector b gives None, distinct from a zero kernel.
     """
-    if b.dims != m.cod:
-        raise LegMismatch("right-hand side legs differ from codomain", b.dims, m.cod)
+    if b.cod != m.cod:
+        raise LegMismatch("right-hand side legs differ from codomain", b.cod, m.cod)
     elim = _Eliminator(m, b)
-    ker = elim.kernel()
-    # after the full reduction a non-pivot row holds augmented entries only
-    if any(elim.rows[i] for i in elim.rows if i not in elim.used_rows):
-        return None, ker
-    n = m.dom_dim
-    return Vec(m.dom, {c: v for r, c in elim.pivots
-                       if (v := elim.rows[r].get(n)) is not None}), ker
+    return elim.solution(b), elim.kernel()
 
 
 def _square_elimination(m: LinMap, aug: LinMap | None = None) -> _Eliminator:
@@ -678,15 +683,10 @@ def require_bijective(m: LinMap) -> bool:
 
 @_by_value
 def inverse(m: LinMap) -> LinMap:
-    """Exact inverse; raises SingularMap (with kernel basis) if singular."""
-    n = m.dom_dim
-    elim = _square_elimination(m, LinMap.identity(m.cod))
-    cols: dict[int, dict[int, Cyc]] = {j: {} for j in range(n)}
-    for r, c in elim.pivots:  # in column order, so the result's is canonical
-        for j, v in elim.rows[r].items():
-            if j >= n:
-                cols[j - n][c] = v
-    return LinMap(m.cod, m.dom, cols)
+    """Exact inverse, ``solve_linear`` of the identity; raises SingularMap
+    (with kernel basis) if singular."""
+    ident = LinMap.identity(m.cod)
+    return _square_elimination(m, ident).solution(ident)
 
 
 def minimal_polynomial(m: LinMap) -> list[Cyc]:

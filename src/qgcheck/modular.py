@@ -30,7 +30,7 @@ class HaarData:
     pmat: LinMap         # P[i, j] = phi(e_i e_j)
     pmat_inv: LinMap
     sigma: LinMap        # phi(ab) = phi(b sigma(a))
-    sigma_inv: LinMap
+    sigma_inv: LinMap    # (P^T)^-1 P, sorted into the column order of ``inverse``
     sigma_prime: LinMap  # psi(ab) = psi(b sigma'(a))
     delta: Vec           # (phi (x) id)coprod(a) = phi(a) delta
     delta_inv: Vec
@@ -151,7 +151,8 @@ def _solve_haar(model: QGModel) -> HaarData:
         raise ModelError(f"{model.name}: invariant functional is not faithful "
                          f"({e})") from e
     sigma = pmat_inv @ pmat.transpose()
-    sigma_inv = inverse(sigma)
+    sigma_inv = LinMap.from_entries(model.A, model.A, sorted(
+        (pmat_inv.transpose() @ pmat).entries(), key=lambda e: (e[1], e[0])))
 
     qmat = value_matrix(psi)
     sigma_prime = inverse(qmat) @ qmat.transpose()

@@ -13,7 +13,7 @@ conjugates sigma_k(a), k != 1 a unit mod N, divided by the rational norm
 N(a).  ``Cyc.coeffs`` gives the same value as a tuple of Fractions.  N = 1
 is the rational field.  Values of different orders meet in Q(zeta_L), L
 the lcm of the orders (a rational value keeps the other's order), and hash
-by their normalized trace Tr(a) / deg Phi_N, which lifting leaves fixed.
+by their coordinates in the smallest Q(zeta_d) that holds them.
 Orders above ``MAX_ORDER`` are refused, because the per-order tables grow
 as N * phi(N).  The float tier of the workbench is plain complex
 arithmetic; ``Cyc.to_complex`` is the bridge between the two.
@@ -22,6 +22,7 @@ arithmetic; ``Cyc.to_complex`` is the bridge between the two.
 from __future__ import annotations
 
 import cmath
+from contextlib import suppress
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Union
@@ -70,7 +71,7 @@ class _Context:
     and the shared constants zero and one."""
 
     __slots__ = ("order", "degree", "modulus", "powers", "conj", "zeta",
-                 "zero", "one", "traces")
+                 "zero", "one")
 
     def __init__(self, order: int):
         self.order = order
@@ -93,12 +94,6 @@ class _Context:
         self.zeta = cmath.exp(2j * cmath.pi / order)
         self.zero = _make(order, (0,) * d, 1)
         self.one = _make(order, (1,) + (0,) * (d - 1), 1)
-        # Tr(zeta^j) = sum of zeta^(jk) over the units k mod N, a rational,
-        # so the constant coefficient of that sum; it depends on gcd(j, N)
-        units = [k for k in range(1, order + 1) if gcd(k, order) == 1]
-        by_gcd = {g: sum(powers[g * k % order][0] for k in units)
-                  for g in _divisors(order)}
-        self.traces = [by_gcd[gcd(j, order)] for j in range(d)]
 
 
 _CONTEXTS: dict[int, _Context] = {}
@@ -403,11 +398,13 @@ class Cyc:
         return NotImplemented
 
     def __hash__(self):
-        # the normalized trace: equal values of different orders agree, and
-        # a rational value hashes as that rational
-        ctx = _CONTEXTS[self.order]
-        return hash(Fraction(sum(c * t for c, t in zip(self.nums, ctx.traces)),
-                             self.den * ctx.degree))
+        # coordinates in the smallest Q(zeta_d) holding it, shared by equal values
+        if self.is_rational():
+            return hash(Fraction(self.nums[0], self.den))
+        for d in _divisors(self.order)[1:]:  # the last, self.order, holds it
+            with suppress(ValueError):
+                low = Cyc.promote(self, d)
+                return hash((d, low.nums, low.den))
 
     # -- embeddings ------------------------------------------------------
 

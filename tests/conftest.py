@@ -1,7 +1,24 @@
 import pytest
 
-from qgcheck import models
+from qgcheck import linalg, models
 from qgcheck.gns import build_gns
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """Clear the elimination memo, then record each (map, right-hand side)
+    that ``linalg._Eliminator`` eliminates, in order, until the test ends
+    or calls ``monkeypatch.undo()``."""
+    seen = []
+
+    class Spy(linalg._Eliminator):
+        def __init__(self, m, aug=None):
+            seen.append((m, aug))
+            super().__init__(m, aug)
+
+    linalg._MEMO.clear()  # no result of an earlier test is read
+    monkeypatch.setattr(linalg, "_Eliminator", Spy)
+    return seen
 
 
 @pytest.fixture(scope="session")

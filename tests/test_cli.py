@@ -315,7 +315,7 @@ def test_verify_builds_only_the_galois_maps_it_uses(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["c_s3", "d_z3"])
-def test_analytic_records_are_the_same_in_either_suite(tmp_path, monkeypatch,
+def test_analytic_records_are_the_same_in_either_suite(tmp_path, eliminations,
                                                        name):
     """``verify --suite analytic`` gives the analytic records of ``--suite
     all`` (id, status, residual, witness).  In the first run the density
@@ -323,22 +323,15 @@ def test_analytic_records_are_the_same_in_either_suite(tmp_path, monkeypatch,
     ``cancel`` decides all four maps first and the density records read
     it: each Galois map is eliminated once per run."""
     maps = list(hopf.galois(builtin(name)).values())
-    eliminated = []
-
-    class Spy(linalg._Eliminator):
-        def __init__(self, m, aug=None):
-            eliminated.append(aug is None and m in maps)
-            super().__init__(m, aug)
-
-    monkeypatch.setattr(linalg, "_Eliminator", Spy)
     records, counts = {}, {}
     for suite in ("analytic", "all"):
         out = tmp_path / f"{suite}.json"
-        eliminated.clear()
+        eliminations.clear()
         linalg._MEMO.clear()  # the second run reads nothing of the first
         assert main(["verify", name, "--suite", suite, "--report",
                      str(out)]) == 0
-        counts[suite] = sum(eliminated)
+        counts[suite] = sum(aug is None and m in maps
+                            for m, aug in eliminations)
         records[suite] = [
             {k: r[k] for k in ("check_id", "status", "residual", "witness")}
             for r in json.loads(out.read_text())["checks"]]

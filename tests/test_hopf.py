@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgcheck import linalg
 from qgcheck.cli import main
 from qgcheck.duality import build_alg_mult_unitary, build_dual, regular
 from qgcheck.errors import ModelError
@@ -189,7 +188,7 @@ def test_w_refusal_on_sweedler_mutants(field, step, refused):
 
 
 @pytest.mark.parametrize("name", ["taft4", "c_s3", "d_z3"])
-def test_no_map_is_eliminated_twice(monkeypatch, name):
+def test_no_map_is_eliminated_twice(monkeypatch, eliminations, name):
     """Over a whole run, no two eliminations have equal maps and equal
     right-hand sides, compared by value: on taft4 the bidual's invariance
     system, equal to the model's, is not eliminated again, and on a
@@ -201,24 +200,15 @@ def test_no_map_is_eliminated_twice(monkeypatch, name):
     model's right one, are eliminated, each value once by the rule above,
     and the regular family of the model and of its dual are eliminated
     once each when the analytic suite runs (taft4 is refused there)."""
-    eliminated = []
-
-    class Spy(linalg._Eliminator):
-        def __init__(self, m, aug=None):
-            eliminated.append((m, aug))
-            super().__init__(m, aug)
-
-    linalg._MEMO.clear()  # no result of an earlier test is read
-    monkeypatch.setattr(linalg, "_Eliminator", Spy)
     assert main(["verify", name, "--suite", "all"]) == 0
     monkeypatch.undo()  # the models rebuilt below are not part of the run
-    for k, (m, aug) in enumerate(eliminated):
-        assert (m, aug) not in eliminated[:k], (k, m)
+    for k, (m, aug) in enumerate(eliminations):
+        assert (m, aug) not in eliminations[:k], (k, m)
     model = builtin(name)
     canonical, sides = galois(model), (LinMap.identity(model.AA), model.flipA)
     variants = [f @ g @ h for g in canonical.values()
                 for f in sides for h in sides]
-    hits = [(m, aug) for m, aug in eliminated
+    hits = [(m, aug) for m, aug in eliminations
             if any(m == v for v in variants)]
     for kind, g in canonical.items():
         assert [aug for m, aug in hits if m == g] == [None], kind
@@ -228,9 +218,9 @@ def test_no_map_is_eliminated_twice(monkeypatch, name):
                for x in (model, dd.dual, build_dual(dd.dual).dual)]
     systems.append(_invariance_system(model, "right"))
     for s in systems:
-        assert s in [m for m, _ in eliminated]
+        assert s in [m for m, _ in eliminations]
     for x in (model, dd.dual):
-        assert sum(m == regular(x) for m, _ in eliminated) \
+        assert sum(m == regular(x) for m, _ in eliminations) \
             == (name != "taft4")
 
 

@@ -26,6 +26,8 @@ from qgcheck.linalg import (
     to_multi,
 )
 from qgcheck.modelio import _scalar_to_json
+from qgcheck.models import BUILTIN_MODELS
+from qgcheck.modular import solve_haar
 from qgcheck.report import Checker, _diff_witness
 from qgcheck.scalars import Cyc, _context
 from test_scalars import _phi, _poly
@@ -180,6 +182,11 @@ def test_solve_reports_inconsistent_vs_zero_kernel():
     assert a.apply(sol) == Vec.from_list((3,), [1, 2, 3])
     bad, ker = solve_linear(a, Vec.from_list((3,), [1, 2, 4]))
     assert bad is None and not ker
+    # in a map of right-hand sides the inconsistent column is left zero
+    both = LinMap.from_dense((2,), (3,), [[1, 1], [2, 2], [3, 4]])
+    x, ker = solve_linear(a, both)
+    assert x == LinMap.from_dense((2,), (2,), [[1, 0], [2, 0]]) and not ker
+    assert list((a @ x - both).cols) == [1]
 
 
 def test_kernel_of_invariance_style_system():
@@ -398,8 +405,11 @@ def _sympy_matrix(m: LinMap, order):
 
 
 @st.composite
-def field_matrices(draw, square=False, with_rhs=False):
-    """A sparse map up to 5 x 5 with small entries in Z[zeta]/q, q <= 3."""
+def field_matrices(draw, square=False, with_rhs=False, rhs_map=False):
+    """A sparse map up to 5 x 5 with small entries in Z[zeta]/q, q <= 3,
+    and a right-hand side: a vector, or with ``rhs_map`` a map whose
+    columns are images of the map (consistent) and other vectors, in a
+    drawn order."""
     order = draw(st.sampled_from(ELIM_ORDERS))
     deg = len(Cyc.zeta(order).coeffs)
     rows = draw(st.integers(1, 5))
@@ -416,7 +426,13 @@ def field_matrices(draw, square=False, with_rhs=False):
     if not with_rhs:
         return order, m
     rhs = draw(st.dictionaries(st.integers(0, rows - 1), entry, max_size=rows))
-    return order, m, Vec((rows,), {i: c for i, c in rhs.items() if c})
+    if not rhs_map:
+        return order, m, Vec((rows,), {i: c for i, c in rhs.items() if c})
+    images = draw(st.lists(st.dictionaries(st.integers(0, cols - 1), entry,
+                                           max_size=cols), max_size=3))
+    columns = draw(st.permutations(
+        [rhs] + [dict(m(Vec((cols,), v)).data) for v in images]))
+    return order, m, LinMap((len(columns),), (rows,), dict(enumerate(columns)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -461,24 +477,62 @@ def test_solve_linear_matches_sympy(case):
     assert len(ker) == m.dom_dim - a.rank()
 
 
-def test_each_call_runs_one_elimination(monkeypatch):
-    built = []
+@settings(max_examples=40, deadline=None)
+@given(field_matrices(with_rhs=True, rhs_map=True))
+def test_solve_linear_solves_each_column_of_a_map(case):
+    """One solve of a map of right-hand sides gives, column by column, what
+    solving that column alone gives, stored in the same order; a column
+    with no solution is left zero, a nonzero column of m @ x - b."""
+    order, m, b = case
+    x, ker = solve_linear(m, b)
+    assert x.dom == b.dom and x.cod == m.dom and ker == kernel(m)
+    gap = m @ x - b
+    for j in range(b.dom_dim):
+        alone, _ = solve_linear(m, b.column(j))
+        if alone is None:
+            assert j not in x.cols and j in gap.cols
+        else:
+            assert list(x.column(j).entries()) == list(alone.entries())
+            assert j not in gap.cols
 
-    class Spy(linalg._Eliminator):
-        def __init__(self, m, aug=None):
-            built.append(aug)
-            super().__init__(m, aug)
 
-    linalg._MEMO.clear()  # no result of an earlier test is read
-    monkeypatch.setattr(linalg, "_Eliminator", Spy)
+def _old_inverse(m: LinMap) -> LinMap:
+    """inverse as it read its columns off the eliminated rows itself,
+    before it became the square case of solve_linear."""
+    n = m.dom_dim
+    elim = linalg._square_elimination(m, LinMap.identity(m.cod))
+    cols = {j: {} for j in range(n)}
+    for r, c in elim.pivots:
+        for j, v in elim.rows[r].items():
+            if j >= n:
+                cols[j - n][c] = v
+    return LinMap(m.cod, m.dom, cols)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_MODELS))
+def test_inverse_of_each_pairing_matrix_is_the_old_loop(model_cache, name):
+    """inverse, read through solve_linear, keeps the value, the sorted
+    stored order and the scalar orders of the loop it replaced, on the
+    pairing matrix P[i, j] = phi(e_i e_j) of every built-in model."""
+    pmat = solve_haar(model_cache(name)).pmat
+    linalg._MEMO.clear()
+    got, want = inverse(pmat), _old_inverse(pmat)
+    assert got == want
+    assert [(i, j, v, v.order) for i, j, v in got.entries()] \
+        == [(i, j, v, v.order) for i, j, v in want.entries()]
+    assert list(got.entries()) == sorted(got.entries(),
+                                         key=lambda e: (e[1], e[0]))
+
+
+def test_each_call_runs_one_elimination(eliminations):
     singular = LinMap.from_dense((3,), (3,), [[1, 2, 0], [2, 4, 0], [0, 0, 1]])
     b = Vec.from_list((3,), [1, 2, 5])
     x, ker = solve_linear(singular, b)
     assert singular.apply(x) == b and len(ker) == 1
-    assert len(built) == 1
+    assert len(eliminations) == 1
     with pytest.raises(SingularMap) as exc:
         inverse(singular)
-    assert len(built) == 2
+    assert len(eliminations) == 2
     assert exc.value.kernel == ker
     # bijectivity is decided on the map alone, with the raise of inverse
     with pytest.raises(SingularMap) as again:
@@ -486,7 +540,7 @@ def test_each_call_runs_one_elimination(monkeypatch):
     assert str(again.value) == str(exc.value)
     assert again.value.kernel == ker
     assert require_bijective(LinMap.flip(2, 2)) is True
-    assert len(built) == 4 and built[2:] == [None, None]
+    assert [aug for _, aug in eliminations[2:]] == [None, None]
     # a copy equal by value reads both decisions: no new elimination, and
     # an equal SingularMap
     copy = LinMap.from_entries((3,), (3,), singular.entries())
@@ -496,76 +550,59 @@ def test_each_call_runs_one_elimination(monkeypatch):
             decide(copy)
         assert hit.value is not first
         assert (str(hit.value), hit.value.kernel) == (str(first), first.kernel)
-    assert len(built) == 4
+    assert len(eliminations) == 4
 
 
-def _count_eliminations(monkeypatch) -> list:
-    """Clear the elimination memo and record each map eliminated after."""
-    built = []
-
-    class Spy(linalg._Eliminator):
-        def __init__(self, m, aug=None):
-            built.append(m)
-            super().__init__(m, aug)
-
-    linalg._MEMO.clear()
-    monkeypatch.setattr(linalg, "_Eliminator", Spy)
-    return built
-
-
-def test_memo_evicts_the_least_recently_read_map(monkeypatch):
+def test_memo_evicts_the_least_recently_read_map(eliminations):
     """The memo holds the ``maxlen`` latest distinct maps: one more
     evicts the one read least recently, which is eliminated again when read
     next, while a map read since stays."""
-    built = _count_eliminations(monkeypatch)
     size = linalg._MEMO.maxlen
     maps = [LinMap.identity((1,)).scale(k + 1) for k in range(size + 1)]
     for m in maps[:size]:
         assert rank(m) == 1
     assert rank(LinMap.identity((1,)).scale(1)) == 1  # maps[0], read again
-    assert len(built) == size
+    assert len(eliminations) == size
     rank(maps[size])  # evicts maps[1], the least recently read
-    assert len(linalg._MEMO) == size and len(built) == size + 1
+    assert len(linalg._MEMO) == size and len(eliminations) == size + 1
     rank(maps[0])
     rank(maps[size])
-    assert len(built) == size + 1
+    assert len(eliminations) == size + 1
     rank(maps[1])
-    assert built[-1] is maps[1] and len(built) == size + 2
+    assert eliminations[-1][0] is maps[1] and len(eliminations) == size + 2
 
 
-def test_inverse_is_stored_in_column_order(monkeypatch):
+def test_inverse_is_stored_in_column_order(eliminations):
     """A map and a copy equal by value but stored in another order have
     inverses stored in one order, sorted by column and by row, so a memo
     hit hands a later map the entry order, and through the ties of
     ``_diff_witness`` the witness, that it would compute itself."""
-    built = _count_eliminations(monkeypatch)
     m = LinMap.from_dense((3,), (3,), [[1, 1, 0], [0, 1, 1], [1, 0, 1]])
     shuffled = LinMap((3,), (3,), {j: dict(reversed(m.cols[j].items()))
                                    for j in reversed(m.cols)})
     assert shuffled == m and list(shuffled.cols) != list(m.cols)
     first = inverse(shuffled)
-    assert inverse(m) is first and len(built) == 1
+    assert inverse(m) is first and len(eliminations) == 1
     assert list(first.entries()) == sorted(first.entries(),
                                            key=lambda e: (e[1], e[0]))
     linalg._MEMO.clear()
     own = inverse(m)
-    assert len(built) == 2 and list(own.entries()) == list(first.entries())
+    assert len(eliminations) == 2 and list(own.entries()) == list(first.entries())
     assert _diff_witness(own) == _diff_witness(first)
 
 
-def test_memo_hands_no_result_at_another_irrational_order(monkeypatch):
+def test_memo_hands_no_result_at_another_irrational_order(eliminations):
     """Equal values at two orders: the irrational i, held at order 4 and at
     order 8, is eliminated at each, so each inverse is at its own order;
     rationals at orders 4 and 1 are eliminated once, and the kernel read
     at order 1, held at order 4, shows and writes as the one computed
     there."""
-    built = _count_eliminations(monkeypatch)
     i4 = Cyc.zeta(4)
     i8 = Cyc.promote(i4, 8)
     a4, a8 = (LinMap.from_dense((2,), (2,), [[1, i], [0, 1]]) for i in (i4, i8))
     assert a4 == a8
     inv4, inv8 = inverse(a4), inverse(a8)
-    assert len(built) == 2
+    assert len(eliminations) == 2
     assert repr(inv4.entry(0, 1)) == "(-1)*z [N=4]"
     assert repr(inv8.entry(0, 1)) == "(-1)*z^2 [N=8]"
 
@@ -573,10 +610,10 @@ def test_memo_hands_no_result_at_another_irrational_order(monkeypatch):
         return LinMap.from_dense((2,), (1,), [[Cyc.rational(2, order),
                                                Cyc.rational(4, order)]])
     read = kernel(rational(4)), kernel(rational(1))
-    assert len(built) == 3 and read[1] is read[0]
+    assert len(eliminations) == 3 and read[1] is read[0]
     linalg._MEMO.clear()
     fresh = kernel(rational(1))
-    assert len(built) == 4 and fresh == read[1]
+    assert len(eliminations) == 4 and fresh == read[1]
     assert (read[1][0].get(0).order, fresh[0].get(0).order) == (4, 1)
     for v, w in zip(fresh[0].data.values(), read[1][0].data.values()):
         assert (repr(w), w.to_complex(), _scalar_to_json(w, 1)) \

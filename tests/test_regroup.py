@@ -18,18 +18,20 @@ from hypothesis import strategies as st
 from qgcheck import models
 from qgcheck.duality import (build_alg_mult_unitary, build_dual, check_dual,
                              leg_one_defect, regular, tensor_image)
-from qgcheck.errors import LegMismatch, ModelError
+from qgcheck.errors import CheckFailure, LegMismatch, ModelError
 from qgcheck.hopf import QGModel, solve_counit
 from qgcheck.linalg import (LinMap, Vec, apply_on_legs, from_multi, kernel,
-                            to_multi, total_dim)
+                            solve_linear, to_multi, total_dim)
 from qgcheck.modular import _invariance_system, form_matrix
 from qgcheck.models import GroupTable, build_function_algebra
 from qgcheck.report import Checker
 from qgcheck.scalars import Cyc
 from qgcheck.subgroups import (build_dual_morphism, certify_vaes,
-                               check_dual_morphism, counit_morphism)
+                               check_dual_morphism, counit_morphism,
+                               identity_morphism)
 from test_hopf import stored_order
-from test_subgroups import dihedral, restrict_a3_file, restrict_d6_s3
+from test_subgroups import (bimodule_mutant, dihedral, non_surjective_embedding,
+                            restrict_a3_file, restrict_d6_s3)
 
 # -- the primitive ------------------------------------------------------------
 
@@ -500,6 +502,117 @@ def test_vaes_restates_the_dual_morphism_records(make):
             if rec[1] == "fail":
                 failed.add(suffix)
     assert failed == set(RESTATED)
+
+
+def _old_vaes_functional_records(dm):
+    """preimage-independence and functional-identity as certify_vaes built
+    them, pair by pair with one solve per target basis vector, before each
+    became one identity on pairs."""
+    mor = dm.morphism
+    src, tgt, pi = mor.source, mor.target, mor.pi
+    dg, dh = dm.source_duality.dual, dm.target_duality.dual
+    k = tgt.dim
+    ck = Checker(f"{mor.label}.vaes")
+    ker_pi = kernel(pi)
+    x_basis = [tgt.basis_vec(x) for x in range(k)]
+    hat_basis = [dm.pi_hat(xv) for xv in x_basis]
+
+    def preimage_free():
+        for v in ker_pi:
+            for x in range(k):
+                val = src.counit_of(dg.mul(hat_basis[x], v))
+                if not val.is_zero():
+                    raise CheckFailure(
+                        f"counit(pi_hat(e_{x}) * v) = {val!r} for kernel "
+                        f"element v = {src.show(v)}")
+        return True
+
+    if ker_pi:
+        ck.exact("preimage-independence", "", preimage_free)
+    else:
+        ck.skip("preimage-independence", "",
+                "pi is injective; preimages are unique")
+
+    def functional_identity():
+        for a, av in enumerate(x_basis):
+            b, _ = solve_linear(pi, av)
+            if b is None:
+                raise CheckFailure(f"target basis {a} has no preimage")
+            for x, xv in enumerate(x_basis):
+                lhs = tgt.counit_of(dh.mul(xv, av))
+                rhs = src.counit_of(dg.mul(hat_basis[x], b))
+                if lhs != rhs:
+                    raise CheckFailure(
+                        f"(x, a) = ({x}, {a}): counit(x * a) = {lhs!r}, "
+                        f"counit(pi_hat(x) * b) = {rhs!r}")
+        return True
+
+    ck.exact("functional-identity", "", functional_identity)
+    return ck.records
+
+
+VAES_FUNCTIONAL = (".vaes.preimage-independence", ".vaes.functional-identity")
+
+
+def _vaes_mutants(clean, moves=("negate", "zero", "move")):
+    """clean, its pi_hat changed by ``moves`` as in the multiplier test,
+    its pi and convolution products changed as in the streamed-bimodule
+    test, and, so that many pairs fail at once and the order of the
+    witness shows, pi_hat with e_u added to every column, u the first row
+    outside its image (or 0), alone and with pi's middle entry dropped."""
+    yield clean
+    for change in moves:
+        yield dataclasses.replace(
+            clean, pi_hat=_moved_pi_hat(clean.pi_hat, change))
+    for part in ("pi", "conv_g", "conv_h"):
+        for how in ("raise", "drop", "plant"):
+            yield bimodule_mutant(clean, f"{part}-{how}")
+    hat = clean.pi_hat
+    image = {i for col in hat.cols.values() for i in col}
+    u = min(set(range(hat.cod_dim)) - image, default=0)
+    shifted = dataclasses.replace(clean, pi_hat=hat + LinMap.from_entries(
+        hat.dom, hat.cod, [(u, x, Cyc.one(1)) for x in range(hat.dom_dim)]))
+    yield shifted
+    yield bimodule_mutant(shifted, "pi-drop")
+
+
+@pytest.mark.parametrize("make, moves", [
+    (restrict_a3_file, ("negate", "zero", "move")),
+    (restrict_d6_s3, ("negate", "zero", "move")),
+    # pi_hat is onto, so no entry moves outside its image
+    (lambda: identity_morphism(models.builtin("taft3")), ("negate", "zero"))])
+def test_vaes_functional_records_match_the_loop_forms(make, moves):
+    """preimage-independence and functional-identity, each one identity on
+    pairs, have the status, residual and witness of the pair-by-pair
+    loops, on pi_hat and on its mutants and those of pi and of both
+    convolution products.  On the restrictions each record fails on some
+    mutant; taft3's dual is not commutative, so its identity morphism pins
+    the order pi_hat(x) * b."""
+    failed = set()
+    for dm in _vaes_mutants(build_dual_morphism(make()), moves):
+        got = certify_vaes(dm, check_dual_morphism(dm))
+        want = _old_vaes_functional_records(dm)
+        for suffix in VAES_FUNCTIONAL:
+            rec = _record(got, suffix)
+            assert rec == _record(want, suffix), suffix
+            if rec[1] == "fail":
+                failed.add(suffix)
+    if make in (restrict_a3_file, restrict_d6_s3):
+        assert failed == set(VAES_FUNCTIONAL)
+
+
+def test_vaes_functional_identity_of_a_non_surjective_pi_matches_the_loop():
+    """A target basis vector with no preimage fails the record as the
+    loop did, unless an earlier one fails a pair first."""
+    clean = build_dual_morphism(non_surjective_embedding())
+    for dm in _vaes_mutants(clean, ("negate", "zero")):  # pi_hat is onto
+        got = certify_vaes(dm, check_dual_morphism(dm))
+        want = _old_vaes_functional_records(dm)
+        for suffix in VAES_FUNCTIONAL:
+            assert _record(got, suffix) == _record(want, suffix), suffix
+    rec = _record(certify_vaes(clean, check_dual_morphism(clean)),
+                  ".vaes.functional-identity")
+    assert rec[1:] == ("fail", None, "target basis 0 has no preimage")
 
 
 # -- the layout guard ----------------------------------------------------------

@@ -159,6 +159,20 @@ def test_rationals_agree_across_orders(q):
     assert hash(a4) == hash(a1) == hash(Fraction(q)) == hash(q)
 
 
+def test_hash_separates_values_of_one_trace():
+    """Values of one trace hash apart (i, -i and 3i all have trace 0), and
+    equal values hash equal at any orders: held at a multiple of their
+    smallest order, at an order twice an odd one, and as ints."""
+    i = Cyc.zeta(4)
+    assert len({hash(i), hash(-i), hash(3 * i), hash(Cyc.zeta(8))}) == 4
+    assert len({hash(Cyc(12, [0, 0, 0, k])) for k in range(1, 9)}) == 8
+    for a, b in ((Cyc.zeta(12, 3), i), (Cyc.zeta(8, 2) * 3, 3 * i),
+                 (Cyc.zeta(6), -Cyc.zeta(3, 2)),
+                 (Cyc.zeta(3) + Cyc.zeta(4) - i, Cyc.zeta(3)),
+                 (Cyc.zeta(8) * Cyc.zeta(8, 7), 1)):
+        assert a == b and hash(a) == hash(b)
+
+
 def test_mixed_order_results_follow_promotion():
     one, z4, two4 = Cyc.one(), Cyc.zeta(4), Cyc.rational(2, 4)
     assert (one * z4).order == 4

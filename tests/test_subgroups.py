@@ -515,6 +515,22 @@ def test_subgroup_pass_forms_the_dual_product_law_once(monkeypatch):
     assert sum(b is conv_h for b in pairs) == 1
 
 
+@pytest.mark.parametrize("make", [restrict_s4_a4, restrict_d6_s3])
+def test_subgroup_run_eliminates_pi_at_most_twice(eliminations, make):
+    """A subgroup run eliminates pi once for its kernel (read by
+    morphism.surjective and the Vaes certificate) and once with the
+    identity as right-hand side, for the preimages of every target basis
+    vector together."""
+    mor = make()
+    ensure(validate_morphism(mor))
+    dm = build_dual_morphism(mor)
+    dual = ensure(check_dual_morphism(dm))
+    ensure(check_expectation(dm))
+    ensure(certify_vaes(dm, dual))
+    assert [aug for m, aug in eliminations if m == mor.pi] \
+        == [None, mor.target.idA]
+
+
 def test_vaes_preimage_record_skips_for_injective_pi():
     mor = identity_morphism(builtin("c_z3"))
     ensure(validate_morphism(mor))

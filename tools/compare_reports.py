@@ -44,8 +44,9 @@ prints that defect).  So no FAIL record of a later stage (dual, pentagon,
 GNS, dual morphism, Vaes certificate) is compared here; the witness order
 of those records is pinned by unit tests, such as
 ``tests/test_duality.py::test_dual_product_witnesses_match_pair_by_pair``,
-``tests/test_subgroups.py::test_streamed_bimodule_matches_composed_oracle``
-and ``tests/test_regroup.py::test_vaes_restates_the_dual_morphism_records``.
+``tests/test_subgroups.py::test_streamed_bimodule_matches_composed_oracle``,
+``tests/test_regroup.py::test_vaes_restates_the_dual_morphism_records``
+and ``tests/test_regroup.py::test_vaes_functional_records_match_the_loop_forms``.
 
 The generated inputs and the mutants are written once, from the parent
 checkout, into a temporary directory.  The script compares exit codes,
