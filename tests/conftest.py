@@ -1,7 +1,13 @@
+import sys
+from pathlib import Path
+
 import pytest
 
 from qgcheck import linalg, models
 from qgcheck.gns import build_gns
+
+# the fault catalogue, tools/faults.py, is imported as ``faults``
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
 
 @pytest.fixture

@@ -26,6 +26,7 @@ from qgcheck.modular import check_modular_structure
 from qgcheck.models import GroupTable, build_function_algebra, build_group_algebra
 from qgcheck.report import FAIL, PASS, Checker, ensure
 from qgcheck.scalars import Cyc
+from faults import Fault, spread
 from test_hopf import _galois_by_identity_tensors, stored_order
 
 
@@ -166,19 +167,8 @@ def test_dual_product_witnesses_match_pair_by_pair(name, change, dual_cache):
     middle stored entry raised by 1, or an unstored entry planted as 1)
     pins the residual and the entry named; the zero product, whose
     residuals have many equal worst entries, pins the column order."""
-    dd = dual_cache(name)
-    m, conv = dd.source, dd.dual.mult
-    if change == "zero":
-        bad_mult = LinMap.zero(m.AA, m.A)
-    else:
-        if change == "raise":
-            i, j, _ = list(conv.entries())[conv.nnz // 2]
-        else:
-            i, j = next((i, j) for j in range(m.dim ** 2)
-                        for i in range(m.dim) if conv.entry(i, j).is_zero())
-        bad_mult = conv + LinMap.from_entries(m.AA, m.A, [(i, j, Cyc.one(1))])
-    bad = dataclasses.replace(
-        dd, dual=dataclasses.replace(dd.dual, mult=bad_mult))
+    bad = Fault("dual.mult", change,
+                "all" if change == "zero" else "").apply(dual_cache(name))
     records = {r.check_id: r for r in check_dual(bad)}
     for check_id, ref in _dual_products_pair_by_pair(bad).items():
         got = records[check_id]
@@ -333,21 +323,6 @@ def adjoint_relation_on_four_tuples(dd, mw) -> bool:
     return True
 
 
-def _single_entry_mutants(t, per_kind=12):
-    """Single-entry mutants of t, spread over its columns: up to per_kind
-    stored entries each raised and lowered by 1, and up to per_kind
-    unstored entries planted as 1."""
-    stored = sorted(t.entries(), key=lambda e: (e[1], e[0]))
-    for i, j, _ in stored[::max(1, len(stored) // per_kind)][:per_kind]:
-        for step in (1, -1):
-            yield t + LinMap.from_entries(t.dom, t.cod, [(i, j, step)])
-    for j in range(0, t.dom_dim, max(1, t.dom_dim // per_kind)):
-        col = t.cols.get(j, {})
-        i = next(i for k in range(t.cod_dim)
-                 if (i := (j + k) % t.cod_dim) not in col)
-        yield t + LinMap.from_entries(t.dom, t.cod, [(i, j, 1)])
-
-
 def _munitary_records(dd, mw, monkeypatch):
     monkeypatch.setattr(duality, "build_alg_mult_unitary", lambda model: mw)
     return {r.check_id.rsplit(".munitary.", 1)[1]: r
@@ -379,7 +354,7 @@ def test_pentagon_matches_the_full_matrix_oracle_on_mutants(
     dd = dual_cache(name)
     m, mw = dd.source, build_alg_mult_unitary(dd.source)
     reduced, statuses = 0, set()
-    for bad in [mw.w, *_single_entry_mutants(mw.w)]:
+    for bad in [mw.w, *(f.apply(mw).w for f in spread(mw, "w"))]:
         mutant = dataclasses.replace(mw, w=bad)
         rec = _munitary_records(dd, mutant, monkeypatch)["pentagon"]
         want = PASS if full_pentagon_defect(m, bad).is_zero() else FAIL
@@ -404,8 +379,8 @@ def test_adjoint_relation_matches_the_four_tuple_oracle_on_mutants(
     assert dd.source.dim <= 6
     statuses = set()
     for field in ("w", "w_inv"):
-        for bad in [getattr(mw, field),
-                    *_single_entry_mutants(getattr(mw, field))]:
+        for bad in [getattr(mw, field), *(getattr(f.apply(mw), field)
+                                          for f in spread(mw, field))]:
             mutant = dataclasses.replace(mw, **{field: bad})
             rec = _munitary_records(dd, mutant, monkeypatch)["adjoint-relation"]
             want = PASS if adjoint_relation_on_four_tuples(dd, mutant) else FAIL
@@ -480,22 +455,6 @@ def _convolution_compat_full_forms(dd):
     return ck.records
 
 
-def _one_entry_mutant(t, change):
-    """t with its middle stored entry raised by 1, its first stored entry
-    lowered by 1, or its first unstored entry planted as 1."""
-    if change == "raise":
-        i, j, _ = list(t.entries())[t.nnz // 2]
-        bump = Cyc.one(1)
-    elif change == "lower":
-        i, j, _ = next(t.entries())
-        bump = -Cyc.one(1)
-    else:
-        i, j = next((i, j) for j in range(t.dom_dim)
-                    for i in range(t.cod_dim) if t.entry(i, j).is_zero())
-        bump = Cyc.one(1)
-    return t + LinMap.from_entries(t.dom, t.cod, [(i, j, bump)])
-
-
 @pytest.mark.parametrize("name", ["sweedler", "taft3", "c_s3"])
 @pytest.mark.parametrize("target", ["dual-mult", "coprod"])
 def test_convolution_compat_matches_the_full_forms_on_mutants(
@@ -506,12 +465,8 @@ def test_convolution_compat_matches_the_full_forms_on_mutants(
     dd = dual_cache(name)
     statuses = set()
     for change in ("raise", "lower", "plant"):
-        if target == "dual-mult":
-            bad = dataclasses.replace(dd, dual=dataclasses.replace(
-                dd.dual, mult=_one_entry_mutant(dd.dual.mult, change)))
-        else:
-            bad = dataclasses.replace(dd, source=dataclasses.replace(
-                dd.source, coprod=_one_entry_mutant(dd.source.coprod, change)))
+        bad = Fault("dual.mult" if target == "dual-mult" else "source.coprod",
+                    change).apply(dd)
         got = check_convolution_compat(bad)[:4]
         want = _convolution_compat_full_forms(bad)
         assert [(r.check_id, r.status, r.residual, r.witness) for r in got] \

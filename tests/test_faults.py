@@ -1,0 +1,94 @@
+"""The fault catalogue (tools/faults.py) and the gate that runs it
+(tools/compare_reports.py)."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+import compare_reports
+import faults
+import qgcheck
+from faults import FILE_FAULTS, Fault
+
+TOOLS = Path(compare_reports.TOOLS)
+
+
+@pytest.fixture(scope="module")
+def jobs():
+    return faults.jobs()
+
+
+def test_every_fault_changes_its_artifact_on_every_target(jobs, tmp_path):
+    # Fault.apply raises on a fault that leaves its artifact equal
+    assert len(jobs) == 270
+    models, maps = faults.write_mutants(str(tmp_path))
+    assert (len(models), len(maps)) == (48, 4)
+
+
+def test_fault_names_are_unique(jobs):
+    assert len({job[:2] for job in jobs}) == len(jobs)
+    assert len({f.name for f in FILE_FAULTS.values()}) == len(FILE_FAULTS)
+
+
+def test_a_fault_that_changes_nothing_fails():
+    clean = faults.Artifacts(qgcheck.build_dual(qgcheck.builtin("c_z2")),
+                             None)
+    # on C(Z2) the antipode is the identity, and so is sigma
+    with pytest.raises(ValueError, match=r"^fault duality\.haar\.sigma\[all\]"
+                                         r"\.antipode changes nothing$"):
+        Fault("duality.haar.sigma", "antipode").apply(clean)
+
+
+def test_the_catalogue_reads_only_public_qgcheck_names():
+    """No import of a qgcheck module, only names in qgcheck.__all__, and no
+    private attribute (dunders are Python's): a renamed internal breaks a
+    fault loudly."""
+    imported = set()
+    for node in ast.walk(ast.parse((TOOLS / "faults.py").read_text())):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.startswith("qgcheck.") for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert not (node.module or "").startswith("qgcheck."), node.module
+            if node.module == "qgcheck":
+                imported |= {a.name for a in node.names}
+        elif isinstance(node, ast.Attribute):
+            assert not node.attr.startswith("_") or node.attr.endswith("__"), \
+                node.attr
+    assert imported and imported <= set(qgcheck.__all__)
+
+
+def test_the_gate_stops_on_a_fault_of_a_missing_field(tmp_path, monkeypatch,
+                                                      capsys):
+    script = tmp_path / "driver.py"
+    script.write_text(
+        f"import sys\nsys.path.insert(0, {str(TOOLS)!r})\nimport faults\n"
+        "faults.MODEL_TARGETS, faults.MORPHISM_TARGETS = ('sweedler',), {}\n"
+        "faults.model_faults = lambda a: [\n"
+        "    faults.Fault('duality.no_such_field', 'raise')]\n"
+        "sys.exit(faults.main())\n")
+    monkeypatch.setattr(compare_reports, "DRIVER",
+                        [sys.executable, str(script)])
+    repo = str(TOOLS.parent)
+    assert compare_reports.main([repo, repo]) == 1
+    out = capsys.readouterr().out
+    assert "fault duality.no_such_field[middle].raise on sweedler cannot " \
+           "be applied: AttributeError" in out, out
+
+
+def test_coverage_names_uncovered_ids_and_stale_excuses():
+    seen = {"a": {"pass", "fail"}, "b": {"pass"}, "c": {"fail"},
+            "x": {"fail"}}
+    rows, problems = compare_reports.coverage(
+        seen, {"a", "b", "c", "d"}, {"c": "why", "d": "a skip", "e": "gone"})
+    assert [row.split() for row in rows] == [
+        ["a", "PASS", "FAIL"], ["b", "PASS", "-"],
+        ["c", "-", "FAIL", "excused:", "why"],
+        ["d", "-", "-", "excused:", "a", "skip"],
+        ["x", "-", "FAIL"]]
+    assert problems == [
+        "b: no job sees it FAIL and it has no excuse",
+        "c: seen FAIL, so its excuse is stale",
+        "e: excused, but no verify --suite all or subgroup report has it"]
+    assert all(compare_reports.EXCUSED.values())

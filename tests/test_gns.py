@@ -19,6 +19,7 @@ from qgcheck.linalg import LinMap, Vec
 from qgcheck.models import GroupTable
 from qgcheck.report import Checker, CheckRecord, ensure
 from qgcheck.scalars import Cyc
+from faults import Artifacts, Fault
 
 FULL_SUITE = ["trivial", "c_z2", "c_z3", "c_s3", "cg_z2", "cg_s3", "d_z3"]
 
@@ -411,27 +412,21 @@ def _named(affected) -> set[str]:
             for check_id, _, ops in rows if set(ops) & set(affected)}
 
 
-def _mutants(model):
-    """(label, mutated Duality, operators the mutation makes non-identity,
-    records with an own identity that the mutation also breaks)."""
-    dd = build_dual(model)
-    haar, dh = dd.haar, dd.dual_haar
-    two = model.scalar(2)
-    sigma_s = dataclasses.replace(haar, sigma=model.antipode)
-    delta_2 = dataclasses.replace(haar, delta=two * haar.delta)
-    dual_2 = dataclasses.replace(dh, delta=two * dh.delta)
-    return [
-        ("sigma = S", dataclasses.replace(dd, haar=sigma_s), {"nabla"}, set()),
-        ("delta doubled", dataclasses.replace(dd, haar=delta_2),
-         {"delta", "delta_prime", "m"}, {"modgroup.sigma-hat.integer"}),
-        ("delta_hat doubled", dataclasses.replace(dd, dual_haar=dual_2),
-         {"delta_hat", "delta_hat_prime"}, set()),
-    ]
+# (fault of the Haar data, operators it makes non-identity, records with
+# an own identity that it also breaks)
+HAAR_FAULTS = (
+    (Fault("haar.sigma", "antipode"), {"nabla"}, set()),
+    (Fault("haar.delta", "double"), {"delta", "delta_prime", "m"},
+     {"modgroup.sigma-hat.integer"}),
+    (Fault("dual_haar.delta", "double"), {"delta_hat", "delta_hat_prime"},
+     set()))
 
 
 @pytest.mark.parametrize("name", ["c_s3", "d_z3"])
 def test_mutated_exact_input_fails_the_records_naming_it(model_cache, name):
-    for label, dd, affected, own in _mutants(model_cache(name)):
+    clean = build_dual(model_cache(name))
+    for fault, affected, own in HAAR_FAULTS:
+        label, dd = fault.name, fault.apply(clean)
         ident = LinMap.identity(dd.source.A)
         maps = G.modular_maps(dd)
         assert {k for k, x in maps.items() if x != ident} == affected, label
@@ -481,7 +476,8 @@ MOVED = (
 FRAME_RECORDS = ("reps.lambda.inner-product", "weight.kms.bound")
 
 
-def _moved_records(dd, mw) -> dict[str, object]:
+def _moved_records(a: Artifacts) -> dict[str, object]:
+    dd, mw = a.duality, a.munitary
     coprod = G.check_coproduct_implementation(dd, mw)
     reps = G.check_regular_reps(dd, mw)
     records = (reps + G.check_w_properties(dd, mw, reps[-1])
@@ -491,37 +487,23 @@ def _moved_records(dd, mw) -> dict[str, object]:
     return {key: out[key] for key in MOVED}
 
 
-def _single_entry(t: LinMap, kind: str) -> LinMap:
-    """t with one entry changed: its middle stored entry raised or lowered
-    by 1, or the first unstored entry of its first column planted as 1."""
-    if kind == "planted":
-        col = t.cols[min(t.cols)]
-        i, j = next(i for i in range(t.cod_dim) if i not in col), min(t.cols)
-        step = 1
-    else:
-        i, j, _ = sorted(t.entries(), key=lambda e: (e[1], e[0]))[t.nnz // 2]
-        step = 1 if kind == "raised" else -1
-    return t + LinMap.from_entries(t.dom, t.cod, [(i, j, step)])
+# (map label, fault of the Artifacts) for single-entry faults of w, of
+# the model's mult and coprod, of the dual's mult and of the dual Gram
+# matrix: the middle entry by column raised or lowered, or the first
+# unstored entry of column 0 planted.  A faulted model cannot build its
+# own w (the Galois inverse check refuses it), so the model's w rides along.
+W_FAULTS = [(label, Fault(artifact, change, position))
+            for change, position in (("raise", "sorted"), ("lower", "sorted"),
+                                     ("plant", "free:0"))
+            for label, artifact in (("w", "munitary.w"),
+                                    ("mult", "duality.source.mult"),
+                                    ("coprod", "duality.source.coprod"),
+                                    ("dual mult", "duality.dual.mult"))] + [
+    ("dual gram", Fault("duality.dual_haar.gram", "raise", "sorted"))]
 
 
-def _w_mutants(g):
-    """(map label, mutated Duality, mutated AlgMultUnitary) for single-entry
-    mutants of w, of the model's mult and coprod, of the dual's mult and of
-    the dual Gram matrix.  A mutated model cannot build its own w (the
-    Galois inverse check refuses it), so the model's w rides along."""
-    dd, mw = g.dual, build_alg_mult_unitary(g.model)
-    m, dm, dh = dd.source, dd.dual, dd.dual_haar
-    rep = dataclasses.replace
-    for kind in ("raised", "lowered", "planted"):
-        yield "w", dd, rep(mw, w=_single_entry(mw.w, kind))
-        yield "mult", rep(dd, source=rep(
-            m, mult=_single_entry(m.mult, kind))), mw
-        yield "coprod", rep(dd, source=rep(
-            m, coprod=_single_entry(m.coprod, kind))), mw
-        yield "dual mult", rep(dd, dual=rep(
-            dm, mult=_single_entry(dm.mult, kind))), mw
-    yield "dual gram", rep(dd, dual_haar=rep(
-        dh, gram=_single_entry(dh.gram, "raised"))), mw
+def _clean(g) -> Artifacts:
+    return Artifacts(g.dual, build_alg_mult_unitary(g.model))
 
 
 # records each map's mutants must fail on both models, with entry witnesses
@@ -535,12 +517,12 @@ REQUIRED = {"w": {"w.unitary", "reps.slice.left", "reps.slice.right",
 def test_mutants_fail_the_exact_representation_and_w_records(gns_cache,
                                                              name):
     g = gns_cache(name)
-    clean = _moved_records(g.dual, build_alg_mult_unitary(g.model))
+    clean = _moved_records(_clean(g))
     assert all(r.status == "pass" and r.tolerance is None
                for r in clean.values())
     failed: dict[str, set[str]] = {}
-    for label, dd, mw in _w_mutants(g):
-        for key, rec in _moved_records(dd, mw).items():
+    for label, fault in W_FAULTS:
+        for key, rec in _moved_records(fault.apply(_clean(g))).items():
             assert rec.tolerance is None, (label, key)
             if rec.status == "fail":
                 # an identity names its worst entry, a span law its ranks
@@ -559,8 +541,9 @@ def test_every_moved_record_fails_under_some_mutant(gns_cache):
     caught = set()
     for name in ("c_s3", "d_z3"):
         g = gns_cache(name)
-        for label, dd, mw in _w_mutants(g):
-            caught |= {key for key, rec in _moved_records(dd, mw).items()
+        for label, fault in W_FAULTS:
+            caught |= {key for key, rec in
+                       _moved_records(fault.apply(_clean(g))).items()
                        if rec.status == "fail"}
     assert caught == set(MOVED), set(MOVED) - caught
 
@@ -582,9 +565,8 @@ def test_invariance_reads_the_implemented_record(gns_cache, monkeypatch):
     assert calls == [g.model.name]
     assert records["weight.invariance"].status == "pass"
 
-    mw = build_alg_mult_unitary(g.model)
-    bad = dataclasses.replace(mw, w=_single_entry(mw.w, "raised"))
-    moved = _moved_records(g.dual, bad)
+    moved = _moved_records(
+        Fault("munitary.w", "raise", "sorted").apply(_clean(g)))
     impl, inv = moved["coprod.implemented"], moved["weight.invariance"]
     assert impl.status == inv.status == "fail"
     assert (inv.witness, inv.residual) == (impl.witness, impl.residual)
@@ -601,9 +583,9 @@ def test_restated_laws_copy_the_records_they_restate(gns_cache, name):
     # decided law has that record's status, residual and witness
     g = gns_cache(name)
     failed = set()
-    for label, dd, mw in [("clean", g.dual, build_alg_mult_unitary(g.model)),
-                          *_w_mutants(g)]:
-        records = _moved_records(dd, mw)
+    for label, fault in [("clean", None), *W_FAULTS]:
+        records = _moved_records(fault.apply(_clean(g)) if fault
+                                 else _clean(g))
         for key, source in RESTATED:
             got, want = records[key], records[source]
             assert (got.status, got.residual, got.witness) \

@@ -1,6 +1,4 @@
-import json
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,11 +12,11 @@ from qgcheck.hopf import (GALOIS_KINDS, _build_galois,
                           solve_antipode, solve_counit,
                           validate_model, verify_counit_antipode)
 from qgcheck.linalg import LinMap, Vec, inverse, rank
-from qgcheck.modelio import model_from_dict
 from qgcheck.models import GroupTable, build_broken, builtin
 from qgcheck.modular import _invariance_system
 from qgcheck.report import FAIL, PASS, Checker, ensure
 from qgcheck.scalars import Cyc
+from faults import FILE_FAULTS, model_file
 
 
 def one():
@@ -125,18 +123,6 @@ def test_cancellation_taft3(taft3):
     ensure(check_cancellation(taft3))
 
 
-MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
-
-
-def _mutant(name, field, step):
-    """The single-entry mutant that tools/compare_reports.py writes: the
-    middle entry of ``field`` has its first coefficient moved by step."""
-    d = json.loads((MODELS_DIR / f"{name}.json").read_text())
-    coeffs = d[field][len(d[field]) // 2][-1]
-    coeffs[0] = str(Fraction(coeffs[0]) + step)
-    return model_from_dict(d)
-
-
 def _fields(rec):
     """What a report shows of a record, apart from its wall time."""
     return {k: v for k, v in rec.to_dict().items() if k != "wall_ms"}
@@ -149,7 +135,7 @@ def test_cancellation_records_on_mutants(name, field, step):
     """Each bijectivity record is the one that inverting the map and
     comparing inverse(m) m with the identity would make, and each det
     record passes exactly when the map has full rank."""
-    model = _mutant(name, field, step)
+    model = FILE_FAULTS[field, step].apply(model_file(name))
     records = {r.check_id: r for r in check_cancellation(model)}
     oracle = Checker(f"{model.name}.cancel")
     n = model.dim ** 2
@@ -177,7 +163,7 @@ def test_w_refusal_on_sweedler_mutants(field, step, refused):
     """The single-entry mutants of sweedler whose w the op-twisted Galois
     map does not invert are refused with one ModelError; the involution
     mutants, which leave w and w_inv alone, are not."""
-    model = _mutant("sweedler", field, step)
+    model = FILE_FAULTS[field, step].apply(model_file("sweedler"))
     if not refused:
         assert build_alg_mult_unitary(model).inverse_defect.is_zero()
         return

@@ -8,7 +8,6 @@ several equal worst entries) name the same entry.
 """
 
 import ast
-import dataclasses
 from pathlib import Path
 
 import pytest
@@ -30,8 +29,9 @@ from qgcheck.subgroups import (build_dual_morphism, certify_vaes,
                                check_dual_morphism, counit_morphism,
                                identity_morphism)
 from test_hopf import stored_order
-from test_subgroups import (bimodule_mutant, dihedral, non_surjective_embedding,
-                            restrict_a3_file, restrict_d6_s3)
+from faults import (PART_CHANGES, PI_HAT_MOVES, Fault, dihedral, one_entry,
+                    part_fault, restrict_a3_file, restrict_d6_s3)
+from test_subgroups import non_surjective_embedding
 
 # -- the primitive ------------------------------------------------------------
 
@@ -332,20 +332,6 @@ def test_unitary_reads_match_their_loops(any_model, name):
         _same(mw.slices[leg], _old_slices(dd, mw, leg), "slices")
 
 
-def _one_entry_mutants(t: LinMap):
-    """t with its middle stored entry raised by 1, its first lowered by 1,
-    and its first unstored entry planted as 1, where there is one."""
-    entries = list(t.entries())
-    i, j, _ = entries[len(entries) // 2]
-    yield t + LinMap.from_entries(t.dom, t.cod, [(i, j, 1)])
-    i, j, _ = entries[0]
-    yield t + LinMap.from_entries(t.dom, t.cod, [(i, j, -1)])
-    free = next(((i, j) for j in range(t.dom_dim) for i in range(t.cod_dim)
-                 if t.entry(i, j).is_zero()), None)
-    if free:
-        yield t + LinMap.from_entries(t.dom, t.cod, [(*free, 1)])
-
-
 def _record(records, suffix):
     (r,) = [r for r in records if r.check_id.endswith(suffix)]
     return r.check_id, r.status, r.residual, r.witness
@@ -359,10 +345,8 @@ def test_pair_coproduct_witness_is_the_loop_oracles(model_cache, name):
     the product the record still names the loop form's witness."""
     dd = build_dual(model_cache(name))
     m, p = dd.source, dd.haar.pmat
-    cases = [dataclasses.replace(dd, dual=dataclasses.replace(
-        dd.dual, coprod=t)) for t in _one_entry_mutants(dd.dual.coprod)]
-    cases += [dataclasses.replace(dd, source=dataclasses.replace(m, mult=t))
-              for t in _one_entry_mutants(m.mult)]
+    cases = [f.apply(dd) for artifact in ("dual.coprod", "source.mult")
+             for f in one_entry(dd, artifact)]
     for bad in cases:
         ck = Checker(f"{m.name}.dual")
         ck.exact("pair.coproduct", "", lambda bad=bad: p.tensor(p)
@@ -417,22 +401,6 @@ def _old_multiplier_records(dm):
     return ck.records
 
 
-def _moved_pi_hat(pi_hat: LinMap, change: str) -> LinMap:
-    """pi_hat with one column negated, zeroed, or its entry moved to a
-    row outside the image, as the streamed-bimodule test mutates it."""
-    cols = {j: dict(col) for j, col in pi_hat.cols.items()}
-    a = sorted(cols)[min(1, len(cols) - 1)]
-    if change == "negate":
-        cols[a] = {i: -v for i, v in cols[a].items()}
-    elif change == "zero":
-        cols[a] = {}
-    else:
-        value = next(iter(cols[a].values()))
-        image = {i for col in cols.values() for i in col}
-        cols[a] = {min(set(range(pi_hat.cod_dim)) - image): value}
-    return LinMap(pi_hat.dom, pi_hat.cod, cols)
-
-
 MULTIPLIERS = (".multiplier-left", ".multiplier-right",
                ".multiplier-right-alt")
 
@@ -446,7 +414,7 @@ def test_multiplier_records_match_the_loop_forms(make, change):
     those of the value loops, on pi_hat and on its mutants."""
     dm = build_dual_morphism(make())
     if change:
-        dm = dataclasses.replace(dm, pi_hat=_moved_pi_hat(dm.pi_hat, change))
+        dm = Fault("pi_hat", change).apply(dm)
     got = check_dual_morphism(dm)
     want = _old_multiplier_records(dm)
     for suffix in MULTIPLIERS:
@@ -466,15 +434,6 @@ def _old_vaes_records(dm):
     return ck.records
 
 
-def _unit_column_doubled(dm) -> LinMap:
-    """pi_hat with the column at the target's convolution unit doubled:
-    the one mutant here that moves pi_hat(1)."""
-    (u,) = dm.target_duality.dual.unit.data
-    cols = {j: dict(col) for j, col in dm.pi_hat.cols.items()}
-    cols[u] = {i: v + v for i, v in cols[u].items()}
-    return LinMap(dm.pi_hat.dom, dm.pi_hat.cod, cols)
-
-
 RESTATED = {".vaes.dual-homomorphism": ".dual.multiplicative",
             ".vaes.dual-star": ".dual.star",
             ".vaes.dual-unital": ".dual.unital"}
@@ -487,18 +446,18 @@ def test_vaes_restates_the_dual_morphism_records(make):
     on pi_hat and on its mutants; each fails on some mutant."""
     clean = build_dual_morphism(make())
     failed = set()
-    for change in (None, "negate", "zero", "move", "unit"):
-        hat = (clean.pi_hat if change is None
-               else _unit_column_doubled(clean) if change == "unit"
-               else _moved_pi_hat(clean.pi_hat, change))
-        dm = dataclasses.replace(clean, pi_hat=hat)
+    # the column at the target's convolution unit doubled is the one
+    # fault here that moves pi_hat(1)
+    for fault in (None, *map(part_fault, PI_HAT_MOVES),
+                  Fault("pi_hat", "double", "unit-column")):
+        dm = fault.apply(clean) if fault else clean
         dual = check_dual_morphism(dm)
         got, want = certify_vaes(dm, dual), _old_vaes_records(dm)
         for suffix, decided in RESTATED.items():
             rec = _record(got, suffix)
-            assert rec == _record(want, suffix), (change, suffix)
-            assert rec[1:] == _record(dual, decided)[1:], (change, suffix)
-            assert change or rec[1] == "pass"
+            assert rec == _record(want, suffix), (fault, suffix)
+            assert rec[1:] == _record(dual, decided)[1:], (fault, suffix)
+            assert fault or rec[1] == "pass"
             if rec[1] == "fail":
                 failed.add(suffix)
     assert failed == set(RESTATED)
@@ -554,26 +513,17 @@ def _old_vaes_functional_records(dm):
 VAES_FUNCTIONAL = (".vaes.preimage-independence", ".vaes.functional-identity")
 
 
-def _vaes_mutants(clean, moves=("negate", "zero", "move")):
+def _vaes_cases(clean, moves=PI_HAT_MOVES):
     """clean, its pi_hat changed by ``moves`` as in the multiplier test,
     its pi and convolution products changed as in the streamed-bimodule
     test, and, so that many pairs fail at once and the order of the
-    witness shows, pi_hat with e_u added to every column, u the first row
-    outside its image (or 0), alone and with pi's middle entry dropped."""
-    yield clean
-    for change in moves:
-        yield dataclasses.replace(
-            clean, pi_hat=_moved_pi_hat(clean.pi_hat, change))
-    for part in ("pi", "conv_g", "conv_h"):
-        for how in ("raise", "drop", "plant"):
-            yield bimodule_mutant(clean, f"{part}-{how}")
-    hat = clean.pi_hat
-    image = {i for col in hat.cols.values() for i in col}
-    u = min(set(range(hat.cod_dim)) - image, default=0)
-    shifted = dataclasses.replace(clean, pi_hat=hat + LinMap.from_entries(
-        hat.dom, hat.cod, [(u, x, Cyc.one(1)) for x in range(hat.dom_dim)]))
-    yield shifted
-    yield bimodule_mutant(shifted, "pi-drop")
+    witness shows, pi_hat with e_u planted in every column, u the first
+    row outside its image (or 0), alone and with pi's middle entry
+    dropped."""
+    shifted = Fault("pi_hat", "plant", "free-row").apply(clean)
+    return [clean, *(part_fault(change).apply(clean)
+                     for change in (*moves, *PART_CHANGES)),
+            shifted, part_fault("pi-drop").apply(shifted)]
 
 
 @pytest.mark.parametrize("make, moves", [
@@ -589,7 +539,7 @@ def test_vaes_functional_records_match_the_loop_forms(make, moves):
     mutant; taft3's dual is not commutative, so its identity morphism pins
     the order pi_hat(x) * b."""
     failed = set()
-    for dm in _vaes_mutants(build_dual_morphism(make()), moves):
+    for dm in _vaes_cases(build_dual_morphism(make()), moves):
         got = certify_vaes(dm, check_dual_morphism(dm))
         want = _old_vaes_functional_records(dm)
         for suffix in VAES_FUNCTIONAL:
@@ -605,7 +555,7 @@ def test_vaes_functional_identity_of_a_non_surjective_pi_matches_the_loop():
     """A target basis vector with no preimage fails the record as the
     loop did, unless an earlier one fails a pair first."""
     clean = build_dual_morphism(non_surjective_embedding())
-    for dm in _vaes_mutants(clean, ("negate", "zero")):  # pi_hat is onto
+    for dm in _vaes_cases(clean, ("negate", "zero")):  # pi_hat is onto
         got = certify_vaes(dm, check_dual_morphism(dm))
         want = _old_vaes_functional_records(dm)
         for suffix in VAES_FUNCTIONAL:

@@ -4,7 +4,6 @@ import contextlib
 import dataclasses
 import functools
 import io
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,11 +12,12 @@ from qgcheck import cli, subgroups
 from qgcheck.errors import ModelError
 from qgcheck.hopf import QGModel, validate_model
 from qgcheck.linalg import LinMap, inverse
-from qgcheck.modelio import parse_model, parse_morphism
 from qgcheck.models import GroupTable, build_function_algebra, builtin
 from qgcheck.modular import solve_haar
 from qgcheck.report import _diff_witness, ensure
 from qgcheck.scalars import Cyc
+from faults import (MODELS_DIR, every_entry, part_fault, restrict_a3_file,
+                    restrict_d6_s3, restrict_s4_a4)
 from qgcheck.subgroups import (
     QGMorphism,
     build_dual_morphism,
@@ -58,21 +58,6 @@ def mor_a3(s3):
 @pytest.fixture(scope="module")
 def mor_z2(s3):
     return restriction_morphism(s3, [0, first_of_order(s3, 2)])
-
-
-MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
-
-
-def dihedral(n):
-    """The dihedral group of order 2n on elements r^a s^b, index a + n*b."""
-    def mul(i, j):
-        a, b, c, d = i % n, i // n, j % n, j // n
-        return (a + (c if b == 0 else -c)) % n + n * ((b + d) % 2)
-    labels = tuple(f"r{a}" + ("s" if b else "") for b in range(2)
-                   for a in range(n))
-    return GroupTable(f"d{n}", labels,
-                      [[mul(i, j) for j in range(2 * n)]
-                       for i in range(2 * n)])
 
 
 def failed_ids(records):
@@ -191,93 +176,6 @@ def composed_bimodule(dm):
     return lhs - rhs
 
 
-def restrict_a3_file():
-    source = parse_model(str(MODELS_DIR / "c_s3.json"))
-    target = parse_model(str(MODELS_DIR / "c_z3.json"))
-    return parse_morphism(str(MODELS_DIR / "restrict_a3.json"), source,
-                          target)
-
-
-def restrict_d6_s3():
-    return restriction_morphism(dihedral(6), [0, 2, 4, 6, 8, 10])
-
-
-def restrict_s4_a4():
-    """C(S4) -> C(A4), the restriction onto the even permutations."""
-    s4 = GroupTable.symmetric(4)
-
-    def even(label):
-        p = [int(ch) for ch in label]
-        return sum(p[i] > p[j] for i in range(4)
-                   for j in range(i + 1, 4)) % 2 == 0
-    return restriction_morphism(
-        s4, [i for i, e in enumerate(s4.elements) if even(e)])
-
-
-def one_entry_mutant(t, change):
-    """t with its middle stored entry raised by 1 or dropped, or its first
-    unstored entry planted as 1."""
-    i, j, v = list(t.entries())[t.nnz // 2]
-    if change == "drop":
-        bump = -v
-    elif change == "raise":
-        bump = Cyc.one(1)
-    else:
-        i, j = next((i, j) for j in range(t.dom_dim)
-                    for i in range(t.cod_dim) if t.entry(i, j).is_zero())
-        bump = Cyc.one(1)
-    return t + LinMap.from_entries(t.dom, t.cod, [(i, j, bump)])
-
-
-def one_sided_plant(dm, side):
-    """conv_G with 1 planted in column (a, u) (side "left") or (u, a)
-    (side "right"), where a is in the image of pi_hat and u is not, on a
-    row that pi keeps.  Only the one-sided law of that side reads the
-    column: L reads conv_G on (image, any), R on (any, image)."""
-    conv, n = dm.source_duality.dual.mult, dm.morphism.source.dim
-    image = {i for col in dm.pi_hat.cols.values() for i in col}
-    a, u = min(image), min(set(range(n)) - image)
-    j = a * n + u if side == "left" else u * n + a
-    return conv + LinMap.from_entries(
-        conv.dom, conv.cod, [(min(dm.morphism.pi.cols), j, Cyc.one(1))])
-
-
-def bimodule_mutant(dm, change):
-    """dm with pi_hat, pi or one convolution product changed."""
-    part, _, how = change.partition("-")
-    if part == "pi":
-        return dataclasses.replace(dm, morphism=dataclasses.replace(
-            dm.morphism, pi=one_entry_mutant(dm.morphism.pi, how)))
-    if part in ("conv_g", "conv_h"):
-        side = "source_duality" if part == "conv_g" else "target_duality"
-        dd = getattr(dm, side)
-        dual = dataclasses.replace(dd.dual, mult=(
-            one_sided_plant(dm, how) if how in ("left", "right")
-            else one_entry_mutant(dd.dual.mult, how)))
-        return dataclasses.replace(
-            dm, **{side: dataclasses.replace(dd, dual=dual)})
-    # pi_hat changed.  Negating column a leaves the triples (a, u, a)
-    # intact, so the largest differences tie across triples of different
-    # x and y, and the witness pins their order.  Zeroing column a empties
-    # the composed left side on every triple with x = a or y = a; those
-    # differences come after all others.  Moving the entry of column a to
-    # a row outside the image of pi_hat empties the left side only for
-    # some u, so differences of both kinds tie, and the left-empty ones
-    # still come last.
-    cols = {j: dict(col) for j, col in dm.pi_hat.cols.items()}
-    a = sorted(cols)[1]
-    if change == "negate":
-        cols[a] = {i: -v for i, v in cols[a].items()}
-    elif change == "zero":
-        cols[a] = {}
-    else:
-        (value,) = cols[a].values()
-        image = {i for col in cols.values() for i in col}
-        cols[a] = {min(set(range(dm.pi_hat.cod_dim)) - image): value}
-    return dataclasses.replace(
-        dm, pi_hat=LinMap(dm.pi_hat.dom, dm.pi_hat.cod, cols))
-
-
 BIMODULE_MAKERS = [restrict_a3_file, restrict_d6_s3, restrict_s4_a4]
 
 
@@ -303,7 +201,7 @@ def test_streamed_bimodule_matches_composed_oracle(make, change):
     record = check_expectation(dm)[0]
     assert record.check_id.endswith(".bimodule")
     assert record.status == "pass" and record.residual == 0.0
-    bad = bimodule_mutant(dm, change)
+    bad = part_fault(change).apply(dm)
     residual, witness = _diff_witness(composed_bimodule(bad))
     record = check_expectation(bad)[0]
     assert (record.residual, record.witness) == (residual, witness)
@@ -405,17 +303,6 @@ def float_vaes_statuses(mor, dm):
     return {c: "pass" if ok else "fail" for c, ok in statuses.items()}
 
 
-def pi_mutants(mor):
-    """The single-entry mutants of pi, each entry raised, then lowered, by 1."""
-    for j, col in sorted(mor.pi.cols.items()):
-        for i in sorted(col):
-            for step in (1, -1):
-                cols = {c: dict(v) for c, v in mor.pi.cols.items()}
-                cols[j][i] = cols[j][i] + step
-                yield QGMorphism(mor.source, mor.target,
-                                 LinMap(mor.pi.dom, mor.pi.cod, cols))
-
-
 def non_surjective_embedding():
     source = build_function_algebra(GroupTable.cyclic(2))
     target = build_function_algebra(GroupTable.cyclic(4))
@@ -444,7 +331,7 @@ def test_exact_vaes_records_agree_with_the_float_oracle(mor_a3, mor_z2):
         want = float_vaes_statuses(mor, build_dual_morphism(mor))
         assert exact_vaes_statuses(mor) == want, mor.label
     got = []
-    for mor in pi_mutants(mor_a3):
+    for mor in [f.apply(mor_a3) for f in every_entry(mor_a3, "pi")]:
         want = float_vaes_statuses(mor, build_dual_morphism(mor))
         assert exact_vaes_statuses(mor) == want
         got.append("".join(want[c][0].upper() for c in VAES_FLOAT_IDS))
@@ -481,7 +368,7 @@ def test_exact_vaes_records_in_complex_coordinates(mor_a3):
     assert not solve_haar(source).gram.conj() == solve_haar(source).gram
     assert not solve_haar(target).gram.conj() == solve_haar(target).gram
     cases = [identity_morphism(target), rebased_a3]
-    cases += list(pi_mutants(rebased_a3))[:6]
+    cases += [f.apply(rebased_a3) for f in every_entry(rebased_a3, "pi")[:6]]
     got = [exact_vaes_statuses(mor) for mor in cases]
     assert got == [float_vaes_statuses(mor, build_dual_morphism(mor))
                    for mor in cases]
