@@ -68,66 +68,6 @@ def _load_model(ref: str):
                      f"built-ins: {', '.join(sorted(BUILTIN_MODELS))}")
 
 
-def _stage_failure(model, stage: str, law: str, exc):
-    from .report import FAIL, CheckRecord
-    return CheckRecord(f"{model.name}.suite.{stage}", law, FAIL,
-                       witness=str(exc))
-
-
-def _algebraic_records(model) -> list:
-    """Exact-tier suite, stopping at the first stage that fails; duality
-    and modular load only past the structure laws."""
-    from .hopf import validate_model
-    records = list(validate_model(model))
-    if not all(r.ok for r in records):
-        return records
-    from .duality import (build_dual, check_biduality,
-                          check_convolution_compat, check_dual,
-                          check_dual_modular, check_pentagon_and_lemmas,
-                          check_radford)
-    from .modular import check_modular_structure, solve_haar
-    try:
-        haar = solve_haar(model)
-    except (ModelError, SingularMap) as e:
-        records.append(_stage_failure(
-            model, "haar", "invariant functional exists and is unique", e))
-        return records
-    records += check_modular_structure(haar)
-    try:
-        dd = build_dual(model)
-    except (ModelError, SingularMap) as e:
-        records.append(_stage_failure(
-            model, "dual", "dual model construction succeeds", e))
-        return records
-    records += check_dual(dd)
-    records += check_dual_modular(dd)
-    records += check_radford(dd)
-    records += check_pentagon_and_lemmas(dd)
-    records += check_convolution_compat(dd)
-    records += check_biduality(dd)
-    return records
-
-
-def _analytic_records(model, explicit: bool):
-    """GNS-layer suite.  gns is imported here, past the exact mu test, so
-    a run that is refused there or runs no analytic suite never compiles
-    it."""
-    from .modular import require_unit_scaling
-    from .report import Checker
-    try:
-        require_unit_scaling(model)
-        from .gns import analytic_suite, build_gns
-        g = build_gns(model)
-    except TierRefusal as e:
-        if explicit:
-            raise
-        ck = Checker(f"{model.name}.analytic")
-        ck.skip("tier", "analytic layer runs under its standing assumptions",
-                str(e))
-        return ck.records
-    return analytic_suite(g)
-
-
 def _finish(report, path) -> int:
     """Print the report, write it to ``path`` if given, return 0 or 1."""
     print(report.text_table())
@@ -138,17 +78,62 @@ def _finish(report, path) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .report import Report
+    """Build the Haar data, the dual, then w, each once from the one
+    before, and hand w to the analytic suite.  The algebraic suite stops
+    at the first stage that fails; ``--suite analytic`` alone refuses on
+    mu and the Gram matrix before the dual.  duality and modular load only
+    past the structure laws, gns only past the exact mu test."""
+    from .report import FAIL, Checker, CheckRecord, Report
     model = _load_model(args.model)
     report = Report(title=f"verify {model.name}",
                     meta={"model": model.name, "dim": model.dim,
                           "suite": args.suite, "seed": args.seed,
                           "tol": args.tol})
-    if args.suite in ("algebraic", "all"):
-        report.add(_algebraic_records(model))
-    if args.suite in ("analytic", "all") and report.ok:
-        report.add(_analytic_records(
-            model, explicit=args.suite == "analytic"))
+    algebraic = args.suite != "analytic"
+    if algebraic:
+        from .hopf import validate_model
+        report.add(validate_model(model))
+        if not report.ok:
+            return _finish(report, args.report)
+    from .duality import (build_alg_mult_unitary, build_dual,
+                          check_biduality, check_convolution_compat,
+                          check_dual, check_dual_modular,
+                          check_pentagon_and_lemmas, check_radford)
+    from .modular import (check_modular_structure, require_positive_gram,
+                          require_unit_scaling, solve_haar)
+    stage = ("haar", "invariant functional exists and is unique")
+    try:
+        haar = solve_haar(model)
+        if algebraic:
+            report.add(check_modular_structure(haar))
+        else:
+            require_positive_gram(require_unit_scaling(haar))
+        stage = ("dual", "dual model construction succeeds")
+        dd = build_dual(haar)
+    except (ModelError, SingularMap) as e:
+        if not algebraic:
+            raise
+        report.add([CheckRecord(f"{model.name}.suite.{stage[0]}", stage[1],
+                                FAIL, witness=str(e))])
+        return _finish(report, args.report)
+    mw = build_alg_mult_unitary(dd)
+    if algebraic:
+        report.add(check_dual(dd) + check_dual_modular(dd) + check_radford(dd)
+                   + check_pentagon_and_lemmas(mw)
+                   + check_convolution_compat(dd) + check_biduality(dd))
+    if args.suite != "algebraic" and report.ok:
+        try:
+            require_unit_scaling(haar)
+            from .gns import analytic_suite, build_gns
+            records = analytic_suite(build_gns(mw))
+        except TierRefusal as e:
+            if not algebraic:
+                raise
+            ck = Checker(f"{model.name}.analytic")
+            ck.skip("tier", "analytic layer runs under its standing "
+                    "assumptions", str(e))
+            records = ck.records
+        report.add(records)
     return _finish(report, args.report)
 
 
@@ -156,10 +141,10 @@ def cmd_dual(args) -> int:
     from .duality import build_dual
     from .hopf import validate_model
     from .modelio import emit_model
-    from .modular import check_modular_structure
+    from .modular import check_modular_structure, solve_haar
     from .report import ensure
     model = _load_model(args.model)
-    dd = build_dual(model)
+    dd = build_dual(solve_haar(model))
     ensure(validate_model(dd.dual))
     ensure(check_modular_structure(dd.dual_haar))
     emit_model(dd.dual, args.out)

@@ -60,9 +60,9 @@ class AlgMultUnitary:
     w(a(x)b) = S^-1(b_(1)) a (x) b_(2) and w_inv = gl o flip, a(x)b |->
     coprod(b)(a(x)1), compose to the identity exactly.  What records and
     refusals read is memoized, built once per w; G is the Gram matrix of
-    ``solve_haar``.
+    ``duality.haar``.
     """
-    model: QGModel
+    duality: Duality
     w: LinMap
     w_inv: LinMap
 
@@ -74,7 +74,8 @@ class AlgMultUnitary:
         on leg 1 (A is associative and unital), and x = 1, d^2 columns,
         decides P = 0 on A (x) A (x) A; otherwise x runs over the basis, all
         d^3 triples.  w12 E and w23 E are built from w's columns."""
-        m, w, i = self.model, self.w, self.model.idA
+        m, w = self.duality.source, self.w
+        i = m.idA
         x = m.unit if leg_one_defect(m, w).is_zero() else i
         lhs = apply_on_legs(w, (0, 1), apply_on_legs(w, (0, 2), x.tensor(w)))
         return lhs - apply_on_legs(w, (1, 2), (w @ x.tensor(i)).tensor(i))
@@ -82,12 +83,12 @@ class AlgMultUnitary:
     @cached_property
     def inverse_defect(self) -> LinMap:
         """w w_inv - 1; w is square, so its zero makes w_inv two-sided."""
-        return self.w @ self.w_inv - LinMap.identity(self.model.AA)
+        return self.w @ self.w_inv - LinMap.identity(self.w.dom)
 
     @cached_property
     def gram_defect(self) -> LinMap:
         """w^H (G (x) G) w - G (x) G, zero exactly when W is unitary."""
-        gram = solve_haar(self.model).gram
+        gram = self.duality.haar.gram
         gg = gram.tensor(gram)
         return self.w.adjoint() @ gg @ self.w - gg
 
@@ -96,23 +97,20 @@ class AlgMultUnitary:
         """W's slices omega_{Lambda e_a, Lambda e_b} on legs 0 and 1, column
         a d + b the block at (a, b) of (G (x) 1) w or (1 (x) G) w; slices are
         sesquilinear and the Lambda e_a span, so these d^2 decide them all."""
-        gram = solve_haar(self.model).gram
+        gram = self.duality.haar.gram
         return tuple(apply_on_legs(gram, (leg,), self.w).regroup(order, 2)
                      for leg, order in ((0, (1, 3, 0, 2)), (1, (0, 2, 1, 3))))
 
 
-def build_dual(model: QGModel) -> Duality:
-    """Construct the dual model on the same coordinate space.
+def build_dual(haar: HaarData) -> Duality:
+    """Construct the dual model of ``haar.model`` on the same coordinate
+    space, with the dual's own Haar data.
 
     The result is not validated here: ``check_dual`` and the other checks
     below assert its laws, and the ``dual`` verb runs ``validate_model``
     and ``check_modular_structure`` on it before writing it out.
     """
-    return model._cached("dual", lambda: _build_dual(model))
-
-
-def _build_dual(model: QGModel) -> Duality:
-    haar = solve_haar(model)
+    model = haar.model
     d = model.dim
     A, AA = model.A, model.AA
     phi, pmat, pmat_inv = haar.phi, haar.pmat, haar.pmat_inv
@@ -266,17 +264,14 @@ def check_radford(dd: Duality) -> list[CheckRecord]:
     return ck.records
 
 
-def build_alg_mult_unitary(model: QGModel) -> AlgMultUnitary:
-    """The invertible map w(a(x)b) = S^-1(b_(1)) a (x) b_(2) on A (x) A."""
-    return model._cached("alg_mult_unitary",
-                         lambda: _build_alg_mult_unitary(model))
-
-
-def _build_alg_mult_unitary(model: QGModel) -> AlgMultUnitary:
-    """w and w_inv; ModelError unless their ``inverse_defect`` is zero."""
+def build_alg_mult_unitary(dd: Duality) -> AlgMultUnitary:
+    """The invertible map w(a(x)b) = S^-1(b_(1)) a (x) b_(2) on A (x) A of
+    the source of dd, and w_inv; ModelError unless their
+    ``inverse_defect`` is zero."""
+    model = dd.source
     w = apply_on_legs(model.mult @ model.flipA, (0, 1), apply_on_legs(
         model.antipode_inv, (1,), model.idA.tensor(model.coprod)))
-    mw = AlgMultUnitary(model, w, galois_map(model, "gl") @ model.flipA)
+    mw = AlgMultUnitary(dd, w, galois_map(model, "gl") @ model.flipA)
     if not mw.inverse_defect.is_zero():
         raise ModelError(f"{model.name}: multiplicative unitary is not "
                          "inverted by the op-twisted Galois map")
@@ -303,14 +298,14 @@ def leg_one_defect(model: QGModel, w: LinMap) -> LinMap:
         @ model.flipA
 
 
-def adjoint_relation(dd: Duality, mw: AlgMultUnitary) -> bool:
+def adjoint_relation(mw: AlgMultUnitary) -> bool:
     """(w(u))^* . v = u^* . w^-1(v) in A (x) D, with its product ``.`` and
     star u^* = (C (x) C^)(conj u), as two map identities on A (x) A: for
     X = w^-1(1 (x) 1^), v = 1 gives (b) stars o conj(w) = R_X o stars, then
     u^* = 1 gives (a) w^-1 = L_X, and as A (x) D is associative and unital
     (a) and (b) give the relation back for all u and v.  A failing identity
     raises CheckFailure with its name and worst entry."""
-    m, dm = dd.source, dd.dual
+    m, dm = mw.duality.source, mw.duality.dual
     x = mw.w_inv(m.unit.tensor(dm.unit))
     l_x, r_x = (tensor_image(regular(m, right), regular(dm, right), x)
                 for right in (False, True))
@@ -321,12 +316,11 @@ def adjoint_relation(dd: Duality, mw: AlgMultUnitary) -> bool:
     return True
 
 
-def check_pentagon_and_lemmas(dd: Duality) -> list[CheckRecord]:
+def check_pentagon_and_lemmas(mw: AlgMultUnitary) -> list[CheckRecord]:
     """Pentagon equation, twist lemmas and the adjoint relation for w, all
     decided exactly on every vector (``AlgMultUnitary.pentagon_defect``,
     ``adjoint_relation``)."""
-    m, h = dd.source, dd.haar
-    mw = build_alg_mult_unitary(m)
+    m, h = mw.duality.source, mw.duality.haar
     w, sigma, alpha = mw.w, h.sigma, alpha_map(h)
     ck = Checker(f"{m.name}.munitary")
     ck.exact("pentagon", PENTAGON_LAW, lambda: mw.pentagon_defect)
@@ -342,7 +336,7 @@ def check_pentagon_and_lemmas(dd: Duality) -> list[CheckRecord]:
              "(w(a(x)b))* . (c(x)d) = (a(x)b)* . w^-1(c(x)d) "
              "(as w^-1 = L_X and stars o conj(w) = R_X o stars, "
              "X = w^-1(1 (x) 1^))",
-             lambda: adjoint_relation(dd, mw))
+             lambda: adjoint_relation(mw))
     return ck.records
 
 
@@ -442,8 +436,9 @@ def bidual_map(dd: Duality) -> LinMap:
 
 
 def check_biduality(dd: Duality) -> list[CheckRecord]:
-    """The double dual is isomorphic to the source as a Hopf *-algebra."""
-    bidd = build_dual(dd.dual)
+    """The double dual, built from the dual's Haar data, is isomorphic to
+    the source as a Hopf *-algebra."""
+    bidd = build_dual(dd.dual_haar)
     kappa = bidual_map(dd)
     return check_hopf_star_iso(kappa, dd.source, bidd.dual,
                                prefix=f"{dd.source.name}.bidual")

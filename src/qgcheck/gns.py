@@ -11,7 +11,10 @@ identity over Q(zeta_N) among L, C, w and G, decided there over every
 basis element and pair; the pentagon, unitarity and inverse defects and
 the slices of W are built once on the ``AlgMultUnitary``, and a law that
 restates a decided law returns that record.  Lambda is invertible, so
-each exact form is equivalent to its Hilbert-space law.
+each exact form is equivalent to its Hilbert-space law.  The realization
+is the chain it is handed: ``build_gns`` takes the ``AlgMultUnitary``,
+whose duality carries both Haar data, builds no stage, and every check
+reads w, G and the dual from that chain alone.
 The frame's own law, ``reps.lambda.inner-product``, is that G is
 Hermitian positive definite, and the KMS norm bound ``weight.kms.bound``
 is, row by row, that a Hermitian form built from G is not positive
@@ -32,53 +35,48 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .duality import (AlgMultUnitary, Duality, build_alg_mult_unitary,
-                      build_dual, regular, tensor_image)
+from .duality import AlgMultUnitary, Duality, regular, tensor_image
 from .errors import CheckFailure, SingularMap, TierRefusal
 from .hopf import QGModel, galois_map
 from .linalg import LinMap, apply_on_legs, rank, require_bijective
 from .modular import (HaarData, _sign, positive_definite,
-                      require_unit_scaling)
+                      require_positive_gram, require_unit_scaling)
 from .report import PASS, Checker, CheckRecord, _diff_witness, require_zero
 from .scalars import Cyc
 
 
-@dataclass
+@dataclass(frozen=True)
 class GnsRealization:
-    """A model that passed ``build_gns``'s refusals, with its duality."""
+    """An algebraic multiplicative unitary, with its duality, that passed
+    ``build_gns``'s refusals."""
 
-    model: QGModel
-    dual: Duality
+    mw: AlgMultUnitary
 
 
-def build_gns(model: QGModel) -> GnsRealization:
-    """GNS realization of the invariant state.
+def build_gns(mw: AlgMultUnitary) -> GnsRealization:
+    """GNS realization of the invariant state on the chain ending at mw.
 
     Refuses (TierRefusal) when the scaling constant differs from 1, when
     the Gram matrix phi(conj(e_i) e_j) is not Hermitian positive definite,
     or when W fails unitarity, since the analytic layer is built under
-    those standing assumptions.  Each is decided exactly: positivity is
-    ``HaarData.gram_positive``, and unitarity is the defect
-    ``AlgMultUnitary.gram_defect`` that the record ``w.unitary`` reads.
+    those standing assumptions.  Each is decided exactly, on the Haar data
+    ``mw.duality.haar``: positivity is ``HaarData.gram_positive``, and
+    unitarity is the defect ``AlgMultUnitary.gram_defect`` that the record
+    ``w.unitary`` reads.
 
     A model whose multiplication representation is not faithful never
     gets here: if L_f = 0 for some f != 0, then phi(f e_j) = 0 for every
     j, so the rows of P[i, j] = phi(e_i e_j) weighted by the coordinates
-    of f sum to zero, P is singular, and ``solve_haar`` (which
-    ``require_unit_scaling`` runs first) raises ModelError "invariant
-    functional is not faithful".  The record ``reps.m.faithful`` still
-    states that law.
+    of f sum to zero, P is singular, and ``solve_haar`` raises ModelError
+    "invariant functional is not faithful".  The record
+    ``reps.m.faithful`` still states that law.
     """
-    haar = require_unit_scaling(model)
-    if not haar.gram_positive:
-        raise TierRefusal(f"{model.name}: Gram matrix of phi is not "
-                          "Hermitian positive definite")
-    dual = build_dual(model)
-    defect, _ = _diff_witness(build_alg_mult_unitary(model).gram_defect)
+    require_positive_gram(require_unit_scaling(mw.duality.haar))
+    defect, _ = _diff_witness(mw.gram_defect)
     if defect:
-        raise TierRefusal(f"{model.name}: multiplicative unitary fails "
-                          f"unitarity (defect {defect:.3e})")
-    return GnsRealization(model=model, dual=dual)
+        raise TierRefusal(f"{mw.duality.source.name}: multiplicative unitary "
+                          f"fails unitarity (defect {defect:.3e})")
+    return GnsRealization(mw)
 
 
 # -- exact forms of the representation and W laws ---------------------------
@@ -134,11 +132,11 @@ def _fourier_isometry(dd: Duality) -> LinMap:
     return dual_gram - gram.scale(c)
 
 
-def _implemented(dd: Duality, mw: AlgMultUnitary):
+def _implemented(mw: AlgMultUnitary):
     """W^H (1 (x) m(f)) W = (m (x) m)(coprod f) for every basis f, as
     w^H (G (x) G)(1 (x) L_f) w = (G (x) G) sum coprod(f)_pq L_p (x) L_q."""
-    m, reg = dd.source, regular(dd.source)
-    gg = dd.haar.gram.tensor(dd.haar.gram)
+    m, gram = mw.duality.source, mw.duality.haar.gram
+    reg, gg = regular(m), gram.tensor(gram)
     wg = mw.w.adjoint() @ gg
     for f in range(m.dim):
         require_zero(wg @ m.idA.tensor(m.lmul(m.basis_vec(f))) @ mw.w
@@ -156,7 +154,7 @@ def _frame_exists(gram: LinMap):
     return True
 
 
-def check_regular_reps(dd: Duality, mw: AlgMultUnitary) -> list[CheckRecord]:
+def check_regular_reps(mw: AlgMultUnitary) -> list[CheckRecord]:
     """Representation laws and both slice formulas for W.
 
     The left slice (iota (x) omega_{Lambda f, Lambda g})(W) must equal
@@ -164,9 +162,10 @@ def check_regular_reps(dd: Duality, mw: AlgMultUnitary) -> list[CheckRecord]:
     equal lambda(g sigma(conj f)); their spans must equal the spans of the
     two regular representations exactly (all four read ``mw.slices``).
     ``lambda.inner-product`` reads
-    the Gram matrix of ``dd.haar``, not the ``gram_positive`` flag that
-    ``build_gns`` checked.
+    the Gram matrix of ``mw.duality.haar``, not the ``gram_positive`` flag
+    that ``build_gns`` checked.
     """
+    dd = mw.duality
     m, dm, gram = dd.source, dd.dual, dd.haar.gram
     d = m.dim
     ck = Checker(f"{m.name}.gns.reps")
@@ -201,12 +200,13 @@ def check_regular_reps(dd: Duality, mw: AlgMultUnitary) -> list[CheckRecord]:
     return ck.records
 
 
-def check_w_properties(dd: Duality, mw: AlgMultUnitary,
+def check_w_properties(mw: AlgMultUnitary,
                        right_span: CheckRecord) -> list[CheckRecord]:
     """Unitarity, pentagon, represented-multiplier form and the duality
     transport of W, reading the ``mw`` memos of the three defects.
     The transport returns the Fourier isometry's record (both are G^ = c G)
     and the C*-identification ``right_span``, ``reps.slice.right-span``."""
+    dd = mw.duality
     m, dm = dd.source, dd.dual
     ck = Checker(f"{m.name}.gns.w")
     # W^H W = I, and then W W^H = I as w is invertible
@@ -231,8 +231,7 @@ def check_w_properties(dd: Duality, mw: AlgMultUnitary,
     return ck.records
 
 
-def check_coproduct_implementation(dd: Duality,
-                                   mw: AlgMultUnitary) -> list[CheckRecord]:
+def check_coproduct_implementation(mw: AlgMultUnitary) -> list[CheckRecord]:
     """W implements the coproduct, and the density laws hold as exact spans.
 
     Given the implementation, coprod(m(f))(m(g) (x) 1) = (m (x) m)
@@ -240,11 +239,11 @@ def check_coproduct_implementation(dd: Duality,
     the rank d^2 of rl_op = gl o flip and rr_op = gr o flip, read off the
     bijectivity decision of gl and gr that ``cancel`` reads too.
     """
-    m = dd.source
+    m = mw.duality.source
     ck = Checker(f"{m.name}.gns.coprod")
     implemented = ck.exact("implemented",
                            "W^H (1 (x) m(f)) W = (m (x) m)(coprod f)",
-                           lambda: _implemented(dd, mw))
+                           lambda: _implemented(mw))
 
     def density(kind):
         if implemented.status != PASS:
@@ -500,11 +499,11 @@ def check_kac_collapse(dd: Duality) -> dict[str, list[CheckRecord]]:
 
 def analytic_suite(gns: GnsRealization) -> list[CheckRecord]:
     """Every analytic-layer check on one realization, in a fixed order."""
-    dd, mw = gns.dual, build_alg_mult_unitary(gns.model)
+    mw, dd = gns.mw, gns.mw.duality
     kac = check_kac_collapse(dd)
-    reps = check_regular_reps(dd, mw)
-    records = reps + check_w_properties(dd, mw, reps[-1])
-    coprod = check_coproduct_implementation(dd, mw)
+    reps = check_regular_reps(mw)
+    records = reps + check_w_properties(mw, reps[-1])
+    coprod = check_coproduct_implementation(mw)
     records += coprod
     for section in ("calc", *(f"powers[z={z}]" for z in Z_GRID),
                     "commute", "modgroup"):

@@ -41,9 +41,10 @@ class QGModel:
       invol     linear part C of the involution, a* = C(conj a)
       positive  whether the invariant functional is expected to be a state
 
-    A model is immutable: ``_cached`` builds its associator, Galois maps,
-    Haar data, dual and algebraic multiplicative unitary once, and
-    ``linalg`` memoizes each elimination (its inverse antipode's too).
+    A model is immutable: ``_cached`` builds the maps that are functions
+    of its fields once (``idA``, ``flipA``, the associator, the label
+    index, the Galois maps), and ``linalg`` memoizes each elimination (its
+    inverse antipode's too).  Its Haar data, dual and w are not cached.
     """
 
     name: str

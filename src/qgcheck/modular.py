@@ -117,11 +117,8 @@ def positive_definite(m: LinMap) -> bool:
 
 
 def solve_haar(model: QGModel) -> HaarData:
-    """Compute the invariant functional and everything it induces."""
-    return model._cached("haar", lambda: _solve_haar(model))
-
-
-def _solve_haar(model: QGModel) -> HaarData:
+    """Compute the invariant functional and everything it induces; each
+    call solves anew, so a caller builds it once and hands it on."""
     d = model.dim
     ker = kernel(_invariance_system(model, "left"))
     if len(ker) != 1:
@@ -197,19 +194,26 @@ def _solve_haar(model: QGModel) -> HaarData:
                     mu=mu, nu=nu, gram=gram, gram_positive=gram_positive)
 
 
-def require_unit_scaling(model: QGModel) -> HaarData:
-    """The model's Haar data, or TierRefusal when mu differs from 1.
+def require_unit_scaling(haar: HaarData) -> HaarData:
+    """haar, or TierRefusal when its mu differs from 1.
 
     mu = 1 is a standing assumption of the analytic tier and of
     the representation-level records of the subgroup certificate; this
-    exact test is how both refuse a model before any float work.
+    exact test is how both refuse a model.
     """
-    haar = solve_haar(model)
-    mu = haar.mu
+    model, mu = haar.model, haar.mu
     if not (mu - model.scalar(1)).is_zero():
         raise TierRefusal(
             f"{model.name}: scaling constant mu = {mu!r} differs from 1; "
             "the analytic layer runs under the standing assumption mu = 1")
+    return haar
+
+
+def require_positive_gram(haar: HaarData) -> HaarData:
+    """haar, or TierRefusal unless its Gram matrix is positive definite."""
+    if not haar.gram_positive:
+        raise TierRefusal(f"{haar.model.name}: Gram matrix of phi is not "
+                          "Hermitian positive definite")
     return haar
 
 

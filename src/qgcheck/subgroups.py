@@ -34,7 +34,7 @@ from .hopf import QGModel
 from .linalg import (LinMap, Vec, apply_on_legs, inverse, kernel,
                      minimal_polynomial, rank, solve_linear)
 from .models import GroupTable, build_function_algebra, builtin
-from .modular import require_unit_scaling
+from .modular import require_unit_scaling, solve_haar
 from .report import Checker, CheckRecord
 
 
@@ -150,17 +150,22 @@ def validate_morphism(mor: QGMorphism) -> list[CheckRecord]:
 
 # -- the dual morphism -----------------------------------------------------
 
+def _dual_morphism(mor: QGMorphism, sdd: Duality, tdd: Duality):
+    """pi_hat of mor, given the dualities of its source and its target."""
+    return DualMorphism(mor, sdd, tdd, sdd.haar.pmat_inv @ mor.pi.transpose()
+                        @ tdd.haar.pmat)
+
+
 def build_dual_morphism(mor: QGMorphism) -> DualMorphism:
     """Construct pi_hat from (pi_hat(x), a) = (x, pi(a)).
 
     With (f, a) = phi(a f) the identity reads P_src pi_hat = pi^T P_tgt,
-    solved exactly by the stored inverse pairing matrix.  The morphism
-    axioms are not checked here; run ``validate_morphism`` first.
+    solved exactly by the stored inverse pairing matrix.  The Haar data and
+    the duality of source and target are built here, once each.  The
+    morphism axioms are not checked here; run ``validate_morphism`` first.
     """
-    sdd = build_dual(mor.source)
-    tdd = build_dual(mor.target)
-    pi_hat = sdd.haar.pmat_inv @ mor.pi.transpose() @ tdd.haar.pmat
-    return DualMorphism(mor, sdd, tdd, pi_hat)
+    return _dual_morphism(mor, build_dual(solve_haar(mor.source)),
+                          build_dual(solve_haar(mor.target)))
 
 
 def check_dual_morphism(dm: DualMorphism) -> list[CheckRecord]:
@@ -293,8 +298,8 @@ def certify_vaes(dm: DualMorphism,
     and lambda(x)^dagger lambda(x), self-adjoint for a positive-definite G
     and so diagonalizable, have equal minimal polynomials, hence equal
     spectra and equal operator norms.  These three are skipped with the
-    refusal reason when either model has mu != 1 (``require_unit_scaling``)
-    or a Gram form that is not positive definite.
+    refusal reason when the Haar data of either duality of dm has mu != 1
+    (``require_unit_scaling``) or a Gram form that is not positive definite.
     """
     mor = dm.morphism
     src, tgt, pi = mor.source, mor.target, mor.pi
@@ -367,9 +372,9 @@ def certify_vaes(dm: DualMorphism,
 
     # Representation-level records, in the coordinates of the Gram form.
     try:
-        reason = next((f"{m.name}: Gram matrix of phi is not positive "
-                       "definite" for m in (src, tgt)
-                       if not require_unit_scaling(m).gram_positive), None)
+        reason = next((f"{h.model.name}: Gram matrix of phi is not positive "
+                       "definite" for h in (haar_g, haar_h)
+                       if not require_unit_scaling(h).gram_positive), None)
     except TierRefusal as e:
         reason = str(e)
     if reason:
@@ -438,16 +443,19 @@ def certify_vaes(dm: DualMorphism,
 # -- functoriality ---------------------------------------------------------
 
 def check_functoriality(inner: QGMorphism, outer: QGMorphism) -> list[CheckRecord]:
-    """Duality is contravariant: identities and composites transport."""
+    """Duality is contravariant: identities and composites transport.  The
+    duality of each model (outer's source is inner's target) is built once.
+    """
     composed = compose_morphisms(outer, inner)
-    dmi = build_dual_morphism(inner)
-    dmo = build_dual_morphism(outer)
-    dmc = build_dual_morphism(composed)
+    g, k, h = (build_dual(solve_haar(m))
+               for m in (inner.source, outer.source, outer.target))
+    dmi = _dual_morphism(inner, g, k)
+    dmo = _dual_morphism(outer, k, h)
+    dmc = _dual_morphism(composed, g, h)
     ck = Checker(f"{composed.label}.functorial")
     ck.exact("identity", "dual of the identity morphism is the identity",
-             lambda: build_dual_morphism(
-                 identity_morphism(inner.source)).pi_hat
-             - inner.source.idA)
+             lambda: _dual_morphism(identity_morphism(inner.source), g,
+                                    g).pi_hat - inner.source.idA)
     ck.exact("compose", "(pi2 o pi1)^ = pi1^ o pi2^",
              lambda: dmc.pi_hat - dmi.pi_hat @ dmo.pi_hat)
     return ck.records

@@ -1,10 +1,13 @@
+import functools
 import sys
 from pathlib import Path
 
 import pytest
 
 from qgcheck import linalg, models
+from qgcheck.duality import build_alg_mult_unitary, build_dual
 from qgcheck.gns import build_gns
+from qgcheck.modular import solve_haar
 
 # the fault catalogue, tools/faults.py, is imported as ``faults``
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
@@ -27,30 +30,35 @@ def eliminations(monkeypatch):
     return seen
 
 
+# Each named built-in and each stage of its chain, built at most once per
+# test session, each stage from the cached stage before it.  The library
+# caches no stage, so a test that reads a stage many times takes it here.
+
+
 @pytest.fixture(scope="session")
 def model_cache():
-    """Build each named model at most once per test session."""
-    cache = {}
-
-    def get(name):
-        if name not in cache:
-            cache[name] = models.builtin(name)
-        return cache[name]
-
-    return get
+    return functools.cache(models.builtin)
 
 
 @pytest.fixture(scope="session")
-def gns_cache(model_cache):
-    """Build each GNS realization at most once per test session."""
-    cache = {}
+def haar_cache(model_cache):
+    return functools.cache(lambda name: solve_haar(model_cache(name)))
 
-    def get(name):
-        if name not in cache:
-            cache[name] = build_gns(model_cache(name))
-        return cache[name]
 
-    return get
+@pytest.fixture(scope="session")
+def duality_cache(haar_cache):
+    return functools.cache(lambda name: build_dual(haar_cache(name)))
+
+
+@pytest.fixture(scope="session")
+def mw_cache(duality_cache):
+    return functools.cache(
+        lambda name: build_alg_mult_unitary(duality_cache(name)))
+
+
+@pytest.fixture(scope="session")
+def gns_cache(mw_cache):
+    return functools.cache(lambda name: build_gns(mw_cache(name)))
 
 
 @pytest.fixture(scope="session")

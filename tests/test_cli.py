@@ -8,13 +8,15 @@ from pathlib import Path
 
 import pytest
 
-from qgcheck import cli, duality, hopf, linalg, models, modular
+from qgcheck import cli, duality, hopf, linalg, models, modular, subgroups
 from qgcheck import gns as G
 from qgcheck.cli import MAX_TAFT_ORDER, dispatch, main
 from qgcheck.linalg import LinMap
-from qgcheck.modelio import emit_table, model_to_dict, parse_model
+from qgcheck.modelio import (emit_model, emit_morphism, emit_table,
+                             model_to_dict, parse_model)
 from qgcheck.models import GroupTable, builtin
 from qgcheck.scalars import MAX_ORDER
+from faults import restrict_d6_s3
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -123,7 +125,7 @@ def test_tol_changes_no_result(tmp_path):
 
 @pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
 def test_unusable_tol_exits_two_before_model_work(value, monkeypatch, capsys):
-    built = _record_calls(monkeypatch, modular, "_solve_haar")
+    built = _record_calls(monkeypatch, modular, "solve_haar")
     with pytest.raises(SystemExit) as exc:
         main(["verify", "c_z2", "--tol", value])
     assert exc.value.code == 2
@@ -135,7 +137,7 @@ def test_unusable_tol_exits_two_before_model_work(value, monkeypatch, capsys):
 @pytest.mark.parametrize("value", ["-1", "1.5", "x"])
 def test_unusable_seed_exits_two_before_model_work(value, monkeypatch,
                                                    capsys):
-    built = _record_calls(monkeypatch, modular, "_solve_haar")
+    built = _record_calls(monkeypatch, modular, "solve_haar")
     with pytest.raises(SystemExit) as exc:
         main(["verify", "c_z2", "--seed", value])
     assert exc.value.code == 2
@@ -159,7 +161,7 @@ def test_unopenable_output_path_exits_two(verb, tmp_path, capsys):
                                   "build-group", "build-taft"])
 def test_missing_output_directory_exits_two_before_model_work(
         verb, tmp_path, monkeypatch, capsys):
-    built = _record_calls(monkeypatch, modular, "_solve_haar")
+    built = _record_calls(monkeypatch, modular, "solve_haar")
     out = str(tmp_path / "missing" / "out.json")
     table = tmp_path / "z2.json"
     emit_table(GroupTable.cyclic(2), str(table))
@@ -181,7 +183,7 @@ def test_missing_output_directory_exits_two_before_model_work(
 
 def test_output_path_naming_a_directory_exits_two(tmp_path, monkeypatch,
                                                   capsys):
-    built = _record_calls(monkeypatch, modular, "_solve_haar")
+    built = _record_calls(monkeypatch, modular, "solve_haar")
     assert main(["dual", "c_z2", "-o", str(tmp_path)]) == 2
     assert str(tmp_path) in capsys.readouterr().err
     assert built == []
@@ -260,20 +262,57 @@ def test_verify_permutes_at_most_two_legs(monkeypatch):
 
 
 def _record_calls(monkeypatch, module, name) -> list:
-    """Replace module.name by a spy; the list collects the models passed."""
+    """Replace module.name by a spy in every loaded qgcheck module that
+    holds it (this file loads every module a verb runs); the list collects
+    the argument of each call."""
     calls, build = [], getattr(module, name)
 
-    def spy(model):
-        calls.append(model)
-        return build(model)
+    def spy(arg):
+        calls.append(arg)
+        return build(arg)
 
-    monkeypatch.setattr(module, name, spy)
+    for mod in [m for key, m in sys.modules.items()
+                if key.startswith("qgcheck.")]:
+        if getattr(mod, name, None) is build:
+            monkeypatch.setattr(mod, name, spy)
     return calls
 
 
+def _d6_s3_files(out) -> list[str]:
+    """The C(D6) -> C(S3) restriction written as subgroup arguments."""
+    mor = restrict_d6_s3()
+    paths = [str(out / f"d6_s3_{part}.json") for part in ("g", "h", "map")]
+    emit_model(mor.source, paths[0])
+    emit_model(mor.target, paths[1])
+    emit_morphism(mor, paths[2])
+    return ["--g", paths[0], "--h", paths[1], "--map", paths[2]]
+
+
+@pytest.mark.parametrize("argv, counts", [
+    (["verify", "taft4", "--suite", "all"], (3, 2, 1)),
+    (["verify", "c_s3", "--suite", "analytic"], (2, 1, 1)),
+    (["subgroup"], (4, 2, 0)),
+    (["dual", model_path("c_s3"), "-o", "OUT"], (2, 1, 0))],
+    ids=["verify-all-taft4", "verify-analytic-c_s3", "subgroup-d6-s3",
+         "dual-c_s3"])
+def test_each_verb_builds_each_stage_once_per_model(argv, counts, tmp_path,
+                                                    monkeypatch):
+    """Haar data, duals and multiplicative unitaries built per verb: each
+    model's stage once, every reader taking it from its arguments (the
+    biduality check builds the bidual's Haar data and dual)."""
+    if argv == ["subgroup"]:
+        argv = argv + _d6_s3_files(tmp_path)
+    argv = [str(tmp_path / "out.json") if a == "OUT" else a for a in argv]
+    built = [_record_calls(monkeypatch, module, name) for module, name in (
+        (modular, "solve_haar"), (duality, "build_dual"),
+        (duality, "build_alg_mult_unitary"))]
+    assert dispatch(argv) == 0
+    assert tuple(map(len, built)) == counts
+
+
 def test_subgroup_builds_haar_and_dual_once_per_model(monkeypatch):
-    haar = _record_calls(monkeypatch, modular, "_solve_haar")
-    dual = _record_calls(monkeypatch, duality, "_build_dual")
+    haar = _record_calls(monkeypatch, modular, "solve_haar")
+    dual = _record_calls(monkeypatch, duality, "build_dual")
     assert dispatch(["subgroup", "--g", model_path("c_s3"),
                      "--h", model_path("c_z3"),
                      "--map", str(MODELS_DIR / "restrict_a3.json")]) == 0
@@ -283,7 +322,7 @@ def test_subgroup_builds_haar_and_dual_once_per_model(monkeypatch):
 
 
 def test_verify_builds_mult_unitary_once(monkeypatch):
-    w = _record_calls(monkeypatch, duality, "_build_alg_mult_unitary")
+    w = _record_calls(monkeypatch, duality, "build_alg_mult_unitary")
     assert dispatch(["verify", model_path("c_s3"), "--suite", "all"]) == 0
     assert len(w) == 1
 
@@ -345,7 +384,7 @@ def test_analytic_records_are_the_same_in_either_suite(tmp_path, eliminations,
 
 def test_subgroup_builds_no_galois_map_unitary_or_modular_layer(monkeypatch):
     galois = _record_galois(monkeypatch)
-    w = _record_calls(monkeypatch, duality, "_build_alg_mult_unitary")
+    w = _record_calls(monkeypatch, duality, "build_alg_mult_unitary")
     gns, build_gns = [], G.build_gns
 
     def spy_gns(model, *args):
@@ -634,10 +673,11 @@ def test_float_tier_names_resolve_from_the_package():
 @pytest.mark.parametrize("verb", ["verify", "dual", "subgroup"])
 def test_internal_error_exits_three_without_traceback(verb, tmp_path,
                                                       monkeypatch, capsys):
-    def broken_builder(model):
+    def broken_builder(haar):
         raise KeyError("no such column")
 
-    monkeypatch.setattr(duality, "_build_dual", broken_builder)
+    for module in (duality, subgroups):
+        monkeypatch.setattr(module, "build_dual", broken_builder)
     argv = {"verify": ["verify", model_path("c_z2"), "--suite", "algebraic"],
             "dual": ["dual", model_path("c_z2"), "-o",
                      str(tmp_path / "d.json")],

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,7 @@ from qgcheck.duality import (
 from qgcheck.errors import CheckFailure, ModelError
 from qgcheck.hopf import galois, galois_map, pair_product, validate_model
 from qgcheck.linalg import LinMap, Vec, apply_on_legs, to_multi, total_dim
-from qgcheck.modular import check_modular_structure
+from qgcheck.modular import check_modular_structure, solve_haar
 from qgcheck.models import GroupTable, build_function_algebra, build_group_algebra
 from qgcheck.report import FAIL, PASS, Checker, ensure
 from qgcheck.scalars import Cyc
@@ -30,24 +31,21 @@ from faults import Fault, spread
 from test_hopf import _galois_by_identity_tensors, stored_order
 
 
-def validated_dual(model):
-    """build_dual, then the structural and Haar suites on the dual."""
-    dd = build_dual(model)
+def validated(dd):
+    """dd, after the structural and Haar suites on its dual."""
     ensure(validate_model(dd.dual))
     ensure(check_modular_structure(dd.dual_haar))
     return dd
 
 
+def validated_dual(model):
+    return validated(build_dual(solve_haar(model)))
+
+
 @pytest.fixture(scope="module")
-def dual_cache(model_cache):
-    cache = {}
-
-    def get(name):
-        if name not in cache:
-            cache[name] = validated_dual(model_cache(name))
-        return cache[name]
-
-    return get
+def dual_cache(duality_cache):
+    """The session's duality of each named built-in, its dual validated."""
+    return functools.cache(lambda name: validated(duality_cache(name)))
 
 
 def assert_iso(t, src, dst):
@@ -74,8 +72,8 @@ def _convolution_by_definition(dd):
 
 
 @pytest.mark.parametrize("name", ["taft3", "c_z4", "sweedler", "cg_s3", "d_z2"])
-def test_convolution_product_matches_defining_equation(name, model_cache):
-    dd = build_dual(model_cache(name))
+def test_convolution_product_matches_defining_equation(name, duality_cache):
+    dd = duality_cache(name)
     assert dd.dual.mult == _convolution_by_definition(dd)
 
 
@@ -231,21 +229,22 @@ def test_cyclic_fourier_duality(n):
 
 # W(u_g (x) u_h) = u_{h^-1 g} (x) u_h on a group algebra; for Z_2 that is
 # the permutation fixing (0,0) and (1,0) and swapping (0,1) with (1,1).
-def test_mult_unitary_group_permutation(model_cache):
-    mw = build_alg_mult_unitary(model_cache("cg_z2"))
+def test_mult_unitary_group_permutation(mw_cache):
+    mw = mw_cache("cg_z2")
     one = Cyc.one(1)
     expect = {(0, 0): one, (3, 1): one, (2, 2): one, (1, 3): one}
     assert {(i, j): v for i, j, v in mw.w.entries()} == expect
-    assert mw.w @ mw.w_inv == LinMap.identity(mw.model.AA)
+    assert mw.w @ mw.w_inv == LinMap.identity(mw.duality.source.AA)
 
 
 @pytest.mark.parametrize("name", ["sweedler", "taft3", "taft4", "c_s3", "d_z3"])
-def test_mult_unitary_matches_identity_tensor_composition(model_cache, name):
-    m = model_cache(name)
+def test_mult_unitary_matches_identity_tensor_composition(mw_cache, name):
+    mw = mw_cache(name)
+    m = mw.duality.source
     i = m.idA
     want = (m.mult @ m.flipA).tensor(i) @ i.tensor(m.antipode_inv).tensor(i) \
         @ i.tensor(m.coprod)
-    got = duality._build_alg_mult_unitary(m).w
+    got = mw.w
     assert got == want
     assert stored_order(got) == stored_order(want)
 
@@ -253,8 +252,7 @@ def test_mult_unitary_matches_identity_tensor_composition(model_cache, name):
 @pytest.mark.parametrize("name", ["trivial", "c_z2", "c_z3", "c_s3",
                                   "sweedler", "taft3"])
 def test_pentagon_and_lemmas(dual_cache, name):
-    dd = dual_cache(name)
-    ensure(check_pentagon_and_lemmas(dd))
+    ensure(check_pentagon_and_lemmas(build_alg_mult_unitary(dual_cache(name))))
 
 
 def _on_legs_by_index(w, legs, d):
@@ -270,16 +268,13 @@ def _on_legs_by_index(w, legs, d):
 
 
 @pytest.mark.parametrize("name", ["sweedler", "taft3"])
-def test_full_pentagon_catches_a_wrong_unitary(name, dual_cache,
-                                               monkeypatch):
-    dd = dual_cache(name)
-    m, d = dd.source, dd.source.dim
-    mw = build_alg_mult_unitary(m)
+def test_full_pentagon_catches_a_wrong_unitary(name, mw_cache):
+    mw = mw_cache(name)
+    m, d = mw.duality.source, mw.duality.source.dim
     # one wrong entry: w(e_0 (x) e_0) gains e_0 (x) e_0
     bad = mw.w + LinMap.from_entries(m.AA, m.AA, [(0, 0, Cyc.one(1))])
-    monkeypatch.setattr(duality, "build_alg_mult_unitary",
-                        lambda model: dataclasses.replace(mw, w=bad))
-    records = {r.check_id: r for r in check_pentagon_and_lemmas(dd)}
+    records = {r.check_id: r for r in check_pentagon_and_lemmas(
+        dataclasses.replace(mw, w=bad))}
     pentagon = records[f"{m.name}.munitary.pentagon"]
     assert pentagon.law == PENTAGON_LAW and pentagon.status == FAIL
 
@@ -323,23 +318,22 @@ def adjoint_relation_on_four_tuples(dd, mw) -> bool:
     return True
 
 
-def _munitary_records(dd, mw, monkeypatch):
-    monkeypatch.setattr(duality, "build_alg_mult_unitary", lambda model: mw)
+def _munitary_records(mw):
     return {r.check_id.rsplit(".munitary.", 1)[1]: r
-            for r in check_pentagon_and_lemmas(dd)}
+            for r in check_pentagon_and_lemmas(mw)}
 
 
-def test_pentagon_sampled_path(dual_cache):
+def test_pentagon_sampled_path(mw_cache):
     # the pentagon was once sampled on these models (c_s3 when the cap was
     # forced below dim^3, taft4 under the default cap); both are now decided
     # exactly, by the reduction on the d^2 vectors 1 (x) e_b (x) e_c
     for name in ("c_s3", "taft4"):
-        dd = dual_cache(name)
-        m, mw = dd.source, build_alg_mult_unitary(dd.source)
+        mw = mw_cache(name)
+        m = mw.duality.source
         assert leg_one_defect(m, mw.w).is_zero(), name
         assert mw.pentagon_defect.dom == m.AA, name
         assert mw.pentagon_defect.is_zero(), name
-        records = check_pentagon_and_lemmas(dd)
+        records = check_pentagon_and_lemmas(mw)
         pentagon = next(r for r in records if r.check_id.endswith("pentagon"))
         assert (pentagon.status, pentagon.law) == (PASS, PENTAGON_LAW), name
         assert pentagon.tolerance is None and pentagon.residual == 0, name
@@ -350,13 +344,13 @@ def test_pentagon_sampled_path(dual_cache):
 
 @pytest.mark.parametrize("name", ["sweedler", "c_s3", "c_z4", "taft3"])
 def test_pentagon_matches_the_full_matrix_oracle_on_mutants(
-        name, dual_cache, monkeypatch):
-    dd = dual_cache(name)
-    m, mw = dd.source, build_alg_mult_unitary(dd.source)
+        name, mw_cache):
+    mw = mw_cache(name)
+    m = mw.duality.source
     reduced, statuses = 0, set()
     for bad in [mw.w, *(f.apply(mw).w for f in spread(mw, "w"))]:
         mutant = dataclasses.replace(mw, w=bad)
-        rec = _munitary_records(dd, mutant, monkeypatch)["pentagon"]
+        rec = _munitary_records(mutant)["pentagon"]
         want = PASS if full_pentagon_defect(m, bad).is_zero() else FAIL
         assert (rec.status, rec.law) == (want, PENTAGON_LAW), rec.witness
         statuses.add(rec.status)
@@ -373,16 +367,16 @@ def test_pentagon_matches_the_full_matrix_oracle_on_mutants(
 
 @pytest.mark.parametrize("name", ["sweedler", "c_s3", "c_z4"])
 def test_adjoint_relation_matches_the_four_tuple_oracle_on_mutants(
-        name, dual_cache, monkeypatch):
-    dd = dual_cache(name)
-    mw = build_alg_mult_unitary(dd.source)
+        name, mw_cache):
+    mw = mw_cache(name)
+    dd = mw.duality
     assert dd.source.dim <= 6
     statuses = set()
     for field in ("w", "w_inv"):
         for bad in [getattr(mw, field), *(getattr(f.apply(mw), field)
                                           for f in spread(mw, field))]:
             mutant = dataclasses.replace(mw, **{field: bad})
-            rec = _munitary_records(dd, mutant, monkeypatch)["adjoint-relation"]
+            rec = _munitary_records(mutant)["adjoint-relation"]
             want = PASS if adjoint_relation_on_four_tuples(dd, mutant) else FAIL
             assert rec.status == want, (field, rec.witness)
             statuses.add(rec.status)
@@ -546,7 +540,7 @@ def test_radford_nontrivial_antipode(dual_cache, taft3):
 def test_bidual_map_unit(dual_cache):
     dd = dual_cache("c_s3")
     kappa = bidual_map(dd)
-    bidd = build_dual(dd.dual)
+    bidd = build_dual(dd.dual_haar)
     assert kappa(dd.source.unit) == bidd.dual.unit
     assert bidd.dual.name.endswith("^^")
 
@@ -556,7 +550,8 @@ def test_build_dual_rejects_broken_model(model_cache):
         validated_dual(model_cache("broken"))
 
 
-def test_mult_unitary_type(model_cache):
-    mw = build_alg_mult_unitary(model_cache("c_z2"))
+def test_mult_unitary_type(mw_cache):
+    mw = mw_cache("c_z2")
     assert isinstance(mw, AlgMultUnitary)
-    assert mw.w.dom == mw.model.AA and mw.w.cod == mw.model.AA
+    m = mw.duality.source
+    assert mw.w.dom == m.AA and mw.w.cod == m.AA

@@ -2,7 +2,7 @@
 (tools/compare_reports.py)."""
 
 import ast
-import sys
+import os
 from pathlib import Path
 
 import pytest
@@ -12,7 +12,7 @@ import faults
 import qgcheck
 from faults import FILE_FAULTS, Fault
 
-TOOLS = Path(compare_reports.TOOLS)
+TOOLS = Path(faults.__file__).resolve().parent
 
 
 @pytest.fixture(scope="module")
@@ -22,7 +22,7 @@ def jobs():
 
 def test_every_fault_changes_its_artifact_on_every_target(jobs, tmp_path):
     # Fault.apply raises on a fault that leaves its artifact equal
-    assert len(jobs) == 270
+    assert len(jobs) == 275
     models, maps = faults.write_mutants(str(tmp_path))
     assert (len(models), len(maps)) == (48, 4)
 
@@ -33,12 +33,12 @@ def test_fault_names_are_unique(jobs):
 
 
 def test_a_fault_that_changes_nothing_fails():
-    clean = faults.Artifacts(qgcheck.build_dual(qgcheck.builtin("c_z2")),
-                             None)
+    clean = qgcheck.build_dual(qgcheck.solve_haar(qgcheck.builtin("c_z2")))
     # on C(Z2) the antipode is the identity, and so is sigma
     with pytest.raises(ValueError, match=r"^fault duality\.haar\.sigma\[all\]"
                                          r"\.antipode changes nothing$"):
-        Fault("duality.haar.sigma", "antipode").apply(clean)
+        Fault("duality.haar.sigma", "antipode").apply(
+            qgcheck.build_alg_mult_unitary(clean))
 
 
 def test_the_catalogue_reads_only_public_qgcheck_names():
@@ -59,19 +59,18 @@ def test_the_catalogue_reads_only_public_qgcheck_names():
     assert imported and imported <= set(qgcheck.__all__)
 
 
-def test_the_gate_stops_on_a_fault_of_a_missing_field(tmp_path, monkeypatch,
-                                                      capsys):
-    script = tmp_path / "driver.py"
-    script.write_text(
+def test_the_gate_stops_on_a_fault_of_a_missing_field(tmp_path, capsys):
+    # a checkout whose own driver, tools/faults.py, holds one fault of a
+    # field that does not exist: the gate runs that driver and stops
+    (tmp_path / "tools").mkdir()
+    os.symlink(TOOLS.parent / "src", tmp_path / "src")
+    (tmp_path / "tools" / "faults.py").write_text(
         f"import sys\nsys.path.insert(0, {str(TOOLS)!r})\nimport faults\n"
         "faults.MODEL_TARGETS, faults.MORPHISM_TARGETS = ('sweedler',), {}\n"
         "faults.model_faults = lambda a: [\n"
         "    faults.Fault('duality.no_such_field', 'raise')]\n"
         "sys.exit(faults.main())\n")
-    monkeypatch.setattr(compare_reports, "DRIVER",
-                        [sys.executable, str(script)])
-    repo = str(TOOLS.parent)
-    assert compare_reports.main([repo, repo]) == 1
+    assert compare_reports.main([str(tmp_path), str(tmp_path)]) == 1
     out = capsys.readouterr().out
     assert "fault duality.no_such_field[middle].raise on sweedler cannot " \
            "be applied: AttributeError" in out, out
@@ -92,3 +91,25 @@ def test_coverage_names_uncovered_ids_and_stale_excuses():
         "c: seen FAIL, so its excuse is stale",
         "e: excused, but no verify --suite all or subgroup report has it"]
     assert all(compare_reports.EXCUSED.values())
+
+
+def _statuses(mw) -> dict[str, str]:
+    """Status per check id, without the model prefix, of the fault driver's
+    algebraic and analytic families on mw's chain."""
+    return {r.check_id.split(".", 1)[1]: r.status
+            for family in faults.model_families(mw) for r in family()}
+
+
+@pytest.mark.parametrize("fault, reached", [
+    (Fault("w", "raise", "sorted"), ("munitary.pentagon",)),
+    (Fault("duality.haar.gram", "drop"),
+     ("munitary.lemma.gram-unitary", "gns.w.unitary"))], ids=["w", "gram"])
+def test_a_fault_applied_after_the_build_reaches_its_readers(fault, reached,
+                                                             mw_cache):
+    """Each stage reads the stage before it from its arguments only, so a
+    fault of w or of the Haar data's Gram matrix, applied after the chain
+    is built, fails the records that read it."""
+    mw = mw_cache("c_s3")
+    clean, faulted = _statuses(mw), _statuses(fault.apply(mw))
+    assert {cid: (clean[cid], faulted[cid]) for cid in reached} \
+        == dict.fromkeys(reached, ("pass", "fail"))

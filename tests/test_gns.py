@@ -13,13 +13,14 @@ import pytest
 from qgcheck import cli, duality
 from qgcheck import gns as G
 from qgcheck.duality import AlgMultUnitary, build_alg_mult_unitary, build_dual
+from qgcheck.modular import solve_haar
 from qgcheck.errors import CheckFailure, ModelError, TierRefusal
 from qgcheck.hopf import galois_map
 from qgcheck.linalg import LinMap, Vec
 from qgcheck.models import GroupTable
 from qgcheck.report import Checker, CheckRecord, ensure
 from qgcheck.scalars import Cyc
-from faults import Artifacts, Fault
+from faults import Fault
 
 FULL_SUITE = ["trivial", "c_z2", "c_z3", "c_s3", "cg_z2", "cg_s3", "d_z3"]
 
@@ -28,10 +29,15 @@ def run_all_checks(g):
     return G.analytic_suite(g)
 
 
-def test_refusal_scaling_constant(sweedler, taft3):
-    for model in (sweedler, taft3):
+def chain(model) -> AlgMultUnitary:
+    """The Haar data, dual and w of model, each built from the one before."""
+    return build_alg_mult_unitary(build_dual(solve_haar(model)))
+
+
+def test_refusal_scaling_constant(mw_cache):
+    for name in ("sweedler", "taft3"):
         with pytest.raises(TierRefusal, match="mu"):
-            G.build_gns(model)
+            G.build_gns(mw_cache(name))
 
 
 def test_refusal_non_positive_gram(model_cache):
@@ -42,21 +48,21 @@ def test_refusal_non_positive_gram(model_cache):
     with pytest.raises(TierRefusal,
                        match="Gram matrix of phi is not Hermitian positive "
                              "definite"):
-        G.build_gns(spoiled)
+        G.build_gns(chain(spoiled))
 
 
 @pytest.mark.parametrize("name", ["c_z3", "cg_s3"])
 def test_unfaithful_multiplication_fails_in_solve_haar(model_cache, name):
     """With every product of one basis element f zeroed, L_f = 0, so the
-    rows of phi o mult are dependent: the Haar solve raises ModelError
-    before build_gns could refuse the model as unfaithful."""
+    rows of phi o mult are dependent: the Haar solve raises ModelError, so
+    no chain reaches build_gns to refuse the model as unfaithful."""
     m = model_cache(name)
     f, d = 1, m.dim
     cols = {j: col for j, col in m.mult.cols.items() if f not in divmod(j, d)}
     spoiled = dataclasses.replace(m, mult=LinMap(m.AA, m.A, cols))
     with pytest.raises(ModelError,
                        match="invariant functional is not faithful"):
-        G.build_gns(spoiled)
+        solve_haar(spoiled)
 
 
 def assert_identity_maps(dd):
@@ -69,9 +75,10 @@ def assert_identity_maps(dd):
 def test_trivial_model(gns_cache):
     # w = 1 exactly, so W = (Lambda (x) Lambda) w (Lambda (x) Lambda)^-1 = 1
     g = gns_cache("trivial")
-    assert g.model.dim == 1
-    assert build_alg_mult_unitary(g.model).w == LinMap.identity(g.model.AA)
-    assert_identity_maps(g.dual)
+    m = g.mw.duality.source
+    assert m.dim == 1
+    assert g.mw.w == LinMap.identity(m.AA)
+    assert_identity_maps(g.mw.duality)
     ensure(run_all_checks(g))
 
 
@@ -80,17 +87,18 @@ def test_function_algebra_gram_is_normalized_counting(gns_cache):
     # functions is orthogonal with norm^2 = 1/|G|
     g = gns_cache("c_z2")
     half = Cyc.rational(Fraction(1, 2))
-    assert g.dual.haar.gram == g.model.idA.scale(half)
+    dd = g.mw.duality
+    assert dd.haar.gram == dd.source.idA.scale(half)
 
 
 def test_w_is_translation_permutation_on_function_algebra(gns_cache):
     # on C(S3) the Gram matrix is I/6, so the frame is a scalar and W = w,
     # which sends e_a (x) e_b to e_a (x) e_ab
     g = gns_cache("c_s3")
-    m = g.model
-    assert g.dual.haar.gram == m.idA.scale(Cyc.rational(Fraction(1, 6)))
+    m = g.mw.duality.source
+    assert g.mw.duality.haar.gram == m.idA.scale(Cyc.rational(Fraction(1, 6)))
     table = GroupTable.symmetric(3)
-    w = build_alg_mult_unitary(m).w
+    w = g.mw.w
     for a in range(m.dim):
         for b in range(m.dim):
             assert w.column((a, b)) == Vec.basis(m.AA, (a, table.mul(a, b)))
@@ -148,8 +156,8 @@ def test_full_check_suite(name, tmp_path, model_cache, monkeypatch):
 @pytest.mark.parametrize("name", FULL_SUITE)
 def test_kac_models_have_identity_modular_operators(gns_cache, name):
     g = gns_cache(name)
-    assert_identity_maps(g.dual)
-    records = [r for recs in G.check_kac_collapse(g.dual).values()
+    assert_identity_maps(g.mw.duality)
+    records = [r for recs in G.check_kac_collapse(g.mw.duality).values()
                for r in recs]
     assert len(records) == 52
     assert all(r.status == "pass" and r.tolerance is None for r in records)
@@ -160,8 +168,8 @@ def test_left_slice_oracle_c_z2(gns_cache):
     # slice is Lambda B Lambda^-1 for the block B of (1 (x) G) w at (x, y),
     # so B = (1/2) L_{e_{x+y}}
     g = gns_cache("c_z2")
-    m = g.model
-    slices = build_alg_mult_unitary(m).slices[1]
+    m = g.mw.duality.source
+    slices = g.mw.slices[1]
     half = Cyc.rational(Fraction(1, 2))
     for x in range(2):
         for y in range(2):
@@ -177,8 +185,8 @@ def test_density_of_a_singular_galois_map_keeps_the_rank_witness(gns_cache,
     the source, ``coprod.implemented`` still passes and each density
     record has the record of ranking rl_op = gl o flip or rr_op = gr o
     flip: "ranks d^2 - 1, expected d^2", residual 1.0."""
-    dd = gns_cache(name).dual
-    mw = build_alg_mult_unitary(dd.source)
+    mw = gns_cache(name).mw
+    dd = mw.duality
     src = dataclasses.replace(dd.source)  # a fresh memo
     for kind in ("gl", "gr"):
         g = galois_map(dd.source, kind)
@@ -186,7 +194,8 @@ def test_density_of_a_singular_galois_map_keeps_the_rank_witness(gns_cache,
             j: col for j, col in g.cols.items() if j})
     records = {r.check_id: r
                for r in G.check_coproduct_implementation(
-                   dataclasses.replace(dd, source=src), mw)}
+                   dataclasses.replace(
+                       mw, duality=dataclasses.replace(dd, source=src)))}
     oracle = Checker(f"{src.name}.gns.coprod")
     n = src.dim ** 2
     assert records[f"{src.name}.gns.coprod.implemented"].ok
@@ -204,9 +213,8 @@ def test_coproduct_of_grouplike_basis(gns_cache):
     # in a group algebra W^H (1 (x) m(u_g)) W = m(u_g) (x) m(u_g), that is
     # w^H (G (x) G)(1 (x) L_g) w = (G (x) G)(L_g (x) L_g)
     g = gns_cache("cg_z2")
-    m = g.model
-    w = build_alg_mult_unitary(m).w
-    gg = g.dual.haar.gram.tensor(g.dual.haar.gram)
+    m, w = g.mw.duality.source, g.mw.w
+    gg = g.mw.duality.haar.gram.tensor(g.mw.duality.haar.gram)
     for k in range(2):
         lk = m.lmul(m.basis_vec(k))
         assert w.adjoint() @ gg @ m.idA.tensor(lk) @ w == gg @ lk.tensor(lk)
@@ -217,7 +225,7 @@ def test_complex_power_multipliers(gns_cache):
     # identity multiplier and the powers records pass exactly
     for name in ("c_s3", "d_z3"):
         g = gns_cache(name)
-        sections = G.check_kac_collapse(g.dual)
+        sections = G.check_kac_collapse(g.mw.duality)
         for z in (0.5, 1j, 1 + 1j):
             records = ensure(sections[f"powers[z={z}]"])
             assert len(records) == 4
@@ -227,18 +235,19 @@ def test_complex_power_multipliers(gns_cache):
 def test_rho_is_trivial_on_kac_models(gns_cache):
     # N acts as S^2, which is the identity on a Kac model
     g = gns_cache("c_s3")
-    s = g.model.antipode
-    assert s @ s == LinMap.identity(g.model.A)
-    assert G.modular_maps(g.dual)["n"] == s @ s
-    modgroup = G.check_kac_collapse(g.dual)["modgroup"]
+    m = g.mw.duality.source
+    s = m.antipode
+    assert s @ s == LinMap.identity(m.A)
+    assert G.modular_maps(g.mw.duality)["n"] == s @ s
+    modgroup = G.check_kac_collapse(g.mw.duality)["modgroup"]
     rho = [r for r in modgroup if ".rho." in r.check_id]
     assert len(rho) == 2 and all(r.status == "pass" for r in rho)
 
 
-def test_power_calculus_failure_names_operator(model_cache):
+def test_power_calculus_failure_names_operator(duality_cache):
     # on taft3 (S^2 != id) the calculus records fail at the first
     # non-identity operator, named in the witness with its worst entry
-    dd = build_dual(model_cache("taft3"))
+    dd = duality_cache("taft3")
     maps = G.modular_maps(dd)
     ident = LinMap.identity(dd.source.A)
     first = next(name for name in G.MODULAR_OPERATORS if maps[name] != ident)
@@ -254,7 +263,7 @@ ORACLE_TOL = 1e-10
 def _float_frame(g):
     """(lam, lam^-1) with lam^H lam = G, the Cholesky frame of the Gram
     matrix in floats, for oracles only."""
-    lam = np.linalg.cholesky(g.dual.haar.gram.to_numpy()).conj().T
+    lam = np.linalg.cholesky(g.mw.duality.haar.gram.to_numpy()).conj().T
     return lam, np.linalg.inv(lam)
 
 
@@ -263,8 +272,8 @@ def test_kms_bound_is_equality_on_group_algebra(gns_cache):
     # exact records put sigma_{i/2} = id, and the exact row test meets
     # its bound s_i = 1 with equality
     g = gns_cache("cg_s3")
-    assert G.modular_maps(g.dual)["nabla"] == LinMap.identity(g.model.A)
-    m, gram = g.model, g.dual.haar.gram
+    m, gram = g.mw.duality.source, g.mw.duality.haar.gram
+    assert G.modular_maps(g.mw.duality)["nabla"] == LinMap.identity(m.A)
     lam, frame = _float_frame(g)
 
     def m_of(f):
@@ -293,15 +302,15 @@ def _set_entry(t: LinMap, i: int, j: int, value) -> LinMap:
 def test_mutated_gram_fails_the_inner_product_record(gns_cache, name):
     # the record reads the Gram matrix it is given, not the gram_positive
     # flag, which every mutant below leaves set
-    g = gns_cache(name)
-    dd, mw = g.dual, build_alg_mult_unitary(g.model)
-    gram, k = dd.haar.gram, g.model.dim // 2
+    mw = gns_cache(name).mw
+    dd = mw.duality
+    gram, k = dd.haar.gram, dd.source.dim // 2
 
     def record(mutant):
         haar = dataclasses.replace(dd.haar, gram=mutant)
         assert haar.gram_positive
-        (rec,) = [r for r in G.check_regular_reps(
-                      dataclasses.replace(dd, haar=haar), mw)
+        (rec,) = [r for r in G.check_regular_reps(dataclasses.replace(
+                      mw, duality=dataclasses.replace(dd, haar=haar)))
                   if r.check_id.endswith(".lambda.inner-product")]
         assert rec.tolerance is None
         return rec
@@ -323,7 +332,7 @@ def test_raised_kms_bound_fails_every_row(gns_cache, monkeypatch, name):
     # each row holds at its bound s_i and fails at s_i + 1; the record
     # then fails, naming the first row
     g = gns_cache(name)
-    m, gram = g.model, g.dual.haar.gram
+    m, gram = g.mw.duality.source, g.mw.duality.haar.gram
     for i in range(m.dim):
         s = G._kms_scale(m, gram, i)
         assert G._kms_row_holds(m, gram, i, s), i
@@ -333,7 +342,7 @@ def test_raised_kms_bound_fails_every_row(gns_cache, monkeypatch, name):
     monkeypatch.setattr(G, "_kms_scale",
                         lambda m, gram, i: scale(m, gram, i) + 1)
     implemented = CheckRecord("coprod.implemented", "", "pass")
-    (rec,) = [r for r in G.check_invariance_and_kms(g.dual, implemented)
+    (rec,) = [r for r in G.check_invariance_and_kms(g.mw.duality, implemented)
               if r.check_id.endswith(".kms.bound")]
     assert rec.status == "fail" and rec.tolerance is None
     assert rec.witness.startswith("row 0: "), rec.witness
@@ -342,16 +351,16 @@ def test_raised_kms_bound_fails_every_row(gns_cache, monkeypatch, name):
 def test_fourier_isometry_constant(gns_cache):
     # Gram = I/6 while the dual basis vectors carry an extra 1/6, giving a
     # dual Gram of I/36 and an isometry constant of 1/6
-    g = gns_cache("c_s3")
-    gram, dual_gram = g.dual.haar.gram, g.dual.dual_haar.gram
+    dd = gns_cache("c_s3").mw.duality
+    gram, dual_gram = dd.haar.gram, dd.dual_haar.gram
     sixth = Cyc.rational(Fraction(1, 6))
 
     def trace(t):
-        return sum((t.entry(i, i) for i in range(g.model.dim)), Cyc.zero())
+        return sum((t.entry(i, i) for i in range(dd.source.dim)), Cyc.zero())
 
     assert trace(dual_gram) / trace(gram) == sixth
     assert dual_gram == gram.scale(sixth)
-    assert dual_gram == g.model.idA.scale(sixth * sixth)
+    assert dual_gram == dd.source.idA.scale(sixth * sixth)
 
 
 def test_modular_conjugation_reduces_to_involution(gns_cache):
@@ -359,13 +368,14 @@ def test_modular_conjugation_reduces_to_involution(gns_cache):
     # antilinear map Lambda(f) -> Lambda(f*), whose linear part must then
     # be unitary
     g = gns_cache("c_s3")
-    assert g.dual.haar.sigma == LinMap.identity(g.model.A)
+    m = g.mw.duality.source
+    assert g.mw.duality.haar.sigma == LinMap.identity(m.A)
     lam, frame = _float_frame(g)
-    invol, eye = g.model.invol.to_numpy(), np.eye(g.model.dim)
+    invol, eye = m.invol.to_numpy(), np.eye(m.dim)
     t_mat = lam @ invol @ np.conj(frame)
     assert np.allclose(t_mat.conj().T @ t_mat, eye, rtol=0, atol=ORACLE_TOL)
     assert np.allclose(t_mat @ t_mat.conj().T, eye, rtol=0, atol=ORACLE_TOL)
-    for k in range(g.model.dim):
+    for k in range(m.dim):
         got = t_mat @ np.conj(lam[:, k])
         want = lam @ invol[:, k]
         assert np.allclose(got, want, rtol=0, atol=ORACLE_TOL)
@@ -374,9 +384,9 @@ def test_modular_conjugation_reduces_to_involution(gns_cache):
 def test_unitary_antipode_reduces_to_antipode(gns_cache):
     # M = rmul(delta) S^2 is the identity, so tau is trivial and R = S; the
     # four r.* records are exact
-    g = gns_cache("c_s3")
-    assert G.modular_maps(g.dual)["m"] == LinMap.identity(g.model.A)
-    records = G.check_kac_collapse(g.dual)["weight"]
+    dd = gns_cache("c_s3").mw.duality
+    assert G.modular_maps(dd)["m"] == LinMap.identity(dd.source.A)
+    records = G.check_kac_collapse(dd)["weight"]
     assert [r.check_id.rsplit(".", 2)[-2:] for r in records] == [
         ["r", "lands-in-span"], ["r", "involutive"],
         ["r", "anti-multiplicative"], ["r", "right-invariant"]]
@@ -423,8 +433,9 @@ HAAR_FAULTS = (
 
 
 @pytest.mark.parametrize("name", ["c_s3", "d_z3"])
-def test_mutated_exact_input_fails_the_records_naming_it(model_cache, name):
-    clean = build_dual(model_cache(name))
+def test_mutated_exact_input_fails_the_records_naming_it(duality_cache,
+                                                         name):
+    clean = duality_cache(name)
     for fault, affected, own in HAAR_FAULTS:
         label, dd = fault.name, fault.apply(clean)
         ident = LinMap.identity(dd.source.A)
@@ -446,9 +457,9 @@ def test_mutated_exact_input_fails_the_records_naming_it(model_cache, name):
 
 
 @pytest.mark.parametrize("name", ["taft3", "sweedler"])
-def test_non_kac_data_fails_every_kac_record(model_cache, name):
+def test_non_kac_data_fails_every_kac_record(duality_cache, name):
     # S^2 != id: N, M and nabla_hat are not the identity
-    dd = build_dual(model_cache(name))
+    dd = duality_cache(name)
     maps = G.modular_maps(dd)
     for op in ("n", "m", "nabla_hat"):
         assert maps[op] != LinMap.identity(dd.source.A), op
@@ -476,34 +487,29 @@ MOVED = (
 FRAME_RECORDS = ("reps.lambda.inner-product", "weight.kms.bound")
 
 
-def _moved_records(a: Artifacts) -> dict[str, object]:
-    dd, mw = a.duality, a.munitary
-    coprod = G.check_coproduct_implementation(dd, mw)
-    reps = G.check_regular_reps(dd, mw)
-    records = (reps + G.check_w_properties(dd, mw, reps[-1])
-               + coprod + G.check_invariance_and_kms(dd, coprod[0]))
+def _moved_records(mw: AlgMultUnitary) -> dict[str, object]:
+    coprod = G.check_coproduct_implementation(mw)
+    reps = G.check_regular_reps(mw)
+    records = (reps + G.check_w_properties(mw, reps[-1])
+               + coprod + G.check_invariance_and_kms(mw.duality, coprod[0]))
     out = {r.check_id.split(".gns.")[1]: r for r in records}
     assert set(out) == set(MOVED) | set(FRAME_RECORDS)
     return {key: out[key] for key in MOVED}
 
 
-# (map label, fault of the Artifacts) for single-entry faults of w, of
-# the model's mult and coprod, of the dual's mult and of the dual Gram
+# (map label, fault of the AlgMultUnitary) for single-entry faults of w,
+# of the model's mult and coprod, of the dual's mult and of the dual Gram
 # matrix: the middle entry by column raised or lowered, or the first
-# unstored entry of column 0 planted.  A faulted model cannot build its
-# own w (the Galois inverse check refuses it), so the model's w rides along.
+# unstored entry of column 0 planted.  Each is applied after the chain is
+# built, so a faulted model keeps its clean w.
 W_FAULTS = [(label, Fault(artifact, change, position))
             for change, position in (("raise", "sorted"), ("lower", "sorted"),
                                      ("plant", "free:0"))
-            for label, artifact in (("w", "munitary.w"),
+            for label, artifact in (("w", "w"),
                                     ("mult", "duality.source.mult"),
                                     ("coprod", "duality.source.coprod"),
                                     ("dual mult", "duality.dual.mult"))] + [
     ("dual gram", Fault("duality.dual_haar.gram", "raise", "sorted"))]
-
-
-def _clean(g) -> Artifacts:
-    return Artifacts(g.dual, build_alg_mult_unitary(g.model))
 
 
 # records each map's mutants must fail on both models, with entry witnesses
@@ -517,12 +523,12 @@ REQUIRED = {"w": {"w.unitary", "reps.slice.left", "reps.slice.right",
 def test_mutants_fail_the_exact_representation_and_w_records(gns_cache,
                                                              name):
     g = gns_cache(name)
-    clean = _moved_records(_clean(g))
+    clean = _moved_records(g.mw)
     assert all(r.status == "pass" and r.tolerance is None
                for r in clean.values())
     failed: dict[str, set[str]] = {}
     for label, fault in W_FAULTS:
-        for key, rec in _moved_records(fault.apply(_clean(g))).items():
+        for key, rec in _moved_records(fault.apply(g.mw)).items():
             assert rec.tolerance is None, (label, key)
             if rec.status == "fail":
                 # an identity names its worst entry, a span law its ranks
@@ -543,7 +549,7 @@ def test_every_moved_record_fails_under_some_mutant(gns_cache):
         g = gns_cache(name)
         for label, fault in W_FAULTS:
             caught |= {key for key, rec in
-                       _moved_records(fault.apply(_clean(g))).items()
+                       _moved_records(fault.apply(g.mw)).items()
                        if rec.status == "fail"}
     assert caught == set(MOVED), set(MOVED) - caught
 
@@ -556,17 +562,17 @@ def test_invariance_reads_the_implemented_record(gns_cache, monkeypatch):
     calls = []
     implemented = G._implemented
 
-    def spy(dd, mw):
-        calls.append(dd.source.name)
-        return implemented(dd, mw)
+    def spy(mw):
+        calls.append(mw.duality.source.name)
+        return implemented(mw)
 
     monkeypatch.setattr(G, "_implemented", spy)
     records = {r.check_id.split(".gns.")[1]: r for r in G.analytic_suite(g)}
-    assert calls == [g.model.name]
+    assert calls == [g.mw.duality.source.name]
     assert records["weight.invariance"].status == "pass"
 
     moved = _moved_records(
-        Fault("munitary.w", "raise", "sorted").apply(_clean(g)))
+        Fault("w", "raise", "sorted").apply(g.mw))
     impl, inv = moved["coprod.implemented"], moved["weight.invariance"]
     assert impl.status == inv.status == "fail"
     assert (inv.witness, inv.residual) == (impl.witness, impl.residual)
@@ -584,8 +590,8 @@ def test_restated_laws_copy_the_records_they_restate(gns_cache, name):
     g = gns_cache(name)
     failed = set()
     for label, fault in [("clean", None), *W_FAULTS]:
-        records = _moved_records(fault.apply(_clean(g)) if fault
-                                 else _clean(g))
+        records = _moved_records(fault.apply(g.mw) if fault
+                                 else g.mw)
         for key, source in RESTATED:
             got, want = records[key], records[source]
             assert (got.status, got.residual, got.witness) \
@@ -653,7 +659,7 @@ def test_verify_forms_each_w_product_and_kac_defect_once(monkeypatch):
     operators X, however many Kac records name X."""
     products, differences, built, maps = [], [], [], []
     matmul, sub = LinMap.__matmul__, LinMap.__sub__
-    build, modular_maps = duality._build_alg_mult_unitary, G.modular_maps
+    build, modular_maps = duality.build_alg_mult_unitary, G.modular_maps
 
     def spy_matmul(a, b):
         if a.cod == a.dom == b.cod == b.dom and len(a.dom) == 2:
@@ -664,8 +670,8 @@ def test_verify_forms_each_w_product_and_kac_defect_once(monkeypatch):
         differences.append((a, b))
         return sub(a, b)
 
-    def spy_build(model):
-        built.append(out := build(model))
+    def spy_build(dd):
+        built.append(out := build(dd))
         return out
 
     def spy_maps(dd):
@@ -674,7 +680,7 @@ def test_verify_forms_each_w_product_and_kac_defect_once(monkeypatch):
 
     monkeypatch.setattr(LinMap, "__matmul__", spy_matmul)
     monkeypatch.setattr(LinMap, "__sub__", spy_sub)
-    monkeypatch.setattr(duality, "_build_alg_mult_unitary", spy_build)
+    monkeypatch.setattr(duality, "build_alg_mult_unitary", spy_build)
     monkeypatch.setattr(G, "modular_maps", spy_maps)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["verify", "c_s3", "--suite", "all"]) == 0

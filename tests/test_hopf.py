@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from qgcheck.hopf import (GALOIS_KINDS, _build_galois,
                           validate_model, verify_counit_antipode)
 from qgcheck.linalg import LinMap, Vec, inverse, rank
 from qgcheck.models import GroupTable, build_broken, builtin
-from qgcheck.modular import _invariance_system
+from qgcheck.modular import _invariance_system, solve_haar
 from qgcheck.report import FAIL, PASS, Checker, ensure
 from qgcheck.scalars import Cyc
 from faults import FILE_FAULTS, model_file
@@ -162,13 +163,16 @@ def test_cancellation_records_on_mutants(name, field, step):
 def test_w_refusal_on_sweedler_mutants(field, step, refused):
     """The single-entry mutants of sweedler whose w the op-twisted Galois
     map does not invert are refused with one ModelError; the involution
-    mutants, which leave w and w_inv alone, are not."""
-    model = FILE_FAULTS[field, step].apply(model_file("sweedler"))
+    mutants, which leave w and w_inv alone, are not.  Each mutant is the
+    source of the clean model's duality."""
+    clean = model_file("sweedler")
+    dd = dataclasses.replace(build_dual(solve_haar(clean)),
+                             source=FILE_FAULTS[field, step].apply(clean))
     if not refused:
-        assert build_alg_mult_unitary(model).inverse_defect.is_zero()
+        assert build_alg_mult_unitary(dd).inverse_defect.is_zero()
         return
     with pytest.raises(ModelError) as exc:
-        build_alg_mult_unitary(model)
+        build_alg_mult_unitary(dd)
     assert str(exc.value) == ("sweedler: multiplicative unitary is not "
                               "inverted by the op-twisted Galois map")
 
@@ -199,9 +203,9 @@ def test_no_map_is_eliminated_twice(monkeypatch, eliminations, name):
     for kind, g in canonical.items():
         assert [aug for m, aug in hits if m == g] == [None], kind
     assert len(hits) == len(canonical)
-    dd = build_dual(model)
+    dd = build_dual(solve_haar(model))
     systems = [_invariance_system(x, "left")
-               for x in (model, dd.dual, build_dual(dd.dual).dual)]
+               for x in (model, dd.dual, build_dual(dd.dual_haar).dual)]
     systems.append(_invariance_system(model, "right"))
     for s in systems:
         assert s in [m for m, _ in eliminations]

@@ -27,7 +27,6 @@ from qgcheck.linalg import (
 )
 from qgcheck.modelio import _scalar_to_json
 from qgcheck.models import BUILTIN_MODELS
-from qgcheck.modular import solve_haar
 from qgcheck.report import Checker, _diff_witness
 from qgcheck.scalars import Cyc, _context
 from test_scalars import _phi, _poly
@@ -510,11 +509,11 @@ def _old_inverse(m: LinMap) -> LinMap:
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_MODELS))
-def test_inverse_of_each_pairing_matrix_is_the_old_loop(model_cache, name):
+def test_inverse_of_each_pairing_matrix_is_the_old_loop(haar_cache, name):
     """inverse, read through solve_linear, keeps the value, the sorted
     stored order and the scalar orders of the loop it replaced, on the
     pairing matrix P[i, j] = phi(e_i e_j) of every built-in model."""
-    pmat = solve_haar(model_cache(name)).pmat
+    pmat = haar_cache(name).pmat
     linalg._MEMO.clear()
     got, want = inverse(pmat), _old_inverse(pmat)
     assert got == want

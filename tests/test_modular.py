@@ -15,18 +15,6 @@ from qgcheck.report import ensure
 from qgcheck.scalars import Cyc, cyclotomic_polynomial
 
 
-@pytest.fixture(scope="module")
-def haar_cache(model_cache):
-    cache = {}
-
-    def get(name):
-        if name not in cache:
-            cache[name] = solve_haar(model_cache(name))
-        return cache[name]
-
-    return get
-
-
 def test_uniform_weights_on_functions(haar_cache):
     h = haar_cache("c_s3")
     sixth = Cyc.rational(Fraction(1, 6))

@@ -8,6 +8,7 @@ several equal worst entries) name the same entry.
 """
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,7 @@ from qgcheck.errors import CheckFailure, LegMismatch, ModelError
 from qgcheck.hopf import QGModel, solve_counit
 from qgcheck.linalg import (LinMap, Vec, apply_on_legs, from_multi, kernel,
                             solve_linear, to_multi, total_dim)
-from qgcheck.modular import _invariance_system, form_matrix
+from qgcheck.modular import _invariance_system, form_matrix, solve_haar
 from qgcheck.models import GroupTable, build_function_algebra
 from qgcheck.report import Checker
 from qgcheck.scalars import Cyc
@@ -268,6 +269,13 @@ def any_model(model_cache):
     return get
 
 
+@pytest.fixture(scope="module")
+def any_duality(any_model):
+    """The duality of ``any_model(name)``, built once per module."""
+    return functools.cache(
+        lambda name: build_dual(solve_haar(any_model(name))))
+
+
 def _same(got: LinMap, want: LinMap, what: str):
     assert got == want, what
     assert stored_order(got) == stored_order(want), what
@@ -293,9 +301,9 @@ def test_model_reads_match_their_loops(any_model, name):
 
 
 @pytest.mark.parametrize("name", ALL_MODELS)
-def test_dual_builds_match_their_loops(any_model, name):
-    m = any_model(name)
-    dd = build_dual(m)
+def test_dual_builds_match_their_loops(any_duality, name):
+    dd = any_duality(name)
+    m = dd.source
     for model, haar in ((m, dd.haar), (dd.dual, dd.dual_haar)):
         _same(haar.gram, _old_gram(model, haar.phi), "gram")
     _same(dd.dual.coprod, _old_dual_coproduct(m, dd.haar), "dual coproduct")
@@ -307,15 +315,14 @@ def test_dual_builds_match_their_loops(any_model, name):
 
 
 @pytest.mark.parametrize("name", ALL_MODELS)
-def test_unitary_reads_match_their_loops(any_model, name):
-    m = any_model(name)
+def test_unitary_reads_match_their_loops(any_duality, name):
     try:
-        mw = build_alg_mult_unitary(m)
+        mw = build_alg_mult_unitary(any_duality(name))
     except ModelError:
         assert name == "broken"
         return
-    dd = build_dual(m)
-    dm = dd.dual
+    dd = mw.duality
+    m, dm = dd.source, dd.dual
     _same(leg_one_defect(m, mw.w), _old_leg_one_defect(m, mw.w),
           "leg-one defect")
     x = mw.w_inv(m.unit.tensor(dm.unit))
@@ -339,11 +346,11 @@ def _record(records, suffix):
 
 @pytest.mark.parametrize("name", ["sweedler", "taft3", "cg_s3", "d_z2",
                                   "d_z3", "c_s3"])
-def test_pair_coproduct_witness_is_the_loop_oracles(model_cache, name):
+def test_pair_coproduct_witness_is_the_loop_oracles(duality_cache, name):
     """The pair.coproduct oracle stores its entries in another order than
     the loop did; on single-entry mutants of the dual coproduct and of
     the product the record still names the loop form's witness."""
-    dd = build_dual(model_cache(name))
+    dd = duality_cache(name)
     m, p = dd.source, dd.haar.pmat
     cases = [f.apply(dd) for artifact in ("dual.coprod", "source.mult")
              for f in one_entry(dd, artifact)]

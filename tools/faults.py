@@ -2,22 +2,25 @@
 that runs the public check families on each faulted artifact.
 
 A ``Fault`` names an artifact (a dotted path of dataclass fields, such as
-``dual.mult`` of a Duality or ``morphism.pi`` of a DualMorphism), a
-position (``POSITIONS``, ``COLUMNS``, or ``all`` for the whole artifact;
-each change has a ``DEFAULT``) and a change: raise, lower or plant (+1,
--1, +1 on an unstored entry) or drop one entry; negate, zero, move or
-double one column; double a whole artifact, or set it to the antipode.
+``duality.dual.mult`` of an AlgMultUnitary or ``morphism.pi`` of a
+DualMorphism), a position (``POSITIONS``, ``COLUMNS``, or ``all`` for the
+whole artifact; each change has a ``DEFAULT``) and a change: raise, lower
+or plant (+1, -1, +1 on an unstored entry) or drop one entry; negate,
+zero, move or double one column; double a whole artifact, or set it to
+the antipode.
 ``Fault.apply`` rebuilds the objects on the path with
 ``dataclasses.replace``, reads only fields, public methods and names in
 ``qgcheck.__all__``, and raises unless the artifact changes.
 
     PYTHONPATH=src python3 tools/faults.py
 
-builds the clean artifacts of ``MODEL_TARGETS`` and ``MORPHISM_TARGETS``,
-applies every fault, then runs the check families that read them, from
-``validate_model`` to ``certify_vaes``, and prints one JSON list per
-record: target, fault, check id (without its prefix), status, residual,
-witness.  A fault that cannot be applied exits 1 with its name.
+builds the clean artifacts of ``MODEL_TARGETS`` (the chain of Haar data,
+dual and w of each model, rooted at its AlgMultUnitary) and
+``MORPHISM_TARGETS``, applies every fault, then runs the check families
+that read them, from ``validate_model`` to ``certify_vaes``, and prints
+one JSON list per record: target, fault, check id (without its prefix),
+status, residual, witness.  A fault that cannot be applied exits 1 with
+its name.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ import json
 import sys
 from pathlib import Path
 
-from qgcheck import (AlgMultUnitary, Duality, GroupTable, LinMap, QGError,
-                     build_alg_mult_unitary, build_dual, build_dual_morphism,
+from qgcheck import (GroupTable, LinMap, QGError, build_alg_mult_unitary,
+                     build_dual, build_dual_morphism,
                      builtin, certify_vaes, check_biduality,
                      check_convolution_compat, check_coproduct_implementation,
                      check_dual, check_dual_modular, check_dual_morphism,
@@ -37,7 +40,8 @@ from qgcheck import (AlgMultUnitary, Duality, GroupTable, LinMap, QGError,
                      check_pentagon_and_lemmas, check_radford,
                      check_regular_reps, check_w_properties, emit_model,
                      emit_morphism, parse_model, parse_morphism,
-                     restriction_morphism, validate_model, validate_morphism)
+                     restriction_morphism, solve_haar, validate_model,
+                     validate_morphism)
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 
@@ -288,24 +292,16 @@ def write_mutants(out_dir: str):
 # -- the driver ----------------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class Artifacts:
-    """The built artifacts of one model that the check families read."""
-
-    duality: Duality
-    munitary: AlgMultUnitary
-
-
-def model_faults(a: Artifacts) -> list[Fault]:
+def model_faults(mw) -> list[Fault]:
     """Entries of the structure maps of the model and its dual, their Haar
     data, and, on a positive model (where the analytic families run), w,
-    w^-1 and both Gram matrices."""
+    w^-1 and both Gram matrices; mw is the model's AlgMultUnitary."""
     out = [f for art in ("source.mult", "source.coprod", "dual.mult",
                          "dual.coprod")
-           for f in one_entry(a, f"duality.{art}")]
+           for f in one_entry(mw, f"duality.{art}")]
     out += [f for art in ("haar.phi", "haar.sigma", "haar.delta",
                           "dual_haar.delta")
-            for f in one_entry(a, f"duality.{art}", ("plant",))]
+            for f in one_entry(mw, f"duality.{art}", ("plant",))]
     out += [Fault(f"duality.{art}", "raise") for art in (
         "source.antipode", "source.invol", "source.counit", "dual.unit",
         "dual.counit", "dual.antipode", "dual.invol", "haar.model.coprod",
@@ -314,9 +310,10 @@ def model_faults(a: Artifacts) -> list[Fault]:
     out += [Fault(f"duality.{art}", "double") for art in (
         "haar.delta", "haar.mu", "haar.nu", "dual_haar.delta", "dual_haar.mu")]
     out += [Fault("duality.haar.sigma", "antipode"),
-            Fault("duality.dual_haar.pmat_inv", "drop")]
-    if a.duality.source.positive:
-        out += [Fault(f"munitary.{w}", change, position) for w in ("w", "w_inv")
+            Fault("duality.dual_haar.pmat_inv", "drop"),
+            Fault("duality.haar.pmat", "drop")]
+    if mw.duality.source.positive:
+        out += [Fault(w, change, position) for w in ("w", "w_inv")
                 for change, position in (("raise", "sorted"),
                                          ("lower", "sorted"),
                                          ("plant", "free:0"))]
@@ -325,20 +322,23 @@ def model_faults(a: Artifacts) -> list[Fault]:
     return out
 
 
-def model_families(a: Artifacts) -> list:
+def model_families(mw) -> list:
     """validate_model, the Haar, dual, pentagon, convolution and biduality
-    families, and on a positive model the analytic ones on a's w."""
-    dd, mw = a.duality, a.munitary
+    families, and on a positive model the analytic ones, all on mw's
+    chain."""
+    dd = mw.duality
     out = [lambda: validate_model(dd.source),
            lambda: check_modular_structure(dd.haar)]
     out += [lambda f=f: f(dd) for f in (
-        check_dual, check_dual_modular, check_radford,
-        check_pentagon_and_lemmas, check_convolution_compat, check_biduality)]
+        check_dual, check_dual_modular, check_radford)]
+    out += [lambda: check_pentagon_and_lemmas(mw)]
+    out += [lambda f=f: f(dd) for f in (
+        check_convolution_compat, check_biduality)]
 
     def analytic():
-        reps = check_regular_reps(dd, mw)
-        coprod = check_coproduct_implementation(dd, mw)
-        return (reps + check_w_properties(dd, mw, reps[-1]) + coprod
+        reps = check_regular_reps(mw)
+        coprod = check_coproduct_implementation(mw)
+        return (reps + check_w_properties(mw, reps[-1]) + coprod
                 + check_invariance_and_kms(dd, coprod[0])
                 + [r for rs in check_kac_collapse(dd).values() for r in rs])
     if dd.source.positive:
@@ -371,8 +371,9 @@ def jobs() -> list[tuple]:
     targets = []
     for name in MODEL_TARGETS:
         model = builtin(name)
-        a = Artifacts(build_dual(model), build_alg_mult_unitary(model))
-        targets.append((name, model.name, a, model_faults(a), model_families))
+        mw = build_alg_mult_unitary(build_dual(solve_haar(model)))
+        targets.append((name, model.name, mw, model_faults(mw),
+                        model_families))
     for name, make in MORPHISM_TARGETS.items():
         dm = build_dual_morphism(make())
         targets.append((name, dm.morphism.label, dm, MORPHISM_FAULTS,
