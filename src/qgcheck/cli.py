@@ -27,11 +27,12 @@ Exit codes: 0 every executed check passed, 1 at least one check failed,
 2 the input could not be used (bad option value, parse error, invalid
 table or model construction, explicit tier refusal, unopenable file),
 3 internal error: any other exception raised inside qgcheck outside every
-check (for example a KeyError or LegMismatch from a builder), reported as
-one "internal error: ..." line on stderr with no traceback.  The same
-exception raised inside one check is recorded as that check's FAIL, with
-an "internal error: ..." witness; the other checks still run, the report
-is written, and the exit code is 1.
+check (for example a KeyError or LegMismatch from a builder), or a
+MemoryError anywhere, reported as one "internal error: ..." line on
+stderr with no traceback, naming the check that ran out of memory.  The
+same exception raised inside one check, a MemoryError aside, is recorded
+as that check's FAIL, with an "internal error: ..." witness; the other
+checks still run, the report is written, and the exit code is 1.
 An output path (--report, -o) whose directory does not exist exits 2
 before any model is read.  A model file's "order" is capped at
 scalars.MAX_ORDER, which bounds the field tables but not the model size;

@@ -139,7 +139,7 @@ def _implemented(mw: AlgMultUnitary):
     reg, gg = regular(m), gram.tensor(gram)
     wg = mw.w.adjoint() @ gg
     for f in range(m.dim):
-        require_zero(wg @ m.idA.tensor(m.lmul(m.basis_vec(f))) @ mw.w
+        require_zero(apply_on_legs(wg, (0, 1), m.idA, m.lmul(m.basis_vec(f))) @ mw.w
                      - gg @ tensor_image(reg, reg, m.coprod.column(f)),
                      f"basis element {f}")
     return True
@@ -183,9 +183,8 @@ def check_regular_reps(mw: AlgMultUnitary) -> list[CheckRecord]:
 
     # column (a, b) of u is (iota (x) phi)(coprod(e_a^*)(1 (x) e_b)), of x
     # it is e_b sigma(e_a^*)
-    u = (m.idA.tensor(dd.haar.phi) @ galois_map(m, "gr")
-         @ m.invol.tensor(m.idA))
-    x = m.mult @ m.flipA @ (dd.haar.sigma @ m.invol).tensor(m.idA)
+    u = apply_on_legs(m.idA.tensor(dd.haar.phi) @ galois_map(m, "gr"), (0, 1), m.invol, m.idA)
+    x = apply_on_legs(m.mult @ m.flipA, (0, 1), dd.haar.sigma @ m.invol, m.idA)
     ck.exact("slice.left",
              "(iota (x) omega_{Lf,Lg})(W) = m((iota (x) phi)"
              "(coprod(conj f)(1 (x) g)))",
@@ -216,7 +215,7 @@ def check_w_properties(mw: AlgMultUnitary,
              lambda: mw.inverse_defect)
     ck.exact("represented-multiplier", "W = (m (x) lambda)(w)",
              lambda: tensor_image(regular(m), regular(dm),
-                                  mw.w(m.unit.tensor(dm.unit))) - mw.w)
+                                  apply_on_legs(mw.w, (0, 1), m.unit, dm.unit)) - mw.w)
     ck.exact("pentagon", "W12 W13 W23 = W23 W12 on L2^(x)3",
              lambda: mw.pentagon_defect)
     isometry = ck.exact("f-isometry",
@@ -379,7 +378,7 @@ _IDENTITIES: dict[str, Callable[[QGModel, HaarData], object]] = {
     "r.involutive": lambda m, h: m.antipode @ m.antipode - m.idA,
     "r.anti-multiplicative": lambda m, h: (
         m.antipode @ m.mult
-        - m.mult @ m.antipode.tensor(m.antipode) @ m.flipA),
+        - apply_on_legs(m.mult, (0, 1), m.antipode, m.antipode) @ m.flipA),
     "r.right-invariant": lambda m, h: (
         apply_on_legs(h.phi @ m.antipode, (0,), m.coprod)
         - m.unit @ h.phi @ m.antipode),

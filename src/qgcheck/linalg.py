@@ -13,10 +13,11 @@ when a caller, such as a float test oracle, asks for a float matrix.
 
 Two operations know how a multi-index is flattened, and every other
 module goes through them.  ``apply_on_legs`` is the one tensor-leg
-kernel: it applies a map to chosen legs of every column of a map, a
-vector being the one-column case, by index arithmetic on the flattened
+kernel: it applies a map to chosen legs of every column of a map x, or
+of x (x) y without forming it, by index arithmetic on the flattened
 entries, so a structure map acting on some legs of a tensor never
-becomes the embedded map on all of them.  ``LinMap.regroup`` reads a map as one tensor on its
+becomes the embedded map on all of them; ``tensor`` is its case with
+nothing applied.  ``LinMap.regroup`` reads a map as one tensor on its
 codomain and domain legs and splits those legs, in another order, into
 a new codomain and domain; ``transpose``, ``leg_permutation`` and every
 reindexed family (a product read as its regular representation, a
@@ -33,7 +34,8 @@ the same sparse rows, in one pass; ``inverse`` is its square case on the identit
 from __future__ import annotations
 
 from collections import deque
-from functools import wraps
+from functools import lru_cache, wraps
+from math import prod as total_dim
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
@@ -44,13 +46,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 Dims = tuple[int, ...]
-
-
-def total_dim(dims: Sequence[int]) -> int:
-    n = 1
-    for d in dims:
-        n *= d
-    return n
 
 
 def _strides(dims: Sequence[int]) -> list[int]:
@@ -240,17 +235,8 @@ class LinMap:
         return LinMap._of(other.dom, self.cod, cols)
 
     def tensor(self, other: "LinMap") -> "LinMap":
-        nd2, nc2 = other.dom_dim, other.cod_dim
-        cols: dict[int, dict[int, Cyc]] = {}
-        for j1, col1 in self.cols.items():
-            for j2, col2 in other.cols.items():
-                col = {}
-                for i1, v1 in col1.items():
-                    for i2, v2 in col2.items():
-                        col[i1 * nc2 + i2] = v1 * v2
-                cols[j1 * nd2 + j2] = col
-        # a product of nonzero field elements is nonzero
-        return LinMap._of(self.dom + other.dom, self.cod + other.cod, cols)
+        """self (x) other: ``apply_on_legs`` with nothing applied."""
+        return apply_on_legs(_NOTHING, (), self, other)
 
     def __add__(self, other: "LinMap") -> "LinMap":
         return self._merge(other, False)
@@ -448,80 +434,91 @@ def _read(plan: list[tuple[int, int, int]], index: int) -> int:
     return sum(index // s % n * t for s, n, t in plan)
 
 
-def apply_on_legs(f: LinMap, legs: Sequence[int], x: LinMap) -> LinMap:
-    """Apply f to the chosen legs (0-based) of every column of x; a vector
-    is the one-column case and gives a vector.
-
-    Arity-preserving maps may name legs in any order; each output leg
-    replaces the input leg at the same ambient position.  Maps that change
-    arity need strictly ascending legs: the named legs are removed and the
-    codomain block is spliced in where the first of them sat.  The two
-    cases differ only in where the codomain legs land.  Strides are worked
-    out once per call, and each column of f becomes a list of output
-    offsets the first time an entry reaches it.
-    """
-    dims = x.cod
-    if tuple(dims[p] for p in legs) != f.dom:
-        raise LegMismatch("chosen legs do not match map domain",
-                          tuple(dims[p] for p in legs), f.dom)
+@lru_cache(maxsize=64)
+def _plans(dims: Dims, legs: tuple[int, ...], fdom: Dims, fcod: Dims):
+    """The output legs of ``apply_on_legs`` and its digit readers, worked
+    out once per shape.  An entry's column of f is read off the digits of
+    the legs f acts on; its output index is its own, moved by the other
+    legs that land at another stride and by the offsets of f's column,
+    which also clear the digits f acts on."""
+    if (chosen := tuple(dims[p] for p in legs)) != fdom:
+        raise LegMismatch("chosen legs do not match map domain", chosen, fdom)
     others = [p for p in range(len(dims)) if p not in legs]
-    if len(f.dom) == len(f.cod):
+    if len(fdom) == len(fcod):
         cod_at, others_at = list(legs), others
     elif list(legs) != sorted(legs):
         raise LegMismatch("arity-changing apply_on_legs needs ascending legs")
     else:
         first = sum(1 for p in others if p < legs[0])
-        cod_at = list(range(first, first + len(f.cod)))
-        others_at = [r + (r >= first) * len(f.cod) for r in range(len(others))]
-    at = dict(zip(others_at, (dims[p] for p in others))) | dict(zip(cod_at, f.cod))
+        cod_at = list(range(first, first + len(fcod)))
+        others_at = [r + (r >= first) * len(fcod) for r in range(len(others))]
+    at = dict(zip(others_at, (dims[p] for p in others))) | dict(zip(cod_at, fcod))
     out_dims = tuple(at[q] for q in range(len(at)))
-    out_strides = _strides(out_dims)
-    # An entry's column of f is read off the digits of the legs f acts on.
-    # Its output index is its own index, moved by the other legs that land
-    # at another stride and by the offsets of f's column, which also clear
-    # the digits f acts on.
-    in_strides = _strides(dims)
-    col_plan = _runs([(in_strides[p], dims[p], s)
-                      for p, s in zip(legs, _strides(f.dom))])
+    out_strides, in_strides = _strides(out_dims), _strides(dims)
+    col_plan = _runs([(in_strides[p], dims[p], s) for p, s in zip(legs, _strides(fdom))])
     base_plan = _runs([(in_strides[p], dims[p], out_strides[q] - in_strides[p])
-                       for p, q in zip(others, others_at)
-                       if out_strides[q] != in_strides[p]])
-    cod_plan = _runs([(s, n, out_strides[q])
-                      for s, n, q in zip(_strides(f.cod), f.cod, cod_at)])
-    moves: dict[int, list[tuple[int, Cyc]]] = {}
+                       for p, q in zip(others, others_at) if out_strides[q] != in_strides[p]])
+    cod_plan = _runs([(s, n, out_strides[q]) for s, n, q in zip(_strides(fcod), fcod, cod_at)])
+    return out_dims, col_plan, base_plan, cod_plan
 
-    def offsets(j: int) -> list[tuple[int, Cyc]]:
-        out, start = [], 0
-        for s, n, t in col_plan:
-            start -= j // t % n * s
-        for i, v in f.cols.get(j, {}).items():
-            off = start
-            for s, n, t in cod_plan:
-                off += i // s % n * t
-            out.append((off, v))
-        return out
 
-    def image(col: dict[int, Cyc]) -> dict[int, Cyc]:
-        acc: dict[int, Cyc] = {}
-        for idx, c in col.items():
-            j, base = 0, idx
-            for s, n, t in col_plan:
-                j += idx // s % n * t
-            for s, n, t in base_plan:
-                base += idx // s % n * t
-            mv = moves.get(j)
-            if mv is None:
-                mv = moves[j] = offsets(j)
-            for off, v in mv:
-                k = base + off
-                acc[k] = acc[k] + v * c if k in acc else v * c
-        return {k: v for k, v in acc.items() if v}
+def apply_on_legs(f: LinMap, legs: Sequence[int], x: LinMap,
+                  y: LinMap | None = None) -> LinMap:
+    """Apply f to the chosen legs (0-based) of every column of x, or of
+    x (x) y, a vector being the one-column case.  With y the result is
+    ``apply_on_legs(f, legs, x.tensor(y))`` in stored order too (column
+    pairs x-major; in each, for each entry of x in turn, y's entries in
+    order), but x (x) y is never formed: two entries are multiplied only
+    when they reach a column of f that has entries.
 
+    Arity-preserving maps may name legs in any order; each output leg
+    replaces the input leg at the same ambient position.  Maps that change
+    arity need strictly ascending legs: the named legs are removed and the
+    codomain block is spliced in where the first of them sat.  Digits read
+    from index i1 * nc2 + i2, with i2 < nc2 below a leg boundary, are the
+    sums of those read from i1 * nc2 and from i2, so each entry of x and
+    of y is read once, not once per pair.
+    """
+    y = _NOTHING if y is None else y
+    out_dims, col_plan, base_plan, cod_plan = _plans(x.cod + y.cod, tuple(legs), f.dom, f.cod)
+    moves = {}  # a column of f -> its offsets
+
+    def offsets(j):
+        if j not in moves:
+            start = -sum(j // t % n * s for s, n, t in col_plan)
+            moves[j] = [(start + _read(cod_plan, i), v) for i, v in f.cols[j].items()]
+        return moves[j]
+
+    nc2, nd2 = y.cod_dim, y.dom_dim
+    ys = [(j2, _read(col_plan, i), i + _read(base_plan, i), c)
+          for j2, col in y.cols.items() for i, c in col.items()]
+    meets = {}  # jx -> (j2, by, c2, offsets) of the entries of y, in order, that meet it
     cols = {}
-    for j, col in x.cols.items():
-        if acc := image(col):
-            cols[j] = acc
-    return LinMap._of(x.dom, out_dims, cols)
+    for j1, col in x.cols.items():
+        accs = {j2: {} for j2 in y.cols}
+        summed = False  # a product of nonzero entries is not zero; a sum may be
+        for i, c1 in col.items():
+            idx = i * nc2
+            jx, bx = _read(col_plan, idx), idx + _read(base_plan, idx)
+            if (meet := meets.get(jx)) is None:
+                meet = meets[jx] = [(j2, by, c2, offsets(jx + jy))
+                                    for j2, jy, by, c2 in ys if jx + jy in f.cols]
+            for j2, by, c2, mv in meet:
+                acc, c, b = accs[j2], c1 if c2 is _ONE else c1 * c2, bx + by
+                for off, v in mv:
+                    k = b + off
+                    p = c if v is _ONE else v * c  # one * c is c
+                    if k in acc:
+                        p, summed = acc[k] + p, True
+                    acc[k] = p
+        for j2, acc in accs.items():
+            if acc and (acc := {k: v for k, v in acc.items() if v} if summed else acc):
+                cols[j1 * nd2 + j2] = acc
+    return LinMap._of(x.dom + y.dom, out_dims, cols)
+
+
+_ONE = Cyc.one()
+_NOTHING = LinMap.identity(())  # the identity on no legs, applied by ``tensor``
 
 
 # -- exact elimination ----------------------------------------------------

@@ -12,8 +12,8 @@ import itertools
 from dataclasses import replace
 
 from .errors import ModelError
-from .hopf import QGModel, pair_product
-from .linalg import LinMap, Vec
+from .hopf import QGModel
+from .linalg import LinMap, Vec, apply_on_legs
 from .scalars import Cyc
 
 
@@ -224,10 +224,7 @@ def build_taft(n: int, name: str | None = None) -> QGModel:
     mult = LinMap.from_entries(AA, A, mult_entries)
     unit = Vec.basis(A, 0)
 
-    def vec_mul(u: Vec, w: Vec) -> Vec:
-        return mult(u.tensor(w))
-
-    # coproduct by powering coprod(g)^a coprod(x)^b inside A(x)A
+    # coproduct by powering coprod(g)^a coprod(x)^b inside A(x)A, leg by leg
     g_vec, x_vec = Vec.basis(A, ix(1, 0)), Vec.basis(A, ix(0, 1))
     cg = g_vec.tensor(g_vec)
     cx = x_vec.tensor(unit) + g_vec.tensor(x_vec)
@@ -238,8 +235,8 @@ def build_taft(n: int, name: str | None = None) -> QGModel:
         cab = ca
         for b in range(n):
             coprod_cols[ix(a, b)] = dict(cab.data)
-            cab = pair_product(mult, cab, cx)
-        ca = pair_product(mult, ca, cg)
+            cab = apply_on_legs(mult, (1, 2), apply_on_legs(mult, (0, 2), cab, cx))
+        ca = apply_on_legs(mult, (1, 2), apply_on_legs(mult, (0, 2), ca, cg))
     coprod = LinMap(A, AA, coprod_cols)
 
     counit = LinMap.functional(
@@ -254,8 +251,8 @@ def build_taft(n: int, name: str | None = None) -> QGModel:
         sab = sa
         for b in range(n):
             antipode_cols[ix(a, b)] = dict(sab.data)
-            sab = vec_mul(s_x, sab)  # S(g^a x^(b+1)) = S(x) S(g^a x^b)
-        sa = vec_mul(s_g, sa)
+            sab = apply_on_legs(mult, (0, 1), s_x, sab)  # S(g^a x^(b+1)) = S(x) S(g^a x^b)
+        sa = apply_on_legs(mult, (0, 1), s_g, sa)
     antipode = LinMap(A, A, antipode_cols)
 
     invol = LinMap.from_entries(

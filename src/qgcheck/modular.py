@@ -32,6 +32,7 @@ class HaarData:
     sigma: LinMap        # phi(ab) = phi(b sigma(a))
     sigma_inv: LinMap    # (P^T)^-1 P, sorted into the column order of ``inverse``
     sigma_prime: LinMap  # psi(ab) = psi(b sigma'(a))
+    sigma_prime_inv: LinMap  # (Q^T)^-1 Q, Q[i, j] = psi(e_i e_j), sorted as sigma_inv
     delta: Vec           # (phi (x) id)coprod(a) = phi(a) delta
     delta_inv: Vec
     mu: Cyc              # phi(S^2 a) = mu phi(a)
@@ -147,12 +148,13 @@ def solve_haar(model: QGModel) -> HaarData:
     except SingularMap as e:
         raise ModelError(f"{model.name}: invariant functional is not faithful "
                          f"({e})") from e
-    sigma = pmat_inv @ pmat.transpose()
-    sigma_inv = LinMap.from_entries(model.A, model.A, sorted(
-        (pmat_inv.transpose() @ pmat).entries(), key=lambda e: (e[1], e[0])))
-
+    # sigma = P^-1 P^T and sigma' = Q^-1 Q^T, Q the value matrix of psi; each
+    # inverse (V^T)^-1 V is sorted into the column order of ``inverse``
     qmat = value_matrix(psi)
-    sigma_prime = inverse(qmat) @ qmat.transpose()
+    (sigma, sigma_inv), (sigma_prime, sigma_prime_inv) = (
+        (v_inv @ v.transpose(), LinMap.from_entries(model.A, model.A, sorted(
+            (v_inv.transpose() @ v).entries(), key=lambda e: (e[1], e[0]))))
+        for v, v_inv in ((pmat, pmat_inv), (qmat, inverse(qmat))))
 
     # (phi (x) id)coprod has rank one: column k equals phi(e_k) delta
     dmap = apply_on_legs(phi, (0,), model.coprod)
@@ -161,11 +163,16 @@ def solve_haar(model: QGModel) -> HaarData:
     if not (dmap - delta @ phi).is_zero():
         raise ModelError(f"{model.name}: no single modular element matches "
                          "(phi (x) id)coprod")
-    try:
-        delta_inv = inverse(model.lmul(delta))(model.unit)
-    except SingularMap as e:
-        raise ModelError(f"{model.name}: modular element is not invertible "
-                         f"({e})") from e
+    # delta is group-like, so L_S(delta) inverts L_delta; only where it
+    # does not (a faulty model, where the product may not even be
+    # associative) is L_delta eliminated
+    l_inv = model.lmul(model.antipode(delta))
+    if l_inv @ model.lmul(delta) != model.idA:
+        try:
+            l_inv = inverse(model.lmul(delta))
+        except SingularMap as e:
+            raise ModelError(f"{model.name}: modular element is not invertible ({e})") from e
+    delta_inv = l_inv(model.unit)
 
     scaled = phi @ model.antipode @ model.antipode
     mu = scaled.entry(0, k0) / values[k0]
@@ -190,7 +197,8 @@ def solve_haar(model: QGModel) -> HaarData:
 
     return HaarData(model=model, phi=phi, psi=psi, pmat=pmat,
                     pmat_inv=pmat_inv, sigma=sigma, sigma_inv=sigma_inv,
-                    sigma_prime=sigma_prime, delta=delta, delta_inv=delta_inv,
+                    sigma_prime=sigma_prime, sigma_prime_inv=sigma_prime_inv,
+                    delta=delta, delta_inv=delta_inv,
                     mu=mu, nu=nu, gram=gram, gram_positive=gram_positive)
 
 
@@ -244,9 +252,9 @@ def check_modular_structure(haar: HaarData) -> list[CheckRecord]:
 
     ck.exact("sigma.defining", "phi(ab) = phi(b sigma(a))",
              lambda: phi @ m.mult
-             - phi @ m.mult @ m.flipA @ (sigma.tensor(i)))
+             - apply_on_legs(phi @ m.mult @ m.flipA, (0, 1), sigma, i))
     ck.exact("sigma.auto", "sigma(ab) = sigma(a)sigma(b)",
-             lambda: sigma @ m.mult - m.mult @ (sigma.tensor(sigma)))
+             lambda: sigma @ m.mult - apply_on_legs(m.mult, (0, 1), sigma, sigma))
     ck.exact("sigma.unit", "sigma(1) = 1", lambda: sigma(m.unit) - m.unit)
     ck.exact("sigma.phi-fixed", "phi o sigma = phi", lambda: phi @ sigma - phi)
     ck.exact("sigma.s2-commute", "sigma o S^2 = S^2 o sigma",
@@ -256,7 +264,7 @@ def check_modular_structure(haar: HaarData) -> list[CheckRecord]:
 
     ck.exact("sigma-prime.defining", "psi(ab) = psi(b sigma'(a))",
              lambda: psi @ m.mult
-             - psi @ m.mult @ m.flipA @ (haar.sigma_prime.tensor(i)))
+             - apply_on_legs(psi @ m.mult @ m.flipA, (0, 1), haar.sigma_prime, i))
     ck.exact("sigma-prime.conjugate", "sigma'(a) = delta sigma(a) delta^-1",
              lambda: haar.sigma_prime
              - m.lmul(delta) @ m.rmul(delta_inv) @ sigma)

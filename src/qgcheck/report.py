@@ -100,7 +100,8 @@ class Checker:
         maps, explicit CheckFailure) are recorded, not raised.  Any other
         exception except an input error (``errors.INPUT_ERRORS``) is
         recorded as this check's failure with an "internal error: ..."
-        witness, so the remaining checks still run.
+        witness, so the remaining checks still run; a MemoryError, which
+        says nothing of the law, is raised again naming this check.
         """
         t0 = time.perf_counter()
         try:
@@ -115,6 +116,8 @@ class Checker:
             status, residual, witness = FAIL, e.residual, e.witness or str(e)
         except INPUT_ERRORS:
             raise
+        except MemoryError:
+            raise MemoryError(f"out of memory in check {self._id(check_id)}") from None
         except Exception as e:
             status, residual, witness = FAIL, None, internal_error_text(e)
         rec = CheckRecord(self._id(check_id), law, status,

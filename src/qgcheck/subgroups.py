@@ -121,7 +121,7 @@ def _structure_records(ck: Checker, src: QGModel, tgt: QGModel, pi: LinMap):
     ck.exact("unital", "pi(1) = 1",
              lambda: pi(src.unit) - tgt.unit)
     ck.exact("multiplicative", "pi(ab) = pi(a) pi(b)",
-             lambda: pi @ src.mult - tgt.mult @ pi.tensor(pi))
+             lambda: pi @ src.mult - apply_on_legs(tgt.mult, (0, 1), pi, pi))
     ck.exact("star", "pi(a*) = pi(a)*",
              lambda: pi @ src.invol - tgt.invol @ pi.conj())
     ck.exact("coproduct", "coprod(pi(a)) = (pi (x) pi) coprod(a)",
@@ -197,12 +197,12 @@ def check_dual_morphism(dm: DualMorphism) -> list[CheckRecord]:
 
     def left_formula(pairing: LinMap) -> LinMap:
         # pairing[x, p] = phi_tgt(S^-1(pi(e_p)) e_x) pairs u_(1) = e_p with x
-        return dg.mult @ dm.pi_hat.tensor(id_g) - apply_on_legs(
+        return apply_on_legs(dg.mult, (0, 1), dm.pi_hat, id_g) - apply_on_legs(
             pairing, (0,), src.coprod).regroup((1, 0, 2), 1)
 
     def right_formula(pairing: LinMap) -> LinMap:
         # pairing[x, q] pairs u_(2) = e_q with x
-        return dg.mult @ id_g.tensor(dm.pi_hat) - apply_on_legs(
+        return apply_on_legs(dg.mult, (0, 1), id_g, dm.pi_hat) - apply_on_legs(
             pairing, (1,), src.coprod).regroup((0, 2, 1), 1)
 
     ck.exact("multiplier-left",
@@ -255,14 +255,13 @@ def check_expectation(dm: DualMorphism) -> list[CheckRecord]:
     ck = Checker(f"{mor.label}.expectation")
 
     def bimodule():
-        left = pi @ conv_g @ hat.tensor(id_g) - conv_h @ id_h.tensor(pi)
-        right = pi @ conv_g @ id_g.tensor(hat) - conv_h @ pi.tensor(id_h)
+        pconv = pi @ conv_g
+        left = apply_on_legs(pconv, (0, 1), hat, id_g) - apply_on_legs(conv_h, (0, 1), id_h, pi)
+        right = apply_on_legs(pconv, (0, 1), id_g, hat) - apply_on_legs(conv_h, (0, 1), pi, id_h)
         if left.is_zero() and right.is_zero():
             return left
-        return pi @ conv_g @ apply_on_legs(
-            conv_g, (0, 1), hat.tensor(id_g).tensor(hat)) \
-            - conv_h @ apply_on_legs(
-                conv_h, (0, 1), id_h.tensor(pi).tensor(id_h))
+        return apply_on_legs(pconv, (0, 1), apply_on_legs(conv_g, (0, 1), hat, id_g), hat) \
+            - apply_on_legs(conv_h, (0, 1), apply_on_legs(conv_h, (0, 1), id_h, pi), id_h)
 
     ck.exact("bimodule", "pi(pi_hat(x) * u * pi_hat(y)) = x * pi(u) * y",
              bimodule)
@@ -334,7 +333,8 @@ def certify_vaes(dm: DualMorphism,
 
     def on_pairs(right: LinMap) -> LinMap:
         """[x, j] = counit(pi_hat(e_x) * right(e_j))."""
-        return (src.counit @ dg.mult @ dm.pi_hat.tensor(right)).regroup((0, 1), 1)
+        return apply_on_legs(src.counit @ dg.mult, (0, 1), dm.pi_hat,
+                             right).regroup((0, 1), 1)
 
     def preimage_free():
         vals = on_pairs(LinMap((len(ker_pi),), src.A,

@@ -8,6 +8,7 @@ from qgcheck import linalg, models
 from qgcheck.duality import build_alg_mult_unitary, build_dual
 from qgcheck.gns import build_gns
 from qgcheck.modular import solve_haar
+from qgcheck.subgroups import build_dual_morphism
 
 # the fault catalogue, tools/faults.py, is imported as ``faults``
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
@@ -48,6 +49,14 @@ def haar_cache(model_cache):
 @pytest.fixture(scope="session")
 def duality_cache(haar_cache):
     return functools.cache(lambda name: build_dual(haar_cache(name)))
+
+
+@pytest.fixture(scope="session")
+def dual_morphism_cache():
+    """build_dual_morphism(make()), built once per morphism maker (a
+    function of no arguments) and test session; a test that faults the
+    result applies the fault to the cached one, which it never changes."""
+    return functools.cache(lambda make: build_dual_morphism(make()))
 
 
 @pytest.fixture(scope="session")

@@ -11,12 +11,13 @@ import pytest
 from qgcheck import cli, duality, hopf, linalg, models, modular, subgroups
 from qgcheck import gns as G
 from qgcheck.cli import MAX_TAFT_ORDER, dispatch, main
+from qgcheck.errors import ModelError
 from qgcheck.linalg import LinMap
 from qgcheck.modelio import (emit_model, emit_morphism, emit_table,
                              model_to_dict, parse_model)
 from qgcheck.models import GroupTable, builtin
 from qgcheck.scalars import MAX_ORDER
-from faults import restrict_d6_s3
+from faults import dihedral, restrict_d6_s3
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -714,3 +715,58 @@ def test_internal_error_inside_a_check_fails_only_that_check(tmp_path,
     assert records[failed[0]]["witness"].startswith("internal error: KeyError")
     expected = [r["check_id"] for r in json.loads(clean.read_text())["checks"]]
     assert list(records) == expected
+
+
+def test_out_of_memory_inside_a_check_exits_three_naming_it(monkeypatch,
+                                                            capsys):
+    """Running out of memory says nothing of the law being checked: it is
+    not recorded as the check's FAIL but ends the run, exit 3, with one
+    line naming the check."""
+    def out_of_memory(model):
+        raise MemoryError()
+
+    monkeypatch.setattr(hopf.QGModel, "associator", property(out_of_memory))
+    assert main(["verify", model_path("c_z2"), "--suite", "algebraic"]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines() == [
+        "internal error: MemoryError: out of memory in check "
+        "c(z2).struct.alg.assoc"]
+
+
+def test_a_bidual_that_cannot_be_built_is_a_fail_record(tmp_path,
+                                                        monkeypatch):
+    """The double dual is built inside the biduality family: a dual whose
+    Haar data admit no double dual fails one record, as a Haar or dual
+    stage that cannot be built does, and the report is written."""
+    build = duality.build_dual
+
+    def no_bidual(haar):
+        if haar.model.name.endswith("^"):
+            raise ModelError(f"{haar.model.name}: left-invariant "
+                             "functional space has dimension 0, "
+                             "expected 1")
+        return build(haar)
+
+    monkeypatch.setattr(duality, "build_dual", no_bidual)
+    report = tmp_path / "r.json"
+    assert main(["verify", model_path("c_z2"), "--suite", "algebraic",
+                 "--report", str(report)]) == 1
+    failed = [(r["check_id"], r["witness"])
+              for r in json.loads(report.read_text())["checks"]
+              if r["status"] == "fail"]
+    assert failed == [("c(z2).suite.bidual", "c(z2)^: left-invariant "
+                       "functional space has dimension 0, expected 1")]
+
+
+def test_dual_verb_eliminates_nine_maps_on_c_d6(tmp_path, eliminations,
+                                                capsys):
+    """``dual`` on the generated C(D6) eliminates nine maps, none of them
+    an identity: the inverse of a modular element is read off the
+    antipode."""
+    path = tmp_path / "c_d6.json"
+    emit_model(models.build_function_algebra(dihedral(6)), str(path))
+    assert main(["dual", str(path), "-o", str(tmp_path / "d.json")]) == 0
+    assert len(eliminations) == 9
+    assert not [m for m, _ in eliminations
+                if m.dom == m.cod and m == LinMap.identity(m.dom)]

@@ -21,14 +21,14 @@ from qgcheck.duality import (
     leg_one_defect,
 )
 from qgcheck.errors import CheckFailure, ModelError
-from qgcheck.hopf import galois, galois_map, pair_product, validate_model
+from qgcheck.hopf import galois, galois_map, validate_model
 from qgcheck.linalg import LinMap, Vec, apply_on_legs, to_multi, total_dim
 from qgcheck.modular import check_modular_structure, solve_haar
 from qgcheck.models import GroupTable, build_function_algebra, build_group_algebra
 from qgcheck.report import FAIL, PASS, Checker, ensure
 from qgcheck.scalars import Cyc
 from faults import Fault, spread
-from test_hopf import _galois_by_identity_tensors, stored_order
+from test_hopf import _galois_by_identity_tensors, product_in_aa, stored_order
 
 
 def validated(dd):
@@ -65,7 +65,7 @@ def _convolution_by_definition(dd):
     for i in range(d):
         for j in range(d):
             fg = Vec.basis(m.AA, (i, j))
-            vals = {k: phi2(pair_product(m.mult, m.coprod.column(k), fg)).get(0)
+            vals = {k: phi2(product_in_aa(m, m.coprod.column(k), fg)).get(0)
                     for k in range(d)}
             cols[i * d + j] = dict(haar.pmat_inv(Vec(m.A, vals)).data)
     return LinMap(m.AA, m.A, cols)

@@ -113,3 +113,18 @@ def test_a_fault_applied_after_the_build_reaches_its_readers(fault, reached,
     clean, faulted = _statuses(mw), _statuses(fault.apply(mw))
     assert {cid: (clean[cid], faulted[cid]) for cid in reached} \
         == dict.fromkeys(reached, ("pass", "fail"))
+
+
+@pytest.mark.parametrize("name", ["sweedler", "c_s3"])
+def test_a_dual_haar_fault_that_admits_no_bidual_fails_one_record(name,
+                                                                 mw_cache):
+    """Dropping an entry of the dual's P^-1 leaves no invariant functional
+    on the double dual: the biduality family records that as one FAIL
+    instead of raising for the whole family."""
+    mw = Fault("duality.dual_haar.pmat_inv", "drop").apply(mw_cache(name))
+    records = qgcheck.check_biduality(mw.duality)
+    model = mw.duality.source.name
+    assert [(r.check_id, r.status) for r in records] \
+        == [(f"{model}.suite.bidual", "fail")]
+    assert records[0].witness == (f"{model}^^: left-invariant functional "
+                                  "space has dimension 0, expected 1")

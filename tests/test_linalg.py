@@ -174,6 +174,77 @@ def test_apply_on_legs_entry_order():
     assert items(out.cols[0]) == [(3, 1), (2, -1), (0, -2)]
 
 
+def stored(t):
+    return [(j, list(col.items())) for j, col in t.cols.items()]
+
+
+def test_apply_on_legs_on_two_operands_keeps_the_tensor_order():
+    """apply_on_legs(f, legs, x, y) is apply_on_legs(f, legs, x (x) y) in
+    stored order: column pairs x-major, and in each, for each entry of x
+    in turn, the entries of y that reach a nonempty column of f, in y's
+    order, even when they reach several columns of f."""
+    def pinned(f, legs, x, y, want):
+        got = apply_on_legs(f, legs, x, y)
+        assert stored(got) == stored(apply_on_legs(f, legs, x.tensor(y))) == want
+
+    # arity kept: f on the leg of y, then on the leg of x
+    f = LinMap((2,), (2,), {0: {1: 2, 0: 3}, 1: {0: 5}})
+    x = LinMap((2,), (2,), {1: {1: 1, 0: 2}, 0: {0: 1}})
+    y = LinMap((2,), (2,), {0: {1: 1, 0: 1}, 1: {1: -3}})
+    pinned(f, [1], x, y, [(2, [(2, 8), (3, 2), (0, 16), (1, 4)]),
+                          (3, [(2, -15), (0, -30)]),
+                          (0, [(0, 8), (1, 2)]), (1, [(0, -15)])])
+    pinned(f, [0], x, y, [(2, [(1, 11), (0, 11), (3, 4), (2, 4)]),
+                          (3, [(1, -33), (3, -12)]),
+                          (0, [(3, 2), (1, 3), (2, 2), (0, 3)]),
+                          (1, [(3, -6), (1, -9)])])
+    # arity changed, on a leg of each: entry 1 of x meets f's columns 2 and
+    # 3, so y's entries reaching either are taken in y's order (1, 2, 3, 0);
+    # entry 0 meets only column 1, reached by y's entries 1 and 3
+    g = LinMap((2, 2), (2,), {1: {1: 1, 0: 2}, 2: {0: 1}, 3: {1: 1}})
+    x = LinMap((2,), (2,), {0: {1: 1, 0: 1}, 1: {0: 2}})
+    y = Vec((2, 2), {1: 1, 2: 1, 3: 1, 0: 1})
+    pinned(g, [0, 2], x, y, [(0, [(2, 2), (1, 3), (3, 2), (0, 3)]),
+                             (1, [(2, 2), (0, 4), (3, 2), (1, 4)])])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_apply_on_legs_on_two_operands_matches_the_formed_tensor(data):
+    """On random operands, legs and maps of either arity, the two-operand
+    kernel and ``tensor`` give what forming x (x) y gives, in stored order."""
+    dims = st.lists(st.integers(1, 3), max_size=3).map(tuple)
+    xc, yc = data.draw(dims), data.draw(dims)
+    xd, yd = data.draw(dims.map(lambda t: t[:2])), data.draw(dims.map(lambda t: t[:2]))
+    both = xc + yc
+    legs = data.draw(st.permutations(range(len(both))))
+    legs = legs[:data.draw(st.integers(0, len(both)))]
+    fdom = tuple(both[p] for p in legs)
+    fcod = fdom
+    if legs and data.draw(st.booleans()):
+        legs = sorted(legs)
+        fdom = tuple(both[p] for p in legs)
+        fcod = data.draw(dims.map(lambda t: t[:2]))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 16)))
+
+    def sparse(dom, cod):
+        entries = [(i, j, Cyc.zeta(4, rng.randrange(4)) * rng.randint(-2, 2))
+                   for j in range(LinMap.zero(dom, cod).dom_dim)
+                   for i in range(LinMap.zero(dom, cod).cod_dim)
+                   if rng.random() < 0.6]
+        rng.shuffle(entries)  # stored order is not index order
+        return LinMap.from_entries(dom, cod, entries)
+
+    f, x, y = sparse(fdom, fcod), sparse(xd, xc), sparse(yd, yc)
+    formed = x.tensor(y)
+    assert stored(apply_on_legs(f, legs, x, y)) \
+        == stored(apply_on_legs(f, legs, formed))
+    assert formed == LinMap.from_entries(
+        xd + yd, xc + yc, ((i1 * y.cod_dim + i2, j1 * y.dom_dim + j2, u * v)
+                           for i1, j1, u in x.entries()
+                           for i2, j2, v in y.entries()))
+
+
 def test_solve_reports_inconsistent_vs_zero_kernel():
     a = LinMap.from_dense((2,), (3,), [[1, 0], [0, 1], [1, 1]])
     sol, ker = solve_linear(a, Vec.from_list((3,), [1, 2, 3]))

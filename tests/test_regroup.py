@@ -416,10 +416,11 @@ MULTIPLIERS = (".multiplier-left", ".multiplier-right",
                                   lambda: counit_morphism(
                                       models.builtin("taft3"))])
 @pytest.mark.parametrize("change", [None, "negate", "zero", "move"])
-def test_multiplier_records_match_the_loop_forms(make, change):
+def test_multiplier_records_match_the_loop_forms(make, change,
+                                                dual_morphism_cache):
     """Status, residual and witness of the three multiplier records equal
     those of the value loops, on pi_hat and on its mutants."""
-    dm = build_dual_morphism(make())
+    dm = dual_morphism_cache(make)
     if change:
         dm = Fault("pi_hat", change).apply(dm)
     got = check_dual_morphism(dm)
@@ -447,11 +448,11 @@ RESTATED = {".vaes.dual-homomorphism": ".dual.multiplicative",
 
 
 @pytest.mark.parametrize("make", [restrict_a3_file, restrict_d6_s3])
-def test_vaes_restates_the_dual_morphism_records(make):
+def test_vaes_restates_the_dual_morphism_records(make, dual_morphism_cache):
     """Each restated vaes record has the status, residual and witness of
     the dual.* record it restates, and of the difference it used to build,
     on pi_hat and on its mutants; each fails on some mutant."""
-    clean = build_dual_morphism(make())
+    clean = dual_morphism_cache(make)
     failed = set()
     # the column at the target's convolution unit doubled is the one
     # fault here that moves pi_hat(1)
@@ -538,7 +539,8 @@ def _vaes_cases(clean, moves=PI_HAT_MOVES):
     (restrict_d6_s3, ("negate", "zero", "move")),
     # pi_hat is onto, so no entry moves outside its image
     (lambda: identity_morphism(models.builtin("taft3")), ("negate", "zero"))])
-def test_vaes_functional_records_match_the_loop_forms(make, moves):
+def test_vaes_functional_records_match_the_loop_forms(make, moves,
+                                                      dual_morphism_cache):
     """preimage-independence and functional-identity, each one identity on
     pairs, have the status, residual and witness of the pair-by-pair
     loops, on pi_hat and on its mutants and those of pi and of both
@@ -546,7 +548,7 @@ def test_vaes_functional_records_match_the_loop_forms(make, moves):
     mutant; taft3's dual is not commutative, so its identity morphism pins
     the order pi_hat(x) * b."""
     failed = set()
-    for dm in _vaes_cases(build_dual_morphism(make()), moves):
+    for dm in _vaes_cases(dual_morphism_cache(make), moves):
         got = certify_vaes(dm, check_dual_morphism(dm))
         want = _old_vaes_functional_records(dm)
         for suffix in VAES_FUNCTIONAL:
@@ -558,10 +560,11 @@ def test_vaes_functional_records_match_the_loop_forms(make, moves):
         assert failed == set(VAES_FUNCTIONAL)
 
 
-def test_vaes_functional_identity_of_a_non_surjective_pi_matches_the_loop():
+def test_vaes_functional_identity_of_a_non_surjective_pi_matches_the_loop(
+        dual_morphism_cache):
     """A target basis vector with no preimage fails the record as the
     loop did, unless an earlier one fails a pair first."""
-    clean = build_dual_morphism(non_surjective_embedding())
+    clean = dual_morphism_cache(non_surjective_embedding)
     for dm in _vaes_cases(clean, ("negate", "zero")):  # pi_hat is onto
         got = certify_vaes(dm, check_dual_morphism(dm))
         want = _old_vaes_functional_records(dm)
@@ -701,3 +704,28 @@ def test_every_module_import_is_used():
                        for name, line in _imports(scope.body)
                        if name not in used | exported]
     assert not unused, "unused imports: " + ", ".join(unused)
+
+
+def _is_tensor(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "tensor")
+
+
+def test_no_tensor_is_formed_only_to_be_passed_on():
+    """No module forms x.tensor(y) only to hand it to a map: as the right
+    operand of ``@``, or as an argument of a call (``apply_on_legs`` or a
+    map applied to a vector).  ``apply_on_legs(f, legs, x, y)`` applies f
+    to legs of x (x) y without forming it; a tensor on the left of ``@``,
+    a map on a tensor space, is not passed on."""
+    passed_on = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+                operands = [node.right]
+            elif isinstance(node, ast.Call):
+                operands = node.args + [k.value for k in node.keywords]
+            else:
+                continue
+            passed_on += [f"{path.name}:{t.lineno}" for t in operands
+                          if _is_tensor(t)]
+    assert not passed_on, "tensors formed to be passed on: " + ", ".join(passed_on)

@@ -411,7 +411,9 @@ def test_subgroup_run_eliminates_pi_at_most_twice(eliminations, make):
     """A subgroup run eliminates pi once for its kernel (read by
     morphism.surjective and the Vaes certificate) and once with the
     identity as right-hand side, for the preimages of every target basis
-    vector together."""
+    vector together.  It eliminates 18 maps in all, none of them an
+    identity: the inverse of a group-like modular element is read off
+    the antipode."""
     mor = make()
     ensure(validate_morphism(mor))
     dm = build_dual_morphism(mor)
@@ -420,6 +422,9 @@ def test_subgroup_run_eliminates_pi_at_most_twice(eliminations, make):
     ensure(certify_vaes(dm, dual))
     assert [aug for m, aug in eliminations if m == mor.pi] \
         == [None, mor.target.idA]
+    assert len(eliminations) == 18
+    assert not [m for m, _ in eliminations
+                if m.dom == m.cod and m == LinMap.identity(m.dom)]
 
 
 def test_vaes_preimage_record_skips_for_injective_pi():
