@@ -56,18 +56,11 @@ def _strides(dims: Sequence[int]) -> list[int]:
 
 
 def to_multi(index: int, dims: Sequence[int]) -> tuple[int, ...]:
-    multi = []
-    for s in _strides(dims):
-        multi.append(index // s)
-        index %= s
-    return tuple(multi)
+    return tuple(index // s % n for s, n in zip(_strides(dims), dims))
 
 
 def from_multi(multi: Sequence[int], dims: Sequence[int]) -> int:
-    idx = 0
-    for i, s in zip(multi, _strides(dims)):
-        idx += i * s
-    return idx
+    return sum(i * s for i, s in zip(multi, _strides(dims)))
 
 
 def _as_cyc(value) -> Cyc:
@@ -209,8 +202,7 @@ class LinMap:
             raise LegMismatch("vector legs differ from domain", v.dims, self.dom)
         return self @ v
 
-    def __call__(self, v: "Vec") -> "Vec":
-        return self.apply(v)
+    __call__ = apply
 
     def __matmul__(self, other: "LinMap") -> "LinMap":
         """Composition self o other."""
@@ -221,15 +213,18 @@ class LinMap:
         cols: dict[int, dict[int, Cyc]] = {}
         for j, col in other.cols.items():
             acc: dict[int, Cyc] = {}
+            summed = False  # as in apply_on_legs, only a sum may be zero
             for k, c in col.items():
                 mid = self.cols.get(k)
                 if not mid:
                     continue
                 for i, m in mid.items():
-                    s = acc.get(i)
-                    p = m * c
-                    acc[i] = p if s is None else s + p
-            acc = {i: v for i, v in acc.items() if not v.is_zero()}
+                    p = c if m is _ONE else m * c
+                    if i in acc:
+                        p, summed = acc[i] + p, True
+                    acc[i] = p
+            if summed:
+                acc = {i: v for i, v in acc.items() if v}
             if acc:
                 cols[j] = acc
         return LinMap._of(other.dom, self.cod, cols)
@@ -253,9 +248,7 @@ class LinMap:
         for j, col in other.cols.items():
             mine = cols.setdefault(j, {})
             for i, v in col.items():
-                if negate:
-                    v = -v
-                s = mine.get(i)
+                v, s = -v if negate else v, mine.get(i)
                 t = v if s is None else s + v
                 if t.is_zero():
                     mine.pop(i, None)
@@ -286,30 +279,19 @@ class LinMap:
         those legs in ``order`` and makes the first ``ncod`` of them its
         codomain.  Entries keep the order of ``entries()``, so columns
         come in the order each is first reached.  As in ``apply_on_legs``,
-        strides are worked out once per call and consecutive legs that
+        strides are worked out once per shape and consecutive legs that
         stay together are read as one digit.
         """
-        legs, nc = self.cod + self.dom, len(self.cod)
-        if sorted(order) != list(range(len(legs))):
-            raise LegMismatch(f"not a permutation of {len(legs)} legs: {order}")
-        dims = tuple(legs[p] for p in order)
-        src = _strides(self.cod) + _strides(self.dom)
-        dst = _strides(dims[:ncod]) + _strides(dims[ncod:])
-        # plans[a][b] reads the digits of the source's rows (a = 0) or
-        # columns (a = 1) that land in the result's rows (b = 0) or columns
-        plans: list[list[list]] = [[[], []], [[], []]]
-        for q, p in enumerate(order):
-            plans[p >= nc][q >= ncod].append((src[p], legs[p], dst[q]))
-        (rr, rc), (cr, cc) = ([_runs(x) for x in side] for side in plans)
+        dims, (rr, rc), (cr, cc) = _regroup_plans(self.cod, self.dom, tuple(order), ncod)
         # rows[i]: the offsets that the digits of source row i add to the
         # result's row and column index, read once per row
         rows: dict[int, tuple[int, int]] = {}
         cols: dict[int, dict[int, Cyc]] = {}
         for j, col in self.cols.items():
-            r0, c0 = _read(cr, j), _read(cc, j)
+            r0, c0 = cr(j), cc(j)
             for i, v in col.items():
                 if i not in rows:
-                    rows[i] = _read(rr, i), _read(rc, i)
+                    rows[i] = rr(i), rc(i)
                 r, c = rows[i]
                 c += c0
                 if c in cols:
@@ -417,21 +399,37 @@ class Vec(LinMap):
         return f"Vec(dims={self.dims}, nnz={self.nnz})"
 
 
-def _runs(plan: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
-    """Merge digit readers (stride, size, weight), digit = index // stride
-    % size adding digit * weight, of consecutive legs that stay in order,
-    so a run of legs is read as one digit."""
+def _runs(plan: list[tuple[int, int, int]]):
+    """The sum of digit * weight over digit readers (stride, size, weight),
+    digit = index // stride % size, as a function of the index.  Readers
+    of consecutive legs that stay in order are merged, so a run of legs is
+    read as one digit, and a single run is read without a generator."""
     out: list[tuple[int, int, int]] = []
     for s, n, t in plan:
         if out and out[-1][0] == s * n and out[-1][2] == t * n:
             n *= out.pop()[1]
         out.append((s, n, t))
-    return out
+    if out[1:]:
+        return lambda i: sum(i // s % n * t for s, n, t in out)
+    (s, n, t), = out or [(1, 1, 0)]  # no run reads 0
+    return lambda i: i // s % n * t
 
 
-def _read(plan: list[tuple[int, int, int]], index: int) -> int:
-    """The sum of digit * weight over the digit readers of ``_runs``."""
-    return sum(index // s % n * t for s, n, t in plan)
+@lru_cache(maxsize=64)
+def _regroup_plans(cod: Dims, dom: Dims, order: tuple[int, ...], ncod: int):
+    """The result legs of ``LinMap.regroup`` and its digit readers."""
+    legs, nc = cod + dom, len(cod)
+    if sorted(order) != list(range(len(legs))):
+        raise LegMismatch(f"not a permutation of {len(legs)} legs: {order}")
+    dims = tuple(legs[p] for p in order)
+    src = _strides(cod) + _strides(dom)
+    dst = _strides(dims[:ncod]) + _strides(dims[ncod:])
+    # plans[a][b] reads the digits of the source's rows (a = 0) or
+    # columns (a = 1) that land in the result's rows (b = 0) or columns
+    plans: list[list[list]] = [[[], []], [[], []]]
+    for q, p in enumerate(order):
+        plans[p >= nc][q >= ncod].append((src[p], legs[p], dst[q]))
+    return dims, *([_runs(x) for x in side] for side in plans)
 
 
 @lru_cache(maxsize=64)
@@ -455,11 +453,12 @@ def _plans(dims: Dims, legs: tuple[int, ...], fdom: Dims, fcod: Dims):
     at = dict(zip(others_at, (dims[p] for p in others))) | dict(zip(cod_at, fcod))
     out_dims = tuple(at[q] for q in range(len(at)))
     out_strides, in_strides = _strides(out_dims), _strides(dims)
-    col_plan = _runs([(in_strides[p], dims[p], s) for p, s in zip(legs, _strides(fdom))])
-    base_plan = _runs([(in_strides[p], dims[p], out_strides[q] - in_strides[p])
-                       for p, q in zip(others, others_at) if out_strides[q] != in_strides[p]])
-    cod_plan = _runs([(s, n, out_strides[q]) for s, n, q in zip(_strides(fcod), fcod, cod_at)])
-    return out_dims, col_plan, base_plan, cod_plan
+    chosen = [(in_strides[p], dims[p], s) for p, s in zip(legs, _strides(fdom))]
+    base = _runs([(in_strides[p], dims[p], out_strides[q] - in_strides[p])
+                  for p, q in zip(others, others_at) if out_strides[q] != in_strides[p]])
+    cod = _runs([(s, n, out_strides[q]) for s, n, q in zip(_strides(fcod), fcod, cod_at)])
+    # an entry's column of f, and the input index that f's column j clears
+    return out_dims, _runs(chosen), _runs([(t, n, s) for s, n, t in chosen]), base, cod
 
 
 def apply_on_legs(f: LinMap, legs: Sequence[int], x: LinMap,
@@ -480,17 +479,17 @@ def apply_on_legs(f: LinMap, legs: Sequence[int], x: LinMap,
     of y is read once, not once per pair.
     """
     y = _NOTHING if y is None else y
-    out_dims, col_plan, base_plan, cod_plan = _plans(x.cod + y.cod, tuple(legs), f.dom, f.cod)
+    out_dims, col_of, cleared, base, cod = _plans(x.cod + y.cod, tuple(legs), f.dom, f.cod)
     moves = {}  # a column of f -> its offsets
 
     def offsets(j):
         if j not in moves:
-            start = -sum(j // t % n * s for s, n, t in col_plan)
-            moves[j] = [(start + _read(cod_plan, i), v) for i, v in f.cols[j].items()]
+            start = -cleared(j)
+            moves[j] = [(start + cod(i), v) for i, v in f.cols[j].items()]
         return moves[j]
 
     nc2, nd2 = y.cod_dim, y.dom_dim
-    ys = [(j2, _read(col_plan, i), i + _read(base_plan, i), c)
+    ys = [(j2, col_of(i), i + base(i), c)
           for j2, col in y.cols.items() for i, c in col.items()]
     meets = {}  # jx -> (j2, by, c2, offsets) of the entries of y, in order, that meet it
     cols = {}
@@ -499,7 +498,7 @@ def apply_on_legs(f: LinMap, legs: Sequence[int], x: LinMap,
         summed = False  # a product of nonzero entries is not zero; a sum may be
         for i, c1 in col.items():
             idx = i * nc2
-            jx, bx = _read(col_plan, idx), idx + _read(base_plan, idx)
+            jx, bx = col_of(idx), idx + base(idx)
             if (meet := meets.get(jx)) is None:
                 meet = meets[jx] = [(j2, by, c2, offsets(jx + jy))
                                     for j2, jy, by, c2 in ys if jx + jy in f.cols]

@@ -74,7 +74,7 @@ def _scalar_from_json(obj, order: int, where: str) -> Cyc:
             coeffs.append(Fraction(s))
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"{where}: bad rational {s!r}") from None
-    return Cyc(order, coeffs)
+    return Cyc(order, coeffs) if any(coeffs[1:]) else Cyc.rational(coeffs[0], order)
 
 
 def _is_int(x) -> bool:

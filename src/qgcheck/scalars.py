@@ -33,6 +33,9 @@ Rational = Union[int, Fraction]
 # table of reduced powers, so an unbounded order from a model file could
 # exhaust memory; _Context(720) builds in well under a second.
 MAX_ORDER = 1000
+# Rational results that are integers of at most this size are shared
+# instances, so that ``x is one`` tests see every one of an order.
+SMALL = 16
 
 
 def _divisors(n: int) -> list[int]:
@@ -68,10 +71,11 @@ def cyclotomic_polynomial(n: int) -> list[int]:
 
 class _Context:
     """Per-order tables: modulus, integer power reductions, conjugation
-    and the shared constants zero and one."""
+    and the shared constants: the integers -SMALL..SMALL, zero and one
+    among them."""
 
     __slots__ = ("order", "degree", "modulus", "powers", "conj", "zeta",
-                 "zero", "one")
+                 "pad", "ints", "zero", "one")
 
     def __init__(self, order: int):
         self.order = order
@@ -92,8 +96,10 @@ class _Context:
         self.powers = powers
         self.conj = [powers[(order - j) % order] for j in range(d)]
         self.zeta = cmath.exp(2j * cmath.pi / order)
-        self.zero = _make(order, (0,) * d, 1)
-        self.one = _make(order, (1,) + (0,) * (d - 1), 1)
+        self.pad = (0,) * (d - 1)  # the zero coefficients of a rational
+        self.ints = tuple([_make(order, (n,) + self.pad, 1)
+                           for n in range(-SMALL, SMALL + 1)])
+        self.zero, self.one = self.ints[SMALL], self.ints[SMALL + 1]
 
 
 _CONTEXTS: dict[int, _Context] = {}
@@ -199,9 +205,12 @@ class Cyc:
         """self * p/q for integers p and q > 0, in self's order."""
         if p == q:
             return self
+        nums = self.nums
+        if not any(nums[1:]):
+            return _ratio(self.order, nums[0] * p, self.den * q)
         if not p:
             return _CONTEXTS[self.order].zero
-        return _cyc(self.order, [n * p for n in self.nums], self.den * q)
+        return _cyc(self.order, [n * p for n in nums], self.den * q)
 
     def _result_order(self, other: "Cyc") -> int:
         """The order of a result of self and other, of different orders:
@@ -254,26 +263,25 @@ class Cyc:
         a, b = self._pair(other)
         if a is NotImplemented:
             return NotImplemented
-        da, db = a.den, b.den
+        xs, ys, da, db = a.nums, b.nums, a.den, b.den
+        if not any(xs[1:]) and not any(ys[1:]):  # two rationals
+            if da == db:
+                return _ratio(a.order, xs[0] + ys[0], da)
+            return _ratio(a.order, xs[0] * db + ys[0] * da, da * db)
         if da == db:
-            return _cyc(a.order, [x + y for x, y in zip(a.nums, b.nums)], da)
-        return _cyc(a.order, [x * db + y * da for x, y in zip(a.nums, b.nums)],
-                    da * db)
+            return _cyc(a.order, [x + y for x, y in zip(xs, ys)], da)
+        return _cyc(a.order, [x * db + y * da for x, y in zip(xs, ys)], da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _make(self.order, tuple([-x for x in self.nums]), self.den)
+        nums = self.nums
+        if not any(nums[1:]):
+            return _ratio(self.order, -nums[0], self.den)
+        return _make(self.order, tuple([-x for x in nums]), self.den)
 
     def __sub__(self, other):
-        a, b = self._pair(other)
-        if a is NotImplemented:
-            return NotImplemented
-        da, db = a.den, b.den
-        if da == db:
-            return _cyc(a.order, [x - y for x, y in zip(a.nums, b.nums)], da)
-        return _cyc(a.order, [x * db - y * da for x, y in zip(a.nums, b.nums)],
-                    da * db)
+        return self + -other
 
     def __rsub__(self, other):
         return (-self) + other
@@ -290,7 +298,15 @@ class Cyc:
         # different orders, the right one); two non-rational factors of
         # different orders are lifted to the lcm of their orders
         if not any(xs[1:]):
-            return other._scaled(xs[0], self.den)
+            p, q = xs[0], self.den
+            if p == q:
+                return other  # 1 * x
+            if any(ys[1:]):
+                return other._scaled(p, q)
+            r, t = ys[0], other.den
+            if r == t and self.order == other.order:
+                return self  # x * 1
+            return _ratio(other.order, p * r, q * t)
         if not any(ys[1:]):
             return self._scaled(ys[0], other.den)
         if self.order != other.order:
@@ -453,6 +469,17 @@ def _make(order: int, nums: tuple[int, ...], den: int) -> Cyc:
     _set_nums(c, nums)
     _set_den(c, den)
     return c
+
+
+def _ratio(order: int, n: int, d: int) -> Cyc:
+    """The rational n/d, d > 0, in Q(zeta_order), in lowest terms: a
+    shared instance when it is an integer of at most ``SMALL``."""
+    if d != 1 and (g := gcd(n, d)) != 1:
+        n, d = n // g, d // g
+    ctx = _CONTEXTS[order]
+    if d == 1 and -SMALL <= n <= SMALL:
+        return ctx.ints[n + SMALL]
+    return _make(order, (n,) + ctx.pad, d)
 
 
 def _cyc(order: int, nums: list[int], den: int) -> Cyc:

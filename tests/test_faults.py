@@ -22,9 +22,23 @@ def jobs():
 
 def test_every_fault_changes_its_artifact_on_every_target(jobs, tmp_path):
     # Fault.apply raises on a fault that leaves its artifact equal
-    assert len(jobs) == 275
+    assert len(jobs) == 285
     models, maps = faults.write_mutants(str(tmp_path))
     assert (len(models), len(maps)) == (48, 4)
+
+
+def test_the_gate_runs_one_analytic_mutant_job_per_refusal(tmp_path):
+    # every --suite analytic mutant job exits 2 before any record runs;
+    # a stem of REFUSALS that no mutant has would drop its job unseen
+    models, maps = faults.write_mutants(str(tmp_path))
+    stems = {Path(p).stem for p in models}
+    assert compare_reports.REFUSALS <= stems and len(compare_reports.REFUSALS) == 9
+    labels = [label for label, _, _ in compare_reports.jobs(
+        "models", "inputs", models, maps)]
+    assert len(labels) == 96
+    assert sorted(lb.split()[-1] for lb in labels if "analytic mutant" in lb) \
+        == sorted(compare_reports.REFUSALS)
+    assert sum("algebraic mutant" in lb for lb in labels) == len(models) == 48
 
 
 def test_fault_names_are_unique(jobs):

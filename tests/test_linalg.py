@@ -139,6 +139,18 @@ def test_apply_on_legs_matches_embedding():
             apply_on_legs(mult, [2, 0], arg)
 
 
+@pytest.mark.parametrize("plan", [
+    [], [(4, 3, 1)],
+    [(12, 2, 3), (4, 3, 1)],  # consecutive legs in order: one run
+    [(12, 2, 1), (1, 4, 2)], [(1, 4, 6), (4, 3, 2), (12, 2, 1)]])
+def test_digit_readers_are_the_sum_of_digit_times_weight(plan):
+    # one leg (stride, size, weight) adds index // stride % size * weight;
+    # a plan of 0 or 1 run is read without a generator
+    read = linalg._runs(plan)
+    assert [read(i) for i in range(24)] == [
+        sum(i // s % n * t for s, n, t in plan) for i in range(24)]
+
+
 def test_apply_on_legs_entry_order():
     """Output entries come in the order the input entries reach them: for
     each input entry in turn, each entry of f's column in its stored order,

@@ -106,6 +106,20 @@ def test_scalar_outside_the_declared_field_is_refused():
         model_to_dict(replace(builtin("taft3"), order=4))
 
 
+@pytest.mark.parametrize("name", ["c_s3", "taft3"])
+def test_read_rationals_are_the_shared_constants(name):
+    # a model read from a file meets the `is one` shortcuts of linalg
+    m = parse_model(str(MODELS_DIR / f"{name}.json"))
+    one = Cyc.one(m.order)
+    ones = [v for f in ("mult", "coprod", "antipode", "invol")
+            for _, _, v in getattr(m, f).entries() if v == 1]
+    assert ones and all(v is one for v in ones)
+    # a rational written with its zero coefficients too
+    doc = model_to_dict(m)
+    doc["unit"] = [[0, ["1"] + ["0"] * (len(one.nums) - 1)]]
+    assert model_from_dict(doc).unit.data[0] is one
+
+
 def test_counit_and_antipode_are_optional(tmp_path):
     d = model_to_dict(builtin("taft3"))
     del d["counit"], d["antipode"]

@@ -317,3 +317,102 @@ def test_equal_values_hash_equal(operands):
     if a.is_rational():
         q = a.rational_value()
         assert Cyc.rational(q) == a and hash(Cyc.rational(q)) == hash(a)
+
+
+# -- the integer path of rational operands ------------------------------------
+
+PATH_ORDERS = (1, 2, 3, 4, 8)
+
+
+@st.composite
+def path_values(draw):
+    """A value of an order in PATH_ORDERS, built by the constructor: a
+    rational one half of the time, else any coefficients (rational too,
+    now and then)."""
+    from qgcheck.scalars import _context
+
+    order = draw(st.sampled_from(PATH_ORDERS))
+    if draw(st.booleans()):
+        return Cyc(order, [draw(small_rats)])
+    deg = _context(order).degree
+    return Cyc(order, draw(st.lists(small_rats, min_size=deg, max_size=deg)))
+
+
+def _generic(op, a, b):
+    """a op b on Fraction coefficients through the constructor alone, in
+    the order the promotion rules give: the other's order for a rational
+    operand (of two rationals, the right one's).  None for two irrational
+    values of different orders, which are lifted to the lcm instead."""
+    if a.order == b.order:
+        order = a.order
+    elif a.is_rational() or b.is_rational():
+        order = b.order if a.is_rational() else a.order
+    else:
+        return None
+    xs, ys = (list(v.coeffs if v.order == order else v.coeffs[:1]) for v in (a, b))
+    if op == "*":
+        raw = [Fraction(0)] * (len(xs) + len(ys) - 1)
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                raw[i + j] += x * y  # Cyc folds the powers past its degree
+        return Cyc(order, raw)
+    if op == "-":
+        ys = [-y for y in ys]
+    n = max(len(xs), len(ys))
+    xs, ys = xs + [0] * (n - len(xs)), ys + [0] * (n - len(ys))
+    return Cyc(order, [x + y for x, y in zip(xs, ys)])
+
+
+def _same_result(got, want):
+    assert got == want and got.order == want.order
+    assert (got.nums, got.den) == (want.nums, want.den)
+    assert got.den > 0 and gcd(got.den, *got.nums) == 1
+    assert hash(got) == hash(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(path_values(), path_values())
+def test_rational_paths_match_the_generic_path(a, b):
+    for op, got in (("*", a * b), ("+", a + b), ("-", a - b)):
+        want = _generic(op, a, b)
+        if want is not None:
+            _same_result(got, want)
+    _same_result(-a, Cyc(a.order, [-c for c in a.coeffs]))
+    q = b.coeffs[0]  # an int or Fraction operand takes the Cyc's order
+    _same_result(a * q, _generic("*", a, Cyc(a.order, [q])))
+    _same_result(q * a, _generic("*", a, Cyc(a.order, [q])))
+    _same_result(a + q, _generic("+", a, Cyc(a.order, [q])))
+    _same_result(a - q, _generic("-", a, Cyc(a.order, [q])))
+
+
+def test_a_rational_of_degree_above_one_keeps_the_order_rule():
+    # the length of nums does not tell a rational: order 4 stores (3, 0)
+    three4, five = Cyc.rational(3, 4), Cyc.rational(5)
+    for got in (three4 * five, three4 + five, three4 - five):
+        assert got.order == 1 and got.nums == (got.rational_value(),)
+    assert (five * three4).order == (five + three4).order == 4
+    # order 2 has degree 1 like order 1, and the right order still wins
+    half2 = Cyc(2, [Fraction(1, 2)])
+    assert (half2 * five).order == 1 and (five * half2).order == 2
+    assert (half2 * Cyc.zeta(4)).order == 4 and (Cyc.zeta(4) * half2).order == 4
+
+
+@pytest.mark.parametrize("order", PATH_ORDERS)
+def test_zero_and_small_integers_are_shared_instances(order):
+    one, zero = Cyc.one(order), Cyc.zero(order)
+    half = Cyc.rational(Fraction(1, 2), order)
+    x = Cyc.rational(Fraction(5, 7), order)
+    assert half + half is one and half - half is zero and half * 2 is one
+    assert Cyc.rational(3, order) * Cyc.rational(Fraction(1, 3), order) is one
+    assert -one is -one and -(-one) is one and x * 0 is zero
+    assert x * one is x and one * x is x
+    assert Cyc.rational(1, order) is one and Cyc.rational(0, order) is zero
+    two = (x * 7 + x * 7) * Cyc.rational(Fraction(1, 5), order)
+    assert two is Cyc.rational(2, order)
+    # the shared instances are immutable, and nothing above changed them
+    with pytest.raises(AttributeError, match="immutable"):
+        one.nums = (2,) + one.nums[1:]
+    with pytest.raises(AttributeError, match="immutable"):
+        zero.den = 2
+    assert one.coeffs == (1,) + (0,) * (len(one.nums) - 1) and one.den == 1
+    assert not any(zero.nums) and zero.den == 1

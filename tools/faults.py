@@ -306,7 +306,8 @@ def model_faults(mw) -> list[Fault]:
         "source.antipode", "source.invol", "source.counit", "dual.unit",
         "dual.counit", "dual.antipode", "dual.invol", "haar.model.coprod",
         "haar.phi", "haar.psi", "haar.pmat", "haar.sigma", "haar.sigma_prime",
-        "haar.delta_inv", "dual_haar.phi")]
+        "haar.sigma_inv", "haar.sigma_prime_inv", "haar.delta_inv",
+        "dual_haar.phi")]
     out += [Fault(f"duality.{art}", "double") for art in (
         "haar.delta", "haar.mu", "haar.nu", "dual_haar.delta", "dual_haar.mu")]
     out += [Fault("duality.haar.sigma", "antipode"),
